@@ -24,6 +24,7 @@ __all__ = [
     "run_first_order_suite",
     "run_second_order_suite",
     "run_oracle_suite",
+    "linear_head_gradient_oracle",
 ]
 
 _MARGIN = 1e-2  # least |relu pre-activation| accepted for fd checks
@@ -150,15 +151,17 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
         gen, f1, f2, src, tgt, pseudo = _tiny_alignment_case(rng)
         gen_params = gen.parameters()
 
-        def loss_gd():
-            gs = grad_discrepancy.source_gradient(gen, f1, f2, src)
-            gt = grad_discrepancy.target_gradient(gen, f1, f2, tgt, pseudo)
+        def loss_gd(create_graph=False):
+            gs = grad_discrepancy.source_gradient(
+                f1, f2, nn.forward(gen, Tensor(src.features)), src.labels,
+                create_graph,
+            )
+            gt = grad_discrepancy.target_gradient(
+                f1, f2, nn.forward(gen, Tensor(tgt.features)), pseudo, create_graph
+            )
             return grad_discrepancy.gradient_discrepancy_loss(gs, gt)
 
-        gs = grad_discrepancy.source_gradient(gen, f1, f2, src, create_graph=True)
-        gt = grad_discrepancy.target_gradient(gen, f1, f2, tgt, pseudo, create_graph=True)
-        loss = grad_discrepancy.gradient_discrepancy_loss(gs, gt)
-        auto = backward(loss, gen_params)
+        auto = backward(loss_gd(create_graph=True), gen_params)
         fd = finite_difference_gradient(loss_gd, gen_params)
         for p, ref in zip(gen_params, fd):
             worst = max(worst, _rel_err(auto[p].values, ref, floor=1e-5))
@@ -166,6 +169,31 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
         "double-backward alignment gradient vs finite differences",
         worst, 1e-3, time.perf_counter() - t0,
     )
+
+
+def linear_head_gradient_oracle(features, labels, weights, weight, bias):
+    """Closed-form gradient of mean weighted CE for one linear head.
+
+    dW = (1/b) sum_i w_i (softmax(W x_i + b) - onehot(y_i)) x_i^T, and the
+    bias analog without the x_i^T factor.  Pure numpy, no autodiff involved;
+    this is the independent test oracle for the autodiff gradients.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    w = np.asarray(weights, dtype=np.float64)
+    wt = np.asarray(weight, dtype=np.float64)
+    bs = np.asarray(bias, dtype=np.float64)
+    b = x.shape[0]
+    logits = x @ wt.T + bs
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    p /= p.sum(axis=1, keepdims=True)
+    diff = p.copy()
+    diff[np.arange(b), y] -= 1.0
+    diff *= w[:, None]
+    d_weight = diff.T @ x / b
+    d_bias = diff.sum(axis=0) / b
+    return d_weight, d_bias
 
 
 def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
@@ -185,19 +213,17 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
         x = rng.normal(size=(b, d_in))
         y = rng.integers(0, k, size=b)
         weights = rng.uniform(1.0, 2.0, size=b)
-        src = DomainSet(x, y, "source")
-        tgt = DomainSet(x, None, "target")
         pseudo = PseudoLabelSet(y.astype(np.int64), weights, np.zeros(b))
 
         with no_grad():
-            feats = nn.forward(gen, Tensor(x)).values
+            feats = nn.forward(gen, Tensor(x))
 
         # source gradient: oracle with unit weights, halved by the 1/2 factor
-        gvec = grad_discrepancy.source_gradient(gen, f1, f2, src).values
+        gvec = grad_discrepancy.source_gradient(f1, f2, feats, y).values
         offset = 0
         for clf in (f1, f2):
-            dw, db = grad_discrepancy.linear_head_gradient_oracle(
-                feats, y, np.ones(b), clf.layers[0].weight.values,
+            dw, db = linear_head_gradient_oracle(
+                feats.values, y, np.ones(b), clf.layers[0].weight.values,
                 clf.layers[0].bias.values,
             )
             expected = 0.5 * np.concatenate([dw.reshape(-1), db.reshape(-1)])
@@ -206,11 +232,11 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
             offset += expected.size
 
         # target gradient: entropy-weighted oracle
-        gvec = grad_discrepancy.target_gradient(gen, f1, f2, tgt, pseudo).values
+        gvec = grad_discrepancy.target_gradient(f1, f2, feats, pseudo).values
         offset = 0
         for clf in (f1, f2):
-            dw, db = grad_discrepancy.linear_head_gradient_oracle(
-                feats, y, weights, clf.layers[0].weight.values,
+            dw, db = linear_head_gradient_oracle(
+                feats.values, y, weights, clf.layers[0].weight.values,
                 clf.layers[0].bias.values,
             )
             expected = 0.5 * np.concatenate([dw.reshape(-1), db.reshape(-1)])

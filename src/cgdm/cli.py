@@ -59,7 +59,7 @@ def _cmd_train(args) -> int:
             },
             args.save_model,
         )
-    if harness._run_failed(metrics):
+    if harness._run_failed(metrics, run_cfg):
         print(f"run failed (non-finite loss); metrics in {path}")
         return 2
     final = metrics[-1].target_acc if metrics else float("nan")
@@ -98,8 +98,9 @@ def _cmd_export_embeddings(args) -> int:
     seed = cfg.seeds[0]
     source, target = harness.build_datasets(cfg, seed)
     if args.model:
-        nets = nn.load_params(args.model)
-        gen = nets["generator"]
+        gen = nn.load_params(args.model).get("generator")
+        if gen is None:
+            raise ConfigError(f"{args.model} holds no generator")
     else:
         run_cfg = harness.variant_config(cfg.train, args.variant, seed)
         _, model = trainer.train(source, target, run_cfg)

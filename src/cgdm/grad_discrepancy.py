@@ -7,9 +7,12 @@ pseudo labels.  Both are flattened in a fixed order (all of classifier 1,
 then all of classifier 2, layer by layer, weight before bias) so cosine
 comparisons are reproducible.
 
-Building these with ``create_graph=True`` keeps them differentiable with
-respect to the generator parameters, which is what lets the alignment loss
-be minimized by the generator via double backward.
+Both take generator features rather than raw batches, so a caller that has
+already forwarded a batch (the trainer's discrepancy term does) reuses that
+forward.  Building the gradients with ``create_graph=True`` keeps them
+differentiable through those features with respect to the generator
+parameters, which is what lets the alignment loss be minimized by the
+generator via double backward.
 """
 from __future__ import annotations
 
@@ -22,10 +25,12 @@ from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
+    add,
     concat,
     dot,
     flatten,
     mul,
+    narrow,
     pow_const,
     sub,
     tsum,
@@ -37,7 +42,6 @@ __all__ = [
     "source_gradient",
     "target_gradient",
     "gradient_discrepancy_loss",
-    "linear_head_gradient_oracle",
     "conditional_gradient_loss",
 ]
 
@@ -56,26 +60,32 @@ def _flat_gradient(loss: Tensor, params: list, create_graph: bool) -> Tensor:
     return concat([flatten(grads[p]) for p in params], axis=0)
 
 
-def source_gradient(gen, f1, f2, batch, create_graph: bool = False) -> Tensor:
-    """Classifier-parameter gradient of the source classification loss."""
-    if batch.n == 0:
+def source_gradient(f1, f2, feats: Tensor, labels, create_graph: bool = False) -> Tensor:
+    """Classifier-parameter gradient of the mean two-head cross-entropy on
+    source features ``feats`` (rows aligned with ``labels``)."""
+    if feats.shape[0] == 0:
         raise ContractError("source gradient needs a non-empty batch")
-    loss = losses.source_classification_loss(gen, f1, f2, batch)
+    loss = mul(
+        add(losses.cross_entropy(nn.forward(f1, feats), labels),
+            losses.cross_entropy(nn.forward(f2, feats), labels)),
+        0.5,
+    )
     return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
 
 
-def target_gradient(gen, f1, f2, batch, pseudo, create_graph: bool = False) -> Tensor:
-    """Classifier-parameter gradient of the weighted pseudo-label loss."""
-    if batch.n == 0:
+def target_gradient(f1, f2, feats: Tensor, pseudo, create_graph: bool = False) -> Tensor:
+    """Classifier-parameter gradient of the weighted pseudo-label loss on
+    target features ``feats`` (rows aligned with ``pseudo``)."""
+    n = feats.shape[0]
+    if n == 0:
         raise ContractError("target gradient needs a non-empty batch")
-    if len(pseudo.labels) != batch.n:
-        raise ContractError(
-            f"pseudo set covers {len(pseudo.labels)} rows, batch has {batch.n}"
-        )
-    feats = nn.forward(gen, Tensor(batch.features))
-    wce1 = losses.weighted_cross_entropy(nn.forward(f1, feats), pseudo)
-    wce2 = losses.weighted_cross_entropy(nn.forward(f2, feats), pseudo)
-    loss = mul(wce1 + wce2, 0.5)
+    if len(pseudo.labels) != n:
+        raise ContractError(f"pseudo set covers {len(pseudo.labels)} rows, batch has {n}")
+    loss = mul(
+        add(losses.weighted_cross_entropy(nn.forward(f1, feats), pseudo),
+            losses.weighted_cross_entropy(nn.forward(f2, feats), pseudo)),
+        0.5,
+    )
     return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
 
 
@@ -99,53 +109,44 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
     return sub(1.0, cos)
 
 
-def linear_head_gradient_oracle(features, labels, weights, weight, bias):
-    """Closed-form gradient of mean weighted CE for one linear head.
-
-    dW = (1/b) sum_i w_i (softmax(W x_i + b) - onehot(y_i)) x_i^T, and the
-    bias analog without the x_i^T factor.  Pure numpy, no autodiff involved;
-    this is the independent test oracle for the autodiff gradients.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    w = np.asarray(weights, dtype=np.float64)
-    wt = np.asarray(weight, dtype=np.float64)
-    bs = np.asarray(bias, dtype=np.float64)
-    b = x.shape[0]
-    logits = x @ wt.T + bs
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    diff = p.copy()
-    diff[np.arange(b), y] -= 1.0
-    diff *= w[:, None]
-    d_weight = diff.T @ x / b
-    d_bias = diff.sum(axis=0) / b
-    return d_weight, d_bias
+def _class_blocks(labels) -> dict:
+    """Class -> (start, length) of its rows; ``labels`` must be sorted."""
+    if np.any(labels[1:] < labels[:-1]):
+        raise ContractError("conditional gradient loss needs rows sorted by class")
+    classes, starts, counts = np.unique(labels, return_index=True, return_counts=True)
+    return {int(k): (int(s), int(c)) for k, s, c in zip(classes, starts, counts)}
 
 
 def conditional_gradient_loss(
-    gen, f1, f2, source_batch, target_batch, pseudo, create_graph: bool = False
+    f1, f2, feats_s: Tensor, labels_s, feats_t: Tensor, pseudo,
+    create_graph: bool = False,
 ) -> Tensor:
     """Per-category gradient alignment, averaged over classes present in both
     the source batch (true labels) and the target batch (pseudo labels).
 
-    Returns a constant 0 with a logged warning when no class is shared.
+    Both batches must have their rows sorted by class (a stable sort keeps
+    each class's rows in batch order), so each class is one contiguous block
+    of the shared features.  Returns a constant 0 with a logged warning when
+    no class is shared.
     """
-    src_classes = set(np.unique(np.asarray(source_batch.labels)).tolist())
-    tgt_classes = set(np.unique(np.asarray(pseudo.labels)).tolist())
-    shared = sorted(src_classes & tgt_classes)
+    labels_s = np.asarray(labels_s)
+    src_blocks = _class_blocks(labels_s)
+    tgt_blocks = _class_blocks(np.asarray(pseudo.labels))
+    shared = sorted(src_blocks.keys() & tgt_blocks.keys())
     if not shared:
         logger.warning("conditional gradient loss: no shared classes in batch")
         return Tensor(0.0)
     total = None
     for k in shared:
-        src_rows = np.flatnonzero(np.asarray(source_batch.labels) == k)
-        tgt_rows = np.flatnonzero(np.asarray(pseudo.labels) == k)
-        gs = source_gradient(gen, f1, f2, source_batch.take(src_rows), create_graph)
+        s0, ns = src_blocks[k]
+        t0, nt = tgt_blocks[k]
+        gs = source_gradient(
+            f1, f2, narrow(feats_s, 0, s0, ns),
+            labels_s[s0:s0 + ns], create_graph,
+        )
         gt = target_gradient(
-            gen, f1, f2, target_batch.take(tgt_rows), pseudo.take(tgt_rows),
-            create_graph,
+            f1, f2, narrow(feats_t, 0, t0, nt),
+            pseudo.take(np.arange(t0, t0 + nt)), create_graph,
         )
         term = gradient_discrepancy_loss(gs, gt)
         total = term if total is None else total + term

@@ -283,13 +283,17 @@ class ExperimentSummary:
         return float(np.std(self.variant_accs(variant)))
 
 
-def _run_failed(metrics) -> bool:
+def _run_failed(metrics, cfg: TrainConfig) -> bool:
+    """True when a loss that ``cfg`` computes in some epoch is not finite.
+
+    A NaN in a field the config never computes for that epoch only means
+    "not computed" (see :meth:`TrainConfig.computed_losses`).
+    """
+    adversarial = cfg.computed_losses()
     for m in metrics:
-        if not math.isfinite(m.loss_cls):
+        names = adversarial if m.epoch > cfg.warmup_epochs else ("loss_cls",)
+        if any(not math.isfinite(getattr(m, name)) for name in names):
             return True
-        for v in (m.loss_dis, m.loss_gd, m.loss_cb):
-            if math.isinf(v):  # NaN means "not computed by this variant"
-                return True
     return False
 
 
@@ -308,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             source, target = build_datasets(cfg, seed)
             run_cfg = variant_config(cfg.train, variant, seed)
             metrics, model = trainer.train(source, target, run_cfg)
-            failed = _run_failed(metrics)
+            failed = _run_failed(metrics, run_cfg)
             path = out_dir / f"metrics_{variant}_seed{seed}.csv"
             write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
             final_acc = metrics[-1].target_acc if metrics else float("nan")

@@ -1,9 +1,10 @@
 """Scalar training losses.
 
 A "loss value" is simply a one-element graph-attached :class:`Tensor`.
-Cross-entropy is always the negative-log-softmax composition (never
-softmax-then-log) for numerical stability, so every CE-family loss is >= 0
-by construction.  Entropies are in nats throughout.
+Cross-entropy is always computed from log-softmax (never softmax-then-log)
+for numerical stability, so every CE-family loss is >= 0 by construction;
+both CE losses are one fused :func:`~cgdm.tensor.softmax_cross_entropy`
+node.  Entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from .tensor import (
     absolute,
     add,
     log,
-    log_softmax,
     mul,
     neg,
+    softmax_cross_entropy,
     sub,
     tsum,
 )
@@ -55,11 +56,10 @@ def _onehot(labels, num_classes: int) -> np.ndarray:
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log_softmax(logits)[i, labels[i]]."""
     b, k = logits.shape
-    hot = Tensor(_onehot(labels, k))
+    hot = _onehot(labels, k)
     if hot.shape[0] != b:
         raise ContractError(f"{hot.shape[0]} labels for a batch of {b}")
-    picked = tsum(mul(log_softmax(logits), hot), axis=1)
-    return mul(tsum(neg(picked)), 1.0 / b)
+    return softmax_cross_entropy(logits, hot)
 
 
 def source_classification_loss(gen, f1, f2, batch) -> Tensor:
@@ -94,10 +94,7 @@ def weighted_cross_entropy(logits: Tensor, pseudo) -> Tensor:
         raise ContractError(
             f"pseudo labels cover {len(pseudo.labels)} rows, batch has {b}"
         )
-    hot = Tensor(_onehot(pseudo.labels, k))
-    picked = tsum(mul(log_softmax(logits), hot), axis=1)
-    weighted = mul(neg(picked), Tensor(np.asarray(pseudo.weights, dtype=np.float64)))
-    return mul(tsum(weighted), 1.0 / b)
+    return softmax_cross_entropy(logits, _onehot(pseudo.labels, k), pseudo.weights)
 
 
 def l1_discrepancy(p1: Tensor, p2: Tensor) -> Tensor:

@@ -1,21 +1,15 @@
 """Small MLPs, Glorot-uniform init, momentum SGD, and text checkpoints."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (
-    ContractError,
-    ShapeError,
-    Tensor,
-    add,
-    matmul,
-    relu,
-    transpose,
-)
+from .data import ParseError
+from .tensor import ContractError, ShapeError, Tensor, linear, relu
 
-__all__ = ["Layer", "Mlp", "init_mlp", "forward", "SgdOptimizer", "sgd_step",
+__all__ = ["Layer", "Mlp", "init_mlp", "forward", "SgdOptimizer",
            "save_params", "load_params"]
 
 
@@ -77,7 +71,7 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
         )
     h = x
     for layer in net.layers:
-        h = add(matmul(h, transpose(layer.weight)), layer.bias)
+        h = linear(h, layer.weight, layer.bias)
         if layer.activation == "relu":
             h = relu(h)
     return h
@@ -116,12 +110,6 @@ class SgdOptimizer:
             p.values -= self.lr * v
 
 
-def sgd_step(params, grads: dict, state: SgdOptimizer):
-    """Functional view of :meth:`SgdOptimizer.step`; returns the params."""
-    state.step(grads)
-    return params
-
-
 def save_params(named_nets: dict, path) -> None:
     """Write parameters as a stable text checkpoint.
 
@@ -150,7 +138,11 @@ def save_params(named_nets: dict, path) -> None:
 
 
 def load_params(path) -> dict:
-    """Read a checkpoint written by :func:`save_params` into fresh Mlps."""
+    """Read a checkpoint written by :func:`save_params` into fresh Mlps.
+
+    A malformed or truncated file raises :class:`~cgdm.data.ParseError`
+    with the 1-based line number.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     acts = {}
@@ -159,14 +151,29 @@ def load_params(path) -> dict:
     while i < len(lines):
         line = lines[i]
         if line.startswith("arch "):
-            _, name, act_list = line.split(" ", 2)
-            acts[name] = act_list.split(",")
+            parts = line.split(" ", 2)
+            if len(parts) != 3:
+                raise ParseError("expected 'arch <net> <activations>'", line=i + 1)
+            acts[parts[1]] = parts[2].split(",")
         elif line.startswith("param "):
             parts = line.split()
-            full = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
+            try:
+                full = parts[1]
+                shape = tuple(int(d) for d in parts[2:])
+            except (IndexError, ValueError):
+                raise ParseError("expected 'param <name> <dims...>'", line=i + 1) from None
             i += 1
-            vals = np.array([float(v) for v in lines[i].split()])
+            if i == len(lines):
+                raise ParseError(f"{full}: missing values line", line=i + 1)
+            try:
+                vals = np.array([float(v) for v in lines[i].split()])
+            except ValueError as err:
+                raise ParseError(f"{full}: {err}", line=i + 1) from None
+            if vals.size != math.prod(shape):
+                raise ParseError(
+                    f"{full}: expected {math.prod(shape)} values, got {vals.size}",
+                    line=i + 1,
+                )
             weights[full] = vals.reshape(shape)
         i += 1
 
@@ -174,8 +181,11 @@ def load_params(path) -> dict:
     for name, act_list in acts.items():
         layers = []
         for j, act in enumerate(act_list):
-            w = weights[f"{name}.layer{j}.weight"]
-            b = weights[f"{name}.layer{j}.bias"]
+            try:
+                w = weights[f"{name}.layer{j}.weight"]
+                b = weights[f"{name}.layer{j}.bias"]
+            except KeyError as err:
+                raise ParseError(f"missing parameter {err}", line=len(lines) + 1) from None
             layers.append(Layer(Tensor(w), Tensor(b), act))
         nets[name] = Mlp(layers)
     return nets

@@ -16,10 +16,20 @@ scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
 matrix); anything else raises :class:`ShapeError`.  A tensor and the graph it
 belongs to are confined to a single thread; the recording switch is
 thread-local so independent runs can execute concurrently.
+
+Two fused ops replace common compositions on the training hot path.  Their
+forward values are computed in the same numpy order as the composition, and
+their vjps are again built from primitives, so double backward stays exact:
+
+* ``linear(x, w, b)`` is ``add(matmul(x, transpose(w)), b)`` as one node;
+* ``softmax_cross_entropy(logits, onehot, weights)`` is the mean over rows of
+  ``-w_i * log_softmax(logits)[i, y_i]`` as one node, with the vjp
+  ``(softmax(logits) - onehot) * w / b * g``.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -42,6 +52,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "linear",
     "transpose",
     "relu",
     "absolute",
@@ -56,6 +67,7 @@ __all__ = [
     "narrow",
     "log_softmax",
     "softmax",
+    "softmax_cross_entropy",
     "dot",
     "backward",
     "second_order_check",
@@ -74,12 +86,16 @@ class ContractError(ValueError):
     """A documented precondition was violated."""
 
 
+class _GradState(threading.local):
+    enabled = True  # class default: every new thread starts recording
+
+
 _ids = itertools.count()
-_state = threading.local()
+_state = _GradState()
 
 
 def grad_enabled() -> bool:
-    return getattr(_state, "enabled", True)
+    return _state.enabled
 
 
 def _set_grad(flag: bool) -> bool:
@@ -195,19 +211,26 @@ def zeros_like(t: Tensor) -> Tensor:
 
 
 def _node(values, parents, op, vjps) -> Tensor:
-    """Record an op result; plain tensor when recording is off."""
-    if not grad_enabled():
-        return Tensor(values)
-    out = Tensor(values, parents=parents, op=op)
-    out._vjps = vjps
+    """Record an op result; plain tensor when recording is off.
+
+    ``values`` comes from numpy arithmetic on float64 operands, so only the
+    numpy scalar that a ufunc returns for 0-d inputs needs wrapping.
+    """
+    if type(values) is not np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+    out = object.__new__(Tensor)
+    out.values = values
+    out._id = next(_ids)
+    if _state.enabled:
+        out.parents, out._vjps, out.op = parents, vjps, op
+    else:
+        out.parents, out._vjps, out.op = (), (), None
     return out
 
 
 def _broadcast_shape(sa, sb, op):
     """Output shape under the restricted broadcast rules."""
-    if sa == sb:
-        return sa
-    na, nb = int(np.prod(sa)) if sa else 1, int(np.prod(sb)) if sb else 1
+    na, nb = math.prod(sa), math.prod(sb)
     if na == 1:
         return sb
     if nb == 1:
@@ -223,8 +246,7 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
     """Reduce a cotangent back to an operand's shape (built from primitives)."""
     if g.shape == shape:
         return g
-    n = int(np.prod(shape)) if shape else 1
-    if n == 1:
+    if math.prod(shape) == 1:
         return reshape(tsum(g), shape)
     # row operand (K,) against matrix (b, K)
     return tsum(g, axis=0)
@@ -232,7 +254,8 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "add")
+    if a.values.shape != b.values.shape:
+        _broadcast_shape(a.shape, b.shape, "add")
     return _node(
         a.values + b.values,
         (a, b),
@@ -243,7 +266,8 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "sub")
+    if a.values.shape != b.values.shape:
+        _broadcast_shape(a.shape, b.shape, "sub")
     return _node(
         a.values - b.values,
         (a, b),
@@ -257,7 +281,8 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "mul")
+    if a.values.shape != b.values.shape:
+        _broadcast_shape(a.shape, b.shape, "mul")
     return _node(
         a.values * b.values,
         (a, b),
@@ -291,6 +316,28 @@ def matmul(a, b) -> Tensor:
         (
             lambda g: matmul(g, transpose(b)),
             lambda g: matmul(transpose(a), g),
+        ),
+    )
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w.T + b`` of a batch x (b-by-in), weight w (out-by-in)
+    and bias b (out)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.values.ndim != 2 or w.values.ndim != 2:
+        raise ShapeError(f"linear needs 2-D x and w, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
+        raise ShapeError(
+            f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
+        )
+    return _node(
+        x.values @ np.ascontiguousarray(w.values.T) + b.values,
+        (x, w, b),
+        "linear",
+        (
+            lambda g: matmul(g, w),
+            lambda g: matmul(transpose(g), x),
+            lambda g: tsum(g, axis=0),
         ),
     )
 
@@ -461,6 +508,37 @@ def softmax(a) -> Tensor:
     return exp(log_softmax(a))
 
 
+def softmax_cross_entropy(logits, onehot: np.ndarray, weights=None) -> Tensor:
+    """Mean over the batch of ``-weights[i] * log_softmax(logits)[i, y_i]``.
+
+    ``onehot`` is the b-by-K one-hot encoding of the labels y; ``weights``
+    (length b) defaults to all ones.  The log-softmax node made here is
+    referenced by the vjp only, so a create-graph backward differentiates
+    the softmax through it.
+    """
+    a = as_tensor(logits)
+    ls = log_softmax(a)
+    b, k = ls.shape
+    if onehot.shape != (b, k):
+        raise ShapeError(f"one-hot {onehot.shape} does not match logits {(b, k)}")
+    picked = -(ls.values * onehot).sum(axis=1)
+    if weights is None:
+        weights = np.ones(b)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (b,):
+            raise ShapeError(f"{weights.shape} weights for a batch of {b}")
+        picked = picked * weights
+    scale = Tensor(np.repeat(weights / b, k).reshape(b, k))
+    target = Tensor(onehot)
+    return _node(
+        np.asarray(picked.sum()) * (1.0 / b),
+        (a,),
+        "cross_entropy",
+        (lambda g: mul(sub(exp(ls), target), mul(g, scale)),),
+    )
+
+
 def dot(a, b) -> Tensor:
     """Inner product of two 1-D tensors (scalar result)."""
     a, b = as_tensor(a), as_tensor(b)
@@ -470,16 +548,15 @@ def dot(a, b) -> Tensor:
 
 
 def _reachable(root: Tensor) -> list:
-    """All graph nodes reachable from root through parent links."""
+    """All graph nodes reachable from root through parent links, by id."""
     seen = {root._id: root}
     stack = [root]
     while stack:
-        node = stack.pop()
-        for p in node.parents:
+        for p in stack.pop().parents:
             if p._id not in seen:
                 seen[p._id] = p
                 stack.append(p)
-    return sorted(seen.values(), key=lambda t: t._id)
+    return [seen[i] for i in sorted(seen)]
 
 
 def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
@@ -493,19 +570,25 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     if scalar.size != 1:
         raise ContractError(f"backward root must have one element, got {scalar.size}")
     wrt = list(wrt)
-    nodes = _reachable(scalar)
     wrt_ids = {t._id for t in wrt}
 
     # keep only nodes on a path from the scalar down to some wrt tensor
     needed = set()
-    for node in nodes:  # ascending ids: parents precede consumers
-        if node._id in wrt_ids or any(p._id in needed for p in node.parents):
-            needed.add(node._id)
+    path = []
+    for node in _reachable(scalar):  # ascending ids: parents precede consumers
+        if node._id not in wrt_ids:
+            for p in node.parents:
+                if p._id in needed:
+                    break
+            else:
+                continue
+        needed.add(node._id)
+        path.append(node)
 
     prev = _set_grad(create_graph)
     try:
         cot = {scalar._id: ones(scalar.shape)}
-        for node in reversed(nodes):
+        for node in reversed(path):
             g = cot.get(node._id)
             if g is None:
                 continue

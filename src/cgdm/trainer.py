@@ -84,6 +84,20 @@ class TrainConfig:
         if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ConfigError("lr, momentum and weight_decay must be nonnegative")
 
+    def computed_losses(self) -> tuple:
+        """The EpochMetrics loss fields an adversarial epoch fills in.
+
+        Warmup epochs fill in ``loss_cls`` only; every other field is NaN.
+        """
+        names = ["loss_cls"]
+        if self.enable_adversarial:
+            names.append("loss_dis")
+            if self.enable_gdm and self.beta > 0:
+                names.append("loss_gd")
+        if self.enable_class_balance and self.class_balance_weight > 0:
+            names.append("loss_cb")
+        return tuple(names)
+
 
 @dataclass
 class EpochMetrics:
@@ -140,6 +154,8 @@ def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifier
 
 def _stream(n: int, total: int, rng) -> np.ndarray:
     """Shuffled indices, reshuffling and recycling until ``total`` are drawn."""
+    if n < 1:
+        raise ContractError(f"cannot draw batches from a set of {n} samples")
     chunks = []
     drawn = 0
     while drawn < total:
@@ -285,33 +301,45 @@ class CgdmTrainer:
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
+        Each repeat forwards each domain once; the target features feed both
+        the discrepancy term and the target gradient.
         """
         cfg = self.cfg
         self._check_pseudo(pseudo)
         m = self.model
         use_gdm = cfg.enable_gdm and cfg.beta > 0
+        conditional = use_gdm and cfg.conditional_gdm
+        if conditional:  # each class becomes one contiguous block of rows
+            s_order = np.argsort(source_batch.labels, kind="stable")
+            t_order = np.argsort(pseudo.labels, kind="stable")
+            source_batch = source_batch.take(s_order)
+            target_batch = target_batch.take(t_order)
+            pseudo = pseudo.take(t_order)
+        x_s = Tensor(source_batch.features)
+        x_t = Tensor(target_batch.features)
         out = {}
         for rep in range(cfg.step3_repeats):
-            feats_t = nn.forward(m.generator, Tensor(target_batch.features))
+            feats_t = nn.forward(m.generator, x_t)
             p1 = softmax(nn.forward(m.classifier1, feats_t))
             p2 = softmax(nn.forward(m.classifier2, feats_t))
             loss_dis = losses.l1_discrepancy(p1, p2)
             total = loss_dis
             loss_gd = None
             if use_gdm:
-                if cfg.conditional_gdm:
+                feats_s = nn.forward(m.generator, x_s)
+                if conditional:
                     loss_gd = grad_discrepancy.conditional_gradient_loss(
-                        m.generator, m.classifier1, m.classifier2,
-                        source_batch, target_batch, pseudo, create_graph=True,
+                        m.classifier1, m.classifier2, feats_s, source_batch.labels,
+                        feats_t, pseudo, create_graph=True,
                     )
                 else:
                     gs = grad_discrepancy.source_gradient(
-                        m.generator, m.classifier1, m.classifier2,
-                        source_batch, create_graph=True,
+                        m.classifier1, m.classifier2, feats_s, source_batch.labels,
+                        create_graph=True,
                     )
                     gt = grad_discrepancy.target_gradient(
-                        m.generator, m.classifier1, m.classifier2,
-                        target_batch, pseudo, create_graph=True,
+                        m.classifier1, m.classifier2, feats_t, pseudo,
+                        create_graph=True,
                     )
                     loss_gd = grad_discrepancy.gradient_discrepancy_loss(gs, gt)
                 total = total + mul(loss_gd, cfg.beta)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cgdm import nn
+from cgdm.data import ParseError
 from cgdm.tensor import ContractError, Tensor, backward, tsum, mul
 
 
@@ -162,3 +163,37 @@ class TestCheckpoint:
             ]
             for po, pb in zip(orig.parameters(), back.parameters()):
                 assert np.array_equal(po.values, pb.values)
+
+    @staticmethod
+    def _saved_lines(tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_params({"generator": nn.init_mlp([2, 3], seed=1)}, path)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_values_line_reports_its_line(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        # the last line holds the 3 bias values; keep the first one only
+        lines[-1] = lines[-1].split()[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            nn.load_params(path)
+        assert err.value.line == len(lines)
+        assert "expected 3 values, got 1" in str(err.value)
+
+    def test_missing_values_line_reports_end_of_file(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ParseError) as err:
+            nn.load_params(path)
+        assert err.value.line == len(lines)
+
+    def test_missing_record_and_bad_number_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        with pytest.raises(ParseError, match="missing parameter"):
+            nn.load_params(path)
+        lines[-1] = lines[-1].replace(" ", " x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            nn.load_params(path)
+        assert err.value.line == len(lines)

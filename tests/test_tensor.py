@@ -222,6 +222,121 @@ def test_primitive_gradients_match_finite_differences(name):
         fd_check(lambda: build(inputs), [inputs[w] for w in wrt_names])
 
 
+def _second_order(make_loss, inner_wrt, outer_wrt, seed):
+    """fd check of d/d(outer) of a random projection of d loss/d(inner)."""
+    rng = np.random.default_rng(seed)
+    proj = [T.Tensor(rng.normal(size=t.shape)) for t in inner_wrt]
+
+    def projected_gradient():
+        grads = T.backward(make_loss(), inner_wrt, create_graph=True)
+        terms = [T.tsum(T.mul(grads[t], p)) for t, p in zip(inner_wrt, proj)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = T.add(total, term)
+        return total
+
+    fd_check(projected_gradient, outer_wrt)
+
+
+class TestFusedOps:
+    """``linear`` and ``softmax_cross_entropy`` against their compositions and
+    finite differences, to first and second order."""
+
+    @staticmethod
+    def _linear_case(seed):
+        rng = np.random.default_rng(seed)
+        x = T.Tensor(rng.normal(size=(5, 3)))
+        w = T.Tensor(rng.normal(size=(4, 3)))
+        b = T.Tensor(rng.normal(size=4))
+        return x, w, b, T.Tensor(rng.normal(size=(5, 4)))
+
+    @staticmethod
+    def _ce_case(seed, weighted):
+        rng = np.random.default_rng(100 + seed)
+        logits = T.Tensor(rng.normal(size=(5, 3)))
+        hot = np.eye(3)[rng.integers(0, 3, size=5)]
+        weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
+        return logits, hot, weights
+
+    def test_linear_equals_composition(self):
+        x, w, b, proj = self._linear_case(0)
+        fused = T.linear(x, w, b)
+        composed = T.add(T.matmul(x, T.transpose(w)), b)
+        np.testing.assert_array_equal(fused.values, composed.values)
+        g_fused = T.backward(T.tsum(T.mul(fused, proj)), [x, w, b])
+        g_composed = T.backward(T.tsum(T.mul(composed, proj)), [x, w, b])
+        for t in (x, w, b):
+            np.testing.assert_allclose(g_fused[t].values, g_composed[t].values,
+                                       rtol=1e-14, atol=1e-14)
+
+    def test_linear_shape_mismatch(self):
+        x, w, b, _ = self._linear_case(0)
+        with pytest.raises(T.ShapeError):
+            T.linear(x, T.transpose(w), b)
+        with pytest.raises(T.ShapeError):
+            T.linear(x, w, T.Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_first_order(self, seed):
+        x, w, b, proj = self._linear_case(seed)
+        fd_check(lambda: T.tsum(T.mul(T.linear(x, w, b), proj)), [x, w, b])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_second_order(self, seed):
+        x, w, b, proj = self._linear_case(seed)
+
+        def loss():  # quadratic in the output, so every input reaches the gradient
+            y = T.linear(x, w, b)
+            return T.tsum(T.mul(T.mul(y, y), proj))
+
+        _second_order(loss, [x, w, b], [x, w, b], seed)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cross_entropy_equals_composition(self, weighted):
+        logits, hot, weights = self._ce_case(0, weighted)
+        per_row = T.neg(T.tsum(T.mul(T.log_softmax(logits), T.Tensor(hot)), axis=1))
+        if weighted:
+            per_row = T.mul(per_row, T.Tensor(weights))
+        composed = T.mul(T.tsum(per_row), 1.0 / 5)
+        fused = T.softmax_cross_entropy(logits, hot, weights)
+        assert fused.item() == composed.item()
+        g_fused = T.backward(fused, [logits])[logits].values
+        g_composed = T.backward(composed, [logits])[logits].values
+        np.testing.assert_allclose(g_fused, g_composed, rtol=1e-14, atol=1e-15)
+
+    def test_cross_entropy_rejects_bad_operands(self):
+        logits, hot, _ = self._ce_case(0, False)
+        with pytest.raises(T.ShapeError):
+            T.softmax_cross_entropy(logits, hot[:4])
+        with pytest.raises(T.ShapeError):
+            T.softmax_cross_entropy(logits, hot, np.ones(4))
+        with pytest.raises(T.DomainError):
+            T.softmax_cross_entropy(T.Tensor(np.full((5, 3), np.inf)), hot)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_entropy_first_order(self, seed, weighted):
+        logits, hot, weights = self._ce_case(seed, weighted)
+        fd_check(lambda: T.softmax_cross_entropy(logits, hot, weights), [logits])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_entropy_second_order(self, seed, weighted):
+        logits, hot, weights = self._ce_case(seed, weighted)
+        _second_order(lambda: T.softmax_cross_entropy(logits, hot, weights),
+                      [logits], [logits], seed)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cross_entropy_of_linear_second_order(self, weighted):
+        """The step-3 shape: head-weight gradient, differentiated by the input."""
+        x, w, b, _ = self._linear_case(7)
+        rng = np.random.default_rng(8)
+        hot = np.eye(4)[rng.integers(0, 4, size=5)]
+        weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
+        _second_order(lambda: T.softmax_cross_entropy(T.linear(x, w, b), hot, weights),
+                      [w, b], [x, w, b], 7)
+
+
 class TestSecondOrder:
     def test_cubic(self):
         x = T.Tensor([2.0])
