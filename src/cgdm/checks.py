@@ -152,12 +152,14 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
         gen_params = gen.parameters()
 
         def loss_gd(create_graph=False):
+            fs = nn.forward(gen, Tensor(src.features))
+            ft = nn.forward(gen, Tensor(tgt.features))
             gs = grad_discrepancy.source_gradient(
-                f1, f2, nn.forward(gen, Tensor(src.features)), src.labels,
+                f1, f2, nn.forward(f1, fs), nn.forward(f2, fs), src.labels,
                 create_graph,
             )
             gt = grad_discrepancy.target_gradient(
-                f1, f2, nn.forward(gen, Tensor(tgt.features)), pseudo, create_graph
+                f1, f2, nn.forward(f1, ft), nn.forward(f2, ft), pseudo, create_graph
             )
             return grad_discrepancy.gradient_discrepancy_loss(gs, gt)
 
@@ -217,32 +219,24 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
 
         with no_grad():
             feats = nn.forward(gen, Tensor(x))
+        logits = (nn.forward(f1, feats), nn.forward(f2, feats))
 
-        # source gradient: oracle with unit weights, halved by the 1/2 factor
-        gvec = grad_discrepancy.source_gradient(f1, f2, feats, y).values
-        offset = 0
-        for clf in (f1, f2):
-            dw, db = linear_head_gradient_oracle(
-                feats.values, y, np.ones(b), clf.layers[0].weight.values,
-                clf.layers[0].bias.values,
-            )
-            expected = 0.5 * np.concatenate([dw.reshape(-1), db.reshape(-1)])
-            got = gvec[offset:offset + expected.size]
-            worst = max(worst, float(np.max(np.abs(got - expected))))
-            offset += expected.size
-
-        # target gradient: entropy-weighted oracle
-        gvec = grad_discrepancy.target_gradient(f1, f2, feats, pseudo).values
-        offset = 0
-        for clf in (f1, f2):
-            dw, db = linear_head_gradient_oracle(
-                feats.values, y, weights, clf.layers[0].weight.values,
-                clf.layers[0].bias.values,
-            )
-            expected = 0.5 * np.concatenate([dw.reshape(-1), db.reshape(-1)])
-            got = gvec[offset:offset + expected.size]
-            worst = max(worst, float(np.max(np.abs(got - expected))))
-            offset += expected.size
+        # source gradient: unit weights; target gradient: entropy weights;
+        # each head's oracle gradient is halved by the two-head mean
+        for gvec, w in (
+            (grad_discrepancy.source_gradient(f1, f2, *logits, y), np.ones(b)),
+            (grad_discrepancy.target_gradient(f1, f2, *logits, pseudo), weights),
+        ):
+            offset = 0
+            for clf in (f1, f2):
+                dw, db = linear_head_gradient_oracle(
+                    feats.values, y, w, clf.layers[0].weight.values,
+                    clf.layers[0].bias.values,
+                )
+                expected = 0.5 * np.concatenate([dw.reshape(-1), db.reshape(-1)])
+                got = gvec.values[offset:offset + expected.size]
+                worst = max(worst, float(np.max(np.abs(got - expected))))
+                offset += expected.size
     return CheckResult(
         "autodiff domain gradients vs closed-form linear-head oracle",
         worst, 1e-10, time.perf_counter() - t0,

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import checks, harness, nn, trainer
 from .data import ParseError, save_dataset_csv
+from .tensor import DomainError
 from .trainer import ConfigError
 
 
@@ -163,6 +164,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except DomainError as err:  # a diverged training run
+        print(f"run failed: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,12 +7,14 @@ pseudo labels.  Both are flattened in a fixed order (all of classifier 1,
 then all of classifier 2, layer by layer, weight before bias) so cosine
 comparisons are reproducible.
 
-Both take generator features rather than raw batches, so a caller that has
-already forwarded a batch (the trainer's discrepancy term does) reuses that
-forward.  Building the gradients with ``create_graph=True`` keeps them
-differentiable through those features with respect to the generator
+Both take the two heads' logits rather than raw batches, so a caller that
+has already run the heads on a batch (the trainer's discrepancy term has, on
+the target batch) reuses that forward.  Building the gradients with
+``create_graph=True`` keeps them differentiable through those logits, and
+the generator features under them, with respect to the generator
 parameters, which is what lets the alignment loss be minimized by the
-generator via double backward.
+generator via double backward.  The conditional loss takes features instead
+and runs the heads on each class block.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
-    add,
     concat,
     dot,
     flatten,
@@ -60,32 +61,19 @@ def _flat_gradient(loss: Tensor, params: list, create_graph: bool) -> Tensor:
     return concat([flatten(grads[p]) for p in params], axis=0)
 
 
-def source_gradient(f1, f2, feats: Tensor, labels, create_graph: bool = False) -> Tensor:
+def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
+                    create_graph: bool = False) -> Tensor:
     """Classifier-parameter gradient of the mean two-head cross-entropy on
-    source features ``feats`` (rows aligned with ``labels``)."""
-    if feats.shape[0] == 0:
-        raise ContractError("source gradient needs a non-empty batch")
-    loss = mul(
-        add(losses.cross_entropy(nn.forward(f1, feats), labels),
-            losses.cross_entropy(nn.forward(f2, feats), labels)),
-        0.5,
-    )
+    source rows; ``logits1``/``logits2`` are the heads' outputs on them."""
+    loss = losses.pair_cross_entropy(logits1, logits2, labels)
     return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
 
 
-def target_gradient(f1, f2, feats: Tensor, pseudo, create_graph: bool = False) -> Tensor:
+def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
+                    create_graph: bool = False) -> Tensor:
     """Classifier-parameter gradient of the weighted pseudo-label loss on
-    target features ``feats`` (rows aligned with ``pseudo``)."""
-    n = feats.shape[0]
-    if n == 0:
-        raise ContractError("target gradient needs a non-empty batch")
-    if len(pseudo.labels) != n:
-        raise ContractError(f"pseudo set covers {len(pseudo.labels)} rows, batch has {n}")
-    loss = mul(
-        add(losses.weighted_cross_entropy(nn.forward(f1, feats), pseudo),
-            losses.weighted_cross_entropy(nn.forward(f2, feats), pseudo)),
-        0.5,
-    )
+    target rows (aligned with ``pseudo``); logits as in :func:`source_gradient`."""
+    loss = losses.pair_cross_entropy(logits1, logits2, pseudo.labels, pseudo.weights)
     return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
 
 
@@ -140,12 +128,14 @@ def conditional_gradient_loss(
     for k in shared:
         s0, ns = src_blocks[k]
         t0, nt = tgt_blocks[k]
+        fs = narrow(feats_s, 0, s0, ns)
         gs = source_gradient(
-            f1, f2, narrow(feats_s, 0, s0, ns),
+            f1, f2, nn.forward(f1, fs), nn.forward(f2, fs),
             labels_s[s0:s0 + ns], create_graph,
         )
+        ft = narrow(feats_t, 0, t0, nt)
         gt = target_gradient(
-            f1, f2, narrow(feats_t, 0, t0, nt),
+            f1, f2, nn.forward(f1, ft), nn.forward(f2, ft),
             pseudo.take(np.arange(t0, t0 + nt)), create_graph,
         )
         term = gradient_discrepancy_loss(gs, gt)

@@ -12,7 +12,7 @@ EpochMetrics objects either way).
 """
 from __future__ import annotations
 
-import dataclasses
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data, nn, pseudo_labels, trainer
 from .data import DomainSet, ParseError
-from .tensor import Tensor, no_grad
+from .tensor import DomainError, Tensor, no_grad
 from .trainer import ConfigError, EpochMetrics, TrainConfig
 
 __all__ = [
@@ -38,19 +38,18 @@ __all__ = [
     "export_embeddings",
 ]
 
-# ablation matrix: flag overrides applied on top of the configured TrainConfig
+# ablation matrix: TrainConfig overrides; a loss weight of 0 turns that loss off
 VARIANTS = {
     "source_only": dict(
-        enable_adversarial=False,
-        enable_selfsup=False,
-        enable_gdm=False,
-        enable_class_balance=False,
+        enable_adversarial=False, alpha=0.0, beta=0.0, class_balance_weight=0.0
     ),
-    "mcd": dict(enable_selfsup=False, enable_gdm=False, enable_class_balance=False),
-    "cgdm_wo_selfsup": dict(enable_selfsup=False),
-    "cgdm_wo_gdm": dict(enable_gdm=False),
+    "mcd": dict(alpha=0.0, beta=0.0, class_balance_weight=0.0),
+    "cgdm_wo_selfsup": dict(alpha=0.0),
+    "cgdm_wo_gdm": dict(beta=0.0),
     "cgdm_full": dict(),
 }
+
+logger = logging.getLogger(__name__)
 
 METRICS_HEADER = "epoch,loss_cls,loss_dis,loss_gd,loss_cb,target_acc,pseudo_acc,seconds"
 
@@ -91,71 +90,30 @@ class ExperimentConfig:
         self.train.validate()
 
 
-_EXP_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+# config key -> default value; a key's value is parsed to its default's type
+_TRAIN_DEFAULTS = vars(TrainConfig())
+_EXP_DEFAULTS = {k: v for k, v in vars(ExperimentConfig()).items() if k != "train"}
 
 
-def _coerce(key: str, raw: str, target_type):
+def _coerce(key: str, raw: str, default):
+    """Parse ``raw`` to the type of ``default``: a comma-separated list or
+    tuple takes the type of the default's items, a None default means a
+    float or ``none``."""
     raw = raw.strip()
-    if target_type is float:
-        return float(raw)
-    if target_type is int:
-        return int(raw)
-    if target_type is bool:
+    kind = type(default)
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if target_type is str:
-        return raw
-    raise ConfigError(f"{key}: unsupported value {raw!r}")
-
-
-def _parse_line(cfg_kwargs, train_kwargs, key, raw):
-    if key == "seeds":
-        cfg_kwargs["seeds"] = [int(v) for v in raw.split(",") if v.strip()]
-        return
-    if key == "variants":
-        cfg_kwargs["variants"] = [v.strip() for v in raw.split(",") if v.strip()]
-        return
-    if key in ("generator_hidden", "classifier_hidden"):
-        train_kwargs[key] = tuple(int(v) for v in raw.split(",") if v.strip())
-        return
-    if key == "lr_generator":
-        train_kwargs[key] = None if raw.strip().lower() == "none" else float(raw)
-        return
-    if key in _TRAIN_FIELDS:
-        train_kwargs[key] = _coerce(key, raw, _train_field_type(key))
-        return
-    if key in _EXP_FIELDS and key != "train":
-        cfg_kwargs[key] = _coerce(key, raw, _exp_field_type(key))
-        return
-    raise ConfigError(f"unknown config key {key!r}")
-
-
-def _train_field_type(key):
-    return {
-        "alpha": float, "beta": float, "class_balance_weight": float,
-        "lr": float, "momentum": float, "weight_decay": float,
-        "batch_size": int, "epochs": int, "step3_repeats": int,
-        "warmup_epochs": int, "seed": int, "feature_dim": int,
-        "enable_adversarial": bool, "enable_selfsup": bool,
-        "enable_gdm": bool, "enable_class_balance": bool,
-        "conditional_gdm": bool,
-    }[key]
-
-
-def _exp_field_type(key):
-    return {
-        "dataset": str, "moons_n": int, "moons_noise": float,
-        "moons_rotation_deg": float, "blobs_classes": int, "blobs_dim": int,
-        "blobs_separation": float, "blobs_shift": float,
-        "blobs_cov_scale": float, "blobs_n_per_class": int,
-        "csv_source": str, "csv_target": str, "out_dir": str,
-        "export_pseudo": bool, "include_timing": bool,
-    }[key]
+    if kind in (list, tuple):
+        item = type(default[0])
+        return kind(item(v.strip()) for v in raw.split(",") if v.strip())
+    if default is None:
+        return None if raw.lower() == "none" else float(raw)
+    return kind(raw)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -169,12 +127,15 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-            key, raw = stripped.split("=", 1)
+            key, raw = (part.strip() for part in stripped.split("=", 1))
             try:
-                _parse_line(cfg_kwargs, train_kwargs, key.strip(), raw)
-            except (ValueError, KeyError) as err:
-                if isinstance(err, ConfigError):
-                    raise
+                if key in _TRAIN_DEFAULTS:
+                    train_kwargs[key] = _coerce(key, raw, _TRAIN_DEFAULTS[key])
+                elif key in _EXP_DEFAULTS:
+                    cfg_kwargs[key] = _coerce(key, raw, _EXP_DEFAULTS[key])
+                else:
+                    raise ConfigError(f"unknown config key {key!r}")
+            except ValueError as err:  # ConfigError included
                 raise ConfigError(f"line {lineno}: {err}") from None
     cfg = ExperimentConfig(train=TrainConfig(**train_kwargs), **cfg_kwargs)
     cfg.validate()
@@ -261,7 +222,7 @@ class RunResult:
     failed: bool
     metrics_path: str
     metrics: list
-    model: trainer.BiClassifierModel
+    model: trainer.BiClassifierModel | None  # None when training raised
 
 
 @dataclass
@@ -301,7 +262,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run every (variant, seed) pair, write per-run metrics and a summary.
 
     The summary reports mean and std of the final-epoch target accuracy per
-    variant.  A run that produces a non-finite loss is marked failed.
+    variant.  A run that produces a non-finite loss is marked failed; one
+    that raises :class:`~cgdm.tensor.DomainError` (it diverged) is marked
+    failed with NaN accuracy and a header-only metrics CSV, and the
+    remaining runs go on.
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
@@ -311,8 +275,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         for seed in cfg.seeds:
             source, target = build_datasets(cfg, seed)
             run_cfg = variant_config(cfg.train, variant, seed)
-            metrics, model = trainer.train(source, target, run_cfg)
-            failed = _run_failed(metrics, run_cfg)
+            try:
+                metrics, model = trainer.train(source, target, run_cfg)
+            except DomainError as err:  # diverged: the next run goes on
+                logger.warning("%s seed %d failed: %s", variant, seed, err)
+                metrics, model = [], None
+            failed = model is None or _run_failed(metrics, run_cfg)
             path = out_dir / f"metrics_{variant}_seed{seed}.csv"
             write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
             final_acc = metrics[-1].target_acc if metrics else float("nan")

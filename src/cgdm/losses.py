@@ -3,8 +3,9 @@
 A "loss value" is simply a one-element graph-attached :class:`Tensor`.
 Cross-entropy is always computed from log-softmax (never softmax-then-log)
 for numerical stability, so every CE-family loss is >= 0 by construction;
-both CE losses are one fused :func:`~cgdm.tensor.softmax_cross_entropy`
-node.  Entropies are in nats throughout.
+:func:`cross_entropy` is the one CE, a fused
+:func:`~cgdm.tensor.softmax_cross_entropy` node with optional row weights.
+Entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ from .tensor import (
 
 __all__ = [
     "cross_entropy",
+    "pair_cross_entropy",
     "source_classification_loss",
-    "entropy_weight",
-    "weighted_cross_entropy",
+    "entropy_weights",
     "l1_discrepancy",
     "class_balance_loss",
 ]
@@ -53,13 +54,28 @@ def _onehot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log_softmax(logits)[i, labels[i]]."""
+def cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
+    """Mean over the batch of -weights[i] * log_softmax(logits)[i, labels[i]].
+
+    ``weights`` (one per row) defaults to all ones; pseudo-labelled target
+    rows pass their entropy confidence weights.
+    """
     b, k = logits.shape
+    if b == 0:
+        raise ContractError("cross-entropy needs a non-empty batch")
     hot = _onehot(labels, k)
     if hot.shape[0] != b:
         raise ContractError(f"{hot.shape[0]} labels for a batch of {b}")
-    return softmax_cross_entropy(logits, hot)
+    return softmax_cross_entropy(logits, hot, weights)
+
+
+def pair_cross_entropy(logits1: Tensor, logits2: Tensor, labels, weights=None) -> Tensor:
+    """Mean of the two classifier heads' cross-entropies on the same rows."""
+    return mul(
+        add(cross_entropy(logits1, labels, weights),
+            cross_entropy(logits2, labels, weights)),
+        0.5,
+    )
 
 
 def source_classification_loss(gen, f1, f2, batch) -> Tensor:
@@ -67,34 +83,23 @@ def source_classification_loss(gen, f1, f2, batch) -> Tensor:
     if batch.labels is None:
         raise ContractError("source classification loss needs a labeled batch")
     feats = nn.forward(gen, Tensor(batch.features))
-    ce1 = cross_entropy(nn.forward(f1, feats), batch.labels)
-    ce2 = cross_entropy(nn.forward(f2, feats), batch.labels)
-    return mul(add(ce1, ce2), 0.5)
+    return pair_cross_entropy(nn.forward(f1, feats), nn.forward(f2, feats), batch.labels)
 
 
-def entropy_weight(probs) -> float:
-    """Confidence weight 1 + exp(-H(probs)) in (1, 2]; H in nats, 0*log0 := 0."""
+def entropy_weights(probs) -> np.ndarray:
+    """Confidence weight 1 + exp(-H(p)) in (1, 2] of each probability row p.
+
+    H is in nats with 0*log0 := 0; every row must be nonnegative and sum to 1.
+    """
     p = np.asarray(probs, dtype=np.float64)
     if np.any(p < 0):
         raise ContractError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-8:
-        raise ContractError(f"probabilities must sum to 1, got {p.sum()!r}")
-    h = -np.sum(np.where(p > 0, p * np.log(np.maximum(p, _LOG_FLOOR)), 0.0))
-    return float(1.0 + np.exp(-h))
-
-
-def weighted_cross_entropy(logits: Tensor, pseudo) -> Tensor:
-    """Mean over the batch of w_i * CE_i against pseudo labels.
-
-    ``pseudo`` must carry one (label, weight) pair per batch row, in row
-    order (a :class:`~cgdm.pseudo_labels.PseudoLabelSet` or compatible).
-    """
-    b, k = logits.shape
-    if len(pseudo.labels) != b:
-        raise ContractError(
-            f"pseudo labels cover {len(pseudo.labels)} rows, batch has {b}"
-        )
-    return softmax_cross_entropy(logits, _onehot(pseudo.labels, k), pseudo.weights)
+    off = np.abs(p.sum(axis=1) - 1.0)
+    if np.any(off > 1e-8):
+        raise ContractError(f"probability rows must sum to 1, one is off by {off.max()}")
+    plogp = np.where(p > 0, p * np.log(np.maximum(p, _LOG_FLOOR)), 0.0)
+    entropy = -plogp.sum(axis=1)
+    return 1.0 + np.exp(-entropy)
 
 
 def l1_discrepancy(p1: Tensor, p2: Tensor) -> Tensor:

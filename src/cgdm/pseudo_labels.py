@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import losses, nn
 from .tensor import ContractError, Tensor, no_grad
 
 __all__ = [
     "CentroidSet",
     "PseudoLabelSet",
     "compute_centroids",
-    "cosine_distance",
+    "cosine_distances",
     "assign_pseudo_labels",
     "pseudo_label_epoch",
     "save_pseudo_csv",
@@ -88,30 +88,25 @@ def compute_centroids(features, probs1, probs2) -> CentroidSet:
     return CentroidSet(centroids, mass)
 
 
-def cosine_distance(u, v) -> float:
-    """1 - cos(u, v), in [0, 2]; epsilon-guarded against zero vectors."""
-    u = _as_array(u)
-    v = _as_array(v)
-    denom = np.linalg.norm(u) * np.linalg.norm(v) + EPS
-    return float(1.0 - u @ v / denom)
+def cosine_distances(features, centroids) -> np.ndarray:
+    """n-by-K matrix of 1 - cos(feature row, centroid row), in [0, 2];
+    epsilon-guarded against zero vectors."""
+    feats = _as_array(features)
+    c = _as_array(centroids)
+    dots = feats @ c.T
+    denom = np.linalg.norm(feats, axis=1)[:, None] * np.linalg.norm(c, axis=1)[None, :]
+    return 1.0 - dots / (denom + EPS)
 
 
 def assign_pseudo_labels(features, centroids: CentroidSet, probs1, probs2) -> PseudoLabelSet:
     """Nearest centroid under cosine distance; ties go to the lowest class.
 
     The confidence weight of each sample is 1 + exp(-H) of the mean of the
-    two classifiers' probability rows.
+    two classifiers' probability rows (:func:`~cgdm.losses.entropy_weights`).
     """
-    feats = _as_array(features)
-    c = centroids.centroids
-    dots = feats @ c.T
-    denom = np.linalg.norm(feats, axis=1)[:, None] * np.linalg.norm(c, axis=1)[None, :]
-    dist = 1.0 - dots / (denom + EPS)
+    dist = cosine_distances(features, centroids.centroids)
     labels = np.argmin(dist, axis=1)  # argmin takes the first (lowest) index
-    p = 0.5 * (_as_array(probs1) + _as_array(probs2))
-    plogp = np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0)
-    entropy = -plogp.sum(axis=1)
-    weights = 1.0 + np.exp(-entropy)
+    weights = losses.entropy_weights(0.5 * (_as_array(probs1) + _as_array(probs2)))
     picked = dist[np.arange(len(labels)), labels]
     return PseudoLabelSet(labels.astype(np.int64), weights, picked)
 

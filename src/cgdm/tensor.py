@@ -42,7 +42,6 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "as_tensor",
-    "constant",
     "zeros",
     "ones",
     "zeros_like",
@@ -70,7 +69,6 @@ __all__ = [
     "softmax_cross_entropy",
     "dot",
     "backward",
-    "second_order_check",
 ]
 
 
@@ -151,9 +149,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of size {self.values.size}")
         return float(self.values.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def __repr__(self):
         tag = f" op={self.op}" if self.op else ""
         return f"Tensor(shape={self.shape}{tag}, values={self.values!r})"
@@ -194,10 +189,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x) -> Tensor:
-    return Tensor(x)
-
-
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
@@ -228,17 +219,12 @@ def _node(values, parents, op, vjps) -> Tensor:
     return out
 
 
-def _broadcast_shape(sa, sb, op):
-    """Output shape under the restricted broadcast rules."""
-    na, nb = math.prod(sa), math.prod(sb)
-    if na == 1:
-        return sb
-    if nb == 1:
-        return sa
-    if len(sa) == 2 and sb == (sa[1],):
-        return sa
-    if len(sb) == 2 and sa == (sb[1],):
-        return sb
+def _check_broadcast(sa, sb, op) -> None:
+    """Raise ShapeError unless the restricted broadcast rules allow sa with sb."""
+    if math.prod(sa) == 1 or math.prod(sb) == 1:
+        return
+    if (len(sa) == 2 and sb == (sa[1],)) or (len(sb) == 2 and sa == (sb[1],)):
+        return
     raise ShapeError(f"{op}: shapes {sa} and {sb} are not broadcast-compatible")
 
 
@@ -255,7 +241,7 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
-        _broadcast_shape(a.shape, b.shape, "add")
+        _check_broadcast(a.shape, b.shape, "add")
     return _node(
         a.values + b.values,
         (a, b),
@@ -267,7 +253,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
-        _broadcast_shape(a.shape, b.shape, "sub")
+        _check_broadcast(a.shape, b.shape, "sub")
     return _node(
         a.values - b.values,
         (a, b),
@@ -282,7 +268,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
-        _broadcast_shape(a.shape, b.shape, "mul")
+        _check_broadcast(a.shape, b.shape, "mul")
     return _node(
         a.values * b.values,
         (a, b),
@@ -605,13 +591,3 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
 
     return {t: cot.get(t._id, zeros_like(t)) for t in wrt}
 
-
-def second_order_check(f, x: Tensor) -> Tensor:
-    """d/dx of sum(df/dx) via two chained backward passes.
-
-    For scalar x this is the plain second derivative; for vector x with a
-    diagonal Hessian it returns the diagonal.
-    """
-    y = f(x)
-    g = backward(y, [x], create_graph=True)[x]
-    return backward(tsum(g), [x])[x]

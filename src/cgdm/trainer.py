@@ -3,20 +3,24 @@
 Per epoch: refresh pseudo labels once, then for every minibatch pair run
 
 * step 1 - train generator and both classifiers on source cross-entropy plus
-  the weighted pseudo-label loss (self-supervision),
+  the weighted pseudo-label loss (self-supervision) and the class balance
+  loss,
 * step 2 - with generator features frozen, train the classifiers to keep
   source accuracy while maximizing their output discrepancy on target,
 * step 3 - with classifiers frozen, train the generator (several inner
   repeats) to minimize the discrepancy plus the cross-domain gradient
   alignment loss, whose generator gradient flows through double backward.
 
-With self-supervision, gradient alignment, and class balance all disabled
-the loop reduces exactly to the classic two-classifier minimax trajectory.
+A loss is off when its weight is 0.  With ``alpha``, ``beta`` and
+``class_balance_weight`` all 0 (the ``mcd`` variant) the loop reduces
+exactly to the classic two-classifier minimax (MCD) trajectory: step 1 is
+the source CE alone, step 2 the source CE minus the discrepancy, step 3 the
+discrepancy alone.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,11 +53,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class TrainConfig:
-    """All hyper-parameters and ablation switches for one run."""
+    """All hyper-parameters and ablation switches for one run.
+
+    A loss is off when its weight is 0, so the loss weights double as switches.
+    """
 
     alpha: float = 0.1  # weight of the self-supervised pseudo-label loss
     beta: float = 0.01  # weight of the gradient alignment loss
-    class_balance_weight: float = 0.1
+    class_balance_weight: float = 0.1  # weight of the class balance loss
     lr: float = 0.008
     lr_generator: float | None = None  # defaults to lr
     momentum: float = 0.9
@@ -64,17 +71,14 @@ class TrainConfig:
     warmup_epochs: int = 1  # source-only epochs before the adversarial cycle
     seed: int = 0
     enable_adversarial: bool = True  # steps 2 and 3 (off = source-only baseline)
-    enable_selfsup: bool = True
-    enable_gdm: bool = True
-    enable_class_balance: bool = True
     conditional_gdm: bool = False  # per-category alignment variant
     generator_hidden: tuple = (64,)
     feature_dim: int = 32
     classifier_hidden: tuple = (32,)
 
     def validate(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be nonnegative")
+        if min(self.alpha, self.beta, self.class_balance_weight) < 0:
+            raise ConfigError("loss weights must be nonnegative")
         if self.step3_repeats < 1:
             raise ConfigError("step3_repeats must be >= 1")
         if self.batch_size < 1:
@@ -92,9 +96,9 @@ class TrainConfig:
         names = ["loss_cls"]
         if self.enable_adversarial:
             names.append("loss_dis")
-            if self.enable_gdm and self.beta > 0:
+            if self.beta > 0:
                 names.append("loss_gd")
-        if self.enable_class_balance and self.class_balance_weight > 0:
+        if self.class_balance_weight > 0:
             names.append("loss_cb")
         return tuple(names)
 
@@ -217,46 +221,39 @@ class CgdmTrainer:
                 f"pseudo labels from epoch {pseudo.epoch} used in epoch {self.epoch}"
             )
 
-    def _source_only_update(self, source_batch) -> dict:
-        m = self.model
-        loss = losses.source_classification_loss(
-            m.generator, m.classifier1, m.classifier2, source_batch
-        )
-        grads = backward(loss, m.all_parameters())
-        self.opt_g.step(grads)
-        self.opt_f.step(grads)
-        return {"loss_cls": loss.item()}
-
     def step1_update(self, source_batch, target_batch, pseudo) -> dict:
         """Train G, F1, F2 on source CE (+ weighted pseudo CE, + balance)."""
-        cfg = self.cfg
         self._check_pseudo(pseudo)
-        m = self.model
-        use_selfsup = cfg.enable_selfsup and cfg.alpha > 0
-        use_balance = cfg.enable_class_balance and cfg.class_balance_weight > 0
-        if not (use_selfsup or use_balance):
-            return self._source_only_update(source_batch)
+        cfg = self.cfg
+        return self._update_all(
+            source_batch, target_batch, pseudo, cfg.alpha, cfg.class_balance_weight
+        )
 
+    def _update_all(self, source_batch, target_batch=None, pseudo=None,
+                    alpha=0.0, balance_weight=0.0) -> dict:
+        """Step-1 body: G, F1, F2 on the source CE plus the weighted pseudo-label
+        CE and the class balance loss; warmup passes both weights as 0."""
+        m = self.model
         loss_cls = losses.source_classification_loss(
             m.generator, m.classifier1, m.classifier2, source_batch
         )
         total = loss_cls
         out = {"loss_cls": loss_cls.item()}
-        feats_t = nn.forward(m.generator, Tensor(target_batch.features))
-        logits_t1 = nn.forward(m.classifier1, feats_t)
-        logits_t2 = nn.forward(m.classifier2, feats_t)
-        if use_selfsup:
-            selfsup = mul(
-                losses.weighted_cross_entropy(logits_t1, pseudo)
-                + losses.weighted_cross_entropy(logits_t2, pseudo),
-                0.5,
-            )
-            total = total + mul(selfsup, cfg.alpha)
-            out["loss_selfsup"] = selfsup.item()
-        if use_balance:
-            balance = losses.class_balance_loss(softmax(logits_t1), softmax(logits_t2))
-            total = total + mul(balance, cfg.class_balance_weight)
-            out["loss_cb"] = balance.item()
+        if alpha > 0 or balance_weight > 0:
+            feats_t = nn.forward(m.generator, Tensor(target_batch.features))
+            logits_t1 = nn.forward(m.classifier1, feats_t)
+            logits_t2 = nn.forward(m.classifier2, feats_t)
+            if alpha > 0:
+                selfsup = losses.pair_cross_entropy(
+                    logits_t1, logits_t2, pseudo.labels, pseudo.weights
+                )
+                total = total + mul(selfsup, alpha)
+            if balance_weight > 0:
+                balance = losses.class_balance_loss(
+                    softmax(logits_t1), softmax(logits_t2)
+                )
+                total = total + mul(balance, balance_weight)
+                out["loss_cb"] = balance.item()
         grads = backward(total, m.all_parameters())
         self.opt_g.step(grads)
         self.opt_f.step(grads)
@@ -273,21 +270,16 @@ class CgdmTrainer:
         with no_grad():
             feats_s = nn.forward(m.generator, Tensor(source_batch.features))
             feats_t = nn.forward(m.generator, Tensor(target_batch.features))
-        loss_cls = mul(
-            losses.cross_entropy(
-                nn.forward(m.classifier1, feats_s), source_batch.labels
-            )
-            + losses.cross_entropy(
-                nn.forward(m.classifier2, feats_s), source_batch.labels
-            ),
-            0.5,
+        loss_cls = losses.pair_cross_entropy(
+            nn.forward(m.classifier1, feats_s), nn.forward(m.classifier2, feats_s),
+            source_batch.labels,
         )
         p1 = softmax(nn.forward(m.classifier1, feats_t))
         p2 = softmax(nn.forward(m.classifier2, feats_t))
         loss_dis = losses.l1_discrepancy(p1, p2)
         total = loss_cls - loss_dis
         out = {"loss_cls": loss_cls.item(), "loss_dis": loss_dis.item()}
-        if cfg.enable_class_balance and cfg.class_balance_weight > 0:
+        if cfg.class_balance_weight > 0:
             balance = losses.class_balance_loss(p1, p2)
             total = total + mul(balance, cfg.class_balance_weight)
             out["loss_cb"] = balance.item()
@@ -301,13 +293,14 @@ class CgdmTrainer:
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
-        Each repeat forwards each domain once; the target features feed both
-        the discrepancy term and the target gradient.
+        Each repeat forwards each domain once, and the target logits feed both
+        the discrepancy term and the target gradient; the conditional variant
+        runs the heads on each class block of the features instead.
         """
         cfg = self.cfg
         self._check_pseudo(pseudo)
         m = self.model
-        use_gdm = cfg.enable_gdm and cfg.beta > 0
+        use_gdm = cfg.beta > 0
         conditional = use_gdm and cfg.conditional_gdm
         if conditional:  # each class becomes one contiguous block of rows
             s_order = np.argsort(source_batch.labels, kind="stable")
@@ -320,9 +313,9 @@ class CgdmTrainer:
         out = {}
         for rep in range(cfg.step3_repeats):
             feats_t = nn.forward(m.generator, x_t)
-            p1 = softmax(nn.forward(m.classifier1, feats_t))
-            p2 = softmax(nn.forward(m.classifier2, feats_t))
-            loss_dis = losses.l1_discrepancy(p1, p2)
+            logits_t1 = nn.forward(m.classifier1, feats_t)
+            logits_t2 = nn.forward(m.classifier2, feats_t)
+            loss_dis = losses.l1_discrepancy(softmax(logits_t1), softmax(logits_t2))
             total = loss_dis
             loss_gd = None
             if use_gdm:
@@ -334,11 +327,13 @@ class CgdmTrainer:
                     )
                 else:
                     gs = grad_discrepancy.source_gradient(
-                        m.classifier1, m.classifier2, feats_s, source_batch.labels,
-                        create_graph=True,
+                        m.classifier1, m.classifier2,
+                        nn.forward(m.classifier1, feats_s),
+                        nn.forward(m.classifier2, feats_s),
+                        source_batch.labels, create_graph=True,
                     )
                     gt = grad_discrepancy.target_gradient(
-                        m.classifier1, m.classifier2, feats_t, pseudo,
+                        m.classifier1, m.classifier2, logits_t1, logits_t2, pseudo,
                         create_graph=True,
                     )
                     loss_gd = grad_discrepancy.gradient_discrepancy_loss(gs, gt)
@@ -385,7 +380,7 @@ class CgdmTrainer:
             pseudo = None
             if epoch <= cfg.warmup_epochs:
                 for src_idx in epoch_batches(source.n, None, cfg.batch_size, rng):
-                    tally(self._source_only_update(source.take(src_idx)))
+                    tally(self._update_all(source.take(src_idx)))
             else:
                 pseudo = pseudo_labels.pseudo_label_epoch(
                     m.generator, m.classifier1, m.classifier2, target_train,

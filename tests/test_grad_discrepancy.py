@@ -24,6 +24,12 @@ def feats(gen, x):
     return nn.forward(gen, Tensor(np.asarray(x, dtype=np.float64)))
 
 
+def logits(gen, f1, f2, x):
+    """Both heads' logits on the generator features of ``x``."""
+    h = feats(gen, x)
+    return nn.forward(f1, h), nn.forward(f2, h)
+
+
 class TestSourceGradient:
     def test_stationary_point_has_tiny_norm(self):
         # identity generator, saturated linear heads, matched labels
@@ -34,7 +40,7 @@ class TestSourceGradient:
         for f in (f1, f2):
             f.layers[0].weight.values[:] = 25.0 * np.eye(2)
             f.layers[0].bias.values[:] = 0.0
-        g = gd.source_gradient(f1, f2, feats(gen, np.eye(2)), np.array([0, 1]))
+        g = gd.source_gradient(f1, f2, *logits(gen, f1, f2, np.eye(2)), [0, 1])
         assert np.linalg.norm(g.values) < 1e-6
 
     def test_duplicated_batch_same_gradient(self):
@@ -42,9 +48,9 @@ class TestSourceGradient:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2))
         y = rng.integers(0, 2, size=3)
-        base = gd.source_gradient(f1, f2, feats(gen, x), y).values
+        base = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x), y).values
         doubled = gd.source_gradient(
-            f1, f2, feats(gen, np.vstack([x, x])), np.concatenate([y, y])
+            f1, f2, *logits(gen, f1, f2, np.vstack([x, x])), np.concatenate([y, y])
         ).values
         np.testing.assert_allclose(doubled, base, atol=1e-12)
 
@@ -54,18 +60,21 @@ class TestSourceGradient:
         x = rng.normal(size=(5, 2))
         y = rng.integers(0, 2, size=5)
         perm = rng.permutation(5)
-        a = gd.source_gradient(f1, f2, feats(gen, x), y).values
-        b = gd.source_gradient(f1, f2, feats(gen, x[perm]), y[perm]).values
+        a = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x), y).values
+        b = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x[perm]), y[perm])
+        b = b.values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         gen, f1, f2 = tiny_models(7)
         with pytest.raises(ContractError):
-            gd.source_gradient(f1, f2, feats(gen, np.zeros((0, 2))), np.zeros(0, int))
+            gd.source_gradient(
+                f1, f2, *logits(gen, f1, f2, np.zeros((0, 2))), np.zeros(0, int)
+            )
 
     def test_length_is_classifier_param_count(self):
         gen, f1, f2 = tiny_models(8)
-        g = gd.source_gradient(f1, f2, feats(gen, np.ones((2, 2))), np.array([0, 1]))
+        g = gd.source_gradient(f1, f2, *logits(gen, f1, f2, np.ones((2, 2))), [0, 1])
         expected = sum(p.size for p in gd.classifier_parameters(f1, f2))
         assert g.shape == (expected,)
 
@@ -77,8 +86,8 @@ class TestTargetGradient:
         x = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4).astype(np.int64)
         pseudo = PseudoLabelSet(y, np.ones(4), np.zeros(4))
-        gs = gd.source_gradient(f1, f2, feats(gen, x), y).values
-        gt = gd.target_gradient(f1, f2, feats(gen, x), pseudo).values
+        gs = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x), y).values
+        gt = gd.target_gradient(f1, f2, *logits(gen, f1, f2, x), pseudo).values
         np.testing.assert_array_equal(gs, gt)
 
     def test_weight_scaling_linearity(self):
@@ -88,10 +97,10 @@ class TestTargetGradient:
         y = rng.integers(0, 2, size=4).astype(np.int64)
         w = rng.uniform(1.0, 2.0, size=4)
         base = gd.target_gradient(
-            f1, f2, feats(gen, x), PseudoLabelSet(y, w, np.zeros(4))
+            f1, f2, *logits(gen, f1, f2, x), PseudoLabelSet(y, w, np.zeros(4))
         ).values
         scaled = gd.target_gradient(
-            f1, f2, feats(gen, x), PseudoLabelSet(y, 3.0 * w, np.zeros(4))
+            f1, f2, *logits(gen, f1, f2, x), PseudoLabelSet(y, 3.0 * w, np.zeros(4))
         ).values
         np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
@@ -99,7 +108,7 @@ class TestTargetGradient:
         gen, f1, f2 = tiny_models(13)
         pseudo = PseudoLabelSet(np.zeros(2, np.int64), np.ones(2), np.zeros(2))
         with pytest.raises(ContractError):
-            gd.target_gradient(f1, f2, feats(gen, np.ones((3, 2))), pseudo)
+            gd.target_gradient(f1, f2, *logits(gen, f1, f2, np.ones((3, 2))), pseudo)
 
 
 class TestDiscrepancyLoss:
@@ -173,9 +182,11 @@ def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False
     for k in shared:
         s_rows = np.flatnonzero(ys == k)
         t_rows = np.flatnonzero(pseudo.labels == k)
-        gs = gd.source_gradient(f1, f2, feats(gen, xs[s_rows]), ys[s_rows], create_graph)
+        gs = gd.source_gradient(
+            f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows], create_graph
+        )
         gt = gd.target_gradient(
-            f1, f2, feats(gen, xt[t_rows]), pseudo.take(t_rows), create_graph
+            f1, f2, *logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows), create_graph
         )
         term = gd.gradient_discrepancy_loss(gs, gt)
         total = term if total is None else total + term
@@ -233,8 +244,12 @@ class TestConditional:
         for k in (0, 1):
             s_rows = np.flatnonzero(ys == k)
             t_rows = np.flatnonzero(pl == k)
-            gs = gd.source_gradient(f1, f2, feats(gen, xs[s_rows]), ys[s_rows])
-            gt = gd.target_gradient(f1, f2, feats(gen, xt[t_rows]), pseudo.take(t_rows))
+            gs = gd.source_gradient(
+                f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows]
+            )
+            gt = gd.target_gradient(
+                f1, f2, *logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows)
+            )
             per_class.append(gd.gradient_discrepancy_loss(gs, gt).item())
         assert abs(combined - float(np.mean(per_class))) < 1e-12
 

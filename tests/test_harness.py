@@ -1,10 +1,12 @@
-"""Run-failure rules of the harness and the CLI's exit codes."""
+"""Config parsing, run-failure rules of the harness, and the CLI's exit codes."""
+import dataclasses
 import math
 
 import pytest
 
-from cgdm import cli, harness, nn
-from cgdm.trainer import EpochMetrics, TrainConfig
+from cgdm import cli, harness, nn, trainer
+from cgdm.tensor import DomainError
+from cgdm.trainer import ConfigError, EpochMetrics, TrainConfig
 
 
 def epoch(n, **losses):
@@ -66,3 +68,151 @@ def test_export_embeddings_with_truncated_checkpoint_exits_1(tmp_path, capsys):
     # cut after the header: no generator at all
     assert _export_with(tmp_path, lines[0] + "\n") == 1
     assert "no generator" in capsys.readouterr().err
+
+
+# every settable key of TrainConfig and ExperimentConfig, with a non-default value
+EVERY_KEY = """\
+# training
+alpha = 0.2
+beta = 0.03
+class_balance_weight = 0.0
+lr = 0.01
+lr_generator = none
+momentum = 0.8
+weight_decay = 1e-4
+batch_size = 32
+epochs = 3
+step3_repeats = 2
+warmup_epochs = 0
+seed = 7
+enable_adversarial = off
+conditional_gdm = yes
+generator_hidden = 16, 8
+feature_dim = 12
+classifier_hidden = 6
+# experiment
+dataset = blobs
+moons_n = 80
+moons_noise = 0.2
+moons_rotation_deg = 20
+blobs_classes = 3
+blobs_dim = 5
+blobs_separation = 4.5
+blobs_shift = 1.5
+blobs_cov_scale = 0.5
+blobs_n_per_class = 40
+csv_source = a.csv
+csv_target = b.csv
+out_dir = somewhere
+seeds = 3, 4
+variants = mcd, cgdm_full
+export_pseudo = true
+include_timing = 1
+"""
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
+
+
+class TestParseConfig:
+    def test_every_key_parses_to_its_type(self, tmp_path):
+        cfg = harness.parse_config(write_config(tmp_path, EVERY_KEY))
+        want = harness.ExperimentConfig(
+            dataset="blobs", moons_n=80, moons_noise=0.2, moons_rotation_deg=20.0,
+            blobs_classes=3, blobs_dim=5, blobs_separation=4.5, blobs_shift=1.5,
+            blobs_cov_scale=0.5, blobs_n_per_class=40, csv_source="a.csv",
+            csv_target="b.csv", out_dir="somewhere", seeds=[3, 4],
+            variants=["mcd", "cgdm_full"], export_pseudo=True, include_timing=True,
+            train=TrainConfig(
+                alpha=0.2, beta=0.03, class_balance_weight=0.0, lr=0.01,
+                lr_generator=None, momentum=0.8, weight_decay=1e-4, batch_size=32,
+                epochs=3, step3_repeats=2, warmup_epochs=0, seed=7,
+                enable_adversarial=False, conditional_gdm=True,
+                generator_hidden=(16, 8), feature_dim=12, classifier_hidden=(6,),
+            ),
+        )
+        assert cfg == want
+        keys = {line.split("=")[0].strip() for line in EVERY_KEY.splitlines()
+                if "=" in line}
+        for got, expected in ((cfg, want), (cfg.train, want.train)):
+            for f in dataclasses.fields(expected):
+                if f.name != "train":
+                    assert f.name in keys
+                    assert type(getattr(got, f.name)) is type(getattr(expected, f.name))
+        assert [type(s) for s in cfg.seeds] == [int, int]
+        assert type(cfg.train.generator_hidden[0]) is int
+
+    def test_lr_generator_takes_a_float(self, tmp_path):
+        cfg = harness.parse_config(write_config(tmp_path, "lr_generator = 0.5\n"))
+        assert cfg.train.lr_generator == 0.5
+        assert type(cfg.train.lr_generator) is float
+
+    @pytest.mark.parametrize("line, message", [
+        ("colour = red", "unknown config key 'colour'"),
+        ("include_timing = maybe", "expected a boolean"),
+        ("epochs = 2.5", "invalid literal"),
+        ("train = x", "unknown config key 'train'"),
+    ])
+    def test_bad_line_is_reported_with_its_number(self, tmp_path, line, message):
+        path = write_config(tmp_path, f"# header\n\n{line}\nseed = 1\n")
+        with pytest.raises(ConfigError, match=rf"^line 3: .*{message}"):
+            harness.parse_config(path)
+
+    @pytest.mark.parametrize("key", ["alpha", "beta", "class_balance_weight"])
+    def test_negative_loss_weight_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match="loss weights must be nonnegative"):
+            harness.parse_config(write_config(tmp_path, f"{key} = -0.1\n"))
+
+    @pytest.mark.parametrize("key", ["enable_gdm", "enable_selfsup",
+                                     "enable_class_balance"])
+    def test_removed_switch_is_an_unknown_key(self, tmp_path, key):
+        path = write_config(tmp_path, f"{key} = false\n")
+        with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
+            harness.parse_config(path)
+
+
+DIVERGING = "dataset = two_moons\nlr = 50\nepochs = 1\nseeds = 0\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestDivergingRun:
+    """lr = 50 drives the logits to inf: the run raises DomainError."""
+
+    def test_bench_records_the_failed_run_and_goes_on(self, tmp_path, capsys):
+        path = write_config(tmp_path, DIVERGING + "variants = cgdm_full, mcd\n")
+        code = cli.main(["bench", "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert lines[1:] == ["cgdm_full,1,nan,nan,1", "mcd,1,nan,nan,1"]
+        for variant in ("cgdm_full", "mcd"):
+            metrics = tmp_path / f"metrics_{variant}_seed0.csv"
+            assert metrics.read_text() == harness.METRICS_HEADER + "\n"
+
+    def test_run_experiment_marks_it_failed(self, tmp_path):
+        path = write_config(tmp_path, DIVERGING + "variants = mcd\n")
+        cfg = harness.parse_config(path)
+        cfg.out_dir = str(tmp_path)
+        summary = harness.run_experiment(cfg)
+        (run,) = summary.runs
+        assert run.failed and run.metrics == [] and run.model is None
+        assert math.isnan(run.final_acc)
+
+    def test_train_exits_2_with_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, DIVERGING)
+        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["run failed: log_softmax requires finite logits"]
+
+    def test_trainer_still_raises(self, tmp_path):
+        cfg = harness.parse_config(write_config(tmp_path, DIVERGING))
+        source, target = harness.build_datasets(cfg, 0)
+        with pytest.raises(DomainError):
+            trainer.train(source, target, harness.variant_config(cfg.train, "mcd", 0))

@@ -104,34 +104,55 @@ class TestSourceClassificationLoss:
             losses.source_classification_loss(gen, f1, f2, batch)
 
 
+class TestPairCrossEntropy:
+    def test_mean_of_the_two_heads(self):
+        rng = np.random.default_rng(15)
+        l1, l2 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
+        labels = rng.integers(0, 3, size=4)
+        w = rng.uniform(1.0, 2.0, size=4)
+        pair = losses.pair_cross_entropy(l1, l2, labels, w).item()
+        ce1 = losses.cross_entropy(l1, labels, w).item()
+        ce2 = losses.cross_entropy(l2, labels, w).item()
+        assert pair == 0.5 * (ce1 + ce2)
+        same = losses.pair_cross_entropy(l1, l1, labels).item()
+        assert abs(same - losses.cross_entropy(l1, labels).item()) < 1e-15
+
+
 class TestEntropyWeight:
     def test_one_hot_gives_two(self):
-        assert losses.entropy_weight([0.0, 1.0, 0.0]) == pytest.approx(2.0)
+        assert losses.entropy_weights([[0.0, 1.0, 0.0]])[0] == pytest.approx(2.0)
 
     def test_uniform_four_classes(self):
-        assert losses.entropy_weight([0.25] * 4) == pytest.approx(1.25, abs=1e-12)
+        assert losses.entropy_weights([[0.25] * 4])[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_frozen_oracle_value(self):
         # direct evaluation of 1 + exp(-H([0.7, 0.2, 0.1]))
-        assert losses.entropy_weight([0.7, 0.2, 0.1]) == pytest.approx(
+        assert losses.entropy_weights([[0.7, 0.2, 0.1]])[0] == pytest.approx(
             1.4485125783319455, abs=1e-5
         )
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
-            losses.entropy_weight([0.5, 0.6])
+            losses.entropy_weights([[0.5, 0.6]])
         with pytest.raises(ContractError):
-            losses.entropy_weight([-0.1, 1.1])
+            losses.entropy_weights([[-0.1, 1.1]])
+        with pytest.raises(ContractError):  # one bad row among good ones
+            losses.entropy_weights([[0.5, 0.5], [0.5, 0.6], [1.0, 0.0]])
+
+    def test_rows_are_weighted_independently(self):
+        rows = random_probs(np.random.default_rng(14), 6, 4)
+        each = [losses.entropy_weights([row])[0] for row in rows]
+        np.testing.assert_array_equal(losses.entropy_weights(rows), each)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=8))
     def test_range_and_monotonicity(self, raw):
         p = np.array(raw) / np.sum(raw)
-        w = losses.entropy_weight(p)
+        w = losses.entropy_weights([p])[0]
         assert 1.0 < w <= 2.0
         # mixing towards uniform increases entropy, so the weight must drop
         mixed = 0.5 * p + 0.5 / len(p)
-        assert losses.entropy_weight(mixed) <= w + 1e-12
+        assert losses.entropy_weights([mixed])[0] <= w + 1e-12
 
 
 class TestWeightedCrossEntropy:
@@ -146,14 +167,14 @@ class TestWeightedCrossEntropy:
     def test_unit_weights_equal_plain_ce(self):
         rng = np.random.default_rng(5)
         logits, pseudo = self._logits_pseudo(rng, weights=[1.0, 1.0, 1.0])
-        a = losses.weighted_cross_entropy(logits, pseudo).item()
+        a = losses.cross_entropy(logits, pseudo.labels, pseudo.weights).item()
         b = losses.cross_entropy(logits, pseudo.labels).item()
         assert abs(a - b) < 1e-12
 
     def test_weight_two_doubles(self):
         rng = np.random.default_rng(6)
         logits, pseudo = self._logits_pseudo(rng, weights=[2.0, 2.0, 2.0])
-        a = losses.weighted_cross_entropy(logits, pseudo).item()
+        a = losses.cross_entropy(logits, pseudo.labels, pseudo.weights).item()
         b = losses.cross_entropy(logits, pseudo.labels).item()
         assert abs(a - 2.0 * b) < 1e-12
 
@@ -164,13 +185,14 @@ class TestWeightedCrossEntropy:
         p = np.exp(lv) / np.exp(lv).sum(axis=1, keepdims=True)
         ce = -np.log(p[np.arange(3), pseudo.labels])
         ref = float(np.sum(pseudo.weights * ce) / 3.0)
-        assert abs(losses.weighted_cross_entropy(logits, pseudo).item() - ref) < 1e-12
+        val = losses.cross_entropy(logits, pseudo.labels, pseudo.weights).item()
+        assert abs(val - ref) < 1e-12
 
     def test_coverage_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         logits, pseudo = self._logits_pseudo(rng)
         with pytest.raises(ContractError):
-            losses.weighted_cross_entropy(logits, pseudo.take([0, 1]))
+            losses.cross_entropy(logits, pseudo.labels[:2], pseudo.weights[:2])
 
 
 class TestL1Discrepancy:
@@ -248,7 +270,7 @@ class TestLossGradients:
         )
 
         def loss():
-            return losses.weighted_cross_entropy(logits, pseudo)
+            return losses.cross_entropy(logits, pseudo.labels, pseudo.weights)
 
         auto = backward(loss(), [logits])[logits].values
         ref = finite_difference_gradient(loss, [logits])[0]

@@ -63,15 +63,25 @@ class TestCentroids:
 
 class TestCosineDistance:
     def test_self_distance_zero(self):
-        v = np.array([1.0, 2.0, -3.0])
-        assert pl.cosine_distance(v, v) == pytest.approx(0.0, abs=1e-9)
+        v = np.array([[1.0, 2.0, -3.0]])
+        assert pl.cosine_distances(v, v)[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_opposite_is_two(self):
-        v = np.array([1.0, 2.0, -3.0])
-        assert pl.cosine_distance(v, -v) == pytest.approx(2.0, abs=1e-9)
+        v = np.array([[1.0, 2.0, -3.0]])
+        assert pl.cosine_distances(v, -v)[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_orthogonal_is_one(self):
-        assert pl.cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+        assert pl.cosine_distances([[1.0, 0.0]], [[0.0, 1.0]])[0, 0] == pytest.approx(1.0)
+
+    def test_matrix_holds_every_row_centroid_pair(self):
+        rng = np.random.default_rng(3)
+        feats, cents = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        dist = pl.cosine_distances(feats, cents)
+        assert dist.shape == (5, 4)
+        for i, j in np.ndindex(dist.shape):
+            u, v = feats[i], cents[j]
+            cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+            assert dist[i, j] == pytest.approx(1.0 - cos, abs=1e-12)
 
 
 class TestAssignment:
@@ -171,9 +181,8 @@ class TestEpochPass:
         for seed in (0, 1):
             src, tgt = make_shifted_blobs(4, 8, 5.0, 3.0, 1.0, 125, seed)
             cfg = TrainConfig(
-                epochs=3, warmup_epochs=0, seed=seed,
-                enable_adversarial=False, enable_selfsup=False,
-                enable_gdm=False, enable_class_balance=False,
+                epochs=3, warmup_epochs=0, seed=seed, enable_adversarial=False,
+                alpha=0.0, beta=0.0, class_balance_weight=0.0,
             )
             _, model = train(src, tgt, cfg)
             pseudo = pl.pseudo_label_epoch(

@@ -1,5 +1,6 @@
 """Minibatch plans and whole training runs against the committed benchmark
 reference trajectories."""
+import copy
 import math
 import signal
 from contextlib import contextmanager
@@ -8,8 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgdm import harness, trainer
-from cgdm.tensor import ContractError
+from cgdm import harness, losses, nn, trainer
+from cgdm.tensor import (
+    ContractError,
+    Tensor,
+    add,
+    backward,
+    mul,
+    no_grad,
+    softmax,
+    sub,
+)
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
 LOSS_RTOL = 1e-9  # the benchmark's trajectory tolerance; accuracies are exact
@@ -81,3 +91,58 @@ def test_first_epochs_follow_the_reference_trajectory(name):
         assert got.target_acc == ref.target_acc
         assert got.pseudo_acc == ref.pseudo_acc or (
             math.isnan(got.pseudo_acc) and math.isnan(ref.pseudo_acc))
+
+
+def plain_minimax(model, source, target, cfg, rng):
+    """The classic two-classifier minimax (MCD) loop written out: source CE
+    for G, F1, F2; source CE minus discrepancy for F1, F2; discrepancy for G."""
+    gen, f1, f2 = model.generator, model.classifier1, model.classifier2
+    opt_g = nn.SgdOptimizer(gen.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt_f = nn.SgdOptimizer(f1.parameters() + f2.parameters(), cfg.lr, cfg.momentum,
+                            cfg.weight_decay)
+
+    def source_ce(feats, labels):
+        ce1 = losses.cross_entropy(nn.forward(f1, feats), labels)
+        ce2 = losses.cross_entropy(nn.forward(f2, feats), labels)
+        return mul(add(ce1, ce2), 0.5)
+
+    def discrepancy(feats):
+        p1 = softmax(nn.forward(f1, feats))
+        p2 = softmax(nn.forward(f2, feats))
+        return losses.l1_discrepancy(p1, p2)
+
+    def step_all(sb):
+        loss = source_ce(nn.forward(gen, Tensor(sb.features)), sb.labels)
+        grads = backward(loss, gen.parameters() + f1.parameters() + f2.parameters())
+        opt_g.step(grads)
+        opt_f.step(grads)
+
+    for _ in range(cfg.warmup_epochs):
+        for idx in trainer.epoch_batches(source.n, None, cfg.batch_size, rng):
+            step_all(source.take(idx))
+    for _ in range(cfg.epochs):
+        plan = trainer.epoch_batches(source.n, target.n, cfg.batch_size, rng)
+        for s_idx, t_idx in plan:
+            sb, xt = source.take(s_idx), Tensor(target.features[t_idx])
+            step_all(sb)
+            with no_grad():
+                feats_s = nn.forward(gen, Tensor(sb.features))
+                feats_t = nn.forward(gen, xt)
+            loss = sub(source_ce(feats_s, sb.labels), discrepancy(feats_t))
+            opt_f.step(backward(loss, f1.parameters() + f2.parameters()))
+            for _ in range(cfg.step3_repeats):
+                loss = discrepancy(nn.forward(gen, xt))
+                opt_g.step(backward(loss, gen.parameters()))
+
+
+def test_mcd_variant_is_the_plain_minimax():
+    """With every extra loss weight at 0 the trainer follows the MCD loop."""
+    ecfg = harness.ExperimentConfig(dataset="two_moons", moons_n=100)
+    source, target = harness.build_datasets(ecfg, 0)
+    cfg = harness.variant_config(trainer.TrainConfig(epochs=2), "mcd", 0)
+    model = trainer.build_model(source.dim, 2, cfg)
+    reference = copy.deepcopy(model)
+    trainer.CgdmTrainer(cfg, model).fit(source, target, rng=np.random.default_rng(5))
+    plain_minimax(reference, source, target, cfg, np.random.default_rng(5))
+    for a, b in zip(model.all_parameters(), reference.all_parameters()):
+        np.testing.assert_array_equal(a.values, b.values)
