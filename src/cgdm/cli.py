@@ -60,9 +60,6 @@ def _cmd_train(args) -> int:
             },
             args.save_model,
         )
-    if harness._run_failed(metrics, run_cfg):
-        print(f"run failed (non-finite loss); metrics in {path}")
-        return 2
     final = metrics[-1].target_acc if metrics else float("nan")
     print(f"{args.variant} seed={seed}: final target accuracy {final:.4f} "
           f"({len(metrics)} epochs); metrics in {path}")

@@ -13,7 +13,7 @@ EpochMetrics objects either way).
 from __future__ import annotations
 
 import logging
-import math
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,7 +51,9 @@ VARIANTS = {
 
 logger = logging.getLogger(__name__)
 
-METRICS_HEADER = "epoch,loss_cls,loss_dis,loss_gd,loss_cb,target_acc,pseudo_acc,seconds"
+# metrics CSV columns: the EpochMetrics fields in order, each parsed to its type
+_METRICS_COLUMNS = typing.get_type_hints(EpochMetrics)
+METRICS_HEADER = ",".join(_METRICS_COLUMNS)
 
 
 @dataclass
@@ -171,22 +173,9 @@ def write_metrics_csv(metrics, path, include_timing: bool = False) -> None:
     with open(path, "w") as fh:
         fh.write(METRICS_HEADER + "\n")
         for m in metrics:
-            seconds = m.seconds if include_timing else 0.0
-            fh.write(
-                ",".join(
-                    [
-                        str(m.epoch),
-                        _fmt(m.loss_cls),
-                        _fmt(m.loss_dis),
-                        _fmt(m.loss_gd),
-                        _fmt(m.loss_cb),
-                        _fmt(m.target_acc),
-                        _fmt(m.pseudo_acc),
-                        _fmt(seconds),
-                    ]
-                )
-                + "\n"
-            )
+            if not include_timing:
+                m = replace(m, seconds=0.0)
+            fh.write(",".join(_fmt(getattr(m, n)) for n in _METRICS_COLUMNS) + "\n")
 
 
 def read_metrics_csv(path) -> list:
@@ -197,20 +186,13 @@ def read_metrics_csv(path) -> list:
     out = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 8:
-            raise ParseError("expected 8 fields", line=lineno)
-        out.append(
-            EpochMetrics(
-                epoch=int(parts[0]),
-                loss_cls=float(parts[1]),
-                loss_dis=float(parts[2]),
-                loss_gd=float(parts[3]),
-                loss_cb=float(parts[4]),
-                target_acc=float(parts[5]),
-                pseudo_acc=float(parts[6]),
-                seconds=float(parts[7]),
-            )
-        )
+        if len(parts) != len(_METRICS_COLUMNS):
+            raise ParseError(f"expected {len(_METRICS_COLUMNS)} fields", line=lineno)
+        try:
+            row = [kind(raw) for kind, raw in zip(_METRICS_COLUMNS.values(), parts)]
+        except ValueError as err:
+            raise ParseError(str(err), line=lineno) from None
+        out.append(EpochMetrics(*row))
     return out
 
 
@@ -244,28 +226,14 @@ class ExperimentSummary:
         return float(np.std(self.variant_accs(variant)))
 
 
-def _run_failed(metrics, cfg: TrainConfig) -> bool:
-    """True when a loss that ``cfg`` computes in some epoch is not finite.
-
-    A NaN in a field the config never computes for that epoch only means
-    "not computed" (see :meth:`TrainConfig.computed_losses`).
-    """
-    adversarial = cfg.computed_losses()
-    for m in metrics:
-        names = adversarial if m.epoch > cfg.warmup_epochs else ("loss_cls",)
-        if any(not math.isfinite(getattr(m, name)) for name in names):
-            return True
-    return False
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run every (variant, seed) pair, write per-run metrics and a summary.
 
     The summary reports mean and std of the final-epoch target accuracy per
-    variant.  A run that produces a non-finite loss is marked failed; one
-    that raises :class:`~cgdm.tensor.DomainError` (it diverged) is marked
-    failed with NaN accuracy and a header-only metrics CSV, and the
-    remaining runs go on.
+    variant.  A run that raises :class:`~cgdm.tensor.DomainError` (it
+    diverged, which includes a non-finite loss) is marked failed with NaN
+    accuracy and a header-only metrics CSV, and the remaining runs go on.
+    So a NaN in a metrics CSV row always means "not computed".
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
@@ -280,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
             except DomainError as err:  # diverged: the next run goes on
                 logger.warning("%s seed %d failed: %s", variant, seed, err)
                 metrics, model = [], None
-            failed = model is None or _run_failed(metrics, run_cfg)
+            failed = model is None
             path = out_dir / f"metrics_{variant}_seed{seed}.csv"
             write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
             final_acc = metrics[-1].target_acc if metrics else float("nan")
@@ -288,10 +256,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
                 RunResult(variant, seed, final_acc, failed, str(path), metrics, model)
             )
             if cfg.export_pseudo and metrics:
-                pseudo = pseudo_labels.pseudo_label_epoch(
+                pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
                     model.generator, model.classifier1, model.classifier2,
-                    target.unlabeled(),
-                )
+                    target.features,
+                ))
                 pseudo_labels.save_pseudo_csv(
                     pseudo, out_dir / f"pseudo_{variant}_seed{seed}.csv"
                 )

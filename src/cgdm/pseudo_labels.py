@@ -1,9 +1,10 @@
 """Clustering-based pseudo labels for the unlabeled target set.
 
-Once per epoch: a full inference pass over the target set, softmax-weighted
-class centroids in generator-feature space, nearest-centroid assignment
-under cosine distance, and a per-sample confidence weight from prediction
-entropy.  Everything here is plain numpy computed outside the graph.
+Once per epoch, from the one inference pass over the target set that the
+trainer shares with its evaluation (:func:`predict`): softmax-weighted class
+centroids in generator-feature space, nearest-centroid assignment under
+cosine distance, and a per-sample confidence weight from prediction entropy.
+Everything here is plain numpy computed outside the graph.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ __all__ = [
     "compute_centroids",
     "cosine_distances",
     "assign_pseudo_labels",
+    "predict",
     "pseudo_label_epoch",
     "save_pseudo_csv",
     "softmax_rows",
@@ -111,14 +113,21 @@ def assign_pseudo_labels(features, centroids: CentroidSet, probs1, probs2) -> Ps
     return PseudoLabelSet(labels.astype(np.int64), weights, picked)
 
 
-def pseudo_label_epoch(gen, f1, f2, target_set, epoch: int | None = None) -> PseudoLabelSet:
-    """One inference pass over the whole target set, then cluster and assign."""
-    if target_set.n == 0:
-        raise ContractError("pseudo labeling needs a non-empty target set")
+def predict(gen, f1, f2, features):
+    """One no-grad pass over a whole set: ``(features, probs1, probs2)``, the
+    generator features and both heads' softmax rows as numpy arrays."""
+    if len(features) == 0:
+        raise ContractError("prediction needs a non-empty set")
     with no_grad():
-        feats = nn.forward(gen, Tensor(target_set.features))
+        feats = nn.forward(gen, Tensor(features))
         p1 = softmax_rows(nn.forward(f1, feats))
         p2 = softmax_rows(nn.forward(f2, feats))
+    return feats.values, p1, p2
+
+
+def pseudo_label_epoch(prediction, epoch: int | None = None) -> PseudoLabelSet:
+    """Cluster a :func:`predict` result over the target set and assign."""
+    feats, p1, p2 = prediction
     centroids = compute_centroids(feats, p1, p2)
     pseudo = assign_pseudo_labels(feats, centroids, p1, p2)
     pseudo.epoch = epoch

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 
 import numpy as np
 
@@ -122,7 +123,7 @@ class Tensor:
     they can key gradient maps.
     """
 
-    __slots__ = ("values", "_id", "parents", "_vjps", "op")
+    __slots__ = ("values", "_id", "parents", "_vjps", "op", "__weakref__")
 
     def __init__(self, values, parents=(), op=None):
         if isinstance(values, np.ndarray):
@@ -355,7 +356,9 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     out = _node(np.exp(a.values), (a,), "exp", ())
     if out.parents:
-        out._vjps = (lambda g: mul(g, out),)
+        # weak (no cycle): only backward calls a vjp, and it holds the node then
+        ref = weakref.ref(out)
+        out._vjps = (lambda g: mul(g, ref()),)
     return out
 
 
@@ -480,11 +483,12 @@ def log_softmax(a) -> Tensor:
     out = _node(vals, (a,), "log_softmax", ())
     if out.parents:
         b, k = a.shape
+        ref = weakref.ref(out)  # weak for the reason given in exp
 
         def vjp(g):
             rows = tsum(g, axis=1)
             tiled = matmul(reshape(rows, (b, 1)), ones((1, k)))
-            return sub(g, mul(exp(out), tiled))
+            return sub(g, mul(exp(ref()), tiled))
 
         out._vjps = (vjp,)
     return out

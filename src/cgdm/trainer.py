@@ -16,9 +16,14 @@ A loss is off when its weight is 0.  With ``alpha``, ``beta`` and
 exactly to the classic two-classifier minimax (MCD) trajectory: step 1 is
 the source CE alone, step 2 the source CE minus the discrepancy, step 3 the
 discrepancy alone.
+
+One target pass per epoch boundary (:func:`~cgdm.pseudo_labels.predict`)
+serves :func:`evaluate` and the next epoch's pseudo labels.  A run fails in
+one way: it raises :class:`~cgdm.tensor.DomainError`.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,6 +32,7 @@ import numpy as np
 from . import grad_discrepancy, losses, nn, pseudo_labels
 from .tensor import (
     ContractError,
+    DomainError,
     Tensor,
     backward,
     mul,
@@ -88,28 +94,14 @@ class TrainConfig:
         if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ConfigError("lr, momentum and weight_decay must be nonnegative")
 
-    def computed_losses(self) -> tuple:
-        """The EpochMetrics loss fields an adversarial epoch fills in.
-
-        Warmup epochs fill in ``loss_cls`` only; every other field is NaN.
-        """
-        names = ["loss_cls"]
-        if self.enable_adversarial:
-            names.append("loss_dis")
-            if self.beta > 0:
-                names.append("loss_gd")
-        if self.class_balance_weight > 0:
-            names.append("loss_cb")
-        return tuple(names)
-
 
 @dataclass
 class EpochMetrics:
     """Per-epoch means of the step losses plus evaluation results.
 
     ``loss_cls`` comes from step 1 (source term), ``loss_dis``/``loss_gd``
-    from the first step-3 repeat, ``loss_cb`` from step 1.  Fields that a
-    variant never computes are NaN.
+    from the first step-3 repeat, ``loss_cb`` from step 1.  NaN means not
+    computed; a computed loss is finite, or ``fit`` would have raised.
     """
 
     epoch: int
@@ -347,7 +339,13 @@ class CgdmTrainer:
         return out
 
     def fit(self, source, target, rng=None) -> list:
-        """Run warmup plus the full three-step schedule; returns epoch metrics."""
+        """Run warmup plus the full three-step schedule; returns epoch metrics.
+
+        The target pass that evaluates epoch e also gives epoch e+1's pseudo
+        labels (without target labels it runs at the start of e+1); it is
+        dropped before the updates start.  The first non-finite step loss
+        raises DomainError, so numpy's overflow/invalid warnings are off.
+        """
         cfg = self.cfg
         num_classes = _check_class_counts(source, target)
         if self.model is None:
@@ -365,62 +363,65 @@ class CgdmTrainer:
             rng = np.random.default_rng(shuffle_seed)
         target_train = target.unlabeled()
         m = self.model
+        nets = (m.generator, m.classifier1, m.classifier2)
         metrics = []
-        for epoch in range(1, cfg.warmup_epochs + cfg.epochs + 1):
-            t0 = time.perf_counter()
-            self.epoch = epoch
-            sums = {}
-            counts = {}
+        prediction = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, cfg.warmup_epochs + cfg.epochs + 1):
+                t0 = time.perf_counter()
+                self.epoch = epoch
+                sums = {}
+                counts = {}
 
-            def tally(res):
-                for key, val in res.items():
-                    sums[key] = sums.get(key, 0.0) + val
-                    counts[key] = counts.get(key, 0) + 1
+                def tally(res):
+                    for key, val in res.items():
+                        if not math.isfinite(val):
+                            raise DomainError(f"epoch {epoch}: {key} is {val}")
+                        sums[key] = sums.get(key, 0.0) + val
+                        counts[key] = counts.get(key, 0) + 1
 
-            pseudo = None
-            if epoch <= cfg.warmup_epochs:
-                for src_idx in epoch_batches(source.n, None, cfg.batch_size, rng):
-                    tally(self._update_all(source.take(src_idx)))
-            else:
-                pseudo = pseudo_labels.pseudo_label_epoch(
-                    m.generator, m.classifier1, m.classifier2, target_train,
-                    epoch=epoch,
-                )
-                plan = epoch_batches(source.n, target_train.n, cfg.batch_size, rng)
-                for src_idx, tgt_idx in plan:
-                    sb = source.take(src_idx)
-                    tb = target_train.take(tgt_idx)
-                    pb = pseudo.take(tgt_idx)
-                    tally(self.step1_update(sb, tb, pb))
-                    if cfg.enable_adversarial:
-                        self.step2_update(sb, tb)
-                        tally(self.step3_update(sb, tb, pb))
-
-            def mean_of(key):
-                return sums[key] / counts[key] if key in sums else float("nan")
-
-            if target.labels is not None:
-                target_acc, _ = evaluate(
-                    m.generator, m.classifier1, m.classifier2, target
-                )
-                if pseudo is not None:
-                    pseudo_acc = float(np.mean(pseudo.labels == target.labels))
+                pseudo = None
+                if epoch > cfg.warmup_epochs:
+                    pseudo = pseudo_labels.pseudo_label_epoch(
+                        prediction or pseudo_labels.predict(*nets, target.features),
+                        epoch=epoch,
+                    )
+                prediction = None  # the updates run without a full-set pass alive
+                if pseudo is None:
+                    for src_idx in epoch_batches(source.n, None, cfg.batch_size, rng):
+                        tally(self._update_all(source.take(src_idx)))
                 else:
-                    pseudo_acc = float("nan")
-            else:
-                target_acc, pseudo_acc = float("nan"), float("nan")
-            metrics.append(
-                EpochMetrics(
-                    epoch=epoch,
-                    loss_cls=mean_of("loss_cls"),
-                    loss_dis=mean_of("loss_dis"),
-                    loss_gd=mean_of("loss_gd"),
-                    loss_cb=mean_of("loss_cb"),
-                    target_acc=target_acc,
-                    pseudo_acc=pseudo_acc,
-                    seconds=time.perf_counter() - t0,
+                    plan = epoch_batches(source.n, target_train.n, cfg.batch_size, rng)
+                    for src_idx, tgt_idx in plan:
+                        sb = source.take(src_idx)
+                        tb = target_train.take(tgt_idx)
+                        pb = pseudo.take(tgt_idx)
+                        tally(self.step1_update(sb, tb, pb))
+                        if cfg.enable_adversarial:
+                            self.step2_update(sb, tb)
+                            tally(self.step3_update(sb, tb, pb))
+
+                def mean_of(key):
+                    return sums[key] / counts[key] if key in sums else float("nan")
+
+                target_acc = pseudo_acc = float("nan")
+                if target.labels is not None:
+                    prediction = pseudo_labels.predict(*nets, target.features)
+                    target_acc, _ = evaluate(prediction, target.labels)
+                    if pseudo is not None:
+                        pseudo_acc = float(np.mean(pseudo.labels == target.labels))
+                metrics.append(
+                    EpochMetrics(
+                        epoch=epoch,
+                        loss_cls=mean_of("loss_cls"),
+                        loss_dis=mean_of("loss_dis"),
+                        loss_gd=mean_of("loss_gd"),
+                        loss_cb=mean_of("loss_cb"),
+                        target_acc=target_acc,
+                        pseudo_acc=pseudo_acc,
+                        seconds=time.perf_counter() - t0,
+                    )
                 )
-            )
         return metrics
 
 
@@ -449,23 +450,20 @@ def train(source, target, cfg: TrainConfig):
     return metrics, trainer.model
 
 
-def evaluate(gen, f1, f2, dset):
-    """Accuracy of the averaged-softmax prediction, plus per-class accuracy."""
-    if dset.n == 0:
-        raise ContractError("evaluate needs a non-empty set")
-    if dset.labels is None:
-        raise ContractError("evaluate needs a labeled set")
-    with no_grad():
-        feats = nn.forward(gen, Tensor(dset.features))
-        p1 = pseudo_labels.softmax_rows(nn.forward(f1, feats))
-        p2 = pseudo_labels.softmax_rows(nn.forward(f2, feats))
+def evaluate(prediction, labels):
+    """Accuracy of the averaged-softmax prediction, plus per-class accuracy.
+
+    ``prediction`` is a :func:`~cgdm.pseudo_labels.predict` result over a
+    labeled set and ``labels`` that set's labels.
+    """
+    _, p1, p2 = prediction
     pred = np.argmax(0.5 * (p1 + p2), axis=1)
-    correct = pred == dset.labels
+    correct = pred == labels
     accuracy = float(np.mean(correct))
-    num_classes = max(f1.out_dim, int(dset.labels.max()) + 1)
+    num_classes = max(p1.shape[1], int(labels.max()) + 1)
     per_class = np.full(num_classes, np.nan)
     for k in range(num_classes):
-        mask = dset.labels == k
+        mask = labels == k
         if mask.any():
             per_class[k] = float(np.mean(correct[mask]))
     return accuracy, per_class

@@ -1,50 +1,94 @@
-"""Config parsing, run-failure rules of the harness, and the CLI's exit codes."""
+"""Config parsing, run failures, metrics CSVs and the CLI's exit codes."""
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from cgdm import cli, harness, nn, trainer
-from cgdm.tensor import DomainError
+from cgdm import cli, harness, losses, nn, trainer
+from cgdm.data import ParseError
+from cgdm.tensor import DomainError, add
 from cgdm.trainer import ConfigError, EpochMetrics, TrainConfig
 
-
-def epoch(n, **losses):
-    fields = dict(loss_cls=0.5, loss_dis=0.1, loss_gd=0.2, loss_cb=0.3)
-    fields.update(losses)
-    return EpochMetrics(epoch=n, target_acc=0.9, pseudo_acc=0.8, seconds=0.0,
-                        **fields)
+SMALL = "dataset = two_moons\nmoons_n = 40\nepochs = 1\nseeds = 0\n"
 
 
-def config(variant):
-    return harness.variant_config(TrainConfig(), variant, seed=0)
+class TestNonFiniteLoss:
+    """A non-finite step loss fails the run at that step, in every entry point.
+
+    The patched discrepancy adds NaN or inf to its value only, so every
+    gradient stays finite and the first bad value is a tallied step-3 loss.
+    """
+
+    @pytest.fixture(params=[math.nan, math.inf], ids=["nan", "inf"])
+    def bad(self, request, monkeypatch):
+        original = losses.l1_discrepancy
+        monkeypatch.setattr(losses, "l1_discrepancy",
+                            lambda p1, p2: add(original(p1, p2), request.param))
+        return request.param
+
+    def test_trainer_raises_naming_the_epoch_and_the_loss(self, tmp_path, bad):
+        cfg = harness.parse_config(write_config(tmp_path, SMALL))
+        source, target = harness.build_datasets(cfg, 0)
+        with pytest.raises(DomainError, match=rf"^epoch 2: loss_dis is {bad}$"):
+            trainer.train(source, target, harness.variant_config(cfg.train, "mcd", 0))
+
+    def test_run_experiment_marks_it_failed_and_goes_on(self, tmp_path, bad):
+        path = write_config(tmp_path, SMALL + "variants = mcd, source_only\n")
+        cfg = harness.parse_config(path)
+        cfg.out_dir = str(tmp_path)
+        failed, finished = harness.run_experiment(cfg).runs
+        assert failed.failed and failed.metrics == [] and failed.model is None
+        assert (tmp_path / "metrics_mcd_seed0.csv").read_text() == (
+            harness.METRICS_HEADER + "\n")
+        assert not finished.failed and math.isfinite(finished.final_acc)
+
+    def test_train_prints_one_line_and_exits_2(self, tmp_path, capsys, bad):
+        path = write_config(tmp_path, SMALL)
+        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path),
+                         "--variant", "mcd"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"run failed: epoch 2: loss_dis is {bad}"]
 
 
-class TestRunFailed:
-    def test_finite_run_passes(self):
-        assert not harness._run_failed([epoch(2)], config("cgdm_full"))
+NAN = math.nan
+METRICS = [
+    EpochMetrics(1, 0.6931471805599453, NAN, NAN, NAN, 0.5, NAN, 0.25),
+    EpochMetrics(2, 0.1 + 0.2, 1 / 3, 1e-300, 2.5e10, 0.875, 0.9, 1.2345678901234567),
+]
 
-    def test_nan_gradient_loss_fails_a_variant_that_computes_it(self):
-        metrics = [epoch(2), epoch(3, loss_gd=math.nan)]
-        assert harness._run_failed(metrics, config("cgdm_full"))
 
-    def test_nan_marks_a_loss_a_variant_never_computes(self):
-        metrics = [epoch(2, loss_gd=math.nan)]
-        assert not harness._run_failed(metrics, config("cgdm_wo_gdm"))
-        mcd = [epoch(2, loss_gd=math.nan, loss_cb=math.nan)]
-        assert not harness._run_failed(mcd, config("mcd"))
-        only = [epoch(2, loss_dis=math.nan, loss_gd=math.nan, loss_cb=math.nan)]
-        assert not harness._run_failed(only, config("source_only"))
+class TestMetricsCsv:
+    def test_header_lists_the_epoch_metrics_fields(self):
+        assert harness.METRICS_HEADER == (
+            "epoch,loss_cls,loss_dis,loss_gd,loss_cb,target_acc,pseudo_acc,seconds")
 
-    def test_warmup_epochs_compute_the_source_loss_only(self):
-        warm = epoch(1, loss_dis=math.nan, loss_gd=math.nan, loss_cb=math.nan)
-        assert not harness._run_failed([warm], config("cgdm_full"))
-        assert harness._run_failed([epoch(1, loss_cls=math.nan)], config("cgdm_full"))
+    @pytest.mark.parametrize("include_timing", [True, False])
+    def test_exact_round_trip(self, tmp_path, include_timing):
+        path = tmp_path / "metrics.csv"
+        harness.write_metrics_csv(METRICS, path, include_timing=include_timing)
+        got = harness.read_metrics_csv(path)
+        want = [m if include_timing else dataclasses.replace(m, seconds=0.0)
+                for m in METRICS]
+        assert [type(m.epoch) for m in got] == [int, int]
+        np.testing.assert_array_equal(  # NaN fields compare equal here
+            [dataclasses.astuple(m) for m in got],
+            [dataclasses.astuple(m) for m in want])
+        again = tmp_path / "again.csv"
+        harness.write_metrics_csv(got, again, include_timing=True)
+        assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("field", ["loss_cls", "loss_dis", "loss_gd", "loss_cb"])
-    def test_infinite_computed_loss_fails(self, field):
-        metrics = [epoch(2, **{field: math.inf})]
-        assert harness._run_failed(metrics, config("cgdm_full"))
+    def test_non_numeric_field_is_reported_with_its_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        harness.write_metrics_csv(METRICS, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("0.875", "high")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 3: .*'high'"):
+            harness.read_metrics_csv(path)
 
 
 def _export_with(tmp_path, text):
@@ -177,8 +221,6 @@ class TestParseConfig:
 DIVERGING = "dataset = two_moons\nlr = 50\nepochs = 1\nseeds = 0\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 class TestDivergingRun:
     """lr = 50 drives the logits to inf: the run raises DomainError."""
 
@@ -205,7 +247,9 @@ class TestDivergingRun:
 
     def test_train_exits_2_with_one_line(self, tmp_path, capsys):
         path = write_config(tmp_path, DIVERGING)
-        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path)])
+        with warnings.catch_warnings():  # numpy's overflow warnings included
+            warnings.simplefilter("error")
+            code = cli.main(["train", "--config", str(path), "--out", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
@@ -216,3 +260,15 @@ class TestDivergingRun:
         source, target = harness.build_datasets(cfg, 0)
         with pytest.raises(DomainError):
             trainer.train(source, target, harness.variant_config(cfg.train, "mcd", 0))
+
+
+def test_bench_reruns_are_byte_identical(tmp_path):
+    path = write_config(tmp_path, "dataset = two_moons\nmoons_n = 100\nepochs = 2\n"
+                                  "seeds = 0\n")
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert cli.main(["bench", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == len(harness.VARIANTS) + 1  # metrics CSVs + summary
+    assert outputs[0] == outputs[1]

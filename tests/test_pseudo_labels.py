@@ -161,20 +161,20 @@ class TestEpochPass:
 
     def test_pretrained_model_labels_perfectly(self):
         gen, f1, f2, tgt = self._perfect_setup()
-        pseudo = pl.pseudo_label_epoch(gen, f1, f2, tgt.unlabeled())
+        pseudo = pl.pseudo_label_epoch(pl.predict(gen, f1, f2, tgt.features))
         assert np.array_equal(pseudo.labels, tgt.labels)
 
     def test_duplicate_samples_get_identical_labels(self):
         gen, f1, f2, tgt = self._perfect_setup()
         x = np.vstack([tgt.features[:5], tgt.features[:5]])
-        pseudo = pl.pseudo_label_epoch(gen, f1, f2, DomainSet(x, None, "target"))
+        pseudo = pl.pseudo_label_epoch(pl.predict(gen, f1, f2, x))
         np.testing.assert_array_equal(pseudo.labels[:5], pseudo.labels[5:])
         np.testing.assert_array_equal(pseudo.weights[:5], pseudo.weights[5:])
 
     def test_empty_target_rejected(self):
         gen, f1, f2, _ = self._perfect_setup()
         with pytest.raises(ContractError):
-            pl.pseudo_label_epoch(gen, f1, f2, DomainSet(np.zeros((0, 2)), None))
+            pl.predict(gen, f1, f2, np.zeros((0, 2)))
 
     def test_clustering_beats_argmax_after_warmup(self):
         # harness-level oracle: compare to the plain argmax baseline per seed
@@ -185,19 +185,17 @@ class TestEpochPass:
                 alpha=0.0, beta=0.0, class_balance_weight=0.0,
             )
             _, model = train(src, tgt, cfg)
-            pseudo = pl.pseudo_label_epoch(
-                model.generator, model.classifier1, model.classifier2,
-                tgt.unlabeled(),
+            prediction = pl.predict(
+                model.generator, model.classifier1, model.classifier2, tgt.features
             )
+            pseudo = pl.pseudo_label_epoch(prediction)
             cluster_acc = float(np.mean(pseudo.labels == tgt.labels))
-            argmax_acc, _ = evaluate(
-                model.generator, model.classifier1, model.classifier2, tgt
-            )
+            argmax_acc, _ = evaluate(prediction, tgt.labels)
             assert cluster_acc >= argmax_acc - 0.01
 
     def test_csv_export(self, tmp_path):
         gen, f1, f2, tgt = self._perfect_setup()
-        pseudo = pl.pseudo_label_epoch(gen, f1, f2, tgt.unlabeled())
+        pseudo = pl.pseudo_label_epoch(pl.predict(gen, f1, f2, tgt.features))
         path = tmp_path / "pseudo.csv"
         pl.save_pseudo_csv(pseudo, path)
         lines = path.read_text().splitlines()

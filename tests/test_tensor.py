@@ -1,5 +1,7 @@
 """Autodiff core: forward semantics, gradients vs finite differences,
 double backward, and graph determinism."""
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -424,3 +426,26 @@ class TestDeterminismAndState:
         x = T.Tensor(rng.normal(size=(6, 6)))
         out = T.log_softmax(T.matmul(T.relu(x), T.transpose(x)))
         assert np.all(np.isfinite(out.values))
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
+    """exp and log_softmax hold their own node weakly, so a graph through
+    softmax and cross-entropy, and a create-graph backward through it, leave
+    no reference cycle for the cyclic garbage collector."""
+    rng = np.random.default_rng(2)
+    onehot = np.eye(3)[rng.integers(0, 3, size=5)]
+    gc.collect()
+    gc.disable()
+    try:
+        w = T.Tensor(rng.normal(size=(4, 3)))
+        logits = T.matmul(T.Tensor(rng.normal(size=(5, 4))), w)
+        loss = T.add(T.softmax_cross_entropy(logits, onehot),
+                     T.tsum(T.mul(T.softmax(logits), logits)))
+        grad = T.backward(loss, [w], create_graph=create_graph)[w]
+        if create_graph:
+            grad = T.backward(T.tsum(T.mul(grad, grad)), [w])[w]
+        del w, logits, loss, grad
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

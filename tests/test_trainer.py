@@ -3,13 +3,14 @@ reference trajectories."""
 import copy
 import math
 import signal
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgdm import harness, losses, nn, trainer
+from cgdm import harness, losses, nn, pseudo_labels, trainer
 from cgdm.tensor import (
     ContractError,
     Tensor,
@@ -56,13 +57,19 @@ class TestEpochBatches:
             trainer.epoch_batches(n_source, n_target, 4, np.random.default_rng(0))
 
 
-# the benchmark's moons_gdm and blobs_conditional workloads (bench/workloads.py)
+# the benchmark's three workloads (bench/workloads.py) and their variants
 WORKLOADS = {
     "moons_gdm": (dict(dataset="two_moons", moons_n=500),
-                  dict(batch_size=64, step3_repeats=4)),
+                  dict(batch_size=64, step3_repeats=4), "cgdm_full"),
     "blobs_conditional": (dict(dataset="blobs", blobs_classes=4, blobs_dim=8,
                                blobs_n_per_class=125),
-                          dict(batch_size=64, step3_repeats=4, conditional_gdm=True)),
+                          dict(batch_size=64, step3_repeats=4, conditional_gdm=True),
+                          "cgdm_full"),
+    "blobs_wide_first_order": (dict(dataset="blobs", blobs_classes=8, blobs_dim=64,
+                                    blobs_n_per_class=500),
+                               dict(batch_size=256, generator_hidden=(256,),
+                                    feature_dim=128, classifier_hidden=(128,)),
+                               "cgdm_wo_gdm"),
 }
 
 
@@ -70,11 +77,11 @@ WORKLOADS = {
 def test_first_epochs_follow_the_reference_trajectory(name):
     """Two adversarial epochs on pool seed 0 reproduce the first rows of the
     committed reference: losses to 1e-9 relative, accuracies exactly."""
-    experiment, train = WORKLOADS[name]
+    experiment, train, variant = WORKLOADS[name]
     ecfg = harness.ExperimentConfig(train=trainer.TrainConfig(epochs=2, **train),
                                     **experiment)
     source, target = harness.build_datasets(ecfg, 0)
-    cfg = harness.variant_config(ecfg.train, "cgdm_full", 0)
+    cfg = harness.variant_config(ecfg.train, variant, 0)
     metrics, _ = trainer.train(source, target, cfg)
     reference = harness.read_metrics_csv(REFERENCE_DIR / f"{name}_seed00.csv")
     want = reference[:cfg.warmup_epochs + cfg.epochs]
@@ -91,6 +98,35 @@ def test_first_epochs_follow_the_reference_trajectory(name):
         assert got.target_acc == ref.target_acc
         assert got.pseudo_acc == ref.pseudo_acc or (
             math.isnan(got.pseudo_acc) and math.isnan(ref.pseudo_acc))
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_one_target_pass_per_epoch_boundary(monkeypatch, labelled):
+    """With target labels the pass that evaluates an epoch also gives the next
+    epoch's pseudo labels; without them each adversarial epoch makes one.
+    No pass is alive while an epoch's updates run."""
+    source, target = harness.build_datasets(
+        harness.ExperimentConfig(dataset="two_moons", moons_n=60), 0)
+    if not labelled:
+        target = target.unlabeled()
+    cfg = harness.variant_config(trainer.TrainConfig(epochs=3, warmup_epochs=2),
+                                 "cgdm_full", 0)
+    passes = []
+    predict, plan = pseudo_labels.predict, trainer.epoch_batches
+
+    def counted_predict(*args):
+        prediction = predict(*args)
+        passes.append([weakref.ref(a) for a in prediction])
+        return prediction
+
+    def checked_plan(*args):
+        assert all(ref() is None for arrays in passes for ref in arrays)
+        return plan(*args)
+
+    monkeypatch.setattr(pseudo_labels, "predict", counted_predict)
+    monkeypatch.setattr(trainer, "epoch_batches", checked_plan)
+    trainer.train(source, target, cfg)
+    assert len(passes) == (cfg.warmup_epochs if labelled else 0) + cfg.epochs
 
 
 def plain_minimax(model, source, target, cfg, rng):
