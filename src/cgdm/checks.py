@@ -121,12 +121,13 @@ def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
     )
 
 
-def _tiny_alignment_case(rng):
-    """A <= 50 parameter generator/classifier pair with safe relu margins."""
+def _tiny_alignment_case(rng, clf_dims=(3, 2)):
+    """A <= 50 parameter generator/classifier pair with safe relu margins;
+    ``clf_dims`` are the heads' layer widths."""
     while True:
         gen = nn.init_mlp([2, 3], int(rng.integers(0, 2**31)), final_activation="relu")
-        f1 = nn.init_mlp([3, 2], int(rng.integers(0, 2**31)))
-        f2 = nn.init_mlp([3, 2], int(rng.integers(0, 2**31)))
+        f1 = nn.init_mlp(clf_dims, int(rng.integers(0, 2**31)))
+        f2 = nn.init_mlp(clf_dims, int(rng.integers(0, 2**31)))
         xs = rng.normal(size=(3, 2))
         ys = rng.integers(0, 2, size=3)
         xt = rng.normal(size=(3, 2))
@@ -135,7 +136,12 @@ def _tiny_alignment_case(rng):
             weights=rng.uniform(1.2, 1.9, size=3),
             distances=np.zeros(3),
         )
-        if _relu_margins(gen, xs) > _MARGIN and _relu_margins(gen, xt) > _MARGIN:
+        margins = [_relu_margins(gen, xs), _relu_margins(gen, xt)]
+        with no_grad():
+            for x in (xs, xt):
+                feats = nn.forward(gen, Tensor(x)).values
+                margins += [_relu_margins(f1, feats), _relu_margins(f2, feats)]
+        if min(margins) > _MARGIN:
             src = DomainSet(xs, ys, "source")
             tgt = DomainSet(xt, None, "target")
             return gen, f1, f2, src, tgt, pseudo
@@ -143,30 +149,37 @@ def _tiny_alignment_case(rng):
 
 def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckResult:
     """Double-backward generator gradient of the alignment loss vs central
-    differences of the loss re-evaluated end to end per perturbation."""
+    differences of the loss re-evaluated end to end per perturbation: per
+    instance, the plain loss on linear heads and the conditional loss (both
+    classes in both batches) on heads with a hidden relu layer."""
     rng = np.random.default_rng(seed)
+    rng_conditional = np.random.default_rng([seed, 1])  # rng draws as it did
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(n_instances):
-        gen, f1, f2, src, tgt, pseudo = _tiny_alignment_case(rng)
-        gen_params = gen.parameters()
+        plain = _tiny_alignment_case(rng)
+        while True:  # until both classes are in both batches
+            conditional = _tiny_alignment_case(rng_conditional, clf_dims=(3, 3, 2))
+            if {*conditional[3].labels} & {*conditional[5].labels} == {0, 1}:
+                break
+        for (gen, f1, f2, src, tgt, pseudo), loss_of in (
+            (plain, lambda *args: grad_discrepancy.gradient_discrepancy_loss(
+                *grad_discrepancy.class_gradients(*args))),
+            (conditional, grad_discrepancy.conditional_gradient_loss),
+        ):
+            def loss_fn():
+                fs = nn.forward(gen, Tensor(src.features))
+                ft = nn.forward(gen, Tensor(tgt.features))
+                return loss_of(
+                    f1, f2, (nn.forward(f1, fs), nn.forward(f2, fs)), src.labels,
+                    (nn.forward(f1, ft), nn.forward(f2, ft)), pseudo,
+                )
 
-        def loss_gd(create_graph=False):
-            fs = nn.forward(gen, Tensor(src.features))
-            ft = nn.forward(gen, Tensor(tgt.features))
-            gs = grad_discrepancy.source_gradient(
-                f1, f2, nn.forward(f1, fs), nn.forward(f2, fs), src.labels,
-                create_graph,
-            )
-            gt = grad_discrepancy.target_gradient(
-                f1, f2, nn.forward(f1, ft), nn.forward(f2, ft), pseudo, create_graph
-            )
-            return grad_discrepancy.gradient_discrepancy_loss(gs, gt)
-
-        auto = backward(loss_gd(create_graph=True), gen_params)
-        fd = finite_difference_gradient(loss_gd, gen_params)
-        for p, ref in zip(gen_params, fd):
-            worst = max(worst, _rel_err(auto[p].values, ref, floor=1e-5))
+            gen_params = gen.parameters()
+            auto = backward(loss_fn(), gen_params)
+            fd = finite_difference_gradient(loss_fn, gen_params)
+            for p, ref in zip(gen_params, fd):
+                worst = max(worst, _rel_err(auto[p].values, ref, floor=1e-5))
     return CheckResult(
         "double-backward alignment gradient vs finite differences",
         worst, 1e-3, time.perf_counter() - t0,

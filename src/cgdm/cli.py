@@ -44,25 +44,20 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     seed = cfg.seeds[0]
-    source, target = harness.build_datasets(cfg, seed)
-    run_cfg = harness.variant_config(cfg.train, args.variant, seed)
-    metrics, model = trainer.train(source, target, run_cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"metrics_{args.variant}_seed{seed}.csv"
-    harness.write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
+    run = harness.run_variant(cfg, args.variant, seed)
+    if run.failed:
+        raise run.error
     if args.save_model:
         nn.save_params(
             {
-                "generator": model.generator,
-                "classifier1": model.classifier1,
-                "classifier2": model.classifier2,
+                "generator": run.model.generator,
+                "classifier1": run.model.classifier1,
+                "classifier2": run.model.classifier2,
             },
             args.save_model,
         )
-    final = metrics[-1].target_acc if metrics else float("nan")
-    print(f"{args.variant} seed={seed}: final target accuracy {final:.4f} "
-          f"({len(metrics)} epochs); metrics in {path}")
+    print(f"{args.variant} seed={seed}: final target accuracy {run.final_acc:.4f} "
+          f"({len(run.metrics)} epochs); metrics in {run.metrics_path}")
     return 0
 
 

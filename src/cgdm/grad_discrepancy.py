@@ -5,16 +5,19 @@ on labeled source samples with respect to all classifier parameters; the
 target gradient is the same with entropy-weighted cross-entropy against
 pseudo labels.  Both are flattened in a fixed order (all of classifier 1,
 then all of classifier 2, layer by layer, weight before bias) so cosine
-comparisons are reproducible.
+comparisons are reproducible.  :func:`source_gradient`/:func:`target_gradient`
+define them with one backward pass to the parameters per domain.
 
-Both take the two heads' logits rather than raw batches, so a caller that
-has already run the heads on a batch (the trainer's discrepancy term has, on
-the target batch) reuses that forward.  Building the gradients with
-``create_graph=True`` keeps them differentiable through those logits, and
-the generator features under them, with respect to the generator
-parameters, which is what lets the alignment loss be minimized by the
-generator via double backward.  The conditional loss takes features instead
-and runs the heads on each class block.
+Training uses :func:`class_gradients`: one create-graph backward, for both
+domains, to each head layer's affine output gives the per-row cotangent
+``delta`` there, and with the layer's input ``H`` a weight gradient is
+``delta^T H`` and a bias gradient the column sum of ``delta``.  Masking
+``delta`` to one class's rows gives that class's gradient, so row r of a
+domain's K-by-P **class-gradient matrix** is its gradient on the rows of class
+r, whatever the row order; the plain variant is the one-row case.  The
+recorded graph keeps the gradients differentiable, through the logits and the
+generator features under them, with respect to the generator parameters:
+the alignment loss is minimized by the generator via double backward.
 """
 from __future__ import annotations
 
@@ -24,16 +27,17 @@ import numpy as np
 
 from . import losses, nn
 from .tensor import (
-    ContractError,
     ShapeError,
     Tensor,
+    add,
     concat,
-    dot,
     flatten,
+    matmul,
     mul,
-    narrow,
     pow_const,
+    reshape,
     sub,
+    transpose,
     tsum,
     backward,
 )
@@ -42,6 +46,7 @@ __all__ = [
     "classifier_parameters",
     "source_gradient",
     "target_gradient",
+    "class_gradients",
     "gradient_discrepancy_loss",
     "conditional_gradient_loss",
 ]
@@ -77,67 +82,78 @@ def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
     return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
 
 
+def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
+                    classes=None) -> tuple:
+    """Source and target K-by-P class-gradient matrices, one create-graph backward.
+
+    ``logits_s``/``logits_t`` are ``(forward(f1, x), forward(f2, x))`` on each
+    domain's rows.  Row r is :func:`source_gradient`/:func:`target_gradient` on
+    the rows of class ``classes[r]`` (``None``: one row, the whole batch).  Row
+    weights carry each class's mean (``b / n_k``), so one whole-batch CE per
+    head gives every row's class-mean cotangent."""
+    terms, domains = [], []
+    for (out1, out2), labels, weights in (
+        (logits_s, labels_s, None), (logits_t, pseudo.labels, pseudo.weights)
+    ):
+        members = None
+        if classes is not None:
+            labels = np.asarray(labels)
+            scale = labels.size / np.bincount(labels)[labels]
+            weights = scale if weights is None else weights * scale
+            members = (labels[:, None] == classes).astype(np.float64)
+        terms.append(losses.pair_cross_entropy(out1, out2, labels, weights))
+        domains.append((nn.layer_taps(f1, out1) + nn.layer_taps(f2, out2), members))
+    affine = [z for taps, _ in domains for _, z in taps]
+    deltas = backward(add(*terms), affine, create_graph=True)
+    rows = 1 if classes is None else len(classes)
+    matrices = []
+    for taps, members in domains:
+        blocks = []
+        for h, z in taps:
+            delta = deltas[z]
+            if members is not None:  # column block r: the rows of class r
+                width = delta.shape[1]
+                delta = mul(matmul(delta, np.tile(np.eye(width), rows)),
+                            np.repeat(members, width, axis=1))
+            blocks.append(reshape(matmul(transpose(delta), h), (rows, -1)))
+            blocks.append(reshape(tsum(delta, axis=0), (rows, -1)))
+        matrices.append(concat(blocks, axis=1))
+    return tuple(matrices)
+
+
 def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
-    """1 - cos(gs, gt), in [0, 2]; returns 0 when either norm is ~0.
+    """Mean over rows of 1 - cos(gs[r], gt[r]), in [0, 2]; 1-D gs, gt are one row.
 
-    The zero-norm fallback is a constant (no gradient signal): a vanished
-    gradient vector carries no alignment direction to push against.
-    """
-    if gs.shape != gt.shape or gs.values.ndim != 1:
+    A row where either norm is ~0 adds a constant 0 (a vanished gradient has no
+    alignment direction to push against) but counts in the mean; if every row
+    does, the result is a constant 0 (no gradient signal)."""
+    if gs.shape != gt.shape or gs.values.ndim not in (1, 2):
         raise ShapeError(
-            f"gradient vectors must be equal-length 1-D, got {gs.shape}, {gt.shape}"
+            f"gradients must be equal-shape 1-D or 2-D, got {gs.shape}, {gt.shape}"
         )
-    ns = float(np.linalg.norm(gs.values))
-    nt = float(np.linalg.norm(gt.values))
-    if ns < EPS or nt < EPS:
+    rows = 1 if gs.values.ndim == 1 else gs.shape[0]
+    live = ((np.linalg.norm(gs.values, axis=-1) >= EPS)
+            & (np.linalg.norm(gt.values, axis=-1) >= EPS))
+    if not live.any():
         return Tensor(0.0)
-    norm_s = pow_const(tsum(mul(gs, gs)), 0.5)
-    norm_t = pow_const(tsum(mul(gt, gt)), 0.5)
-    cos = dot(gs, gt) / (mul(norm_s, norm_t) + EPS)
-    return sub(1.0, cos)
+    if not live.all():  # keep the live rows; the selection is exact
+        keep = np.eye(rows)[live]
+        gs, gt = matmul(keep, gs), matmul(keep, gt)
+    norm_s = pow_const(tsum(mul(gs, gs), axis=1), 0.5)
+    norm_t = pow_const(tsum(mul(gt, gt), axis=1), 0.5)
+    cos = tsum(mul(gs, gt), axis=1) / (mul(norm_s, norm_t) + EPS)
+    return mul(tsum(sub(1.0, cos)), 1.0 / rows)
 
 
-def _class_blocks(labels) -> dict:
-    """Class -> (start, length) of its rows; ``labels`` must be sorted."""
-    if np.any(labels[1:] < labels[:-1]):
-        raise ContractError("conditional gradient loss needs rows sorted by class")
-    classes, starts, counts = np.unique(labels, return_index=True, return_counts=True)
-    return {int(k): (int(s), int(c)) for k, s, c in zip(classes, starts, counts)}
-
-
-def conditional_gradient_loss(
-    f1, f2, feats_s: Tensor, labels_s, feats_t: Tensor, pseudo,
-    create_graph: bool = False,
-) -> Tensor:
+def conditional_gradient_loss(f1, f2, logits_s, labels_s, logits_t, pseudo) -> Tensor:
     """Per-category gradient alignment, averaged over classes present in both
-    the source batch (true labels) and the target batch (pseudo labels).
-
-    Both batches must have their rows sorted by class (a stable sort keeps
-    each class's rows in batch order), so each class is one contiguous block
-    of the shared features.  Returns a constant 0 with a logged warning when
-    no class is shared.
-    """
-    labels_s = np.asarray(labels_s)
-    src_blocks = _class_blocks(labels_s)
-    tgt_blocks = _class_blocks(np.asarray(pseudo.labels))
-    shared = sorted(src_blocks.keys() & tgt_blocks.keys())
+    the source batch (true labels) and the target batch (pseudo labels); logits
+    as in :func:`class_gradients`.  No shared class: a constant 0 and a warning."""
+    shared = sorted(set(np.asarray(labels_s).tolist())
+                    & set(np.asarray(pseudo.labels).tolist()))
     if not shared:
         logger.warning("conditional gradient loss: no shared classes in batch")
         return Tensor(0.0)
-    total = None
-    for k in shared:
-        s0, ns = src_blocks[k]
-        t0, nt = tgt_blocks[k]
-        fs = narrow(feats_s, 0, s0, ns)
-        gs = source_gradient(
-            f1, f2, nn.forward(f1, fs), nn.forward(f2, fs),
-            labels_s[s0:s0 + ns], create_graph,
-        )
-        ft = narrow(feats_t, 0, t0, nt)
-        gt = target_gradient(
-            f1, f2, nn.forward(f1, ft), nn.forward(f2, ft),
-            pseudo.take(np.arange(t0, t0 + nt)), create_graph,
-        )
-        term = gradient_discrepancy_loss(gs, gt)
-        total = term if total is None else total + term
-    return mul(total, 1.0 / len(shared))
+    return gradient_discrepancy_loss(*class_gradients(
+        f1, f2, logits_s, labels_s, logits_t, pseudo, np.array(shared)
+    ))

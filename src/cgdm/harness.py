@@ -34,6 +34,7 @@ __all__ = [
     "read_metrics_csv",
     "RunResult",
     "ExperimentSummary",
+    "run_variant",
     "run_experiment",
     "export_embeddings",
 ]
@@ -201,10 +202,14 @@ class RunResult:
     variant: str
     seed: int
     final_acc: float
-    failed: bool
     metrics_path: str
     metrics: list
     model: trainer.BiClassifierModel | None  # None when training raised
+    error: DomainError | None = None  # why the run failed
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass
@@ -226,43 +231,47 @@ class ExperimentSummary:
         return float(np.std(self.variant_accs(variant)))
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Run every (variant, seed) pair, write per-run metrics and a summary.
+def run_variant(cfg: ExperimentConfig, variant: str, seed: int) -> RunResult:
+    """Train one (variant, seed); write its metrics CSV (and, with
+    ``export_pseudo``, its pseudo labels) into ``cfg.out_dir``.  A diverged run
+    (:class:`~cgdm.tensor.DomainError`) keeps the error and gets NaN accuracy
+    and a header-only CSV, so NaN in a CSV row always means "not computed"."""
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    source, target = build_datasets(cfg, seed)
+    metrics, model, error = [], None, None
+    try:
+        metrics, model = trainer.train(
+            source, target, variant_config(cfg.train, variant, seed)
+        )
+    except DomainError as err:
+        error = err
+    path = out_dir / f"metrics_{variant}_seed{seed}.csv"
+    write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
+    if cfg.export_pseudo and metrics:
+        pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
+            model.generator, model.classifier1, model.classifier2, target.features,
+        ))
+        pseudo_labels.save_pseudo_csv(
+            pseudo, out_dir / f"pseudo_{variant}_seed{seed}.csv")
+    final_acc = metrics[-1].target_acc if metrics else float("nan")
+    return RunResult(variant, seed, final_acc, str(path), metrics, model, error)
 
-    The summary reports mean and std of the final-epoch target accuracy per
-    variant.  A run that raises :class:`~cgdm.tensor.DomainError` (it
-    diverged, which includes a non-finite loss) is marked failed with NaN
-    accuracy and a header-only metrics CSV, and the remaining runs go on.
-    So a NaN in a metrics CSV row always means "not computed".
-    """
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
+    """Run every (variant, seed) pair with :func:`run_variant` (a failed run is
+    logged and the rest go on), then write the summary: mean and std of the
+    final-epoch target accuracy per variant."""
     cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     for variant in cfg.variants:
         for seed in cfg.seeds:
-            source, target = build_datasets(cfg, seed)
-            run_cfg = variant_config(cfg.train, variant, seed)
-            try:
-                metrics, model = trainer.train(source, target, run_cfg)
-            except DomainError as err:  # diverged: the next run goes on
-                logger.warning("%s seed %d failed: %s", variant, seed, err)
-                metrics, model = [], None
-            failed = model is None
-            path = out_dir / f"metrics_{variant}_seed{seed}.csv"
-            write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
-            final_acc = metrics[-1].target_acc if metrics else float("nan")
-            runs.append(
-                RunResult(variant, seed, final_acc, failed, str(path), metrics, model)
-            )
-            if cfg.export_pseudo and metrics:
-                pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
-                    model.generator, model.classifier1, model.classifier2,
-                    target.features,
-                ))
-                pseudo_labels.save_pseudo_csv(
-                    pseudo, out_dir / f"pseudo_{variant}_seed{seed}.csv"
-                )
+            run = run_variant(cfg, variant, seed)
+            if run.failed:
+                logger.warning("%s seed %d failed: %s", variant, seed, run.error)
+            runs.append(run)
     summary = ExperimentSummary(runs, str(out_dir))
     _write_summary(cfg, summary, out_dir / "summary.csv")
     return summary

@@ -9,7 +9,7 @@ import numpy as np
 from .data import ParseError
 from .tensor import ContractError, ShapeError, Tensor, linear, relu
 
-__all__ = ["Layer", "Mlp", "init_mlp", "forward", "SgdOptimizer",
+__all__ = ["Layer", "Mlp", "init_mlp", "forward", "layer_taps", "SgdOptimizer",
            "save_params", "load_params"]
 
 
@@ -75,6 +75,19 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
         if layer.activation == "relu":
             h = relu(h)
     return h
+
+
+def layer_taps(net: Mlp, out: Tensor) -> list:
+    """(input, affine output) of every layer, first layer first, read back
+    from the graph of an ``out = forward(net, x)`` recorded with grad on."""
+    taps = []
+    for layer in reversed(net.layers):
+        z = out.parents[0] if layer.activation == "relu" and out.parents else out
+        if z.op != "linear" or z.parents[1] is not layer.weight:
+            raise ContractError("layer_taps needs a recorded forward(net, x) output")
+        out = z.parents[0]
+        taps.append((out, z))
+    return taps[::-1]
 
 
 @dataclass

@@ -285,50 +285,34 @@ class CgdmTrainer:
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
-        Each repeat forwards each domain once, and the target logits feed both
-        the discrepancy term and the target gradient; the conditional variant
-        runs the heads on each class block of the features instead.
+        Each repeat forwards each domain once; the target logits feed both the
+        discrepancy term and the alignment loss, whose source and target
+        class-gradient matrices come from one create-graph backward.  Rows
+        may come in any class order.
         """
         cfg = self.cfg
         self._check_pseudo(pseudo)
         m = self.model
-        use_gdm = cfg.beta > 0
-        conditional = use_gdm and cfg.conditional_gdm
-        if conditional:  # each class becomes one contiguous block of rows
-            s_order = np.argsort(source_batch.labels, kind="stable")
-            t_order = np.argsort(pseudo.labels, kind="stable")
-            source_batch = source_batch.take(s_order)
-            target_batch = target_batch.take(t_order)
-            pseudo = pseudo.take(t_order)
+        heads = (m.classifier1, m.classifier2)
         x_s = Tensor(source_batch.features)
         x_t = Tensor(target_batch.features)
         out = {}
         for rep in range(cfg.step3_repeats):
             feats_t = nn.forward(m.generator, x_t)
-            logits_t1 = nn.forward(m.classifier1, feats_t)
-            logits_t2 = nn.forward(m.classifier2, feats_t)
-            loss_dis = losses.l1_discrepancy(softmax(logits_t1), softmax(logits_t2))
+            logits_t = tuple(nn.forward(f, feats_t) for f in heads)
+            loss_dis = losses.l1_discrepancy(*(softmax(z) for z in logits_t))
             total = loss_dis
             loss_gd = None
-            if use_gdm:
+            if cfg.beta > 0:
                 feats_s = nn.forward(m.generator, x_s)
-                if conditional:
-                    loss_gd = grad_discrepancy.conditional_gradient_loss(
-                        m.classifier1, m.classifier2, feats_s, source_batch.labels,
-                        feats_t, pseudo, create_graph=True,
-                    )
+                logits_s = tuple(nn.forward(f, feats_s) for f in heads)
+                args = (*heads, logits_s, source_batch.labels, logits_t, pseudo)
+                if cfg.conditional_gdm:
+                    loss_gd = grad_discrepancy.conditional_gradient_loss(*args)
                 else:
-                    gs = grad_discrepancy.source_gradient(
-                        m.classifier1, m.classifier2,
-                        nn.forward(m.classifier1, feats_s),
-                        nn.forward(m.classifier2, feats_s),
-                        source_batch.labels, create_graph=True,
+                    loss_gd = grad_discrepancy.gradient_discrepancy_loss(
+                        *grad_discrepancy.class_gradients(*args)
                     )
-                    gt = grad_discrepancy.target_gradient(
-                        m.classifier1, m.classifier2, logits_t1, logits_t2, pseudo,
-                        create_graph=True,
-                    )
-                    loss_gd = grad_discrepancy.gradient_discrepancy_loss(gs, gt)
                 total = total + mul(loss_gd, cfg.beta)
             grads = backward(total, m.generator_parameters())
             self.opt_g.step(grads)

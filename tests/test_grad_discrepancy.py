@@ -193,14 +193,48 @@ def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False
     return total * (1.0 / len(shared))
 
 
-def class_sorted_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False):
-    """The conditional loss on class-sorted batches, one forward per domain."""
+def conditional_loss(gen, f1, f2, xs, ys, xt, pseudo):
+    """The conditional loss with one forward per domain, rows as given."""
+    return gd.conditional_gradient_loss(
+        f1, f2, logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo
+    )
+
+
+def class_sorted_loss(gen, f1, f2, xs, ys, xt, pseudo):
+    """The conditional loss on class-sorted batches."""
     s_order = np.argsort(ys, kind="stable")
     t_order = np.argsort(pseudo.labels, kind="stable")
-    return gd.conditional_gradient_loss(
-        f1, f2, feats(gen, xs[s_order]), ys[s_order],
-        feats(gen, xt[t_order]), pseudo.take(t_order), create_graph,
-    )
+    return conditional_loss(gen, f1, f2, xs[s_order], ys[s_order], xt[t_order],
+                            pseudo.take(t_order))
+
+
+def hidden_models(seed, d_in=3, d_feat=4, hidden=5, k=3):
+    """A generator and two heads with one hidden relu layer each."""
+    rng = np.random.default_rng(seed)
+    gen = nn.init_mlp([d_in, d_feat], int(rng.integers(2**31)), final_activation="relu")
+    f1 = nn.init_mlp([d_feat, hidden, k], int(rng.integers(2**31)))
+    f2 = nn.init_mlp([d_feat, hidden, k], int(rng.integers(2**31)))
+    return gen, f1, f2
+
+
+def unsorted_case(seed, target_classes=3, zero_weight_class=None):
+    """Unsorted source rows of classes 0-2 and target rows pseudo-labelled
+    from ``range(target_classes)``; one class's pseudo weights can be 0,
+    which makes its target gradient exactly 0."""
+    gen, f1, f2 = hidden_models(60 + seed)
+    rng = np.random.default_rng(seed)
+    xs, xt = rng.normal(size=(10, 3)), rng.normal(size=(9, 3))
+    ys = rng.permutation(np.arange(10) % 3)
+    pl = rng.permutation(np.arange(9) % target_classes)
+    w = rng.uniform(1.0, 2.0, size=9)
+    if zero_weight_class is not None:
+        w[pl == zero_weight_class] = 0.0
+    return gen, f1, f2, xs, ys, xt, PseudoLabelSet(pl, w, np.zeros(9))
+
+
+def generator_gradients(loss, gen):
+    grads = backward(loss, gen.parameters())
+    return [grads[p].values for p in gen.parameters()]
 
 
 class TestConditional:
@@ -215,18 +249,14 @@ class TestConditional:
         gen, f1, f2, x, y = self._setup()
         rows = y == 1
         pseudo = PseudoLabelSet(y[rows], np.ones(rows.sum()), np.zeros(rows.sum()))
-        val = gd.conditional_gradient_loss(
-            f1, f2, feats(gen, x[rows]), y[rows], feats(gen, x[rows]), pseudo
-        ).item()
+        val = conditional_loss(gen, f1, f2, x[rows], y[rows], x[rows], pseudo).item()
         assert val < 1e-9
 
     def test_no_shared_classes_warns_and_returns_zero(self, caplog):
         gen, f1, f2, x, y = self._setup()
         pseudo = PseudoLabelSet(np.array([1, 1], np.int64), np.ones(2), np.zeros(2))
         with caplog.at_level(logging.WARNING):
-            out = gd.conditional_gradient_loss(
-                f1, f2, feats(gen, x[:2]), np.array([0, 0]), feats(gen, x[2:4]), pseudo
-            )
+            out = conditional_loss(gen, f1, f2, x[:2], np.array([0, 0]), x[2:4], pseudo)
         assert out.item() == 0.0
         assert any("no shared classes" in r.message for r in caplog.records)
 
@@ -264,22 +294,81 @@ class TestConditional:
         )
         args = (gen, f1, f2, xs, ys, xt, pseudo)
         want = per_class_reforward_loss(*args, create_graph=True)
-        got = class_sorted_loss(*args, create_graph=True)
+        got = class_sorted_loss(*args)
         assert abs(got.item() - want.item()) < 1e-12
-        params = gen.parameters()
-        g_want = backward(want, params)
-        g_got = backward(got, params)
-        for p in params:
-            np.testing.assert_allclose(g_got[p].values, g_want[p].values,
-                                       rtol=0, atol=1e-12)
+        for g_got, g_want in zip(generator_gradients(got, gen),
+                                 generator_gradients(want, gen)):
+            np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
 
-    def test_unsorted_rows_rejected(self):
-        gen, f1, f2, x, y = self._setup()
-        pseudo = PseudoLabelSet(y, np.ones(6), np.zeros(6))
-        with pytest.raises(ContractError):
-            gd.conditional_gradient_loss(
-                f1, f2, feats(gen, x), y[::-1], feats(gen, x), pseudo
+    @pytest.mark.parametrize("case", [
+        dict(),
+        dict(target_classes=2),  # class 2 is in the source batch only
+        dict(zero_weight_class=1),  # class 1's target gradient is exactly 0
+    ], ids=["all_shared", "one_domain_only", "zero_gradient"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unsorted_rows_equal_per_class_reforward(self, seed, case):
+        args = unsorted_case(seed, **case)
+        gen = args[0]
+        assert np.any(np.diff(args[4]) < 0)  # the source rows are not sorted
+        want = per_class_reforward_loss(*args, create_graph=True)
+        got = conditional_loss(*args)
+        assert abs(got.item() - want.item()) < 1e-12
+        for g_got, g_want in zip(generator_gradients(got, gen),
+                                 generator_gradients(want, gen)):
+            np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
+
+
+class TestClassGradients:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_equal_domain_gradients_on_each_class(self, seed):
+        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
+        classes = np.array([0, 2])
+        gs, gt = gd.class_gradients(
+            f1, f2, logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo,
+            classes,
+        )
+        n_params = sum(p.size for p in gd.classifier_parameters(f1, f2))
+        assert gs.shape == gt.shape == (2, n_params)
+        for r, k in enumerate(classes):
+            s_rows = np.flatnonzero(ys == k)
+            t_rows = np.flatnonzero(pseudo.labels == k)
+            want_s = gd.source_gradient(
+                f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows]
             )
+            want_t = gd.target_gradient(
+                f1, f2, *logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows)
+            )
+            np.testing.assert_allclose(gs.values[r], want_s.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gt.values[r], want_t.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_is_bit_identical_with_the_two_backward_definition(self, seed):
+        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
+        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
+        gs, gt = gd.class_gradients(f1, f2, out_s, ys, out_t, pseudo)
+        want_s = gd.source_gradient(f1, f2, *out_s, ys, create_graph=True)
+        want_t = gd.target_gradient(f1, f2, *out_t, pseudo, create_graph=True)
+        np.testing.assert_array_equal(gs.values, want_s.values[None, :])
+        np.testing.assert_array_equal(gt.values, want_t.values[None, :])
+        got = gd.gradient_discrepancy_loss(gs, gt)
+        want = gd.gradient_discrepancy_loss(want_s, want_t)
+        assert got.item() == want.item()
+        for g_got, g_want in zip(generator_gradients(got, gen),
+                                 generator_gradients(want, gen)):
+            np.testing.assert_array_equal(g_got, g_want)
+
+    def test_zero_row_counts_in_the_mean(self):
+        gs = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+        gt = Tensor(np.array([[0.0, 1.0], [3.0, 4.0], [1.0, 1.0]]))
+        out = gd.gradient_discrepancy_loss(gs, gt)
+        assert out.item() == pytest.approx((1.0 + 0.0 + 0.0) / 3, abs=1e-12)
+        grads = backward(out, [gs])
+        np.testing.assert_array_equal(grads[gs].values[1], [0.0, 0.0])
+
+    def test_all_zero_rows_give_a_constant_zero(self):
+        z = Tensor(np.zeros((2, 3)))
+        out = gd.gradient_discrepancy_loss(z, Tensor(np.ones((2, 3))))
+        assert out.item() == 0.0 and out.parents == ()
 
 
 class TestDoubleBackward:

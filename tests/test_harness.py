@@ -255,6 +255,21 @@ class TestDivergingRun:
         assert out == ""
         assert err.splitlines() == ["run failed: log_softmax requires finite logits"]
 
+    def test_train_and_bench_leave_the_same_files(self, tmp_path, capsys):
+        path = write_config(tmp_path, DIVERGING + "variants = mcd\n")
+        bench_out, train_out = tmp_path / "bench", tmp_path / "train"
+        assert cli.main(["bench", "--config", str(path), "--out", str(bench_out)]) == 2
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(path), "--out", str(train_out),
+                         "--variant", "mcd"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["run failed: log_softmax requires finite logits"]
+        name = "metrics_mcd_seed0.csv"
+        assert sorted(p.name for p in train_out.iterdir()) == [name]
+        assert (train_out / name).read_text() == harness.METRICS_HEADER + "\n"
+        assert (bench_out / name).read_text() == harness.METRICS_HEADER + "\n"
+
     def test_trainer_still_raises(self, tmp_path):
         cfg = harness.parse_config(write_config(tmp_path, DIVERGING))
         source, target = harness.build_datasets(cfg, 0)

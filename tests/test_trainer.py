@@ -1,8 +1,11 @@
-"""Minibatch plans and whole training runs against the committed benchmark
-reference trajectories."""
+"""Minibatch plans, whole training runs against the committed benchmark
+reference trajectories, and the step-3 graph budget."""
 import copy
 import math
+import os
 import signal
+import subprocess
+import sys
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
@@ -10,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgdm import harness, losses, nn, pseudo_labels, trainer
+from cgdm import grad_discrepancy, harness, losses, nn, pseudo_labels, trainer
+from cgdm.data import DomainSet
 from cgdm.tensor import (
     ContractError,
     Tensor,
@@ -182,3 +186,69 @@ def test_mcd_variant_is_the_plain_minimax():
     plain_minimax(reference, source, target, cfg, np.random.default_rng(5))
     for a, b in zip(model.all_parameters(), reference.all_parameters()):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def graph_nodes(root) -> int:
+    """Distinct op nodes reachable from ``root`` through parent links."""
+    seen, stack = {id(root)}, [root]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += node.op is not None
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return count
+
+
+class TestStep3GraphBudget:
+    """Each step-3 repeat builds its alignment loss from one create-graph
+    backward, and its graph stays within the node count measured when that
+    path was written (3 unsorted classes, heads with one hidden layer)."""
+
+    NODE_BUDGET = {"plain": 120, "conditional": 136}
+
+    @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
+    def test_one_create_graph_backward_per_repeat(self, monkeypatch, variant):
+        cfg = trainer.TrainConfig(
+            step3_repeats=3, conditional_gdm=variant == "conditional",
+            generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,))
+        model = trainer.build_model(3, 3, cfg)
+        rng = np.random.default_rng(0)
+        labels = rng.permutation(np.arange(12) % 3)
+        source = DomainSet(rng.normal(size=(12, 3)), labels, "source")
+        target = DomainSet(rng.normal(size=(12, 3)), None, "target")
+        pseudo = pseudo_labels.PseudoLabelSet(
+            rng.permutation(labels), rng.uniform(1.0, 2.0, size=12), np.zeros(12))
+        calls = []
+
+        def recorded(scalar, wrt, create_graph=False):
+            calls.append((create_graph, None if create_graph else graph_nodes(scalar)))
+            return backward(scalar, wrt, create_graph=create_graph)
+
+        monkeypatch.setattr(trainer, "backward", recorded)
+        monkeypatch.setattr(grad_discrepancy, "backward", recorded)
+        trainer.CgdmTrainer(cfg, model).step3_update(source, target, pseudo)
+        assert [cg for cg, _ in calls] == [True, False] * cfg.step3_repeats
+        assert max(n for cg, n in calls if not cg) <= self.NODE_BUDGET[variant]
+
+
+def test_fit_imports_no_new_numpy_module():
+    """Training imports nothing from numpy that ``import cgdm`` and making
+    the data sets (which loads ``numpy.random``) did not."""
+    script = (
+        "import sys, cgdm\n"
+        "from cgdm import data, trainer\n"
+        "source, target = data.make_shifted_blobs(3, 4, 5.0, 2.0, 1.0, 20, 0)\n"
+        "before = {m for m in sys.modules if m.startswith('numpy')}\n"
+        "for conditional in (False, True):\n"
+        "    trainer.train(source, target, trainer.TrainConfig(\n"
+        "        epochs=1, batch_size=16, conditional_gdm=conditional))\n"
+        "print(sorted({m for m in sys.modules if m.startswith('numpy')} - before))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
