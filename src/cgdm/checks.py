@@ -212,7 +212,12 @@ def linear_head_gradient_oracle(features, labels, weights, weight, bias):
 
 
 def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
-    """Autodiff classifier gradients vs the closed-form linear-head oracle."""
+    """Autodiff classifier gradients vs the closed-form linear-head oracle.
+
+    Checked: the first-order domain gradients (source: unit weights, target:
+    entropy weights), and the create-graph class-gradient matrices training
+    runs, as one row for the whole batch and as one row per class present,
+    each row against the oracle on that class's rows."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     worst = 0.0
@@ -234,23 +239,32 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
             feats = nn.forward(gen, Tensor(x))
         logits = (nn.forward(f1, feats), nn.forward(f2, feats))
 
-        # source gradient: unit weights; target gradient: entropy weights;
-        # each head's oracle gradient is halved by the two-head mean
-        for gvec, w in (
-            (grad_discrepancy.source_gradient(f1, f2, *logits, y), np.ones(b)),
-            (grad_discrepancy.target_gradient(f1, f2, *logits, pseudo), weights),
-        ):
-            offset = 0
-            for clf in (f1, f2):
-                dw, db = linear_head_gradient_oracle(
-                    feats.values, y, w, clf.layers[0].weight.values,
-                    clf.layers[0].bias.values,
-                )
-                expected = 0.5 * np.concatenate([dw.reshape(-1), db.reshape(-1)])
-                got = gvec.values[offset:offset + expected.size]
+        unit = np.ones(b)
+        # (gradient matrix, the class of each row or None: all rows, weights)
+        found = [
+            (grad_discrepancy.source_gradient(f1, f2, *logits, y).values[None],
+             None, unit),
+            (grad_discrepancy.target_gradient(f1, f2, *logits, pseudo).values[None],
+             None, weights),
+        ]
+        for classes in (None, np.array(sorted(set(y.tolist())))):
+            # each domain's own forward: both share the batch, not the graph
+            gs, gt = grad_discrepancy.class_gradients(
+                f1, f2, logits, y, (nn.forward(f1, feats), nn.forward(f2, feats)),
+                pseudo, classes)
+            found += [(gs.values, classes, unit), (gt.values, classes, weights)]
+        for matrix, classes, w in found:
+            for r, got in enumerate(matrix):
+                rows = np.ones(b, dtype=bool) if classes is None else y == classes[r]
+                # in classifier_parameters order; the two-head mean halves each
+                expected = 0.5 * np.concatenate([
+                    part.reshape(-1) for clf in (f1, f2)
+                    for part in linear_head_gradient_oracle(
+                        feats.values[rows], y[rows], w[rows],
+                        clf.layers[0].weight.values, clf.layers[0].bias.values)
+                ])
                 worst = max(worst, float(np.max(np.abs(got - expected))))
-                offset += expected.size
     return CheckResult(
-        "autodiff domain gradients vs closed-form linear-head oracle",
+        "autodiff domain and class gradients vs closed-form linear-head oracle",
         worst, 1e-10, time.perf_counter() - t0,
     )

@@ -1,15 +1,33 @@
 """Dense float64 tensors with reverse-mode autodiff that supports double backward.
 
 The computation graph is implicit: every op executed while recording is
-enabled produces a tensor that references its parent tensors together with
-one vector-Jacobian-product callback per parent.  Node ids grow monotonically
-with creation order, so iterating reachable nodes by descending id is a valid
-reverse topological order.
+enabled produces a tensor that references its parent tensors (``parents``),
+names its op (``op``) and keeps a small saved context.  Node ids grow
+monotonically with creation order, so iterating reachable nodes by descending
+id is a valid reverse topological order.
 
-Every vjp is itself written in terms of the same differentiable primitives.
-That is the whole trick behind higher-order support: ``backward(...,
-create_graph=True)`` records the gradient arithmetic like any other forward
-computation, so a second backward pass through a gradient is exact.
+Each op's backward is written once, in the table ``_VJPS``: one
+vector-Jacobian-product formula per op and parent, a module-level function
+``vjp(ns, g, args, out, ctx)`` of the cotangent ``g``, the parents ``args``,
+the node's output ``out`` and its saved context ``ctx`` (the relu mask, the
+pow exponent, the concat axis, the narrowed range, or the cross-entropy's
+``(log_softmax node, onehot, scale)``).  ``ns`` is the arithmetic the formula
+is written against, and ``backward`` passes one of two:
+
+* ``_GRAPH``, the differentiable primitives below, with the parent and output
+  tensors.  ``backward(..., create_graph=True)`` uses it, so the gradient
+  arithmetic is recorded like any other forward computation and a second
+  backward pass through a gradient is exact.  That is the whole trick behind
+  higher-order support.
+* ``_ARRAYS``, the same operations in plain numpy, with the parents' and the
+  output's ``.values``.  A first-order ``backward`` uses it: its cotangents
+  are arrays and only the returned gradients are wrapped in tensors, so it
+  records nothing.
+
+Both namespaces run the same numpy operations in the same order, so the two
+modes give bit-identical gradients.  A node holds no closure and no reference
+to itself (exp and log_softmax get their output as ``out``), so a graph is
+freed by reference counting alone.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -19,7 +37,7 @@ thread-local so independent runs can execute concurrently.
 
 Two fused ops replace common compositions on the training hot path.  Their
 forward values are computed in the same numpy order as the composition, and
-their vjps are again built from primitives, so double backward stays exact:
+their vjps are again written against ``ns``, so double backward stays exact:
 
 * ``linear(x, w, b)`` is ``add(matmul(x, transpose(w)), b)`` as one node;
 * ``softmax_cross_entropy(logits, onehot, weights)`` is the mean over rows of
@@ -28,10 +46,11 @@ their vjps are again built from primitives, so double backward stays exact:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
-import weakref
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +60,6 @@ __all__ = [
     "DomainError",
     "ContractError",
     "no_grad",
-    "grad_enabled",
     "as_tensor",
     "zeros",
     "ones",
@@ -60,7 +78,6 @@ __all__ = [
     "log",
     "pow_const",
     "tsum",
-    "tmean",
     "reshape",
     "flatten",
     "concat",
@@ -68,7 +85,6 @@ __all__ = [
     "log_softmax",
     "softmax",
     "softmax_cross_entropy",
-    "dot",
     "backward",
 ]
 
@@ -93,12 +109,8 @@ _ids = itertools.count()
 _state = _GradState()
 
 
-def grad_enabled() -> bool:
-    return _state.enabled
-
-
 def _set_grad(flag: bool) -> bool:
-    prev = grad_enabled()
+    prev = _state.enabled
     _state.enabled = flag
     return prev
 
@@ -118,14 +130,15 @@ class no_grad:
 class Tensor:
     """A dense float64 array, optionally a node of the implicit graph.
 
-    ``parents``/``op`` are empty for constants and parameters (leaves).
-    Identity semantics are deliberate: tensors hash by object identity so
-    they can key gradient maps.
+    A tensor built here is a leaf (a constant or a parameter): ``parents``
+    and ``op`` are empty.  Graph nodes are made by the ops only, so each has
+    a ``_VJPS`` entry.  Identity semantics are deliberate: tensors hash by
+    object identity so they can key gradient maps.
     """
 
-    __slots__ = ("values", "_id", "parents", "_vjps", "op", "__weakref__")
+    __slots__ = ("values", "_id", "parents", "op", "_ctx")
 
-    def __init__(self, values, parents=(), op=None):
+    def __init__(self, values):
         if isinstance(values, np.ndarray):
             if values.dtype != np.float64:
                 values = values.astype(np.float64)
@@ -133,9 +146,7 @@ class Tensor:
             values = np.asarray(values, dtype=np.float64)
         self.values = values
         self._id = next(_ids)
-        self.parents = parents
-        self._vjps = ()
-        self.op = op
+        self.parents, self.op, self._ctx = (), None, None
 
     @property
     def shape(self) -> tuple:
@@ -202,7 +213,7 @@ def zeros_like(t: Tensor) -> Tensor:
     return Tensor(np.zeros_like(t.values))
 
 
-def _node(values, parents, op, vjps) -> Tensor:
+def _node(values, parents, op, ctx=None) -> Tensor:
     """Record an op result; plain tensor when recording is off.
 
     ``values`` comes from numpy arithmetic on float64 operands, so only the
@@ -214,9 +225,9 @@ def _node(values, parents, op, vjps) -> Tensor:
     out.values = values
     out._id = next(_ids)
     if _state.enabled:
-        out.parents, out._vjps, out.op = parents, vjps, op
+        out.parents, out.op, out._ctx = parents, op, ctx
     else:
-        out.parents, out._vjps, out.op = (), (), None
+        out.parents, out.op, out._ctx = (), None, None
     return out
 
 
@@ -229,56 +240,25 @@ def _check_broadcast(sa, sb, op) -> None:
     raise ShapeError(f"{op}: shapes {sa} and {sb} are not broadcast-compatible")
 
 
-def _unbroadcast(g: Tensor, shape) -> Tensor:
-    """Reduce a cotangent back to an operand's shape (built from primitives)."""
-    if g.shape == shape:
-        return g
-    if math.prod(shape) == 1:
-        return reshape(tsum(g), shape)
-    # row operand (K,) against matrix (b, K)
-    return tsum(g, axis=0)
-
-
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
         _check_broadcast(a.shape, b.shape, "add")
-    return _node(
-        a.values + b.values,
-        (a, b),
-        "add",
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
+    return _node(a.values + b.values, (a, b), "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
         _check_broadcast(a.shape, b.shape, "sub")
-    return _node(
-        a.values - b.values,
-        (a, b),
-        "sub",
-        (
-            lambda g: _unbroadcast(g, a.shape),
-            lambda g: _unbroadcast(neg(g), b.shape),
-        ),
-    )
+    return _node(a.values - b.values, (a, b), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
         _check_broadcast(a.shape, b.shape, "mul")
-    return _node(
-        a.values * b.values,
-        (a, b),
-        "mul",
-        (
-            lambda g: _unbroadcast(mul(g, b), a.shape),
-            lambda g: _unbroadcast(mul(g, a), b.shape),
-        ),
-    )
+    return _node(a.values * b.values, (a, b), "mul")
 
 
 def div(a, b) -> Tensor:
@@ -287,7 +267,7 @@ def div(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _node(-a.values, (a,), "neg", (lambda g: neg(g),))
+    return _node(-a.values, (a,), "neg")
 
 
 def matmul(a, b) -> Tensor:
@@ -296,15 +276,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    return _node(
-        a.values @ b.values,
-        (a, b),
-        "matmul",
-        (
-            lambda g: matmul(g, transpose(b)),
-            lambda g: matmul(transpose(a), g),
-        ),
-    )
+    return _node(a.values @ b.values, (a, b), "matmul")
 
 
 def linear(x, w, b) -> Tensor:
@@ -318,14 +290,7 @@ def linear(x, w, b) -> Tensor:
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
         )
     return _node(
-        x.values @ np.ascontiguousarray(w.values.T) + b.values,
-        (x, w, b),
-        "linear",
-        (
-            lambda g: matmul(g, w),
-            lambda g: matmul(transpose(g), x),
-            lambda g: tsum(g, axis=0),
-        ),
+        x.values @ np.ascontiguousarray(w.values.T) + b.values, (x, w, b), "linear"
     )
 
 
@@ -333,17 +298,13 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _node(
-        np.ascontiguousarray(a.values.T), (a,), "transpose", (lambda g: transpose(g),)
-    )
+    return _node(np.ascontiguousarray(a.values.T), (a,), "transpose")
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = Tensor((a.values > 0).astype(np.float64))
-    return _node(
-        np.maximum(a.values, 0.0), (a,), "relu", (lambda g: mul(g, mask),)
-    )
+    mask = (a.values > 0).astype(np.float64)
+    return _node(np.maximum(a.values, 0.0), (a,), "relu", mask)
 
 
 def absolute(a) -> Tensor:
@@ -354,74 +315,45 @@ def absolute(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = _node(np.exp(a.values), (a,), "exp", ())
-    if out.parents:
-        # weak (no cycle): only backward calls a vjp, and it holds the node then
-        ref = weakref.ref(out)
-        out._vjps = (lambda g: mul(g, ref()),)
-    return out
+    return _node(np.exp(a.values), (a,), "exp")
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.values <= 0.0):
         raise DomainError("log requires strictly positive inputs")
-    return _node(
-        np.log(a.values), (a,), "log", (lambda g: mul(g, pow_const(a, -1.0)),)
-    )
+    return _node(np.log(a.values), (a,), "log")
+
+
+def _power(values: np.ndarray, p: float) -> np.ndarray:
+    """values**p, refused where the power is undefined."""
+    if p != int(p) and np.any(values < 0.0):
+        raise DomainError(f"pow_const({p}) requires nonnegative inputs")
+    if p < 0.0 and np.any(values == 0.0):
+        raise DomainError(f"pow_const({p}) undefined at zero")
+    return values**p
 
 
 def pow_const(a, p) -> Tensor:
     """Elementwise a**p for a constant exponent p."""
     a = as_tensor(a)
     p = float(p)
-    if p != int(p) and np.any(a.values < 0.0):
-        raise DomainError(f"pow_const({p}) requires nonnegative inputs")
-    if p < 0.0 and np.any(a.values == 0.0):
-        raise DomainError(f"pow_const({p}) undefined at zero")
-    return _node(
-        a.values**p,
-        (a,),
-        "pow",
-        (lambda g: mul(g, mul(pow_const(a, p - 1.0), p)),),
-    )
+    return _node(_power(a.values, p), (a,), "pow", p)
 
 
 def tsum(a, axis=None) -> Tensor:
     """Sum over all elements (axis=None, scalar result) or along axis 0/1."""
     a = as_tensor(a)
     if axis is None or a.values.ndim <= 1:
-        vals = np.asarray(a.values.sum())
-        return _node(vals, (a,), "sum", (lambda g: mul(g, ones(a.shape)),))
+        return _node(np.asarray(a.values.sum()), (a,), "sum")
     if a.values.ndim != 2 or axis not in (0, 1):
         raise ShapeError(f"sum(axis={axis}) unsupported for shape {a.shape}")
-    if axis == 0:
-        return _node(
-            a.values.sum(axis=0), (a,), "sum0", (lambda g: mul(ones(a.shape), g),)
-        )
-    b, k = a.shape
-    return _node(
-        a.values.sum(axis=1),
-        (a,),
-        "sum1",
-        (lambda g: matmul(reshape(g, (b, 1)), ones((1, k))),),
-    )
-
-
-def tmean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    if axis is None or a.values.ndim <= 1:
-        n = a.size
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
+    return _node(a.values.sum(axis=axis), (a,), "sum0" if axis == 0 else "sum1")
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    orig = a.shape
-    vals = a.values.reshape(shape)
-    return _node(vals, (a,), "reshape", (lambda g: reshape(g, orig),))
+    return _node(a.values.reshape(shape), (a,), "reshape")
 
 
 def flatten(a) -> Tensor:
@@ -430,19 +362,18 @@ def flatten(a) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    tensors = tuple(as_tensor(t) for t in tensors)
     if not tensors:
         raise ContractError("concat of an empty sequence")
     vals = np.concatenate([t.values for t in tensors], axis=axis)
-    vjps = []
-    offset = 0
-    for t in tensors:
-        length = t.shape[axis]
-        vjps.append(
-            (lambda o, l: lambda g: narrow(g, axis, o, l))(offset, length)
-        )
-        offset += length
-    return _node(vals, tuple(tensors), "concat", tuple(vjps))
+    return _node(vals, tensors, "concat", axis)
+
+
+def _narrowed(values: np.ndarray, axis, start, length) -> np.ndarray:
+    """A view of the slice [start, start+length) along axis."""
+    index = [slice(None)] * values.ndim
+    index[axis] = slice(start, start + length)
+    return values[tuple(index)]
 
 
 def narrow(a, axis, start, length) -> Tensor:
@@ -451,24 +382,8 @@ def narrow(a, axis, start, length) -> Tensor:
     dim = a.shape[axis]
     if start < 0 or start + length > dim:
         raise ShapeError(f"narrow [{start}, {start + length}) out of range for dim {dim}")
-    index = [slice(None)] * a.values.ndim
-    index[axis] = slice(start, start + length)
-    vals = a.values[tuple(index)].copy()
-
-    def vjp(g):
-        parts = []
-        if start > 0:
-            before = list(a.shape)
-            before[axis] = start
-            parts.append(zeros(tuple(before)))
-        parts.append(g)
-        if start + length < dim:
-            after = list(a.shape)
-            after[axis] = dim - start - length
-            parts.append(zeros(tuple(after)))
-        return concat(parts, axis=axis) if len(parts) > 1 else g
-
-    return _node(vals, (a,), "narrow", (vjp,))
+    vals = _narrowed(a.values, axis, start, length).copy()
+    return _node(vals, (a,), "narrow", (axis, start, length))
 
 
 def log_softmax(a) -> Tensor:
@@ -480,18 +395,7 @@ def log_softmax(a) -> Tensor:
         raise DomainError("log_softmax requires finite logits")
     shifted = a.values - a.values.max(axis=1, keepdims=True)
     vals = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = _node(vals, (a,), "log_softmax", ())
-    if out.parents:
-        b, k = a.shape
-        ref = weakref.ref(out)  # weak for the reason given in exp
-
-        def vjp(g):
-            rows = tsum(g, axis=1)
-            tiled = matmul(reshape(rows, (b, 1)), ones((1, k)))
-            return sub(g, mul(exp(ref()), tiled))
-
-        out._vjps = (vjp,)
-    return out
+    return _node(vals, (a,), "log_softmax")
 
 
 def softmax(a) -> Tensor:
@@ -503,8 +407,8 @@ def softmax_cross_entropy(logits, onehot: np.ndarray, weights=None) -> Tensor:
 
     ``onehot`` is the b-by-K one-hot encoding of the labels y; ``weights``
     (length b) defaults to all ones.  The log-softmax node made here is
-    referenced by the vjp only, so a create-graph backward differentiates
-    the softmax through it.
+    referenced by the saved context only, so a create-graph backward
+    differentiates the softmax through it.
     """
     a = as_tensor(logits)
     ls = log_softmax(a)
@@ -519,22 +423,126 @@ def softmax_cross_entropy(logits, onehot: np.ndarray, weights=None) -> Tensor:
         if weights.shape != (b,):
             raise ShapeError(f"{weights.shape} weights for a batch of {b}")
         picked = picked * weights
-    scale = Tensor(np.repeat(weights / b, k).reshape(b, k))
-    target = Tensor(onehot)
+    scale = np.repeat(weights / b, k).reshape(b, k)
     return _node(
         np.asarray(picked.sum()) * (1.0 / b),
         (a,),
         "cross_entropy",
-        (lambda g: mul(sub(exp(ls), target), mul(g, scale)),),
+        (ls, np.asarray(onehot, dtype=np.float64), scale),
     )
 
 
-def dot(a, b) -> Tensor:
-    """Inner product of two 1-D tensors (scalar result)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape or a.values.ndim != 1:
-        raise ShapeError(f"dot needs equal-length vectors, got {a.shape}, {b.shape}")
-    return tsum(mul(a, b))
+# -- the two arithmetic namespaces the vjp formulas run on ---------------------
+
+_GRAPH = SimpleNamespace(
+    add=add, sub=sub, neg=neg, mul=mul, matmul=matmul, transpose=transpose,
+    exp=exp, pow_const=pow_const, tsum=tsum, reshape=reshape, concat=concat,
+    narrow=narrow, zeros=zeros, ones=ones,
+    saved=lambda t: t,  # a node kept in a context, as this namespace sees it
+)
+
+_ARRAYS = SimpleNamespace(
+    add=np.add, sub=np.subtract, neg=np.negative, mul=np.multiply,
+    matmul=np.matmul, transpose=lambda a: np.ascontiguousarray(a.T),
+    exp=np.exp, pow_const=_power,
+    tsum=lambda a, axis=None: (
+        a.sum() if axis is None or a.ndim <= 1 else a.sum(axis=axis)),
+    reshape=np.reshape, concat=lambda parts, axis: np.concatenate(parts, axis=axis),
+    narrow=_narrowed, zeros=np.zeros, ones=np.ones,
+    saved=lambda t: t.values,
+)
+
+
+# -- vjp formulas: vjp(ns, g, args, out, ctx) -> cotangent of one parent ------
+
+def _unbroadcast(ns, g, shape):
+    """Reduce a cotangent back to an operand's shape."""
+    if g.shape == shape:
+        return g
+    if math.prod(shape) == 1:
+        return ns.reshape(ns.tsum(g), shape)
+    # row operand (K,) against matrix (b, K)
+    return ns.tsum(g, 0)
+
+
+def _sum1_vjp(ns, g, args, out, ctx):
+    b, k = args[0].shape
+    return ns.matmul(ns.reshape(g, (b, 1)), ns.ones((1, k)))
+
+
+def _narrow_vjp(ns, g, args, out, ctx):
+    axis, start, length = ctx
+    shape = list(args[0].shape)
+    dim = shape[axis]
+    parts = []
+    if start > 0:
+        shape[axis] = start
+        parts.append(ns.zeros(tuple(shape)))
+    parts.append(g)
+    if start + length < dim:
+        shape[axis] = dim - start - length
+        parts.append(ns.zeros(tuple(shape)))
+    return ns.concat(parts, axis) if len(parts) > 1 else g
+
+
+def _concat_vjp(i, ns, g, args, out, axis):
+    start = sum(a.shape[axis] for a in args[:i])
+    return ns.narrow(g, axis, start, args[i].shape[axis])
+
+
+def _log_softmax_vjp(ns, g, args, out, ctx):
+    b, k = args[0].shape
+    rows = ns.tsum(g, 1)
+    tiled = ns.matmul(ns.reshape(rows, (b, 1)), ns.ones((1, k)))
+    return ns.sub(g, ns.mul(ns.exp(out), tiled))
+
+
+def _cross_entropy_vjp(ns, g, args, out, ctx):
+    ls, onehot, scale = ctx
+    return ns.mul(ns.sub(ns.exp(ns.saved(ls)), onehot), ns.mul(g, scale))
+
+
+class _EveryParent:
+    """Vjp entry of a variadic op: ``entry[i]`` is the formula for parent i
+    (and iterating it yields one formula per parent, without end)."""
+
+    def __init__(self, formula):
+        self._formula = formula
+
+    def __getitem__(self, i):
+        return functools.partial(self._formula, i)
+
+
+_VJPS = {
+    "add": (lambda ns, g, args, out, ctx: _unbroadcast(ns, g, args[0].shape),
+            lambda ns, g, args, out, ctx: _unbroadcast(ns, g, args[1].shape)),
+    "sub": (lambda ns, g, args, out, ctx: _unbroadcast(ns, g, args[0].shape),
+            lambda ns, g, args, out, ctx: _unbroadcast(ns, ns.neg(g), args[1].shape)),
+    "mul": (lambda ns, g, args, out, ctx:
+            _unbroadcast(ns, ns.mul(g, args[1]), args[0].shape),
+            lambda ns, g, args, out, ctx:
+            _unbroadcast(ns, ns.mul(g, args[0]), args[1].shape)),
+    "neg": (lambda ns, g, args, out, ctx: ns.neg(g),),
+    "matmul": (lambda ns, g, args, out, ctx: ns.matmul(g, ns.transpose(args[1])),
+               lambda ns, g, args, out, ctx: ns.matmul(ns.transpose(args[0]), g)),
+    "linear": (lambda ns, g, args, out, ctx: ns.matmul(g, args[1]),
+               lambda ns, g, args, out, ctx: ns.matmul(ns.transpose(g), args[0]),
+               lambda ns, g, args, out, ctx: ns.tsum(g, 0)),
+    "transpose": (lambda ns, g, args, out, ctx: ns.transpose(g),),
+    "relu": (lambda ns, g, args, out, mask: ns.mul(g, mask),),
+    "exp": (lambda ns, g, args, out, ctx: ns.mul(g, out),),
+    "log": (lambda ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),),
+    "pow": (lambda ns, g, args, out, p:
+            ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),),
+    "sum": (lambda ns, g, args, out, ctx: ns.mul(g, ns.ones(args[0].shape)),),
+    "sum0": (lambda ns, g, args, out, ctx: ns.mul(ns.ones(args[0].shape), g),),
+    "sum1": (_sum1_vjp,),
+    "reshape": (lambda ns, g, args, out, ctx: ns.reshape(g, args[0].shape),),
+    "concat": _EveryParent(_concat_vjp),
+    "narrow": (_narrow_vjp,),
+    "log_softmax": (_log_softmax_vjp,),
+    "cross_entropy": (_cross_entropy_vjp,),
+}
 
 
 def _reachable(root: Tensor) -> list:
@@ -554,8 +562,14 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
 
     Returns a dict mapping each requested tensor to a gradient of identical
     shape.  Tensors that do not participate in the scalar's graph receive a
-    zero gradient.  With ``create_graph=True`` the vjp arithmetic is recorded,
-    so returned gradients are graph nodes and support a further backward.
+    zero gradient.  Every node on a path from the scalar down to a ``wrt``
+    tensor passes its cotangent to its parents through its ``_VJPS``
+    formulas, consumers before parents (descending ids).  With
+    ``create_graph=True`` the formulas run on the recording primitives
+    (recording switched on for the pass), so the returned gradients are graph
+    nodes and support a further backward.  Otherwise they run on the nodes'
+    numpy values: the pass records nothing (recording is switched off for
+    it) and creates no tensor but the returned gradients.
     """
     if scalar.size != 1:
         raise ContractError(f"backward root must have one element, got {scalar.size}")
@@ -575,23 +589,28 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
         needed.add(node._id)
         path.append(node)
 
+    ns = _GRAPH if create_graph else _ARRAYS
     prev = _set_grad(create_graph)
     try:
-        cot = {scalar._id: ones(scalar.shape)}
-        for node in reversed(path):
-            g = cot.get(node._id)
-            if g is None:
+        cot = {scalar._id: ns.ones(scalar.shape)}
+        for node in reversed(path):  # every path node has a cotangent by now
+            nid = node._id
+            g = cot[nid] if nid in wrt_ids else cot.pop(nid)  # free as we go
+            parents = node.parents
+            if not parents:
                 continue
-            if node._id not in wrt_ids:
-                del cot[node._id]  # free intermediates as we go
-            for parent, vjp in zip(node.parents, node._vjps):
-                if parent._id not in needed:
-                    continue
-                pg = vjp(g)
-                acc = cot.get(parent._id)
-                cot[parent._id] = pg if acc is None else add(acc, pg)
+            if create_graph:
+                args, out = parents, node
+            else:
+                args, out = [p.values for p in parents], node.values
+            for parent, vjp in zip(parents, _VJPS[node.op]):
+                if parent._id in needed:
+                    pg = vjp(ns, g, args, out, node._ctx)
+                    acc = cot.get(parent._id)
+                    cot[parent._id] = pg if acc is None else ns.add(acc, pg)
     finally:
         _set_grad(prev)
 
-    return {t: cot.get(t._id, zeros_like(t)) for t in wrt}
-
+    if create_graph:
+        return {t: cot[t._id] if t._id in cot else zeros_like(t) for t in wrt}
+    return {t: Tensor(cot[t._id]) if t._id in cot else zeros_like(t) for t in wrt}

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -232,6 +233,35 @@ class TestStep3GraphBudget:
         trainer.CgdmTrainer(cfg, model).step3_update(source, target, pseudo)
         assert [cg for cg, _ in calls] == [True, False] * cfg.step3_repeats
         assert max(n for cg, n in calls if not cg) <= self.NODE_BUDGET[variant]
+
+
+def _moons_run(variant: str, seed: int) -> np.ndarray:
+    """Per-epoch losses and accuracies of a 3-epoch run on two_moons n=200."""
+    ecfg = harness.ExperimentConfig(dataset="two_moons", moons_n=200,
+                                    train=trainer.TrainConfig(epochs=3))
+    source, target = harness.build_datasets(ecfg, seed)
+    metrics, _ = trainer.train(source, target,
+                               harness.variant_config(ecfg.train, variant, seed))
+    return np.array([(m.epoch, m.loss_cls, m.loss_dis, m.loss_gd, m.loss_cb,
+                      m.target_acc, m.pseudo_acc) for m in metrics])
+
+
+def test_concurrent_runs_match_serial_runs():
+    """Graph recording is thread-local (backward passes and evaluation switch
+    it), so runs in concurrent threads give the same per-epoch losses and
+    accuracies as the same runs made one after another."""
+    jobs = [(variant, seed) for seed in (0, 1) for variant in ("cgdm_full", "mcd")]
+    serial = [_moons_run(*job) for job in jobs]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-graph
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(_moons_run, *job) for job in jobs]
+            concurrent = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(previous)
+    for job, want, got in zip(jobs, serial, concurrent):
+        assert np.array_equal(got, want, equal_nan=True), job
 
 
 def test_fit_imports_no_new_numpy_module():
