@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import checks, harness, nn, trainer
@@ -24,7 +23,6 @@ def _load_config(args) -> harness.ExperimentConfig:
         cfg.out_dir = args.out
     if getattr(args, "seed", None) is not None:
         cfg.seeds = [args.seed]
-        cfg.train = replace(cfg.train, seed=args.seed)
     return cfg
 
 

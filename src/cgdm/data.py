@@ -1,8 +1,13 @@
-"""Synthetic domain-shift datasets and dataset CSV round-tripping.
+"""Synthetic domain-shift datasets and the one text format cgdm writes.
 
 Target labels, when present, are carried for evaluation only; training code
 consumes :meth:`DomainSet.unlabeled` views so ground truth can never leak
 into an update.
+
+Every CSV file cgdm writes (datasets, metrics, the summary, pseudo labels,
+embeddings) goes through :func:`write_csv`, and every one it reads through
+:func:`read_csv`.  A field is written by :func:`cell`: floats with 17
+significant digits, so they read back exactly, anything else as ``str``.
 """
 from __future__ import annotations
 
@@ -13,6 +18,9 @@ import numpy as np
 __all__ = [
     "DomainSet",
     "ParseError",
+    "cell",
+    "write_csv",
+    "read_csv",
     "make_two_moons_pair",
     "make_shifted_blobs",
     "rotate2d",
@@ -22,7 +30,7 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed dataset file; carries the offending 1-based line number."""
+    """Malformed input file; carries the offending 1-based line number."""
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -126,45 +134,71 @@ def make_shifted_blobs(
     return DomainSet(xs, ys, "source"), DomainSet(xt, yt, "target")
 
 
-def save_dataset_csv(dset: DomainSet, path) -> None:
-    """Features as decimal text with 17 significant digits (exact round trip)."""
-    cols = [f"f{i}" for i in range(dset.dim)]
-    if dset.labels is not None:
-        cols.append("label")
+def cell(v) -> str:
+    """A float with 17 significant digits (it reads back exactly), else ``str``."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the column names, then one line of :func:`cell` fields per row."""
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(dset.n):
-            row = [f"{v:.17g}" for v in dset.features[i]]
-            if dset.labels is not None:
-                row.append(str(int(dset.labels[i])))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
-def load_dataset_csv(path, domain: str = "source") -> DomainSet:
+def read_csv(path) -> tuple[list, list]:
+    """The header's fields and one ``(line number, fields)`` pair per data row.
+
+    Blank lines hold no record and are skipped.  A row whose field count
+    differs from the header's raises :class:`ParseError` naming its line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ParseError(f"{path} is empty")
+        raise ParseError(f"{path} is empty", line=1)
     header = lines[0].split(",")
-    labeled = bool(header) and header[-1] == "label"
-    n_feat = len(header) - (1 if labeled else 0)
-    if n_feat < 1:
-        raise ParseError("header declares no feature columns", line=1)
-    feats, labels = [], []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != len(header):
+        fields = line.split(",")
+        if len(fields) != len(header):
             raise ParseError(
-                f"expected {len(header)} fields, found {len(parts)}", line=lineno
+                f"expected {len(header)} fields, found {len(fields)}", line=lineno
             )
+        rows.append((lineno, fields))
+    return header, rows
+
+
+def save_dataset_csv(dset: DomainSet, path) -> None:
+    """Columns ``f0..f{d-1}``, plus ``label`` for a labeled set."""
+    header = [f"f{i}" for i in range(dset.dim)]
+    rows = dset.features
+    if dset.labels is not None:
+        header.append("label")
+        rows = ((*x, y) for x, y in zip(dset.features, dset.labels))
+    write_csv(path, header, rows)
+
+
+def load_dataset_csv(path, domain: str = "source") -> DomainSet:
+    """Read a :func:`save_dataset_csv` file; a malformed row, or one with a
+    non-finite feature, raises :class:`ParseError` naming its line."""
+    header, rows = read_csv(path)
+    labeled = header[-1] == "label"
+    n_feat = len(header) - labeled
+    if n_feat < 1:
+        raise ParseError("header declares no feature columns", line=1)
+    feats, labels = [], []
+    for lineno, fields in rows:
         try:
-            feats.append([float(v) for v in parts[:n_feat]])
+            feats.append([float(v) for v in fields[:n_feat]])
             if labeled:
-                labels.append(int(parts[-1]))
+                labels.append(int(fields[-1]))
         except ValueError as err:
             raise ParseError(f"non-numeric field ({err})", line=lineno) from None
+        if not np.isfinite(feats[-1]).all():
+            raise ParseError("non-finite feature", line=lineno)
     if not feats:
         raise ParseError(f"{path} has a header but no data rows")
     features = np.asarray(feats, dtype=np.float64)

@@ -1,9 +1,11 @@
-"""Experiment configuration, the ablation runner, and metrics file I/O.
+"""Experiment configuration, the ablation runner, and the files a run writes.
 
 Config files are flat ``key = value`` text: ``#`` starts a comment, unknown
 keys are rejected so typos fail loudly.  Every run writes a metrics CSV with
 the fixed schema ``epoch,loss_cls,loss_dis,loss_gd,loss_cb,target_acc,
 pseudo_acc,seconds``; the summary table is re-derivable from those files.
+Metrics, summary and embedding CSVs are written and read in the text format
+of :mod:`cgdm.data` (:func:`~cgdm.data.write_csv`, :func:`~cgdm.data.read_csv`).
 
 Reruns of an identical config are byte-identical.  Because wall-clock time
 is inherently nondeterministic, the ``seconds`` column is written as 0 unless
@@ -93,8 +95,9 @@ class ExperimentConfig:
         self.train.validate()
 
 
-# config key -> default value; a key's value is parsed to its default's type
-_TRAIN_DEFAULTS = vars(TrainConfig())
+# config key -> default value; a key's value is parsed to its default's type.
+# TrainConfig.seed is no key: variant_config sets it from each entry of seeds.
+_TRAIN_DEFAULTS = {k: v for k, v in vars(TrainConfig()).items() if k != "seed"}
 _EXP_DEFAULTS = {k: v for k, v in vars(ExperimentConfig()).items() if k != "train"}
 
 
@@ -136,6 +139,8 @@ def parse_config(path) -> ExperimentConfig:
                     train_kwargs[key] = _coerce(key, raw, _TRAIN_DEFAULTS[key])
                 elif key in _EXP_DEFAULTS:
                     cfg_kwargs[key] = _coerce(key, raw, _EXP_DEFAULTS[key])
+                elif key == "seed":
+                    raise ConfigError("unknown config key 'seed'; set seeds instead")
                 else:
                     raise ConfigError(f"unknown config key {key!r}")
             except ValueError as err:  # ConfigError included
@@ -166,31 +171,20 @@ def variant_config(base: TrainConfig, variant: str, seed: int) -> TrainConfig:
     return replace(base, seed=seed, **VARIANTS[variant])
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_metrics_csv(metrics, path, include_timing: bool = False) -> None:
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for m in metrics:
-            if not include_timing:
-                m = replace(m, seconds=0.0)
-            fh.write(",".join(_fmt(getattr(m, n)) for n in _METRICS_COLUMNS) + "\n")
+    rows = (m if include_timing else replace(m, seconds=0.0) for m in metrics)
+    data.write_csv(path, _METRICS_COLUMNS,
+                   ([getattr(m, n) for n in _METRICS_COLUMNS] for m in rows))
 
 
 def read_metrics_csv(path) -> list:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != METRICS_HEADER:
+    header, rows = data.read_csv(path)
+    if header != list(_METRICS_COLUMNS):
         raise ParseError(f"{path} is not a metrics CSV", line=1)
     out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(_METRICS_COLUMNS):
-            raise ParseError(f"expected {len(_METRICS_COLUMNS)} fields", line=lineno)
+    for lineno, fields in rows:
         try:
-            row = [kind(raw) for kind, raw in zip(_METRICS_COLUMNS.values(), parts)]
+            row = [kind(raw) for kind, raw in zip(_METRICS_COLUMNS.values(), fields)]
         except ValueError as err:
             raise ParseError(str(err), line=lineno) from None
         out.append(EpochMetrics(*row))
@@ -278,23 +272,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 
 
 def _write_summary(cfg: ExperimentConfig, summary: ExperimentSummary, path) -> None:
-    lines = ["variant,n_seeds,mean_target_acc,std_target_acc,failed_runs"]
-    for variant in cfg.variants:
-        accs = summary.variant_accs(variant)
-        failed = sum(1 for r in summary.runs if r.variant == variant and r.failed)
-        lines.append(
-            ",".join(
-                [
-                    variant,
-                    str(len(accs)),
-                    _fmt(float(np.mean(accs))),
-                    _fmt(float(np.std(accs))),
-                    str(failed),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["variant", "n_seeds", "mean_target_acc", "std_target_acc", "failed_runs"]
+    data.write_csv(path, header, (
+        [v, len(summary.variant_accs(v)), summary.mean_acc(v), summary.std_acc(v),
+         sum(r.failed for r in summary.runs if r.variant == v)]
+        for v in cfg.variants))
 
 
 def export_embeddings(gen: nn.Mlp, dset: DomainSet, path) -> None:
@@ -304,13 +286,14 @@ def export_embeddings(gen: nn.Mlp, dset: DomainSet, path) -> None:
     """
     if dset.n == 0:
         raise ConfigError("cannot export embeddings of an empty set")
+    if gen.in_dim != dset.dim:
+        raise ConfigError(
+            f"generator takes {gen.in_dim} features, the {dset.domain} set has "
+            f"{dset.dim}"
+        )
     with no_grad():
         feats = nn.forward(gen, Tensor(dset.features)).values
-    d = feats.shape[1]
-    header = "sample_id,domain,label," + ",".join(f"f{i}" for i in range(d))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(dset.n):
-            label = -1 if dset.labels is None else int(dset.labels[i])
-            vals = ",".join(_fmt(v) for v in feats[i])
-            fh.write(f"{i},{dset.domain},{label},{vals}\n")
+    header = ["sample_id", "domain", "label", *(f"f{i}" for i in range(feats.shape[1]))]
+    labels = np.full(dset.n, -1) if dset.labels is None else dset.labels
+    data.write_csv(path, header, (
+        (i, dset.domain, labels[i], *feats[i]) for i in range(dset.n)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ParseError
+from .data import ParseError, cell
 from .tensor import ContractError, ShapeError, Tensor, linear, relu
 
 __all__ = ["Layer", "Mlp", "init_mlp", "forward", "layer_taps", "SgdOptimizer",
@@ -145,7 +145,7 @@ def save_params(named_nets: dict, path) -> None:
             for kind, t in (("weight", layer.weight), ("bias", layer.bias)):
                 dims = " ".join(str(d) for d in t.shape)
                 lines.append(f"param {name}.layer{i}.{kind} {dims}")
-                lines.append(" ".join(f"{v:.17g}" for v in t.values.reshape(-1)))
+                lines.append(" ".join(map(cell, t.values.reshape(-1))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, nn
+from .data import write_csv
 from .tensor import ContractError, Tensor, no_grad
 
 __all__ = [
@@ -136,10 +137,5 @@ def pseudo_label_epoch(prediction, epoch: int | None = None) -> PseudoLabelSet:
 
 def save_pseudo_csv(pseudo: PseudoLabelSet, path) -> None:
     """Diagnostic export: one row per target sample."""
-    with open(path, "w") as fh:
-        fh.write("sample_id,pseudo_label,weight,distance\n")
-        for i in range(len(pseudo)):
-            fh.write(
-                f"{i},{int(pseudo.labels[i])},{pseudo.weights[i]:.17g},"
-                f"{pseudo.distances[i]:.17g}\n"
-            )
+    write_csv(path, ["sample_id", "pseudo_label", "weight", "distance"],
+              zip(range(len(pseudo)), pseudo.labels, pseudo.weights, pseudo.distances))

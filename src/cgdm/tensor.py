@@ -303,7 +303,7 @@ def transpose(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = (a.values > 0).astype(np.float64)
+    mask = (a.values > 0).astype(np.float64) if _state.enabled else None
     return _node(np.maximum(a.values, 0.0), (a,), "relu", mask)
 
 

@@ -332,9 +332,18 @@ class CgdmTrainer:
         """
         cfg = self.cfg
         num_classes = _check_class_counts(source, target)
+        if target.dim != source.dim:
+            raise ConfigError(
+                f"target has {target.dim} features, source has {source.dim}"
+            )
         if self.model is None:
             self.model = build_model(source.dim, num_classes, cfg)
             self._attach_optimizers()
+        elif self.model.generator.in_dim != source.dim:
+            raise ConfigError(
+                f"model takes {self.model.generator.in_dim} features, data has "
+                f"{source.dim}"
+            )
         elif self.model.num_classes < num_classes:
             raise ConfigError(
                 f"model has {self.model.num_classes} outputs, data has "

@@ -1,4 +1,7 @@
-"""Dataset CSV round trips and errors, and the no-target-label-leak claim."""
+"""The CSV text format, dataset CSV round trips and errors, and the
+no-target-label-leak claim."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,13 +9,53 @@ from cgdm import harness, trainer
 from cgdm.data import (
     DomainSet,
     ParseError,
+    cell,
     load_dataset_csv,
     make_shifted_blobs,
     make_two_moons_pair,
+    read_csv,
     save_dataset_csv,
+    write_csv,
 )
 
 LOSSES = ("loss_cls", "loss_dis", "loss_gd", "loss_cb")
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize("value, text", [
+        (3, "3"),
+        (-1, "-1"),
+        (np.int64(3), "3"),
+        ("cgdm_full", "cgdm_full"),
+        (math.nan, "nan"),
+        (-0.0, "-0"),
+        (1e-300, "1e-300"),
+        (2.0**60 + 1, "1.152921504606847e+18"),
+        (np.float64(0.1), "0.10000000000000001"),
+    ])
+    def test_cell(self, value, text):
+        assert cell(value) == text
+
+    @pytest.mark.parametrize("value", [math.nan, -0.0, 1e-300, 2.0**60 + 1, 0.1,
+                                       1 / 3, -math.inf, 5e-324])
+    def test_a_float_cell_reads_back_bit_exactly(self, value):
+        assert np.float64(float(cell(value))).tobytes() == np.float64(value).tobytes()
+
+    def test_round_trip_keeps_line_numbers_and_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "x"], [("a", 0.5), ("b", 2)])
+        assert path.read_text() == "name,x\na,0.5\nb,2\n"
+        path.write_text("name,x\na,0.5\n\n  \nb,2\n")
+        assert read_csv(path) == (["name", "x"], [(2, ["a", "0.5"]), (5, ["b", "2"])])
+
+    @pytest.mark.parametrize("row, found", [("a", 1), ("a,1,2", 3)])
+    def test_wrong_field_count_is_reported_with_its_line(self, tmp_path, row, found):
+        path = tmp_path / "t.csv"
+        path.write_text(f"name,x\na,1\n\n{row}\n")
+        with pytest.raises(ParseError,
+                           match=f"^line 4: expected 2 fields, found {found}$") as err:
+            read_csv(path)
+        assert err.value.line == 4
 
 
 class TestDatasetCsv:
@@ -48,6 +91,13 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match=f"^line 3: {message}") as err:
             load_dataset_csv(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_is_reported_with_its_line(self, tmp_path, value):
+        path = tmp_path / "set.csv"
+        path.write_text(f"f0,f1,label\n0.5,0.5,1\n\n0.5,{value},0\n")
+        with pytest.raises(ParseError, match="^line 4: non-finite feature$"):
+            load_dataset_csv(path)
 
 
 def test_permuted_target_labels_leave_every_loss_unchanged():

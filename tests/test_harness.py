@@ -1,14 +1,22 @@
 """Config parsing, run failures, metrics CSVs and the CLI's exit codes."""
 import dataclasses
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgdm import cli, harness, losses, nn, trainer
-from cgdm.data import ParseError
-from cgdm.tensor import DomainError, add
+from cgdm.data import (
+    ParseError,
+    make_shifted_blobs,
+    make_two_moons_pair,
+    read_csv,
+    save_dataset_csv,
+)
+from cgdm.tensor import DomainError, Tensor, add
 from cgdm.trainer import ConfigError, EpochMetrics, TrainConfig
 
 SMALL = "dataset = two_moons\nmoons_n = 40\nepochs = 1\nseeds = 0\n"
@@ -114,6 +122,74 @@ def test_export_embeddings_with_truncated_checkpoint_exits_1(tmp_path, capsys):
     assert "no generator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labeled", [True, False])
+def test_embeddings_csv_reads_back_as_the_generator_output(tmp_path, labeled):
+    source, _ = make_shifted_blobs(3, 4, 5.0, 2.0, 1.0, 7, seed=1)
+    dset = source if labeled else source.unlabeled()
+    gen = nn.init_mlp([4, 6, 5], seed=2, final_activation="relu")
+    path = tmp_path / "emb.csv"
+    harness.export_embeddings(gen, dset, path)
+    header, rows = read_csv(path)
+    assert header == ["sample_id", "domain", "label", "f0", "f1", "f2", "f3", "f4"]
+    labels = dset.labels if labeled else [-1] * dset.n
+    assert [fields[:3] for _, fields in rows] == [
+        [str(i), "source", str(label)] for i, label in enumerate(labels)]
+    got = np.array([[float(v) for v in fields[3:]] for _, fields in rows])
+    want = nn.forward(gen, Tensor(dset.features)).values
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBadInputExitsOne:
+    """Bad outside input ends in exit 1 and one ``error:`` line, not a
+    traceback or a failed run."""
+
+    @staticmethod
+    def one_error_line(capsys, argv) -> str:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        return line
+
+    @staticmethod
+    def csv_config(tmp_path, source, target):
+        save_dataset_csv(source, tmp_path / "source.csv")
+        save_dataset_csv(target, tmp_path / "target.csv")
+        return write_config(
+            tmp_path, f"dataset = csv\ncsv_source = {tmp_path / 'source.csv'}\n"
+                      f"csv_target = {tmp_path / 'target.csv'}\nepochs = 1\nseeds = 0\n")
+
+    def test_target_csv_of_another_width(self, tmp_path, capsys):
+        source, _ = make_two_moons_pair(20, 0.1, 35.0, seed=0)
+        _, target = make_shifted_blobs(2, 3, 5.0, 2.0, 1.0, 10, seed=0)
+        path = self.csv_config(tmp_path, source, target)
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: target has 3 features, source has 2")
+
+    def test_checkpoint_of_another_width(self, tmp_path, capsys):
+        ckpt = tmp_path / "moons.ckpt"
+        nn.save_params({"generator": nn.init_mlp([2, 3], seed=1)}, ckpt)
+        path = write_config(tmp_path, "dataset = blobs\nblobs_n_per_class = 5\n"
+                                      "seeds = 0\n")
+        argv = ["export-embeddings", "--config", str(path), "--model", str(ckpt),
+                "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: generator takes 2 features, the source set has 8")
+
+    def test_dataset_csv_with_a_nan_feature(self, tmp_path, capsys):
+        source, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)
+        path = self.csv_config(tmp_path, source, target)
+        csv = tmp_path / "target.csv"
+        lines = csv.read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: line 5: non-finite feature")
+
+
 # every settable key of TrainConfig and ExperimentConfig, with a non-default value
 EVERY_KEY = """\
 # training
@@ -128,7 +204,6 @@ batch_size = 32
 epochs = 3
 step3_repeats = 2
 warmup_epochs = 0
-seed = 7
 enable_adversarial = off
 conditional_gdm = yes
 generator_hidden = 16, 8
@@ -173,7 +248,7 @@ class TestParseConfig:
             train=TrainConfig(
                 alpha=0.2, beta=0.03, class_balance_weight=0.0, lr=0.01,
                 lr_generator=None, momentum=0.8, weight_decay=1e-4, batch_size=32,
-                epochs=3, step3_repeats=2, warmup_epochs=0, seed=7,
+                epochs=3, step3_repeats=2, warmup_epochs=0,
                 enable_adversarial=False, conditional_gdm=True,
                 generator_hidden=(16, 8), feature_dim=12, classifier_hidden=(6,),
             ),
@@ -183,7 +258,7 @@ class TestParseConfig:
                 if "=" in line}
         for got, expected in ((cfg, want), (cfg.train, want.train)):
             for f in dataclasses.fields(expected):
-                if f.name != "train":
+                if f.name not in ("train", "seed"):
                     assert f.name in keys
                     assert type(getattr(got, f.name)) is type(getattr(expected, f.name))
         assert [type(s) for s in cfg.seeds] == [int, int]
@@ -209,6 +284,21 @@ class TestParseConfig:
     def test_negative_loss_weight_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match="loss weights must be nonnegative"):
             harness.parse_config(write_config(tmp_path, f"{key} = -0.1\n"))
+
+    def test_seed_is_an_unknown_key_that_points_to_seeds(self, tmp_path):
+        path = write_config(tmp_path, "seeds = 0\n# one run\nseed = 7\n")
+        with pytest.raises(ConfigError,
+                           match="^line 3: unknown config key 'seed'; set seeds instead$"):
+            harness.parse_config(path)
+
+    def test_readme_lists_every_config_key(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = text.split("## Config files")[1].split("## ")[0]
+        listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        fields = [f.name for cls in (harness.ExperimentConfig, TrainConfig)
+                  for f in dataclasses.fields(cls) if f.name not in ("train", "seed")]
+        assert sorted(listed) == sorted(fields)
+        assert len(listed) == 33
 
     @pytest.mark.parametrize("key", ["enable_gdm", "enable_selfsup",
                                      "enable_class_balance"])

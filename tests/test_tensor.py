@@ -3,6 +3,7 @@ double backward, the two arithmetics of one vjp formula, and graph
 determinism."""
 import ast
 import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -525,3 +526,18 @@ def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_relu_outside_recording_allocates_only_its_output():
+    """Under no_grad relu builds no backward mask: its allocations peak below
+    1.5 times its output's bytes."""
+    x = T.Tensor(np.random.default_rng(0).normal(size=(1000, 256)))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = T.relu(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out.values, np.maximum(x.values, 0.0))
+    assert peak < 1.5 * out.values.nbytes

@@ -282,3 +282,12 @@ def test_fit_imports_no_new_numpy_module():
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_rejects_a_model_of_another_input_width():
+    source, target = harness.build_datasets(
+        harness.ExperimentConfig(dataset="two_moons", moons_n=20), 0)
+    cfg = trainer.TrainConfig(epochs=1)
+    model = trainer.build_model(3, 2, cfg)
+    with pytest.raises(trainer.ConfigError, match="^model takes 3 features, data has 2$"):
+        trainer.CgdmTrainer(cfg, model).fit(source, target)
