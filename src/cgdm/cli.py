@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, bench, gradcheck, export-embeddings.
-Exit codes: 0 success, 1 configuration error, 2 run failure.
+Exit codes: 0 success, 1 configuration or command-line error, 2 run failure.
+Every error is one line on standard error; ``--help`` prints the usage text
+and exits 0.
 """
 from __future__ import annotations
 
@@ -104,8 +106,23 @@ def _cmd_export_embeddings(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (a missing or unknown option or value) exits 1 with one
+    ``error:`` line, like a config error; subparsers are made of this class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
+def _seed(raw: str) -> int:
+    """A ``--seed`` value: a nonnegative integer, as numpy's seeding takes."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cgdm",
         description="Bi-classifier adversarial domain adaptation with "
                     "cross-domain gradient alignment, on synthetic benchmarks.",
@@ -115,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write dataset CSVs for a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="single training run from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--variant", default="cgdm_full", choices=sorted(harness.VARIANTS))
     p.add_argument("--save-model", default=None, help="checkpoint path")
     p.set_defaults(func=_cmd_train)
@@ -132,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference and oracle suites")
-    p.add_argument("--seed", type=int, default=20240)
+    p.add_argument("--seed", type=_seed, default=20240)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("export-embeddings", help="CSV of generator features")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--variant", default="cgdm_full", choices=sorted(harness.VARIANTS))
     p.add_argument("--model", default=None, help="load this checkpoint instead "
                                                  "of training")

@@ -113,7 +113,7 @@ def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
             delta = deltas[z]
             if members is not None:  # column block r: the rows of class r
                 width = delta.shape[1]
-                delta = mul(matmul(delta, np.tile(np.eye(width), rows)),
+                delta = mul(concat([delta] * rows, axis=1),
                             np.repeat(members, width, axis=1))
             blocks.append(reshape(matmul(transpose(delta), h), (rows, -1)))
             blocks.append(reshape(tsum(delta, axis=0), (rows, -1)))

@@ -15,6 +15,7 @@ EpochMetrics objects either way).
 from __future__ import annotations
 
 import logging
+import math
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -87,11 +88,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ConfigError(f"unknown variants: {unknown}")
         if self.dataset == "csv" and not (self.csv_source and self.csv_target):
             raise ConfigError("csv dataset needs csv_source and csv_target paths")
+        if min(self.moons_n, self.blobs_dim, self.blobs_n_per_class) < 1:
+            raise ConfigError("moons_n, blobs_dim and blobs_n_per_class must be positive")
+        if self.blobs_classes < 2:
+            raise ConfigError("blobs_classes must be >= 2")
+        if not self.moons_noise >= 0:
+            raise ConfigError("moons_noise must be nonnegative")
         self.train.validate()
 
 
@@ -104,7 +113,7 @@ _EXP_DEFAULTS = {k: v for k, v in vars(ExperimentConfig()).items() if k != "trai
 def _coerce(key: str, raw: str, default):
     """Parse ``raw`` to the type of ``default``: a comma-separated list or
     tuple takes the type of the default's items, a None default means a
-    float or ``none``."""
+    float or ``none``.  A float must be finite: ``nan`` and ``inf`` raise."""
     raw = raw.strip()
     kind = type(default)
     if kind is bool:
@@ -117,9 +126,12 @@ def _coerce(key: str, raw: str, default):
     if kind in (list, tuple):
         item = type(default[0])
         return kind(item(v.strip()) for v in raw.split(",") if v.strip())
-    if default is None:
-        return None if raw.lower() == "none" else float(raw)
-    return kind(raw)
+    if default is None and raw.lower() == "none":
+        return None
+    value = float(raw) if default is None else kind(raw)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(path) -> ExperimentConfig:

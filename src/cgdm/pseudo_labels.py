@@ -5,6 +5,10 @@ trainer shares with its evaluation (:func:`predict`): softmax-weighted class
 centroids in generator-feature space, nearest-centroid assignment under
 cosine distance, and a per-sample confidence weight from prediction entropy.
 Everything here is plain numpy computed outside the graph.
+
+That pass runs in blocks of :data:`BLOCK_ROWS` rows into result arrays
+allocated once, so its memory is bounded by the block size, not by the set
+size; its values are those of one whole-set pass, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,6 +33,9 @@ __all__ = [
 ]
 
 EPS = 1e-12
+# rows per block of the full-set pass: the largest training batch of the
+# benchmark workloads, so a block's activations are no bigger than a step's
+BLOCK_ROWS = 256
 _EMPTY_SUPPORT = 1e-8
 
 
@@ -116,14 +123,30 @@ def assign_pseudo_labels(features, centroids: CentroidSet, probs1, probs2) -> Ps
 
 def predict(gen, f1, f2, features):
     """One no-grad pass over a whole set: ``(features, probs1, probs2)``, the
-    generator features and both heads' softmax rows as numpy arrays."""
-    if len(features) == 0:
+    generator features and both heads' softmax rows as numpy arrays.
+
+    The set is run in blocks of :data:`BLOCK_ROWS` rows (the last may take one
+    row more), each written into the three result arrays, which are allocated
+    once: the pass holds one block's activations, never the whole set's, and
+    no block list to concatenate."""
+    n = len(features)
+    if n == 0:
         raise ContractError("prediction needs a non-empty set")
+    feats = np.empty((n, gen.out_dim))
+    p1 = np.empty((n, f1.out_dim))
+    p2 = np.empty((n, f2.out_dim))
+    # a one-row block would take numpy's matrix-vector product, whose sums can
+    # differ in the last bit from a matrix product's, so a last block of one
+    # row joins the block before it
+    starts = range(0, max(n - 1, 1), BLOCK_ROWS)
     with no_grad():
-        feats = nn.forward(gen, Tensor(features))
-        p1 = softmax_rows(nn.forward(f1, feats))
-        p2 = softmax_rows(nn.forward(f2, feats))
-    return feats.values, p1, p2
+        for start, stop in zip(starts, [*starts[1:], n]):
+            rows = slice(start, stop)
+            h = nn.forward(gen, Tensor(features[rows]))
+            feats[rows] = h.values
+            p1[rows] = softmax_rows(nn.forward(f1, h))
+            p2[rows] = softmax_rows(nn.forward(f2, h))
+    return feats, p1, p2
 
 
 def pseudo_label_epoch(prediction, epoch: int | None = None) -> PseudoLabelSet:

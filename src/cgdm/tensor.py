@@ -281,7 +281,8 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """Affine map ``x @ w.T + b`` of a batch x (b-by-in), weight w (out-by-in)
-    and bias b (out)."""
+    and bias b (out).  The bias is added in place into the fresh matmul
+    output, so no second b-by-out array is made; the values are the same."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 2 or w.values.ndim != 2:
         raise ShapeError(f"linear needs 2-D x and w, got {x.shape} and {w.shape}")
@@ -289,9 +290,9 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
         )
-    return _node(
-        x.values @ np.ascontiguousarray(w.values.T) + b.values, (x, w, b), "linear"
-    )
+    out = x.values @ np.ascontiguousarray(w.values.T)
+    out += b.values
+    return _node(out, (x, w, b), "linear")
 
 
 def transpose(a) -> Tensor:

@@ -91,8 +91,12 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ConfigError("epoch counts must be nonnegative")
-        if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ConfigError("lr, momentum and weight_decay must be nonnegative")
+        if min(self.lr, self.lr_generator or 0.0, self.momentum, self.weight_decay) < 0:
+            raise ConfigError(
+                "lr, lr_generator, momentum and weight_decay must be nonnegative")
+        if min((self.feature_dim, *self.generator_hidden, *self.classifier_hidden)) < 1:
+            raise ConfigError(
+                "feature_dim, generator_hidden and classifier_hidden must be positive")
 
 
 @dataclass

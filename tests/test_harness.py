@@ -139,6 +139,25 @@ def test_embeddings_csv_reads_back_as_the_generator_output(tmp_path, labeled):
     assert got.tobytes() == want.tobytes()
 
 
+# config lines (added to SMALL) with a value that cgdm rejects, and its key
+BAD_VALUES = [
+    ("feature_dim = 0", "feature_dim"),
+    ("generator_hidden = 0", "generator_hidden"),
+    ("classifier_hidden = 16, 0", "classifier_hidden"),
+    ("dataset = blobs\nblobs_dim = 0", "blobs_dim"),
+    ("moons_n = 0", "moons_n"),
+    ("dataset = blobs\nblobs_n_per_class = 0", "blobs_n_per_class"),
+    ("dataset = blobs\nblobs_classes = 0", "blobs_classes"),
+    ("dataset = blobs\nblobs_classes = 1", "blobs_classes"),
+    ("lr = inf", "lr"),
+    ("weight_decay = nan", "weight_decay"),
+    ("moons_noise = nan", "moons_noise"),
+    ("moons_noise = -1", "moons_noise"),
+    ("lr_generator = -1", "lr_generator"),
+    ("seeds = 0, -1", "seeds"),
+]
+
+
 class TestBadInputExitsOne:
     """Bad outside input ends in exit 1 and one ``error:`` line, not a
     traceback or a failed run."""
@@ -177,6 +196,36 @@ class TestBadInputExitsOne:
                 "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
             "error: generator takes 2 features, the source set has 8")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train"], "error: the following arguments are required: --config"),
+        (["train", "--config", "run.cfg", "--variant", "nope"],
+         "error: argument --variant: invalid choice: 'nope' "),
+        (["gradcheck", "--seed", "-1"],
+         "error: argument --seed: expected a nonnegative integer, got '-1'"),
+    ], ids=["missing-config", "unknown-variant", "negative-seed"])
+    def test_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 1
+        (line,) = err.splitlines()
+        assert line.startswith(message)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["train", "--help"])
+        assert exit_.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lines, key", BAD_VALUES,
+                             ids=[lines.splitlines()[-1] for lines, _ in BAD_VALUES])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, lines, key):
+        path = write_config(tmp_path, SMALL + lines + "\n")
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        line = self.one_error_line(capsys, argv)
+        assert line.startswith("error: ")
+        assert re.search(rf"\b{key}\b", line)
 
     def test_dataset_csv_with_a_nan_feature(self, tmp_path, capsys):
         source, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)

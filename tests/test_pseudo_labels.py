@@ -1,4 +1,6 @@
 """Weighted centroids, cosine assignment, and the per-epoch labeling pass."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from cgdm import nn, pseudo_labels as pl
 from cgdm.data import DomainSet, make_shifted_blobs
-from cgdm.tensor import ContractError, Tensor
+from cgdm.tensor import ContractError, Tensor, no_grad
 from cgdm.trainer import TrainConfig, evaluate, train
 
 
@@ -201,3 +203,43 @@ class TestEpochPass:
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_id,pseudo_label,weight,distance"
         assert len(lines) == tgt.n + 1
+
+
+def one_pass_predict(gen, f1, f2, features):
+    """The definition :func:`pl.predict` keeps: one no-grad forward of the
+    whole set at once."""
+    with no_grad():
+        feats = nn.forward(gen, Tensor(features))
+        return (feats.values, pl.softmax_rows(nn.forward(f1, feats)),
+                pl.softmax_rows(nn.forward(f2, feats)))
+
+
+class TestBlockedPredict:
+    """The full-set pass runs in blocks into preallocated arrays."""
+
+    @staticmethod
+    def nets():
+        """The shapes of the benchmark's wide workload."""
+        gen = nn.init_mlp([64, 256, 128], seed=1, final_activation="relu")
+        return gen, nn.init_mlp([128, 128, 8], seed=2), nn.init_mlp([128, 128, 8], seed=3)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_equals_one_pass_bit_for_bit(self, n):
+        gen, f1, f2 = self.nets()
+        x = np.random.default_rng(n).normal(size=(n, 64))
+        for got, want in zip(pl.predict(gen, f1, f2, x), one_pass_predict(gen, f1, f2, x)):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_is_bounded_by_the_results(self):
+        gen, f1, f2 = self.nets()
+        x = np.random.default_rng(0).normal(size=(4000, 64))
+        tracemalloc.start()
+        try:
+            result = pl.predict(gen, f1, f2, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result_bytes = sum(a.nbytes for a in result)
+        assert result_bytes == 4000 * (128 + 8 + 8) * 8
+        assert peak < 1.5 * result_bytes

@@ -346,6 +346,14 @@ class TestFusedOps:
             np.testing.assert_allclose(g_fused[t].values, g_composed[t].values,
                                        rtol=1e-14, atol=1e-14)
 
+    def test_linear_leaves_its_inputs_alone(self):
+        x, w, b, _ = self._linear_case(1)
+        before = [t.values.copy() for t in (x, w, b)]
+        out = T.linear(x, w, b)
+        for t, was in zip((x, w, b), before):
+            np.testing.assert_array_equal(t.values, was)
+        assert not np.shares_memory(out.values, b.values)
+
     def test_linear_shape_mismatch(self):
         x, w, b, _ = self._linear_case(0)
         with pytest.raises(T.ShapeError):
