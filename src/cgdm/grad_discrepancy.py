@@ -14,10 +14,12 @@ domains, to each head layer's affine output gives the per-row cotangent
 ``delta^T H`` and a bias gradient the column sum of ``delta``.  Masking
 ``delta`` to one class's rows gives that class's gradient, so row r of a
 domain's K-by-P **class-gradient matrix** is its gradient on the rows of class
-r, whatever the row order; the plain variant is the one-row case.  The
-recorded graph keeps the gradients differentiable, through the logits and the
-generator features under them, with respect to the generator parameters:
-the alignment loss is minimized by the generator via double backward.
+r, whatever the row order; the plain variant is the one-row case.  Each
+layer's block of that matrix is one fused
+:func:`~cgdm.tensor.class_affine_gradient` node.  The recorded graph keeps
+the gradients differentiable, through the logits and the generator features
+under them, with respect to the generator parameters: the alignment loss is
+minimized by the generator via double backward.
 """
 from __future__ import annotations
 
@@ -30,16 +32,15 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    backward,
+    class_affine_gradient,
     concat,
+    cosine_rows,
     flatten,
     matmul,
     mul,
-    pow_const,
-    reshape,
     sub,
-    transpose,
     tsum,
-    backward,
 )
 
 __all__ = [
@@ -90,7 +91,8 @@ def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
     domain's rows.  Row r is :func:`source_gradient`/:func:`target_gradient` on
     the rows of class ``classes[r]`` (``None``: one row, the whole batch).  Row
     weights carry each class's mean (``b / n_k``), so one whole-batch CE per
-    head gives every row's class-mean cotangent."""
+    head gives every row's class-mean cotangent.  Each head layer adds one
+    :func:`~cgdm.tensor.class_affine_gradient` block (weight, then bias)."""
     terms, domains = [], []
     for (out1, out2), labels, weights in (
         (logits_s, labels_s, None), (logits_t, pseudo.labels, pseudo.weights)
@@ -105,20 +107,10 @@ def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
         domains.append((nn.layer_taps(f1, out1) + nn.layer_taps(f2, out2), members))
     affine = [z for taps, _ in domains for _, z in taps]
     deltas = backward(add(*terms), affine, create_graph=True)
-    rows = 1 if classes is None else len(classes)
-    matrices = []
-    for taps, members in domains:
-        blocks = []
-        for h, z in taps:
-            delta = deltas[z]
-            if members is not None:  # column block r: the rows of class r
-                width = delta.shape[1]
-                delta = mul(concat([delta] * rows, axis=1),
-                            np.repeat(members, width, axis=1))
-            blocks.append(reshape(matmul(transpose(delta), h), (rows, -1)))
-            blocks.append(reshape(tsum(delta, axis=0), (rows, -1)))
-        matrices.append(concat(blocks, axis=1))
-    return tuple(matrices)
+    return tuple(
+        concat([class_affine_gradient(deltas[z], h, members) for h, z in taps], axis=1)
+        for taps, members in domains
+    )
 
 
 def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
@@ -126,7 +118,8 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
 
     A row where either norm is ~0 adds a constant 0 (a vanished gradient has no
     alignment direction to push against) but counts in the mean; if every row
-    does, the result is a constant 0 (no gradient signal)."""
+    does, the result is a constant 0 (no gradient signal).  The cosines are one
+    :func:`~cgdm.tensor.cosine_rows` node over the live rows."""
     if gs.shape != gt.shape or gs.values.ndim not in (1, 2):
         raise ShapeError(
             f"gradients must be equal-shape 1-D or 2-D, got {gs.shape}, {gt.shape}"
@@ -139,10 +132,7 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
     if not live.all():  # keep the live rows; the selection is exact
         keep = np.eye(rows)[live]
         gs, gt = matmul(keep, gs), matmul(keep, gt)
-    norm_s = pow_const(tsum(mul(gs, gs), axis=1), 0.5)
-    norm_t = pow_const(tsum(mul(gt, gt), axis=1), 0.5)
-    cos = tsum(mul(gs, gt), axis=1) / (mul(norm_s, norm_t) + EPS)
-    return mul(tsum(sub(1.0, cos)), 1.0 / rows)
+    return mul(tsum(sub(1.0, cosine_rows(gs, gt, EPS))), 1.0 / rows)
 
 
 def conditional_gradient_loss(f1, f2, logits_s, labels_s, logits_t, pseudo) -> Tensor:

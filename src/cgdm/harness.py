@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be nonnegative")
+        if not self.variants:
+            raise ConfigError("variants must be non-empty")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ConfigError(f"unknown variants: {unknown}")
@@ -294,7 +296,8 @@ def _write_summary(cfg: ExperimentConfig, summary: ExperimentSummary, path) -> N
 def export_embeddings(gen: nn.Mlp, dset: DomainSet, path) -> None:
     """CSV of generator outputs: sample_id,domain,label,f0..f{d-1}.
 
-    Unlabeled samples get label -1.  Values round-trip exactly as text.
+    Unlabeled samples get label -1.  Values round-trip exactly as text.  The
+    generator runs in :func:`~cgdm.pseudo_labels.row_blocks`, in bounded memory.
     """
     if dset.n == 0:
         raise ConfigError("cannot export embeddings of an empty set")
@@ -303,8 +306,10 @@ def export_embeddings(gen: nn.Mlp, dset: DomainSet, path) -> None:
             f"generator takes {gen.in_dim} features, the {dset.domain} set has "
             f"{dset.dim}"
         )
+    feats = np.empty((dset.n, gen.out_dim))
     with no_grad():
-        feats = nn.forward(gen, Tensor(dset.features)).values
+        for rows in pseudo_labels.row_blocks(dset.n):
+            feats[rows] = nn.forward(gen, Tensor(dset.features[rows])).values
     header = ["sample_id", "domain", "label", *(f"f{i}" for i in range(feats.shape[1]))]
     labels = np.full(dset.n, -1) if dset.labels is None else dset.labels
     data.write_csv(path, header, (

@@ -27,6 +27,7 @@ __all__ = [
     "cosine_distances",
     "assign_pseudo_labels",
     "predict",
+    "row_blocks",
     "pseudo_label_epoch",
     "save_pseudo_csv",
     "softmax_rows",
@@ -121,27 +122,29 @@ def assign_pseudo_labels(features, centroids: CentroidSet, probs1, probs2) -> Ps
     return PseudoLabelSet(labels.astype(np.int64), weights, picked)
 
 
+def row_blocks(n: int) -> list:
+    """Row slices of :data:`BLOCK_ROWS` rows over n rows.  A last row joins the
+    block before it: alone it would take numpy's matrix-vector product, whose
+    sums can differ in the last bit from the one-pass matrix product's."""
+    starts = range(0, max(n - 1, 1), BLOCK_ROWS)
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
 def predict(gen, f1, f2, features):
     """One no-grad pass over a whole set: ``(features, probs1, probs2)``, the
     generator features and both heads' softmax rows as numpy arrays.
 
-    The set is run in blocks of :data:`BLOCK_ROWS` rows (the last may take one
-    row more), each written into the three result arrays, which are allocated
-    once: the pass holds one block's activations, never the whole set's, and
-    no block list to concatenate."""
+    The set is run in :func:`row_blocks`, each written into the three result
+    arrays, which are allocated once: the pass holds one block's activations,
+    never the whole set's, and no block list to concatenate."""
     n = len(features)
     if n == 0:
         raise ContractError("prediction needs a non-empty set")
     feats = np.empty((n, gen.out_dim))
     p1 = np.empty((n, f1.out_dim))
     p2 = np.empty((n, f2.out_dim))
-    # a one-row block would take numpy's matrix-vector product, whose sums can
-    # differ in the last bit from a matrix product's, so a last block of one
-    # row joins the block before it
-    starts = range(0, max(n - 1, 1), BLOCK_ROWS)
     with no_grad():
-        for start, stop in zip(starts, [*starts[1:], n]):
-            rows = slice(start, stop)
+        for rows in row_blocks(n):
             h = nn.forward(gen, Tensor(features[rows]))
             feats[rows] = h.values
             p1[rows] = softmax_rows(nn.forward(f1, h))

@@ -35,14 +35,25 @@ matrix); anything else raises :class:`ShapeError`.  A tensor and the graph it
 belongs to are confined to a single thread; the recording switch is
 thread-local so independent runs can execute concurrently.
 
-Two fused ops replace common compositions on the training hot path.  Their
-forward values are computed in the same numpy order as the composition, and
-their vjps are again written against ``ns``, so double backward stays exact:
+Fused ops stand for common compositions, one node each.  Their forward
+values come from the composition's numpy operations in its order, and their
+vjps, written against ``ns``, replay its cotangents in the order it adds a
+parent's contributions, so gradients are bit-identical to it:
 
-* ``linear(x, w, b)`` is ``add(matmul(x, transpose(w)), b)`` as one node;
-* ``softmax_cross_entropy(logits, onehot, weights)`` is the mean over rows of
-  ``-w_i * log_softmax(logits)[i, y_i]`` as one node, with the vjp
-  ``(softmax(logits) - onehot) * w / b * g``.
+* ``linear(x, w, b)``: ``add(matmul(x, transpose(w)), b)``;
+* ``softmax_cross_entropy(logits, onehot, weights)``: the mean of
+  ``-w_i * log_softmax(logits)[i, y_i]``; its vjp is the fused
+  ``cross_entropy_grad(ls, g, onehot, scale)``, ``(exp(ls) - onehot) * (g * scale)``;
+* ``class_affine_gradient(delta, h, members)``: an affine layer's weight and
+  bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r;
+* ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row.
+
+``tile_cols`` and ``tile_rows`` copy a vector across columns or a row down
+rows: ``_GRAPH`` records ``(b,1) @ ones((1,k))`` and ``ones * v``, ``_ARRAYS``
+makes a broadcast copy, the same values in fewer calls.  Likewise
+``class_copies`` (the masked copies of ``delta``) and ``class_fold`` (their
+cotangents summed back) record ``concat``, ``mul``, ``narrow`` and ``add`` but
+run as one broadcast product, and one product and sum, on arrays.
 """
 from __future__ import annotations
 
@@ -85,6 +96,9 @@ __all__ = [
     "log_softmax",
     "softmax",
     "softmax_cross_entropy",
+    "cross_entropy_grad",
+    "class_affine_gradient",
+    "cosine_rows",
     "backward",
 ]
 
@@ -328,9 +342,9 @@ def log(a) -> Tensor:
 
 def _power(values: np.ndarray, p: float) -> np.ndarray:
     """values**p, refused where the power is undefined."""
-    if p != int(p) and np.any(values < 0.0):
+    if p != int(p) and (values < 0.0).any():
         raise DomainError(f"pow_const({p}) requires nonnegative inputs")
-    if p < 0.0 and np.any(values == 0.0):
+    if p < 0.0 and (values == 0.0).any():
         raise DomainError(f"pow_const({p}) undefined at zero")
     return values**p
 
@@ -433,12 +447,82 @@ def softmax_cross_entropy(logits, onehot: np.ndarray, weights=None) -> Tensor:
     )
 
 
+def cross_entropy_grad(ls, g, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
+    """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
+    :func:`softmax_cross_entropy` node with log-softmax ``ls``, cotangent
+    ``g`` and per-element row scale ``scale``, as one node."""
+    return _node(_ARRAYS.cross_entropy_grad(ls.values, g.values, onehot, scale),
+                 (ls, g), "cross_entropy_grad", (onehot, scale))
+
+
+def class_affine_gradient(delta, h, members=None) -> Tensor:
+    """Row r is ``[vec(d_r^T h) | column sums of d_r]``, the weight and bias
+    gradient of an affine layer with input ``h`` on the rows of class r:
+    ``d_r`` is the output cotangent ``delta`` on the rows that ``members``
+    (b-by-K, 0/1) puts in class r; ``None`` is one class of all rows.  The
+    masked copies of ``delta`` live only inside the op."""
+    delta, h = as_tensor(delta), as_tensor(h)
+    if delta.values.ndim != 2 or h.values.ndim != 2 or delta.shape[0] != h.shape[0]:
+        raise ShapeError(f"class_affine_gradient: delta {delta.shape}, h {h.shape}")
+    rows = 1 if members is None else members.shape[-1]
+    if members is not None and (members.shape != (h.shape[0], rows) or not rows):
+        raise ShapeError(f"{members.shape} members for {h.shape[0]} rows")
+    copies = delta.values if members is None else _ARRAYS.class_copies(delta.values, members)
+    weight = np.ascontiguousarray(copies.T) @ h.values
+    return _node(np.concatenate([weight.reshape(rows, -1),
+                                 copies.sum(axis=0).reshape(rows, -1)], 1),
+                 (delta, h), "class_affine_gradient", members)
+
+
+def _cosine_parts(ns, gs, gt, eps):
+    """Row sums s.s, t.t and s.t, the norms, d = |s||t| + eps and 1/d."""
+    ss, tt, st = (ns.tsum(ns.mul(a, b), 1) for a, b in ((gs, gs), (gt, gt), (gs, gt)))
+    norm_s, norm_t = ns.pow_const(ss, 0.5), ns.pow_const(tt, 0.5)
+    denom = ns.add(ns.mul(norm_s, norm_t), eps)
+    return ss, tt, st, norm_s, norm_t, denom, ns.pow_const(denom, -1.0)
+
+
+def cosine_rows(gs, gt, eps: float) -> Tensor:
+    """``(gs . gt) / (|gs| |gt| + eps)`` of each row of two b-by-P tensors (a
+    0-d result for two 1-D vectors)."""
+    gs, gt = as_tensor(gs), as_tensor(gt)
+    if gs.shape != gt.shape or gs.values.ndim not in (1, 2):
+        raise ShapeError(f"cosine_rows: shapes {gs.shape} and {gt.shape}")
+    parts = _cosine_parts(_ARRAYS, gs.values, gt.values, eps)
+    return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", (eps, parts))
+
+
 # -- the two arithmetic namespaces the vjp formulas run on ---------------------
+
+def _filled(v, shape) -> np.ndarray:
+    """A new array of ``shape`` holding ``v`` broadcast (a scalar, a row or a
+    column): the tilings of the array path."""
+    out = np.empty(shape)
+    out[...] = v
+    return out
+
+
+def _class_fold(g, members):
+    """The cotangent of ``delta`` from that of its K masked copies side by
+    side: each copy's masked cotangent, added in copy order."""
+    width = g.shape[1] // members.shape[1]
+    g = mul(g, np.repeat(members, width, axis=1))
+    total = narrow(g, 1, 0, width)
+    for r in range(1, members.shape[1]):
+        total = add(total, narrow(g, 1, r * width, width))
+    return total
+
 
 _GRAPH = SimpleNamespace(
     add=add, sub=sub, neg=neg, mul=mul, matmul=matmul, transpose=transpose,
     exp=exp, pow_const=pow_const, tsum=tsum, reshape=reshape, concat=concat,
-    narrow=narrow, zeros=zeros, ones=ones,
+    narrow=narrow, zeros=zeros, ones=ones, cross_entropy_grad=cross_entropy_grad,
+    tile_cols=lambda v, k: matmul(reshape(v, (v.shape[0], 1)), ones((1, k))),
+    tile_rows=lambda v, shape: mul(ones(shape), v),
+    # delta masked to the rows of each class, the K copies side by side
+    class_copies=lambda delta, members: mul(concat([delta] * members.shape[1], 1),
+                                            np.repeat(members, delta.shape[1], axis=1)),
+    class_fold=_class_fold,
     saved=lambda t: t,  # a node kept in a context, as this namespace sees it
 )
 
@@ -450,6 +534,13 @@ _ARRAYS = SimpleNamespace(
         a.sum() if axis is None or a.ndim <= 1 else a.sum(axis=axis)),
     reshape=np.reshape, concat=lambda parts, axis: np.concatenate(parts, axis=axis),
     narrow=_narrowed, zeros=np.zeros, ones=np.ones,
+    cross_entropy_grad=lambda ls, g, onehot, scale: (np.exp(ls) - onehot) * (g * scale),
+    tile_cols=lambda v, k: _filled(v[:, None], (len(v), k)),
+    tile_rows=lambda v, shape: _filled(v, shape),
+    class_copies=lambda delta, members: (
+        delta[:, None, :] * members[:, :, None]).reshape(len(delta), -1),
+    class_fold=lambda g, members: (
+        g.reshape(len(g), members.shape[1], -1) * members[:, :, None]).sum(axis=1),
     saved=lambda t: t.values,
 )
 
@@ -464,11 +555,6 @@ def _unbroadcast(ns, g, shape):
         return ns.reshape(ns.tsum(g), shape)
     # row operand (K,) against matrix (b, K)
     return ns.tsum(g, 0)
-
-
-def _sum1_vjp(ns, g, args, out, ctx):
-    b, k = args[0].shape
-    return ns.matmul(ns.reshape(g, (b, 1)), ns.ones((1, k)))
 
 
 def _narrow_vjp(ns, g, args, out, ctx):
@@ -492,15 +578,62 @@ def _concat_vjp(i, ns, g, args, out, axis):
 
 
 def _log_softmax_vjp(ns, g, args, out, ctx):
-    b, k = args[0].shape
-    rows = ns.tsum(g, 1)
-    tiled = ns.matmul(ns.reshape(rows, (b, 1)), ns.ones((1, k)))
-    return ns.sub(g, ns.mul(ns.exp(out), tiled))
+    return ns.sub(g, ns.mul(ns.exp(out), ns.tile_cols(ns.tsum(g, 1), args[0].shape[1])))
 
 
 def _cross_entropy_vjp(ns, g, args, out, ctx):
     ls, onehot, scale = ctx
-    return ns.mul(ns.sub(ns.exp(ns.saved(ls)), onehot), ns.mul(g, scale))
+    return ns.cross_entropy_grad(ns.saved(ls), g, onehot, scale)
+
+
+def _cross_entropy_grad_vjp(i, ns, g, args, out, ctx):
+    ls, g_loss = args
+    onehot, scale = ctx
+    if i == 0:
+        return ns.mul(ns.mul(g, ns.mul(g_loss, scale)), ns.exp(ls))
+    return _unbroadcast(
+        ns, ns.mul(ns.mul(g, ns.sub(ns.exp(ls), onehot)), scale), g_loss.shape)
+
+
+def _class_affine_vjp(i, ns, g, args, out, members):
+    delta, h = args
+    width, n_in = delta.shape[1], h.shape[1]
+    rows = out.shape[0]
+    g_weight = ns.reshape(ns.narrow(g, 1, 0, width * n_in), (rows * width, n_in))
+    if i == 1:
+        copies = delta if members is None else ns.class_copies(delta, members)
+        return ns.matmul(copies, g_weight)
+    g_copies = ns.add(ns.transpose(ns.matmul(g_weight, ns.transpose(h))),
+                      ns.reshape(ns.narrow(g, 1, width * n_in, width), (rows * width,)))
+    return g_copies if members is None else ns.class_fold(g_copies, members)
+
+
+def _row_sum_vjp(ns, g, shape):
+    """Cotangent of ``tsum(a, 1)`` (the total, for a 1-D a) back to a's shape."""
+    return ns.tile_cols(g, shape[1]) if len(shape) == 2 else ns.tile_rows(g, shape)
+
+
+def _cosine_rows_vjp(i, ns, g, args, out, ctx):
+    """A parent's cotangent arrives through s.t first, then twice through
+    its own square (``mul(a, a)``), as in the composition.  The array path
+    reads the forward's row sums from the context; the graph path makes them
+    again from the parents, so that a further backward differentiates them."""
+    a, other = args if i == 0 else args[::-1]
+    eps, parts = ctx
+    if ns is _GRAPH:
+        parts = _cosine_parts(ns, *args, eps)
+    ss, tt, st, norm_s, norm_t, denom, inv = parts
+    own_sq, other_norm = (ss, norm_t) if i == 0 else (tt, norm_s)
+    g_denom = ns.mul(ns.mul(g, st), ns.mul(ns.pow_const(denom, -2.0), -1.0))
+    g_sq = ns.mul(ns.mul(g_denom, other_norm), ns.mul(ns.pow_const(own_sq, -0.5), 0.5))
+    cross = ns.mul(_row_sum_vjp(ns, ns.mul(g, inv), a.shape), other)
+    square = ns.mul(_row_sum_vjp(ns, g_sq, a.shape), a)
+    return ns.add(ns.add(cross, square), square)
+
+
+def _per_parent(formula, n):
+    """One entry per parent of a formula ``formula(i, ns, g, args, out, ctx)``."""
+    return tuple(functools.partial(formula, i) for i in range(n))
 
 
 class _EveryParent:
@@ -535,14 +668,17 @@ _VJPS = {
     "log": (lambda ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),),
     "pow": (lambda ns, g, args, out, p:
             ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),),
-    "sum": (lambda ns, g, args, out, ctx: ns.mul(g, ns.ones(args[0].shape)),),
-    "sum0": (lambda ns, g, args, out, ctx: ns.mul(ns.ones(args[0].shape), g),),
-    "sum1": (_sum1_vjp,),
+    "sum": (lambda ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),),
+    "sum0": (lambda ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),),
+    "sum1": (lambda ns, g, args, out, ctx: ns.tile_cols(g, args[0].shape[1]),),
     "reshape": (lambda ns, g, args, out, ctx: ns.reshape(g, args[0].shape),),
     "concat": _EveryParent(_concat_vjp),
     "narrow": (_narrow_vjp,),
     "log_softmax": (_log_softmax_vjp,),
     "cross_entropy": (_cross_entropy_vjp,),
+    "cross_entropy_grad": _per_parent(_cross_entropy_grad_vjp, 2),
+    "class_affine_gradient": _per_parent(_class_affine_vjp, 2),
+    "cosine_rows": _per_parent(_cosine_rows_vjp, 2),
 }
 
 

@@ -89,8 +89,10 @@ class TrainConfig:
             raise ConfigError("step3_repeats must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise ConfigError("epoch counts must be nonnegative")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.warmup_epochs < 0:
+            raise ConfigError("warmup_epochs must be nonnegative")
         if min(self.lr, self.lr_generator or 0.0, self.momentum, self.weight_decay) < 0:
             raise ConfigError(
                 "lr, lr_generator, momentum and weight_decay must be nonnegative")
@@ -353,8 +355,6 @@ class CgdmTrainer:
                 f"model has {self.model.num_classes} outputs, data has "
                 f"{num_classes} classes"
             )
-        if cfg.epochs == 0:  # nothing runs, not even warmup
-            return []
         if rng is None:
             shuffle_seed = int(np.random.SeedSequence(cfg.seed).generate_state(4)[3])
             rng = np.random.default_rng(shuffle_seed)

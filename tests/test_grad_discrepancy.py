@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cgdm import grad_discrepancy as gd
 from cgdm import nn, checks
 from cgdm.pseudo_labels import PseudoLabelSet
+from cgdm import tensor as T
 from cgdm.tensor import ContractError, ShapeError, Tensor, backward
 
 
@@ -364,6 +365,36 @@ class TestClassGradients:
         assert out.item() == pytest.approx((1.0 + 0.0 + 0.0) / 3, abs=1e-12)
         grads = backward(out, [gs])
         np.testing.assert_array_equal(grads[gs].values[1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("dead", [None, 0, 2])
+    def test_loss_is_the_composition_it_fuses(self, dead):
+        """The loss as it was composed before ``cosine_rows`` (norms, row dot
+        products, a division), over the same live rows: bit-equal value and
+        gradients, with a dead row selected away or none."""
+        rng = np.random.default_rng(7)
+        gs, gt = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
+        if dead is not None:
+            gs.values[dead] = 0.0
+        live = [r for r in range(3) if r != dead]
+        a, b = (T.matmul(np.eye(3)[live], g) if dead is not None else g for g in (gs, gt))
+        norms = [T.pow_const(T.tsum(T.mul(g, g), axis=1), 0.5) for g in (a, b)]
+        cos = T.tsum(T.mul(a, b), axis=1) / (T.mul(*norms) + gd.EPS)
+        want = T.mul(T.tsum(T.sub(1.0, cos)), 1.0 / 3)
+        got = gd.gradient_discrepancy_loss(gs, gt)
+        assert got.item() == want.item()
+        g_got, g_want = backward(got, [gs, gt]), backward(want, [gs, gt])
+        for t in (gs, gt):
+            assert g_got[t].values.tobytes() == g_want[t].values.tobytes()
+
+    def test_one_row_vectors(self):
+        """1-D gradients are one row: a 0-d cosine, a loss of 1 - cos."""
+        rng = np.random.default_rng(8)
+        gs, gt = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+        out = gd.gradient_discrepancy_loss(gs, gt)
+        cos = gs.values @ gt.values / (np.linalg.norm(gs.values) * np.linalg.norm(gt.values))
+        assert out.item() == pytest.approx(1.0 - cos, abs=1e-10)  # eps: 1e-12
+        grads = backward(out, [gs, gt])
+        assert grads[gs].shape == grads[gt].shape == (5,)
 
     def test_all_zero_rows_give_a_constant_zero(self):
         z = Tensor(np.zeros((2, 3)))

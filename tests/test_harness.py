@@ -2,14 +2,16 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgdm import cli, harness, losses, nn, trainer
+from cgdm import cli, harness, losses, nn, pseudo_labels, trainer
 from cgdm.data import (
+    DomainSet,
     ParseError,
     make_shifted_blobs,
     make_two_moons_pair,
@@ -139,6 +141,37 @@ def test_embeddings_csv_reads_back_as_the_generator_output(tmp_path, labeled):
     assert got.tobytes() == want.tobytes()
 
 
+class TestBlockedExport:
+    """``export_embeddings`` runs the generator in the row blocks of the
+    full-set pass, with the values of one whole-set pass."""
+
+    GEN = dict(layer_dims=[64, 256, 128], seed=1, final_activation="relu")
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 700])
+    def test_values_equal_one_pass_bit_for_bit(self, tmp_path, n):
+        gen = nn.init_mlp(**self.GEN)
+        dset = DomainSet(np.random.default_rng(n).normal(size=(n, 64)), None, "target")
+        harness.export_embeddings(gen, dset, tmp_path / "emb.csv")
+        _, rows = read_csv(tmp_path / "emb.csv")
+        got = np.array([[float(v) for v in fields[3:]] for _, fields in rows])
+        want = nn.forward(gen, Tensor(dset.features)).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_bounded_by_a_block(self, tmp_path):
+        """Over 4000 rows through a 256-wide hidden layer the export holds its
+        output and a few 256-row blocks, not every row's activations."""
+        gen = nn.init_mlp([64, 256, 8], seed=1, final_activation="relu")
+        dset = DomainSet(np.random.default_rng(0).normal(size=(4000, 64)), None, "target")
+        tracemalloc.start()
+        try:
+            harness.export_embeddings(gen, dset, tmp_path / "emb.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = pseudo_labels.BLOCK_ROWS * 256 * 8
+        assert peak < 4000 * 8 * 8 + 4 * block
+
+
 # config lines (added to SMALL) with a value that cgdm rejects, and its key
 BAD_VALUES = [
     ("feature_dim = 0", "feature_dim"),
@@ -155,6 +188,8 @@ BAD_VALUES = [
     ("moons_noise = -1", "moons_noise"),
     ("lr_generator = -1", "lr_generator"),
     ("seeds = 0, -1", "seeds"),
+    ("epochs = 0", "epochs"),
+    ("variants =", "variants"),
 ]
 
 

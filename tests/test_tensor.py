@@ -236,19 +236,40 @@ def _second_order(make_loss, inner_wrt, outer_wrt, seed):
     fd_check(projected_gradient, outer_wrt)
 
 
-def _fused_case(name: str, seed: int):
-    """(scalar, wrt) through one fused op: ``linear`` (quadratic in its
-    output, so every parent's cotangent reads the others) or the
-    cross-entropy, unweighted or weighted."""
+def _quadratic(y, proj):
+    """A scalar quadratic in ``y``, so every parent's cotangent reads the others."""
+    return T.tsum(T.mul(T.mul(y, y), proj))
+
+
+def _fused_builder(name: str, seed: int):
+    """(make_scalar, wrt): a scalar through one fused op, rebuilt from the
+    same ``wrt`` tensors on every call."""
     if name == "linear":
         x, w, b, proj = TestFusedOps._linear_case(seed)
-        y = T.linear(x, w, b)
-        return T.tsum(T.mul(T.mul(y, y), proj)), [x, w, b]
+        return lambda: _quadratic(T.linear(x, w, b), proj), [x, w, b]
+    if name == "cross_entropy_grad":
+        ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
+        return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls, g]
+    if name.startswith("class_affine_gradient"):
+        delta, h, members, proj = TestFusedOps._class_case(seed, name.endswith("K"))
+        return (lambda: _quadratic(T.class_affine_gradient(delta, h, members), proj),
+                [delta, h])
+    if name.startswith("cosine_rows"):
+        gs, gt, proj = TestFusedOps._cosine_case(seed, 2 if name.endswith("2d") else 1)
+        return lambda: T.tsum(T.mul(T.cosine_rows(gs, gt, 1e-12), proj)), [gs, gt]
     logits, hot, weights = TestFusedOps._ce_case(seed, name == "cross_entropy_weighted")
-    return T.softmax_cross_entropy(logits, hot, weights), [logits]
+    return lambda: T.softmax_cross_entropy(logits, hot, weights), [logits]
 
 
-_FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted")
+def _fused_case(name: str, seed: int):
+    make_scalar, wrt = _fused_builder(name, seed)
+    return make_scalar(), wrt
+
+
+_FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entropy_grad",
+                "class_affine_gradient_all", "class_affine_gradient_K",
+                "cosine_rows_1d", "cosine_rows_2d")
+_GRADIENT_OP_CASES = _FUSED_CASES[3:]
 
 
 def _scalar_and_wrt(name: str, trial: int):
@@ -315,9 +336,43 @@ def test_every_recorded_op_has_one_vjp_formula_per_parent():
     assert reached == set(T._VJPS)  # the cases above build every op
 
 
+def _ce_grad_composition(ls, g, hot, scale):
+    """What ``cross_entropy_grad`` fuses: the cross-entropy vjp as primitives."""
+    return T.mul(T.sub(T.exp(ls), hot), T.mul(g, scale))
+
+
+def _class_affine_composition(delta, h, members):
+    """What ``class_affine_gradient`` fuses: the masked K-fold copy of delta,
+    its weight gradient and its bias gradient, each reshaped to K rows."""
+    rows = 1
+    if members is not None:
+        rows, width = members.shape[1], delta.shape[1]
+        delta = T.mul(T.concat([delta] * rows, axis=1), np.repeat(members, width, axis=1))
+    return T.concat([T.reshape(T.matmul(T.transpose(delta), h), (rows, -1)),
+                     T.reshape(T.tsum(delta, axis=0), (rows, -1))], axis=1)
+
+
+def _cosine_composition(gs, gt, eps):
+    """What ``cosine_rows`` fuses: two norms, a row dot product and a division."""
+    norm_s = T.pow_const(T.tsum(T.mul(gs, gs), axis=1), 0.5)
+    norm_t = T.pow_const(T.tsum(T.mul(gt, gt), axis=1), 0.5)
+    return T.tsum(T.mul(gs, gt), axis=1) / (T.mul(norm_s, norm_t) + eps)
+
+
+def _assert_same_op(fused, composed, inputs, proj):
+    """Bit-equal values, and bit-equal first-order gradients of the
+    projection ``sum(out * proj)`` with respect to every input."""
+    assert fused.values.tobytes() == composed.values.tobytes()
+    assert fused.shape == composed.shape
+    g_fused = T.backward(T.tsum(T.mul(fused, proj)), inputs)
+    g_composed = T.backward(T.tsum(T.mul(composed, proj)), inputs)
+    for t in inputs:
+        assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
+
+
 class TestFusedOps:
-    """``linear`` and ``softmax_cross_entropy`` against their compositions and
-    finite differences, to first and second order."""
+    """The fused ops against their compositions and finite differences, to
+    first and second order."""
 
     @staticmethod
     def _linear_case(seed):
@@ -334,6 +389,35 @@ class TestFusedOps:
         hot = np.eye(3)[rng.integers(0, 3, size=5)]
         weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
         return logits, hot, weights
+
+    @staticmethod
+    def _ce_grad_case(seed):
+        rng = np.random.default_rng(200 + seed)
+        ls = T.log_softmax(T.Tensor(rng.normal(size=(5, 3))))
+        hot = np.eye(3)[rng.integers(0, 3, size=5)]
+        scale = np.repeat(rng.uniform(1.0, 2.0, size=5) / 5, 3).reshape(5, 3)
+        return (T.Tensor(ls.values), T.Tensor(rng.normal()), hot, scale,
+                T.Tensor(rng.normal(size=(5, 3))))
+
+    @staticmethod
+    def _class_case(seed, masked, k=3):
+        """delta (6x2), h (6x3) and, if masked, members of k classes; for
+        k > 1 the last class has no rows."""
+        rng = np.random.default_rng(300 + seed)
+        delta, h = T.Tensor(rng.normal(size=(6, 2))), T.Tensor(rng.normal(size=(6, 3)))
+        members = None
+        if masked:
+            labels = rng.integers(0, max(k - 1, 1), size=6)
+            members = (labels[:, None] == np.arange(k)).astype(np.float64)
+        rows = k if masked else 1
+        return delta, h, members, T.Tensor(rng.normal(size=(rows, 8)))
+
+    @staticmethod
+    def _cosine_case(seed, ndim):
+        rng = np.random.default_rng(400 + seed)
+        shape = (3, 5) if ndim == 2 else (5,)
+        proj = T.Tensor(rng.normal(size=shape[:-1]))
+        return T.Tensor(rng.normal(size=shape)), T.Tensor(rng.normal(size=shape)), proj
 
     def test_linear_equals_composition(self):
         x, w, b, proj = self._linear_case(0)
@@ -420,6 +504,75 @@ class TestFusedOps:
         weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
         _second_order(lambda: T.softmax_cross_entropy(T.linear(x, w, b), hot, weights),
                       [w, b], [x, w, b], 7)
+
+
+class TestFusedGradientOps:
+    """``cross_entropy_grad``, ``class_affine_gradient`` and ``cosine_rows``
+    against their compositions (bit for bit) and finite differences."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cross_entropy_grad_equals_composition(self, seed):
+        ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
+        _assert_same_op(T.cross_entropy_grad(ls, g, hot, scale),
+                        _ce_grad_composition(ls, g, hot, scale), [ls, g], proj)
+
+    def test_cross_entropy_vjp_records_one_node(self):
+        logits, hot, weights = TestFusedOps._ce_case(0, True)
+        loss = T.softmax_cross_entropy(logits, hot, weights)
+        grad = T.backward(loss, [logits], create_graph=True)[logits]
+        assert grad.op == "cross_entropy_grad"
+        assert [p.op for p in grad.parents] == ["log_softmax", None]
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_class_affine_gradient_equals_composition(self, k, seed):
+        delta, h, members, proj = TestFusedOps._class_case(seed, k is not None, k or 1)
+        _assert_same_op(T.class_affine_gradient(delta, h, members),
+                        _class_affine_composition(delta, h, members), [delta, h], proj)
+
+    def test_class_without_rows_gets_a_zero_row(self):
+        delta, h, members, _ = TestFusedOps._class_case(0, True, 3)
+        assert not members[:, 2].any()
+        out = T.class_affine_gradient(delta, h, members)
+        assert out.shape == (3, 8)
+        np.testing.assert_array_equal(out.values[2], np.zeros(8))
+        whole = T.class_affine_gradient(delta, h)
+        np.testing.assert_allclose(out.values.sum(axis=0), whole.values[0],
+                                   rtol=0, atol=1e-14)
+
+    def test_class_affine_gradient_rejects_bad_operands(self):
+        delta, h, members, _ = TestFusedOps._class_case(0, True)
+        with pytest.raises(T.ShapeError):
+            T.class_affine_gradient(delta, T.Tensor(h.values[:5]))
+        with pytest.raises(T.ShapeError):
+            T.class_affine_gradient(delta, h, members[:5])
+        with pytest.raises(T.ShapeError):
+            T.class_affine_gradient(delta, h, members[:, :0])
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cosine_rows_equals_composition(self, ndim, seed):
+        gs, gt, proj = TestFusedOps._cosine_case(seed, ndim)
+        fused = T.cosine_rows(gs, gt, 1e-12)
+        assert fused.shape == (() if ndim == 1 else (3,))
+        _assert_same_op(fused, _cosine_composition(gs, gt, 1e-12), [gs, gt], proj)
+
+    def test_cosine_rows_shape_mismatch(self):
+        with pytest.raises(T.ShapeError):
+            T.cosine_rows(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), 1e-12)
+        with pytest.raises(T.ShapeError):
+            T.cosine_rows(T.Tensor(np.ones((1, 2, 3))), T.Tensor(np.ones((1, 2, 3))), 1e-12)
+
+    @pytest.mark.parametrize("name", _GRADIENT_OP_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_order(self, name, seed):
+        fd_check(*_fused_builder(name, seed))
+
+    @pytest.mark.parametrize("name", _GRADIENT_OP_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_second_order(self, name, seed):
+        make_scalar, wrt = _fused_builder(name, seed)
+        _second_order(make_scalar, wrt, wrt, seed)
 
 
 def second_order_check(f, x):
