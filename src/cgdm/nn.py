@@ -95,8 +95,10 @@ class SgdOptimizer:
     """Momentum SGD with weight decay.
 
     Update per parameter: g <- g + wd*theta; v <- momentum*v + g;
-    theta <- theta - lr*v.  Velocities persist across steps so partial
-    updates (classifier-only / generator-only) keep their momentum state.
+    theta <- theta - lr*v.  The velocity and the parameter are updated in
+    place, with the same operations in the same order; the gradients are
+    only read.  Velocities persist across steps so partial updates
+    (classifier-only / generator-only) keep their momentum state.
     """
 
     params: list
@@ -117,9 +119,9 @@ class SgdOptimizer:
                 g_vals = g_vals + self.weight_decay * p.values
             v = self.velocities.get(id(p))
             if v is None:
-                v = np.zeros_like(p.values)
-            v = self.momentum * v + g_vals
-            self.velocities[id(p)] = v
+                v = self.velocities[id(p)] = np.zeros_like(p.values)
+            v *= self.momentum
+            v += g_vals
             p.values -= self.lr * v
 
 

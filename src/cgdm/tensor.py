@@ -9,10 +9,12 @@ id is a valid reverse topological order.
 Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product formula per op and parent, a module-level function
 ``vjp(ns, g, args, out, ctx)`` of the cotangent ``g``, the parents ``args``,
-the node's output ``out`` and its saved context ``ctx`` (the relu mask, the
-pow exponent, the concat axis, the narrowed range, or the cross-entropy's
-``(log_softmax node, onehot, scale)``).  ``ns`` is the arithmetic the formula
-is written against, and ``backward`` passes one of two:
+the node's output ``out`` and its saved context ``ctx`` (the pow exponent,
+the concat axis, the narrowed range, or the cross-entropy's
+``(log_softmax node, onehot, scale)``; relu keeps none and takes its mask
+``out > 0`` from its output, only when a backward visits it).  ``ns`` is the
+arithmetic the formula is written against, and ``backward`` passes one of
+two:
 
 * ``_GRAPH``, the differentiable primitives below, with the parent and output
   tensors.  ``backward(..., create_graph=True)`` uses it, so the gradient
@@ -25,9 +27,12 @@ is written against, and ``backward`` passes one of two:
   records nothing.
 
 Both namespaces run the same numpy operations in the same order, so the two
-modes give bit-identical gradients.  A node holds no closure and no reference
-to itself (exp and log_softmax get their output as ``out``), so a graph is
-freed by reference counting alone.
+modes give bit-identical gradients.  A transpose is a view in both, unless
+a formula asks for a C-ordered copy, so ``linear``, its weight vjp ``g^T x``
+and the other matmuls pass transposed views to BLAS, which reads them in
+place.  A node holds no closure and no reference to itself (exp and
+log_softmax get their output as ``out``), so a graph is freed by reference
+counting alone.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -304,22 +309,28 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
         )
-    out = x.values @ np.ascontiguousarray(w.values.T)
+    out = x.values @ w.values.T
     out += b.values
     return _node(out, (x, w, b), "linear")
 
 
-def transpose(a) -> Tensor:
+def _transposed(values: np.ndarray, contiguous: bool = False) -> np.ndarray:
+    return np.ascontiguousarray(values.T) if contiguous else values.T
+
+
+def transpose(a, contiguous: bool = False) -> Tensor:
+    """The transpose of a 2-D tensor: a view, which BLAS reads in place, or
+    with ``contiguous`` a C-ordered copy."""
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _node(np.ascontiguousarray(a.values.T), (a,), "transpose")
+    return _node(_transposed(a.values, contiguous), (a,), "transpose")
 
 
 def relu(a) -> Tensor:
+    """max(a, 0); the vjp reads its 0/1 mask off the output."""
     a = as_tensor(a)
-    mask = (a.values > 0).astype(np.float64) if _state.enabled else None
-    return _node(np.maximum(a.values, 0.0), (a,), "relu", mask)
+    return _node(np.maximum(a.values, 0.0), (a,), "relu")
 
 
 def absolute(a) -> Tensor:
@@ -341,10 +352,18 @@ def log(a) -> Tensor:
 
 
 def _power(values: np.ndarray, p: float) -> np.ndarray:
-    """values**p, refused where the power is undefined."""
-    if p != int(p) and (values < 0.0).any():
-        raise DomainError(f"pow_const({p}) requires nonnegative inputs")
-    if p < 0.0 and (values == 0.0).any():
+    """values**p, refused where the power is undefined: one scan of the
+    values, and a second only to word the error."""
+    fractional = p != int(p)
+    if fractional:
+        undefined = values <= 0.0 if p < 0.0 else values < 0.0
+    elif p < 0.0:
+        undefined = values == 0.0
+    else:
+        return values**p
+    if undefined.any():
+        if fractional and (values < 0.0).any():
+            raise DomainError(f"pow_const({p}) requires nonnegative inputs")
         raise DomainError(f"pow_const({p}) undefined at zero")
     return values**p
 
@@ -468,7 +487,7 @@ def class_affine_gradient(delta, h, members=None) -> Tensor:
     if members is not None and (members.shape != (h.shape[0], rows) or not rows):
         raise ShapeError(f"{members.shape} members for {h.shape[0]} rows")
     copies = delta.values if members is None else _ARRAYS.class_copies(delta.values, members)
-    weight = np.ascontiguousarray(copies.T) @ h.values
+    weight = copies.T @ h.values
     return _node(np.concatenate([weight.reshape(rows, -1),
                                  copies.sum(axis=0).reshape(rows, -1)], 1),
                  (delta, h), "class_affine_gradient", members)
@@ -502,6 +521,12 @@ def _filled(v, shape) -> np.ndarray:
     return out
 
 
+def _where_positive(g, out) -> np.ndarray:
+    """``g`` times the 0/1 mask of ``out > 0``, made in the mask's buffer."""
+    mask = (out > 0.0).astype(np.float64)
+    return np.multiply(g, mask, out=mask)
+
+
 def _class_fold(g, members):
     """The cotangent of ``delta`` from that of its K masked copies side by
     side: each copy's masked cotangent, added in copy order."""
@@ -524,11 +549,12 @@ _GRAPH = SimpleNamespace(
                                             np.repeat(members, delta.shape[1], axis=1)),
     class_fold=_class_fold,
     saved=lambda t: t,  # a node kept in a context, as this namespace sees it
+    where_positive=lambda g, out: mul(g, out.values > 0.0),  # a constant 0/1 mask
 )
 
 _ARRAYS = SimpleNamespace(
     add=np.add, sub=np.subtract, neg=np.negative, mul=np.multiply,
-    matmul=np.matmul, transpose=lambda a: np.ascontiguousarray(a.T),
+    matmul=np.matmul, transpose=_transposed,
     exp=np.exp, pow_const=_power,
     tsum=lambda a, axis=None: (
         a.sum() if axis is None or a.ndim <= 1 else a.sum(axis=axis)),
@@ -542,6 +568,7 @@ _ARRAYS = SimpleNamespace(
     class_fold=lambda g, members: (
         g.reshape(len(g), members.shape[1], -1) * members[:, :, None]).sum(axis=1),
     saved=lambda t: t.values,
+    where_positive=_where_positive,
 )
 
 
@@ -603,7 +630,9 @@ def _class_affine_vjp(i, ns, g, args, out, members):
     if i == 1:
         copies = delta if members is None else ns.class_copies(delta, members)
         return ns.matmul(copies, g_weight)
-    g_copies = ns.add(ns.transpose(ns.matmul(g_weight, ns.transpose(h))),
+    # a C-ordered h^T: BLAS reads a transposed view in another summation
+    # order when g_weight has few rows, and these sums keep their bits
+    g_copies = ns.add(ns.transpose(ns.matmul(g_weight, ns.transpose(h, True))),
                       ns.reshape(ns.narrow(g, 1, width * n_in, width), (rows * width,)))
     return g_copies if members is None else ns.class_fold(g_copies, members)
 
@@ -663,7 +692,7 @@ _VJPS = {
                lambda ns, g, args, out, ctx: ns.matmul(ns.transpose(g), args[0]),
                lambda ns, g, args, out, ctx: ns.tsum(g, 0)),
     "transpose": (lambda ns, g, args, out, ctx: ns.transpose(g),),
-    "relu": (lambda ns, g, args, out, mask: ns.mul(g, mask),),
+    "relu": (lambda ns, g, args, out, ctx: ns.where_positive(g, out),),
     "exp": (lambda ns, g, args, out, ctx: ns.mul(g, out),),
     "log": (lambda ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),),
     "pow": (lambda ns, g, args, out, p:

@@ -36,7 +36,6 @@ from .tensor import (
     Tensor,
     backward,
     mul,
-    no_grad,
     softmax,
 )
 
@@ -257,17 +256,20 @@ class CgdmTrainer:
         self.opt_f.step(grads)
         return out
 
-    def step2_update(self, source_batch, target_batch) -> dict:
+    def step2_update(self, source_batch, target_batch) -> tuple:
         """Train F1, F2 to keep source accuracy while disagreeing on target.
 
-        Generator features are computed outside the graph, so generator
-        parameters are untouched by construction.
+        Returns the losses and the generator's recorded (source, target)
+        features, which step 3's first repeat reuses: step 2 leaves the
+        generator parameters untouched because its backward is w.r.t. the
+        classifier parameters.  The classifiers read the features as
+        constants, so that backward walks no generator node.
         """
         cfg = self.cfg
         m = self.model
-        with no_grad():
-            feats_s = nn.forward(m.generator, Tensor(source_batch.features))
-            feats_t = nn.forward(m.generator, Tensor(target_batch.features))
+        features = tuple(nn.forward(m.generator, Tensor(batch.features))
+                         for batch in (source_batch, target_batch))
+        feats_s, feats_t = (Tensor(f.values) for f in features)
         loss_cls = losses.pair_cross_entropy(
             nn.forward(m.classifier1, feats_s), nn.forward(m.classifier2, feats_s),
             source_batch.labels,
@@ -283,9 +285,9 @@ class CgdmTrainer:
             out["loss_cb"] = balance.item()
         grads = backward(total, m.classifier_parameters())
         self.opt_f.step(grads)
-        return out
+        return out, features
 
-    def step3_update(self, source_batch, target_batch, pseudo) -> dict:
+    def step3_update(self, source_batch, target_batch, pseudo, features=None) -> dict:
         """Train G to shrink classifier disagreement plus the gradient gap.
 
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
@@ -294,7 +296,10 @@ class CgdmTrainer:
         Each repeat forwards each domain once; the target logits feed both the
         discrepancy term and the alignment loss, whose source and target
         class-gradient matrices come from one create-graph backward.  Rows
-        may come in any class order.
+        may come in any class order.  ``features``, the recorded (source,
+        target) generator features of these batches under the current
+        generator parameters (as :meth:`step2_update` returns them), stand
+        in for the first repeat's generator forwards.
         """
         cfg = self.cfg
         self._check_pseudo(pseudo)
@@ -304,13 +309,17 @@ class CgdmTrainer:
         x_t = Tensor(target_batch.features)
         out = {}
         for rep in range(cfg.step3_repeats):
-            feats_t = nn.forward(m.generator, x_t)
+            if rep == 0 and features is not None:
+                feats_s, feats_t = features
+            else:
+                feats_s, feats_t = None, nn.forward(m.generator, x_t)
             logits_t = tuple(nn.forward(f, feats_t) for f in heads)
             loss_dis = losses.l1_discrepancy(*(softmax(z) for z in logits_t))
             total = loss_dis
             loss_gd = None
             if cfg.beta > 0:
-                feats_s = nn.forward(m.generator, x_s)
+                if feats_s is None:
+                    feats_s = nn.forward(m.generator, x_s)
                 logits_s = tuple(nn.forward(f, feats_s) for f in heads)
                 args = (*heads, logits_s, source_batch.labels, logits_t, pseudo)
                 if cfg.conditional_gdm:
@@ -395,8 +404,8 @@ class CgdmTrainer:
                         pb = pseudo.take(tgt_idx)
                         tally(self.step1_update(sb, tb, pb))
                         if cfg.enable_adversarial:
-                            self.step2_update(sb, tb)
-                            tally(self.step3_update(sb, tb, pb))
+                            _, features = self.step2_update(sb, tb)
+                            tally(self.step3_update(sb, tb, pb, features))
 
                 def mean_of(key):
                     return sums[key] / counts[key] if key in sums else float("nan")

@@ -122,6 +122,24 @@ class TestSgd:
         opt.step({p: Tensor([0.0, 0.0])})
         assert np.linalg.norm(p.values) < 5.0
 
+    def test_momentum_and_decay_follow_the_written_out_update(self):
+        """Three in-place steps are bit-equal to v = m*v + (g + wd*p);
+        p -= lr*v, and the gradients passed in are only read."""
+        rng = np.random.default_rng(3)
+        p = Tensor(rng.normal(size=(4, 3)))
+        theta, v = p.values.copy(), np.zeros((4, 3))
+        lr, m, wd = 0.1, 0.9, 5e-4
+        opt = nn.SgdOptimizer([p], lr=lr, momentum=m, weight_decay=wd)
+        for _ in range(3):
+            g = Tensor(rng.normal(size=(4, 3)))
+            given = g.values.copy()
+            opt.step({p: g})
+            v = m * v + (given + wd * theta)
+            theta -= lr * v
+            assert p.values.tobytes() == theta.tobytes()
+            assert opt.velocities[id(p)].tobytes() == v.tobytes()
+            assert g.values.tobytes() == given.tobytes()
+
     def test_missing_grad_treated_as_zero(self):
         p = Tensor([1.0])
         opt = nn.SgdOptimizer([p], lr=0.1, momentum=0.0, weight_decay=0.0)

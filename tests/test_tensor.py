@@ -69,6 +69,24 @@ class TestElementwise:
         with pytest.raises(T.DomainError):
             T.log(T.Tensor([1.0, 0.0]))
 
+    @pytest.mark.parametrize("p, values, message", [
+        (-0.5, [1.0, 0.0], "undefined at zero"),
+        (-0.5, [0.0, -1.0], "requires nonnegative inputs"),
+        (0.5, [1.0, -1.0], "requires nonnegative inputs"),
+        (-1.0, [-2.0, 0.0], "undefined at zero"),
+    ])
+    def test_pow_domain(self, p, values, message):
+        """A fractional power refuses negatives, a negative one zero; a
+        negative input to a negative fractional power is named as such."""
+        with pytest.raises(T.DomainError, match=message):
+            T.pow_const(T.Tensor(values), p)
+
+    @pytest.mark.parametrize("p, values", [
+        (0.5, [0.0, 4.0]), (-1.0, [-2.0, 4.0]), (2.0, [-1.0, 0.0]), (3.0, [np.nan])])
+    def test_pow_inside_its_domain(self, p, values):
+        out = T.pow_const(T.Tensor(values), p)
+        np.testing.assert_array_equal(out.values, np.asarray(values) ** p)
+
     def test_row_broadcast(self):
         m = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
         r = T.Tensor([10.0, 20.0])
@@ -687,6 +705,55 @@ def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+RELU_POINTS = np.array([0.0, -0.0, np.nan, 5e-324, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_relu_gradient_is_the_input_mask(create_graph):
+    """relu keeps no mask: its vjp takes ``out > 0`` from its output, which
+    is the mask ``a > 0`` of its input at the kink, at both signed zeros, at
+    NaN and at the smallest subnormal.  The gradient is bit-equal to the
+    cotangent times that mask (signs of zero included)."""
+    proj = np.array([-1.5, -2.0, 3.0, -0.5, 0.25, -4.0])
+    a = T.Tensor(RELU_POINTS)
+    grad = T.backward(T.tsum(T.mul(T.relu(a), proj)), [a], create_graph=create_graph)[a]
+    want = proj * (RELU_POINTS > 0).astype(np.float64)
+    assert grad.values.tobytes() == want.tobytes()
+
+
+def test_recorded_relu_keeps_no_context():
+    out = T.relu(T.Tensor(RELU_POINTS))
+    assert out.op == "relu" and out._ctx is None
+
+
+def _peak_bytes(fn):
+    """The tracemalloc peak of one call of ``fn`` and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_linear_and_its_weight_vjp_allocate_only_their_result():
+    """The forward multiplies by the transposed-weight view and the weight
+    vjp's array step by the transposed-cotangent view: BLAS reads both in
+    place, so neither makes a transposed copy beside its result."""
+    rng = np.random.default_rng(0)
+    x, w, b = (T.Tensor(rng.normal(size=shape)) for shape in ((256, 256), (256, 256), (256,)))
+    peak, out = _peak_bytes(lambda: T.linear(x, w, b))
+    np.testing.assert_array_equal(out.values, T.add(T.matmul(x, T.transpose(w)), b).values)
+    assert peak < 1.5 * out.values.nbytes
+    g = rng.normal(size=out.shape)
+    weight_vjp = T._VJPS["linear"][1]
+    peak, grad = _peak_bytes(lambda: weight_vjp(
+        T._ARRAYS, g, [x.values, w.values, b.values], out.values, None))
+    np.testing.assert_array_equal(grad, g.T @ x.values)
+    assert peak < 1.5 * grad.nbytes
 
 
 def test_relu_outside_recording_allocates_only_its_output():

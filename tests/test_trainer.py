@@ -190,6 +190,86 @@ def test_mcd_variant_is_the_plain_minimax():
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def _tiny_batches(cfg):
+    """A model for 3-feature inputs and one 12-row batch per domain."""
+    model = trainer.build_model(3, 3, cfg)
+    rng = np.random.default_rng(0)
+    labels = rng.permutation(np.arange(12) % 3)
+    source = DomainSet(rng.normal(size=(12, 3)), labels, "source")
+    target = DomainSet(rng.normal(size=(12, 3)), None, "target")
+    return model, source, target
+
+
+def test_step2_moves_only_the_classifiers(monkeypatch):
+    """Step 2 records the generator forward and hands its features on, but
+    its backward, w.r.t. the classifier parameters, reaches no generator
+    node (so none is on its needed path) and the generator keeps its bits."""
+    cfg = trainer.TrainConfig(generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,))
+    model, source, target = _tiny_batches(cfg)
+    before = [p.values.tobytes() for p in model.generator_parameters()]
+    reached = []
+
+    def recorded(scalar, wrt, create_graph=False):
+        reached.extend(_reachable(scalar))
+        return backward(scalar, wrt, create_graph=create_graph)
+
+    monkeypatch.setattr(trainer, "backward", recorded)
+    _, features = trainer.CgdmTrainer(cfg, model).step2_update(source, target)
+    generator_nodes = {id(n) for f in features for n in _reachable(f)}
+    assert all(f.op == "relu" for f in features)
+    assert reached and not generator_nodes & {id(n) for n in reached}
+    assert [p.values.tobytes() for p in model.generator_parameters()] == before
+
+
+@pytest.mark.parametrize("variant, per_iteration", [("cgdm_wo_gdm", 23), ("cgdm_full", 34)])
+def test_step3_reuses_the_step2_features(monkeypatch, variant, per_iteration):
+    """Per fit iteration with 4 step-3 repeats: step 1 forwards G, F1, F2 on
+    both domains (6), step 2 the same (6), and step 3's first repeat takes
+    step 2's generator features, so it runs the heads only: 24 - 1 forwards
+    without the alignment loss, 36 - 2 with it."""
+    source, target = harness.build_datasets(
+        harness.ExperimentConfig(dataset="two_moons", moons_n=60), 0)
+    cfg = harness.variant_config(
+        trainer.TrainConfig(epochs=1, warmup_epochs=0, step3_repeats=4), variant, 0)
+    forward, counts, depth = nn.forward, {"forward": 0, "iterations": 0}, [0]
+
+    def counted_forward(*args):
+        counts["forward"] += depth[0] > 0
+        return forward(*args)
+
+    for name in ("step1_update", "step2_update", "step3_update"):
+        def step(self, *args, _method=getattr(trainer.CgdmTrainer, name), _name=name):
+            counts["iterations"] += _name == "step1_update"
+            depth[0] += 1
+            try:
+                return _method(self, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(trainer.CgdmTrainer, name, step)
+    monkeypatch.setattr(nn, "forward", counted_forward)
+    trainer.train(source, target, cfg)
+    assert counts["iterations"] > 0
+    assert counts["forward"] == per_iteration * counts["iterations"]
+
+
+def test_step3_moves_alike_with_and_without_step2_features():
+    """Without step 2's features step 3 runs its own generator forwards and
+    moves the generator as it does with them."""
+    cfg = trainer.TrainConfig(generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,))
+    model, source, target = _tiny_batches(cfg)
+    pseudo = pseudo_labels.PseudoLabelSet(
+        np.arange(12) % 3, np.linspace(1.0, 2.0, 12), np.zeros(12))
+    twin = copy.deepcopy(model)
+    handed = trainer.CgdmTrainer(cfg, model)
+    _, features = handed.step2_update(source, target)
+    alone = trainer.CgdmTrainer(cfg, twin)
+    alone.step2_update(source, target)
+    assert handed.step3_update(source, target, pseudo, features) == alone.step3_update(
+        source, target, pseudo)
+    for a, b in zip(model.all_parameters(), twin.all_parameters()):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 def graph_nodes(root) -> int:
     """Distinct op nodes reachable from ``root`` through parent links."""
     seen, stack = {id(root)}, [root]
