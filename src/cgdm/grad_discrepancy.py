@@ -1,28 +1,26 @@
-"""Expected classifier-parameter gradients per domain and their cosine gap.
+"""A domain's classifier gradient as a K-by-P matrix, and the cosine gap.
 
-The source gradient is the gradient of the mean two-classifier cross-entropy
-on labeled source samples with respect to all classifier parameters; the
-target gradient is the same with entropy-weighted cross-entropy against
-pseudo labels.  Both are flattened in a fixed order (all of classifier 1,
-then all of classifier 2, layer by layer, weight before bias) so cosine
-comparisons are reproducible.  :func:`source_gradient`/:func:`target_gradient`
-define them with one backward pass to the parameters per domain.
-
-Training uses :func:`class_gradients`: one create-graph backward, for both
-domains, to each head layer's affine output gives the per-row cotangent
-``delta`` there, and with the layer's input ``H`` a weight gradient is
-``delta^T H`` and a bias gradient the column sum of ``delta``.  Masking
-``delta`` to one class's rows gives that class's gradient, so row r of a
-domain's K-by-P **class-gradient matrix** is its gradient on the rows of class
-r, whatever the row order; the plain variant is the one-row case.  Each
-layer's block of that matrix is one fused
-:func:`~cgdm.tensor.class_affine_gradient` node.  The recorded graph keeps
-the gradients differentiable, through the logits and the generator features
-under them, with respect to the generator parameters: the alignment loss is
-minimized by the generator via double backward.
+A domain's classifier gradient is that of the mean two-head cross-entropy on
+its rows (source: true labels; target: pseudo labels and entropy weights)
+with respect to every classifier parameter, columns in the order of
+:func:`classifier_parameters`.  Row r of its K-by-P **class-gradient matrix**
+is that gradient on the rows of class r, whatever the row order; without
+classes the matrix has one row, the whole batch.  One definition makes every
+such matrix: one create-graph backward, for all domains asked for at once,
+to each head layer's affine output gives the per-row cotangent ``delta``
+there.  With the layer's input ``H``, a weight gradient is ``delta^T H`` and
+a bias gradient the column sum of ``delta``; masked to one class's rows,
+that class's.  Each layer's block is one fused
+:func:`~cgdm.tensor.class_affine_gradient` node.  :func:`source_gradient` and
+:func:`target_gradient` ask for one domain, :func:`class_gradients` (which
+training runs) for both.  The recorded graph keeps the gradients
+differentiable, through the logits and the generator features under them,
+with respect to the generator parameters: the alignment loss is minimized by
+the generator via double backward.
 """
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -36,7 +34,6 @@ from .tensor import (
     class_affine_gradient,
     concat,
     cosine_rows,
-    flatten,
     matmul,
     mul,
     sub,
@@ -58,45 +55,17 @@ EPS = 1e-12
 
 
 def classifier_parameters(f1: nn.Mlp, f2: nn.Mlp) -> list:
-    """Fixed flattening order for gradient vectors."""
+    """The parameters in the column order of a class-gradient matrix."""
     return f1.parameters() + f2.parameters()
 
 
-def _flat_gradient(loss: Tensor, params: list, create_graph: bool) -> Tensor:
-    grads = backward(loss, params, create_graph=create_graph)
-    return concat([flatten(grads[p]) for p in params], axis=0)
-
-
-def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
-                    create_graph: bool = False) -> Tensor:
-    """Classifier-parameter gradient of the mean two-head cross-entropy on
-    source rows; ``logits1``/``logits2`` are the heads' outputs on them."""
-    loss = losses.pair_cross_entropy(logits1, logits2, labels)
-    return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
-
-
-def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
-                    create_graph: bool = False) -> Tensor:
-    """Classifier-parameter gradient of the weighted pseudo-label loss on
-    target rows (aligned with ``pseudo``); logits as in :func:`source_gradient`."""
-    loss = losses.pair_cross_entropy(logits1, logits2, pseudo.labels, pseudo.weights)
-    return _flat_gradient(loss, classifier_parameters(f1, f2), create_graph)
-
-
-def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
-                    classes=None) -> tuple:
-    """Source and target K-by-P class-gradient matrices, one create-graph backward.
-
-    ``logits_s``/``logits_t`` are ``(forward(f1, x), forward(f2, x))`` on each
-    domain's rows.  Row r is :func:`source_gradient`/:func:`target_gradient` on
-    the rows of class ``classes[r]`` (``None``: one row, the whole batch).  Row
-    weights carry each class's mean (``b / n_k``), so one whole-batch CE per
-    head gives every row's class-mean cotangent.  Each head layer adds one
-    :func:`~cgdm.tensor.class_affine_gradient` block (weight, then bias)."""
-    terms, domains = [], []
-    for (out1, out2), labels, weights in (
-        (logits_s, labels_s, None), (logits_t, pseudo.labels, pseudo.weights)
-    ):
+def _domain_gradients(f1, f2, domains, classes) -> tuple:
+    """One class-gradient matrix per domain ``(logits, labels, weights or
+    None)``, from one create-graph backward.  Given ``classes``, row weights
+    carry each class's mean (``b / n_k``), so one whole-batch CE per head gives
+    every row's class-mean cotangent."""
+    terms, taps = [], []
+    for (out1, out2), labels, weights in domains:
         members = None
         if classes is not None:
             labels = np.asarray(labels)
@@ -104,29 +73,58 @@ def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
             weights = scale if weights is None else weights * scale
             members = (labels[:, None] == classes).astype(np.float64)
         terms.append(losses.pair_cross_entropy(out1, out2, labels, weights))
-        domains.append((nn.layer_taps(f1, out1) + nn.layer_taps(f2, out2), members))
-    affine = [z for taps, _ in domains for _, z in taps]
-    deltas = backward(add(*terms), affine, create_graph=True)
+        taps.append((nn.layer_taps(f1, out1) + nn.layer_taps(f2, out2), members))
+    affine = [z for layers, _ in taps for _, z in layers]
+    deltas = backward(functools.reduce(add, terms), affine, create_graph=True)
     return tuple(
-        concat([class_affine_gradient(deltas[z], h, members) for h, z in taps], axis=1)
-        for taps, members in domains
+        concat([class_affine_gradient(deltas[z], h, members) for h, z in layers], axis=1)
+        for layers, members in taps
     )
 
 
+def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
+                    classes=None) -> Tensor:
+    """The source class-gradient matrix of rows with ``labels``: 1-by-P, or
+    K-by-P for the K ``classes``; ``logits1``/``logits2`` are the heads'
+    recorded outputs on those rows."""
+    return _domain_gradients(f1, f2, [((logits1, logits2), labels, None)], classes)[0]
+
+
+def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
+                    classes=None) -> Tensor:
+    """The target class-gradient matrix of rows aligned with ``pseudo``
+    (labels and entropy weights); shapes and logits as in
+    :func:`source_gradient`."""
+    return _domain_gradients(
+        f1, f2, [((logits1, logits2), pseudo.labels, pseudo.weights)], classes)[0]
+
+
+def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
+                    classes=None) -> tuple:
+    """The source and target class-gradient matrices, one create-graph backward.
+
+    ``logits_s``/``logits_t`` are ``(forward(f1, x), forward(f2, x))`` on each
+    domain's rows; the matrices are :func:`source_gradient`'s and
+    :func:`target_gradient`'s for the same ``classes``."""
+    return _domain_gradients(f1, f2, [(logits_s, labels_s, None),
+                                      (logits_t, pseudo.labels, pseudo.weights)],
+                             classes)
+
+
 def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
-    """Mean over rows of 1 - cos(gs[r], gt[r]), in [0, 2]; 1-D gs, gt are one row.
+    """Mean over rows of 1 - cos(gs[r], gt[r]) of two K-by-P matrices, in [0, 2].
 
     A row where either norm is ~0 adds a constant 0 (a vanished gradient has no
     alignment direction to push against) but counts in the mean; if every row
     does, the result is a constant 0 (no gradient signal).  The cosines are one
     :func:`~cgdm.tensor.cosine_rows` node over the live rows."""
-    if gs.shape != gt.shape or gs.values.ndim not in (1, 2):
+    if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(
-            f"gradients must be equal-shape 1-D or 2-D, got {gs.shape}, {gt.shape}"
+            f"gradients must be equal-shape K-by-P matrices, got {gs.shape}, {gt.shape}"
         )
-    rows = 1 if gs.values.ndim == 1 else gs.shape[0]
-    live = ((np.linalg.norm(gs.values, axis=-1) >= EPS)
-            & (np.linalg.norm(gt.values, axis=-1) >= EPS))
+    rows = gs.shape[0]
+    live = ((np.linalg.norm(gs.values, axis=1) >= EPS)
+            & (np.linalg.norm(gt.values, axis=1) >= EPS))
     if not live.any():
         return Tensor(0.0)
     if not live.all():  # keep the live rows; the selection is exact

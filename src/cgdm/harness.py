@@ -101,8 +101,9 @@ class ExperimentConfig:
             raise ConfigError("moons_n, blobs_dim and blobs_n_per_class must be positive")
         if self.blobs_classes < 2:
             raise ConfigError("blobs_classes must be >= 2")
-        if not self.moons_noise >= 0:
-            raise ConfigError("moons_noise must be nonnegative")
+        for key in ("moons_noise", "blobs_cov_scale"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must be nonnegative")
         self.train.validate()
 
 
@@ -165,18 +166,27 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, DomainSet]:
-    if cfg.dataset == "two_moons":
-        return data.make_two_moons_pair(
-            cfg.moons_n, cfg.moons_noise, cfg.moons_rotation_deg, seed
-        )
-    if cfg.dataset == "blobs":
-        return data.make_shifted_blobs(
-            cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation,
-            cfg.blobs_shift, cfg.blobs_cov_scale, cfg.blobs_n_per_class, seed,
-        )
-    source = data.load_dataset_csv(cfg.csv_source, domain="source")
-    target = data.load_dataset_csv(cfg.csv_target, domain="target")
-    return source, target
+    """The (source, target) sets of ``cfg``'s dataset.  A generated set whose
+    scale overflows float64 (a row's squared norm is not finite, as it is for
+    a non-finite feature) is a config error."""
+    if cfg.dataset == "csv":
+        return (data.load_dataset_csv(cfg.csv_source, domain="source"),
+                data.load_dataset_csv(cfg.csv_target, domain="target"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.dataset == "two_moons":
+            sets = data.make_two_moons_pair(
+                cfg.moons_n, cfg.moons_noise, cfg.moons_rotation_deg, seed
+            )
+        else:
+            sets = data.make_shifted_blobs(
+                cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation,
+                cfg.blobs_shift, cfg.blobs_cov_scale, cfg.blobs_n_per_class, seed,
+            )
+        for dset in sets:
+            if not np.isfinite((dset.features * dset.features).sum(axis=1)).all():
+                raise ConfigError(
+                    f"generated {dset.domain} set: a row's squared norm overflows float64")
+    return sets
 
 
 def variant_config(base: TrainConfig, variant: str, seed: int) -> TrainConfig:

@@ -95,7 +95,6 @@ __all__ = [
     "pow_const",
     "tsum",
     "reshape",
-    "flatten",
     "concat",
     "narrow",
     "log_softmax",
@@ -376,9 +375,9 @@ def pow_const(a, p) -> Tensor:
 
 
 def tsum(a, axis=None) -> Tensor:
-    """Sum over all elements (axis=None, scalar result) or along axis 0/1."""
+    """Sum of all elements (axis=None, a scalar) or along axis 0/1 of a matrix."""
     a = as_tensor(a)
-    if axis is None or a.values.ndim <= 1:
+    if axis is None:
         return _node(np.asarray(a.values.sum()), (a,), "sum")
     if a.values.ndim != 2 or axis not in (0, 1):
         raise ShapeError(f"sum(axis={axis}) unsupported for shape {a.shape}")
@@ -388,11 +387,6 @@ def tsum(a, axis=None) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return _node(a.values.reshape(shape), (a,), "reshape")
-
-
-def flatten(a) -> Tensor:
-    a = as_tensor(a)
-    return reshape(a, (a.size,))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -502,10 +496,9 @@ def _cosine_parts(ns, gs, gt, eps):
 
 
 def cosine_rows(gs, gt, eps: float) -> Tensor:
-    """``(gs . gt) / (|gs| |gt| + eps)`` of each row of two b-by-P tensors (a
-    0-d result for two 1-D vectors)."""
+    """``(gs . gt) / (|gs| |gt| + eps)`` of each row of two b-by-P matrices."""
     gs, gt = as_tensor(gs), as_tensor(gt)
-    if gs.shape != gt.shape or gs.values.ndim not in (1, 2):
+    if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(f"cosine_rows: shapes {gs.shape} and {gt.shape}")
     parts = _cosine_parts(_ARRAYS, gs.values, gt.values, eps)
     return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", (eps, parts))
@@ -556,8 +549,7 @@ _ARRAYS = SimpleNamespace(
     add=np.add, sub=np.subtract, neg=np.negative, mul=np.multiply,
     matmul=np.matmul, transpose=_transposed,
     exp=np.exp, pow_const=_power,
-    tsum=lambda a, axis=None: (
-        a.sum() if axis is None or a.ndim <= 1 else a.sum(axis=axis)),
+    tsum=lambda a, axis=None: a.sum() if axis is None else a.sum(axis=axis),
     reshape=np.reshape, concat=lambda parts, axis: np.concatenate(parts, axis=axis),
     narrow=_narrowed, zeros=np.zeros, ones=np.ones,
     cross_entropy_grad=lambda ls, g, onehot, scale: (np.exp(ls) - onehot) * (g * scale),
@@ -637,11 +629,6 @@ def _class_affine_vjp(i, ns, g, args, out, members):
     return g_copies if members is None else ns.class_fold(g_copies, members)
 
 
-def _row_sum_vjp(ns, g, shape):
-    """Cotangent of ``tsum(a, 1)`` (the total, for a 1-D a) back to a's shape."""
-    return ns.tile_cols(g, shape[1]) if len(shape) == 2 else ns.tile_rows(g, shape)
-
-
 def _cosine_rows_vjp(i, ns, g, args, out, ctx):
     """A parent's cotangent arrives through s.t first, then twice through
     its own square (``mul(a, a)``), as in the composition.  The array path
@@ -655,8 +642,8 @@ def _cosine_rows_vjp(i, ns, g, args, out, ctx):
     own_sq, other_norm = (ss, norm_t) if i == 0 else (tt, norm_s)
     g_denom = ns.mul(ns.mul(g, st), ns.mul(ns.pow_const(denom, -2.0), -1.0))
     g_sq = ns.mul(ns.mul(g_denom, other_norm), ns.mul(ns.pow_const(own_sq, -0.5), 0.5))
-    cross = ns.mul(_row_sum_vjp(ns, ns.mul(g, inv), a.shape), other)
-    square = ns.mul(_row_sum_vjp(ns, g_sq, a.shape), a)
+    cross = ns.mul(ns.tile_cols(ns.mul(g, inv), a.shape[1]), other)
+    square = ns.mul(ns.tile_cols(g_sq, a.shape[1]), a)
     return ns.add(ns.add(cross, square), square)
 
 

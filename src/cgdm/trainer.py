@@ -259,11 +259,11 @@ class CgdmTrainer:
     def step2_update(self, source_batch, target_batch) -> tuple:
         """Train F1, F2 to keep source accuracy while disagreeing on target.
 
-        Returns the losses and the generator's recorded (source, target)
-        features, which step 3's first repeat reuses: step 2 leaves the
-        generator parameters untouched because its backward is w.r.t. the
-        classifier parameters.  The classifiers read the features as
-        constants, so that backward walks no generator node.
+        Returns only the generator's recorded (source, target) features,
+        which step 3's first repeat reuses: step 2 leaves the generator
+        parameters untouched because its backward is w.r.t. the classifier
+        parameters.  The classifiers read the features as constants, so that
+        backward walks no generator node.
         """
         cfg = self.cfg
         m = self.model
@@ -276,16 +276,13 @@ class CgdmTrainer:
         )
         p1 = softmax(nn.forward(m.classifier1, feats_t))
         p2 = softmax(nn.forward(m.classifier2, feats_t))
-        loss_dis = losses.l1_discrepancy(p1, p2)
-        total = loss_cls - loss_dis
-        out = {"loss_cls": loss_cls.item(), "loss_dis": loss_dis.item()}
+        total = loss_cls - losses.l1_discrepancy(p1, p2)
         if cfg.class_balance_weight > 0:
             balance = losses.class_balance_loss(p1, p2)
             total = total + mul(balance, cfg.class_balance_weight)
-            out["loss_cb"] = balance.item()
         grads = backward(total, m.classifier_parameters())
         self.opt_f.step(grads)
-        return out, features
+        return features
 
     def step3_update(self, source_batch, target_batch, pseudo, features=None) -> dict:
         """Train G to shrink classifier disagreement plus the gradient gap.
@@ -404,7 +401,7 @@ class CgdmTrainer:
                         pb = pseudo.take(tgt_idx)
                         tally(self.step1_update(sb, tb, pb))
                         if cfg.enable_adversarial:
-                            _, features = self.step2_update(sb, tb)
+                            features = self.step2_update(sb, tb)
                             tally(self.step3_update(sb, tb, pb, features))
 
                 def mean_of(key):
@@ -413,7 +410,7 @@ class CgdmTrainer:
                 target_acc = pseudo_acc = float("nan")
                 if target.labels is not None:
                     prediction = pseudo_labels.predict(*nets, target.features)
-                    target_acc, _ = evaluate(prediction, target.labels)
+                    target_acc = evaluate(prediction, target.labels)
                     if pseudo is not None:
                         pseudo_acc = float(np.mean(pseudo.labels == target.labels))
                 metrics.append(
@@ -456,20 +453,11 @@ def train(source, target, cfg: TrainConfig):
     return metrics, trainer.model
 
 
-def evaluate(prediction, labels):
-    """Accuracy of the averaged-softmax prediction, plus per-class accuracy.
+def evaluate(prediction, labels) -> float:
+    """Accuracy of the averaged-softmax prediction.
 
     ``prediction`` is a :func:`~cgdm.pseudo_labels.predict` result over a
     labeled set and ``labels`` that set's labels.
     """
     _, p1, p2 = prediction
-    pred = np.argmax(0.5 * (p1 + p2), axis=1)
-    correct = pred == labels
-    accuracy = float(np.mean(correct))
-    num_classes = max(p1.shape[1], int(labels.max()) + 1)
-    per_class = np.full(num_classes, np.nan)
-    for k in range(num_classes):
-        mask = labels == k
-        if mask.any():
-            per_class[k] = float(np.mean(correct[mask]))
-    return accuracy, per_class
+    return float(np.mean(np.argmax(0.5 * (p1 + p2), axis=1) == labels))

@@ -1,4 +1,4 @@
-"""Domain gradient vectors, the cosine alignment loss, and its oracles."""
+"""Class-gradient matrices, the cosine alignment loss, and their oracles."""
 import logging
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgdm import grad_discrepancy as gd
-from cgdm import nn, checks
+from cgdm import losses, nn, checks
 from cgdm.pseudo_labels import PseudoLabelSet
 from cgdm import tensor as T
 from cgdm.tensor import ContractError, ShapeError, Tensor, backward
@@ -29,6 +29,18 @@ def logits(gen, f1, f2, x):
     """Both heads' logits on the generator features of ``x``."""
     h = feats(gen, x)
     return nn.forward(f1, h), nn.forward(f2, h)
+
+
+def parameter_backward_gradient(f1, f2, logits1, logits2, labels, weights=None,
+                                create_graph=False):
+    """The reference definition of a domain's classifier gradient: one backward
+    of the mean two-head cross-entropy to the classifier parameters, each
+    parameter's gradient flattened in ``classifier_parameters`` order, as a
+    1-by-P matrix."""
+    loss = losses.pair_cross_entropy(logits1, logits2, labels, weights)
+    params = gd.classifier_parameters(f1, f2)
+    grads = backward(loss, params, create_graph=create_graph)
+    return T.concat([T.reshape(grads[p], (1, p.size)) for p in params], axis=1)
 
 
 class TestSourceGradient:
@@ -77,7 +89,7 @@ class TestSourceGradient:
         gen, f1, f2 = tiny_models(8)
         g = gd.source_gradient(f1, f2, *logits(gen, f1, f2, np.ones((2, 2))), [0, 1])
         expected = sum(p.size for p in gd.classifier_parameters(f1, f2))
-        assert g.shape == (expected,)
+        assert g.shape == (1, expected)
 
 
 class TestTargetGradient:
@@ -114,36 +126,41 @@ class TestTargetGradient:
 
 class TestDiscrepancyLoss:
     def test_equal_vectors_zero(self):
-        g = Tensor(np.array([1.0, -2.0, 0.5]))
+        g = Tensor(np.array([[1.0, -2.0, 0.5]]))
         assert gd.gradient_discrepancy_loss(g, g).item() < 1e-9
 
     def test_orthogonal_is_one(self):
-        a = Tensor(np.array([1.0, 0.0]))
-        b = Tensor(np.array([0.0, 1.0]))
+        a = Tensor(np.array([[1.0, 0.0]]))
+        b = Tensor(np.array([[0.0, 1.0]]))
         assert gd.gradient_discrepancy_loss(a, b).item() == pytest.approx(1.0)
 
     def test_opposite_is_two(self):
-        g = Tensor(np.array([1.0, -2.0, 0.5]))
+        g = Tensor(np.array([[1.0, -2.0, 0.5]]))
         neg = Tensor(-g.values)
         assert gd.gradient_discrepancy_loss(g, neg).item() == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_norm_guard(self):
-        z = Tensor(np.zeros(3))
-        g = Tensor(np.array([1.0, 2.0, 3.0]))
+        z = Tensor(np.zeros((1, 3)))
+        g = Tensor(np.array([[1.0, 2.0, 3.0]]))
         out = gd.gradient_discrepancy_loss(z, g)
         assert out.item() == 0.0
         assert out.parents == ()  # constant, no gradient signal
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            gd.gradient_discrepancy_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            gd.gradient_discrepancy_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
+
+    def test_vectors_rejected(self):
+        g = Tensor(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ShapeError):
+            gd.gradient_discrepancy_loss(g, g)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.1, 100.0))
     def test_scale_invariance_symmetry_bounds(self, seed, scale):
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=6))
-        b = Tensor(rng.normal(size=6))
+        a = Tensor(rng.normal(size=(1, 6)))
+        b = Tensor(rng.normal(size=(1, 6)))
         loss_ab = gd.gradient_discrepancy_loss(a, b).item()
         loss_ba = gd.gradient_discrepancy_loss(b, a).item()
         assert abs(loss_ab - loss_ba) < 1e-12
@@ -174,20 +191,40 @@ class TestLinearHeadOracle:
         result = checks.run_oracle_suite(n_batches=5, seed=77)
         assert result.passed, f"max err {result.max_err}"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parameter_backward_reference_matches_the_oracle(self, seed):
+        gen, f1, f2 = tiny_models(90 + seed, k=3)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(5, 2))
+        y = rng.integers(0, 3, size=5)
+        w = rng.uniform(1.0, 2.0, size=5)
+        h = feats(gen, x).values
+        got = parameter_backward_gradient(f1, f2, *logits(gen, f1, f2, x), y, w)
+        want = 0.5 * np.concatenate([
+            part.reshape(-1) for clf in (f1, f2)
+            for part in checks.linear_head_gradient_oracle(
+                h, y, w, clf.layers[0].weight.values, clf.layers[0].bias.values)
+        ])
+        np.testing.assert_allclose(got.values, want[None, :], rtol=0, atol=1e-12)
+
 
 def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False):
     """The conditional loss as first defined: every shared class re-forwards
-    its own source and target rows through the generator."""
+    its own source and target rows through the generator, and takes each
+    domain's :func:`parameter_backward_gradient` on them."""
     shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
     total = None
     for k in shared:
         s_rows = np.flatnonzero(ys == k)
         t_rows = np.flatnonzero(pseudo.labels == k)
-        gs = gd.source_gradient(
-            f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows], create_graph
+        gs = parameter_backward_gradient(
+            f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows],
+            create_graph=create_graph,
         )
-        gt = gd.target_gradient(
-            f1, f2, *logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows), create_graph
+        target = pseudo.take(t_rows)
+        gt = parameter_backward_gradient(
+            f1, f2, *logits(gen, f1, f2, xt[t_rows]), target.labels, target.weights,
+            create_graph=create_graph,
         )
         term = gd.gradient_discrepancy_loss(gs, gt)
         total = term if total is None else total + term
@@ -333,24 +370,37 @@ class TestClassGradients:
         for r, k in enumerate(classes):
             s_rows = np.flatnonzero(ys == k)
             t_rows = np.flatnonzero(pseudo.labels == k)
-            want_s = gd.source_gradient(
+            target = pseudo.take(t_rows)
+            want_s = parameter_backward_gradient(
                 f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows]
             )
-            want_t = gd.target_gradient(
-                f1, f2, *logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows)
+            want_t = parameter_backward_gradient(
+                f1, f2, *logits(gen, f1, f2, xt[t_rows]), target.labels, target.weights
             )
-            np.testing.assert_allclose(gs.values[r], want_s.values, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gt.values[r], want_t.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("classes", [None, np.array([0, 2])], ids=["one_row", "per_class"])
+    def test_one_domain_gives_its_class_gradients_matrix(self, classes):
+        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(0)
+        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
+        gs, gt = gd.class_gradients(f1, f2, out_s, ys, out_t, pseudo, classes)
+        assert gs.shape[0] == gt.shape[0] == (1 if classes is None else 2)
+        np.testing.assert_array_equal(
+            gd.source_gradient(f1, f2, *out_s, ys, classes).values, gs.values)
+        np.testing.assert_array_equal(
+            gd.target_gradient(f1, f2, *out_t, pseudo, classes).values, gt.values)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_row_is_bit_identical_with_the_two_backward_definition(self, seed):
         gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
         gs, gt = gd.class_gradients(f1, f2, out_s, ys, out_t, pseudo)
-        want_s = gd.source_gradient(f1, f2, *out_s, ys, create_graph=True)
-        want_t = gd.target_gradient(f1, f2, *out_t, pseudo, create_graph=True)
-        np.testing.assert_array_equal(gs.values, want_s.values[None, :])
-        np.testing.assert_array_equal(gt.values, want_t.values[None, :])
+        want_s = parameter_backward_gradient(f1, f2, *out_s, ys, create_graph=True)
+        want_t = parameter_backward_gradient(
+            f1, f2, *out_t, pseudo.labels, pseudo.weights, create_graph=True)
+        np.testing.assert_array_equal(gs.values, want_s.values)
+        np.testing.assert_array_equal(gt.values, want_t.values)
         got = gd.gradient_discrepancy_loss(gs, gt)
         want = gd.gradient_discrepancy_loss(want_s, want_t)
         assert got.item() == want.item()
@@ -385,16 +435,6 @@ class TestClassGradients:
         g_got, g_want = backward(got, [gs, gt]), backward(want, [gs, gt])
         for t in (gs, gt):
             assert g_got[t].values.tobytes() == g_want[t].values.tobytes()
-
-    def test_one_row_vectors(self):
-        """1-D gradients are one row: a 0-d cosine, a loss of 1 - cos."""
-        rng = np.random.default_rng(8)
-        gs, gt = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
-        out = gd.gradient_discrepancy_loss(gs, gt)
-        cos = gs.values @ gt.values / (np.linalg.norm(gs.values) * np.linalg.norm(gt.values))
-        assert out.item() == pytest.approx(1.0 - cos, abs=1e-10)  # eps: 1e-12
-        grads = backward(out, [gs, gt])
-        assert grads[gs].shape == grads[gt].shape == (5,)
 
     def test_all_zero_rows_give_a_constant_zero(self):
         z = Tensor(np.zeros((2, 3)))

@@ -186,6 +186,7 @@ BAD_VALUES = [
     ("weight_decay = nan", "weight_decay"),
     ("moons_noise = nan", "moons_noise"),
     ("moons_noise = -1", "moons_noise"),
+    ("dataset = blobs\nblobs_cov_scale = -2", "blobs_cov_scale"),
     ("lr_generator = -1", "lr_generator"),
     ("seeds = 0, -1", "seeds"),
     ("epochs = 0", "epochs"),
@@ -272,6 +273,12 @@ class TestBadInputExitsOne:
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
             "error: line 5: non-finite feature")
+
+    def test_generated_set_that_overflows(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL + "dataset = blobs\nblobs_shift = 1e308\n")
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: generated target set: a row's squared norm overflows float64")
 
 
 # every settable key of TrainConfig and ExperimentConfig, with a non-default value

@@ -192,7 +192,7 @@ class TestEpochPass:
             )
             pseudo = pl.pseudo_label_epoch(prediction)
             cluster_acc = float(np.mean(pseudo.labels == tgt.labels))
-            argmax_acc, _ = evaluate(prediction, tgt.labels)
+            argmax_acc = evaluate(prediction, tgt.labels)
             assert cluster_acc >= argmax_acc - 0.01
 
     def test_csv_export(self, tmp_path):

@@ -65,6 +65,10 @@ class TestElementwise:
     def test_sum_of_zeros(self):
         assert T.tsum(T.zeros((3, 4))).item() == 0.0
 
+    def test_sum_along_an_axis_needs_a_matrix(self):
+        with pytest.raises(T.ShapeError):
+            T.tsum(T.Tensor(np.ones(3)), axis=0)
+
     def test_log_domain(self):
         with pytest.raises(T.DomainError):
             T.log(T.Tensor([1.0, 0.0]))
@@ -272,8 +276,8 @@ def _fused_builder(name: str, seed: int):
         delta, h, members, proj = TestFusedOps._class_case(seed, name.endswith("K"))
         return (lambda: _quadratic(T.class_affine_gradient(delta, h, members), proj),
                 [delta, h])
-    if name.startswith("cosine_rows"):
-        gs, gt, proj = TestFusedOps._cosine_case(seed, 2 if name.endswith("2d") else 1)
+    if name == "cosine_rows_2d":
+        gs, gt, proj = TestFusedOps._cosine_case(seed)
         return lambda: T.tsum(T.mul(T.cosine_rows(gs, gt, 1e-12), proj)), [gs, gt]
     logits, hot, weights = TestFusedOps._ce_case(seed, name == "cross_entropy_weighted")
     return lambda: T.softmax_cross_entropy(logits, hot, weights), [logits]
@@ -285,8 +289,7 @@ def _fused_case(name: str, seed: int):
 
 
 _FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entropy_grad",
-                "class_affine_gradient_all", "class_affine_gradient_K",
-                "cosine_rows_1d", "cosine_rows_2d")
+                "class_affine_gradient_all", "class_affine_gradient_K", "cosine_rows_2d")
 _GRADIENT_OP_CASES = _FUSED_CASES[3:]
 
 
@@ -431,11 +434,11 @@ class TestFusedOps:
         return delta, h, members, T.Tensor(rng.normal(size=(rows, 8)))
 
     @staticmethod
-    def _cosine_case(seed, ndim):
+    def _cosine_case(seed, rows=3):
         rng = np.random.default_rng(400 + seed)
-        shape = (3, 5) if ndim == 2 else (5,)
-        proj = T.Tensor(rng.normal(size=shape[:-1]))
-        return T.Tensor(rng.normal(size=shape)), T.Tensor(rng.normal(size=shape)), proj
+        proj = T.Tensor(rng.normal(size=rows))
+        return (T.Tensor(rng.normal(size=(rows, 5))), T.Tensor(rng.normal(size=(rows, 5))),
+                proj)
 
     def test_linear_equals_composition(self):
         x, w, b, proj = self._linear_case(0)
@@ -567,12 +570,12 @@ class TestFusedGradientOps:
         with pytest.raises(T.ShapeError):
             T.class_affine_gradient(delta, h, members[:, :0])
 
-    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2])  # 1: the plain loss's one-row case
     @pytest.mark.parametrize("seed", range(3))
-    def test_cosine_rows_equals_composition(self, ndim, seed):
-        gs, gt, proj = TestFusedOps._cosine_case(seed, ndim)
+    def test_cosine_rows_equals_composition(self, rows, seed):
+        gs, gt, proj = TestFusedOps._cosine_case(seed, rows)
         fused = T.cosine_rows(gs, gt, 1e-12)
-        assert fused.shape == (() if ndim == 1 else (3,))
+        assert fused.shape == (rows,)
         _assert_same_op(fused, _cosine_composition(gs, gt, 1e-12), [gs, gt], proj)
 
     def test_cosine_rows_shape_mismatch(self):
@@ -580,6 +583,8 @@ class TestFusedGradientOps:
             T.cosine_rows(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), 1e-12)
         with pytest.raises(T.ShapeError):
             T.cosine_rows(T.Tensor(np.ones((1, 2, 3))), T.Tensor(np.ones((1, 2, 3))), 1e-12)
+        with pytest.raises(T.ShapeError):
+            T.cosine_rows(T.Tensor(np.ones(3)), T.Tensor(np.ones(3)), 1e-12)
 
     @pytest.mark.parametrize("name", _GRADIENT_OP_CASES)
     @pytest.mark.parametrize("seed", range(3))

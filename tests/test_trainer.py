@@ -214,7 +214,7 @@ def test_step2_moves_only_the_classifiers(monkeypatch):
         return backward(scalar, wrt, create_graph=create_graph)
 
     monkeypatch.setattr(trainer, "backward", recorded)
-    _, features = trainer.CgdmTrainer(cfg, model).step2_update(source, target)
+    features = trainer.CgdmTrainer(cfg, model).step2_update(source, target)
     generator_nodes = {id(n) for f in features for n in _reachable(f)}
     assert all(f.op == "relu" for f in features)
     assert reached and not generator_nodes & {id(n) for n in reached}
@@ -261,7 +261,7 @@ def test_step3_moves_alike_with_and_without_step2_features():
         np.arange(12) % 3, np.linspace(1.0, 2.0, 12), np.zeros(12))
     twin = copy.deepcopy(model)
     handed = trainer.CgdmTrainer(cfg, model)
-    _, features = handed.step2_update(source, target)
+    features = handed.step2_update(source, target)
     alone = trainer.CgdmTrainer(cfg, twin)
     alone.step2_update(source, target)
     assert handed.step3_update(source, target, pseudo, features) == alone.step3_update(
