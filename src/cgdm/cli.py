@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, FileNotFoundError) as err:
+    except (ConfigError, ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except DomainError as err:  # a diverged training run

@@ -26,6 +26,7 @@ __all__ = [
     "rotate2d",
     "save_dataset_csv",
     "load_dataset_csv",
+    "unsafe_rows",
 ]
 
 
@@ -181,9 +182,18 @@ def save_dataset_csv(dset: DomainSet, path) -> None:
     write_csv(path, header, rows)
 
 
+def unsafe_rows(features: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose squared norm is not finite: a row with a
+    non-finite feature, or one whose finite features overflow float64 when
+    squared.  No loss is finite on such a row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.flatnonzero(~np.isfinite((features * features).sum(axis=1)))
+
+
 def load_dataset_csv(path, domain: str = "source") -> DomainSet:
-    """Read a :func:`save_dataset_csv` file; a malformed row, or one with a
-    non-finite feature, raises :class:`ParseError` naming its line."""
+    """Read a :func:`save_dataset_csv` file.  A malformed row raises
+    :class:`ParseError` naming its line; so, once every row has parsed, does
+    the first of :func:`unsafe_rows`."""
     header, rows = read_csv(path)
     labeled = header[-1] == "label"
     n_feat = len(header) - labeled
@@ -197,10 +207,13 @@ def load_dataset_csv(path, domain: str = "source") -> DomainSet:
                 labels.append(int(fields[-1]))
         except ValueError as err:
             raise ParseError(f"non-numeric field ({err})", line=lineno) from None
-        if not np.isfinite(feats[-1]).all():
-            raise ParseError("non-finite feature", line=lineno)
     if not feats:
         raise ParseError(f"{path} has a header but no data rows")
     features = np.asarray(feats, dtype=np.float64)
+    bad = unsafe_rows(features)
+    if len(bad):
+        why = ("squared norm overflows float64" if np.isfinite(features[bad[0]]).all()
+               else "non-finite feature")
+        raise ParseError(why, line=rows[bad[0]][0])
     label_arr = np.asarray(labels, dtype=np.int64) if labeled else None
     return DomainSet(features, label_arr, domain)

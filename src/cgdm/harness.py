@@ -166,9 +166,9 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, DomainSet]:
-    """The (source, target) sets of ``cfg``'s dataset.  A generated set whose
-    scale overflows float64 (a row's squared norm is not finite, as it is for
-    a non-finite feature) is a config error."""
+    """The (source, target) sets of ``cfg``'s dataset.  A generated set with
+    a row whose squared norm is not finite (:func:`data.unsafe_rows`) is a
+    config error; such a row in a dataset CSV is a parse error."""
     if cfg.dataset == "csv":
         return (data.load_dataset_csv(cfg.csv_source, domain="source"),
                 data.load_dataset_csv(cfg.csv_target, domain="target"))
@@ -183,7 +183,7 @@ def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[DomainSet, DomainS
                 cfg.blobs_shift, cfg.blobs_cov_scale, cfg.blobs_n_per_class, seed,
             )
         for dset in sets:
-            if not np.isfinite((dset.features * dset.features).sum(axis=1)).all():
+            if len(data.unsafe_rows(dset.features)):
                 raise ConfigError(
                     f"generated {dset.domain} set: a row's squared norm overflows float64")
     return sets

@@ -7,12 +7,14 @@ monotonically with creation order, so iterating reachable nodes by descending
 id is a valid reverse topological order.
 
 Each op's backward is written once, in the table ``_VJPS``: one
-vector-Jacobian-product formula per op and parent, a module-level function
-``vjp(ns, g, args, out, ctx)`` of the cotangent ``g``, the parents ``args``,
-the node's output ``out`` and its saved context ``ctx`` (the pow exponent,
-the concat axis, the narrowed range, or the cross-entropy's
-``(log_softmax node, onehot, scale)``; relu keeps none and takes its mask
-``out > 0`` from its output, only when a backward visits it).  ``ns`` is the
+vector-Jacobian-product callable per op, ``vjp(i, ns, g, args, out, ctx)``,
+which returns the cotangent of parent ``i`` from the cotangent ``g``, the
+parents ``args``, the node's output ``out`` and its saved context ``ctx``
+(the pow exponent, the concat axis, the narrowed range, or the
+cross-entropy's ``(log_softmax node, onehot, scale)``; relu keeps none and
+takes its mask ``out > 0`` from its output, only when a backward visits it).
+The index ``i`` only picks the branch of parent ``i``: each branch runs that
+parent's numpy operations, in their order, and nothing else.  ``ns`` is the
 arithmetic the formula is written against, and ``backward`` passes one of
 two:
 
@@ -62,7 +64,6 @@ run as one broadcast product, and one product and sum, on arrays.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -83,7 +84,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
     "linear",
@@ -150,8 +150,10 @@ class Tensor:
 
     A tensor built here is a leaf (a constant or a parameter): ``parents``
     and ``op`` are empty.  Graph nodes are made by the ops only, so each has
-    a ``_VJPS`` entry.  Identity semantics are deliberate: tensors hash by
-    object identity so they can key gradient maps.
+    a ``_VJPS`` entry.  Tensor arithmetic is written with those op functions
+    (``add``, ``mul``, ``matmul``, ...); a tensor defines no operators.
+    Identity semantics are deliberate: tensors hash by object identity so
+    they can key gradient maps.
     """
 
     __slots__ = ("values", "_id", "parents", "op", "_ctx")
@@ -182,37 +184,6 @@ class Tensor:
     def __repr__(self):
         tag = f" op={self.op}" if self.op else ""
         return f"Tensor(shape={self.shape}{tag}, values={self.values!r})"
-
-    # operator sugar; scalars and arrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
 
 
 def as_tensor(x) -> Tensor:
@@ -277,10 +248,6 @@ def mul(a, b) -> Tensor:
     if a.values.shape != b.values.shape:
         _check_broadcast(a.shape, b.shape, "mul")
     return _node(a.values * b.values, (a, b), "mul")
-
-
-def div(a, b) -> Tensor:
-    return mul(as_tensor(a), pow_const(as_tensor(b), -1.0))
 
 
 def neg(a) -> Tensor:
@@ -564,7 +531,7 @@ _ARRAYS = SimpleNamespace(
 )
 
 
-# -- vjp formulas: vjp(ns, g, args, out, ctx) -> cotangent of one parent ------
+# -- vjp formulas: vjp(i, ns, g, args, out, ctx) -> cotangent of parent i ------
 
 def _unbroadcast(ns, g, shape):
     """Reduce a cotangent back to an operand's shape."""
@@ -576,7 +543,16 @@ def _unbroadcast(ns, g, shape):
     return ns.tsum(g, 0)
 
 
-def _narrow_vjp(ns, g, args, out, ctx):
+def _linear_vjp(i, ns, g, args, out, ctx):
+    """x: ``g w``; w: ``g^T x``; b: the column sums of ``g``."""
+    if i == 0:
+        return ns.matmul(g, args[1])
+    if i == 1:
+        return ns.matmul(ns.transpose(g), args[0])
+    return ns.tsum(g, 0)
+
+
+def _narrow_vjp(i, ns, g, args, out, ctx):
     axis, start, length = ctx
     shape = list(args[0].shape)
     dim = shape[axis]
@@ -596,11 +572,11 @@ def _concat_vjp(i, ns, g, args, out, axis):
     return ns.narrow(g, axis, start, args[i].shape[axis])
 
 
-def _log_softmax_vjp(ns, g, args, out, ctx):
+def _log_softmax_vjp(i, ns, g, args, out, ctx):
     return ns.sub(g, ns.mul(ns.exp(out), ns.tile_cols(ns.tsum(g, 1), args[0].shape[1])))
 
 
-def _cross_entropy_vjp(ns, g, args, out, ctx):
+def _cross_entropy_vjp(i, ns, g, args, out, ctx):
     ls, onehot, scale = ctx
     return ns.cross_entropy_grad(ns.saved(ls), g, onehot, scale)
 
@@ -647,54 +623,33 @@ def _cosine_rows_vjp(i, ns, g, args, out, ctx):
     return ns.add(ns.add(cross, square), square)
 
 
-def _per_parent(formula, n):
-    """One entry per parent of a formula ``formula(i, ns, g, args, out, ctx)``."""
-    return tuple(functools.partial(formula, i) for i in range(n))
-
-
-class _EveryParent:
-    """Vjp entry of a variadic op: ``entry[i]`` is the formula for parent i
-    (and iterating it yields one formula per parent, without end)."""
-
-    def __init__(self, formula):
-        self._formula = formula
-
-    def __getitem__(self, i):
-        return functools.partial(self._formula, i)
-
-
 _VJPS = {
-    "add": (lambda ns, g, args, out, ctx: _unbroadcast(ns, g, args[0].shape),
-            lambda ns, g, args, out, ctx: _unbroadcast(ns, g, args[1].shape)),
-    "sub": (lambda ns, g, args, out, ctx: _unbroadcast(ns, g, args[0].shape),
-            lambda ns, g, args, out, ctx: _unbroadcast(ns, ns.neg(g), args[1].shape)),
-    "mul": (lambda ns, g, args, out, ctx:
-            _unbroadcast(ns, ns.mul(g, args[1]), args[0].shape),
-            lambda ns, g, args, out, ctx:
-            _unbroadcast(ns, ns.mul(g, args[0]), args[1].shape)),
-    "neg": (lambda ns, g, args, out, ctx: ns.neg(g),),
-    "matmul": (lambda ns, g, args, out, ctx: ns.matmul(g, ns.transpose(args[1])),
-               lambda ns, g, args, out, ctx: ns.matmul(ns.transpose(args[0]), g)),
-    "linear": (lambda ns, g, args, out, ctx: ns.matmul(g, args[1]),
-               lambda ns, g, args, out, ctx: ns.matmul(ns.transpose(g), args[0]),
-               lambda ns, g, args, out, ctx: ns.tsum(g, 0)),
-    "transpose": (lambda ns, g, args, out, ctx: ns.transpose(g),),
-    "relu": (lambda ns, g, args, out, ctx: ns.where_positive(g, out),),
-    "exp": (lambda ns, g, args, out, ctx: ns.mul(g, out),),
-    "log": (lambda ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),),
-    "pow": (lambda ns, g, args, out, p:
-            ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),),
-    "sum": (lambda ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),),
-    "sum0": (lambda ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),),
-    "sum1": (lambda ns, g, args, out, ctx: ns.tile_cols(g, args[0].shape[1]),),
-    "reshape": (lambda ns, g, args, out, ctx: ns.reshape(g, args[0].shape),),
-    "concat": _EveryParent(_concat_vjp),
-    "narrow": (_narrow_vjp,),
-    "log_softmax": (_log_softmax_vjp,),
-    "cross_entropy": (_cross_entropy_vjp,),
-    "cross_entropy_grad": _per_parent(_cross_entropy_grad_vjp, 2),
-    "class_affine_gradient": _per_parent(_class_affine_vjp, 2),
-    "cosine_rows": _per_parent(_cosine_rows_vjp, 2),
+    "add": lambda i, ns, g, args, out, ctx: _unbroadcast(ns, g, args[i].shape),
+    "sub": lambda i, ns, g, args, out, ctx:
+        _unbroadcast(ns, ns.neg(g) if i else g, args[i].shape),
+    "mul": lambda i, ns, g, args, out, ctx:
+        _unbroadcast(ns, ns.mul(g, args[1 - i]), args[i].shape),
+    "neg": lambda i, ns, g, args, out, ctx: ns.neg(g),
+    "matmul": lambda i, ns, g, args, out, ctx:
+        ns.matmul(ns.transpose(args[0]), g) if i else ns.matmul(g, ns.transpose(args[1])),
+    "linear": _linear_vjp,
+    "transpose": lambda i, ns, g, args, out, ctx: ns.transpose(g),
+    "relu": lambda i, ns, g, args, out, ctx: ns.where_positive(g, out),
+    "exp": lambda i, ns, g, args, out, ctx: ns.mul(g, out),
+    "log": lambda i, ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),
+    "pow": lambda i, ns, g, args, out, p:
+        ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),
+    "sum": lambda i, ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),
+    "sum0": lambda i, ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),
+    "sum1": lambda i, ns, g, args, out, ctx: ns.tile_cols(g, args[0].shape[1]),
+    "reshape": lambda i, ns, g, args, out, ctx: ns.reshape(g, args[0].shape),
+    "concat": _concat_vjp,
+    "narrow": _narrow_vjp,
+    "log_softmax": _log_softmax_vjp,
+    "cross_entropy": _cross_entropy_vjp,
+    "cross_entropy_grad": _cross_entropy_grad_vjp,
+    "class_affine_gradient": _class_affine_vjp,
+    "cosine_rows": _cosine_rows_vjp,
 }
 
 
@@ -756,9 +711,10 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
                 args, out = parents, node
             else:
                 args, out = [p.values for p in parents], node.values
-            for parent, vjp in zip(parents, _VJPS[node.op]):
+            vjp = _VJPS[node.op]
+            for i, parent in enumerate(parents):
                 if parent._id in needed:
-                    pg = vjp(ns, g, args, out, node._ctx)
+                    pg = vjp(i, ns, g, args, out, node._ctx)
                     acc = cot.get(parent._id)
                     cot[parent._id] = pg if acc is None else ns.add(acc, pg)
     finally:

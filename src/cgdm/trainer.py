@@ -34,9 +34,11 @@ from .tensor import (
     ContractError,
     DomainError,
     Tensor,
+    add,
     backward,
     mul,
     softmax,
+    sub,
 )
 
 __all__ = [
@@ -244,12 +246,12 @@ class CgdmTrainer:
                 selfsup = losses.pair_cross_entropy(
                     logits_t1, logits_t2, pseudo.labels, pseudo.weights
                 )
-                total = total + mul(selfsup, alpha)
+                total = add(total, mul(selfsup, alpha))
             if balance_weight > 0:
                 balance = losses.class_balance_loss(
                     softmax(logits_t1), softmax(logits_t2)
                 )
-                total = total + mul(balance, balance_weight)
+                total = add(total, mul(balance, balance_weight))
                 out["loss_cb"] = balance.item()
         grads = backward(total, m.all_parameters())
         self.opt_g.step(grads)
@@ -276,10 +278,10 @@ class CgdmTrainer:
         )
         p1 = softmax(nn.forward(m.classifier1, feats_t))
         p2 = softmax(nn.forward(m.classifier2, feats_t))
-        total = loss_cls - losses.l1_discrepancy(p1, p2)
+        total = sub(loss_cls, losses.l1_discrepancy(p1, p2))
         if cfg.class_balance_weight > 0:
             balance = losses.class_balance_loss(p1, p2)
-            total = total + mul(balance, cfg.class_balance_weight)
+            total = add(total, mul(balance, cfg.class_balance_weight))
         grads = backward(total, m.classifier_parameters())
         self.opt_f.step(grads)
         return features
@@ -325,7 +327,7 @@ class CgdmTrainer:
                     loss_gd = grad_discrepancy.gradient_discrepancy_loss(
                         *grad_discrepancy.class_gradients(*args)
                     )
-                total = total + mul(loss_gd, cfg.beta)
+                total = add(total, mul(loss_gd, cfg.beta))
             grads = backward(total, m.generator_parameters())
             self.opt_g.step(grads)
             if rep == 0:

@@ -92,11 +92,18 @@ class TestDatasetCsv:
             load_dataset_csv(path)
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_feature_is_reported_with_its_line(self, tmp_path, value):
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "non-finite feature"),
+        ("inf", "non-finite feature"),
+        ("-inf", "non-finite feature"),
+        ("1e999", "non-finite feature"),
+        # finite, but its square overflows: no loss on this row is finite
+        ("1e200", "squared norm overflows float64"),
+    ], ids=["nan", "inf", "-inf", "1e999", "1e200"])
+    def test_non_finite_feature_is_reported_with_its_line(self, tmp_path, value, message):
         path = tmp_path / "set.csv"
         path.write_text(f"f0,f1,label\n0.5,0.5,1\n\n0.5,{value},0\n")
-        with pytest.raises(ParseError, match="^line 4: non-finite feature$"):
+        with pytest.raises(ParseError, match=f"^line 4: {message}$"):
             load_dataset_csv(path)
 
 

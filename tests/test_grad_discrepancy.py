@@ -227,8 +227,8 @@ def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False
             create_graph=create_graph,
         )
         term = gd.gradient_discrepancy_loss(gs, gt)
-        total = term if total is None else total + term
-    return total * (1.0 / len(shared))
+        total = term if total is None else T.add(total, term)
+    return T.mul(total, 1.0 / len(shared))
 
 
 def conditional_loss(gen, f1, f2, xs, ys, xt, pseudo):
@@ -428,7 +428,8 @@ class TestClassGradients:
         live = [r for r in range(3) if r != dead]
         a, b = (T.matmul(np.eye(3)[live], g) if dead is not None else g for g in (gs, gt))
         norms = [T.pow_const(T.tsum(T.mul(g, g), axis=1), 0.5) for g in (a, b)]
-        cos = T.tsum(T.mul(a, b), axis=1) / (T.mul(*norms) + gd.EPS)
+        cos = T.mul(T.tsum(T.mul(a, b), axis=1),
+                    T.pow_const(T.add(T.mul(*norms), gd.EPS), -1.0))
         want = T.mul(T.tsum(T.sub(1.0, cos)), 1.0 / 3)
         got = gd.gradient_discrepancy_loss(gs, gt)
         assert got.item() == want.item()

@@ -1,6 +1,8 @@
 """Config parsing, run failures, metrics CSVs and the CLI's exit codes."""
 import dataclasses
+import errno
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -13,6 +15,7 @@ from cgdm import cli, harness, losses, nn, pseudo_labels, trainer
 from cgdm.data import (
     DomainSet,
     ParseError,
+    load_dataset_csv,
     make_shifted_blobs,
     make_two_moons_pair,
     read_csv,
@@ -139,6 +142,37 @@ def test_embeddings_csv_reads_back_as_the_generator_output(tmp_path, labeled):
     got = np.array([[float(v) for v in fields[3:]] for _, fields in rows])
     want = nn.forward(gen, Tensor(dset.features)).values
     assert got.tobytes() == want.tobytes()
+
+
+def test_gen_data_writes_the_sets_of_its_seed(tmp_path):
+    """Both CSVs read back as the sets ``build_datasets`` makes for the seed."""
+    path = write_config(tmp_path, "dataset = blobs\nblobs_n_per_class = 5\nseeds = 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", str(path), "--out", str(out),
+                     "--seed", "3"]) == 0
+    for want in harness.build_datasets(harness.parse_config(path), 3):
+        got = load_dataset_csv(out / f"{want.domain}.csv", domain=want.domain)
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def test_export_embeddings_without_a_model_trains_the_variant(tmp_path):
+    """Each embeddings CSV has one row per sample, the features of the
+    generator that training the variant on the config's seed gives."""
+    path = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert cli.main(["export-embeddings", "--config", str(path), "--variant", "mcd",
+                     "--out", str(out)]) == 0
+    cfg = harness.parse_config(path)
+    source, target = harness.build_datasets(cfg, 0)
+    _, model = trainer.train(source, target, harness.variant_config(cfg.train, "mcd", 0))
+    for dset in (source, target):
+        _, rows = read_csv(out / f"embeddings_{dset.domain}.csv")
+        assert [fields[:2] for _, fields in rows] == [
+            [str(i), dset.domain] for i in range(dset.n)]
+        got = np.array([[float(v) for v in fields[3:]] for _, fields in rows])
+        want = nn.forward(model.generator, Tensor(dset.features)).values
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBlockedExport:
@@ -273,6 +307,30 @@ class TestBadInputExitsOne:
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
             "error: line 5: non-finite feature")
+
+    def test_dataset_csv_with_a_row_that_overflows(self, tmp_path, capsys):
+        """Finite features whose squares overflow: exit 1 naming the line,
+        not a run that fails in log_softmax."""
+        source, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)
+        path = self.csv_config(tmp_path, source, target)
+        scaled = DomainSet(target.features * 1e200, target.labels, target.domain)
+        save_dataset_csv(scaled, tmp_path / "target.csv")
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: line 2: squared norm overflows float64")
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        argv = ["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'")
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_out_under_a_regular_file(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run.cfg" / "out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        assert self.one_error_line(capsys, argv) == (
+            f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'")
 
     def test_generated_set_that_overflows(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL + "dataset = blobs\nblobs_shift = 1e308\n")

@@ -6,7 +6,7 @@ import pytest
 
 from cgdm import nn
 from cgdm.data import ParseError
-from cgdm.tensor import ContractError, Tensor, backward, tsum, mul
+from cgdm.tensor import ContractError, Tensor, backward, tsum, mul, sub
 
 
 class TestInit:
@@ -158,7 +158,7 @@ class TestSgd:
         target = Tensor(rng.normal(size=(3,)))
 
         def loss():
-            d = p - target
+            d = sub(p, target)
             return tsum(mul(d, d))
 
         before = loss().item()

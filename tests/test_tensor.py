@@ -3,6 +3,7 @@ double backward, the two arithmetics of one vjp formula, and graph
 determinism."""
 import ast
 import gc
+import inspect
 import tracemalloc
 from pathlib import Path
 
@@ -207,7 +208,8 @@ _PRIMITIVE_CASES = {
     "narrow": (["a"], lambda i: T.tsum(T.mul(T.narrow(i["a"], 1, 1, 2), i["proj32"]))),
     "relu": (["off"], lambda i: T.tsum(T.mul(T.relu(i["off"]), i["proj34"]))),
     "log_softmax": (["a"], lambda i: T.tsum(T.mul(T.log_softmax(i["a"]), i["proj34"]))),
-    "div": (["a", "pos"], lambda i: T.tsum(T.mul(T.div(i["a"], i["pos"]), i["proj34"]))),
+    "div": (["a", "pos"],
+            lambda i: T.tsum(T.mul(T.mul(i["a"], T.pow_const(i["pos"], -1.0)), i["proj34"]))),
 }
 _CASE_INDEX = {name: idx for idx, name in enumerate(sorted(_PRIMITIVE_CASES))}
 
@@ -342,7 +344,12 @@ def _recorded_op_names() -> set:
 
 
 def test_every_recorded_op_has_one_vjp_formula_per_parent():
+    """One callable per recorded op, ``vjp(i, ns, g, args, out, ctx)``, which
+    gives parent ``i`` of a node a cotangent of that parent's shape."""
     assert _recorded_op_names() == set(T._VJPS)
+    for vjp in T._VJPS.values():
+        params = list(inspect.signature(vjp).parameters)
+        assert params[:5] == ["i", "ns", "g", "args", "out"] and len(params) == 6
     reached = set()
     for name in sorted(_PRIMITIVE_CASES) + list(_FUSED_CASES):
         scalar, _ = _scalar_and_wrt(name, 0)
@@ -350,11 +357,22 @@ def test_every_recorded_op_has_one_vjp_formula_per_parent():
             if not node.parents:
                 continue
             reached.add(node.op)
-            formulas = T._VJPS[node.op]
-            if not isinstance(formulas, T._EveryParent):  # variadic: concat
-                assert len(formulas) == len(node.parents), node.op
-            assert all(callable(formulas[i]) for i in range(len(node.parents)))
+            vjp = T._VJPS[node.op]
+            args = [p.values for p in node.parents]
+            g = np.ones(node.shape)
+            for i, parent in enumerate(node.parents):
+                cot = vjp(i, T._ARRAYS, g, args, node.values, node._ctx)
+                assert cot.shape == parent.shape, (node.op, i)
     assert reached == set(T._VJPS)  # the cases above build every op
+
+
+def test_tensor_arithmetic_has_one_spelling():
+    """The op functions are the only way to write tensor arithmetic."""
+    operators = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv",
+                 "neg", "matmul", "rmatmul", "pow")
+    assert not [op for op in operators if hasattr(T.Tensor, f"__{op}__")]
+    with pytest.raises(TypeError):
+        T.Tensor(1.0) + 1.0
 
 
 def _ce_grad_composition(ls, g, hot, scale):
@@ -377,7 +395,8 @@ def _cosine_composition(gs, gt, eps):
     """What ``cosine_rows`` fuses: two norms, a row dot product and a division."""
     norm_s = T.pow_const(T.tsum(T.mul(gs, gs), axis=1), 0.5)
     norm_t = T.pow_const(T.tsum(T.mul(gt, gt), axis=1), 0.5)
-    return T.tsum(T.mul(gs, gt), axis=1) / (T.mul(norm_s, norm_t) + eps)
+    return T.mul(T.tsum(T.mul(gs, gt), axis=1),
+                 T.pow_const(T.add(T.mul(norm_s, norm_t), eps), -1.0))
 
 
 def _assert_same_op(fused, composed, inputs, proj):
@@ -630,7 +649,7 @@ class TestSecondOrder:
 
         def f(t):
             cube = T.mul(T.mul(t, t), t)
-            return T.tsum(T.mul(cube, 3.0) + T.mul(T.mul(t, t), 2.0) + t)
+            return T.tsum(T.add(T.add(T.mul(cube, 3.0), T.mul(T.mul(t, t), 2.0)), t))
 
         h = second_order_check(f, x)
         np.testing.assert_allclose(h.values, 18.0 * xv + 4.0, atol=1e-8)
@@ -642,7 +661,7 @@ class TestSecondOrder:
         tf = T.Tensor([0.4])
 
         def loss():
-            return T.tsum(T.exp(T.mul(tg, tf)) + T.mul(tf, tf))
+            return T.tsum(T.add(T.exp(T.mul(tg, tf)), T.mul(tf, tf)))
 
         def inner_grad_sq(g_val):
             # d loss/d tf = g e^{g f} + 2 f, analytically
@@ -754,9 +773,8 @@ def test_linear_and_its_weight_vjp_allocate_only_their_result():
     np.testing.assert_array_equal(out.values, T.add(T.matmul(x, T.transpose(w)), b).values)
     assert peak < 1.5 * out.values.nbytes
     g = rng.normal(size=out.shape)
-    weight_vjp = T._VJPS["linear"][1]
-    peak, grad = _peak_bytes(lambda: weight_vjp(
-        T._ARRAYS, g, [x.values, w.values, b.values], out.values, None))
+    peak, grad = _peak_bytes(lambda: T._VJPS["linear"](
+        1, T._ARRAYS, g, [x.values, w.values, b.values], out.values, None))
     np.testing.assert_array_equal(grad, g.T @ x.values)
     assert peak < 1.5 * grad.nbytes
 
