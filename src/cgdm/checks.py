@@ -16,7 +16,7 @@ import numpy as np
 from . import grad_discrepancy, losses, nn
 from .data import DomainSet
 from .pseudo_labels import PseudoLabelSet
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward, log_softmax, no_grad, softmax
 
 __all__ = [
     "CheckResult",
@@ -99,22 +99,47 @@ def _sample_mlp_case(rng):
             return net, x, y
 
 
+def _sample_discrepancy_case(rng):
+    """Two random heads on one batch, every relu pre-activation and every
+    difference of their softmax outputs off its kink."""
+    while True:
+        net, x, _ = _sample_mlp_case(rng)
+        dims = [net.in_dim, net.layers[0].weight.shape[0], net.out_dim]
+        other = nn.init_mlp(dims, int(rng.integers(0, 2**31)))
+        with no_grad():
+            gap = softmax(nn.forward(net, Tensor(x))).values - softmax(
+                nn.forward(other, Tensor(x))).values
+        if _relu_margins(other, x) > _MARGIN and np.min(np.abs(gap)) > _MARGIN:
+            return net, other, x
+
+
 def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
-    """Autodiff vs central differences on random 2-layer classification models."""
+    """Autodiff vs central differences on random 2-layer classification
+    models: the cross-entropy of one head, and the L1 discrepancy (through
+    the fused absolute value) of two heads' softmax outputs."""
     rng = np.random.default_rng(seed)
+    rng_discrepancy = np.random.default_rng([seed, 1])  # rng draws as it did
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(n_models):
         net, x, y = _sample_mlp_case(rng)
-        params = net.parameters()
+        targets = losses.Targets.of(y, net.out_dim)
 
-        def loss_fn():
-            return losses.cross_entropy(nn.forward(net, Tensor(x)), y)
+        def cross_entropy():
+            return losses.cross_entropy(log_softmax(nn.forward(net, Tensor(x))), targets)
 
-        auto = backward(loss_fn(), params)
-        fd = finite_difference_gradient(loss_fn, params)
-        for p, ref in zip(params, fd):
-            worst = max(worst, _rel_err(auto[p].values, ref, floor=1e-2))
+        head1, head2, xd = _sample_discrepancy_case(rng_discrepancy)
+
+        def discrepancy():
+            return losses.l1_discrepancy(*(softmax(nn.forward(f, Tensor(xd)))
+                                           for f in (head1, head2)))
+
+        for loss_fn, params in ((cross_entropy, net.parameters()),
+                                (discrepancy, head1.parameters() + head2.parameters())):
+            auto = backward(loss_fn(), params)
+            fd = finite_difference_gradient(loss_fn, params)
+            for p, ref in zip(params, fd):
+                worst = max(worst, _rel_err(auto[p].values, ref, floor=1e-2))
     return CheckResult(
         "first-order gradients vs finite differences",
         worst, 1e-4, time.perf_counter() - t0,
@@ -167,13 +192,17 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
                 *grad_discrepancy.class_gradients(*args))),
             (conditional, grad_discrepancy.conditional_gradient_loss),
         ):
+            ts = losses.Targets.of(src.labels, 2)
+            tt = losses.Targets.of(pseudo.labels, 2, pseudo.weights)
+            if loss_of is grad_discrepancy.conditional_gradient_loss:
+                ts, tt = grad_discrepancy.by_shared_class(ts, tt)
+
             def loss_fn():
+                heads = (f1, f2)
                 fs = nn.forward(gen, Tensor(src.features))
                 ft = nn.forward(gen, Tensor(tgt.features))
-                return loss_of(
-                    f1, f2, (nn.forward(f1, fs), nn.forward(f2, fs)), src.labels,
-                    (nn.forward(f1, ft), nn.forward(f2, ft)), pseudo,
-                )
+                return loss_of(f1, f2, (losses.log_probs(heads, fs), ts),
+                               (losses.log_probs(heads, ft), tt))
 
             gen_params = gen.parameters()
             auto = backward(loss_fn(), gen_params)
@@ -238,15 +267,19 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
 
         with no_grad():
             feats = nn.forward(gen, Tensor(x))
-        logits = (nn.forward(f1, feats), nn.forward(f2, feats))
+        heads = (f1, f2)
+        ts = losses.Targets.of(y, k)
+        tt = losses.Targets.of(pseudo.labels, k, pseudo.weights)
 
         unit = np.ones(b)
         found = []  # (gradient matrix, the class of each row or None: all rows, weights)
         for classes in (None, np.array(sorted(set(y.tolist())))):
+            if classes is not None:
+                ts, tt = ts.by_class(classes), tt.by_class(classes)
             # each domain's own forward: both share the batch, not the graph
             gs, gt = grad_discrepancy.class_gradients(
-                f1, f2, logits, y, (nn.forward(f1, feats), nn.forward(f2, feats)),
-                pseudo, classes)
+                f1, f2, (losses.log_probs(heads, feats), ts),
+                (losses.log_probs(heads, feats), tt))
             found += [(gs.values, classes, unit), (gt.values, classes, weights)]
         for matrix, classes, w in found:
             for r, got in enumerate(matrix):

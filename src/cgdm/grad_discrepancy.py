@@ -10,13 +10,20 @@ such matrix: one create-graph backward, for all domains asked for at once,
 to each head layer's affine output gives the per-row cotangent ``delta``
 there.  With the layer's input ``H``, a weight gradient is ``delta^T H`` and
 a bias gradient the column sum of ``delta``; masked to one class's rows,
-that class's.  Each layer's block is one fused
+that class's.  A domain's matrix, every layer's block, is one fused
 :func:`~cgdm.tensor.class_affine_gradient` node.  :func:`source_gradient` and
 :func:`target_gradient` ask for one domain, :func:`class_gradients` (which
 training runs) for both.  The recorded graph keeps the gradients
 differentiable, through the logits and the generator features under them,
 with respect to the generator parameters: the alignment loss is minimized by
 the generator via double backward.
+
+A domain comes as the heads' log-softmax pair, made by the caller, and the
+batch's :class:`~cgdm.losses.Targets`, made once per training iteration:
+the cross-entropies read that log-softmax, which the caller's discrepancy
+term also reads, and those one-hots and row scales.  For the conditional
+loss, :func:`by_shared_class` turns both domains' targets into class
+targets once per iteration, for every step-3 repeat.
 """
 from __future__ import annotations
 
@@ -27,13 +34,14 @@ import numpy as np
 
 from . import losses, nn
 from .tensor import (
+    ContractError,
     ShapeError,
     Tensor,
     add,
     backward,
     class_affine_gradient,
-    concat,
     cosine_rows,
+    log_softmax,
     matmul,
     mul,
     sub,
@@ -45,6 +53,7 @@ __all__ = [
     "source_gradient",
     "target_gradient",
     "class_gradients",
+    "by_shared_class",
     "gradient_discrepancy_loss",
     "conditional_gradient_loss",
 ]
@@ -59,27 +68,35 @@ def classifier_parameters(f1: nn.Mlp, f2: nn.Mlp) -> list:
     return f1.parameters() + f2.parameters()
 
 
-def _domain_gradients(f1, f2, domains, classes) -> tuple:
-    """One class-gradient matrix per domain ``(logits, labels, weights or
-    None)``, from one create-graph backward.  Given ``classes``, row weights
-    carry each class's mean (``b / n_k``), so one whole-batch CE per head gives
-    every row's class-mean cotangent."""
+def _logits(ls: Tensor) -> Tensor:
+    if ls.op != "log_softmax":
+        raise ContractError("class gradients need recorded log_softmax(logits) pairs")
+    return ls.parents[0]
+
+
+def _domain_gradients(f1, f2, domains) -> tuple:
+    """One class-gradient matrix per domain ``(log-softmax pair, targets)``,
+    from one create-graph backward.  Targets :meth:`~cgdm.losses.Targets.by_class`
+    weight each row by its class's mean (``b / n_k``), so one whole-batch CE
+    per head gives every row's class-mean cotangent."""
     terms, taps = [], []
-    for (out1, out2), labels, weights in domains:
-        members = None
-        if classes is not None:
-            labels = np.asarray(labels)
-            scale = labels.size / np.bincount(labels)[labels]
-            weights = scale if weights is None else weights * scale
-            members = (labels[:, None] == classes).astype(np.float64)
-        terms.append(losses.pair_cross_entropy(out1, out2, labels, weights))
-        taps.append((nn.layer_taps(f1, out1) + nn.layer_taps(f2, out2), members))
+    for (ls1, ls2), targets in domains:
+        terms.append(losses.pair_cross_entropy((ls1, ls2), targets))
+        taps.append((nn.layer_taps(f1, _logits(ls1)) + nn.layer_taps(f2, _logits(ls2)),
+                     targets.members))
     affine = [z for layers, _ in taps for _, z in layers]
     deltas = backward(functools.reduce(add, terms), affine, create_graph=True)
     return tuple(
-        concat([class_affine_gradient(deltas[z], h, members) for h, z in layers], axis=1)
+        class_affine_gradient([(deltas[z], h) for h, z in layers], members)
         for layers, members in taps
     )
+
+
+def _one_domain(f1, f2, logits1, logits2, targets, classes) -> Tensor:
+    if classes is not None:
+        targets = targets.by_class(classes)
+    return _domain_gradients(
+        f1, f2, [((log_softmax(logits1), log_softmax(logits2)), targets)])[0]
 
 
 def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
@@ -87,7 +104,8 @@ def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
     """The source class-gradient matrix of rows with ``labels``: 1-by-P, or
     K-by-P for the K ``classes``; ``logits1``/``logits2`` are the heads'
     recorded outputs on those rows."""
-    return _domain_gradients(f1, f2, [((logits1, logits2), labels, None)], classes)[0]
+    return _one_domain(f1, f2, logits1, logits2,
+                       losses.Targets.of(labels, logits1.shape[1]), classes)
 
 
 def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
@@ -95,20 +113,27 @@ def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
     """The target class-gradient matrix of rows aligned with ``pseudo``
     (labels and entropy weights); shapes and logits as in
     :func:`source_gradient`."""
-    return _domain_gradients(
-        f1, f2, [((logits1, logits2), pseudo.labels, pseudo.weights)], classes)[0]
+    return _one_domain(
+        f1, f2, logits1, logits2,
+        losses.Targets.of(pseudo.labels, logits1.shape[1], pseudo.weights), classes)
 
 
-def class_gradients(f1, f2, logits_s, labels_s, logits_t, pseudo,
-                    classes=None) -> tuple:
+def class_gradients(f1, f2, source, target) -> tuple:
     """The source and target class-gradient matrices, one create-graph backward.
 
-    ``logits_s``/``logits_t`` are ``(forward(f1, x), forward(f2, x))`` on each
-    domain's rows; the matrices are :func:`source_gradient`'s and
-    :func:`target_gradient`'s for the same ``classes``."""
-    return _domain_gradients(f1, f2, [(logits_s, labels_s, None),
-                                      (logits_t, pseudo.labels, pseudo.weights)],
-                             classes)
+    ``source`` and ``target`` are each domain's ``(log-softmax pair,
+    targets)``: ``losses.log_probs((f1, f2), feats)`` on the domain's rows
+    and their :class:`~cgdm.losses.Targets`, whole-batch or by class.  The
+    matrices are :func:`source_gradient`'s and :func:`target_gradient`'s
+    for the same classes."""
+    return _domain_gradients(f1, f2, [source, target])
+
+
+def by_shared_class(source: losses.Targets, target: losses.Targets) -> tuple:
+    """Both domains' targets by the classes present in both batches (source
+    labels and target pseudo labels), as the conditional loss reads them."""
+    shared = sorted(set(source.labels.tolist()) & set(target.labels.tolist()))
+    return source.by_class(shared), target.by_class(shared)
 
 
 def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
@@ -117,31 +142,32 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
     A row where either norm is ~0 adds a constant 0 (a vanished gradient has no
     alignment direction to push against) but counts in the mean; if every row
     does, the result is a constant 0 (no gradient signal).  The cosines are one
-    :func:`~cgdm.tensor.cosine_rows` node over the live rows."""
+    :func:`~cgdm.tensor.cosine_rows` node over the live rows, whose row norms
+    tell which rows live."""
     if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(
             f"gradients must be equal-shape K-by-P matrices, got {gs.shape}, {gt.shape}"
         )
     rows = gs.shape[0]
-    live = ((np.linalg.norm(gs.values, axis=1) >= EPS)
-            & (np.linalg.norm(gt.values, axis=1) >= EPS))
+    cos, norm_s, norm_t = cosine_rows(gs, gt, EPS, norms=True)
+    live = (norm_s >= EPS) & (norm_t >= EPS)
     if not live.any():
         return Tensor(0.0)
     if not live.all():  # keep the live rows; the selection is exact
         keep = np.eye(rows)[live]
-        gs, gt = matmul(keep, gs), matmul(keep, gt)
-    return mul(tsum(sub(1.0, cosine_rows(gs, gt, EPS))), 1.0 / rows)
+        cos = cosine_rows(matmul(keep, gs), matmul(keep, gt), EPS)
+    return mul(tsum(sub(1.0, cos)), 1.0 / rows)
 
 
-def conditional_gradient_loss(f1, f2, logits_s, labels_s, logits_t, pseudo) -> Tensor:
-    """Per-category gradient alignment, averaged over classes present in both
-    the source batch (true labels) and the target batch (pseudo labels); logits
-    as in :func:`class_gradients`.  No shared class: a constant 0 and a warning."""
-    shared = sorted(set(np.asarray(labels_s).tolist())
-                    & set(np.asarray(pseudo.labels).tolist()))
-    if not shared:
+def conditional_gradient_loss(f1, f2, source, target) -> Tensor:
+    """Per-category gradient alignment, averaged over the classes present in
+    both the source batch (true labels) and the target batch (pseudo labels):
+    ``source`` and ``target`` as in :func:`class_gradients`, with the targets
+    of :func:`by_shared_class`.  No shared class: a constant 0 and a warning."""
+    members = source[1].members
+    if members is None:
+        raise ContractError("the conditional loss takes targets by shared class")
+    if not members.shape[1]:
         logger.warning("conditional gradient loss: no shared classes in batch")
         return Tensor(0.0)
-    return gradient_discrepancy_loss(*class_gradients(
-        f1, f2, logits_s, labels_s, logits_t, pseudo, np.array(shared)
-    ))
+    return gradient_discrepancy_loss(*class_gradients(f1, f2, source, target))

@@ -11,8 +11,9 @@ vector-Jacobian-product callable per op, ``vjp(i, ns, g, args, out, ctx)``,
 which returns the cotangent of parent ``i`` from the cotangent ``g``, the
 parents ``args``, the node's output ``out`` and its saved context ``ctx``
 (the pow exponent, the concat axis, the narrowed range, or the
-cross-entropy's ``(log_softmax node, onehot, scale)``; relu keeps none and
-takes its mask ``out > 0`` from its output, only when a backward visits it).
+cross-entropy's ``(log_softmax node, onehot, scale)``; relu and absolute keep
+none and take their masks from their output or input, only when a backward
+visits them).
 The index ``i`` only picks the branch of parent ``i``: each branch runs that
 parent's numpy operations, in their order, and nothing else.  ``ns`` is the
 arithmetic the formula is written against, and ``backward`` passes one of
@@ -48,19 +49,30 @@ vjps, written against ``ns``, replay its cotangents in the order it adds a
 parent's contributions, so gradients are bit-identical to it:
 
 * ``linear(x, w, b)``: ``add(matmul(x, transpose(w)), b)``;
-* ``softmax_cross_entropy(logits, onehot, weights)``: the mean of
-  ``-w_i * log_softmax(logits)[i, y_i]``; its vjp is the fused
-  ``cross_entropy_grad(ls, g, onehot, scale)``, ``(exp(ls) - onehot) * (g * scale)``;
-* ``class_affine_gradient(delta, h, members)``: an affine layer's weight and
-  bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r;
+* ``absolute(a)``: ``add(relu(a), relu(neg(a)))``;
+* ``softmax_cross_entropy(ls, onehot, weights, scale)``: the mean of
+  ``-w_i * ls[i, y_i]`` for the log-softmax node ``ls = log_softmax(logits)``
+  its caller made, so one log-softmax of a logits tensor serves its
+  cross-entropy and its softmax ``exp(ls)``; the node's parent is the logits
+  and its vjp is the fused ``cross_entropy_grad(ls, g, onehot, scale)``,
+  ``(exp(ls) - onehot) * (g * scale)``;
+* ``class_affine_gradient(layers, members)``: each affine layer's weight and
+  bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r,
+  the layers side by side: ``concat`` of one block per layer;
 * ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row.
 
 ``tile_cols`` and ``tile_rows`` copy a vector across columns or a row down
 rows: ``_GRAPH`` records ``(b,1) @ ones((1,k))`` and ``ones * v``, ``_ARRAYS``
 makes a broadcast copy, the same values in fewer calls.  Likewise
 ``class_copies`` (the masked copies of ``delta``) and ``class_fold`` (their
-cotangents summed back) record ``concat``, ``mul``, ``narrow`` and ``add`` but
-run as one broadcast product, and one product and sum, on arrays.
+cotangents summed back) record ``concat``, ``mul``, ``narrow`` and ``add``; on
+arrays the copies are one broadcast product, and the fold gathers each row's
+block of its class, with no K-fold product: the same bits, but for the sign
+of a zero in a row of no class.  And ``block_matmul`` (the weight cotangent,
+reshaped to K*width rows, times a matrix) records ``reshape`` and ``matmul``
+but on arrays multiplies K width-by-in views, one per class: each output
+element is the same dot product, and OpenBLAS sums it in the same order
+(checked bit for bit), without the reshaped copy.
 """
 from __future__ import annotations
 
@@ -300,9 +312,11 @@ def relu(a) -> Tensor:
 
 
 def absolute(a) -> Tensor:
-    """|a| with subgradient 0 at the origin (relu composition)."""
+    """|a| with subgradient 0 at the origin: ``add(relu(a), relu(neg(a)))``
+    as one node, whose vjp reads its masks ``a > 0`` and ``a < 0`` off the
+    input."""
     a = as_tensor(a)
-    return add(relu(a), relu(neg(a)))
+    return _node(np.abs(a.values), (a,), "abs")
 
 
 def exp(a) -> Tensor:
@@ -397,34 +411,29 @@ def softmax(a) -> Tensor:
     return exp(log_softmax(a))
 
 
-def softmax_cross_entropy(logits, onehot: np.ndarray, weights=None) -> Tensor:
-    """Mean over the batch of ``-weights[i] * log_softmax(logits)[i, y_i]``.
+def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
+                          scale: np.ndarray) -> Tensor:
+    """Mean over the batch of ``-weights[i] * ls[i, y_i]``, where ``ls`` is
+    the node ``log_softmax(logits)`` that the caller made.
 
-    ``onehot`` is the b-by-K one-hot encoding of the labels y; ``weights``
-    (length b) defaults to all ones.  The log-softmax node made here is
-    referenced by the saved context only, so a create-graph backward
-    differentiates the softmax through it.
+    ``onehot`` is the b-by-K one-hot encoding of the labels y, ``weights``
+    the b row weights and ``scale`` the b-by-K row scale of the vjp, row i
+    all ``weights[i] / b``: a batch's :class:`~cgdm.losses.Targets`, made
+    once.  The node's parent is the logits; ``ls`` is referenced by the
+    saved context only, so a create-graph backward differentiates the
+    softmax through it.
     """
-    a = as_tensor(logits)
-    ls = log_softmax(a)
+    if _state.enabled and ls.op != "log_softmax":
+        raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
     b, k = ls.shape
-    if onehot.shape != (b, k):
-        raise ShapeError(f"one-hot {onehot.shape} does not match logits {(b, k)}")
-    picked = -(ls.values * onehot).sum(axis=1)
-    if weights is None:
-        weights = np.ones(b)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (b,):
-            raise ShapeError(f"{weights.shape} weights for a batch of {b}")
-        picked = picked * weights
-    scale = np.repeat(weights / b, k).reshape(b, k)
-    return _node(
-        np.asarray(picked.sum()) * (1.0 / b),
-        (a,),
-        "cross_entropy",
-        (ls, np.asarray(onehot, dtype=np.float64), scale),
-    )
+    if onehot.shape != (b, k) or scale.shape != (b, k):
+        raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
+                         f"do not match logits {(b, k)}")
+    if weights.shape != (b,):
+        raise ShapeError(f"{weights.shape} weights for a batch of {b}")
+    picked = -(ls.values * onehot).sum(axis=1) * weights
+    return _node(np.asarray(picked.sum()) * (1.0 / b), ls.parents, "cross_entropy",
+                 (ls, onehot, scale))
 
 
 def cross_entropy_grad(ls, g, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
@@ -435,23 +444,30 @@ def cross_entropy_grad(ls, g, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
                  (ls, g), "cross_entropy_grad", (onehot, scale))
 
 
-def class_affine_gradient(delta, h, members=None) -> Tensor:
-    """Row r is ``[vec(d_r^T h) | column sums of d_r]``, the weight and bias
-    gradient of an affine layer with input ``h`` on the rows of class r:
-    ``d_r`` is the output cotangent ``delta`` on the rows that ``members``
-    (b-by-K, 0/1) puts in class r; ``None`` is one class of all rows.  The
-    masked copies of ``delta`` live only inside the op."""
-    delta, h = as_tensor(delta), as_tensor(h)
-    if delta.values.ndim != 2 or h.values.ndim != 2 or delta.shape[0] != h.shape[0]:
-        raise ShapeError(f"class_affine_gradient: delta {delta.shape}, h {h.shape}")
+def class_affine_gradient(layers, members=None) -> Tensor:
+    """Row r is, for each affine layer ``(delta, h)`` of ``layers`` in turn,
+    ``[vec(d_r^T h) | column sums of d_r]``: the layers' weight and bias
+    gradients on the rows of class r, side by side.  ``d_r`` is the output
+    cotangent ``delta`` on the rows that ``members`` (b-by-K, 0/1) puts in
+    class r; ``None`` is one class of all rows.  The masked copies of each
+    ``delta`` live only inside the op and its vjp."""
+    layers = [(as_tensor(delta), as_tensor(h)) for delta, h in layers]
+    if not layers:
+        raise ContractError("class_affine_gradient of no layers")
+    n = layers[0][1].shape[0]
+    for delta, h in layers:
+        if delta.values.ndim != 2 or h.values.ndim != 2 or {delta.shape[0], h.shape[0]} != {n}:
+            raise ShapeError(f"class_affine_gradient: delta {delta.shape}, h {h.shape}")
     rows = 1 if members is None else members.shape[-1]
-    if members is not None and (members.shape != (h.shape[0], rows) or not rows):
-        raise ShapeError(f"{members.shape} members for {h.shape[0]} rows")
-    copies = delta.values if members is None else _ARRAYS.class_copies(delta.values, members)
-    weight = copies.T @ h.values
-    return _node(np.concatenate([weight.reshape(rows, -1),
-                                 copies.sum(axis=0).reshape(rows, -1)], 1),
-                 (delta, h), "class_affine_gradient", members)
+    if members is not None and (members.shape != (n, rows) or not rows):
+        raise ShapeError(f"{members.shape} members for {n} rows")
+    blocks = []
+    for delta, h in layers:
+        copies = delta.values if members is None else _ARRAYS.class_copies(delta.values, members)
+        blocks += [(copies.T @ h.values).reshape(rows, -1),
+                   copies.sum(axis=0).reshape(rows, -1)]
+    parents = tuple(t for layer in layers for t in layer)
+    return _node(np.concatenate(blocks, 1), parents, "class_affine_gradient", members)
 
 
 def _cosine_parts(ns, gs, gt, eps):
@@ -462,13 +478,15 @@ def _cosine_parts(ns, gs, gt, eps):
     return ss, tt, st, norm_s, norm_t, denom, ns.pow_const(denom, -1.0)
 
 
-def cosine_rows(gs, gt, eps: float) -> Tensor:
-    """``(gs . gt) / (|gs| |gt| + eps)`` of each row of two b-by-P matrices."""
+def cosine_rows(gs, gt, eps: float, norms: bool = False):
+    """``(gs . gt) / (|gs| |gt| + eps)`` of each row of two b-by-P matrices;
+    with ``norms``, also the row norms |gs| and |gt| it computed, as arrays."""
     gs, gt = as_tensor(gs), as_tensor(gt)
     if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(f"cosine_rows: shapes {gs.shape} and {gt.shape}")
     parts = _cosine_parts(_ARRAYS, gs.values, gt.values, eps)
-    return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", (eps, parts))
+    cos = _node(parts[2] * parts[6], (gs, gt), "cosine_rows", (eps, parts))
+    return (cos, parts[3], parts[4]) if norms else cos
 
 
 # -- the two arithmetic namespaces the vjp formulas run on ---------------------
@@ -485,6 +503,21 @@ def _where_positive(g, out) -> np.ndarray:
     """``g`` times the 0/1 mask of ``out > 0``, made in the mask's buffer."""
     mask = (out > 0.0).astype(np.float64)
     return np.multiply(g, mask, out=mask)
+
+
+def _class_gather(g, members):
+    """The fold on arrays: row i's block of its class, one gather in place
+    of a K-fold masked product and sum, with that sum's bits but for the
+    sign of a zero.  A row of no class gets +0.0, as numpy's sum of the
+    masked blocks does (the recorded sum of -0.0 products keeps -0.0)."""
+    b, k = members.shape
+    rows = np.arange(b)
+    cls = members.argmax(axis=1)
+    # g is the transpose of a C-ordered product, so g.T splits into the K
+    # blocks as a view
+    out = g.T.reshape(k, -1, b)[cls, :, rows]
+    out[members[rows, cls] == 0.0] = 0.0
+    return out
 
 
 def _class_fold(g, members):
@@ -508,6 +541,7 @@ _GRAPH = SimpleNamespace(
     class_copies=lambda delta, members: mul(concat([delta] * members.shape[1], 1),
                                             np.repeat(members, delta.shape[1], axis=1)),
     class_fold=_class_fold,
+    block_matmul=lambda a, m, width: matmul(reshape(a, (-1, m.shape[0])), m),
     saved=lambda t: t,  # a node kept in a context, as this namespace sees it
     where_positive=lambda g, out: mul(g, out.values > 0.0),  # a constant 0/1 mask
 )
@@ -524,8 +558,11 @@ _ARRAYS = SimpleNamespace(
     tile_rows=lambda v, shape: _filled(v, shape),
     class_copies=lambda delta, members: (
         delta[:, None, :] * members[:, :, None]).reshape(len(delta), -1),
-    class_fold=lambda g, members: (
-        g.reshape(len(g), members.shape[1], -1) * members[:, :, None]).sum(axis=1),
+    class_fold=_class_gather,
+    # each row of ``a`` as ``width`` rows of a matrix, stacked, times ``m``:
+    # K products of width-by-in views of ``a``, so no K*width-by-in copy
+    block_matmul=lambda a, m, width: np.matmul(
+        a.reshape(len(a), width, -1), m).reshape(-1, m.shape[1]),
     saved=lambda t: t.values,
     where_positive=_where_positive,
 )
@@ -591,18 +628,34 @@ def _cross_entropy_grad_vjp(i, ns, g, args, out, ctx):
 
 
 def _class_affine_vjp(i, ns, g, args, out, members):
-    delta, h = args
+    """Parent ``i`` is the ``delta`` (even) or ``h`` (odd) of layer ``i // 2``,
+    whose block of ``g`` the formula reads.  The ``h`` branch makes the
+    masked copies of ``delta`` once; the ``delta`` branch makes none."""
+    first = i - i % 2  # the layer's delta
+    delta, h = args[first], args[first + 1]
     width, n_in = delta.shape[1], h.shape[1]
     rows = out.shape[0]
-    g_weight = ns.reshape(ns.narrow(g, 1, 0, width * n_in), (rows * width, n_in))
+    if len(args) > 2:
+        start = sum(args[j].shape[1] * (args[j + 1].shape[1] + 1) for j in range(0, first, 2))
+        g = ns.narrow(g, 1, start, width * (n_in + 1))
+    i %= 2
+    g_weight = ns.narrow(g, 1, 0, width * n_in)
     if i == 1:
+        g_weight = ns.reshape(g_weight, (rows * width, n_in))
         copies = delta if members is None else ns.class_copies(delta, members)
         return ns.matmul(copies, g_weight)
     # a C-ordered h^T: BLAS reads a transposed view in another summation
-    # order when g_weight has few rows, and these sums keep their bits
-    g_copies = ns.add(ns.transpose(ns.matmul(g_weight, ns.transpose(h, True))),
+    # order when the weight cotangent has few rows, and these sums keep their bits
+    g_copies = ns.add(ns.transpose(ns.block_matmul(g_weight, ns.transpose(h, True), width)),
                       ns.reshape(ns.narrow(g, 1, width * n_in, width), (rows * width,)))
     return g_copies if members is None else ns.class_fold(g_copies, members)
+
+
+def _absolute_vjp(i, ns, g, args, out, ctx):
+    """The composition's two branches in its order: ``-(g on a < 0)`` through
+    ``relu(neg(a))``, then ``g on a > 0`` through ``relu(a)``."""
+    a = args[0].values if ns is _GRAPH else args[0]
+    return ns.add(ns.neg(ns.mul(g, a < 0.0)), ns.mul(g, a > 0.0))
 
 
 def _cosine_rows_vjp(i, ns, g, args, out, ctx):
@@ -635,6 +688,7 @@ _VJPS = {
     "linear": _linear_vjp,
     "transpose": lambda i, ns, g, args, out, ctx: ns.transpose(g),
     "relu": lambda i, ns, g, args, out, ctx: ns.where_positive(g, out),
+    "abs": _absolute_vjp,
     "exp": lambda i, ns, g, args, out, ctx: ns.mul(g, out),
     "log": lambda i, ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),
     "pow": lambda i, ns, g, args, out, p:

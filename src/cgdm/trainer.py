@@ -18,8 +18,11 @@ the source CE alone, step 2 the source CE minus the discrepancy, step 3 the
 discrepancy alone.
 
 One target pass per epoch boundary (:func:`~cgdm.pseudo_labels.predict`)
-serves :func:`evaluate` and the next epoch's pseudo labels.  A run fails in
-one way: it raises :class:`~cgdm.tensor.DomainError`.
+serves :func:`evaluate` and the next epoch's pseudo labels.  Each iteration
+encodes its batches' labels once (:class:`BatchTargets`) for all three steps
+and every step-3 repeat, and each logits tensor gets one log-softmax, read by
+its cross-entropy and its softmax.  A run fails in one way: it raises
+:class:`~cgdm.tensor.DomainError`.
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ from .tensor import (
     Tensor,
     add,
     backward,
+    exp,
     mul,
-    softmax,
     sub,
 )
 
@@ -46,6 +49,7 @@ __all__ = [
     "TrainConfig",
     "EpochMetrics",
     "BiClassifierModel",
+    "BatchTargets",
     "build_model",
     "epoch_batches",
     "CgdmTrainer",
@@ -143,6 +147,21 @@ class BiClassifierModel:
         return self.generator_parameters() + self.classifier_parameters()
 
 
+@dataclass(frozen=True)
+class BatchTargets:
+    """One iteration's label encodings, made once and read by all three steps.
+
+    ``source`` encodes the source batch's labels, ``target`` the target
+    batch's pseudo labels and weights, and ``alignment`` the (source,
+    target) targets of the alignment loss: the same two, or both by shared
+    class under conditional GDM; None when that loss is off.
+    """
+
+    source: losses.Targets
+    target: losses.Targets
+    alignment: tuple | None
+
+
 def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifierModel:
     """Generator + two distinct classifiers; seeds derived from cfg.seed."""
     sg, s1, s2 = (int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3))
@@ -220,37 +239,43 @@ class CgdmTrainer:
                 f"pseudo labels from epoch {pseudo.epoch} used in epoch {self.epoch}"
             )
 
-    def step1_update(self, source_batch, target_batch, pseudo) -> dict:
-        """Train G, F1, F2 on source CE (+ weighted pseudo CE, + balance)."""
+    def batch_targets(self, source_batch, pseudo) -> BatchTargets:
+        """Encode an iteration's source labels and target pseudo labels once."""
         self._check_pseudo(pseudo)
-        cfg = self.cfg
-        return self._update_all(
-            source_batch, target_batch, pseudo, cfg.alpha, cfg.class_balance_weight
-        )
+        k = self.model.num_classes
+        source = losses.Targets.of(source_batch.labels, k)
+        target = losses.Targets.of(pseudo.labels, k, pseudo.weights)
+        alignment = None
+        if self.cfg.beta > 0:
+            alignment = (grad_discrepancy.by_shared_class(source, target)
+                         if self.cfg.conditional_gdm else (source, target))
+        return BatchTargets(source, target, alignment)
 
-    def _update_all(self, source_batch, target_batch=None, pseudo=None,
-                    alpha=0.0, balance_weight=0.0) -> dict:
+    def step1_update(self, source_batch, target_batch, targets: BatchTargets) -> dict:
+        """Train G, F1, F2 on source CE (+ weighted pseudo CE, + balance)."""
+        cfg = self.cfg
+        return self._update_all(source_batch, targets.source, target_batch,
+                                targets.target, cfg.alpha, cfg.class_balance_weight)
+
+    def _update_all(self, source_batch, source_targets, target_batch=None,
+                    target_targets=None, alpha=0.0, balance_weight=0.0) -> dict:
         """Step-1 body: G, F1, F2 on the source CE plus the weighted pseudo-label
         CE and the class balance loss; warmup passes both weights as 0."""
         m = self.model
+        heads = (m.classifier1, m.classifier2)
         loss_cls = losses.source_classification_loss(
-            m.generator, m.classifier1, m.classifier2, source_batch
+            m.generator, *heads, source_batch.features, source_targets
         )
         total = loss_cls
         out = {"loss_cls": loss_cls.item()}
         if alpha > 0 or balance_weight > 0:
             feats_t = nn.forward(m.generator, Tensor(target_batch.features))
-            logits_t1 = nn.forward(m.classifier1, feats_t)
-            logits_t2 = nn.forward(m.classifier2, feats_t)
+            ls_t = losses.log_probs(heads, feats_t)
             if alpha > 0:
-                selfsup = losses.pair_cross_entropy(
-                    logits_t1, logits_t2, pseudo.labels, pseudo.weights
-                )
+                selfsup = losses.pair_cross_entropy(ls_t, target_targets)
                 total = add(total, mul(selfsup, alpha))
             if balance_weight > 0:
-                balance = losses.class_balance_loss(
-                    softmax(logits_t1), softmax(logits_t2)
-                )
+                balance = losses.class_balance_loss(*(exp(ls) for ls in ls_t))
                 total = add(total, mul(balance, balance_weight))
                 out["loss_cb"] = balance.item()
         grads = backward(total, m.all_parameters())
@@ -258,7 +283,7 @@ class CgdmTrainer:
         self.opt_f.step(grads)
         return out
 
-    def step2_update(self, source_batch, target_batch) -> tuple:
+    def step2_update(self, source_batch, target_batch, targets: BatchTargets) -> tuple:
         """Train F1, F2 to keep source accuracy while disagreeing on target.
 
         Returns only the generator's recorded (source, target) features,
@@ -269,15 +294,13 @@ class CgdmTrainer:
         """
         cfg = self.cfg
         m = self.model
+        heads = (m.classifier1, m.classifier2)
         features = tuple(nn.forward(m.generator, Tensor(batch.features))
                          for batch in (source_batch, target_batch))
         feats_s, feats_t = (Tensor(f.values) for f in features)
-        loss_cls = losses.pair_cross_entropy(
-            nn.forward(m.classifier1, feats_s), nn.forward(m.classifier2, feats_s),
-            source_batch.labels,
-        )
-        p1 = softmax(nn.forward(m.classifier1, feats_t))
-        p2 = softmax(nn.forward(m.classifier2, feats_t))
+        loss_cls = losses.pair_cross_entropy(losses.log_probs(heads, feats_s),
+                                             targets.source)
+        p1, p2 = (exp(ls) for ls in losses.log_probs(heads, feats_t))
         total = sub(loss_cls, losses.l1_discrepancy(p1, p2))
         if cfg.class_balance_weight > 0:
             balance = losses.class_balance_loss(p1, p2)
@@ -286,22 +309,23 @@ class CgdmTrainer:
         self.opt_f.step(grads)
         return features
 
-    def step3_update(self, source_batch, target_batch, pseudo, features=None) -> dict:
+    def step3_update(self, source_batch, target_batch, targets: BatchTargets,
+                     features=None) -> dict:
         """Train G to shrink classifier disagreement plus the gradient gap.
 
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
-        Each repeat forwards each domain once; the target logits feed both the
-        discrepancy term and the alignment loss, whose source and target
-        class-gradient matrices come from one create-graph backward.  Rows
-        may come in any class order.  ``features``, the recorded (source,
-        target) generator features of these batches under the current
-        generator parameters (as :meth:`step2_update` returns them), stand
-        in for the first repeat's generator forwards.
+        Each repeat forwards each domain once; the target logits' one
+        log-softmax feeds both the discrepancy term and the alignment loss,
+        whose source and target class-gradient matrices come from one
+        create-graph backward on ``targets.alignment``.  Rows may come in any
+        class order.  ``features``, the recorded (source, target) generator
+        features of these batches under the current generator parameters (as
+        :meth:`step2_update` returns them), stand in for the first repeat's
+        generator forwards.
         """
         cfg = self.cfg
-        self._check_pseudo(pseudo)
         m = self.model
         heads = (m.classifier1, m.classifier2)
         x_s = Tensor(source_batch.features)
@@ -312,15 +336,15 @@ class CgdmTrainer:
                 feats_s, feats_t = features
             else:
                 feats_s, feats_t = None, nn.forward(m.generator, x_t)
-            logits_t = tuple(nn.forward(f, feats_t) for f in heads)
-            loss_dis = losses.l1_discrepancy(*(softmax(z) for z in logits_t))
+            ls_t = losses.log_probs(heads, feats_t)
+            loss_dis = losses.l1_discrepancy(*(exp(ls) for ls in ls_t))
             total = loss_dis
             loss_gd = None
             if cfg.beta > 0:
                 if feats_s is None:
                     feats_s = nn.forward(m.generator, x_s)
-                logits_s = tuple(nn.forward(f, feats_s) for f in heads)
-                args = (*heads, logits_s, source_batch.labels, logits_t, pseudo)
+                ts, tt = targets.alignment
+                args = (*heads, (losses.log_probs(heads, feats_s), ts), (ls_t, tt))
                 if cfg.conditional_gdm:
                     loss_gd = grad_discrepancy.conditional_gradient_loss(*args)
                 else:
@@ -394,17 +418,19 @@ class CgdmTrainer:
                 prediction = None  # the updates run without a full-set pass alive
                 if pseudo is None:
                     for src_idx in epoch_batches(source.n, None, cfg.batch_size, rng):
-                        tally(self._update_all(source.take(src_idx)))
+                        sb = source.take(src_idx)
+                        tally(self._update_all(
+                            sb, losses.Targets.of(sb.labels, m.num_classes)))
                 else:
                     plan = epoch_batches(source.n, target_train.n, cfg.batch_size, rng)
                     for src_idx, tgt_idx in plan:
                         sb = source.take(src_idx)
                         tb = target_train.take(tgt_idx)
-                        pb = pseudo.take(tgt_idx)
-                        tally(self.step1_update(sb, tb, pb))
+                        targets = self.batch_targets(sb, pseudo.take(tgt_idx))
+                        tally(self.step1_update(sb, tb, targets))
                         if cfg.enable_adversarial:
-                            features = self.step2_update(sb, tb)
-                            tally(self.step3_update(sb, tb, pb, features))
+                            features = self.step2_update(sb, tb, targets)
+                            tally(self.step3_update(sb, tb, targets, features))
 
                 def mean_of(key):
                     return sums[key] / counts[key] if key in sums else float("nan")

@@ -31,13 +31,30 @@ def logits(gen, f1, f2, x):
     return nn.forward(f1, h), nn.forward(f2, h)
 
 
+def log_probs(out):
+    """The log-softmax of each head's logits."""
+    return tuple(T.log_softmax(z) for z in out)
+
+
+def alignment_args(out_s, ys, out_t, pseudo, classes=None):
+    """``class_gradients``' (source, target) arguments on both heads' logits
+    of each domain, whole-batch or by ``classes``."""
+    k = out_s[0].shape[1]
+    ts = losses.Targets.of(ys, k)
+    tt = losses.Targets.of(pseudo.labels, k, pseudo.weights)
+    if classes is not None:
+        ts, tt = ts.by_class(classes), tt.by_class(classes)
+    return (log_probs(out_s), ts), (log_probs(out_t), tt)
+
+
 def parameter_backward_gradient(f1, f2, logits1, logits2, labels, weights=None,
                                 create_graph=False):
     """The reference definition of a domain's classifier gradient: one backward
     of the mean two-head cross-entropy to the classifier parameters, each
     parameter's gradient flattened in ``classifier_parameters`` order, as a
     1-by-P matrix."""
-    loss = losses.pair_cross_entropy(logits1, logits2, labels, weights)
+    loss = losses.pair_cross_entropy(
+        log_probs((logits1, logits2)), losses.Targets.of(labels, logits1.shape[1], weights))
     params = gd.classifier_parameters(f1, f2)
     grads = backward(loss, params, create_graph=create_graph)
     return T.concat([T.reshape(grads[p], (1, p.size)) for p in params], axis=1)
@@ -233,9 +250,10 @@ def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False
 
 def conditional_loss(gen, f1, f2, xs, ys, xt, pseudo):
     """The conditional loss with one forward per domain, rows as given."""
-    return gd.conditional_gradient_loss(
-        f1, f2, logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo
-    )
+    (ls_s, ts), (ls_t, tt) = alignment_args(
+        logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo)
+    ts, tt = gd.by_shared_class(ts, tt)
+    return gd.conditional_gradient_loss(f1, f2, (ls_s, ts), (ls_t, tt))
 
 
 def class_sorted_loss(gen, f1, f2, xs, ys, xt, pseudo):
@@ -297,6 +315,13 @@ class TestConditional:
             out = conditional_loss(gen, f1, f2, x[:2], np.array([0, 0]), x[2:4], pseudo)
         assert out.item() == 0.0
         assert any("no shared classes" in r.message for r in caplog.records)
+
+    def test_whole_batch_targets_rejected(self):
+        gen, f1, f2, x, y = self._setup()
+        pseudo = PseudoLabelSet(y, np.ones(6), np.zeros(6))
+        with pytest.raises(ContractError):
+            gd.conditional_gradient_loss(f1, f2, *alignment_args(
+                logits(gen, f1, f2, x), y, logits(gen, f1, f2, x), pseudo))
 
     def test_two_shared_classes_average_of_per_class_losses(self):
         gen, f1, f2, x, y = self._setup(30)
@@ -361,10 +386,8 @@ class TestClassGradients:
     def test_rows_equal_domain_gradients_on_each_class(self, seed):
         gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
         classes = np.array([0, 2])
-        gs, gt = gd.class_gradients(
-            f1, f2, logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo,
-            classes,
-        )
+        gs, gt = gd.class_gradients(f1, f2, *alignment_args(
+            logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo, classes))
         n_params = sum(p.size for p in gd.classifier_parameters(f1, f2))
         assert gs.shape == gt.shape == (2, n_params)
         for r, k in enumerate(classes):
@@ -384,7 +407,8 @@ class TestClassGradients:
     def test_one_domain_gives_its_class_gradients_matrix(self, classes):
         gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(0)
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        gs, gt = gd.class_gradients(f1, f2, out_s, ys, out_t, pseudo, classes)
+        gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo,
+                                                            classes))
         assert gs.shape[0] == gt.shape[0] == (1 if classes is None else 2)
         np.testing.assert_array_equal(
             gd.source_gradient(f1, f2, *out_s, ys, classes).values, gs.values)
@@ -395,7 +419,7 @@ class TestClassGradients:
     def test_one_row_is_bit_identical_with_the_two_backward_definition(self, seed):
         gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        gs, gt = gd.class_gradients(f1, f2, out_s, ys, out_t, pseudo)
+        gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo))
         want_s = parameter_backward_gradient(f1, f2, *out_s, ys, create_graph=True)
         want_t = parameter_backward_gradient(
             f1, f2, *out_t, pseudo.labels, pseudo.weights, create_graph=True)

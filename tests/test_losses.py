@@ -10,9 +10,20 @@ from cgdm import losses, nn
 from cgdm.checks import finite_difference_gradient
 from cgdm.data import DomainSet
 from cgdm.pseudo_labels import PseudoLabelSet
-from cgdm.tensor import ContractError, Tensor, backward, softmax
+from cgdm.tensor import ContractError, Tensor, backward, log_softmax, softmax
 
 LN2 = np.log(2.0)
+
+
+def cross_entropy_of(logits, labels, weights=None):
+    """The cross-entropy of ``logits`` for ``labels``, through its targets."""
+    return losses.cross_entropy(log_softmax(logits),
+                                losses.Targets.of(labels, logits.shape[1], weights))
+
+
+def source_loss(gen, f1, f2, batch):
+    return losses.source_classification_loss(
+        gen, f1, f2, batch.features, losses.Targets.of(batch.labels, f1.out_dim))
 
 
 def random_probs(rng, b, k):
@@ -23,11 +34,11 @@ def random_probs(rng, b, k):
 class TestCrossEntropy:
     def test_uniform_two_class(self):
         for label in (0, 1):
-            val = losses.cross_entropy(Tensor([[0.0, 0.0]]), [label]).item()
+            val = cross_entropy_of(Tensor([[0.0, 0.0]]), [label]).item()
             assert abs(val - LN2) < 1e-12
 
     def test_saturated_confidence(self):
-        val = losses.cross_entropy(Tensor([[10.0, -10.0]]), [0]).item()
+        val = cross_entropy_of(Tensor([[10.0, -10.0]]), [0]).item()
         assert val < 1e-4
 
     def test_matches_direct_per_sample_formula(self):
@@ -37,12 +48,12 @@ class TestCrossEntropy:
         # independent direct evaluation
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         ref = float(np.mean(-np.log(p[np.arange(6), labels])))
-        val = losses.cross_entropy(Tensor(logits), labels).item()
+        val = cross_entropy_of(Tensor(logits), labels).item()
         assert abs(val - ref) < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(ContractError):
-            losses.cross_entropy(Tensor([[0.0, 0.0]]), [2])
+            cross_entropy_of(Tensor([[0.0, 0.0]]), [2])
 
     def test_nonnegative_and_lnk_at_uniform(self):
         rng = np.random.default_rng(1)
@@ -51,8 +62,8 @@ class TestCrossEntropy:
             b = int(rng.integers(1, 5))
             logits = rng.normal(size=(b, k))
             labels = rng.integers(0, k, size=b)
-            assert losses.cross_entropy(Tensor(logits), labels).item() >= 0.0
-            uniform = losses.cross_entropy(Tensor(np.zeros((b, k))), labels).item()
+            assert cross_entropy_of(Tensor(logits), labels).item() >= 0.0
+            uniform = cross_entropy_of(Tensor(np.zeros((b, k))), labels).item()
             assert abs(uniform - np.log(k)) < 1e-12
 
 
@@ -66,9 +77,9 @@ class TestSourceClassificationLoss:
         f1 = nn.init_mlp([4, 3], seed=1)
         f2 = copy.deepcopy(f1)
         batch = self._batch(rng)
-        both = losses.source_classification_loss(gen, f1, f2, batch).item()
+        both = source_loss(gen, f1, f2, batch).item()
         feats = nn.forward(gen, Tensor(batch.features))
-        single = losses.cross_entropy(nn.forward(f1, feats), batch.labels).item()
+        single = cross_entropy_of(nn.forward(f1, feats), batch.labels).item()
         assert abs(both - single) < 1e-12
 
     def test_uniform_outputs_give_lnk(self):
@@ -80,7 +91,7 @@ class TestSourceClassificationLoss:
             f.layers[0].weight.values[:] = 0.0
             f.layers[0].bias.values[:] = 0.0
         batch = self._batch(rng, k=4)
-        val = losses.source_classification_loss(gen, f1, f2, batch).item()
+        val = source_loss(gen, f1, f2, batch).item()
         assert abs(val - np.log(4)) < 1e-12
 
     def test_equals_mean_of_componentwise(self):
@@ -89,10 +100,10 @@ class TestSourceClassificationLoss:
         f1 = nn.init_mlp([4, 3], seed=6)
         f2 = nn.init_mlp([4, 3], seed=7)
         batch = self._batch(rng)
-        combined = losses.source_classification_loss(gen, f1, f2, batch).item()
+        combined = source_loss(gen, f1, f2, batch).item()
         feats = nn.forward(gen, Tensor(batch.features))
-        ce1 = losses.cross_entropy(nn.forward(f1, feats), batch.labels).item()
-        ce2 = losses.cross_entropy(nn.forward(f2, feats), batch.labels).item()
+        ce1 = cross_entropy_of(nn.forward(f1, feats), batch.labels).item()
+        ce2 = cross_entropy_of(nn.forward(f2, feats), batch.labels).item()
         assert abs(combined - 0.5 * (ce1 + ce2)) < 1e-12
 
     def test_unlabeled_batch_rejected(self):
@@ -101,7 +112,9 @@ class TestSourceClassificationLoss:
         f2 = nn.init_mlp([4, 3], seed=2)
         batch = DomainSet(np.zeros((2, 3)), None, "target")
         with pytest.raises(ContractError):
-            losses.source_classification_loss(gen, f1, f2, batch)
+            source_loss(gen, f1, f2, batch)
+        with pytest.raises(ContractError):  # a log-softmax, not the logits
+            losses.cross_entropy(Tensor(np.zeros((2, 3))), losses.Targets.of([0, 1], 3))
 
 
 class TestPairCrossEntropy:
@@ -110,12 +123,36 @@ class TestPairCrossEntropy:
         l1, l2 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
         labels = rng.integers(0, 3, size=4)
         w = rng.uniform(1.0, 2.0, size=4)
-        pair = losses.pair_cross_entropy(l1, l2, labels, w).item()
-        ce1 = losses.cross_entropy(l1, labels, w).item()
-        ce2 = losses.cross_entropy(l2, labels, w).item()
+        pair = losses.pair_cross_entropy((log_softmax(l1), log_softmax(l2)),
+                                         losses.Targets.of(labels, 3, w)).item()
+        ce1 = cross_entropy_of(l1, labels, w).item()
+        ce2 = cross_entropy_of(l2, labels, w).item()
         assert pair == 0.5 * (ce1 + ce2)
-        same = losses.pair_cross_entropy(l1, l1, labels).item()
-        assert abs(same - losses.cross_entropy(l1, labels).item()) < 1e-15
+        same = losses.pair_cross_entropy((log_softmax(l1), log_softmax(l1)),
+                                         losses.Targets.of(labels, 3)).item()
+        assert abs(same - cross_entropy_of(l1, labels).item()) < 1e-15
+
+
+class TestTargets:
+    def test_encoding_of_labels_and_weights(self):
+        t = losses.Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(t.onehot, np.eye(3)[[2, 0, 2]])
+        np.testing.assert_array_equal(t.scale, np.repeat([1.0, 2.0, 4.0], 3).reshape(3, 3) / 3)
+        assert t.members is None
+        np.testing.assert_array_equal(losses.Targets.of([1, 0], 2).weights, [1.0, 1.0])
+
+    def test_by_class_weights_each_row_by_its_class_mean(self):
+        t = losses.Targets.of([2, 0, 2, 1], 3, [1.0, 2.0, 4.0, 8.0]).by_class([0, 2])
+        np.testing.assert_array_equal(t.weights, [1.0 * 2, 2.0 * 4, 4.0 * 2, 8.0 * 4])
+        np.testing.assert_array_equal(t.members, [[0, 1], [1, 0], [0, 1], [0, 0]])
+        np.testing.assert_array_equal(t.scale[:, 0], t.weights / 4)
+
+    @pytest.mark.parametrize("labels, weights", [
+        (None, None), ([[0, 1]], None), ([0, 3], None), ([-1, 0], None), ([0, 1], [1.0]),
+    ], ids=["unlabeled", "2-D", "too_large", "negative", "weight_count"])
+    def test_bad_labels_rejected(self, labels, weights):
+        with pytest.raises(ContractError):
+            losses.Targets.of(labels, 3, weights)
 
 
 class TestEntropyWeight:
@@ -167,15 +204,15 @@ class TestWeightedCrossEntropy:
     def test_unit_weights_equal_plain_ce(self):
         rng = np.random.default_rng(5)
         logits, pseudo = self._logits_pseudo(rng, weights=[1.0, 1.0, 1.0])
-        a = losses.cross_entropy(logits, pseudo.labels, pseudo.weights).item()
-        b = losses.cross_entropy(logits, pseudo.labels).item()
+        a = cross_entropy_of(logits, pseudo.labels, pseudo.weights).item()
+        b = cross_entropy_of(logits, pseudo.labels).item()
         assert abs(a - b) < 1e-12
 
     def test_weight_two_doubles(self):
         rng = np.random.default_rng(6)
         logits, pseudo = self._logits_pseudo(rng, weights=[2.0, 2.0, 2.0])
-        a = losses.cross_entropy(logits, pseudo.labels, pseudo.weights).item()
-        b = losses.cross_entropy(logits, pseudo.labels).item()
+        a = cross_entropy_of(logits, pseudo.labels, pseudo.weights).item()
+        b = cross_entropy_of(logits, pseudo.labels).item()
         assert abs(a - 2.0 * b) < 1e-12
 
     def test_mixed_weights_hand_sum(self):
@@ -185,14 +222,14 @@ class TestWeightedCrossEntropy:
         p = np.exp(lv) / np.exp(lv).sum(axis=1, keepdims=True)
         ce = -np.log(p[np.arange(3), pseudo.labels])
         ref = float(np.sum(pseudo.weights * ce) / 3.0)
-        val = losses.cross_entropy(logits, pseudo.labels, pseudo.weights).item()
+        val = cross_entropy_of(logits, pseudo.labels, pseudo.weights).item()
         assert abs(val - ref) < 1e-12
 
     def test_coverage_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         logits, pseudo = self._logits_pseudo(rng)
         with pytest.raises(ContractError):
-            losses.cross_entropy(logits, pseudo.labels[:2], pseudo.weights[:2])
+            cross_entropy_of(logits, pseudo.labels[:2], pseudo.weights[:2])
 
 
 class TestL1Discrepancy:
@@ -254,7 +291,7 @@ class TestLossGradients:
         labels = rng.integers(0, 3, size=4)
 
         def loss():
-            return losses.cross_entropy(logits, labels)
+            return cross_entropy_of(logits, labels)
 
         auto = backward(loss(), [logits])[logits].values
         ref = finite_difference_gradient(loss, [logits])[0]
@@ -270,7 +307,7 @@ class TestLossGradients:
         )
 
         def loss():
-            return losses.cross_entropy(logits, pseudo.labels, pseudo.weights)
+            return cross_entropy_of(logits, pseudo.labels, pseudo.weights)
 
         auto = backward(loss(), [logits])[logits].values
         ref = finite_difference_gradient(loss, [logits])[0]

@@ -212,6 +212,10 @@ _PRIMITIVE_CASES = {
             lambda i: T.tsum(T.mul(T.mul(i["a"], T.pow_const(i["pos"], -1.0)), i["proj34"]))),
 }
 _CASE_INDEX = {name: idx for idx, name in enumerate(sorted(_PRIMITIVE_CASES))}
+# a case added later takes the next index, so the earlier cases keep their inputs
+_PRIMITIVE_CASES["absolute"] = (
+    ["off"], lambda i: T.tsum(T.mul(T.absolute(i["off"]), i["proj34"])))
+_CASE_INDEX["absolute"] = len(_CASE_INDEX)
 
 
 def _case_inputs(name: str, trial: int) -> dict:
@@ -265,6 +269,12 @@ def _quadratic(y, proj):
     return T.tsum(T.mul(T.mul(y, y), proj))
 
 
+def _cross_entropy(logits, targets):
+    """The fused cross-entropy of ``logits`` through their log-softmax."""
+    return T.softmax_cross_entropy(T.log_softmax(logits), targets.onehot, targets.weights,
+                                   targets.scale)
+
+
 def _fused_builder(name: str, seed: int):
     """(make_scalar, wrt): a scalar through one fused op, rebuilt from the
     same ``wrt`` tensors on every call."""
@@ -274,15 +284,19 @@ def _fused_builder(name: str, seed: int):
     if name == "cross_entropy_grad":
         ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
         return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls, g]
+    if name == "class_affine_gradient_layers":
+        layers, members, proj = TestFusedOps._class_layers_case(seed)
+        return (lambda: _quadratic(T.class_affine_gradient(layers, members), proj),
+                [t for layer in layers for t in layer])
     if name.startswith("class_affine_gradient"):
         delta, h, members, proj = TestFusedOps._class_case(seed, name.endswith("K"))
-        return (lambda: _quadratic(T.class_affine_gradient(delta, h, members), proj),
+        return (lambda: _quadratic(T.class_affine_gradient([(delta, h)], members), proj),
                 [delta, h])
     if name == "cosine_rows_2d":
         gs, gt, proj = TestFusedOps._cosine_case(seed)
         return lambda: T.tsum(T.mul(T.cosine_rows(gs, gt, 1e-12), proj)), [gs, gt]
-    logits, hot, weights = TestFusedOps._ce_case(seed, name == "cross_entropy_weighted")
-    return lambda: T.softmax_cross_entropy(logits, hot, weights), [logits]
+    logits, targets = TestFusedOps._ce_case(seed, name == "cross_entropy_weighted")
+    return lambda: _cross_entropy(logits, targets), [logits]
 
 
 def _fused_case(name: str, seed: int):
@@ -291,7 +305,8 @@ def _fused_case(name: str, seed: int):
 
 
 _FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entropy_grad",
-                "class_affine_gradient_all", "class_affine_gradient_K", "cosine_rows_2d")
+                "class_affine_gradient_all", "class_affine_gradient_K", "cosine_rows_2d",
+                "class_affine_gradient_layers")
 _GRADIENT_OP_CASES = _FUSED_CASES[3:]
 
 
@@ -322,8 +337,9 @@ def test_first_order_backward_records_no_graph():
     tensor: the node-id counter advances by at most ``len(wrt)``."""
     rng = np.random.default_rng(4)
     net = nn.init_mlp([3, 5, 2], 4)
-    loss = losses.cross_entropy(nn.forward(net, T.Tensor(rng.normal(size=(6, 3)))),
-                                rng.integers(0, 2, size=6))
+    logits = nn.forward(net, T.Tensor(rng.normal(size=(6, 3))))
+    loss = losses.cross_entropy(T.log_softmax(logits),
+                                losses.Targets.of(rng.integers(0, 2, size=6), 2))
     params = net.parameters()
     before = next(T._ids)
     grads = T.backward(loss, params)
@@ -426,9 +442,9 @@ class TestFusedOps:
     def _ce_case(seed, weighted):
         rng = np.random.default_rng(100 + seed)
         logits = T.Tensor(rng.normal(size=(5, 3)))
-        hot = np.eye(3)[rng.integers(0, 3, size=5)]
+        labels = rng.integers(0, 3, size=5)
         weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
-        return logits, hot, weights
+        return logits, losses.Targets.of(labels, 3, weights)
 
     @staticmethod
     def _ce_grad_case(seed):
@@ -451,6 +467,17 @@ class TestFusedOps:
             members = (labels[:, None] == np.arange(k)).astype(np.float64)
         rows = k if masked else 1
         return delta, h, members, T.Tensor(rng.normal(size=(rows, 8)))
+
+    @staticmethod
+    def _class_layers_case(seed):
+        """Two layers of a head on 6 rows, (delta 6x2, h 6x3) and (6x3, 6x2),
+        and members of 3 classes."""
+        rng = np.random.default_rng(500 + seed)
+        layers = [(T.Tensor(rng.normal(size=(6, w))), T.Tensor(rng.normal(size=(6, n))))
+                  for w, n in ((2, 3), (3, 2))]
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        members = (labels[:, None] == np.arange(3)).astype(np.float64)
+        return layers, members, T.Tensor(rng.normal(size=(3, 8 + 9)))
 
     @staticmethod
     def _cosine_case(seed, rows=3):
@@ -502,47 +529,52 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_equals_composition(self, weighted):
-        logits, hot, weights = self._ce_case(0, weighted)
-        per_row = T.neg(T.tsum(T.mul(T.log_softmax(logits), T.Tensor(hot)), axis=1))
+        logits, targets = self._ce_case(0, weighted)
+        per_row = T.neg(T.tsum(T.mul(T.log_softmax(logits), T.Tensor(targets.onehot)), axis=1))
         if weighted:
-            per_row = T.mul(per_row, T.Tensor(weights))
+            per_row = T.mul(per_row, T.Tensor(targets.weights))
         composed = T.mul(T.tsum(per_row), 1.0 / 5)
-        fused = T.softmax_cross_entropy(logits, hot, weights)
+        fused = _cross_entropy(logits, targets)
         assert fused.item() == composed.item()
         g_fused = T.backward(fused, [logits])[logits].values
         g_composed = T.backward(composed, [logits])[logits].values
         np.testing.assert_allclose(g_fused, g_composed, rtol=1e-14, atol=1e-15)
 
     def test_cross_entropy_rejects_bad_operands(self):
-        logits, hot, _ = self._ce_case(0, False)
+        logits, t = self._ce_case(0, False)
+        ls = T.log_softmax(logits)
         with pytest.raises(T.ShapeError):
-            T.softmax_cross_entropy(logits, hot[:4])
+            T.softmax_cross_entropy(ls, t.onehot[:4], t.weights, t.scale)
         with pytest.raises(T.ShapeError):
-            T.softmax_cross_entropy(logits, hot, np.ones(4))
+            T.softmax_cross_entropy(ls, t.onehot, np.ones(4), t.scale)
+        with pytest.raises(T.ShapeError):
+            T.softmax_cross_entropy(ls, t.onehot, t.weights, t.scale[:4])
+        with pytest.raises(T.ContractError):  # the logits, not their log-softmax
+            T.softmax_cross_entropy(logits, t.onehot, t.weights, t.scale)
         with pytest.raises(T.DomainError):
-            T.softmax_cross_entropy(T.Tensor(np.full((5, 3), np.inf)), hot)
+            T.log_softmax(T.Tensor(np.full((5, 3), np.inf)))
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("seed", range(5))
     def test_cross_entropy_first_order(self, seed, weighted):
-        logits, hot, weights = self._ce_case(seed, weighted)
-        fd_check(lambda: T.softmax_cross_entropy(logits, hot, weights), [logits])
+        logits, targets = self._ce_case(seed, weighted)
+        fd_check(lambda: _cross_entropy(logits, targets), [logits])
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("seed", range(5))
     def test_cross_entropy_second_order(self, seed, weighted):
-        logits, hot, weights = self._ce_case(seed, weighted)
-        _second_order(lambda: T.softmax_cross_entropy(logits, hot, weights),
-                      [logits], [logits], seed)
+        logits, targets = self._ce_case(seed, weighted)
+        _second_order(lambda: _cross_entropy(logits, targets), [logits], [logits], seed)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_of_linear_second_order(self, weighted):
         """The step-3 shape: head-weight gradient, differentiated by the input."""
         x, w, b, _ = self._linear_case(7)
         rng = np.random.default_rng(8)
-        hot = np.eye(4)[rng.integers(0, 4, size=5)]
+        labels = rng.integers(0, 4, size=5)
         weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
-        _second_order(lambda: T.softmax_cross_entropy(T.linear(x, w, b), hot, weights),
+        targets = losses.Targets.of(labels, 4, weights)
+        _second_order(lambda: _cross_entropy(T.linear(x, w, b), targets),
                       [w, b], [x, w, b], 7)
 
 
@@ -557,8 +589,8 @@ class TestFusedGradientOps:
                         _ce_grad_composition(ls, g, hot, scale), [ls, g], proj)
 
     def test_cross_entropy_vjp_records_one_node(self):
-        logits, hot, weights = TestFusedOps._ce_case(0, True)
-        loss = T.softmax_cross_entropy(logits, hot, weights)
+        logits, targets = TestFusedOps._ce_case(0, True)
+        loss = _cross_entropy(logits, targets)
         grad = T.backward(loss, [logits], create_graph=True)[logits]
         assert grad.op == "cross_entropy_grad"
         assert [p.op for p in grad.parents] == ["log_softmax", None]
@@ -567,27 +599,48 @@ class TestFusedGradientOps:
     @pytest.mark.parametrize("seed", range(2))
     def test_class_affine_gradient_equals_composition(self, k, seed):
         delta, h, members, proj = TestFusedOps._class_case(seed, k is not None, k or 1)
-        _assert_same_op(T.class_affine_gradient(delta, h, members),
+        _assert_same_op(T.class_affine_gradient([(delta, h)], members),
                         _class_affine_composition(delta, h, members), [delta, h], proj)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_layers_are_the_concat_of_their_blocks(self, seed, create_graph):
+        """One node for several layers: bit-equal to the concat of each
+        layer's block, in values and in gradients of either mode."""
+        layers, members, proj = TestFusedOps._class_layers_case(seed)
+        fused = T.class_affine_gradient(layers, members)
+        assert fused.op == "class_affine_gradient" and len(fused.parents) == 4
+        apart = T.concat([T.class_affine_gradient([layer], members) for layer in layers], 1)
+        assert fused.values.tobytes() == apart.values.tobytes()
+        inputs = [t for layer in layers for t in layer]
+        grads = [T.backward(_quadratic(out, proj), inputs, create_graph=create_graph)
+                 for out in (fused, apart)]
+        for t in inputs:
+            assert grads[0][t].values.tobytes() == grads[1][t].values.tobytes()
 
     def test_class_without_rows_gets_a_zero_row(self):
         delta, h, members, _ = TestFusedOps._class_case(0, True, 3)
         assert not members[:, 2].any()
-        out = T.class_affine_gradient(delta, h, members)
+        out = T.class_affine_gradient([(delta, h)], members)
         assert out.shape == (3, 8)
         np.testing.assert_array_equal(out.values[2], np.zeros(8))
-        whole = T.class_affine_gradient(delta, h)
+        whole = T.class_affine_gradient([(delta, h)])
         np.testing.assert_allclose(out.values.sum(axis=0), whole.values[0],
                                    rtol=0, atol=1e-14)
 
     def test_class_affine_gradient_rejects_bad_operands(self):
         delta, h, members, _ = TestFusedOps._class_case(0, True)
         with pytest.raises(T.ShapeError):
-            T.class_affine_gradient(delta, T.Tensor(h.values[:5]))
+            T.class_affine_gradient([(delta, T.Tensor(h.values[:5]))])
         with pytest.raises(T.ShapeError):
-            T.class_affine_gradient(delta, h, members[:5])
+            T.class_affine_gradient([(delta, h)], members[:5])
         with pytest.raises(T.ShapeError):
-            T.class_affine_gradient(delta, h, members[:, :0])
+            T.class_affine_gradient([(delta, h)], members[:, :0])
+        with pytest.raises(T.ShapeError):  # layers of different batches
+            T.class_affine_gradient([(delta, h), (T.Tensor(delta.values[:5]),
+                                                  T.Tensor(h.values[:5]))])
+        with pytest.raises(T.ContractError):
+            T.class_affine_gradient([], members)
 
     @pytest.mark.parametrize("rows", [1, 2])  # 1: the plain loss's one-row case
     @pytest.mark.parametrize("seed", range(3))
@@ -710,18 +763,20 @@ class TestDeterminismAndState:
 def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
     """No node references itself or holds a closure: exp and log_softmax get
     their output as an argument of their vjp formula, and the cross-entropy's
-    context holds its log-softmax node, which does not point back.  So a graph
+    context holds the log-softmax node it was given, which does not point back.  So a graph
     through softmax and cross-entropy, and a create-graph backward through it,
     leave no reference cycle for the cyclic garbage collector."""
     rng = np.random.default_rng(2)
-    onehot = np.eye(3)[rng.integers(0, 3, size=5)]
+    targets = losses.Targets.of(rng.integers(0, 3, size=5), 3)
     gc.collect()
     gc.disable()
     try:
         w = T.Tensor(rng.normal(size=(4, 3)))
         logits = T.matmul(T.Tensor(rng.normal(size=(5, 4))), w)
-        loss = T.add(T.softmax_cross_entropy(logits, onehot),
-                     T.tsum(T.mul(T.softmax(logits), logits)))
+        ls = T.log_softmax(logits)  # one log-softmax: the cross-entropy's and the softmax's
+        loss = T.add(T.softmax_cross_entropy(ls, targets.onehot, targets.weights,
+                                             targets.scale),
+                     T.tsum(T.mul(T.exp(ls), logits)))
         grad = T.backward(loss, [w], create_graph=create_graph)[w]
         if create_graph:
             grad = T.backward(T.tsum(T.mul(grad, grad)), [w])[w]
@@ -792,3 +847,107 @@ def test_relu_outside_recording_allocates_only_its_output():
         tracemalloc.stop()
     np.testing.assert_array_equal(out.values, np.maximum(x.values, 0.0))
     assert peak < 1.5 * out.values.nbytes
+
+
+ABS_POINTS = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.5, -3.0])
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_absolute_is_one_node_bit_equal_to_its_relu_composition(create_graph):
+    """``absolute`` records one node, and its values and gradients (first
+    order, or recorded for a further backward) are bit-equal to
+    ``add(relu(a), relu(neg(a)))`` at both signed zeros, at +-1 and at the
+    smallest subnormals, signs of zero included."""
+    proj = np.array([-1.5, -2.0, 3.0, -0.5, 0.25, -4.0, -0.0, 1.0])
+    a = T.Tensor(ABS_POINTS)
+    fused = T.absolute(a)
+    composed = T.add(T.relu(a), T.relu(T.neg(a)))
+    assert fused.op == "abs" and fused.parents == (a,) and fused._ctx is None
+    assert fused.values.tobytes() == composed.values.tobytes()
+    grads = [T.backward(T.tsum(T.mul(out, proj)), [a], create_graph=create_graph)[a]
+             for out in (fused, composed)]
+    assert grads[0].values.tobytes() == grads[1].values.tobytes()
+    if create_graph:
+        assert grads[0].op == grads[1].op == "add"
+        # the recorded gradients differentiate alike
+        again = [T.backward(T.tsum(T.mul(g, a)), [a])[a] for g in grads]
+        assert again[0].values.tobytes() == again[1].values.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_absolute_second_order(seed):
+    inputs = _case_inputs("absolute", seed)
+    off, proj = inputs["off"], inputs["proj34"]
+    _second_order(lambda: _quadratic(T.absolute(off), proj), [off], [off], seed)
+
+
+def _class_members(rng, b, k, every_row):
+    """b-by-k 0/1 members of random labels; unless ``every_row``, some rows
+    are of no class."""
+    labels = rng.integers(0, k if every_row else k + 1, size=b)
+    if not every_row:
+        labels[:2] = k
+    return (labels[:, None] == np.arange(k)).astype(np.float64)
+
+
+@pytest.mark.parametrize("every_row", [True, False], ids=["every_row", "rows_of_no_class"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_class_gather_fold_equals_the_masked_composition(k, every_row):
+    """On arrays the class-affine vjp folds the cotangent of delta's masked
+    copies back by gathering each row's block of its class: bit-equal to the
+    masked composition on rows of a class, and to numpy's masked sum on
+    every row; a row of no class gets zeros, of either sign in the recorded
+    composition and +0.0 in numpy's sum, as in the gather."""
+    rng = np.random.default_rng(10 * k + every_row)
+    members = _class_members(rng, 9, k, every_row)
+    delta, h = T.Tensor(rng.normal(size=(9, 3))), T.Tensor(rng.normal(size=(9, 4)))
+    proj = T.Tensor(rng.normal(size=(k, 15)))
+    fused = T.class_affine_gradient([(delta, h)], members)
+    composed = _class_affine_composition(delta, h, members)
+    assert fused.values.tobytes() == composed.values.tobytes()
+    g_fused = T.backward(T.tsum(T.mul(fused, proj)), [delta, h])
+    g_composed = T.backward(T.tsum(T.mul(composed, proj)), [delta, h])
+    assert g_fused[h].values.tobytes() == g_composed[h].values.tobytes()
+    in_class = members.any(axis=1)
+    got, want = g_fused[delta].values, g_composed[delta].values
+    assert got[in_class].tobytes() == want[in_class].tobytes()
+    np.testing.assert_array_equal(got[~in_class], 0.0)
+    np.testing.assert_array_equal(want[~in_class], 0.0)
+    g = rng.normal(size=(9, 3 * k)).T.copy().T  # the vjp's layout: a transposed product
+    masked = (g.reshape(9, k, 3) * members[:, :, None]).sum(axis=1)
+    assert T._ARRAYS.class_fold(g, members).tobytes() == masked.tobytes()
+
+
+def test_class_affine_vjp_makes_no_second_k_fold_copy():
+    """The h branch makes delta's masked copies once, and the delta branch's
+    fold gathers: it allocates no b-by-(K*width) array beside its result."""
+    rng = np.random.default_rng(3)
+    b, k, width, n_in = 256, 4, 32, 8
+    members = _class_members(rng, b, k, every_row=False)
+    delta, h = T.Tensor(rng.normal(size=(b, width))), T.Tensor(rng.normal(size=(b, n_in)))
+    out = T.class_affine_gradient([(delta, h)], members)
+    k_fold = b * k * width * 8
+    g = rng.normal(size=out.shape)
+    peak, grad_h = _peak_bytes(lambda: T._VJPS["class_affine_gradient"](
+        1, T._ARRAYS, g, [delta.values, h.values], out.values, out._ctx))
+    assert grad_h.shape == (b, n_in) and peak < 2 * k_fold
+    g_copies = rng.normal(size=(b, k * width)).T.copy().T
+    peak, folded = _peak_bytes(lambda: T._ARRAYS.class_fold(g_copies, members))
+    assert folded.shape == (b, width) and peak < 0.5 * k_fold
+
+
+def test_block_matmul_reads_the_weight_cotangent_in_place():
+    """``block_matmul`` multiplies the K-by-(width*in) weight cotangent, a
+    view of the class-affine cotangent, as K width-by-in blocks: bit-equal
+    to the product of its K*width-by-in reshaped copy, and allocating only
+    its result."""
+    rng = np.random.default_rng(4)
+    k, width, n_in, b = 4, 32, 256, 8
+    g = rng.normal(size=(k, width * n_in + width))
+    weight_part = g[:, :width * n_in]
+    m = np.ascontiguousarray(rng.normal(size=(b, n_in)).T)
+    peak, got = _peak_bytes(lambda: T._ARRAYS.block_matmul(weight_part, m, width))
+    assert got.tobytes() == (weight_part.reshape(k * width, n_in) @ m).tobytes()
+    assert peak < 1.5 * got.nbytes
+    graph = T._GRAPH.block_matmul(T.Tensor(weight_part), T.Tensor(m), width)
+    assert graph.op == "matmul" and graph.values.tobytes() == got.tobytes()

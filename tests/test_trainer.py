@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgdm import grad_discrepancy, harness, losses, nn, pseudo_labels, trainer
+from cgdm import grad_discrepancy, harness, losses, nn, pseudo_labels, tensor, trainer
 from cgdm.data import DomainSet
 from cgdm.tensor import (
     ContractError,
@@ -22,6 +22,7 @@ from cgdm.tensor import (
     _reachable,
     add,
     backward,
+    log_softmax,
     mul,
     no_grad,
     softmax,
@@ -144,8 +145,9 @@ def plain_minimax(model, source, target, cfg, rng):
                             cfg.weight_decay)
 
     def source_ce(feats, labels):
-        ce1 = losses.cross_entropy(nn.forward(f1, feats), labels)
-        ce2 = losses.cross_entropy(nn.forward(f2, feats), labels)
+        targets = losses.Targets.of(labels, f1.out_dim)
+        ce1 = losses.cross_entropy(log_softmax(nn.forward(f1, feats)), targets)
+        ce2 = losses.cross_entropy(log_softmax(nn.forward(f2, feats)), targets)
         return mul(add(ce1, ce2), 0.5)
 
     def discrepancy(feats):
@@ -200,6 +202,11 @@ def _tiny_batches(cfg):
     return model, source, target
 
 
+def _tiny_pseudo():
+    return pseudo_labels.PseudoLabelSet(
+        np.arange(12) % 3, np.linspace(1.0, 2.0, 12), np.zeros(12))
+
+
 def test_step2_moves_only_the_classifiers(monkeypatch):
     """Step 2 records the generator forward and hands its features on, but
     its backward, w.r.t. the classifier parameters, reaches no generator
@@ -214,7 +221,8 @@ def test_step2_moves_only_the_classifiers(monkeypatch):
         return backward(scalar, wrt, create_graph=create_graph)
 
     monkeypatch.setattr(trainer, "backward", recorded)
-    features = trainer.CgdmTrainer(cfg, model).step2_update(source, target)
+    step = trainer.CgdmTrainer(cfg, model)
+    features = step.step2_update(source, target, step.batch_targets(source, _tiny_pseudo()))
     generator_nodes = {id(n) for f in features for n in _reachable(f)}
     assert all(f.op == "relu" for f in features)
     assert reached and not generator_nodes & {id(n) for n in reached}
@@ -257,15 +265,14 @@ def test_step3_moves_alike_with_and_without_step2_features():
     moves the generator as it does with them."""
     cfg = trainer.TrainConfig(generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,))
     model, source, target = _tiny_batches(cfg)
-    pseudo = pseudo_labels.PseudoLabelSet(
-        np.arange(12) % 3, np.linspace(1.0, 2.0, 12), np.zeros(12))
     twin = copy.deepcopy(model)
     handed = trainer.CgdmTrainer(cfg, model)
-    features = handed.step2_update(source, target)
+    targets = handed.batch_targets(source, _tiny_pseudo())
+    features = handed.step2_update(source, target, targets)
     alone = trainer.CgdmTrainer(cfg, twin)
-    alone.step2_update(source, target)
-    assert handed.step3_update(source, target, pseudo, features) == alone.step3_update(
-        source, target, pseudo)
+    alone.step2_update(source, target, targets)
+    assert handed.step3_update(source, target, targets, features) == alone.step3_update(
+        source, target, targets)
     for a, b in zip(model.all_parameters(), twin.all_parameters()):
         assert a.values.tobytes() == b.values.tobytes()
 
@@ -286,14 +293,17 @@ def graph_nodes(root) -> int:
 
 class TestStep3GraphBudget:
     """Each step-3 repeat builds its alignment loss from one create-graph
-    backward, and its graph stays within the node count measured when the
-    class-gradient, cross-entropy-gradient and row-cosine ops were fused
-    (3 unsorted classes, heads with one hidden layer; 120 and 136 before)."""
+    backward, and its graph stays within the node count measured once each
+    logits tensor had one log-softmax and ``absolute`` was one node (3
+    unsorted classes, heads with one hidden layer; 120 and 136 before the
+    class-gradient, cross-entropy-gradient and row-cosine ops were fused,
+    65 after)."""
 
-    NODE_BUDGET = {"plain": 65, "conditional": 65}
+    NODE_BUDGET = {"plain": 60, "conditional": 60}
 
-    @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
-    def test_one_create_graph_backward_per_repeat(self, monkeypatch, variant):
+    @staticmethod
+    def _case(variant):
+        """A step-3 trainer, its batches and their targets."""
         cfg = trainer.TrainConfig(
             step3_repeats=3, conditional_gdm=variant == "conditional",
             generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,))
@@ -304,6 +314,12 @@ class TestStep3GraphBudget:
         target = DomainSet(rng.normal(size=(12, 3)), None, "target")
         pseudo = pseudo_labels.PseudoLabelSet(
             rng.permutation(labels), rng.uniform(1.0, 2.0, size=12), np.zeros(12))
+        step = trainer.CgdmTrainer(cfg, model)
+        return step, source, target, step.batch_targets(source, pseudo)
+
+    @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
+    def test_one_create_graph_backward_per_repeat(self, monkeypatch, variant):
+        step, source, target, targets = self._case(variant)
         calls = []
 
         def recorded(scalar, wrt, create_graph=False):
@@ -312,16 +328,42 @@ class TestStep3GraphBudget:
 
         monkeypatch.setattr(trainer, "backward", recorded)
         monkeypatch.setattr(grad_discrepancy, "backward", recorded)
-        trainer.CgdmTrainer(cfg, model).step3_update(source, target, pseudo)
-        assert [cg for cg, _ in calls] == [True, False] * cfg.step3_repeats
+        step.step3_update(source, target, targets)
+        assert [cg for cg, _ in calls] == [True, False] * step.cfg.step3_repeats
         assert max(n for cg, n in calls if not cg) <= self.NODE_BUDGET[variant]
+
+    @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
+    def test_one_log_softmax_per_head_and_domain(self, monkeypatch, variant):
+        """A repeat records one log-softmax of each head's logits on each
+        domain: the discrepancy's softmax and the alignment loss's
+        cross-entropies read the same one."""
+        step, source, target, targets = self._case(variant)
+        made, per_repeat = [], []
+        node = tensor._node
+
+        def recording(values, parents, op, ctx=None):
+            made.append(op)
+            return node(values, parents, op, ctx)
+
+        def recorded(scalar, wrt, create_graph=False):
+            if not create_graph:  # a repeat ends in its first-order backward
+                per_repeat.append(made.count("log_softmax"))
+                made.clear()
+            return backward(scalar, wrt, create_graph=create_graph)
+
+        monkeypatch.setattr(tensor, "_node", recording)
+        monkeypatch.setattr(trainer, "backward", recorded)
+        step.step3_update(source, target, targets)
+        assert per_repeat == [2 * 2] * step.cfg.step3_repeats
 
     @pytest.mark.parametrize("name", ["blobs_conditional", "moons_gdm"])
     def test_benchmark_backward_reaches_at_most_90_nodes(self, monkeypatch, name):
         """On the workload's pool input 0 a step-3 first-order backward reaches
-        at most 90 nodes, leaves included, as the benchmark's traced
+        at most 85 nodes, leaves included, as the benchmark's traced
         ``tensor.reachable_nodes`` counts them (154 and 178 before the
-        class-gradient, cross-entropy-gradient and row-cosine ops were fused)."""
+        class-gradient, cross-entropy-gradient and row-cosine ops were fused,
+        90 before each logits tensor had one log-softmax and ``absolute`` was
+        one node; the test keeps its name)."""
         experiment, train, variant = WORKLOADS[name]
         ecfg = harness.ExperimentConfig(train=trainer.TrainConfig(**train), **experiment)
         source, target = harness.build_datasets(ecfg, 0)
@@ -338,10 +380,43 @@ class TestStep3GraphBudget:
             return backward(scalar, wrt, create_graph=create_graph)
 
         monkeypatch.setattr(trainer, "backward", recorded)
-        trainer.CgdmTrainer(cfg, model).step3_update(
-            source.take(rows), target.unlabeled().take(rows), pseudo.take(rows))
+        step = trainer.CgdmTrainer(cfg, model)
+        source = source.take(rows)
+        step.step3_update(source, target.unlabeled().take(rows),
+                          step.batch_targets(source, pseudo.take(rows)))
         assert len(reached) == cfg.step3_repeats
-        assert max(reached) <= 90
+        assert max(reached) <= 85
+
+
+@pytest.mark.parametrize("variant", ["cgdm_full", "cgdm_wo_gdm"])
+@pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
+def test_fit_encodes_each_batch_once_per_iteration(monkeypatch, variant, conditional):
+    """One fit iteration one-hot encodes its source and its target batch once
+    each, for all three steps, both heads and every step-3 repeat; a warmup
+    iteration encodes its source batch once."""
+    source, target = harness.build_datasets(
+        harness.ExperimentConfig(dataset="blobs", blobs_classes=3, blobs_dim=4,
+                                 blobs_n_per_class=20), 0)
+    cfg = harness.variant_config(trainer.TrainConfig(
+        epochs=1, warmup_epochs=1, batch_size=16, conditional_gdm=conditional), variant, 0)
+    onehot, counts = losses._onehot, {"onehot": 0, "iterations": 0}
+
+    def counted_onehot(*args):
+        counts["onehot"] += 1
+        return onehot(*args)
+
+    step1 = trainer.CgdmTrainer.step1_update
+
+    def counted_step1(self, *args):
+        counts["iterations"] += 1
+        return step1(self, *args)
+
+    monkeypatch.setattr(losses, "_onehot", counted_onehot)
+    monkeypatch.setattr(trainer.CgdmTrainer, "step1_update", counted_step1)
+    trainer.train(source, target, cfg)
+    warmup = -(-source.n // cfg.batch_size)
+    assert counts["iterations"] == -(-max(source.n, target.n) // cfg.batch_size)
+    assert counts["onehot"] == warmup + 2 * counts["iterations"]
 
 
 def _moons_run(variant: str, seed: int) -> np.ndarray:
