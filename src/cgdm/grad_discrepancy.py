@@ -7,8 +7,10 @@ with respect to every classifier parameter, columns in the order of
 is that gradient on the rows of class r, whatever the row order; without
 classes the matrix has one row, the whole batch.  One definition makes every
 such matrix: one create-graph backward, for all domains asked for at once,
-to each head layer's affine output gives the per-row cotangent ``delta``
-there.  With the layer's input ``H``, a weight gradient is ``delta^T H`` and
+to each head layer's node (:func:`~cgdm.nn.layer_taps`) gives the per-row
+cotangent of its output; through a hidden layer's ReLU, the constant mask of
+its positive outputs turns that into the cotangent ``delta`` of its affine
+map.  With the layer's input ``H``, a weight gradient is ``delta^T H`` and
 a bias gradient the column sum of ``delta``; masked to one class's rows,
 that class's.  A domain's matrix, every layer's block, is one fused
 :func:`~cgdm.tensor.class_affine_gradient` node.  :func:`source_gradient` and
@@ -82,14 +84,23 @@ def _domain_gradients(f1, f2, domains) -> tuple:
     terms, taps = [], []
     for (ls1, ls2), targets in domains:
         terms.append(losses.pair_cross_entropy((ls1, ls2), targets))
-        taps.append((nn.layer_taps(f1, _logits(ls1)) + nn.layer_taps(f2, _logits(ls2)),
+        taps.append(([(h, z, layer.activation == "relu")
+                      for f, ls in ((f1, ls1), (f2, ls2))
+                      for layer, (h, z) in zip(f.layers, nn.layer_taps(f, _logits(ls)))],
                      targets.members))
-    affine = [z for layers, _ in taps for _, z in layers]
-    deltas = backward(functools.reduce(add, terms), affine, create_graph=True)
+    nodes = [z for layers, _ in taps for _, z, _ in layers]
+    cots = backward(functools.reduce(add, terms), nodes, create_graph=True)
     return tuple(
-        class_affine_gradient([(deltas[z], h) for h, z in layers], members)
+        class_affine_gradient([(_delta(cots[z], z, relu), h) for h, z, relu in layers],
+                              members)
         for layers, members in taps
     )
+
+
+def _delta(g: Tensor, z: Tensor, relu: bool) -> Tensor:
+    """The pre-activation cotangent of a layer node ``z`` whose output has
+    cotangent ``g``: through a ReLU, ``g`` times the constant mask ``z > 0``."""
+    return mul(g, z.values > 0.0) if relu else g
 
 
 def _one_domain(f1, f2, logits1, logits2, targets, classes) -> Tensor:

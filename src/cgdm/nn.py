@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ParseError, cell
-from .tensor import ContractError, ShapeError, Tensor, linear, relu
+from .tensor import ContractError, ShapeError, Tensor, linear
 
 __all__ = ["Layer", "Mlp", "init_mlp", "forward", "layer_taps", "SgdOptimizer",
            "save_params", "load_params"]
@@ -62,7 +62,8 @@ def init_mlp(layer_dims, seed: int, final_activation: str = "none") -> Mlp:
 
 
 def forward(net: Mlp, x: Tensor) -> Tensor:
-    """Affine + activation per layer; recorded on the active graph."""
+    """One fused :func:`~cgdm.tensor.linear` node per layer, its activation
+    included; recorded on the active graph."""
     if x.values.ndim != 2:
         raise ShapeError(f"forward expects a b-by-in batch, got {x.shape}")
     if x.shape[1] != net.in_dim:
@@ -71,22 +72,20 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
         )
     h = x
     for layer in net.layers:
-        h = linear(h, layer.weight, layer.bias)
-        if layer.activation == "relu":
-            h = relu(h)
+        h = linear(h, layer.weight, layer.bias, relu=layer.activation == "relu")
     return h
 
 
 def layer_taps(net: Mlp, out: Tensor) -> list:
-    """(input, affine output) of every layer, first layer first, read back
-    from the graph of an ``out = forward(net, x)`` recorded with grad on."""
+    """(input, layer node) of every layer, first layer first, read back from
+    the graph of an ``out = forward(net, x)`` recorded with grad on.  The
+    node's output is the layer's activation; its pre-activation is not kept."""
     taps = []
     for layer in reversed(net.layers):
-        z = out.parents[0] if layer.activation == "relu" and out.parents else out
-        if z.op != "linear" or z.parents[1] is not layer.weight:
+        if out.op != "linear" or out.parents[1] is not layer.weight:
             raise ContractError("layer_taps needs a recorded forward(net, x) output")
-        out = z.parents[0]
-        taps.append((out, z))
+        taps.append((out.parents[0], out))
+        out = out.parents[0]
     return taps[::-1]
 
 
@@ -96,9 +95,10 @@ class SgdOptimizer:
 
     Update per parameter: g <- g + wd*theta; v <- momentum*v + g;
     theta <- theta - lr*v.  The velocity and the parameter are updated in
-    place, with the same operations in the same order; the gradients are
-    only read.  Velocities persist across steps so partial updates
-    (classifier-only / generator-only) keep their momentum state.
+    place, with the same operations in the same order, and one scratch array
+    per parameter holds ``wd*theta``, then ``g + wd*theta``, then ``lr*v``;
+    the gradients are only read.  Velocities persist across steps so partial
+    updates (classifier-only / generator-only) keep their momentum state.
     """
 
     params: list
@@ -115,14 +115,16 @@ class SgdOptimizer:
                 raise ContractError(
                     f"grad shape {g_vals.shape} != param shape {p.values.shape}"
                 )
+            scratch = None  # made by the first product; out passed by position
             if self.weight_decay:
-                g_vals = g_vals + self.weight_decay * p.values
+                scratch = np.multiply(self.weight_decay, p.values)
+                g_vals = np.add(g_vals, scratch, scratch)
             v = self.velocities.get(id(p))
             if v is None:
                 v = self.velocities[id(p)] = np.zeros_like(p.values)
             v *= self.momentum
             v += g_vals
-            p.values -= self.lr * v
+            p.values -= np.multiply(self.lr, v, scratch)
 
 
 def save_params(named_nets: dict, path) -> None:

@@ -101,12 +101,19 @@ def compute_centroids(features, probs1, probs2) -> CentroidSet:
 
 def cosine_distances(features, centroids) -> np.ndarray:
     """n-by-K matrix of 1 - cos(feature row, centroid row), in [0, 2];
-    epsilon-guarded against zero vectors."""
+    epsilon-guarded against zero vectors.  The feature norms are taken per
+    :func:`row_blocks` block and the n-by-K arithmetic is done in place, so
+    no temporary is the size of the set."""
     feats = _as_array(features)
     c = _as_array(centroids)
-    dots = feats @ c.T
-    denom = np.linalg.norm(feats, axis=1)[:, None] * np.linalg.norm(c, axis=1)[None, :]
-    return 1.0 - dots / (denom + EPS)
+    norms = np.empty(len(feats))
+    for rows in row_blocks(len(feats)):
+        norms[rows] = np.linalg.norm(feats[rows], axis=1)
+    denom = norms[:, None] * np.linalg.norm(c, axis=1)[None, :]
+    denom += EPS
+    dist = feats @ c.T
+    dist /= denom
+    return np.subtract(1.0, dist, out=dist)
 
 
 def assign_pseudo_labels(features, centroids: CentroidSet, probs1, probs2) -> PseudoLabelSet:

@@ -7,17 +7,20 @@ monotonically with creation order, so iterating reachable nodes by descending
 id is a valid reverse topological order.
 
 Each op's backward is written once, in the table ``_VJPS``: one
-vector-Jacobian-product callable per op, ``vjp(i, ns, g, args, out, ctx)``,
-which returns the cotangent of parent ``i`` from the cotangent ``g``, the
-parents ``args``, the node's output ``out`` and its saved context ``ctx``
-(the pow exponent, the concat axis, the narrowed range, or the
-cross-entropy's ``(log_softmax node, onehot, scale)``; relu and absolute keep
-none and take their masks from their output or input, only when a backward
-visits them).
-The index ``i`` only picks the branch of parent ``i``: each branch runs that
-parent's numpy operations, in their order, and nothing else.  ``ns`` is the
-arithmetic the formula is written against, and ``backward`` passes one of
-two:
+vector-Jacobian-product callable per op,
+``vjp(ns, g, args, out, ctx, needed) -> tuple``, which returns one cotangent
+per parent from the cotangent ``g``, the parents ``args``, the node's output
+``out`` and its saved context ``ctx`` (the pow exponent, the concat axis,
+the narrowed range, the ReLU flag of ``linear``, or the cross-entropy's
+``(log_softmax node, onehot, scale)``; relu and absolute keep none and take
+their masks from their output or input, only when a backward visits them).
+``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
+where it does not, the tuple holds None.  ``backward`` calls a node's
+formula once.  The formula first makes what its parents' cotangents share,
+then each needed parent's cotangent in parent order, with the numpy
+operations, in their order, that a formula for that parent alone would run.
+``ns`` is the arithmetic the formula is written against, and ``backward``
+passes one of two:
 
 * ``_GRAPH``, the differentiable primitives below, with the parent and output
   tensors.  ``backward(..., create_graph=True)`` uses it, so the gradient
@@ -48,7 +51,10 @@ values come from the composition's numpy operations in its order, and their
 vjps, written against ``ns``, replay its cotangents in the order it adds a
 parent's contributions, so gradients are bit-identical to it:
 
-* ``linear(x, w, b)``: ``add(matmul(x, transpose(w)), b)``;
+* ``linear(x, w, b)``: ``add(matmul(x, transpose(w)), b)``, and
+  ``linear(x, w, b, relu=True)``: ``relu`` of that, whose max is taken in
+  place, so no pre-activation array outlives the call; its vjp masks ``g``
+  by ``out > 0`` once for all three parents;
 * ``absolute(a)``: ``add(relu(a), relu(neg(a)))``;
 * ``softmax_cross_entropy(ls, onehot, weights, scale)``: the mean of
   ``-w_i * ls[i, y_i]`` for the log-softmax node ``ls = log_softmax(logits)``
@@ -67,12 +73,14 @@ makes a broadcast copy, the same values in fewer calls.  Likewise
 ``class_copies`` (the masked copies of ``delta``) and ``class_fold`` (their
 cotangents summed back) record ``concat``, ``mul``, ``narrow`` and ``add``; on
 arrays the copies are one broadcast product, and the fold gathers each row's
-block of its class, with no K-fold product: the same bits, but for the sign
-of a zero in a row of no class.  And ``block_matmul`` (the weight cotangent,
-reshaped to K*width rows, times a matrix) records ``reshape`` and ``matmul``
-but on arrays multiplies K width-by-in views, one per class: each output
-element is the same dot product, and OpenBLAS sums it in the same order
-(checked bit for bit), without the reshaped copy.
+block of its class, with no K-fold product, and the same bits.  A row of no
+class gets, as in the recorded sum of its K blocks times 0 in block order,
+-0.0 where all K blocks are negative and +0.0 elsewhere; the gather makes
+that sum only when such rows exist.  And ``block_matmul`` (the weight
+cotangent, reshaped to K*width rows, times a matrix) records ``reshape`` and
+``matmul`` but on arrays multiplies K width-by-in views, one per class: each
+output element is the same dot product, and OpenBLAS sums it in the same
+order (checked bit for bit), without the reshaped copy.
 """
 from __future__ import annotations
 
@@ -276,10 +284,12 @@ def matmul(a, b) -> Tensor:
     return _node(a.values @ b.values, (a, b), "matmul")
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b, relu: bool = False) -> Tensor:
     """Affine map ``x @ w.T + b`` of a batch x (b-by-in), weight w (out-by-in)
-    and bias b (out).  The bias is added in place into the fresh matmul
-    output, so no second b-by-out array is made; the values are the same."""
+    and bias b (out); with ``relu``, its max with 0.  The bias is added and
+    the max taken in place in the fresh matmul output, so no second b-by-out
+    array is made and no pre-activation outlives the call; the values are
+    the same."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 2 or w.values.ndim != 2:
         raise ShapeError(f"linear needs 2-D x and w, got {x.shape} and {w.shape}")
@@ -289,7 +299,9 @@ def linear(x, w, b) -> Tensor:
         )
     out = x.values @ w.values.T
     out += b.values
-    return _node(out, (x, w, b), "linear")
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return _node(out, (x, w, b), "linear", relu)
 
 
 def _transposed(values: np.ndarray, contiguous: bool = False) -> np.ndarray:
@@ -380,9 +392,7 @@ def concat(tensors, axis=0) -> Tensor:
 
 def _narrowed(values: np.ndarray, axis, start, length) -> np.ndarray:
     """A view of the slice [start, start+length) along axis."""
-    index = [slice(None)] * values.ndim
-    index[axis] = slice(start, start + length)
-    return values[tuple(index)]
+    return values[(slice(None),) * axis + (slice(start, start + length),)]
 
 
 def narrow(a, axis, start, length) -> Tensor:
@@ -507,16 +517,22 @@ def _where_positive(g, out) -> np.ndarray:
 
 def _class_gather(g, members):
     """The fold on arrays: row i's block of its class, one gather in place
-    of a K-fold masked product and sum, with that sum's bits but for the
-    sign of a zero.  A row of no class gets +0.0, as numpy's sum of the
-    masked blocks does (the recorded sum of -0.0 products keeps -0.0)."""
+    of the K-fold masked product and sum that ``_class_fold`` records, with
+    its bits.  A row of no class gets that sum of its K blocks times 0, in
+    block order: -0.0 where all K are negative, else +0.0."""
     b, k = members.shape
     rows = np.arange(b)
     cls = members.argmax(axis=1)
     # g is the transpose of a C-ordered product, so g.T splits into the K
     # blocks as a view
     out = g.T.reshape(k, -1, b)[cls, :, rows]
-    out[members[rows, cls] == 0.0] = 0.0
+    none = members[rows, cls] == 0.0
+    if none.any():
+        width = out.shape[1]
+        total = g[none, :width] * 0.0
+        for r in range(1, k):
+            total += g[none, r * width:(r + 1) * width] * 0.0
+        out[none] = total
     return out
 
 
@@ -550,8 +566,11 @@ _ARRAYS = SimpleNamespace(
     add=np.add, sub=np.subtract, neg=np.negative, mul=np.multiply,
     matmul=np.matmul, transpose=_transposed,
     exp=np.exp, pow_const=_power,
-    tsum=lambda a, axis=None: a.sum() if axis is None else a.sum(axis=axis),
-    reshape=np.reshape, concat=lambda parts, axis: np.concatenate(parts, axis=axis),
+    # the reduction and the method that ndarray.sum and np.reshape call,
+    # without their Python wrappers
+    tsum=lambda a, axis=None: np.add.reduce(a, axis),
+    reshape=lambda a, shape: a.reshape(shape),
+    concat=lambda parts, axis: np.concatenate(parts, axis=axis),
     narrow=_narrowed, zeros=np.zeros, ones=np.ones,
     cross_entropy_grad=lambda ls, g, onehot, scale: (np.exp(ls) - onehot) * (g * scale),
     tile_cols=lambda v, k: _filled(v[:, None], (len(v), k)),
@@ -568,7 +587,7 @@ _ARRAYS = SimpleNamespace(
 )
 
 
-# -- vjp formulas: vjp(i, ns, g, args, out, ctx) -> cotangent of parent i ------
+# -- vjp formulas: vjp(ns, g, args, out, ctx, needed) -> parent cotangents ----
 
 def _unbroadcast(ns, g, shape):
     """Reduce a cotangent back to an operand's shape."""
@@ -580,16 +599,43 @@ def _unbroadcast(ns, g, shape):
     return ns.tsum(g, 0)
 
 
-def _linear_vjp(i, ns, g, args, out, ctx):
-    """x: ``g w``; w: ``g^T x``; b: the column sums of ``g``."""
-    if i == 0:
-        return ns.matmul(g, args[1])
-    if i == 1:
-        return ns.matmul(ns.transpose(g), args[0])
-    return ns.tsum(g, 0)
+def _add_vjp(ns, g, args, out, ctx, needed):
+    a, b = args
+    return (_unbroadcast(ns, g, a.shape) if needed[0] else None,
+            _unbroadcast(ns, g, b.shape) if needed[1] else None)
 
 
-def _narrow_vjp(i, ns, g, args, out, ctx):
+def _sub_vjp(ns, g, args, out, ctx, needed):
+    a, b = args
+    return (_unbroadcast(ns, g, a.shape) if needed[0] else None,
+            _unbroadcast(ns, ns.neg(g), b.shape) if needed[1] else None)
+
+
+def _mul_vjp(ns, g, args, out, ctx, needed):
+    a, b = args
+    return (_unbroadcast(ns, ns.mul(g, b), a.shape) if needed[0] else None,
+            _unbroadcast(ns, ns.mul(g, a), b.shape) if needed[1] else None)
+
+
+def _matmul_vjp(ns, g, args, out, ctx, needed):
+    a, b = args
+    return (ns.matmul(g, ns.transpose(b)) if needed[0] else None,
+            ns.matmul(ns.transpose(a), g) if needed[1] else None)
+
+
+def _linear_vjp(ns, g, args, out, relu, needed):
+    """x: ``g w``; w: ``g^T x``; b: the column sums of ``g``.  A fused ReLU
+    first masks ``g`` by ``out > 0``, once for all three, as the relu vjp
+    would."""
+    if relu:
+        g = ns.where_positive(g, out)
+    x, w, _ = args
+    return (ns.matmul(g, w) if needed[0] else None,
+            ns.matmul(ns.transpose(g), x) if needed[1] else None,
+            ns.tsum(g, 0) if needed[2] else None)
+
+
+def _narrow_vjp(ns, g, args, out, ctx, needed):
     axis, start, length = ctx
     shape = list(args[0].shape)
     dim = shape[axis]
@@ -601,102 +647,118 @@ def _narrow_vjp(i, ns, g, args, out, ctx):
     if start + length < dim:
         shape[axis] = dim - start - length
         parts.append(ns.zeros(tuple(shape)))
-    return ns.concat(parts, axis) if len(parts) > 1 else g
+    return (ns.concat(parts, axis) if len(parts) > 1 else g,)
 
 
-def _concat_vjp(i, ns, g, args, out, axis):
-    start = sum(a.shape[axis] for a in args[:i])
-    return ns.narrow(g, axis, start, args[i].shape[axis])
+def _concat_vjp(ns, g, args, out, axis, needed):
+    cots, start = [], 0
+    for a, need in zip(args, needed):
+        length = a.shape[axis]
+        cots.append(ns.narrow(g, axis, start, length) if need else None)
+        start += length
+    return tuple(cots)
 
 
-def _log_softmax_vjp(i, ns, g, args, out, ctx):
-    return ns.sub(g, ns.mul(ns.exp(out), ns.tile_cols(ns.tsum(g, 1), args[0].shape[1])))
+def _log_softmax_vjp(ns, g, args, out, ctx, needed):
+    return (ns.sub(g, ns.mul(ns.exp(out), ns.tile_cols(ns.tsum(g, 1), args[0].shape[1]))),)
 
 
-def _cross_entropy_vjp(i, ns, g, args, out, ctx):
+def _cross_entropy_vjp(ns, g, args, out, ctx, needed):
     ls, onehot, scale = ctx
-    return ns.cross_entropy_grad(ns.saved(ls), g, onehot, scale)
+    return (ns.cross_entropy_grad(ns.saved(ls), g, onehot, scale),)
 
 
-def _cross_entropy_grad_vjp(i, ns, g, args, out, ctx):
+def _cross_entropy_grad_vjp(ns, g, args, out, ctx, needed):
     ls, g_loss = args
     onehot, scale = ctx
-    if i == 0:
-        return ns.mul(ns.mul(g, ns.mul(g_loss, scale)), ns.exp(ls))
-    return _unbroadcast(
-        ns, ns.mul(ns.mul(g, ns.sub(ns.exp(ls), onehot)), scale), g_loss.shape)
+    e = ns.exp(ls)
+    return (ns.mul(ns.mul(g, ns.mul(g_loss, scale)), e) if needed[0] else None,
+            _unbroadcast(ns, ns.mul(ns.mul(g, ns.sub(e, onehot)), scale), g_loss.shape)
+            if needed[1] else None)
 
 
-def _class_affine_vjp(i, ns, g, args, out, members):
-    """Parent ``i`` is the ``delta`` (even) or ``h`` (odd) of layer ``i // 2``,
-    whose block of ``g`` the formula reads.  The ``h`` branch makes the
-    masked copies of ``delta`` once; the ``delta`` branch makes none."""
-    first = i - i % 2  # the layer's delta
-    delta, h = args[first], args[first + 1]
-    width, n_in = delta.shape[1], h.shape[1]
+def _class_affine_vjp(ns, g, args, out, members, needed):
+    """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
+    then its ``delta``'s and its ``h``'s cotangents as needed.  The ``h``
+    cotangent makes the masked copies of ``delta`` once; the ``delta``
+    cotangent makes none."""
     rows = out.shape[0]
-    if len(args) > 2:
-        start = sum(args[j].shape[1] * (args[j + 1].shape[1] + 1) for j in range(0, first, 2))
-        g = ns.narrow(g, 1, start, width * (n_in + 1))
-    i %= 2
-    g_weight = ns.narrow(g, 1, 0, width * n_in)
-    if i == 1:
-        g_weight = ns.reshape(g_weight, (rows * width, n_in))
-        copies = delta if members is None else ns.class_copies(delta, members)
-        return ns.matmul(copies, g_weight)
-    # a C-ordered h^T: BLAS reads a transposed view in another summation
-    # order when the weight cotangent has few rows, and these sums keep their bits
-    g_copies = ns.add(ns.transpose(ns.block_matmul(g_weight, ns.transpose(h, True), width)),
-                      ns.reshape(ns.narrow(g, 1, width * n_in, width), (rows * width,)))
-    return g_copies if members is None else ns.class_fold(g_copies, members)
+    cots, start = [], 0
+    for j in range(0, len(args), 2):
+        delta, h = args[j], args[j + 1]
+        width, n_in = delta.shape[1], h.shape[1]
+        size = width * (n_in + 1)
+        block = ns.narrow(g, 1, start, size) if len(args) > 2 else g
+        start += size
+        g_weight = ns.narrow(block, 1, 0, width * n_in)
+        g_delta = g_h = None
+        if needed[j]:
+            # a C-ordered h^T: BLAS reads a transposed view in another summation
+            # order when the weight cotangent has few rows, and these sums keep
+            # their bits
+            g_delta = ns.add(
+                ns.transpose(ns.block_matmul(g_weight, ns.transpose(h, True), width)),
+                ns.reshape(ns.narrow(block, 1, width * n_in, width), (rows * width,)))
+            if members is not None:
+                g_delta = ns.class_fold(g_delta, members)
+        if needed[j + 1]:
+            copies = delta if members is None else ns.class_copies(delta, members)
+            g_h = ns.matmul(copies, ns.reshape(g_weight, (rows * width, n_in)))
+        cots += (g_delta, g_h)
+    return tuple(cots)
 
 
-def _absolute_vjp(i, ns, g, args, out, ctx):
+def _absolute_vjp(ns, g, args, out, ctx, needed):
     """The composition's two branches in its order: ``-(g on a < 0)`` through
     ``relu(neg(a))``, then ``g on a > 0`` through ``relu(a)``."""
     a = args[0].values if ns is _GRAPH else args[0]
-    return ns.add(ns.neg(ns.mul(g, a < 0.0)), ns.mul(g, a > 0.0))
+    return (ns.add(ns.neg(ns.mul(g, a < 0.0)), ns.mul(g, a > 0.0)),)
 
 
-def _cosine_rows_vjp(i, ns, g, args, out, ctx):
+def _cosine_rows_vjp(ns, g, args, out, ctx, needed):
     """A parent's cotangent arrives through s.t first, then twice through
-    its own square (``mul(a, a)``), as in the composition.  The array path
-    reads the forward's row sums from the context; the graph path makes them
+    its own square (``mul(a, a)``), as in the composition; the terms of the
+    denominator and of s.t are made once for both.  The array path reads
+    the forward's row sums from the context; the graph path makes them
     again from the parents, so that a further backward differentiates them."""
-    a, other = args if i == 0 else args[::-1]
+    gs, gt = args
     eps, parts = ctx
     if ns is _GRAPH:
-        parts = _cosine_parts(ns, *args, eps)
+        parts = _cosine_parts(ns, gs, gt, eps)
     ss, tt, st, norm_s, norm_t, denom, inv = parts
-    own_sq, other_norm = (ss, norm_t) if i == 0 else (tt, norm_s)
+    cols = gs.shape[1]
     g_denom = ns.mul(ns.mul(g, st), ns.mul(ns.pow_const(denom, -2.0), -1.0))
-    g_sq = ns.mul(ns.mul(g_denom, other_norm), ns.mul(ns.pow_const(own_sq, -0.5), 0.5))
-    cross = ns.mul(ns.tile_cols(ns.mul(g, inv), a.shape[1]), other)
-    square = ns.mul(ns.tile_cols(g_sq, a.shape[1]), a)
-    return ns.add(ns.add(cross, square), square)
+    g_cross = ns.tile_cols(ns.mul(g, inv), cols)
+    cots = []
+    for a, other, own_sq, other_norm, need in ((gs, gt, ss, norm_t, needed[0]),
+                                               (gt, gs, tt, norm_s, needed[1])):
+        if not need:
+            cots.append(None)
+            continue
+        g_sq = ns.mul(ns.mul(g_denom, other_norm), ns.mul(ns.pow_const(own_sq, -0.5), 0.5))
+        square = ns.mul(ns.tile_cols(g_sq, cols), a)
+        cots.append(ns.add(ns.add(ns.mul(g_cross, other), square), square))
+    return tuple(cots)
 
 
 _VJPS = {
-    "add": lambda i, ns, g, args, out, ctx: _unbroadcast(ns, g, args[i].shape),
-    "sub": lambda i, ns, g, args, out, ctx:
-        _unbroadcast(ns, ns.neg(g) if i else g, args[i].shape),
-    "mul": lambda i, ns, g, args, out, ctx:
-        _unbroadcast(ns, ns.mul(g, args[1 - i]), args[i].shape),
-    "neg": lambda i, ns, g, args, out, ctx: ns.neg(g),
-    "matmul": lambda i, ns, g, args, out, ctx:
-        ns.matmul(ns.transpose(args[0]), g) if i else ns.matmul(g, ns.transpose(args[1])),
+    "add": _add_vjp,
+    "sub": _sub_vjp,
+    "mul": _mul_vjp,
+    "neg": lambda ns, g, args, out, ctx, needed: (ns.neg(g),),
+    "matmul": _matmul_vjp,
     "linear": _linear_vjp,
-    "transpose": lambda i, ns, g, args, out, ctx: ns.transpose(g),
-    "relu": lambda i, ns, g, args, out, ctx: ns.where_positive(g, out),
+    "transpose": lambda ns, g, args, out, ctx, needed: (ns.transpose(g),),
+    "relu": lambda ns, g, args, out, ctx, needed: (ns.where_positive(g, out),),
     "abs": _absolute_vjp,
-    "exp": lambda i, ns, g, args, out, ctx: ns.mul(g, out),
-    "log": lambda i, ns, g, args, out, ctx: ns.mul(g, ns.pow_const(args[0], -1.0)),
-    "pow": lambda i, ns, g, args, out, p:
-        ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),
-    "sum": lambda i, ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),
-    "sum0": lambda i, ns, g, args, out, ctx: ns.tile_rows(g, args[0].shape),
-    "sum1": lambda i, ns, g, args, out, ctx: ns.tile_cols(g, args[0].shape[1]),
-    "reshape": lambda i, ns, g, args, out, ctx: ns.reshape(g, args[0].shape),
+    "exp": lambda ns, g, args, out, ctx, needed: (ns.mul(g, out),),
+    "log": lambda ns, g, args, out, ctx, needed: (ns.mul(g, ns.pow_const(args[0], -1.0)),),
+    "pow": lambda ns, g, args, out, p, needed:
+        (ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),),
+    "sum": lambda ns, g, args, out, ctx, needed: (ns.tile_rows(g, args[0].shape),),
+    "sum0": lambda ns, g, args, out, ctx, needed: (ns.tile_rows(g, args[0].shape),),
+    "sum1": lambda ns, g, args, out, ctx, needed: (ns.tile_cols(g, args[0].shape[1]),),
+    "reshape": lambda ns, g, args, out, ctx, needed: (ns.reshape(g, args[0].shape),),
     "concat": _concat_vjp,
     "narrow": _narrow_vjp,
     "log_softmax": _log_softmax_vjp,
@@ -725,8 +787,9 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     Returns a dict mapping each requested tensor to a gradient of identical
     shape.  Tensors that do not participate in the scalar's graph receive a
     zero gradient.  Every node on a path from the scalar down to a ``wrt``
-    tensor passes its cotangent to its parents through its ``_VJPS``
-    formulas, consumers before parents (descending ids).  With
+    tensor passes its cotangent to its parents through one call of its
+    ``_VJPS`` formula, which makes the cotangents of the parents on such a
+    path, consumers before parents (descending ids).  With
     ``create_graph=True`` the formulas run on the recording primitives
     (recording switched on for the pass), so the returned gradients are graph
     nodes and support a further backward.  Otherwise they run on the nodes'
@@ -738,37 +801,33 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     wrt = list(wrt)
     wrt_ids = {t._id for t in wrt}
 
-    # keep only nodes on a path from the scalar down to some wrt tensor
-    needed = set()
+    # keep only nodes on a path from the scalar down to some wrt tensor, each
+    # with the parents on such a path
+    on_path = set()
     path = []
     for node in _reachable(scalar):  # ascending ids: parents precede consumers
-        if node._id not in wrt_ids:
-            for p in node.parents:
-                if p._id in needed:
-                    break
-            else:
-                continue
-        needed.add(node._id)
-        path.append(node)
+        needed = [p._id in on_path for p in node.parents]
+        if any(needed) or node._id in wrt_ids:
+            on_path.add(node._id)
+            path.append((node, needed))
 
     ns = _GRAPH if create_graph else _ARRAYS
     prev = _set_grad(create_graph)
     try:
         cot = {scalar._id: ns.ones(scalar.shape)}
-        for node in reversed(path):  # every path node has a cotangent by now
+        for node, needed in reversed(path):  # every path node has a cotangent by now
             nid = node._id
             g = cot[nid] if nid in wrt_ids else cot.pop(nid)  # free as we go
-            parents = node.parents
-            if not parents:
+            if not any(needed):  # a wrt tensor with no path below it
                 continue
+            parents = node.parents
             if create_graph:
                 args, out = parents, node
             else:
                 args, out = [p.values for p in parents], node.values
-            vjp = _VJPS[node.op]
-            for i, parent in enumerate(parents):
-                if parent._id in needed:
-                    pg = vjp(i, ns, g, args, out, node._ctx)
+            pgs = _VJPS[node.op](ns, g, args, out, node._ctx, needed)
+            for parent, pg in zip(parents, pgs):
+                if pg is not None:
                     acc = cot.get(parent._id)
                     cot[parent._id] = pg if acc is None else ns.add(acc, pg)
     finally:

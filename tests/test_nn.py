@@ -1,12 +1,13 @@
 """MLP init, forward semantics, momentum SGD, and checkpoint round trips."""
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cgdm import nn
 from cgdm.data import ParseError
-from cgdm.tensor import ContractError, Tensor, backward, tsum, mul, sub
+from cgdm.tensor import ContractError, Tensor, _reachable, backward, tsum, mul, sub
 
 
 class TestInit:
@@ -78,6 +79,26 @@ class TestForward:
         with pytest.raises(Exception):
             nn.forward(net, Tensor(np.zeros((4, 5))))
 
+    def test_a_relu_layer_is_one_node_that_keeps_no_pre_activation(self):
+        """Each layer records one node whose parents are its input, weight
+        and bias: a two-layer forward's graph is its 7 tensors.  No array in
+        it holds the hidden layer's pre-activation; the hidden node's values
+        are its ReLU, and :func:`nn.layer_taps` reads back (input, node)."""
+        net = nn.init_mlp([3, 5, 2], seed=6)
+        x = Tensor(np.random.default_rng(6).normal(size=(8, 3)))
+        out = nn.forward(net, x)
+        hidden = out.parents[0]
+        first, second = net.layers
+        assert hidden.op == out.op == "linear"
+        assert hidden.parents == (x, first.weight, first.bias)
+        assert out.parents == (hidden, second.weight, second.bias)
+        pre = x.values @ first.weight.values.T + first.bias.values
+        assert (pre < 0).any() and hidden.values.tobytes() == np.maximum(pre, 0.0).tobytes()
+        graph = _reachable(out)
+        assert len(graph) == 7
+        assert not any(np.array_equal(t.values, pre) for t in graph)
+        assert nn.layer_taps(net, out) == [(x, hidden), (hidden, out)]
+
 
 class TestSgd:
     def test_plain_step(self):
@@ -139,6 +160,32 @@ class TestSgd:
             assert p.values.tobytes() == theta.tobytes()
             assert opt.velocities[id(p)].tobytes() == v.tobytes()
             assert g.values.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_step_makes_one_scratch_array_and_the_textbook_bits(self, wd):
+        """Over four steps the parameter and velocity are bit-equal to the
+        textbook g <- g + wd*theta; v <- m*v + g; theta <- theta - lr*v, and
+        a step after the first allocates one parameter-sized array."""
+        rng = np.random.default_rng(8)
+        p = Tensor(rng.normal(size=(128, 64)))
+        theta, v = p.values.copy(), np.zeros((128, 64))
+        lr, m = 0.05, 0.9
+        opt = nn.SgdOptimizer([p], lr=lr, momentum=m, weight_decay=wd)
+        for step in range(4):
+            g = Tensor(rng.normal(size=(128, 64)))
+            grad = g.values + wd * theta if wd else g.values
+            v = m * v + grad
+            theta = theta - lr * v
+            tracemalloc.start()
+            try:
+                opt.step({p: g})
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert p.values.tobytes() == theta.tobytes()
+            assert opt.velocities[id(p)].tobytes() == v.tobytes()
+            if step:  # the first step also makes the velocity
+                assert peak < 1.5 * p.values.nbytes
 
     def test_missing_grad_treated_as_zero(self):
         p = Tensor([1.0])

@@ -231,6 +231,24 @@ class TestBlockedPredict:
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 257, 4000])
+    def test_cosine_distances_take_norms_per_block(self, n):
+        """Bit-equal to the whole-set arithmetic, and no temporary the size
+        of the set: 4000x128 features (4.1 MB) against 8 centroids peak under
+        a quarter of their bytes."""
+        rng = np.random.default_rng(n)
+        feats, cents = rng.normal(size=(n, 128)), rng.normal(size=(8, 128))
+        tracemalloc.start()
+        try:
+            dist = pl.cosine_distances(feats, cents)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        denom = np.linalg.norm(feats, axis=1)[:, None] * np.linalg.norm(cents, axis=1)[None, :]
+        assert dist.tobytes() == (1.0 - (feats @ cents.T) / (denom + pl.EPS)).tobytes()
+        if n == 4000:
+            assert peak < 0.25 * feats.nbytes
+
     def test_peak_memory_is_bounded_by_the_results(self):
         gen, f1, f2 = self.nets()
         x = np.random.default_rng(0).normal(size=(4000, 64))

@@ -2,6 +2,7 @@
 double backward, the two arithmetics of one vjp formula, and graph
 determinism."""
 import ast
+import functools
 import gc
 import inspect
 import tracemalloc
@@ -278,14 +279,15 @@ def _cross_entropy(logits, targets):
 def _fused_builder(name: str, seed: int):
     """(make_scalar, wrt): a scalar through one fused op, rebuilt from the
     same ``wrt`` tensors on every call."""
-    if name == "linear":
+    if name.startswith("linear"):
         x, w, b, proj = TestFusedOps._linear_case(seed)
-        return lambda: _quadratic(T.linear(x, w, b), proj), [x, w, b]
+        relu = name == "linear_relu"
+        return lambda: _quadratic(T.linear(x, w, b, relu=relu), proj), [x, w, b]
     if name == "cross_entropy_grad":
         ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
         return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls, g]
-    if name == "class_affine_gradient_layers":
-        layers, members, proj = TestFusedOps._class_layers_case(seed)
+    if name in ("class_affine_gradient_layers", "class_affine_gradient_no_class"):
+        layers, members, proj = TestFusedOps._class_layers_case(seed, name.endswith("class"))
         return (lambda: _quadratic(T.class_affine_gradient(layers, members), proj),
                 [t for layer in layers for t in layer])
     if name.startswith("class_affine_gradient"):
@@ -306,8 +308,11 @@ def _fused_case(name: str, seed: int):
 
 _FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entropy_grad",
                 "class_affine_gradient_all", "class_affine_gradient_K", "cosine_rows_2d",
-                "class_affine_gradient_layers")
-_GRADIENT_OP_CASES = _FUSED_CASES[3:]
+                "class_affine_gradient_layers", "linear_relu",
+                "class_affine_gradient_no_class")
+_GRADIENT_OP_CASES = ("cross_entropy_grad", "class_affine_gradient_all",
+                      "class_affine_gradient_K", "cosine_rows_2d",
+                      "class_affine_gradient_layers", "class_affine_gradient_no_class")
 
 
 def _scalar_and_wrt(name: str, trial: int):
@@ -359,16 +364,18 @@ def _recorded_op_names() -> set:
     }
 
 
-def test_every_recorded_op_has_one_vjp_formula_per_parent():
-    """One callable per recorded op, ``vjp(i, ns, g, args, out, ctx)``, which
-    gives parent ``i`` of a node a cotangent of that parent's shape."""
+def test_every_recorded_op_has_one_vjp_formula_per_parent(monkeypatch):
+    """One callable per recorded op, ``vjp(ns, g, args, out, ctx, needed)``,
+    which gives each parent of a node that ``needed`` asks for a cotangent of
+    that parent's shape, the same bits whichever others are asked for, and
+    None to the others; a backward calls it once per node on its path."""
     assert _recorded_op_names() == set(T._VJPS)
     for vjp in T._VJPS.values():
         params = list(inspect.signature(vjp).parameters)
-        assert params[:5] == ["i", "ns", "g", "args", "out"] and len(params) == 6
+        assert params[:4] == ["ns", "g", "args", "out"] and params[5:] == ["needed"]
     reached = set()
     for name in sorted(_PRIMITIVE_CASES) + list(_FUSED_CASES):
-        scalar, _ = _scalar_and_wrt(name, 0)
+        scalar, wrt = _scalar_and_wrt(name, 0)
         for node in T._reachable(scalar):
             if not node.parents:
                 continue
@@ -376,9 +383,27 @@ def test_every_recorded_op_has_one_vjp_formula_per_parent():
             vjp = T._VJPS[node.op]
             args = [p.values for p in node.parents]
             g = np.ones(node.shape)
+            n = len(node.parents)
+            every = vjp(T._ARRAYS, g, args, node.values, node._ctx, [True] * n)
+            assert type(every) is tuple and len(every) == n, node.op
             for i, parent in enumerate(node.parents):
-                cot = vjp(i, T._ARRAYS, g, args, node.values, node._ctx)
-                assert cot.shape == parent.shape, (node.op, i)
+                assert every[i].shape == parent.shape, (node.op, i)
+                one = vjp(T._ARRAYS, g, args, node.values, node._ctx,
+                          [j == i for j in range(n)])
+                assert [c is None for c in one] == [j != i for j in range(n)], (node.op, i)
+                assert one[i].tobytes() == every[i].tobytes(), (node.op, i)
+        calls = []
+        for op, vjp in T._VJPS.items():
+            monkeypatch.setitem(T._VJPS, op, lambda ns, g, args, out, ctx, needed, vjp=vjp:
+                                calls.append(out) or vjp(ns, g, args, out, ctx, needed))
+        for create_graph in (False, True):
+            calls.clear()
+            T.backward(scalar, wrt, create_graph=create_graph)
+            called = [id(out.values if create_graph else out) for out in calls]
+            # in every case, each node leads to a wrt tensor
+            path = [n for n in T._reachable(scalar) if n.parents]
+            assert sorted(called) == sorted(id(n.values) for n in path), name
+        monkeypatch.undo()
     assert reached == set(T._VJPS)  # the cases above build every op
 
 
@@ -469,13 +494,13 @@ class TestFusedOps:
         return delta, h, members, T.Tensor(rng.normal(size=(rows, 8)))
 
     @staticmethod
-    def _class_layers_case(seed):
+    def _class_layers_case(seed, no_class=False):
         """Two layers of a head on 6 rows, (delta 6x2, h 6x3) and (6x3, 6x2),
-        and members of 3 classes."""
+        and members of 3 classes; with ``no_class`` the last row is in none."""
         rng = np.random.default_rng(500 + seed)
         layers = [(T.Tensor(rng.normal(size=(6, w))), T.Tensor(rng.normal(size=(6, n))))
                   for w, n in ((2, 3), (3, 2))]
-        labels = np.array([0, 1, 2, 0, 1, 2])
+        labels = np.array([0, 1, 2, 0, 1, 3 if no_class else 2])
         members = (labels[:, None] == np.arange(3)).astype(np.float64)
         return layers, members, T.Tensor(rng.normal(size=(3, 8 + 9)))
 
@@ -526,6 +551,29 @@ class TestFusedOps:
             return T.tsum(T.mul(T.mul(y, y), proj))
 
         _second_order(loss, [x, w, b], [x, w, b], seed)
+
+    @pytest.mark.parametrize("create_graph", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_relu_is_one_node_bit_equal_to_relu_of_linear(self, seed, create_graph):
+        """The fused activation records one node of parents (x, w, b); its
+        values and its gradients, first order or recorded, are bit-equal to
+        ``relu(linear(x, w, b))``."""
+        x, w, b, proj = self._linear_case(seed)
+        fused = T.linear(x, w, b, relu=True)
+        composed = T.relu(T.linear(x, w, b))
+        assert fused.op == "linear" and fused.parents == (x, w, b)
+        assert (fused.values == 0.0).any()
+        assert fused.values.tobytes() == composed.values.tobytes()
+        grads = [T.backward(_quadratic(out, proj), [x, w, b], create_graph=create_graph)
+                 for out in (fused, composed)]
+        for t in (x, w, b):
+            assert grads[0][t].values.tobytes() == grads[1][t].values.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_relu_first_and_second_order(self, seed):
+        make_scalar, wrt = _fused_builder("linear_relu", seed)
+        fd_check(make_scalar, wrt)
+        _second_order(make_scalar, wrt, wrt, seed)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_equals_composition(self, weighted):
@@ -828,8 +876,9 @@ def test_linear_and_its_weight_vjp_allocate_only_their_result():
     np.testing.assert_array_equal(out.values, T.add(T.matmul(x, T.transpose(w)), b).values)
     assert peak < 1.5 * out.values.nbytes
     g = rng.normal(size=out.shape)
-    peak, grad = _peak_bytes(lambda: T._VJPS["linear"](
-        1, T._ARRAYS, g, [x.values, w.values, b.values], out.values, None))
+    peak, (_, grad, _) = _peak_bytes(lambda: T._VJPS["linear"](
+        T._ARRAYS, g, [x.values, w.values, b.values], out.values, False,
+        [False, True, False]))
     np.testing.assert_array_equal(grad, g.T @ x.values)
     assert peak < 1.5 * grad.nbytes
 
@@ -895,9 +944,9 @@ def _class_members(rng, b, k, every_row):
 def test_class_gather_fold_equals_the_masked_composition(k, every_row):
     """On arrays the class-affine vjp folds the cotangent of delta's masked
     copies back by gathering each row's block of its class: bit-equal to the
-    masked composition on rows of a class, and to numpy's masked sum on
-    every row; a row of no class gets zeros, of either sign in the recorded
-    composition and +0.0 in numpy's sum, as in the gather."""
+    masked composition, and to the sum of the masked blocks in block order,
+    on every row.  A row of no class gets the sign of zero that sum gives:
+    -0.0 where all K blocks are negative."""
     rng = np.random.default_rng(10 * k + every_row)
     members = _class_members(rng, 9, k, every_row)
     delta, h = T.Tensor(rng.normal(size=(9, 3))), T.Tensor(rng.normal(size=(9, 4)))
@@ -907,14 +956,11 @@ def test_class_gather_fold_equals_the_masked_composition(k, every_row):
     assert fused.values.tobytes() == composed.values.tobytes()
     g_fused = T.backward(T.tsum(T.mul(fused, proj)), [delta, h])
     g_composed = T.backward(T.tsum(T.mul(composed, proj)), [delta, h])
-    assert g_fused[h].values.tobytes() == g_composed[h].values.tobytes()
-    in_class = members.any(axis=1)
-    got, want = g_fused[delta].values, g_composed[delta].values
-    assert got[in_class].tobytes() == want[in_class].tobytes()
-    np.testing.assert_array_equal(got[~in_class], 0.0)
-    np.testing.assert_array_equal(want[~in_class], 0.0)
+    for t in (delta, h):
+        assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
     g = rng.normal(size=(9, 3 * k)).T.copy().T  # the vjp's layout: a transposed product
-    masked = (g.reshape(9, k, 3) * members[:, :, None]).sum(axis=1)
+    masked = functools.reduce(np.add, [g[:, 3 * r:3 * r + 3] * members[:, r:r + 1]
+                                       for r in range(k)])
     assert T._ARRAYS.class_fold(g, members).tobytes() == masked.tobytes()
 
 
@@ -928,8 +974,8 @@ def test_class_affine_vjp_makes_no_second_k_fold_copy():
     out = T.class_affine_gradient([(delta, h)], members)
     k_fold = b * k * width * 8
     g = rng.normal(size=out.shape)
-    peak, grad_h = _peak_bytes(lambda: T._VJPS["class_affine_gradient"](
-        1, T._ARRAYS, g, [delta.values, h.values], out.values, out._ctx))
+    peak, (_, grad_h) = _peak_bytes(lambda: T._VJPS["class_affine_gradient"](
+        T._ARRAYS, g, [delta.values, h.values], out.values, out._ctx, [False, True]))
     assert grad_h.shape == (b, n_in) and peak < 2 * k_fold
     g_copies = rng.normal(size=(b, k * width)).T.copy().T
     peak, folded = _peak_bytes(lambda: T._ARRAYS.class_fold(g_copies, members))
