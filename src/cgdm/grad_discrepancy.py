@@ -160,13 +160,13 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
             f"gradients must be equal-shape K-by-P matrices, got {gs.shape}, {gt.shape}"
         )
     rows = gs.shape[0]
-    cos, norm_s, norm_t = cosine_rows(gs, gt, EPS, norms=True)
+    cos, norm_s, norm_t = cosine_rows(gs, gt, EPS)
     live = (norm_s >= EPS) & (norm_t >= EPS)
     if not live.any():
         return Tensor(0.0)
     if not live.all():  # keep the live rows; the selection is exact
         keep = np.eye(rows)[live]
-        cos = cosine_rows(matmul(keep, gs), matmul(keep, gt), EPS)
+        cos = cosine_rows(matmul(keep, gs), matmul(keep, gt), EPS)[0]
     return mul(tsum(sub(1.0, cos)), 1.0 / rows)
 
 

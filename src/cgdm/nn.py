@@ -139,6 +139,13 @@ def save_params(named_nets: dict, path) -> None:
         <values on one line>
         param <net>.layer<i>.bias <out>
         <values on one line>
+
+    An activation is ``relu`` or ``none``.  :func:`load_params` takes a file
+    only if it holds one ``arch`` record per net and one ``param`` record per
+    parameter, each of a layer its net's ``arch`` lists, with finite values;
+    each weight is 2-D of positive sizes, its bias 1-D with the weight's row
+    count, and each layer after the first takes as many inputs as the layer
+    before gives.
     """
     lines = ["# cgdm checkpoint v1"]
     for name, net in named_nets.items():
@@ -157,13 +164,15 @@ def save_params(named_nets: dict, path) -> None:
 def load_params(path) -> dict:
     """Read a checkpoint written by :func:`save_params` into fresh Mlps.
 
-    A malformed or truncated file raises :class:`~cgdm.data.ParseError`
-    with the 1-based line number.
+    A malformed or truncated file, or one that breaks a rule of
+    :func:`save_params`, raises :class:`~cgdm.data.ParseError` with the
+    1-based line number of the offending record (the line after the file
+    for a missing one).
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     acts = {}
-    weights = {}
+    params = {}  # name -> (values, line of its param record)
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -171,14 +180,20 @@ def load_params(path) -> dict:
             parts = line.split(" ", 2)
             if len(parts) != 3:
                 raise ParseError("expected 'arch <net> <activations>'", line=i + 1)
+            if parts[1] in acts:
+                raise ParseError(f"a second arch record of {parts[1]}", line=i + 1)
             acts[parts[1]] = parts[2].split(",")
+            for act in acts[parts[1]]:
+                if act not in ("relu", "none"):
+                    raise ParseError(f"activation {act!r} is neither relu nor none",
+                                     line=i + 1)
         elif line.startswith("param "):
             parts = line.split()
-            try:
-                full = parts[1]
-                shape = tuple(int(d) for d in parts[2:])
-            except (IndexError, ValueError):
-                raise ParseError("expected 'param <name> <dims...>'", line=i + 1) from None
+            if len(parts) < 2 or not all(d.isascii() and d.isdigit() for d in parts[2:]):
+                raise ParseError("expected 'param <name> <dims...>'", line=i + 1)
+            full, shape = parts[1], tuple(int(d) for d in parts[2:])
+            if full in params:
+                raise ParseError(f"a second param record of {full}", line=i + 1)
             i += 1
             if i == len(lines):
                 raise ParseError(f"{full}: missing values line", line=i + 1)
@@ -191,18 +206,35 @@ def load_params(path) -> dict:
                     f"{full}: expected {math.prod(shape)} values, got {vals.size}",
                     line=i + 1,
                 )
-            weights[full] = vals.reshape(shape)
+            if not np.isfinite(vals).all():
+                raise ParseError(f"{full}: non-finite value", line=i + 1)
+            params[full] = (vals.reshape(shape), i)
         i += 1
 
+    listed = {f"{name}.layer{j}.{kind}" for name, act_list in acts.items()
+              for j in range(len(act_list)) for kind in ("weight", "bias")}
+    for full, (_, line) in params.items():
+        if full not in listed:
+            raise ParseError(f"{full} is of no layer an arch record lists", line=line)
     nets = {}
     for name, act_list in acts.items():
         layers = []
         for j, act in enumerate(act_list):
             try:
-                w = weights[f"{name}.layer{j}.weight"]
-                b = weights[f"{name}.layer{j}.bias"]
+                w, w_line = params[f"{name}.layer{j}.weight"]
+                b, b_line = params[f"{name}.layer{j}.bias"]
             except KeyError as err:
                 raise ParseError(f"missing parameter {err}", line=len(lines) + 1) from None
+            if w.ndim != 2 or 0 in w.shape:
+                raise ParseError(f"{name}.layer{j}.weight: shape {w.shape} is not 2-D "
+                                 "of positive sizes", line=w_line)
+            if b.shape != (w.shape[0],):
+                raise ParseError(f"{name}.layer{j}.bias: shape {b.shape} for a weight of "
+                                 f"{w.shape[0]} rows", line=b_line)
+            if layers and w.shape[1] != layers[-1].weight.shape[0]:
+                raise ParseError(f"{name}.layer{j}.weight: takes {w.shape[1]} inputs, "
+                                 f"layer {j - 1} gives {layers[-1].weight.shape[0]}",
+                                 line=w_line)
             layers.append(Layer(Tensor(w), Tensor(b), act))
         nets[name] = Mlp(layers)
     return nets

@@ -10,10 +10,13 @@ Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product callable per op,
 ``vjp(ns, g, args, out, ctx, needed) -> tuple``, which returns one cotangent
 per parent from the cotangent ``g``, the parents ``args``, the node's output
-``out`` and its saved context ``ctx`` (the pow exponent, the concat axis,
-the narrowed range, the ReLU flag of ``linear``, or the cross-entropy's
-``(log_softmax node, onehot, scale)``; relu and absolute keep none and take
-their masks from their output or input, only when a backward visits them).
+``out`` and its saved context ``ctx``: the pow exponent, the concat axis,
+the narrowed range, the ReLU flag of ``linear``, the cross-entropy's
+``(log_softmax node, onehot, scale)``, ``cross_entropy_grad``'s
+``(onehot, scale)``, ``class_affine_gradient``'s members (or None) and
+``cosine_rows``'s forward row sums, norms and denominators; relu and
+absolute keep none and take their masks from their output or input, only
+when a backward visits them.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -33,12 +36,19 @@ passes one of two:
   records nothing.
 
 Both namespaces run the same numpy operations in the same order, so the two
-modes give bit-identical gradients.  A transpose is a view in both, unless
-a formula asks for a C-ordered copy, so ``linear``, its weight vjp ``g^T x``
-and the other matmuls pass transposed views to BLAS, which reads them in
-place.  A node holds no closure and no reference to itself (exp and
-log_softmax get their output as ``out``), so a graph is freed by reference
-counting alone.
+modes give bit-identical gradients.  A transpose is a view in both, so
+``linear``, its weight vjp ``g^T x`` and the other matmuls pass transposed
+views to BLAS, which reads them in place.  A node holds no closure and no
+reference to itself (exp and log_softmax get their output as ``out``), so a
+graph is freed by reference counting alone.
+
+The three gradient ops, ``cross_entropy_grad``, ``class_affine_gradient``
+and ``cosine_rows``, are first-order: their formulas are plain numpy on the
+values, whatever ``ns`` they are given, and ``backward(...,
+create_graph=True)`` raises :class:`ContractError` on a path through one.
+CGDM differentiates a gradient once (the alignment loss's backward into the
+generator, through the ``cross_entropy_grad`` nodes a create-graph backward
+records) and never that derivative again.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -48,8 +58,8 @@ thread-local so independent runs can execute concurrently.
 
 Fused ops stand for common compositions, one node each.  Their forward
 values come from the composition's numpy operations in its order, and their
-vjps, written against ``ns``, replay its cotangents in the order it adds a
-parent's contributions, so gradients are bit-identical to it:
+vjps replay its cotangents in the order it adds a parent's contributions, so
+gradients are bit-identical to it:
 
 * ``linear(x, w, b)``: ``add(matmul(x, transpose(w)), b)``, and
   ``linear(x, w, b, relu=True)``: ``relu`` of that, whose max is taken in
@@ -69,18 +79,7 @@ parent's contributions, so gradients are bit-identical to it:
 
 ``tile_cols`` and ``tile_rows`` copy a vector across columns or a row down
 rows: ``_GRAPH`` records ``(b,1) @ ones((1,k))`` and ``ones * v``, ``_ARRAYS``
-makes a broadcast copy, the same values in fewer calls.  Likewise
-``class_copies`` (the masked copies of ``delta``) and ``class_fold`` (their
-cotangents summed back) record ``concat``, ``mul``, ``narrow`` and ``add``; on
-arrays the copies are one broadcast product, and the fold gathers each row's
-block of its class, with no K-fold product, and the same bits.  A row of no
-class gets, as in the recorded sum of its K blocks times 0 in block order,
--0.0 where all K blocks are negative and +0.0 elsewhere; the gather makes
-that sum only when such rows exist.  And ``block_matmul`` (the weight
-cotangent, reshaped to K*width rows, times a matrix) records ``reshape`` and
-``matmul`` but on arrays multiplies K width-by-in views, one per class: each
-output element is the same dot product, and OpenBLAS sums it in the same
-order (checked bit for bit), without the reshaped copy.
+makes a broadcast copy, the same values in fewer calls.
 """
 from __future__ import annotations
 
@@ -304,17 +303,12 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
     return _node(out, (x, w, b), "linear", relu)
 
 
-def _transposed(values: np.ndarray, contiguous: bool = False) -> np.ndarray:
-    return np.ascontiguousarray(values.T) if contiguous else values.T
-
-
-def transpose(a, contiguous: bool = False) -> Tensor:
-    """The transpose of a 2-D tensor: a view, which BLAS reads in place, or
-    with ``contiguous`` a C-ordered copy."""
+def transpose(a) -> Tensor:
+    """The transpose of a 2-D tensor: a view, which BLAS reads in place."""
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _node(_transposed(a.values, contiguous), (a,), "transpose")
+    return _node(a.values.T, (a,), "transpose")
 
 
 def relu(a) -> Tensor:
@@ -449,7 +443,7 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
 def cross_entropy_grad(ls, g, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
     """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
     :func:`softmax_cross_entropy` node with log-softmax ``ls``, cotangent
-    ``g`` and per-element row scale ``scale``, as one node."""
+    ``g`` and per-element row scale ``scale``, as one first-order node."""
     return _node(_ARRAYS.cross_entropy_grad(ls.values, g.values, onehot, scale),
                  (ls, g), "cross_entropy_grad", (onehot, scale))
 
@@ -460,7 +454,7 @@ def class_affine_gradient(layers, members=None) -> Tensor:
     gradients on the rows of class r, side by side.  ``d_r`` is the output
     cotangent ``delta`` on the rows that ``members`` (b-by-K, 0/1) puts in
     class r; ``None`` is one class of all rows.  The masked copies of each
-    ``delta`` live only inside the op and its vjp."""
+    ``delta`` live only inside the op and its first-order vjp."""
     layers = [(as_tensor(delta), as_tensor(h)) for delta, h in layers]
     if not layers:
         raise ContractError("class_affine_gradient of no layers")
@@ -473,30 +467,30 @@ def class_affine_gradient(layers, members=None) -> Tensor:
         raise ShapeError(f"{members.shape} members for {n} rows")
     blocks = []
     for delta, h in layers:
-        copies = delta.values if members is None else _ARRAYS.class_copies(delta.values, members)
+        copies = delta.values if members is None else _class_copies(delta.values, members)
         blocks += [(copies.T @ h.values).reshape(rows, -1),
                    copies.sum(axis=0).reshape(rows, -1)]
     parents = tuple(t for layer in layers for t in layer)
     return _node(np.concatenate(blocks, 1), parents, "class_affine_gradient", members)
 
 
-def _cosine_parts(ns, gs, gt, eps):
+def _cosine_parts(gs, gt, eps):
     """Row sums s.s, t.t and s.t, the norms, d = |s||t| + eps and 1/d."""
-    ss, tt, st = (ns.tsum(ns.mul(a, b), 1) for a, b in ((gs, gs), (gt, gt), (gs, gt)))
-    norm_s, norm_t = ns.pow_const(ss, 0.5), ns.pow_const(tt, 0.5)
-    denom = ns.add(ns.mul(norm_s, norm_t), eps)
-    return ss, tt, st, norm_s, norm_t, denom, ns.pow_const(denom, -1.0)
+    ss, tt, st = (np.add.reduce(a * b, 1) for a, b in ((gs, gs), (gt, gt), (gs, gt)))
+    norm_s, norm_t = _power(ss, 0.5), _power(tt, 0.5)
+    denom = norm_s * norm_t + eps
+    return ss, tt, st, norm_s, norm_t, denom, _power(denom, -1.0)
 
 
-def cosine_rows(gs, gt, eps: float, norms: bool = False):
-    """``(gs . gt) / (|gs| |gt| + eps)`` of each row of two b-by-P matrices;
-    with ``norms``, also the row norms |gs| and |gt| it computed, as arrays."""
+def cosine_rows(gs, gt, eps: float) -> tuple:
+    """``(cos, norm_s, norm_t)``: the first-order node ``(gs . gt) / (|gs|
+    |gt| + eps)`` of each row of two b-by-P matrices, and the row norms |gs|
+    and |gt| it computed, as arrays."""
     gs, gt = as_tensor(gs), as_tensor(gt)
     if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(f"cosine_rows: shapes {gs.shape} and {gt.shape}")
-    parts = _cosine_parts(_ARRAYS, gs.values, gt.values, eps)
-    cos = _node(parts[2] * parts[6], (gs, gt), "cosine_rows", (eps, parts))
-    return (cos, parts[3], parts[4]) if norms else cos
+    parts = _cosine_parts(gs.values, gt.values, eps)
+    return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
 
 
 # -- the two arithmetic namespaces the vjp formulas run on ---------------------
@@ -515,11 +509,17 @@ def _where_positive(g, out) -> np.ndarray:
     return np.multiply(g, mask, out=mask)
 
 
+def _class_copies(delta, members):
+    """``delta`` masked to the rows of each class, the K copies side by side:
+    one broadcast product."""
+    return (delta[:, None, :] * members[:, :, None]).reshape(len(delta), -1)
+
+
 def _class_gather(g, members):
-    """The fold on arrays: row i's block of its class, one gather in place
-    of the K-fold masked product and sum that ``_class_fold`` records, with
-    its bits.  A row of no class gets that sum of its K blocks times 0, in
-    block order: -0.0 where all K are negative, else +0.0."""
+    """The cotangent of ``delta`` from that of its K masked copies: row i's
+    block of its class, one gather in place of the K-fold masked product and
+    sum, with its bits.  A row of no class gets that sum of its K blocks
+    times 0, in block order: -0.0 where all K are negative, else +0.0."""
     b, k = members.shape
     rows = np.arange(b)
     cls = members.argmax(axis=1)
@@ -536,15 +536,12 @@ def _class_gather(g, members):
     return out
 
 
-def _class_fold(g, members):
-    """The cotangent of ``delta`` from that of its K masked copies side by
-    side: each copy's masked cotangent, added in copy order."""
-    width = g.shape[1] // members.shape[1]
-    g = mul(g, np.repeat(members, width, axis=1))
-    total = narrow(g, 1, 0, width)
-    for r in range(1, members.shape[1]):
-        total = add(total, narrow(g, 1, r * width, width))
-    return total
+def _block_matmul(a, m, width):
+    """Each row of ``a`` as ``width`` rows of a matrix, stacked, times ``m``:
+    K products of width-by-in views of ``a``, one per class, in place of the
+    product of its K*width-by-in reshaped copy.  Each output element is the
+    same dot product, which OpenBLAS sums in the same order."""
+    return np.matmul(a.reshape(len(a), width, -1), m).reshape(-1, m.shape[1])
 
 
 _GRAPH = SimpleNamespace(
@@ -553,18 +550,13 @@ _GRAPH = SimpleNamespace(
     narrow=narrow, zeros=zeros, ones=ones, cross_entropy_grad=cross_entropy_grad,
     tile_cols=lambda v, k: matmul(reshape(v, (v.shape[0], 1)), ones((1, k))),
     tile_rows=lambda v, shape: mul(ones(shape), v),
-    # delta masked to the rows of each class, the K copies side by side
-    class_copies=lambda delta, members: mul(concat([delta] * members.shape[1], 1),
-                                            np.repeat(members, delta.shape[1], axis=1)),
-    class_fold=_class_fold,
-    block_matmul=lambda a, m, width: matmul(reshape(a, (-1, m.shape[0])), m),
     saved=lambda t: t,  # a node kept in a context, as this namespace sees it
     where_positive=lambda g, out: mul(g, out.values > 0.0),  # a constant 0/1 mask
 )
 
 _ARRAYS = SimpleNamespace(
     add=np.add, sub=np.subtract, neg=np.negative, mul=np.multiply,
-    matmul=np.matmul, transpose=_transposed,
+    matmul=np.matmul, transpose=lambda a: a.T,
     exp=np.exp, pow_const=_power,
     # the reduction and the method that ndarray.sum and np.reshape call,
     # without their Python wrappers
@@ -575,13 +567,6 @@ _ARRAYS = SimpleNamespace(
     cross_entropy_grad=lambda ls, g, onehot, scale: (np.exp(ls) - onehot) * (g * scale),
     tile_cols=lambda v, k: _filled(v[:, None], (len(v), k)),
     tile_rows=lambda v, shape: _filled(v, shape),
-    class_copies=lambda delta, members: (
-        delta[:, None, :] * members[:, :, None]).reshape(len(delta), -1),
-    class_fold=_class_gather,
-    # each row of ``a`` as ``width`` rows of a matrix, stacked, times ``m``:
-    # K products of width-by-in views of ``a``, so no K*width-by-in copy
-    block_matmul=lambda a, m, width: np.matmul(
-        a.reshape(len(a), width, -1), m).reshape(-1, m.shape[1]),
     saved=lambda t: t.values,
     where_positive=_where_positive,
 )
@@ -669,41 +654,43 @@ def _cross_entropy_vjp(ns, g, args, out, ctx, needed):
 
 
 def _cross_entropy_grad_vjp(ns, g, args, out, ctx, needed):
+    """First-order, on arrays: ``(g * (g_loss * scale)) * exp(ls)`` and the
+    sum of ``(g * (exp(ls) - onehot)) * scale``."""
     ls, g_loss = args
     onehot, scale = ctx
-    e = ns.exp(ls)
-    return (ns.mul(ns.mul(g, ns.mul(g_loss, scale)), e) if needed[0] else None,
-            _unbroadcast(ns, ns.mul(ns.mul(g, ns.sub(e, onehot)), scale), g_loss.shape)
+    e = np.exp(ls)
+    return (g * (g_loss * scale) * e if needed[0] else None,
+            _unbroadcast(_ARRAYS, g * (e - onehot) * scale, g_loss.shape)
             if needed[1] else None)
 
 
 def _class_affine_vjp(ns, g, args, out, members, needed):
-    """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
-    then its ``delta``'s and its ``h``'s cotangents as needed.  The ``h``
-    cotangent makes the masked copies of ``delta`` once; the ``delta``
-    cotangent makes none."""
+    """First-order, on arrays.  One walk over the layers ``(delta, h)``: each
+    layer's block of ``g``, then its ``delta``'s and its ``h``'s cotangents
+    as needed.  The ``h`` cotangent makes the masked copies of ``delta``
+    once; the ``delta`` cotangent makes none, gathering each row's block of
+    its class instead."""
     rows = out.shape[0]
     cots, start = [], 0
     for j in range(0, len(args), 2):
         delta, h = args[j], args[j + 1]
         width, n_in = delta.shape[1], h.shape[1]
         size = width * (n_in + 1)
-        block = ns.narrow(g, 1, start, size) if len(args) > 2 else g
+        block = g[:, start:start + size] if len(args) > 2 else g
         start += size
-        g_weight = ns.narrow(block, 1, 0, width * n_in)
+        g_weight = block[:, :width * n_in]
         g_delta = g_h = None
         if needed[j]:
             # a C-ordered h^T: BLAS reads a transposed view in another summation
             # order when the weight cotangent has few rows, and these sums keep
-            # their bits
-            g_delta = ns.add(
-                ns.transpose(ns.block_matmul(g_weight, ns.transpose(h, True), width)),
-                ns.reshape(ns.narrow(block, 1, width * n_in, width), (rows * width,)))
+            # the bits of the composition's
+            g_delta = (_block_matmul(g_weight, np.ascontiguousarray(h.T), width).T
+                       + block[:, width * n_in:size].reshape(rows * width))
             if members is not None:
-                g_delta = ns.class_fold(g_delta, members)
+                g_delta = _class_gather(g_delta, members)
         if needed[j + 1]:
-            copies = delta if members is None else ns.class_copies(delta, members)
-            g_h = ns.matmul(copies, ns.reshape(g_weight, (rows * width, n_in)))
+            copies = delta if members is None else _class_copies(delta, members)
+            g_h = copies @ g_weight.reshape(rows * width, n_in)
         cots += (g_delta, g_h)
     return tuple(cots)
 
@@ -715,29 +702,25 @@ def _absolute_vjp(ns, g, args, out, ctx, needed):
     return (ns.add(ns.neg(ns.mul(g, a < 0.0)), ns.mul(g, a > 0.0)),)
 
 
-def _cosine_rows_vjp(ns, g, args, out, ctx, needed):
-    """A parent's cotangent arrives through s.t first, then twice through
-    its own square (``mul(a, a)``), as in the composition; the terms of the
-    denominator and of s.t are made once for both.  The array path reads
-    the forward's row sums from the context; the graph path makes them
-    again from the parents, so that a further backward differentiates them."""
+def _cosine_rows_vjp(ns, g, args, out, parts, needed):
+    """First-order, on arrays, from the forward's row sums in the context.  A
+    parent's cotangent arrives through s.t first, then twice through its own
+    square (``mul(a, a)``), as in the composition; the terms of the
+    denominator and of s.t are made once for both."""
     gs, gt = args
-    eps, parts = ctx
-    if ns is _GRAPH:
-        parts = _cosine_parts(ns, gs, gt, eps)
     ss, tt, st, norm_s, norm_t, denom, inv = parts
     cols = gs.shape[1]
-    g_denom = ns.mul(ns.mul(g, st), ns.mul(ns.pow_const(denom, -2.0), -1.0))
-    g_cross = ns.tile_cols(ns.mul(g, inv), cols)
+    g_denom = g * st * (_power(denom, -2.0) * -1.0)
+    g_cross = _ARRAYS.tile_cols(g * inv, cols)
     cots = []
     for a, other, own_sq, other_norm, need in ((gs, gt, ss, norm_t, needed[0]),
                                                (gt, gs, tt, norm_s, needed[1])):
         if not need:
             cots.append(None)
             continue
-        g_sq = ns.mul(ns.mul(g_denom, other_norm), ns.mul(ns.pow_const(own_sq, -0.5), 0.5))
-        square = ns.mul(ns.tile_cols(g_sq, cols), a)
-        cots.append(ns.add(ns.add(ns.mul(g_cross, other), square), square))
+        g_sq = g_denom * other_norm * (_power(own_sq, -0.5) * 0.5)
+        square = _ARRAYS.tile_cols(g_sq, cols) * a
+        cots.append(g_cross * other + square + square)
     return tuple(cots)
 
 
@@ -767,6 +750,7 @@ _VJPS = {
     "class_affine_gradient": _class_affine_vjp,
     "cosine_rows": _cosine_rows_vjp,
 }
+_FIRST_ORDER = frozenset(("cross_entropy_grad", "class_affine_gradient", "cosine_rows"))
 
 
 def _reachable(root: Tensor) -> list:
@@ -792,9 +776,11 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     path, consumers before parents (descending ids).  With
     ``create_graph=True`` the formulas run on the recording primitives
     (recording switched on for the pass), so the returned gradients are graph
-    nodes and support a further backward.  Otherwise they run on the nodes'
-    numpy values: the pass records nothing (recording is switched off for
-    it) and creates no tensor but the returned gradients.
+    nodes and support a further backward; a path through a first-order op
+    (``cross_entropy_grad``, ``class_affine_gradient``, ``cosine_rows``)
+    raises :class:`ContractError` before the pass starts.  Otherwise they
+    run on the nodes' numpy values: the pass records nothing (recording is
+    switched off for it) and creates no tensor but the returned gradients.
     """
     if scalar.size != 1:
         raise ContractError(f"backward root must have one element, got {scalar.size}")
@@ -808,6 +794,9 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     for node in _reachable(scalar):  # ascending ids: parents precede consumers
         needed = [p._id in on_path for p in node.parents]
         if any(needed) or node._id in wrt_ids:
+            if create_graph and any(needed) and node.op in _FIRST_ORDER:
+                raise ContractError(f"{node.op} is first-order: a create_graph "
+                                    "backward cannot pass through it")
             on_path.add(node._id)
             path.append((node, needed))
 

@@ -127,6 +127,19 @@ def test_export_embeddings_with_truncated_checkpoint_exits_1(tmp_path, capsys):
     assert "no generator" in capsys.readouterr().err
 
 
+def test_export_embeddings_with_layers_that_do_not_fit_exits_1(tmp_path, capsys):
+    """A checkpoint whose second layer takes 63 inputs after a 64-wide first
+    layer is one error line, not a traceback."""
+    ckpt = tmp_path / "full.ckpt"
+    nn.save_params({"generator": nn.init_mlp([2, 64, 32], seed=1)}, ckpt)
+    lines = ckpt.read_text().splitlines()
+    lines[6] = "param generator.layer1.weight 32 63"
+    lines[7] = " ".join(["0.5"] * (32 * 63))
+    assert _export_with(tmp_path, "\n".join(lines) + "\n") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 7: generator.layer1.weight: takes 63 inputs, layer 0 gives 64"]
+
+
 @pytest.mark.parametrize("labeled", [True, False])
 def test_embeddings_csv_reads_back_as_the_generator_output(tmp_path, labeled):
     source, _ = make_shifted_blobs(3, 4, 5.0, 2.0, 1.0, 7, seed=1)

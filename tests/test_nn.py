@@ -262,3 +262,66 @@ class TestCheckpoint:
         with pytest.raises(ParseError) as err:
             nn.load_params(path)
         assert err.value.line == len(lines)
+
+    @staticmethod
+    def _load_edited(tmp_path, dims, edit):
+        """Load a saved generator of ``dims`` whose lines ``edit`` changed in
+        place; the ParseError it raises."""
+        path = tmp_path / "model.ckpt"
+        nn.save_params({"generator": nn.init_mlp(dims, seed=1)}, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            nn.load_params(path)
+        return err.value
+
+    def test_an_activation_other_than_relu_or_none_is_rejected(self, tmp_path):
+        def edit(lines):
+            lines[1] = "arch generator relu,tanh"
+        err = self._load_edited(tmp_path, [2, 4, 3], edit)
+        assert err.line == 2 and "'tanh'" in str(err)
+
+    @pytest.mark.parametrize("record", ["arch", "param"])
+    def test_a_repeated_record_is_rejected(self, tmp_path, record):
+        def edit(lines):  # the repeat is the line after the file's end
+            lines += lines[1:2] if record == "arch" else lines[-2:]
+        err = self._load_edited(tmp_path, [2, 3], edit)
+        assert err.line == 7 and f"a second {record} record" in str(err)
+
+    def test_a_param_of_no_listed_layer_is_rejected(self, tmp_path):
+        def edit(lines):
+            lines[1] = "arch generator relu"  # one layer of the file's two
+        err = self._load_edited(tmp_path, [2, 4, 3], edit)
+        assert err.line == 7 and "generator.layer1.weight is of no layer" in str(err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_value_is_rejected(self, tmp_path, value):
+        def edit(lines):
+            lines[3] = " ".join([value] + lines[3].split()[1:])
+        err = self._load_edited(tmp_path, [2, 3], edit)
+        assert err.line == 4 and "non-finite value" in str(err)
+
+    @pytest.mark.parametrize("header, values, line, message", [
+        ("param generator.layer0.weight 6", None, 3, "shape (6,) is not 2-D"),
+        ("param generator.layer0.weight 0 2", "", 3, "shape (0, 2) is not 2-D"),
+        ("param generator.layer0.weight -3 -2", None, 3, "expected 'param <name> <dims...>'"),
+        ("param generator.layer0.bias 3 1", None, 5, "shape (3, 1) for a weight of 3 rows"),
+        ("param generator.layer0.bias 4", "0 0 0 0", 5, "shape (4,) for a weight of 3 rows"),
+    ], ids=["weight_1d", "weight_of_no_rows", "negative_dims", "bias_2d",
+            "bias_of_another_length"])
+    def test_a_weight_or_bias_of_the_wrong_shape_is_rejected(self, tmp_path, header, values,
+                                                             line, message):
+        def edit(lines):
+            lines[line - 1] = header
+            if values is not None:
+                lines[line] = values
+        err = self._load_edited(tmp_path, [2, 3], edit)
+        assert err.line == line and message in str(err)
+
+    def test_layers_whose_widths_do_not_chain_are_rejected(self, tmp_path):
+        def edit(lines):  # layer 1 takes 3 inputs where layer 0 gives 4
+            lines[6] = "param generator.layer1.weight 3 3"
+            lines[7] = " ".join(["0.5"] * 9)
+        err = self._load_edited(tmp_path, [2, 4, 3], edit)
+        assert err.line == 7 and "takes 3 inputs, layer 0 gives 4" in str(err)
