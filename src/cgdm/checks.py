@@ -46,9 +46,9 @@ def finite_difference_gradient(loss_fn, params, h: float = 1e-4):
     """Central-difference gradient of a scalar loss w.r.t. each parameter.
 
     ``loss_fn`` is re-evaluated from scratch per perturbation.  It runs with
-    recording on, because a loss may legitimately contain an inner backward
-    pass (the alignment loss does); plain forward losses just build a small
-    throwaway graph.
+    recording on, because a loss may read its own graph (the alignment loss
+    records the heads' backward recurrence from their log-softmax nodes);
+    plain forward losses just build a small throwaway graph.
     """
     grads = []
     for p in params:
@@ -246,8 +246,10 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
     Checked: the source (unit weights) and target (entropy weights) matrices
     of :func:`~cgdm.grad_discrepancy.class_gradients`, as one row for the
     whole batch and as one row per class present, each row against the
-    oracle on that class's rows.  :func:`~cgdm.grad_discrepancy.source_gradient`
-    and :func:`~cgdm.grad_discrepancy.target_gradient` run the same code."""
+    oracle on that class's rows.  That is the recorded head recurrence
+    training runs; :func:`~cgdm.grad_discrepancy.source_gradient` and
+    :func:`~cgdm.grad_discrepancy.target_gradient`, the create-graph
+    definition, give the same matrices bit for bit (checked in the tests)."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     worst = 0.0

@@ -5,27 +5,35 @@ its rows (source: true labels; target: pseudo labels and entropy weights)
 with respect to every classifier parameter, columns in the order of
 :func:`classifier_parameters`.  Row r of its K-by-P **class-gradient matrix**
 is that gradient on the rows of class r, whatever the row order; without
-classes the matrix has one row, the whole batch.  One definition makes every
-such matrix: one create-graph backward, for all domains asked for at once,
-to each head layer's node (:func:`~cgdm.nn.layer_taps`) gives the per-row
-cotangent of its output; through a hidden layer's ReLU, the constant mask of
-its positive outputs turns that into the cotangent ``delta`` of its affine
-map.  With the layer's input ``H``, a weight gradient is ``delta^T H`` and
-a bias gradient the column sum of ``delta``; masked to one class's rows,
-that class's.  A domain's matrix, every layer's block, is one fused
-:func:`~cgdm.tensor.class_affine_gradient` node.  :func:`source_gradient` and
-:func:`target_gradient` ask for one domain, :func:`class_gradients` (which
-training runs) for both.  The recorded graph keeps the gradients
-differentiable, through the logits and the generator features under them,
-with respect to the generator parameters: the alignment loss is minimized by
-the generator via double backward.
+classes the matrix has one row, the whole batch.  It is made from the
+cotangent ``delta`` of each head layer's affine map, per row: with the
+layer's input ``H`` (:func:`~cgdm.nn.layer_taps`), a weight gradient is
+``delta^T H`` and a bias gradient the column sum of ``delta``; masked to one
+class's rows, that class's.  A domain's matrix, every layer's block, is one
+fused :func:`~cgdm.tensor.class_affine_gradient` node.
+
+:func:`class_gradients`, the path training runs, records the heads' backward
+recurrence as forward ops, as double backpropagation was first written
+(Drucker and LeCun, IEEE TNN 1992): the logits' cotangent is the
+cross-entropy's :func:`~cgdm.tensor.cross_entropy_grad` with the two-head
+mean's 0.5; going down a head, a layer's ``delta`` is the cotangent ``g`` of
+its output, times the constant mask of its positive outputs where the layer
+has a ReLU, and ``g`` of the layer below is ``delta W``.  No backward pass
+runs.  :func:`source_gradient` and :func:`target_gradient` make one domain's
+matrix by the definition instead: one create-graph backward of the two-head
+cross-entropy to each layer node, then the same masks.  They stay as the
+autodiff reference the recurrence is checked against bit for bit, and the
+benchmark's tracer reads them by name.  Either way the recorded graph keeps
+the gradients differentiable, through the logits and the generator features
+under them, with respect to the generator parameters: the alignment loss is
+minimized by the generator via double backward.
 
 A domain comes as the heads' log-softmax pair, made by the caller, and the
 batch's :class:`~cgdm.losses.Targets`, made once per training iteration:
-the cross-entropies read that log-softmax, which the caller's discrepancy
-term also reads, and those one-hots and row scales.  For the conditional
-loss, :func:`by_shared_class` turns both domains' targets into class
-targets once per iteration, for every step-3 repeat.
+the cross-entropy gradients read that log-softmax, which the caller's
+discrepancy term also reads, and those one-hots and row scales.  For the
+conditional loss, :func:`by_shared_class` turns both domains' targets into
+class targets once per iteration, for every step-3 repeat.
 """
 from __future__ import annotations
 
@@ -78,9 +86,10 @@ def _logits(ls: Tensor) -> Tensor:
 
 def _domain_gradients(f1, f2, domains) -> tuple:
     """One class-gradient matrix per domain ``(log-softmax pair, targets)``,
-    from one create-graph backward.  Targets :meth:`~cgdm.losses.Targets.by_class`
-    weight each row by its class's mean (``b / n_k``), so one whole-batch CE
-    per head gives every row's class-mean cotangent."""
+    by the definition: one create-graph backward.  Targets
+    :meth:`~cgdm.losses.Targets.by_class` weight each row by its class's mean
+    (``b / n_k``), so one whole-batch CE per head gives every row's
+    class-mean cotangent."""
     terms, taps = [], []
     for (ls1, ls2), targets in domains:
         terms.append(losses.pair_cross_entropy((ls1, ls2), targets))
@@ -129,15 +138,37 @@ def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
         losses.Targets.of(pseudo.labels, logits1.shape[1], pseudo.weights), classes)
 
 
+def _head_layers(f, ls, targets) -> list:
+    """``(delta, h)`` of each layer of head ``f``, first layer first, by the
+    head's backward recurrence from its log-softmax ``ls``: each hidden
+    layer's mask is recorded once."""
+    g = losses.cross_entropy_cotangent(ls, targets, 0.5)
+    taps = nn.layer_taps(f, _logits(ls))
+    layers = []
+    for i in reversed(range(len(taps))):
+        (h, z), layer = taps[i], f.layers[i]
+        delta = _delta(g, z, layer.activation == "relu")
+        layers.append((delta, h))
+        if i:
+            g = matmul(delta, layer.weight)
+    return layers[::-1]
+
+
 def class_gradients(f1, f2, source, target) -> tuple:
-    """The source and target class-gradient matrices, one create-graph backward.
+    """The source and target class-gradient matrices, from the heads'
+    recorded backward recurrence; no backward pass runs.
 
     ``source`` and ``target`` are each domain's ``(log-softmax pair,
     targets)``: ``losses.log_probs((f1, f2), feats)`` on the domain's rows
     and their :class:`~cgdm.losses.Targets`, whole-batch or by class.  The
-    matrices are :func:`source_gradient`'s and :func:`target_gradient`'s
-    for the same classes."""
-    return _domain_gradients(f1, f2, [source, target])
+    matrices equal :func:`source_gradient`'s and :func:`target_gradient`'s
+    for the same classes, bit for bit."""
+    return tuple(
+        class_affine_gradient([pair for f, ls in zip((f1, f2), ls_pair)
+                               for pair in _head_layers(f, ls, targets)],
+                              targets.members)
+        for ls_pair, targets in (source, target)
+    )
 
 
 def by_shared_class(source: losses.Targets, target: losses.Targets) -> tuple:

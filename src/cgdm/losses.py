@@ -27,6 +27,7 @@ from .tensor import (
     Tensor,
     absolute,
     add,
+    cross_entropy_grad,
     log,
     log_softmax,
     mul,
@@ -40,6 +41,7 @@ __all__ = [
     "Targets",
     "log_probs",
     "cross_entropy",
+    "cross_entropy_cotangent",
     "pair_cross_entropy",
     "source_classification_loss",
     "entropy_weights",
@@ -121,15 +123,27 @@ def log_probs(heads, feats: Tensor) -> tuple:
     return tuple(log_softmax(nn.forward(f, feats)) for f in heads)
 
 
-def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
-    """Mean over the batch of -weights[i] * ls[i, labels[i]], where ``ls`` is
-    the recorded ``log_softmax(logits)`` and ``targets`` the batch's encoding."""
+def _check_batch(ls: Tensor, targets: Targets) -> None:
     b = ls.shape[0]
     if b == 0:
         raise ContractError("cross-entropy needs a non-empty batch")
     if targets.labels.size != b:
         raise ContractError(f"{targets.labels.size} labels for a batch of {b}")
+
+
+def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
+    """Mean over the batch of -weights[i] * ls[i, labels[i]], where ``ls`` is
+    the recorded ``log_softmax(logits)`` and ``targets`` the batch's encoding."""
+    _check_batch(ls, targets)
     return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
+
+
+def cross_entropy_cotangent(ls: Tensor, targets: Targets, g) -> Tensor:
+    """The logits' cotangent of ``cross_entropy(ls, targets)`` when the loss's
+    cotangent is ``g``, as the first-order node a create-graph backward through
+    that cross-entropy records, and with its checks of the batch."""
+    _check_batch(ls, targets)
+    return cross_entropy_grad(ls, g, targets.onehot, targets.scale)
 
 
 def pair_cross_entropy(ls_pair: tuple, targets: Targets) -> Tensor:

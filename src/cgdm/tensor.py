@@ -47,8 +47,11 @@ and ``cosine_rows``, are first-order: their formulas are plain numpy on the
 values, whatever ``ns`` they are given, and ``backward(...,
 create_graph=True)`` raises :class:`ContractError` on a path through one.
 CGDM differentiates a gradient once (the alignment loss's backward into the
-generator, through the ``cross_entropy_grad`` nodes a create-graph backward
-records) and never that derivative again.
+generator) and never that derivative again.  Training records the heads'
+backward recurrence as forward ops, ``cross_entropy_grad`` at the logits
+first (:func:`~cgdm.grad_discrepancy.class_gradients`), and runs no
+create-graph backward; a create-graph backward through a cross-entropy
+records the same ``cross_entropy_grad`` node.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -442,8 +445,13 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
 
 def cross_entropy_grad(ls, g, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
     """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
-    :func:`softmax_cross_entropy` node with log-softmax ``ls``, cotangent
-    ``g`` and per-element row scale ``scale``, as one first-order node."""
+    :func:`softmax_cross_entropy` node with log-softmax ``ls``, scalar
+    cotangent ``g`` and per-element row scale ``scale``, as one first-order
+    node."""
+    g = as_tensor(g)
+    if onehot.shape != ls.shape or scale.shape != ls.shape:
+        raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
+                         f"do not match log-softmax {ls.shape}")
     return _node(_ARRAYS.cross_entropy_grad(ls.values, g.values, onehot, scale),
                  (ls, g), "cross_entropy_grad", (onehot, scale))
 

@@ -9,7 +9,10 @@ Per epoch: refresh pseudo labels once, then for every minibatch pair run
   source accuracy while maximizing their output discrepancy on target,
 * step 3 - with classifiers frozen, train the generator (several inner
   repeats) to minimize the discrepancy plus the cross-domain gradient
-  alignment loss, whose generator gradient flows through double backward.
+  alignment loss, whose generator gradient flows through double backward:
+  the classifier gradients are recorded as forward ops (the heads' backward
+  recurrence), so each repeat's one backward pass, first-order like every
+  other, differentiates them.
 
 A loss is off when its weight is 0.  With ``alpha``, ``beta`` and
 ``class_balance_weight`` all 0 (the ``mcd`` variant) the loop reduces
@@ -318,10 +321,11 @@ class CgdmTrainer:
         are what the alignment loss is made of) but are never stepped.
         Each repeat forwards each domain once; the target logits' one
         log-softmax feeds both the discrepancy term and the alignment loss,
-        whose source and target class-gradient matrices come from one
-        create-graph backward on ``targets.alignment``.  Rows may come in any
-        class order.  ``features``, the recorded (source, target) generator
-        features of these batches under the current generator parameters (as
+        whose source and target class-gradient matrices on
+        ``targets.alignment`` are recorded forward ops, so the repeat makes
+        one backward, a first-order one.  Rows may come in any class order.
+        ``features``, the recorded (source, target) generator features of
+        these batches under the current generator parameters (as
         :meth:`step2_update` returns them), stand in for the first repeat's
         generator forwards.
         """

@@ -1,5 +1,6 @@
 """Class-gradient matrices, the cosine alignment loss, and their oracles."""
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -264,20 +265,21 @@ def class_sorted_loss(gen, f1, f2, xs, ys, xt, pseudo):
                             pseudo.take(t_order))
 
 
-def hidden_models(seed, d_in=3, d_feat=4, hidden=5, k=3):
-    """A generator and two heads with one hidden relu layer each."""
+def hidden_models(seed, d_in=3, d_feat=4, hidden=(5,), k=3):
+    """A generator and two heads with the ``hidden`` relu layers each."""
     rng = np.random.default_rng(seed)
     gen = nn.init_mlp([d_in, d_feat], int(rng.integers(2**31)), final_activation="relu")
-    f1 = nn.init_mlp([d_feat, hidden, k], int(rng.integers(2**31)))
-    f2 = nn.init_mlp([d_feat, hidden, k], int(rng.integers(2**31)))
+    f1 = nn.init_mlp([d_feat, *hidden, k], int(rng.integers(2**31)))
+    f2 = nn.init_mlp([d_feat, *hidden, k], int(rng.integers(2**31)))
     return gen, f1, f2
 
 
-def unsorted_case(seed, target_classes=3, zero_weight_class=None):
+def unsorted_case(seed, target_classes=3, zero_weight_class=None, **shape):
     """Unsorted source rows of classes 0-2 and target rows pseudo-labelled
     from ``range(target_classes)``; one class's pseudo weights can be 0,
-    which makes its target gradient exactly 0."""
-    gen, f1, f2 = hidden_models(60 + seed)
+    which makes its target gradient exactly 0.  ``shape`` goes to
+    :func:`hidden_models`."""
+    gen, f1, f2 = hidden_models(60 + seed, **shape)
     rng = np.random.default_rng(seed)
     xs, xt = rng.normal(size=(10, 3)), rng.normal(size=(9, 3))
     ys = rng.permutation(np.arange(10) % 3)
@@ -432,6 +434,14 @@ class TestClassGradients:
                                  generator_gradients(want, gen)):
             np.testing.assert_array_equal(g_got, g_want)
 
+    def test_targets_of_another_class_count_rejected(self):
+        """One-class targets would broadcast against 3 logits columns."""
+        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(0)
+        out = logits(gen, f1, f2, xs)
+        targets = losses.Targets.of(np.zeros(ys.size, int), 1)
+        with pytest.raises(ShapeError, match="do not match log-softmax"):
+            gd.class_gradients(f1, f2, (log_probs(out), targets), (log_probs(out), targets))
+
     def test_zero_row_counts_in_the_mean(self):
         gs = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
         gt = Tensor(np.array([[0.0, 1.0], [3.0, 4.0], [1.0, 1.0]]))
@@ -465,6 +475,118 @@ class TestClassGradients:
         z = Tensor(np.zeros((2, 3)))
         out = gd.gradient_discrepancy_loss(z, Tensor(np.ones((2, 3))))
         assert out.item() == 0.0 and out.parents == ()
+
+
+def deep_case(seed):
+    """:func:`unsorted_case` with heads ``[5, 4, 4, 3]``: two hidden relu
+    layers, whose masks each hold some 0s and some 1s."""
+    case = unsorted_case(seed, d_feat=5, hidden=(4, 4))
+    gen, f1, f2, xs = case[:4]
+    with T.no_grad():
+        for f in (f1, f2):
+            h = feats(gen, xs)
+            for layer in f.layers[:-1]:
+                h = T.linear(h, layer.weight, layer.bias, relu=True)
+                assert 0.0 < np.mean(h.values > 0.0) < 1.0
+    return case
+
+
+def op_counts(root):
+    """How many nodes of each op the graph of ``root`` holds."""
+    return Counter(node.op for node in T._reachable(root) if node.op)
+
+
+class TestDeepHeads:
+    """The recorded head recurrence on heads with two hidden layers."""
+
+    @pytest.mark.parametrize("classes", [None, np.array([0, 1, 2])],
+                             ids=["one_row", "per_class"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matrices_equal_the_create_graph_definition(self, seed, classes):
+        gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
+        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
+        gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo,
+                                                            classes))
+        np.testing.assert_array_equal(
+            gs.values, gd.source_gradient(f1, f2, *out_s, ys, classes).values)
+        np.testing.assert_array_equal(
+            gt.values, gd.target_gradient(f1, f2, *out_t, pseudo, classes).values)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_the_parameter_backward_on_each_class(self, seed):
+        gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
+        classes = np.array([0, 1, 2])
+        gs, gt = gd.class_gradients(f1, f2, *alignment_args(
+            logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo, classes))
+        for r, k in enumerate(classes):
+            s_rows, t_rows = np.flatnonzero(ys == k), np.flatnonzero(pseudo.labels == k)
+            target = pseudo.take(t_rows)
+            want_s = parameter_backward_gradient(
+                f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows])
+            want_t = parameter_backward_gradient(
+                f1, f2, *logits(gen, f1, f2, xt[t_rows]), target.labels, target.weights)
+            np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generator_gradient_equals_the_create_graph_definition(self, seed):
+        gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
+        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
+        (ls_s, ts), (ls_t, tt) = alignment_args(out_s, ys, out_t, pseudo)
+        ts, tt = gd.by_shared_class(ts, tt)
+        got = gd.conditional_gradient_loss(f1, f2, (ls_s, ts), (ls_t, tt))
+        shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
+        want = gd.gradient_discrepancy_loss(
+            gd.source_gradient(f1, f2, *out_s, ys, shared),
+            gd.target_gradient(f1, f2, *out_t, pseudo, shared))
+        assert got.item() == want.item()
+        for g_got, g_want in zip(generator_gradients(got, gen),
+                                 generator_gradients(want, gen)):
+            np.testing.assert_array_equal(g_got, g_want)
+
+    def test_conditional_generator_gradient_matches_finite_differences(self):
+        """On a case whose relu pre-activations all clear the margin, in the
+        generator and in both hidden layers of each head."""
+        rng = np.random.default_rng(5)
+        while True:  # until both classes are in both batches
+            gen, f1, f2, src, tgt, pseudo = checks._tiny_alignment_case(
+                rng, clf_dims=(3, 4, 4, 2))
+            if {*src.labels} & {*pseudo.labels} == {0, 1}:
+                break
+        ts, tt = gd.by_shared_class(losses.Targets.of(src.labels, 2),
+                                    losses.Targets.of(pseudo.labels, 2, pseudo.weights))
+
+        def loss_fn():
+            return gd.conditional_gradient_loss(
+                f1, f2, (log_probs(logits(gen, f1, f2, src.features)), ts),
+                (log_probs(logits(gen, f1, f2, tgt.features)), tt))
+
+        params = gen.parameters()
+        auto = backward(loss_fn(), params)
+        fd = checks.finite_difference_gradient(loss_fn, params)
+        for p, ref in zip(params, fd):
+            assert checks._rel_err(auto[p].values, ref, floor=1e-5) < 1e-3
+
+    @pytest.mark.parametrize("rows, labels", [(0, 0), (4, 3)],
+                             ids=["empty_batch", "label_count"])
+    def test_batch_checks_of_the_cross_entropy(self, rows, labels):
+        gen, f1, f2 = hidden_models(1, d_feat=5, hidden=(4, 4))
+        out = logits(gen, f1, f2, np.ones((rows, 3)))
+        targets = losses.Targets.of(np.arange(labels) % 3, 3)
+        message = ("cross-entropy needs a non-empty batch" if rows == 0
+                   else f"{labels} labels for a batch of {rows}")
+        with pytest.raises(ContractError, match=message):
+            gd.class_gradients(f1, f2, (log_probs(out), targets), (log_probs(out), targets))
+
+    def test_each_hidden_layer_is_masked_once(self):
+        """One domain's matrix records one mask ``mul`` per hidden layer and
+        head; the create-graph definition also masks each upper hidden
+        layer inside its backward, and scales by the two-head mean's 0.5."""
+        gen, f1, f2, xs, ys, xt, pseudo = deep_case(0)
+        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
+        gs, _ = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo))
+        assert op_counts(gs)["mul"] == 2 * 2
+        assert op_counts(gd.source_gradient(f1, f2, *out_s, ys))["mul"] == 7
 
 
 class TestDoubleBackward:

@@ -293,14 +293,16 @@ def graph_nodes(root) -> int:
 
 
 class TestStep3GraphBudget:
-    """Each step-3 repeat builds its alignment loss from one create-graph
-    backward, and its graph stays within the node count measured once each
-    layer's ReLU was fused into its ``linear`` node (3 unsorted classes,
-    heads with one hidden layer; 120 and 136 before the class-gradient,
-    cross-entropy-gradient and row-cosine ops were fused, 65 after, 52 with
-    one log-softmax per logits tensor and ``absolute`` as one node)."""
+    """Each step-3 repeat records its alignment loss as forward ops, with no
+    create-graph backward, and its graph stays within the node count
+    measured once the class gradients became the heads' recorded backward
+    recurrence (3 unsorted classes, heads with one hidden layer; 120 and 136
+    before the class-gradient, cross-entropy-gradient and row-cosine ops
+    were fused, 65 after, 52 with one log-softmax per logits tensor and
+    ``absolute`` as one node, 44 with each layer's ReLU fused into its
+    ``linear`` node)."""
 
-    NODE_BUDGET = {"plain": 44, "conditional": 44}
+    NODE_BUDGET = {"plain": 42, "conditional": 42}
 
     @staticmethod
     def _case(variant):
@@ -319,19 +321,19 @@ class TestStep3GraphBudget:
         return step, source, target, step.batch_targets(source, pseudo)
 
     @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
-    def test_one_create_graph_backward_per_repeat(self, monkeypatch, variant):
+    def test_every_step3_backward_is_first_order(self, monkeypatch, variant):
         step, source, target, targets = self._case(variant)
         calls = []
 
         def recorded(scalar, wrt, create_graph=False):
-            calls.append((create_graph, None if create_graph else graph_nodes(scalar)))
+            calls.append((create_graph, graph_nodes(scalar)))
             return backward(scalar, wrt, create_graph=create_graph)
 
         monkeypatch.setattr(trainer, "backward", recorded)
         monkeypatch.setattr(grad_discrepancy, "backward", recorded)
         step.step3_update(source, target, targets)
-        assert [cg for cg, _ in calls] == [True, False] * step.cfg.step3_repeats
-        assert max(n for cg, n in calls if not cg) <= self.NODE_BUDGET[variant]
+        assert [cg for cg, _ in calls] == [False] * step.cfg.step3_repeats
+        assert max(n for _, n in calls) <= self.NODE_BUDGET[variant]
 
     @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
     def test_one_log_softmax_per_head_and_domain(self, monkeypatch, variant):
@@ -360,12 +362,13 @@ class TestStep3GraphBudget:
     @pytest.mark.parametrize("name", ["blobs_conditional", "moons_gdm"])
     def test_benchmark_backward_reaches_at_most_90_nodes(self, monkeypatch, name):
         """On the workload's pool input 0 a step-3 first-order backward reaches
-        at most 69 nodes, leaves included, as the benchmark's traced
+        at most 68 nodes, leaves included, as the benchmark's traced
         ``tensor.reachable_nodes`` counts them (154 and 178 before the
         class-gradient, cross-entropy-gradient and row-cosine ops were fused,
         90 before each logits tensor had one log-softmax and ``absolute`` was
         one node, 77 before each layer's ReLU was fused into its ``linear``
-        node; the test keeps its name)."""
+        node, 69 before the class gradients became the heads' recorded
+        backward recurrence; the test keeps its name)."""
         experiment, train, variant = WORKLOADS[name]
         ecfg = harness.ExperimentConfig(train=trainer.TrainConfig(**train), **experiment)
         source, target = harness.build_datasets(ecfg, 0)
@@ -387,7 +390,29 @@ class TestStep3GraphBudget:
         step.step3_update(source, target.unlabeled().take(rows),
                           step.batch_targets(source, pseudo.take(rows)))
         assert len(reached) == cfg.step3_repeats
-        assert max(reached) <= 69
+        assert max(reached) <= 68
+
+
+@pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
+def test_a_training_run_makes_no_create_graph_backward(monkeypatch, conditional):
+    """Every backward of a cgdm_full run is first-order: the alignment loss
+    records its class gradients as forward ops."""
+    source, target = harness.build_datasets(
+        harness.ExperimentConfig(dataset="blobs", blobs_classes=3, blobs_dim=4,
+                                 blobs_n_per_class=20), 0)
+    cfg = harness.variant_config(trainer.TrainConfig(
+        epochs=1, batch_size=16, conditional_gdm=conditional), "cgdm_full", 0)
+    modes = []
+
+    def recorded(scalar, wrt, create_graph=False):
+        modes.append(create_graph)
+        return backward(scalar, wrt, create_graph=create_graph)
+
+    for module in (trainer, grad_discrepancy):
+        monkeypatch.setattr(module, "backward", recorded)
+    metrics, _ = trainer.train(source, target, cfg)
+    assert math.isfinite(metrics[-1].loss_gd)
+    assert modes and not any(modes)
 
 
 @pytest.mark.parametrize("variant", ["cgdm_full", "cgdm_wo_gdm"])
