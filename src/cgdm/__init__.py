@@ -1,5 +1,5 @@
 """Bi-classifier adversarial domain adaptation with cross-domain gradient
-alignment, built on a self-contained double-backward autodiff core."""
+alignment, built on a self-contained first-order numpy autodiff core."""
 
 from .tensor import Tensor, backward, no_grad
 from .trainer import TrainConfig, CgdmTrainer, train, evaluate

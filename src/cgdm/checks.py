@@ -247,9 +247,10 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
     of :func:`~cgdm.grad_discrepancy.class_gradients`, as one row for the
     whole batch and as one row per class present, each row against the
     oracle on that class's rows.  That is the recorded head recurrence
-    training runs; :func:`~cgdm.grad_discrepancy.source_gradient` and
-    :func:`~cgdm.grad_discrepancy.target_gradient`, the create-graph
-    definition, give the same matrices bit for bit (checked in the tests)."""
+    training runs.  The tests check it against
+    :func:`~cgdm.grad_discrepancy.source_gradient` and
+    :func:`~cgdm.grad_discrepancy.target_gradient`, the definition: one
+    first-order backward per class to the classifier parameters."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     worst = 0.0

@@ -5,28 +5,30 @@ its rows (source: true labels; target: pseudo labels and entropy weights)
 with respect to every classifier parameter, columns in the order of
 :func:`classifier_parameters`.  Row r of its K-by-P **class-gradient matrix**
 is that gradient on the rows of class r, whatever the row order; without
-classes the matrix has one row, the whole batch.  It is made from the
-cotangent ``delta`` of each head layer's affine map, per row: with the
-layer's input ``H`` (:func:`~cgdm.nn.layer_taps`), a weight gradient is
-``delta^T H`` and a bias gradient the column sum of ``delta``; masked to one
-class's rows, that class's.  A domain's matrix, every layer's block, is one
-fused :func:`~cgdm.tensor.class_affine_gradient` node.
+classes the matrix has one row, the whole batch.
 
-:func:`class_gradients`, the path training runs, records the heads' backward
-recurrence as forward ops, as double backpropagation was first written
-(Drucker and LeCun, IEEE TNN 1992): the logits' cotangent is the
-cross-entropy's :func:`~cgdm.tensor.cross_entropy_grad` with the two-head
-mean's 0.5; going down a head, a layer's ``delta`` is the cotangent ``g`` of
-its output, times the constant mask of its positive outputs where the layer
-has a ReLU, and ``g`` of the layer below is ``delta W``.  No backward pass
-runs.  :func:`source_gradient` and :func:`target_gradient` make one domain's
-matrix by the definition instead: one create-graph backward of the two-head
-cross-entropy to each layer node, then the same masks.  They stay as the
-autodiff reference the recurrence is checked against bit for bit, and the
-benchmark's tracer reads them by name.  Either way the recorded graph keeps
-the gradients differentiable, through the logits and the generator features
-under them, with respect to the generator parameters: the alignment loss is
-minimized by the generator via double backward.
+:func:`source_gradient` and :func:`target_gradient` are that definition:
+per class, one first-order :func:`~cgdm.tensor.backward` of the two-head
+cross-entropy on the class's rows to the classifier parameters.  Their
+matrices are leaf tensors, the reference the tests check training's path
+against; the benchmark's tracer also reads them by name.
+
+:func:`class_gradients`, the path training runs, gives the same matrices as
+recorded forward ops, so they stay differentiable, through the logits and
+the generator features under them, with respect to the generator
+parameters.  It records the heads' backward recurrence, as double
+backpropagation was first written (Drucker and LeCun, IEEE TNN 1992): the
+logits' cotangent is the cross-entropy's
+:func:`~cgdm.tensor.cross_entropy_grad` with the two-head mean's 0.5; going
+down a head, a layer's ``delta`` is the cotangent ``g`` of its output, times
+the constant mask of its positive outputs where the layer has a ReLU, and
+``g`` of the layer below is ``delta W``.  With the layer's input ``H``
+(:func:`~cgdm.nn.layer_taps`), a weight gradient is ``delta^T H`` and a bias
+gradient the column sum of ``delta``; masked to one class's rows, that
+class's.  A domain's matrix, every layer's block, is one fused
+:func:`~cgdm.tensor.class_affine_gradient` node.  The alignment loss is then
+minimized by the generator through one first-order backward of it: double
+backward.
 
 A domain comes as the heads' log-softmax pair, made by the caller, and the
 batch's :class:`~cgdm.losses.Targets`, made once per training iteration:
@@ -37,7 +39,6 @@ class targets once per iteration, for every step-3 repeat.
 """
 from __future__ import annotations
 
-import functools
 import logging
 
 import numpy as np
@@ -47,7 +48,6 @@ from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
-    add,
     backward,
     class_affine_gradient,
     cosine_rows,
@@ -84,39 +84,26 @@ def _logits(ls: Tensor) -> Tensor:
     return ls.parents[0]
 
 
-def _domain_gradients(f1, f2, domains) -> tuple:
-    """One class-gradient matrix per domain ``(log-softmax pair, targets)``,
-    by the definition: one create-graph backward.  Targets
-    :meth:`~cgdm.losses.Targets.by_class` weight each row by its class's mean
-    (``b / n_k``), so one whole-batch CE per head gives every row's
-    class-mean cotangent."""
-    terms, taps = [], []
-    for (ls1, ls2), targets in domains:
-        terms.append(losses.pair_cross_entropy((ls1, ls2), targets))
-        taps.append(([(h, z, layer.activation == "relu")
-                      for f, ls in ((f1, ls1), (f2, ls2))
-                      for layer, (h, z) in zip(f.layers, nn.layer_taps(f, _logits(ls)))],
-                     targets.members))
-    nodes = [z for layers, _ in taps for _, z, _ in layers]
-    cots = backward(functools.reduce(add, terms), nodes, create_graph=True)
-    return tuple(
-        class_affine_gradient([(_delta(cots[z], z, relu), h) for h, z, relu in layers],
-                              members)
-        for layers, members in taps
-    )
-
-
-def _delta(g: Tensor, z: Tensor, relu: bool) -> Tensor:
-    """The pre-activation cotangent of a layer node ``z`` whose output has
-    cotangent ``g``: through a ReLU, ``g`` times the constant mask ``z > 0``."""
-    return mul(g, z.values > 0.0) if relu else g
-
-
 def _one_domain(f1, f2, logits1, logits2, targets, classes) -> Tensor:
+    """The class-gradient matrix by the definition: for each class, one
+    backward of the two-head cross-entropy whose row weights are 0 outside
+    the class.  Targets :meth:`~cgdm.losses.Targets.by_class` weight each
+    row by its class's mean (``b / n_k``), so that cross-entropy is the
+    class's mean."""
     if classes is not None:
         targets = targets.by_class(classes)
-    return _domain_gradients(
-        f1, f2, [((log_softmax(logits1), log_softmax(logits2)), targets)])[0]
+    members = targets.members
+    masks = np.ones((1, targets.labels.size)) if members is None else members.T
+    ls_pair = (log_softmax(logits1), log_softmax(logits2))
+    params = classifier_parameters(f1, f2)
+    rows = []
+    for mask in masks:
+        loss = losses.pair_cross_entropy(ls_pair, losses.Targets(
+            targets.labels, targets.onehot, targets.weights * mask,
+            targets.scale * mask[:, None]))
+        grads = backward(loss, params)
+        rows.append(np.concatenate([grads[p].values.reshape(-1) for p in params]))
+    return Tensor(np.stack(rows))
 
 
 def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
@@ -141,13 +128,14 @@ def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
 def _head_layers(f, ls, targets) -> list:
     """``(delta, h)`` of each layer of head ``f``, first layer first, by the
     head's backward recurrence from its log-softmax ``ls``: each hidden
-    layer's mask is recorded once."""
+    layer's mask is recorded once: ``g`` times the constant mask of the
+    layer node's positive outputs."""
     g = losses.cross_entropy_cotangent(ls, targets, 0.5)
     taps = nn.layer_taps(f, _logits(ls))
     layers = []
     for i in reversed(range(len(taps))):
         (h, z), layer = taps[i], f.layers[i]
-        delta = _delta(g, z, layer.activation == "relu")
+        delta = mul(g, z.values > 0.0) if layer.activation == "relu" else g
         layers.append((delta, h))
         if i:
             g = matmul(delta, layer.weight)
@@ -161,8 +149,8 @@ def class_gradients(f1, f2, source, target) -> tuple:
     ``source`` and ``target`` are each domain's ``(log-softmax pair,
     targets)``: ``losses.log_probs((f1, f2), feats)`` on the domain's rows
     and their :class:`~cgdm.losses.Targets`, whole-batch or by class.  The
-    matrices equal :func:`source_gradient`'s and :func:`target_gradient`'s
-    for the same classes, bit for bit."""
+    matrices hold the values of :func:`source_gradient`'s and
+    :func:`target_gradient`'s for the same classes, as graph nodes."""
     return tuple(
         class_affine_gradient([pair for f, ls in zip((f1, f2), ls_pair)
                                for pair in _head_layers(f, ls, targets)],

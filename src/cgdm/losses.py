@@ -138,10 +138,11 @@ def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
     return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
 
 
-def cross_entropy_cotangent(ls: Tensor, targets: Targets, g) -> Tensor:
+def cross_entropy_cotangent(ls: Tensor, targets: Targets, g: float) -> Tensor:
     """The logits' cotangent of ``cross_entropy(ls, targets)`` when the loss's
-    cotangent is ``g``, as the first-order node a create-graph backward through
-    that cross-entropy records, and with its checks of the batch."""
+    cotangent is the constant ``g``, with the cross-entropy's checks of the
+    batch: one recorded :func:`~cgdm.tensor.cross_entropy_grad` node, the
+    first step of a head's backward recurrence."""
     _check_batch(ls, targets)
     return cross_entropy_grad(ls, g, targets.onehot, targets.scale)
 

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode autodiff that supports double backward.
+"""Dense float64 tensors with first-order reverse-mode autodiff.
 
 The computation graph is implicit: every op executed while recording is
 enabled produces a tensor that references its parent tensors (``parents``),
@@ -7,51 +7,34 @@ monotonically with creation order, so iterating reachable nodes by descending
 id is a valid reverse topological order.
 
 Each op's backward is written once, in the table ``_VJPS``: one
-vector-Jacobian-product callable per op,
-``vjp(ns, g, args, out, ctx, needed) -> tuple``, which returns one cotangent
-per parent from the cotangent ``g``, the parents ``args``, the node's output
-``out`` and its saved context ``ctx``: the pow exponent, the concat axis,
-the narrowed range, the ReLU flag of ``linear``, the cross-entropy's
-``(log_softmax node, onehot, scale)``, ``cross_entropy_grad``'s
-``(onehot, scale)``, ``class_affine_gradient``'s members (or None) and
-``cosine_rows``'s forward row sums, norms and denominators; relu and
-absolute keep none and take their masks from their output or input, only
-when a backward visits them.
+vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
+-> tuple``, which returns one cotangent per parent from the cotangent ``g``,
+the parents' values ``args``, the node's output values ``out`` and its saved
+context ``ctx``: the pow exponent, the concat axis, the narrowed range, the
+ReLU flag of ``linear``, the cross-entropy's ``(log-softmax values, onehot,
+scale)``, ``cross_entropy_grad``'s ``(g, onehot, scale)``,
+``class_affine_gradient``'s members (or None) and ``cosine_rows``'s forward
+row sums, norms and denominators; relu and absolute keep none and take their
+masks from their output or input, only when a backward visits them.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
-then each needed parent's cotangent in parent order, with the numpy
-operations, in their order, that a formula for that parent alone would run.
-``ns`` is the arithmetic the formula is written against, and ``backward``
-passes one of two:
+then each needed parent's cotangent in parent order.  Formulas are plain
+numpy on arrays, so a backward pass records nothing and creates no tensor
+but the returned gradients.  A transpose is a view, so ``linear``, its
+weight vjp ``g^T x`` and the other matmuls pass transposed views to BLAS,
+which reads them in place.  A node holds no closure and no reference to
+itself (exp and log_softmax get their output as ``out``), so a graph is
+freed by reference counting alone.
 
-* ``_GRAPH``, the differentiable primitives below, with the parent and output
-  tensors.  ``backward(..., create_graph=True)`` uses it, so the gradient
-  arithmetic is recorded like any other forward computation and a second
-  backward pass through a gradient is exact.  That is the whole trick behind
-  higher-order support.
-* ``_ARRAYS``, the same operations in plain numpy, with the parents' and the
-  output's ``.values``.  A first-order ``backward`` uses it: its cotangents
-  are arrays and only the returned gradients are wrapped in tensors, so it
-  records nothing.
-
-Both namespaces run the same numpy operations in the same order, so the two
-modes give bit-identical gradients.  A transpose is a view in both, so
-``linear``, its weight vjp ``g^T x`` and the other matmuls pass transposed
-views to BLAS, which reads them in place.  A node holds no closure and no
-reference to itself (exp and log_softmax get their output as ``out``), so a
-graph is freed by reference counting alone.
-
-The three gradient ops, ``cross_entropy_grad``, ``class_affine_gradient``
-and ``cosine_rows``, are first-order: their formulas are plain numpy on the
-values, whatever ``ns`` they are given, and ``backward(...,
-create_graph=True)`` raises :class:`ContractError` on a path through one.
-CGDM differentiates a gradient once (the alignment loss's backward into the
-generator) and never that derivative again.  Training records the heads'
-backward recurrence as forward ops, ``cross_entropy_grad`` at the logits
-first (:func:`~cgdm.grad_discrepancy.class_gradients`), and runs no
-create-graph backward; a create-graph backward through a cross-entropy
-records the same ``cross_entropy_grad`` node.
+``backward`` has one mode, first order.  CGDM differentiates a gradient
+once: the alignment loss's backward into the generator.  That gradient is
+recorded as forward ops, the heads' backward recurrence
+(:func:`~cgdm.grad_discrepancy.class_gradients`), which is double
+backpropagation as first written: the first backward written out as a
+network, the second run by ``backward``.  The three gradient ops,
+``cross_entropy_grad``, ``class_affine_gradient`` and ``cosine_rows``, are
+the pieces of that recurrence and of the alignment loss.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -73,23 +56,19 @@ gradients are bit-identical to it:
   ``-w_i * ls[i, y_i]`` for the log-softmax node ``ls = log_softmax(logits)``
   its caller made, so one log-softmax of a logits tensor serves its
   cross-entropy and its softmax ``exp(ls)``; the node's parent is the logits
-  and its vjp is the fused ``cross_entropy_grad(ls, g, onehot, scale)``,
-  ``(exp(ls) - onehot) * (g * scale)``;
+  and its vjp is ``(exp(ls) - onehot) * (g * scale)``;
+* ``cross_entropy_grad(ls, g, onehot, scale)``: that vjp for a constant
+  loss cotangent ``g``, as a node whose parent is ``ls``;
 * ``class_affine_gradient(layers, members)``: each affine layer's weight and
   bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r,
   the layers side by side: ``concat`` of one block per layer;
 * ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row.
-
-``tile_cols`` and ``tile_rows`` copy a vector across columns or a row down
-rows: ``_GRAPH`` records ``(b,1) @ ones((1,k))`` and ``ones * v``, ``_ARRAYS``
-makes a broadcast copy, the same values in fewer calls.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -426,9 +405,8 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
     ``onehot`` is the b-by-K one-hot encoding of the labels y, ``weights``
     the b row weights and ``scale`` the b-by-K row scale of the vjp, row i
     all ``weights[i] / b``: a batch's :class:`~cgdm.losses.Targets`, made
-    once.  The node's parent is the logits; ``ls`` is referenced by the
-    saved context only, so a create-graph backward differentiates the
-    softmax through it.
+    once.  The node's parent is the logits; its context keeps the values of
+    ``ls``, which the vjp reads.
     """
     if _state.enabled and ls.op != "log_softmax":
         raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
@@ -440,20 +418,24 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
         raise ShapeError(f"{weights.shape} weights for a batch of {b}")
     picked = -(ls.values * onehot).sum(axis=1) * weights
     return _node(np.asarray(picked.sum()) * (1.0 / b), ls.parents, "cross_entropy",
-                 (ls, onehot, scale))
+                 (ls.values, onehot, scale))
 
 
-def cross_entropy_grad(ls, g, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
+def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
+    return (np.exp(ls) - onehot) * (g * scale)
+
+
+def cross_entropy_grad(ls, g: float, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
     """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
-    :func:`softmax_cross_entropy` node with log-softmax ``ls``, scalar
-    cotangent ``g`` and per-element row scale ``scale``, as one first-order
-    node."""
-    g = as_tensor(g)
+    :func:`softmax_cross_entropy` node with log-softmax ``ls``, constant
+    scalar cotangent ``g`` and per-element row scale ``scale``, as one node
+    whose one parent is ``ls``."""
+    g = float(g)
     if onehot.shape != ls.shape or scale.shape != ls.shape:
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
                          f"do not match log-softmax {ls.shape}")
-    return _node(_ARRAYS.cross_entropy_grad(ls.values, g.values, onehot, scale),
-                 (ls, g), "cross_entropy_grad", (onehot, scale))
+    return _node(_ce_grad(ls.values, g, onehot, scale), (ls,), "cross_entropy_grad",
+                 (g, onehot, scale))
 
 
 def class_affine_gradient(layers, members=None) -> Tensor:
@@ -501,14 +483,18 @@ def cosine_rows(gs, gt, eps: float) -> tuple:
     return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
 
 
-# -- the two arithmetic namespaces the vjp formulas run on ---------------------
+# -- array helpers of the vjp formulas ------------------------------------------
 
 def _filled(v, shape) -> np.ndarray:
-    """A new array of ``shape`` holding ``v`` broadcast (a scalar, a row or a
-    column): the tilings of the array path."""
+    """A new array of ``shape`` holding ``v`` broadcast (a scalar or a row)."""
     out = np.empty(shape)
     out[...] = v
     return out
+
+
+def _tile_cols(v, k) -> np.ndarray:
+    """The vector ``v`` copied across ``k`` columns."""
+    return _filled(v[:, None], (len(v), k))
 
 
 def _where_positive(g, out) -> np.ndarray:
@@ -552,132 +538,99 @@ def _block_matmul(a, m, width):
     return np.matmul(a.reshape(len(a), width, -1), m).reshape(-1, m.shape[1])
 
 
-_GRAPH = SimpleNamespace(
-    add=add, sub=sub, neg=neg, mul=mul, matmul=matmul, transpose=transpose,
-    exp=exp, pow_const=pow_const, tsum=tsum, reshape=reshape, concat=concat,
-    narrow=narrow, zeros=zeros, ones=ones, cross_entropy_grad=cross_entropy_grad,
-    tile_cols=lambda v, k: matmul(reshape(v, (v.shape[0], 1)), ones((1, k))),
-    tile_rows=lambda v, shape: mul(ones(shape), v),
-    saved=lambda t: t,  # a node kept in a context, as this namespace sees it
-    where_positive=lambda g, out: mul(g, out.values > 0.0),  # a constant 0/1 mask
-)
+# -- vjp formulas: vjp(g, args, out, ctx, needed) -> parent cotangents ---------
 
-_ARRAYS = SimpleNamespace(
-    add=np.add, sub=np.subtract, neg=np.negative, mul=np.multiply,
-    matmul=np.matmul, transpose=lambda a: a.T,
-    exp=np.exp, pow_const=_power,
-    # the reduction and the method that ndarray.sum and np.reshape call,
-    # without their Python wrappers
-    tsum=lambda a, axis=None: np.add.reduce(a, axis),
-    reshape=lambda a, shape: a.reshape(shape),
-    concat=lambda parts, axis: np.concatenate(parts, axis=axis),
-    narrow=_narrowed, zeros=np.zeros, ones=np.ones,
-    cross_entropy_grad=lambda ls, g, onehot, scale: (np.exp(ls) - onehot) * (g * scale),
-    tile_cols=lambda v, k: _filled(v[:, None], (len(v), k)),
-    tile_rows=lambda v, shape: _filled(v, shape),
-    saved=lambda t: t.values,
-    where_positive=_where_positive,
-)
-
-
-# -- vjp formulas: vjp(ns, g, args, out, ctx, needed) -> parent cotangents ----
-
-def _unbroadcast(ns, g, shape):
+def _unbroadcast(g, shape):
     """Reduce a cotangent back to an operand's shape."""
     if g.shape == shape:
         return g
     if math.prod(shape) == 1:
-        return ns.reshape(ns.tsum(g), shape)
+        return np.add.reduce(g, None).reshape(shape)
     # row operand (K,) against matrix (b, K)
-    return ns.tsum(g, 0)
+    return np.add.reduce(g, 0)
 
 
-def _add_vjp(ns, g, args, out, ctx, needed):
+def _add_vjp(g, args, out, ctx, needed):
     a, b = args
-    return (_unbroadcast(ns, g, a.shape) if needed[0] else None,
-            _unbroadcast(ns, g, b.shape) if needed[1] else None)
+    return (_unbroadcast(g, a.shape) if needed[0] else None,
+            _unbroadcast(g, b.shape) if needed[1] else None)
 
 
-def _sub_vjp(ns, g, args, out, ctx, needed):
+def _sub_vjp(g, args, out, ctx, needed):
     a, b = args
-    return (_unbroadcast(ns, g, a.shape) if needed[0] else None,
-            _unbroadcast(ns, ns.neg(g), b.shape) if needed[1] else None)
+    return (_unbroadcast(g, a.shape) if needed[0] else None,
+            _unbroadcast(-g, b.shape) if needed[1] else None)
 
 
-def _mul_vjp(ns, g, args, out, ctx, needed):
+def _mul_vjp(g, args, out, ctx, needed):
     a, b = args
-    return (_unbroadcast(ns, ns.mul(g, b), a.shape) if needed[0] else None,
-            _unbroadcast(ns, ns.mul(g, a), b.shape) if needed[1] else None)
+    return (_unbroadcast(g * b, a.shape) if needed[0] else None,
+            _unbroadcast(g * a, b.shape) if needed[1] else None)
 
 
-def _matmul_vjp(ns, g, args, out, ctx, needed):
+def _matmul_vjp(g, args, out, ctx, needed):
     a, b = args
-    return (ns.matmul(g, ns.transpose(b)) if needed[0] else None,
-            ns.matmul(ns.transpose(a), g) if needed[1] else None)
+    return (g @ b.T if needed[0] else None,
+            a.T @ g if needed[1] else None)
 
 
-def _linear_vjp(ns, g, args, out, relu, needed):
+def _linear_vjp(g, args, out, relu, needed):
     """x: ``g w``; w: ``g^T x``; b: the column sums of ``g``.  A fused ReLU
     first masks ``g`` by ``out > 0``, once for all three, as the relu vjp
     would."""
     if relu:
-        g = ns.where_positive(g, out)
+        g = _where_positive(g, out)
     x, w, _ = args
-    return (ns.matmul(g, w) if needed[0] else None,
-            ns.matmul(ns.transpose(g), x) if needed[1] else None,
-            ns.tsum(g, 0) if needed[2] else None)
+    return (g @ w if needed[0] else None,
+            g.T @ x if needed[1] else None,
+            np.add.reduce(g, 0) if needed[2] else None)
 
 
-def _narrow_vjp(ns, g, args, out, ctx, needed):
+def _narrow_vjp(g, args, out, ctx, needed):
     axis, start, length = ctx
     shape = list(args[0].shape)
     dim = shape[axis]
     parts = []
     if start > 0:
         shape[axis] = start
-        parts.append(ns.zeros(tuple(shape)))
+        parts.append(np.zeros(tuple(shape)))
     parts.append(g)
     if start + length < dim:
         shape[axis] = dim - start - length
-        parts.append(ns.zeros(tuple(shape)))
-    return (ns.concat(parts, axis) if len(parts) > 1 else g,)
+        parts.append(np.zeros(tuple(shape)))
+    return (np.concatenate(parts, axis=axis) if len(parts) > 1 else g,)
 
 
-def _concat_vjp(ns, g, args, out, axis, needed):
+def _concat_vjp(g, args, out, axis, needed):
     cots, start = [], 0
     for a, need in zip(args, needed):
         length = a.shape[axis]
-        cots.append(ns.narrow(g, axis, start, length) if need else None)
+        cots.append(_narrowed(g, axis, start, length) if need else None)
         start += length
     return tuple(cots)
 
 
-def _log_softmax_vjp(ns, g, args, out, ctx, needed):
-    return (ns.sub(g, ns.mul(ns.exp(out), ns.tile_cols(ns.tsum(g, 1), args[0].shape[1]))),)
+def _log_softmax_vjp(g, args, out, ctx, needed):
+    return (g - np.exp(out) * _tile_cols(np.add.reduce(g, 1), args[0].shape[1]),)
 
 
-def _cross_entropy_vjp(ns, g, args, out, ctx, needed):
+def _cross_entropy_vjp(g, args, out, ctx, needed):
     ls, onehot, scale = ctx
-    return (ns.cross_entropy_grad(ns.saved(ls), g, onehot, scale),)
+    return (_ce_grad(ls, g, onehot, scale),)
 
 
-def _cross_entropy_grad_vjp(ns, g, args, out, ctx, needed):
-    """First-order, on arrays: ``(g * (g_loss * scale)) * exp(ls)`` and the
-    sum of ``(g * (exp(ls) - onehot)) * scale``."""
-    ls, g_loss = args
-    onehot, scale = ctx
-    e = np.exp(ls)
-    return (g * (g_loss * scale) * e if needed[0] else None,
-            _unbroadcast(_ARRAYS, g * (e - onehot) * scale, g_loss.shape)
-            if needed[1] else None)
+def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
+    """``(g * (g_loss * scale)) * exp(ls)`` for the constant loss cotangent
+    ``g_loss``."""
+    g_loss, onehot, scale = ctx
+    return (g * (g_loss * scale) * np.exp(args[0]),)
 
 
-def _class_affine_vjp(ns, g, args, out, members, needed):
-    """First-order, on arrays.  One walk over the layers ``(delta, h)``: each
-    layer's block of ``g``, then its ``delta``'s and its ``h``'s cotangents
-    as needed.  The ``h`` cotangent makes the masked copies of ``delta``
-    once; the ``delta`` cotangent makes none, gathering each row's block of
-    its class instead."""
+def _class_affine_vjp(g, args, out, members, needed):
+    """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
+    then its ``delta``'s and its ``h``'s cotangents as needed.  The ``h``
+    cotangent makes the masked copies of ``delta`` once; the ``delta``
+    cotangent makes none, gathering each row's block of its class instead."""
     rows = out.shape[0]
     cots, start = [], 0
     for j in range(0, len(args), 2):
@@ -703,23 +656,23 @@ def _class_affine_vjp(ns, g, args, out, members, needed):
     return tuple(cots)
 
 
-def _absolute_vjp(ns, g, args, out, ctx, needed):
+def _absolute_vjp(g, args, out, ctx, needed):
     """The composition's two branches in its order: ``-(g on a < 0)`` through
     ``relu(neg(a))``, then ``g on a > 0`` through ``relu(a)``."""
-    a = args[0].values if ns is _GRAPH else args[0]
-    return (ns.add(ns.neg(ns.mul(g, a < 0.0)), ns.mul(g, a > 0.0)),)
+    a = args[0]
+    return (-(g * (a < 0.0)) + g * (a > 0.0),)
 
 
-def _cosine_rows_vjp(ns, g, args, out, parts, needed):
-    """First-order, on arrays, from the forward's row sums in the context.  A
-    parent's cotangent arrives through s.t first, then twice through its own
-    square (``mul(a, a)``), as in the composition; the terms of the
-    denominator and of s.t are made once for both."""
+def _cosine_rows_vjp(g, args, out, parts, needed):
+    """From the forward's row sums in the context.  A parent's cotangent
+    arrives through s.t first, then twice through its own square
+    (``mul(a, a)``), as in the composition; the terms of the denominator and
+    of s.t are made once for both."""
     gs, gt = args
     ss, tt, st, norm_s, norm_t, denom, inv = parts
     cols = gs.shape[1]
     g_denom = g * st * (_power(denom, -2.0) * -1.0)
-    g_cross = _ARRAYS.tile_cols(g * inv, cols)
+    g_cross = _tile_cols(g * inv, cols)
     cots = []
     for a, other, own_sq, other_norm, need in ((gs, gt, ss, norm_t, needed[0]),
                                                (gt, gs, tt, norm_s, needed[1])):
@@ -727,7 +680,7 @@ def _cosine_rows_vjp(ns, g, args, out, parts, needed):
             cots.append(None)
             continue
         g_sq = g_denom * other_norm * (_power(own_sq, -0.5) * 0.5)
-        square = _ARRAYS.tile_cols(g_sq, cols) * a
+        square = _tile_cols(g_sq, cols) * a
         cots.append(g_cross * other + square + square)
     return tuple(cots)
 
@@ -736,20 +689,19 @@ _VJPS = {
     "add": _add_vjp,
     "sub": _sub_vjp,
     "mul": _mul_vjp,
-    "neg": lambda ns, g, args, out, ctx, needed: (ns.neg(g),),
+    "neg": lambda g, args, out, ctx, needed: (-g,),
     "matmul": _matmul_vjp,
     "linear": _linear_vjp,
-    "transpose": lambda ns, g, args, out, ctx, needed: (ns.transpose(g),),
-    "relu": lambda ns, g, args, out, ctx, needed: (ns.where_positive(g, out),),
+    "transpose": lambda g, args, out, ctx, needed: (g.T,),
+    "relu": lambda g, args, out, ctx, needed: (_where_positive(g, out),),
     "abs": _absolute_vjp,
-    "exp": lambda ns, g, args, out, ctx, needed: (ns.mul(g, out),),
-    "log": lambda ns, g, args, out, ctx, needed: (ns.mul(g, ns.pow_const(args[0], -1.0)),),
-    "pow": lambda ns, g, args, out, p, needed:
-        (ns.mul(g, ns.mul(ns.pow_const(args[0], p - 1.0), p)),),
-    "sum": lambda ns, g, args, out, ctx, needed: (ns.tile_rows(g, args[0].shape),),
-    "sum0": lambda ns, g, args, out, ctx, needed: (ns.tile_rows(g, args[0].shape),),
-    "sum1": lambda ns, g, args, out, ctx, needed: (ns.tile_cols(g, args[0].shape[1]),),
-    "reshape": lambda ns, g, args, out, ctx, needed: (ns.reshape(g, args[0].shape),),
+    "exp": lambda g, args, out, ctx, needed: (g * out,),
+    "log": lambda g, args, out, ctx, needed: (g * _power(args[0], -1.0),),
+    "pow": lambda g, args, out, p, needed: (g * (_power(args[0], p - 1.0) * p),),
+    "sum": lambda g, args, out, ctx, needed: (_filled(g, args[0].shape),),
+    "sum0": lambda g, args, out, ctx, needed: (_filled(g, args[0].shape),),
+    "sum1": lambda g, args, out, ctx, needed: (_tile_cols(g, args[0].shape[1]),),
+    "reshape": lambda g, args, out, ctx, needed: (g.reshape(args[0].shape),),
     "concat": _concat_vjp,
     "narrow": _narrow_vjp,
     "log_softmax": _log_softmax_vjp,
@@ -758,7 +710,6 @@ _VJPS = {
     "class_affine_gradient": _class_affine_vjp,
     "cosine_rows": _cosine_rows_vjp,
 }
-_FIRST_ORDER = frozenset(("cross_entropy_grad", "class_affine_gradient", "cosine_rows"))
 
 
 def _reachable(root: Tensor) -> list:
@@ -777,19 +728,20 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     """Reverse-mode gradients of a one-element tensor w.r.t. ``wrt`` tensors.
 
     Returns a dict mapping each requested tensor to a gradient of identical
-    shape.  Tensors that do not participate in the scalar's graph receive a
-    zero gradient.  Every node on a path from the scalar down to a ``wrt``
-    tensor passes its cotangent to its parents through one call of its
-    ``_VJPS`` formula, which makes the cotangents of the parents on such a
-    path, consumers before parents (descending ids).  With
-    ``create_graph=True`` the formulas run on the recording primitives
-    (recording switched on for the pass), so the returned gradients are graph
-    nodes and support a further backward; a path through a first-order op
-    (``cross_entropy_grad``, ``class_affine_gradient``, ``cosine_rows``)
-    raises :class:`ContractError` before the pass starts.  Otherwise they
-    run on the nodes' numpy values: the pass records nothing (recording is
-    switched off for it) and creates no tensor but the returned gradients.
+    shape, a new leaf tensor.  Tensors that do not participate in the
+    scalar's graph receive a zero gradient.  Every node on a path from the
+    scalar down to a ``wrt`` tensor passes its cotangent to its parents
+    through one call of its ``_VJPS`` formula on the nodes' values,
+    consumers before parents (descending ids).  The pass records nothing and
+    creates no tensor but the returned gradients.
+
+    ``create_graph`` stays for callers that pass it by keyword (the
+    benchmark's tracer): ``False`` is the one mode, and ``True`` raises
+    :class:`ContractError` before any work.
     """
+    if create_graph:
+        raise ContractError("backward is first-order: record a gradient as forward "
+                            "ops to differentiate it")
     if scalar.size != 1:
         raise ContractError(f"backward root must have one element, got {scalar.size}")
     wrt = list(wrt)
@@ -802,34 +754,19 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     for node in _reachable(scalar):  # ascending ids: parents precede consumers
         needed = [p._id in on_path for p in node.parents]
         if any(needed) or node._id in wrt_ids:
-            if create_graph and any(needed) and node.op in _FIRST_ORDER:
-                raise ContractError(f"{node.op} is first-order: a create_graph "
-                                    "backward cannot pass through it")
             on_path.add(node._id)
             path.append((node, needed))
 
-    ns = _GRAPH if create_graph else _ARRAYS
-    prev = _set_grad(create_graph)
-    try:
-        cot = {scalar._id: ns.ones(scalar.shape)}
-        for node, needed in reversed(path):  # every path node has a cotangent by now
-            nid = node._id
-            g = cot[nid] if nid in wrt_ids else cot.pop(nid)  # free as we go
-            if not any(needed):  # a wrt tensor with no path below it
-                continue
-            parents = node.parents
-            if create_graph:
-                args, out = parents, node
-            else:
-                args, out = [p.values for p in parents], node.values
-            pgs = _VJPS[node.op](ns, g, args, out, node._ctx, needed)
-            for parent, pg in zip(parents, pgs):
-                if pg is not None:
-                    acc = cot.get(parent._id)
-                    cot[parent._id] = pg if acc is None else ns.add(acc, pg)
-    finally:
-        _set_grad(prev)
-
-    if create_graph:
-        return {t: cot[t._id] if t._id in cot else zeros_like(t) for t in wrt}
+    cot = {scalar._id: np.ones(scalar.shape)}
+    for node, needed in reversed(path):  # every path node has a cotangent by now
+        nid = node._id
+        g = cot[nid] if nid in wrt_ids else cot.pop(nid)  # free as we go
+        if not any(needed):  # a wrt tensor with no path below it
+            continue
+        parents = node.parents
+        pgs = _VJPS[node.op](g, [p.values for p in parents], node.values, node._ctx, needed)
+        for parent, pg in zip(parents, pgs):
+            if pg is not None:
+                acc = cot.get(parent._id)
+                cot[parent._id] = pg if acc is None else acc + pg
     return {t: Tensor(cot[t._id]) if t._id in cot else zeros_like(t) for t in wrt}

@@ -48,19 +48,6 @@ def alignment_args(out_s, ys, out_t, pseudo, classes=None):
     return (log_probs(out_s), ts), (log_probs(out_t), tt)
 
 
-def parameter_backward_gradient(f1, f2, logits1, logits2, labels, weights=None,
-                                create_graph=False):
-    """The reference definition of a domain's classifier gradient: one backward
-    of the mean two-head cross-entropy to the classifier parameters, each
-    parameter's gradient flattened in ``classifier_parameters`` order, as a
-    1-by-P matrix."""
-    loss = losses.pair_cross_entropy(
-        log_probs((logits1, logits2)), losses.Targets.of(labels, logits1.shape[1], weights))
-    params = gd.classifier_parameters(f1, f2)
-    grads = backward(loss, params, create_graph=create_graph)
-    return T.concat([T.reshape(grads[p], (1, p.size)) for p in params], axis=1)
-
-
 class TestSourceGradient:
     def test_stationary_point_has_tiny_norm(self):
         # identity generator, saturated linear heads, matched labels
@@ -211,40 +198,38 @@ class TestLinearHeadOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_parameter_backward_reference_matches_the_oracle(self, seed):
+        """The reference definition, ``source_gradient`` (unit weights) and
+        ``target_gradient`` (entropy weights), against the closed form."""
         gen, f1, f2 = tiny_models(90 + seed, k=3)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(5, 2))
         y = rng.integers(0, 3, size=5)
         w = rng.uniform(1.0, 2.0, size=5)
         h = feats(gen, x).values
-        got = parameter_backward_gradient(f1, f2, *logits(gen, f1, f2, x), y, w)
-        want = 0.5 * np.concatenate([
-            part.reshape(-1) for clf in (f1, f2)
-            for part in checks.linear_head_gradient_oracle(
-                h, y, w, clf.layers[0].weight.values, clf.layers[0].bias.values)
-        ])
-        np.testing.assert_allclose(got.values, want[None, :], rtol=0, atol=1e-12)
+        out = logits(gen, f1, f2, x)
+        for got, weights in ((gd.source_gradient(f1, f2, *out, y), np.ones(5)),
+                             (gd.target_gradient(f1, f2, *out,
+                                                 PseudoLabelSet(y, w, np.zeros(5))), w)):
+            want = 0.5 * np.concatenate([
+                part.reshape(-1) for clf in (f1, f2)
+                for part in checks.linear_head_gradient_oracle(
+                    h, y, weights, clf.layers[0].weight.values, clf.layers[0].bias.values)
+            ])
+            np.testing.assert_allclose(got.values, want[None, :], rtol=0, atol=1e-12)
 
 
-def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo, create_graph=False):
+def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo):
     """The conditional loss as first defined: every shared class re-forwards
-    its own source and target rows through the generator, and takes each
-    domain's :func:`parameter_backward_gradient` on them."""
+    its own source and target rows through the generator, and takes both
+    domains' one-row :func:`~cgdm.grad_discrepancy.class_gradients` on them."""
     shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
     total = None
     for k in shared:
         s_rows = np.flatnonzero(ys == k)
         t_rows = np.flatnonzero(pseudo.labels == k)
-        gs = parameter_backward_gradient(
-            f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows],
-            create_graph=create_graph,
-        )
-        target = pseudo.take(t_rows)
-        gt = parameter_backward_gradient(
-            f1, f2, *logits(gen, f1, f2, xt[t_rows]), target.labels, target.weights,
-            create_graph=create_graph,
-        )
-        term = gd.gradient_discrepancy_loss(gs, gt)
+        term = gd.gradient_discrepancy_loss(*gd.class_gradients(f1, f2, *alignment_args(
+            logits(gen, f1, f2, xs[s_rows]), ys[s_rows],
+            logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows))))
         total = term if total is None else T.add(total, term)
     return T.mul(total, 1.0 / len(shared))
 
@@ -293,6 +278,16 @@ def unsorted_case(seed, target_classes=3, zero_weight_class=None, **shape):
 def generator_gradients(loss, gen):
     grads = backward(loss, gen.parameters())
     return [grads[p].values for p in gen.parameters()]
+
+
+def assert_generator_gradient_matches_finite_differences(loss_fn, gen):
+    """The alignment loss's double-backward generator gradient against central
+    differences of ``loss_fn``, at ``cgdm gradcheck``'s tolerance."""
+    params = gen.parameters()
+    auto = backward(loss_fn(), params)
+    fd = checks.finite_difference_gradient(loss_fn, params)
+    for p, ref in zip(params, fd):
+        assert checks._rel_err(auto[p].values, ref, floor=1e-5) < 1e-3
 
 
 class TestConditional:
@@ -358,7 +353,7 @@ class TestConditional:
             rng.integers(0, 3, size=8), rng.uniform(1.0, 2.0, size=8), np.zeros(8)
         )
         args = (gen, f1, f2, xs, ys, xt, pseudo)
-        want = per_class_reforward_loss(*args, create_graph=True)
+        want = per_class_reforward_loss(*args)
         got = class_sorted_loss(*args)
         assert abs(got.item() - want.item()) < 1e-12
         for g_got, g_want in zip(generator_gradients(got, gen),
@@ -375,7 +370,7 @@ class TestConditional:
         args = unsorted_case(seed, **case)
         gen = args[0]
         assert np.any(np.diff(args[4]) < 0)  # the source rows are not sorted
-        want = per_class_reforward_loss(*args, create_graph=True)
+        want = per_class_reforward_loss(*args)
         got = conditional_loss(*args)
         assert abs(got.item() - want.item()) < 1e-12
         for g_got, g_want in zip(generator_gradients(got, gen),
@@ -395,13 +390,9 @@ class TestClassGradients:
         for r, k in enumerate(classes):
             s_rows = np.flatnonzero(ys == k)
             t_rows = np.flatnonzero(pseudo.labels == k)
-            target = pseudo.take(t_rows)
-            want_s = parameter_backward_gradient(
-                f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows]
-            )
-            want_t = parameter_backward_gradient(
-                f1, f2, *logits(gen, f1, f2, xt[t_rows]), target.labels, target.weights
-            )
+            want_s = gd.source_gradient(f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows])
+            want_t = gd.target_gradient(f1, f2, *logits(gen, f1, f2, xt[t_rows]),
+                                        pseudo.take(t_rows))
             np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
 
@@ -422,17 +413,12 @@ class TestClassGradients:
         gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
         gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo))
-        want_s = parameter_backward_gradient(f1, f2, *out_s, ys, create_graph=True)
-        want_t = parameter_backward_gradient(
-            f1, f2, *out_t, pseudo.labels, pseudo.weights, create_graph=True)
+        want_s = gd.source_gradient(f1, f2, *out_s, ys)
+        want_t = gd.target_gradient(f1, f2, *out_t, pseudo)
         np.testing.assert_array_equal(gs.values, want_s.values)
         np.testing.assert_array_equal(gt.values, want_t.values)
-        got = gd.gradient_discrepancy_loss(gs, gt)
-        want = gd.gradient_discrepancy_loss(want_s, want_t)
-        assert got.item() == want.item()
-        for g_got, g_want in zip(generator_gradients(got, gen),
-                                 generator_gradients(want, gen)):
-            np.testing.assert_array_equal(g_got, g_want)
+        assert (gd.gradient_discrepancy_loss(gs, gt).item()
+                == gd.gradient_discrepancy_loss(want_s, want_t).item())
 
     def test_targets_of_another_class_count_rejected(self):
         """One-class targets would broadcast against 3 logits columns."""
@@ -502,7 +488,7 @@ class TestDeepHeads:
     @pytest.mark.parametrize("classes", [None, np.array([0, 1, 2])],
                              ids=["one_row", "per_class"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matrices_equal_the_create_graph_definition(self, seed, classes):
+    def test_matrices_equal_the_parameter_backward_definition(self, seed, classes):
         gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
         gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo,
@@ -520,29 +506,38 @@ class TestDeepHeads:
             logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo, classes))
         for r, k in enumerate(classes):
             s_rows, t_rows = np.flatnonzero(ys == k), np.flatnonzero(pseudo.labels == k)
-            target = pseudo.take(t_rows)
-            want_s = parameter_backward_gradient(
-                f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows])
-            want_t = parameter_backward_gradient(
-                f1, f2, *logits(gen, f1, f2, xt[t_rows]), target.labels, target.weights)
+            want_s = gd.source_gradient(f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows])
+            want_t = gd.target_gradient(f1, f2, *logits(gen, f1, f2, xt[t_rows]),
+                                        pseudo.take(t_rows))
             np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_generator_gradient_equals_the_create_graph_definition(self, seed):
+    def test_generator_gradient_matches_finite_differences(self, seed):
+        """The conditional loss equals that of the definition's matrices, and
+        its generator gradient matches central differences."""
         gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
+
+        def loss_fn():
+            return conditional_loss(gen, f1, f2, xs, ys, xt, pseudo)
+
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        (ls_s, ts), (ls_t, tt) = alignment_args(out_s, ys, out_t, pseudo)
-        ts, tt = gd.by_shared_class(ts, tt)
-        got = gd.conditional_gradient_loss(f1, f2, (ls_s, ts), (ls_t, tt))
         shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
         want = gd.gradient_discrepancy_loss(
             gd.source_gradient(f1, f2, *out_s, ys, shared),
             gd.target_gradient(f1, f2, *out_t, pseudo, shared))
-        assert got.item() == want.item()
-        for g_got, g_want in zip(generator_gradients(got, gen),
-                                 generator_gradients(want, gen)):
-            np.testing.assert_array_equal(g_got, g_want)
+        assert loss_fn().item() == want.item()
+        assert_generator_gradient_matches_finite_differences(loss_fn, gen)
+
+    def test_plain_generator_gradient_matches_finite_differences(self):
+        """The one-row loss, on a case whose relu pre-activations all clear
+        the margin, in the generator and in both hidden layers of each head."""
+        gen, f1, f2, src, tgt, pseudo = checks._tiny_alignment_case(
+            np.random.default_rng(6), clf_dims=(3, 4, 4, 2))
+        assert_generator_gradient_matches_finite_differences(
+            lambda: gd.gradient_discrepancy_loss(*gd.class_gradients(f1, f2, *alignment_args(
+                logits(gen, f1, f2, src.features), src.labels,
+                logits(gen, f1, f2, tgt.features), pseudo))), gen)
 
     def test_conditional_generator_gradient_matches_finite_differences(self):
         """On a case whose relu pre-activations all clear the margin, in the
@@ -556,16 +551,10 @@ class TestDeepHeads:
         ts, tt = gd.by_shared_class(losses.Targets.of(src.labels, 2),
                                     losses.Targets.of(pseudo.labels, 2, pseudo.weights))
 
-        def loss_fn():
-            return gd.conditional_gradient_loss(
+        assert_generator_gradient_matches_finite_differences(
+            lambda: gd.conditional_gradient_loss(
                 f1, f2, (log_probs(logits(gen, f1, f2, src.features)), ts),
-                (log_probs(logits(gen, f1, f2, tgt.features)), tt))
-
-        params = gen.parameters()
-        auto = backward(loss_fn(), params)
-        fd = checks.finite_difference_gradient(loss_fn, params)
-        for p, ref in zip(params, fd):
-            assert checks._rel_err(auto[p].values, ref, floor=1e-5) < 1e-3
+                (log_probs(logits(gen, f1, f2, tgt.features)), tt)), gen)
 
     @pytest.mark.parametrize("rows, labels", [(0, 0), (4, 3)],
                              ids=["empty_batch", "label_count"])
@@ -580,13 +569,11 @@ class TestDeepHeads:
 
     def test_each_hidden_layer_is_masked_once(self):
         """One domain's matrix records one mask ``mul`` per hidden layer and
-        head; the create-graph definition also masks each upper hidden
-        layer inside its backward, and scales by the two-head mean's 0.5."""
+        head, and no other ``mul``."""
         gen, f1, f2, xs, ys, xt, pseudo = deep_case(0)
         out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
         gs, _ = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo))
         assert op_counts(gs)["mul"] == 2 * 2
-        assert op_counts(gd.source_gradient(f1, f2, *out_s, ys))["mul"] == 7
 
 
 class TestDoubleBackward:

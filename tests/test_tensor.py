@@ -1,6 +1,5 @@
-"""Autodiff core: forward semantics, gradients vs finite differences,
-double backward, the two arithmetics of one vjp formula, and graph
-determinism."""
+"""Autodiff core: forward semantics, gradients vs finite differences, the
+vjp formulas, and graph determinism."""
 import ast
 import functools
 import gc
@@ -249,22 +248,6 @@ def test_primitive_gradients_match_finite_differences(name):
         fd_check(lambda: build(inputs), [inputs[w] for w in wrt_names])
 
 
-def _second_order(make_loss, inner_wrt, outer_wrt, seed):
-    """fd check of d/d(outer) of a random projection of d loss/d(inner)."""
-    rng = np.random.default_rng(seed)
-    proj = [T.Tensor(rng.normal(size=t.shape)) for t in inner_wrt]
-
-    def projected_gradient():
-        grads = T.backward(make_loss(), inner_wrt, create_graph=True)
-        terms = [T.tsum(T.mul(grads[t], p)) for t, p in zip(inner_wrt, proj)]
-        total = terms[0]
-        for term in terms[1:]:
-            total = T.add(total, term)
-        return total
-
-    fd_check(projected_gradient, outer_wrt)
-
-
 def _quadratic(y, proj):
     """A scalar quadratic in ``y``, so every parent's cotangent reads the others."""
     return T.tsum(T.mul(T.mul(y, y), proj))
@@ -285,7 +268,7 @@ def _fused_builder(name: str, seed: int):
         return lambda: _quadratic(T.linear(x, w, b, relu=relu), proj), [x, w, b]
     if name == "cross_entropy_grad":
         ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
-        return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls, g]
+        return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls]
     if name in ("class_affine_gradient_layers", "class_affine_gradient_no_class"):
         layers, members, proj = TestFusedOps._class_layers_case(seed, name.endswith("class"))
         return (lambda: _quadratic(T.class_affine_gradient(layers, members), proj),
@@ -301,11 +284,6 @@ def _fused_builder(name: str, seed: int):
     return lambda: _cross_entropy(logits, targets), [logits]
 
 
-def _fused_case(name: str, seed: int):
-    make_scalar, wrt = _fused_builder(name, seed)
-    return make_scalar(), wrt
-
-
 _FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entropy_grad",
                 "class_affine_gradient_all", "class_affine_gradient_K", "cosine_rows_2d",
                 "class_affine_gradient_layers", "linear_relu",
@@ -313,50 +291,15 @@ _FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entr
 _GRADIENT_OP_CASES = ("cross_entropy_grad", "class_affine_gradient_all",
                       "class_affine_gradient_K", "cosine_rows_2d",
                       "class_affine_gradient_layers", "class_affine_gradient_no_class")
-# the cases whose scalar a create-graph backward can pass through
-_CREATE_GRAPH_CASES = [name for name in sorted(_PRIMITIVE_CASES) + list(_FUSED_CASES)
-                       if name not in _GRADIENT_OP_CASES]
 
 
 def _scalar_and_wrt(name: str, trial: int):
     if name in _FUSED_CASES:
-        return _fused_case(name, trial)
+        make_scalar, wrt = _fused_builder(name, trial)
+        return make_scalar(), wrt
     wrt_names, build = _PRIMITIVE_CASES[name]
     inputs = _case_inputs(name, trial)
     return build(inputs), [inputs[w] for w in wrt_names]
-
-
-@pytest.mark.parametrize("name", _CREATE_GRAPH_CASES)
-def test_first_order_and_create_graph_gradients_are_bit_identical(name):
-    """One vjp formula, two arithmetics: numpy on values (first order) and
-    the recording primitives on tensors (create graph) give the same bits."""
-    for trial in range(3):
-        scalar, wrt = _scalar_and_wrt(name, trial)
-        plain = T.backward(scalar, wrt)
-        graph = T.backward(scalar, wrt, create_graph=True)
-        for t in wrt:
-            assert plain[t].op is None
-            assert plain[t].shape == graph[t].shape == t.shape
-            assert plain[t].values.tobytes() == graph[t].values.tobytes()
-
-
-@pytest.mark.parametrize("op, case", [
-    ("cross_entropy_grad", "cross_entropy_grad"),
-    ("class_affine_gradient", "class_affine_gradient_layers"),
-    ("cosine_rows", "cosine_rows_2d"),
-], ids=["cross_entropy_grad", "class_affine_gradient", "cosine_rows"])
-def test_create_graph_backward_refuses_a_gradient_op(op, case):
-    """The gradient ops are first-order: a create-graph backward whose path
-    reaches one raises, naming it, before it makes a tensor or switches
-    recording; a first-order backward of the same scalar still runs."""
-    scalar, wrt = _fused_case(case, 0)
-    before = next(T._ids)
-    with pytest.raises(T.ContractError, match=op):
-        T.backward(scalar, wrt, create_graph=True)
-    assert next(T._ids) == before + 1
-    assert T._state.enabled
-    grads = T.backward(scalar, wrt)
-    assert all(grads[t].shape == t.shape for t in wrt)
 
 
 def test_first_order_backward_records_no_graph():
@@ -387,14 +330,14 @@ def _recorded_op_names() -> set:
 
 
 def test_every_recorded_op_has_one_vjp_formula_per_parent(monkeypatch):
-    """One callable per recorded op, ``vjp(ns, g, args, out, ctx, needed)``,
+    """One callable per recorded op, ``vjp(g, args, out, ctx, needed)``,
     which gives each parent of a node that ``needed`` asks for a cotangent of
     that parent's shape, the same bits whichever others are asked for, and
     None to the others; a backward calls it once per node on its path."""
     assert _recorded_op_names() == set(T._VJPS)
     for vjp in T._VJPS.values():
         params = list(inspect.signature(vjp).parameters)
-        assert params[:4] == ["ns", "g", "args", "out"] and params[5:] == ["needed"]
+        assert params[:3] == ["g", "args", "out"] and params[4:] == ["needed"]
     reached = set()
     for name in sorted(_PRIMITIVE_CASES) + list(_FUSED_CASES):
         scalar, wrt = _scalar_and_wrt(name, 0)
@@ -406,45 +349,23 @@ def test_every_recorded_op_has_one_vjp_formula_per_parent(monkeypatch):
             args = [p.values for p in node.parents]
             g = np.ones(node.shape)
             n = len(node.parents)
-            every = vjp(T._ARRAYS, g, args, node.values, node._ctx, [True] * n)
+            every = vjp(g, args, node.values, node._ctx, [True] * n)
             assert type(every) is tuple and len(every) == n, node.op
             for i, parent in enumerate(node.parents):
                 assert every[i].shape == parent.shape, (node.op, i)
-                one = vjp(T._ARRAYS, g, args, node.values, node._ctx,
-                          [j == i for j in range(n)])
+                one = vjp(g, args, node.values, node._ctx, [j == i for j in range(n)])
                 assert [c is None for c in one] == [j != i for j in range(n)], (node.op, i)
                 assert one[i].tobytes() == every[i].tobytes(), (node.op, i)
         calls = []
         for op, vjp in T._VJPS.items():
-            monkeypatch.setitem(T._VJPS, op, lambda ns, g, args, out, ctx, needed, vjp=vjp:
-                                calls.append(out) or vjp(ns, g, args, out, ctx, needed))
-        for create_graph in (False,) if name in _GRADIENT_OP_CASES else (False, True):
-            calls.clear()
-            T.backward(scalar, wrt, create_graph=create_graph)
-            called = [id(out.values if create_graph else out) for out in calls]
-            # in every case, each node leads to a wrt tensor
-            path = [n for n in T._reachable(scalar) if n.parents]
-            assert sorted(called) == sorted(id(n.values) for n in path), name
+            monkeypatch.setitem(T._VJPS, op, lambda g, args, out, ctx, needed, vjp=vjp:
+                                calls.append(out) or vjp(g, args, out, ctx, needed))
+        T.backward(scalar, wrt)
+        # in every case, each node leads to a wrt tensor
+        path = [n for n in T._reachable(scalar) if n.parents]
+        assert sorted(id(out) for out in calls) == sorted(id(n.values) for n in path), name
         monkeypatch.undo()
     assert reached == set(T._VJPS)  # the cases above build every op
-
-
-def test_the_namespaces_define_what_the_formulas_read():
-    """``_GRAPH`` and ``_ARRAYS`` define the same names, and each is read by
-    some ``_VJPS`` formula or by ``backward``, read from the source."""
-    assert vars(T._GRAPH).keys() == vars(T._ARRAYS).keys()
-    tree = ast.parse(Path(T.__file__).read_text())
-    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
-    table = next(a.value for a in ast.walk(tree)
-                 if isinstance(a, ast.Assign) and getattr(a.targets[0], "id", None) == "_VJPS")
-    readers = [functions[v.id] if isinstance(v, ast.Name) else v for v in table.values]
-    read = {
-        a.attr
-        for reader in readers + [functions["backward"]]
-        for a in ast.walk(reader)
-        if isinstance(a, ast.Attribute) and getattr(a.value, "id", None) in ("ns", "_ARRAYS")
-    }
-    assert read == set(vars(T._GRAPH))
 
 
 def test_tensor_arithmetic_has_one_spelling():
@@ -492,8 +413,7 @@ def _assert_same_op(fused, composed, inputs, proj):
 
 
 class TestFusedOps:
-    """The fused ops against their compositions and finite differences, to
-    first and second order."""
+    """The fused ops against their compositions and finite differences."""
 
     @staticmethod
     def _linear_case(seed):
@@ -517,7 +437,7 @@ class TestFusedOps:
         ls = T.log_softmax(T.Tensor(rng.normal(size=(5, 3))))
         hot = np.eye(3)[rng.integers(0, 3, size=5)]
         scale = np.repeat(rng.uniform(1.0, 2.0, size=5) / 5, 3).reshape(5, 3)
-        return (T.Tensor(ls.values), T.Tensor(rng.normal()), hot, scale,
+        return (T.Tensor(ls.values), float(rng.normal()), hot, scale,
                 T.Tensor(rng.normal(size=(5, 3))))
 
     @staticmethod
@@ -582,38 +502,23 @@ class TestFusedOps:
         x, w, b, proj = self._linear_case(seed)
         fd_check(lambda: T.tsum(T.mul(T.linear(x, w, b), proj)), [x, w, b])
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_linear_second_order(self, seed):
-        x, w, b, proj = self._linear_case(seed)
-
-        def loss():  # quadratic in the output, so every input reaches the gradient
-            y = T.linear(x, w, b)
-            return T.tsum(T.mul(T.mul(y, y), proj))
-
-        _second_order(loss, [x, w, b], [x, w, b], seed)
-
-    @pytest.mark.parametrize("create_graph", [False, True])
     @pytest.mark.parametrize("seed", range(3))
-    def test_linear_relu_is_one_node_bit_equal_to_relu_of_linear(self, seed, create_graph):
+    def test_linear_relu_is_one_node_bit_equal_to_relu_of_linear(self, seed):
         """The fused activation records one node of parents (x, w, b); its
-        values and its gradients, first order or recorded, are bit-equal to
-        ``relu(linear(x, w, b))``."""
+        values and its gradients are bit-equal to ``relu(linear(x, w, b))``."""
         x, w, b, proj = self._linear_case(seed)
         fused = T.linear(x, w, b, relu=True)
         composed = T.relu(T.linear(x, w, b))
         assert fused.op == "linear" and fused.parents == (x, w, b)
         assert (fused.values == 0.0).any()
         assert fused.values.tobytes() == composed.values.tobytes()
-        grads = [T.backward(_quadratic(out, proj), [x, w, b], create_graph=create_graph)
-                 for out in (fused, composed)]
+        grads = [T.backward(_quadratic(out, proj), [x, w, b]) for out in (fused, composed)]
         for t in (x, w, b):
             assert grads[0][t].values.tobytes() == grads[1][t].values.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_linear_relu_first_and_second_order(self, seed):
-        make_scalar, wrt = _fused_builder("linear_relu", seed)
-        fd_check(make_scalar, wrt)
-        _second_order(make_scalar, wrt, wrt, seed)
+    def test_linear_relu_first_order(self, seed):
+        fd_check(*_fused_builder("linear_relu", seed))
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_equals_composition(self, weighted):
@@ -648,24 +553,6 @@ class TestFusedOps:
         logits, targets = self._ce_case(seed, weighted)
         fd_check(lambda: _cross_entropy(logits, targets), [logits])
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_cross_entropy_second_order(self, seed, weighted):
-        logits, targets = self._ce_case(seed, weighted)
-        _second_order(lambda: _cross_entropy(logits, targets), [logits], [logits], seed)
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_cross_entropy_of_linear_second_order(self, weighted):
-        """The step-3 shape: head-weight gradient, differentiated by the input."""
-        x, w, b, _ = self._linear_case(7)
-        rng = np.random.default_rng(8)
-        labels = rng.integers(0, 4, size=5)
-        weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
-        targets = losses.Targets.of(labels, 4, weights)
-        _second_order(lambda: _cross_entropy(T.linear(x, w, b), targets),
-                      [w, b], [x, w, b], 7)
-
-
 class TestFusedGradientOps:
     """``cross_entropy_grad``, ``class_affine_gradient`` and ``cosine_rows``
     against their compositions (bit for bit) and finite differences."""
@@ -674,14 +561,19 @@ class TestFusedGradientOps:
     def test_cross_entropy_grad_equals_composition(self, seed):
         ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
         _assert_same_op(T.cross_entropy_grad(ls, g, hot, scale),
-                        _ce_grad_composition(ls, g, hot, scale), [ls, g], proj)
+                        _ce_grad_composition(ls, g, hot, scale), [ls], proj)
 
-    def test_cross_entropy_vjp_records_one_node(self):
-        logits, targets = TestFusedOps._ce_case(0, True)
-        loss = _cross_entropy(logits, targets)
-        grad = T.backward(loss, [logits], create_graph=True)[logits]
-        assert grad.op == "cross_entropy_grad"
-        assert [p.op for p in grad.parents] == ["log_softmax", None]
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cross_entropy_vjp_is_the_gradient_op(self, weighted):
+        """The cross-entropy's logits gradient is bit-equal to the one-parent
+        ``cross_entropy_grad`` node of its log-softmax at cotangent 1."""
+        logits, targets = TestFusedOps._ce_case(0, weighted)
+        ls = T.log_softmax(logits)
+        grad = T.backward(T.softmax_cross_entropy(ls, targets.onehot, targets.weights,
+                                                  targets.scale), [logits])[logits]
+        node = T.cross_entropy_grad(ls, 1.0, targets.onehot, targets.scale)
+        assert node.parents == (ls,)
+        assert grad.values.tobytes() == node.values.tobytes()
 
     @pytest.mark.parametrize("k", [None, 1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(2))
@@ -691,8 +583,7 @@ class TestFusedGradientOps:
                         _class_affine_composition(delta, h, members), [delta, h], proj)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("create_graph", [False])  # the op is first-order
-    def test_layers_are_the_concat_of_their_blocks(self, seed, create_graph):
+    def test_layers_are_the_concat_of_their_blocks(self, seed):
         """One node for several layers: bit-equal to the concat of each
         layer's block, in values and in first-order gradients."""
         layers, members, proj = TestFusedOps._class_layers_case(seed)
@@ -701,8 +592,7 @@ class TestFusedGradientOps:
         apart = T.concat([T.class_affine_gradient([layer], members) for layer in layers], 1)
         assert fused.values.tobytes() == apart.values.tobytes()
         inputs = [t for layer in layers for t in layer]
-        grads = [T.backward(_quadratic(out, proj), inputs, create_graph=create_graph)
-                 for out in (fused, apart)]
+        grads = [T.backward(_quadratic(out, proj), inputs) for out in (fused, apart)]
         for t in inputs:
             assert grads[0][t].values.tobytes() == grads[1][t].values.tobytes()
 
@@ -752,65 +642,6 @@ class TestFusedGradientOps:
         fd_check(*_fused_builder(name, seed))
 
 
-def second_order_check(f, x):
-    """d/dx of sum(df/dx) via two chained backward passes.
-
-    For scalar x this is the plain second derivative; for vector x with a
-    diagonal Hessian it returns the diagonal.
-    """
-    y = f(x)
-    g = T.backward(y, [x], create_graph=True)[x]
-    return T.backward(T.tsum(g), [x])[x]
-
-
-class TestSecondOrder:
-    def test_cubic(self):
-        x = T.Tensor([2.0])
-        h = second_order_check(
-            lambda t: T.tsum(T.mul(T.mul(t, t), t)), x
-        )
-        np.testing.assert_allclose(h.values, [12.0], atol=1e-8)
-
-    def test_sum_of_squares(self):
-        x = T.Tensor([3.0, -1.0, 0.5])
-        h = second_order_check(lambda t: T.tsum(T.mul(t, t)), x)
-        np.testing.assert_allclose(h.values, [2.0, 2.0, 2.0], atol=1e-8)
-
-    def test_polynomial_matches_analytic(self):
-        # f(x) = 3x^3 + 2x^2 + x  =>  f''(x) = 18x + 4
-        rng = np.random.default_rng(11)
-        xv = rng.normal(size=5)
-        x = T.Tensor(xv)
-
-        def f(t):
-            cube = T.mul(T.mul(t, t), t)
-            return T.tsum(T.add(T.add(T.mul(cube, 3.0), T.mul(T.mul(t, t), 2.0)), t))
-
-        h = second_order_check(f, x)
-        np.testing.assert_allclose(h.values, 18.0 * xv + 4.0, atol=1e-8)
-
-    def test_mixed_derivative_on_two_parameter_model(self):
-        """d/d(theta_g) of |d loss/d(theta_f)|^2 vs finite differences of the
-        hand-derived inner gradient."""
-        tg = T.Tensor([1.3])
-        tf = T.Tensor([0.4])
-
-        def loss():
-            return T.tsum(T.add(T.exp(T.mul(tg, tf)), T.mul(tf, tf)))
-
-        def inner_grad_sq(g_val):
-            # d loss/d tf = g e^{g f} + 2 f, analytically
-            inner = g_val * np.exp(g_val * 0.4) + 2 * 0.4
-            return inner**2
-
-        g_inner = T.backward(loss(), [tf], create_graph=True)[tf]
-        sq = T.tsum(T.mul(g_inner, g_inner))
-        auto = T.backward(sq, [tg])[tg].values[0]
-        h = 1e-5
-        fd = (inner_grad_sq(1.3 + h) - inner_grad_sq(1.3 - h)) / (2 * h)
-        assert abs(auto - fd) / max(abs(fd), 1e-8) < 1e-3
-
-
 class TestDeterminismAndState:
     def test_bit_identical_reruns(self):
         def build(seed):
@@ -841,13 +672,12 @@ class TestDeterminismAndState:
         assert np.all(np.isfinite(out.values))
 
 
-@pytest.mark.parametrize("create_graph", [False, True])
-def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
+def test_softmax_graphs_are_freed_by_reference_counting():
     """No node references itself or holds a closure: exp and log_softmax get
     their output as an argument of their vjp formula, and the cross-entropy's
-    context holds the log-softmax node it was given, which does not point back.  So a graph
-    through softmax and cross-entropy, and a create-graph backward through it,
-    leave no reference cycle for the cyclic garbage collector."""
+    context holds the values of its log-softmax.  So a graph through softmax
+    and cross-entropy, and a backward through it, leave no reference cycle
+    for the cyclic garbage collector."""
     rng = np.random.default_rng(2)
     targets = losses.Targets.of(rng.integers(0, 3, size=5), 3)
     gc.collect()
@@ -859,9 +689,7 @@ def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
         loss = T.add(T.softmax_cross_entropy(ls, targets.onehot, targets.weights,
                                              targets.scale),
                      T.tsum(T.mul(T.exp(ls), logits)))
-        grad = T.backward(loss, [w], create_graph=create_graph)[w]
-        if create_graph:
-            grad = T.backward(T.tsum(T.mul(grad, grad)), [w])[w]
+        grad = T.backward(loss, [w])[w]
         del w, logits, loss, grad
         assert gc.collect() == 0
     finally:
@@ -871,15 +699,14 @@ def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
 RELU_POINTS = np.array([0.0, -0.0, np.nan, 5e-324, 1.0, -1.0])
 
 
-@pytest.mark.parametrize("create_graph", [False, True])
-def test_relu_gradient_is_the_input_mask(create_graph):
+def test_relu_gradient_is_the_input_mask():
     """relu keeps no mask: its vjp takes ``out > 0`` from its output, which
     is the mask ``a > 0`` of its input at the kink, at both signed zeros, at
     NaN and at the smallest subnormal.  The gradient is bit-equal to the
     cotangent times that mask (signs of zero included)."""
     proj = np.array([-1.5, -2.0, 3.0, -0.5, 0.25, -4.0])
     a = T.Tensor(RELU_POINTS)
-    grad = T.backward(T.tsum(T.mul(T.relu(a), proj)), [a], create_graph=create_graph)[a]
+    grad = T.backward(T.tsum(T.mul(T.relu(a), proj)), [a])[a]
     want = proj * (RELU_POINTS > 0).astype(np.float64)
     assert grad.values.tobytes() == want.tobytes()
 
@@ -911,8 +738,7 @@ def test_linear_and_its_weight_vjp_allocate_only_their_result():
     assert peak < 1.5 * out.values.nbytes
     g = rng.normal(size=out.shape)
     peak, (_, grad, _) = _peak_bytes(lambda: T._VJPS["linear"](
-        T._ARRAYS, g, [x.values, w.values, b.values], out.values, False,
-        [False, True, False]))
+        g, [x.values, w.values, b.values], out.values, False, [False, True, False]))
     np.testing.assert_array_equal(grad, g.T @ x.values)
     assert peak < 1.5 * grad.nbytes
 
@@ -935,33 +761,18 @@ def test_relu_outside_recording_allocates_only_its_output():
 ABS_POINTS = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.5, -3.0])
 
 
-@pytest.mark.parametrize("create_graph", [False, True])
-def test_absolute_is_one_node_bit_equal_to_its_relu_composition(create_graph):
-    """``absolute`` records one node, and its values and gradients (first
-    order, or recorded for a further backward) are bit-equal to
-    ``add(relu(a), relu(neg(a)))`` at both signed zeros, at +-1 and at the
-    smallest subnormals, signs of zero included."""
+def test_absolute_is_one_node_bit_equal_to_its_relu_composition():
+    """``absolute`` records one node, and its values and gradients are
+    bit-equal to ``add(relu(a), relu(neg(a)))`` at both signed zeros, at +-1
+    and at the smallest subnormals, signs of zero included."""
     proj = np.array([-1.5, -2.0, 3.0, -0.5, 0.25, -4.0, -0.0, 1.0])
     a = T.Tensor(ABS_POINTS)
     fused = T.absolute(a)
     composed = T.add(T.relu(a), T.relu(T.neg(a)))
     assert fused.op == "abs" and fused.parents == (a,) and fused._ctx is None
     assert fused.values.tobytes() == composed.values.tobytes()
-    grads = [T.backward(T.tsum(T.mul(out, proj)), [a], create_graph=create_graph)[a]
-             for out in (fused, composed)]
+    grads = [T.backward(T.tsum(T.mul(out, proj)), [a])[a] for out in (fused, composed)]
     assert grads[0].values.tobytes() == grads[1].values.tobytes()
-    if create_graph:
-        assert grads[0].op == grads[1].op == "add"
-        # the recorded gradients differentiate alike
-        again = [T.backward(T.tsum(T.mul(g, a)), [a])[a] for g in grads]
-        assert again[0].values.tobytes() == again[1].values.tobytes()
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_absolute_second_order(seed):
-    inputs = _case_inputs("absolute", seed)
-    off, proj = inputs["off"], inputs["proj34"]
-    _second_order(lambda: _quadratic(T.absolute(off), proj), [off], [off], seed)
 
 
 def _class_members(rng, b, k, every_row):
@@ -1009,7 +820,7 @@ def test_class_affine_vjp_makes_no_second_k_fold_copy():
     k_fold = b * k * width * 8
     g = rng.normal(size=out.shape)
     peak, (_, grad_h) = _peak_bytes(lambda: T._VJPS["class_affine_gradient"](
-        T._ARRAYS, g, [delta.values, h.values], out.values, out._ctx, [False, True]))
+        g, [delta.values, h.values], out.values, out._ctx, [False, True]))
     assert grad_h.shape == (b, n_in) and peak < 2 * k_fold
     g_copies = rng.normal(size=(b, k * width)).T.copy().T
     peak, folded = _peak_bytes(lambda: T._class_gather(g_copies, members))
