@@ -259,6 +259,37 @@ def _cross_entropy(logits, targets):
                                    targets.scale)
 
 
+def _second_order(make_gradient, reference, outer_wrt, seed):
+    """A gradient recorded as forward ops, as training records the heads'
+    class gradients: its values agree with the first-order ``reference`` at
+    1e-12, and a first-order backward of a random projection of it, the
+    double backward, matches central differences in ``outer_wrt``."""
+    grad = make_gradient()
+    np.testing.assert_allclose(grad.values, reference, rtol=1e-12, atol=1e-12)
+    proj = T.Tensor(np.random.default_rng(seed).normal(size=grad.shape))
+    fd_check(lambda: T.tsum(T.mul(make_gradient(), proj)), outer_wrt)
+
+
+def _flat_gradients(scalar, wrt):
+    """The first-order gradients of ``scalar`` w.r.t. ``wrt``, as one row."""
+    grads = T.backward(scalar, wrt)
+    return np.concatenate([grads[t].values.reshape(-1) for t in wrt])[None, :]
+
+
+def _recorded_linear_gradient(x, w, b, proj, relu):
+    """The gradient of ``_quadratic(linear(x, w, b, relu), proj)`` w.r.t.
+    (x, w, b) as one row of recorded ops, by the heads' backward recurrence:
+    ``delta`` is the output's cotangent ``2 y proj``, masked by the positive
+    outputs where the layer has a ReLU; the input's gradient is ``delta W``,
+    and the weight and bias gradients are one ``class_affine_gradient``."""
+    y = T.linear(x, w, b, relu=relu)
+    delta = T.mul(T.mul(y, proj), 2.0)
+    if relu:
+        delta = T.mul(delta, (y.values > 0).astype(np.float64))
+    return T.concat([T.reshape(T.matmul(delta, w), (1, -1)),
+                     T.class_affine_gradient([(delta, x)])], axis=1)
+
+
 def _fused_builder(name: str, seed: int):
     """(make_scalar, wrt): a scalar through one fused op, rebuilt from the
     same ``wrt`` tensors on every call."""
@@ -300,6 +331,27 @@ def _scalar_and_wrt(name: str, trial: int):
     wrt_names, build = _PRIMITIVE_CASES[name]
     inputs = _case_inputs(name, trial)
     return build(inputs), [inputs[w] for w in wrt_names]
+
+
+@pytest.mark.parametrize("op, case", [
+    ("cross_entropy_grad", "cross_entropy_grad"),
+    ("class_affine_gradient", "class_affine_gradient_layers"),
+    ("cosine_rows", "cosine_rows_2d"),
+], ids=["cross_entropy_grad", "class_affine_gradient", "cosine_rows"])
+def test_create_graph_backward_refuses_a_gradient_op(op, case):
+    """The gradient ops are differentiated by a first-order backward only: a
+    create-graph backward of a scalar whose path reaches one raises before
+    it makes a tensor or switches recording; a first-order backward of the
+    same scalar still runs."""
+    scalar, wrt = _scalar_and_wrt(case, 0)
+    assert op in {n.op for n in T._reachable(scalar)}
+    before = next(T._ids)
+    with pytest.raises(T.ContractError, match="first-order"):
+        T.backward(scalar, wrt, create_graph=True)
+    assert next(T._ids) == before + 1
+    assert T._state.enabled
+    grads = T.backward(scalar, wrt)
+    assert all(grads[t].shape == t.shape for t in wrt)
 
 
 def test_first_order_backward_records_no_graph():
@@ -502,8 +554,16 @@ class TestFusedOps:
         x, w, b, proj = self._linear_case(seed)
         fd_check(lambda: T.tsum(T.mul(T.linear(x, w, b), proj)), [x, w, b])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_second_order(self, seed):
+        x, w, b, proj = self._linear_case(seed)
+        _second_order(lambda: _recorded_linear_gradient(x, w, b, proj, False),
+                      _flat_gradients(_quadratic(T.linear(x, w, b), proj), [x, w, b]),
+                      [x, w, b], seed)
+
+    @pytest.mark.parametrize("create_graph", [False])  # the one mode; True raises
     @pytest.mark.parametrize("seed", range(3))
-    def test_linear_relu_is_one_node_bit_equal_to_relu_of_linear(self, seed):
+    def test_linear_relu_is_one_node_bit_equal_to_relu_of_linear(self, seed, create_graph):
         """The fused activation records one node of parents (x, w, b); its
         values and its gradients are bit-equal to ``relu(linear(x, w, b))``."""
         x, w, b, proj = self._linear_case(seed)
@@ -512,13 +572,18 @@ class TestFusedOps:
         assert fused.op == "linear" and fused.parents == (x, w, b)
         assert (fused.values == 0.0).any()
         assert fused.values.tobytes() == composed.values.tobytes()
-        grads = [T.backward(_quadratic(out, proj), [x, w, b]) for out in (fused, composed)]
+        grads = [T.backward(_quadratic(out, proj), [x, w, b], create_graph=create_graph)
+                 for out in (fused, composed)]
         for t in (x, w, b):
             assert grads[0][t].values.tobytes() == grads[1][t].values.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_linear_relu_first_order(self, seed):
-        fd_check(*_fused_builder("linear_relu", seed))
+    def test_linear_relu_first_and_second_order(self, seed):
+        make_scalar, wrt = _fused_builder("linear_relu", seed)
+        fd_check(make_scalar, wrt)
+        x, w, b, proj = self._linear_case(seed)
+        _second_order(lambda: _recorded_linear_gradient(x, w, b, proj, True),
+                      _flat_gradients(make_scalar(), wrt), wrt, seed)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_equals_composition(self, weighted):
@@ -553,6 +618,33 @@ class TestFusedOps:
         logits, targets = self._ce_case(seed, weighted)
         fd_check(lambda: _cross_entropy(logits, targets), [logits])
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_entropy_second_order(self, seed, weighted):
+        logits, targets = self._ce_case(seed, weighted)
+        _second_order(lambda: losses.cross_entropy_cotangent(T.log_softmax(logits), targets, 1.0),
+                      T.backward(_cross_entropy(logits, targets), [logits])[logits].values,
+                      [logits], seed)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cross_entropy_of_linear_second_order(self, weighted):
+        """The step-3 shape: head-weight gradient, differentiated by the input."""
+        x, w, b, _ = self._linear_case(7)
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 4, size=5)
+        weights = rng.uniform(1.0, 2.0, size=5) if weighted else None
+        targets = losses.Targets.of(labels, 4, weights)
+
+        def head_gradient():
+            ls = T.log_softmax(T.linear(x, w, b))
+            delta = losses.cross_entropy_cotangent(ls, targets, 1.0)
+            return T.class_affine_gradient([(delta, x)])
+
+        _second_order(head_gradient,
+                      _flat_gradients(_cross_entropy(T.linear(x, w, b), targets), [w, b]),
+                      [x, w, b], 7)
+
+
 class TestFusedGradientOps:
     """``cross_entropy_grad``, ``class_affine_gradient`` and ``cosine_rows``
     against their compositions (bit for bit) and finite differences."""
@@ -583,7 +675,8 @@ class TestFusedGradientOps:
                         _class_affine_composition(delta, h, members), [delta, h], proj)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_layers_are_the_concat_of_their_blocks(self, seed):
+    @pytest.mark.parametrize("create_graph", [False])  # the one mode; True raises
+    def test_layers_are_the_concat_of_their_blocks(self, seed, create_graph):
         """One node for several layers: bit-equal to the concat of each
         layer's block, in values and in first-order gradients."""
         layers, members, proj = TestFusedOps._class_layers_case(seed)
@@ -592,7 +685,8 @@ class TestFusedGradientOps:
         apart = T.concat([T.class_affine_gradient([layer], members) for layer in layers], 1)
         assert fused.values.tobytes() == apart.values.tobytes()
         inputs = [t for layer in layers for t in layer]
-        grads = [T.backward(_quadratic(out, proj), inputs) for out in (fused, apart)]
+        grads = [T.backward(_quadratic(out, proj), inputs, create_graph=create_graph)
+                 for out in (fused, apart)]
         for t in inputs:
             assert grads[0][t].values.tobytes() == grads[1][t].values.tobytes()
 
@@ -672,7 +766,8 @@ class TestDeterminismAndState:
         assert np.all(np.isfinite(out.values))
 
 
-def test_softmax_graphs_are_freed_by_reference_counting():
+@pytest.mark.parametrize("create_graph", [False])  # the one mode; True raises
+def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
     """No node references itself or holds a closure: exp and log_softmax get
     their output as an argument of their vjp formula, and the cross-entropy's
     context holds the values of its log-softmax.  So a graph through softmax
@@ -689,7 +784,7 @@ def test_softmax_graphs_are_freed_by_reference_counting():
         loss = T.add(T.softmax_cross_entropy(ls, targets.onehot, targets.weights,
                                              targets.scale),
                      T.tsum(T.mul(T.exp(ls), logits)))
-        grad = T.backward(loss, [w])[w]
+        grad = T.backward(loss, [w], create_graph=create_graph)[w]
         del w, logits, loss, grad
         assert gc.collect() == 0
     finally:
@@ -699,14 +794,15 @@ def test_softmax_graphs_are_freed_by_reference_counting():
 RELU_POINTS = np.array([0.0, -0.0, np.nan, 5e-324, 1.0, -1.0])
 
 
-def test_relu_gradient_is_the_input_mask():
+@pytest.mark.parametrize("create_graph", [False])  # the one mode; True raises
+def test_relu_gradient_is_the_input_mask(create_graph):
     """relu keeps no mask: its vjp takes ``out > 0`` from its output, which
     is the mask ``a > 0`` of its input at the kink, at both signed zeros, at
     NaN and at the smallest subnormal.  The gradient is bit-equal to the
     cotangent times that mask (signs of zero included)."""
     proj = np.array([-1.5, -2.0, 3.0, -0.5, 0.25, -4.0])
     a = T.Tensor(RELU_POINTS)
-    grad = T.backward(T.tsum(T.mul(T.relu(a), proj)), [a])[a]
+    grad = T.backward(T.tsum(T.mul(T.relu(a), proj)), [a], create_graph=create_graph)[a]
     want = proj * (RELU_POINTS > 0).astype(np.float64)
     assert grad.values.tobytes() == want.tobytes()
 
@@ -761,7 +857,8 @@ def test_relu_outside_recording_allocates_only_its_output():
 ABS_POINTS = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.5, -3.0])
 
 
-def test_absolute_is_one_node_bit_equal_to_its_relu_composition():
+@pytest.mark.parametrize("create_graph", [False])  # the one mode; True raises
+def test_absolute_is_one_node_bit_equal_to_its_relu_composition(create_graph):
     """``absolute`` records one node, and its values and gradients are
     bit-equal to ``add(relu(a), relu(neg(a)))`` at both signed zeros, at +-1
     and at the smallest subnormals, signs of zero included."""
@@ -771,7 +868,8 @@ def test_absolute_is_one_node_bit_equal_to_its_relu_composition():
     composed = T.add(T.relu(a), T.relu(T.neg(a)))
     assert fused.op == "abs" and fused.parents == (a,) and fused._ctx is None
     assert fused.values.tobytes() == composed.values.tobytes()
-    grads = [T.backward(T.tsum(T.mul(out, proj)), [a])[a] for out in (fused, composed)]
+    grads = [T.backward(T.tsum(T.mul(out, proj)), [a], create_graph=create_graph)[a]
+             for out in (fused, composed)]
     assert grads[0].values.tobytes() == grads[1].values.tobytes()
 
 
