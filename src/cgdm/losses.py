@@ -60,20 +60,16 @@ def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _row_scale(weights: np.ndarray, num_classes: int) -> np.ndarray:
-    b = weights.size
-    return np.repeat(weights / b, num_classes).reshape(b, num_classes)
-
-
 @dataclass(frozen=True)
 class Targets:
     """A batch's labels as every cross-entropy on it reads them.
 
     ``onehot`` is b-by-K, ``weights`` the b row weights (all ones for plain
-    labels) and ``scale`` the b-by-K row scale ``weights[i] / b`` of the
-    cross-entropy's vjp.  :meth:`by_class` gives the conditional alignment's
-    encoding, whose ``members`` (b-by-C, 0/1) put each row in at most one of
-    C classes; otherwise ``members`` is None, one class of all rows.
+    labels) and ``scale`` the b-by-1 column ``weights / b`` that scales row i
+    of the cross-entropy's vjp, broadcast across its K columns.
+    :meth:`by_class` gives the conditional alignment's encoding, whose
+    ``members`` (b-by-C, 0/1) put each row in at most one of C classes;
+    otherwise ``members`` is None, one class of all rows.
     """
 
     labels: np.ndarray
@@ -104,7 +100,7 @@ class Targets:
             if weights.shape != labels.shape:
                 raise ContractError(f"{weights.size} weights for {labels.size} labels")
         return cls(labels, _onehot(labels, num_classes), weights,
-                   _row_scale(weights, num_classes))
+                   (weights / labels.size)[:, None])
 
     def by_class(self, classes) -> "Targets":
         """These targets with each row weighted by its class's mean ``b / n_k``
@@ -113,8 +109,8 @@ class Targets:
         labels = self.labels
         weights = self.weights * (labels.size / np.bincount(labels)[labels])
         members = (labels[:, None] == np.asarray(classes)).astype(np.float64)
-        return Targets(labels, self.onehot, weights,
-                       _row_scale(weights, self.onehot.shape[1]), members)
+        return Targets(labels, self.onehot, weights, (weights / labels.size)[:, None],
+                       members)
 
 
 def log_probs(heads, feats: Tensor) -> tuple:

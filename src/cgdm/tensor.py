@@ -10,12 +10,13 @@ Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 -> tuple``, which returns one cotangent per parent from the cotangent ``g``,
 the parents' values ``args``, the node's output values ``out`` and its saved
-context ``ctx``: the pow exponent, the concat axis, the narrowed range, the
-ReLU flag of ``linear``, the cross-entropy's ``(log-softmax values, onehot,
-scale)``, ``cross_entropy_grad``'s ``(g, onehot, scale)``,
-``class_affine_gradient``'s members (or None) and ``cosine_rows``'s forward
-row sums, norms and denominators; relu and absolute keep none and take their
-masks from their output or input, only when a backward visits them.
+context ``ctx``: the pow exponent, the concat axis, the ReLU flag of
+``linear``, the cross-entropy's ``(log-softmax values, onehot, scale)``,
+``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
+column of row scales), ``class_affine_gradient``'s members (or None) and
+``cosine_rows``'s forward row sums, norms and denominators; relu and
+absolute keep none and take their masks from their output or input, only
+when a backward visits them.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -79,8 +80,6 @@ __all__ = [
     "ContractError",
     "no_grad",
     "as_tensor",
-    "zeros",
-    "ones",
     "zeros_like",
     "add",
     "sub",
@@ -97,7 +96,6 @@ __all__ = [
     "tsum",
     "reshape",
     "concat",
-    "narrow",
     "log_softmax",
     "softmax",
     "softmax_cross_entropy",
@@ -189,14 +187,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64))
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64))
 
 
 def zeros_like(t: Tensor) -> Tensor:
@@ -366,21 +356,6 @@ def concat(tensors, axis=0) -> Tensor:
     return _node(vals, tensors, "concat", axis)
 
 
-def _narrowed(values: np.ndarray, axis, start, length) -> np.ndarray:
-    """A view of the slice [start, start+length) along axis."""
-    return values[(slice(None),) * axis + (slice(start, start + length),)]
-
-
-def narrow(a, axis, start, length) -> Tensor:
-    """Contiguous slice [start, start+length) along axis."""
-    a = as_tensor(a)
-    dim = a.shape[axis]
-    if start < 0 or start + length > dim:
-        raise ShapeError(f"narrow [{start}, {start + length}) out of range for dim {dim}")
-    vals = _narrowed(a.values, axis, start, length).copy()
-    return _node(vals, (a,), "narrow", (axis, start, length))
-
-
 def log_softmax(a) -> Tensor:
     """Row-wise log-softmax, stabilised by max subtraction."""
     a = as_tensor(a)
@@ -403,15 +378,15 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
     the node ``log_softmax(logits)`` that the caller made.
 
     ``onehot`` is the b-by-K one-hot encoding of the labels y, ``weights``
-    the b row weights and ``scale`` the b-by-K row scale of the vjp, row i
-    all ``weights[i] / b``: a batch's :class:`~cgdm.losses.Targets`, made
-    once.  The node's parent is the logits; its context keeps the values of
-    ``ls``, which the vjp reads.
+    the b row weights and ``scale`` the vjp's b-by-1 column of row scales
+    ``weights[i] / b``, which numpy broadcasts across the K columns: a
+    batch's :class:`~cgdm.losses.Targets`, made once.  The node's parent is
+    the logits; its context keeps the values of ``ls``, which the vjp reads.
     """
     if _state.enabled and ls.op != "log_softmax":
         raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
     b, k = ls.shape
-    if onehot.shape != (b, k) or scale.shape != (b, k):
+    if onehot.shape != (b, k) or scale.shape != (b, 1):
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
                          f"do not match logits {(b, k)}")
     if weights.shape != (b,):
@@ -428,10 +403,10 @@ def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
 def cross_entropy_grad(ls, g: float, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
     """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
     :func:`softmax_cross_entropy` node with log-softmax ``ls``, constant
-    scalar cotangent ``g`` and per-element row scale ``scale``, as one node
-    whose one parent is ``ls``."""
+    scalar cotangent ``g`` and b-by-1 column of row scales ``scale``, as one
+    node whose one parent is ``ls``."""
     g = float(g)
-    if onehot.shape != ls.shape or scale.shape != ls.shape:
+    if onehot.shape != ls.shape or scale.shape != ls.shape[:1] + (1,):
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
                          f"do not match log-softmax {ls.shape}")
     return _node(_ce_grad(ls.values, g, onehot, scale), (ls,), "cross_entropy_grad",
@@ -484,18 +459,6 @@ def cosine_rows(gs, gt, eps: float) -> tuple:
 
 
 # -- array helpers of the vjp formulas ------------------------------------------
-
-def _filled(v, shape) -> np.ndarray:
-    """A new array of ``shape`` holding ``v`` broadcast (a scalar or a row)."""
-    out = np.empty(shape)
-    out[...] = v
-    return out
-
-
-def _tile_cols(v, k) -> np.ndarray:
-    """The vector ``v`` copied across ``k`` columns."""
-    return _filled(v[:, None], (len(v), k))
-
 
 def _where_positive(g, out) -> np.ndarray:
     """``g`` times the 0/1 mask of ``out > 0``, made in the mask's buffer."""
@@ -586,32 +549,17 @@ def _linear_vjp(g, args, out, relu, needed):
             np.add.reduce(g, 0) if needed[2] else None)
 
 
-def _narrow_vjp(g, args, out, ctx, needed):
-    axis, start, length = ctx
-    shape = list(args[0].shape)
-    dim = shape[axis]
-    parts = []
-    if start > 0:
-        shape[axis] = start
-        parts.append(np.zeros(tuple(shape)))
-    parts.append(g)
-    if start + length < dim:
-        shape[axis] = dim - start - length
-        parts.append(np.zeros(tuple(shape)))
-    return (np.concatenate(parts, axis=axis) if len(parts) > 1 else g,)
-
-
 def _concat_vjp(g, args, out, axis, needed):
-    cots, start = [], 0
+    cots, start, before = [], 0, (slice(None),) * axis
     for a, need in zip(args, needed):
         length = a.shape[axis]
-        cots.append(_narrowed(g, axis, start, length) if need else None)
+        cots.append(g[before + (slice(start, start + length),)] if need else None)
         start += length
     return tuple(cots)
 
 
 def _log_softmax_vjp(g, args, out, ctx, needed):
-    return (g - np.exp(out) * _tile_cols(np.add.reduce(g, 1), args[0].shape[1]),)
+    return (g - np.exp(out) * np.add.reduce(g, 1)[:, None],)
 
 
 def _cross_entropy_vjp(g, args, out, ctx, needed):
@@ -637,7 +585,7 @@ def _class_affine_vjp(g, args, out, members, needed):
         delta, h = args[j], args[j + 1]
         width, n_in = delta.shape[1], h.shape[1]
         size = width * (n_in + 1)
-        block = g[:, start:start + size] if len(args) > 2 else g
+        block = g[:, start:start + size]
         start += size
         g_weight = block[:, :width * n_in]
         g_delta = g_h = None
@@ -670,9 +618,8 @@ def _cosine_rows_vjp(g, args, out, parts, needed):
     of s.t are made once for both."""
     gs, gt = args
     ss, tt, st, norm_s, norm_t, denom, inv = parts
-    cols = gs.shape[1]
     g_denom = g * st * (_power(denom, -2.0) * -1.0)
-    g_cross = _tile_cols(g * inv, cols)
+    g_cross = (g * inv)[:, None]
     cots = []
     for a, other, own_sq, other_norm, need in ((gs, gt, ss, norm_t, needed[0]),
                                                (gt, gs, tt, norm_s, needed[1])):
@@ -680,7 +627,7 @@ def _cosine_rows_vjp(g, args, out, parts, needed):
             cots.append(None)
             continue
         g_sq = g_denom * other_norm * (_power(own_sq, -0.5) * 0.5)
-        square = _tile_cols(g_sq, cols) * a
+        square = g_sq[:, None] * a
         cots.append(g_cross * other + square + square)
     return tuple(cots)
 
@@ -698,12 +645,11 @@ _VJPS = {
     "exp": lambda g, args, out, ctx, needed: (g * out,),
     "log": lambda g, args, out, ctx, needed: (g * _power(args[0], -1.0),),
     "pow": lambda g, args, out, p, needed: (g * (_power(args[0], p - 1.0) * p),),
-    "sum": lambda g, args, out, ctx, needed: (_filled(g, args[0].shape),),
-    "sum0": lambda g, args, out, ctx, needed: (_filled(g, args[0].shape),),
-    "sum1": lambda g, args, out, ctx, needed: (_tile_cols(g, args[0].shape[1]),),
+    "sum": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g),),
+    "sum0": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g),),
+    "sum1": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g[:, None]),),
     "reshape": lambda g, args, out, ctx, needed: (g.reshape(args[0].shape),),
     "concat": _concat_vjp,
-    "narrow": _narrow_vjp,
     "log_softmax": _log_softmax_vjp,
     "cross_entropy": _cross_entropy_vjp,
     "cross_entropy_grad": _cross_entropy_grad_vjp,

@@ -137,9 +137,13 @@ class TestTargets:
     def test_encoding_of_labels_and_weights(self):
         t = losses.Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
         np.testing.assert_array_equal(t.onehot, np.eye(3)[[2, 0, 2]])
-        np.testing.assert_array_equal(t.scale, np.repeat([1.0, 2.0, 4.0], 3).reshape(3, 3) / 3)
         assert t.members is None
-        np.testing.assert_array_equal(losses.Targets.of([1, 0], 2).weights, [1.0, 1.0])
+        plain = losses.Targets.of([1, 0], 2)
+        np.testing.assert_array_equal(plain.weights, [1.0, 1.0])
+        for targets in (plain, t, t.by_class([0, 2])):
+            b = targets.labels.size
+            assert targets.scale.shape == (b, 1)
+            assert targets.scale.tobytes() == (targets.weights / b)[:, None].tobytes()
 
     def test_by_class_weights_each_row_by_its_class_mean(self):
         t = losses.Targets.of([2, 0, 2, 1], 3, [1.0, 2.0, 4.0, 8.0]).by_class([0, 2])
