@@ -72,11 +72,12 @@ def _rel_err(approx: np.ndarray, reference: np.ndarray, floor: float) -> float:
 
 
 def _relu_margins(net: nn.Mlp, x: np.ndarray) -> float:
-    """Smallest |pre-activation| among the net's relu layers."""
+    """Smallest |pre-activation| among the net's relu layers, of every head
+    of stacked heads."""
     h = x
     margin = np.inf
     for layer in net.layers:
-        pre = h @ layer.weight.values.T + layer.bias.values
+        pre = h @ np.swapaxes(layer.weight.values, -1, -2) + layer.bias.values[..., None, :]
         if layer.activation == "relu":
             margin = min(margin, float(np.min(np.abs(pre))))
             h = np.maximum(pre, 0.0)
@@ -100,23 +101,22 @@ def _sample_mlp_case(rng):
 
 
 def _sample_discrepancy_case(rng):
-    """Two random heads on one batch, every relu pre-activation and every
-    difference of their softmax outputs off its kink."""
+    """A random pair of stacked heads on one batch, every relu pre-activation
+    and every difference of their softmax outputs off its kink."""
     while True:
         net, x, _ = _sample_mlp_case(rng)
         dims = [net.in_dim, net.layers[0].weight.shape[0], net.out_dim]
-        other = nn.init_mlp(dims, int(rng.integers(0, 2**31)))
+        pair = nn.stack([net, nn.init_mlp(dims, int(rng.integers(0, 2**31)))])
         with no_grad():
-            gap = softmax(nn.forward(net, Tensor(x))).values - softmax(
-                nn.forward(other, Tensor(x))).values
-        if _relu_margins(other, x) > _MARGIN and np.min(np.abs(gap)) > _MARGIN:
-            return net, other, x
+            p = softmax(nn.forward(pair, Tensor(x))).values
+        if _relu_margins(pair, x) > _MARGIN and np.min(np.abs(p[0] - p[1])) > _MARGIN:
+            return pair, x
 
 
 def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
     """Autodiff vs central differences on random 2-layer classification
     models: the cross-entropy of one head, and the L1 discrepancy (through
-    the fused absolute value) of two heads' softmax outputs."""
+    the fused absolute value) of a pair of stacked heads' softmax outputs."""
     rng = np.random.default_rng(seed)
     rng_discrepancy = np.random.default_rng([seed, 1])  # rng draws as it did
     t0 = time.perf_counter()
@@ -128,14 +128,13 @@ def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
         def cross_entropy():
             return losses.cross_entropy(log_softmax(nn.forward(net, Tensor(x))), targets)
 
-        head1, head2, xd = _sample_discrepancy_case(rng_discrepancy)
+        pair, xd = _sample_discrepancy_case(rng_discrepancy)
 
         def discrepancy():
-            return losses.l1_discrepancy(*(softmax(nn.forward(f, Tensor(xd)))
-                                           for f in (head1, head2)))
+            return losses.l1_discrepancy(softmax(nn.forward(pair, Tensor(xd))))
 
         for loss_fn, params in ((cross_entropy, net.parameters()),
-                                (discrepancy, head1.parameters() + head2.parameters())):
+                                (discrepancy, pair.parameters())):
             auto = backward(loss_fn(), params)
             fd = finite_difference_gradient(loss_fn, params)
             for p, ref in zip(params, fd):
@@ -147,12 +146,12 @@ def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
 
 
 def _tiny_alignment_case(rng, clf_dims=(3, 2)):
-    """A <= 50 parameter generator/classifier pair with safe relu margins;
-    ``clf_dims`` are the heads' layer widths."""
+    """A <= 50 parameter generator and classifier pair of stacked heads with
+    safe relu margins; ``clf_dims`` are the heads' layer widths."""
     while True:
         gen = nn.init_mlp([2, 3], int(rng.integers(0, 2**31)), final_activation="relu")
-        f1 = nn.init_mlp(clf_dims, int(rng.integers(0, 2**31)))
-        f2 = nn.init_mlp(clf_dims, int(rng.integers(0, 2**31)))
+        pair = nn.stack([nn.init_mlp(clf_dims, int(rng.integers(0, 2**31)))
+                         for _ in range(2)])
         xs = rng.normal(size=(3, 2))
         ys = rng.integers(0, 2, size=3)
         xt = rng.normal(size=(3, 2))
@@ -165,11 +164,11 @@ def _tiny_alignment_case(rng, clf_dims=(3, 2)):
         with no_grad():
             for x in (xs, xt):
                 feats = nn.forward(gen, Tensor(x)).values
-                margins += [_relu_margins(f1, feats), _relu_margins(f2, feats)]
+                margins.append(_relu_margins(pair, feats))
         if min(margins) > _MARGIN:
             src = DomainSet(xs, ys, "source")
             tgt = DomainSet(xt, None, "target")
-            return gen, f1, f2, src, tgt, pseudo
+            return gen, pair, src, tgt, pseudo
 
 
 def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckResult:
@@ -185,9 +184,9 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
         plain = _tiny_alignment_case(rng)
         while True:  # until both classes are in both batches
             conditional = _tiny_alignment_case(rng_conditional, clf_dims=(3, 3, 2))
-            if {*conditional[3].labels} & {*conditional[5].labels} == {0, 1}:
+            if {*conditional[2].labels} & {*conditional[4].labels} == {0, 1}:
                 break
-        for (gen, f1, f2, src, tgt, pseudo), loss_of in (
+        for (gen, pair, src, tgt, pseudo), loss_of in (
             (plain, lambda *args: grad_discrepancy.gradient_discrepancy_loss(
                 *grad_discrepancy.class_gradients(*args))),
             (conditional, grad_discrepancy.conditional_gradient_loss),
@@ -198,11 +197,10 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
                 ts, tt = grad_discrepancy.by_shared_class(ts, tt)
 
             def loss_fn():
-                heads = (f1, f2)
                 fs = nn.forward(gen, Tensor(src.features))
                 ft = nn.forward(gen, Tensor(tgt.features))
-                return loss_of(f1, f2, (losses.log_probs(heads, fs), ts),
-                               (losses.log_probs(heads, ft), tt))
+                return loss_of(pair, (losses.log_probs(pair, fs), ts),
+                               (losses.log_probs(pair, ft), tt))
 
             gen_params = gen.parameters()
             auto = backward(loss_fn(), gen_params)
@@ -261,8 +259,8 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
         b = int(rng.integers(2, 8))
         gen = nn.init_mlp([d_in, d_feat], int(rng.integers(0, 2**31)),
                           final_activation="relu")
-        f1 = nn.init_mlp([d_feat, k], int(rng.integers(0, 2**31)))
-        f2 = nn.init_mlp([d_feat, k], int(rng.integers(0, 2**31)))
+        pair = nn.stack([nn.init_mlp([d_feat, k], int(rng.integers(0, 2**31)))
+                         for _ in range(2)])
         x = rng.normal(size=(b, d_in))
         y = rng.integers(0, k, size=b)
         weights = rng.uniform(1.0, 2.0, size=b)
@@ -270,7 +268,6 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
 
         with no_grad():
             feats = nn.forward(gen, Tensor(x))
-        heads = (f1, f2)
         ts = losses.Targets.of(y, k)
         tt = losses.Targets.of(pseudo.labels, k, pseudo.weights)
 
@@ -281,18 +278,19 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
                 ts, tt = ts.by_class(classes), tt.by_class(classes)
             # each domain's own forward: both share the batch, not the graph
             gs, gt = grad_discrepancy.class_gradients(
-                f1, f2, (losses.log_probs(heads, feats), ts),
-                (losses.log_probs(heads, feats), tt))
+                pair, (losses.log_probs(pair, feats), ts),
+                (losses.log_probs(pair, feats), tt))
             found += [(gs.values, classes, unit), (gt.values, classes, weights)]
         for matrix, classes, w in found:
             for r, got in enumerate(matrix):
                 rows = np.ones(b, dtype=bool) if classes is None else y == classes[r]
-                # in classifier_parameters order; the two-head mean halves each
+                # head by head, [F1 | F2]; the two-head mean halves each
+                layer = pair.layers[0]
                 expected = 0.5 * np.concatenate([
-                    part.reshape(-1) for clf in (f1, f2)
+                    part.reshape(-1) for h in range(2)
                     for part in linear_head_gradient_oracle(
                         feats.values[rows], y[rows], w[rows],
-                        clf.layers[0].weight.values, clf.layers[0].bias.values)
+                        layer.weight.values[h], layer.bias.values[h])
                 ])
                 worst = max(worst, float(np.max(np.abs(got - expected))))
     return CheckResult(

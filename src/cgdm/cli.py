@@ -49,11 +49,7 @@ def _cmd_train(args) -> int:
         raise run.error
     if args.save_model:
         nn.save_params(
-            {
-                "generator": run.model.generator,
-                "classifier1": run.model.classifier1,
-                "classifier2": run.model.classifier2,
-            },
+            {"generator": run.model.generator, "classifier": run.model.classifiers},
             args.save_model,
         )
     print(f"{args.variant} seed={seed}: final target accuracy {run.final_acc:.4f} "

@@ -2,36 +2,40 @@
 
 A domain's classifier gradient is that of the mean two-head cross-entropy on
 its rows (source: true labels; target: pseudo labels and entropy weights)
-with respect to every classifier parameter, columns in the order of
-:func:`classifier_parameters`.  Row r of its K-by-P **class-gradient matrix**
+with respect to every classifier parameter.  The two heads are one network
+of stacked heads (:func:`~cgdm.nn.stack`), and the columns are head 1's
+parameters, then head 2's, each head's in the order of its layers (weight,
+then bias): ``[F1 | F2]``.  Row r of its K-by-P **class-gradient matrix**
 is that gradient on the rows of class r, whatever the row order; without
 classes the matrix has one row, the whole batch.
 
 :func:`source_gradient` and :func:`target_gradient` are that definition:
 per class, one first-order :func:`~cgdm.tensor.backward` of the two-head
-cross-entropy on the class's rows to the classifier parameters.  Their
-matrices are leaf tensors, the reference the tests check training's path
-against; the benchmark's tracer also reads them by name.
+cross-entropy on the class's rows to the pair's parameters, each stacked
+gradient flattened head by head.  Their matrices are leaf tensors, the
+reference the tests check training's path against; the benchmark's tracer
+also reads them by name.
 
 :func:`class_gradients`, the path training runs, gives the same matrices as
 recorded forward ops, so they stay differentiable, through the logits and
 the generator features under them, with respect to the generator
 parameters.  It records the heads' backward recurrence, as double
-backpropagation was first written (Drucker and LeCun, IEEE TNN 1992): the
-logits' cotangent is the cross-entropy's
-:func:`~cgdm.tensor.cross_entropy_grad` with the two-head mean's 0.5; going
-down a head, a layer's ``delta`` is the cotangent ``g`` of its output, times
-the constant mask of its positive outputs where the layer has a ReLU, and
+backpropagation was first written (Drucker and LeCun, IEEE TNN 1992), once
+for the pair: each node below holds both heads.  The logits' cotangent is
+the cross-entropy's :func:`~cgdm.tensor.cross_entropy_grad` with the
+two-head mean's 0.5; going down the heads, a layer's ``delta`` is the
+cotangent ``g`` of its output, times the constant mask of its positive
+outputs where the layer has a ReLU (:func:`~cgdm.tensor.relu_mask`), and
 ``g`` of the layer below is ``delta W``.  With the layer's input ``H``
 (:func:`~cgdm.nn.layer_taps`), a weight gradient is ``delta^T H`` and a bias
 gradient the column sum of ``delta``; masked to one class's rows, that
-class's.  A domain's matrix, every layer's block, is one fused
+class's.  A domain's matrix, every layer's block of both heads, is one fused
 :func:`~cgdm.tensor.class_affine_gradient` node.  The alignment loss is then
 minimized by the generator through one first-order backward of it: double
 backward.
 
-A domain comes as the heads' log-softmax pair, made by the caller, and the
-batch's :class:`~cgdm.losses.Targets`, made once per training iteration:
+A domain comes as the pair's stacked log-softmax, made by the caller, and
+the batch's :class:`~cgdm.losses.Targets`, made once per training iteration:
 the cross-entropy gradients read that log-softmax, which the caller's
 discrepancy term also reads, and those one-hots and row scales.  For the
 conditional loss, :func:`by_shared_class` turns both domains' targets into
@@ -54,12 +58,12 @@ from .tensor import (
     log_softmax,
     matmul,
     mul,
+    relu_mask,
     sub,
     tsum,
 )
 
 __all__ = [
-    "classifier_parameters",
     "source_gradient",
     "target_gradient",
     "class_gradients",
@@ -73,18 +77,13 @@ logger = logging.getLogger(__name__)
 EPS = 1e-12
 
 
-def classifier_parameters(f1: nn.Mlp, f2: nn.Mlp) -> list:
-    """The parameters in the column order of a class-gradient matrix."""
-    return f1.parameters() + f2.parameters()
-
-
 def _logits(ls: Tensor) -> Tensor:
     if ls.op != "log_softmax":
-        raise ContractError("class gradients need recorded log_softmax(logits) pairs")
+        raise ContractError("class gradients need the recorded log_softmax(logits)")
     return ls.parents[0]
 
 
-def _one_domain(f1, f2, logits1, logits2, targets, classes) -> Tensor:
+def _one_domain(pair, logits, targets, classes) -> Tensor:
     """The class-gradient matrix by the definition: for each class, one
     backward of the two-head cross-entropy whose row weights are 0 outside
     the class.  Targets :meth:`~cgdm.losses.Targets.by_class` weight each
@@ -94,69 +93,64 @@ def _one_domain(f1, f2, logits1, logits2, targets, classes) -> Tensor:
         targets = targets.by_class(classes)
     members = targets.members
     masks = np.ones((1, targets.labels.size)) if members is None else members.T
-    ls_pair = (log_softmax(logits1), log_softmax(logits2))
-    params = classifier_parameters(f1, f2)
+    ls = log_softmax(logits)
+    params = pair.parameters()
     rows = []
     for mask in masks:
-        loss = losses.pair_cross_entropy(ls_pair, losses.Targets(
+        loss = losses.pair_cross_entropy(ls, losses.Targets(
             targets.labels, targets.onehot, targets.weights * mask,
             targets.scale * mask[:, None]))
         grads = backward(loss, params)
-        rows.append(np.concatenate([grads[p].values.reshape(-1) for p in params]))
+        rows.append(np.concatenate([grads[p].values[h].reshape(-1)
+                                    for h in range(len(logits.values)) for p in params]))
     return Tensor(np.stack(rows))
 
 
-def source_gradient(f1, f2, logits1: Tensor, logits2: Tensor, labels,
-                    classes=None) -> Tensor:
+def source_gradient(pair, logits: Tensor, labels, classes=None) -> Tensor:
     """The source class-gradient matrix of rows with ``labels``: 1-by-P, or
-    K-by-P for the K ``classes``; ``logits1``/``logits2`` are the heads'
-    recorded outputs on those rows."""
-    return _one_domain(f1, f2, logits1, logits2,
-                       losses.Targets.of(labels, logits1.shape[1]), classes)
+    K-by-P for the K ``classes``; ``logits`` are the pair's recorded stacked
+    outputs on those rows."""
+    return _one_domain(pair, logits, losses.Targets.of(labels, logits.shape[-1]), classes)
 
 
-def target_gradient(f1, f2, logits1: Tensor, logits2: Tensor, pseudo,
-                    classes=None) -> Tensor:
+def target_gradient(pair, logits: Tensor, pseudo, classes=None) -> Tensor:
     """The target class-gradient matrix of rows aligned with ``pseudo``
     (labels and entropy weights); shapes and logits as in
     :func:`source_gradient`."""
     return _one_domain(
-        f1, f2, logits1, logits2,
-        losses.Targets.of(pseudo.labels, logits1.shape[1], pseudo.weights), classes)
+        pair, logits, losses.Targets.of(pseudo.labels, logits.shape[-1], pseudo.weights),
+        classes)
 
 
-def _head_layers(f, ls, targets) -> list:
-    """``(delta, h)`` of each layer of head ``f``, first layer first, by the
-    head's backward recurrence from its log-softmax ``ls``: each hidden
-    layer's mask is recorded once: ``g`` times the constant mask of the
-    layer node's positive outputs."""
+def _head_layers(pair, ls, targets) -> list:
+    """``(delta, h)`` of each layer of the pair, first layer first, by the
+    heads' backward recurrence from their stacked log-softmax ``ls``: each
+    hidden layer's mask is recorded once for both heads, as one
+    :func:`~cgdm.tensor.relu_mask` node of ``g`` and the layer node's
+    outputs."""
     g = losses.cross_entropy_cotangent(ls, targets, 0.5)
-    taps = nn.layer_taps(f, _logits(ls))
+    taps = nn.layer_taps(pair, _logits(ls))
     layers = []
     for i in reversed(range(len(taps))):
-        (h, z), layer = taps[i], f.layers[i]
-        delta = mul(g, z.values > 0.0) if layer.activation == "relu" else g
+        (h, z), layer = taps[i], pair.layers[i]
+        delta = relu_mask(g, z.values) if layer.activation == "relu" else g
         layers.append((delta, h))
         if i:
             g = matmul(delta, layer.weight)
     return layers[::-1]
 
 
-def class_gradients(f1, f2, source, target) -> tuple:
+def class_gradients(pair, source, target) -> tuple:
     """The source and target class-gradient matrices, from the heads'
     recorded backward recurrence; no backward pass runs.
 
-    ``source`` and ``target`` are each domain's ``(log-softmax pair,
-    targets)``: ``losses.log_probs((f1, f2), feats)`` on the domain's rows
-    and their :class:`~cgdm.losses.Targets`, whole-batch or by class.  The
+    ``source`` and ``target`` are each domain's ``(stacked log-softmax,
+    targets)``: ``losses.log_probs(pair, feats)`` on the domain's rows and
+    their :class:`~cgdm.losses.Targets`, whole-batch or by class.  The
     matrices hold the values of :func:`source_gradient`'s and
     :func:`target_gradient`'s for the same classes, as graph nodes."""
-    return tuple(
-        class_affine_gradient([pair for f, ls in zip((f1, f2), ls_pair)
-                               for pair in _head_layers(f, ls, targets)],
-                              targets.members)
-        for ls_pair, targets in (source, target)
-    )
+    return tuple(class_affine_gradient(_head_layers(pair, ls, targets), targets.members)
+                 for ls, targets in (source, target))
 
 
 def by_shared_class(source: losses.Targets, target: losses.Targets) -> tuple:
@@ -189,7 +183,7 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
     return mul(tsum(sub(1.0, cos)), 1.0 / rows)
 
 
-def conditional_gradient_loss(f1, f2, source, target) -> Tensor:
+def conditional_gradient_loss(pair, source, target) -> Tensor:
     """Per-category gradient alignment, averaged over the classes present in
     both the source batch (true labels) and the target batch (pseudo labels):
     ``source`` and ``target`` as in :func:`class_gradients`, with the targets
@@ -200,4 +194,4 @@ def conditional_gradient_loss(f1, f2, source, target) -> Tensor:
     if not members.shape[1]:
         logger.warning("conditional gradient loss: no shared classes in batch")
         return Tensor(0.0)
-    return gradient_discrepancy_loss(*class_gradients(f1, f2, source, target))
+    return gradient_discrepancy_loss(*class_gradients(pair, source, target))

@@ -268,8 +268,7 @@ def run_variant(cfg: ExperimentConfig, variant: str, seed: int) -> RunResult:
     write_metrics_csv(metrics, path, include_timing=cfg.include_timing)
     if cfg.export_pseudo and metrics:
         pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
-            model.generator, model.classifier1, model.classifier2, target.features,
-        ))
+            model.generator, model.classifiers, target.features))
         pseudo_labels.save_pseudo_csv(
             pseudo, out_dir / f"pseudo_{variant}_seed{seed}.csv")
     final_acc = metrics[-1].target_acc if metrics else float("nan")

@@ -8,9 +8,11 @@ for numerical stability, so every CE-family loss is >= 0 by construction;
 
 Each computation is made once.  A batch's labels are encoded once per
 training iteration, as :class:`Targets` (one-hot, row weights and the CE's
-row scale), and every cross-entropy on that batch reads them.  A logits
-tensor gets one log-softmax, made by the caller (:func:`log_probs`): it
-feeds the cross-entropy and, through ``exp``, the softmax that the
+row scale), and every cross-entropy on that batch reads them.  The two
+classifier heads are one network of stacked heads (:func:`~cgdm.nn.stack`),
+so a batch's logits are one 2-by-b-by-K tensor, and it gets one
+log-softmax, made by the caller (:func:`log_probs`): it feeds the pair's
+cross-entropies and, through ``exp``, the stacked softmax that the
 discrepancy and class balance losses read.  Entropies are in nats
 throughout.
 """
@@ -28,6 +30,7 @@ from .tensor import (
     absolute,
     add,
     cross_entropy_grad,
+    head_difference,
     log,
     log_softmax,
     mul,
@@ -113,14 +116,14 @@ class Targets:
                        members)
 
 
-def log_probs(heads, feats: Tensor) -> tuple:
-    """``log_softmax(forward(f, feats))`` of each head ``f``: the one
-    log-softmax of each head's logits."""
-    return tuple(log_softmax(nn.forward(f, feats)) for f in heads)
+def log_probs(pair: nn.Mlp, feats: Tensor) -> Tensor:
+    """``log_softmax(forward(pair, feats))``: the one log-softmax of the
+    heads' stacked logits."""
+    return log_softmax(nn.forward(pair, feats))
 
 
 def _check_batch(ls: Tensor, targets: Targets) -> None:
-    b = ls.shape[0]
+    b = ls.shape[-2]
     if b == 0:
         raise ContractError("cross-entropy needs a non-empty batch")
     if targets.labels.size != b:
@@ -129,7 +132,8 @@ def _check_batch(ls: Tensor, targets: Targets) -> None:
 
 def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
     """Mean over the batch of -weights[i] * ls[i, labels[i]], where ``ls`` is
-    the recorded ``log_softmax(logits)`` and ``targets`` the batch's encoding."""
+    the recorded ``log_softmax(logits)`` and ``targets`` the batch's encoding;
+    of stacked heads' log-softmax, the heads' means."""
     _check_batch(ls, targets)
     return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
 
@@ -143,18 +147,16 @@ def cross_entropy_cotangent(ls: Tensor, targets: Targets, g: float) -> Tensor:
     return cross_entropy_grad(ls, g, targets.onehot, targets.scale)
 
 
-def pair_cross_entropy(ls_pair: tuple, targets: Targets) -> Tensor:
+def pair_cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
     """Mean of the two classifier heads' cross-entropies on the same rows,
-    from the heads' log-softmax pair."""
-    ls1, ls2 = ls_pair
-    return mul(add(cross_entropy(ls1, targets), cross_entropy(ls2, targets)), 0.5)
+    from the pair's stacked log-softmax: half the sum of the two."""
+    return mul(tsum(cross_entropy(ls, targets)), 0.5)
 
 
-def source_classification_loss(gen, f1, f2, features, targets: Targets) -> Tensor:
+def source_classification_loss(gen, pair, features, targets: Targets) -> Tensor:
     """Mean of the two classifier cross-entropies on a labeled batch's
     ``features``, whose labels ``targets`` encodes."""
-    return pair_cross_entropy(
-        log_probs((f1, f2), nn.forward(gen, Tensor(features))), targets)
+    return pair_cross_entropy(log_probs(pair, nn.forward(gen, Tensor(features))), targets)
 
 
 def entropy_weights(probs) -> np.ndarray:
@@ -173,19 +175,24 @@ def entropy_weights(probs) -> np.ndarray:
     return 1.0 + np.exp(-entropy)
 
 
-def l1_discrepancy(p1: Tensor, p2: Tensor) -> Tensor:
-    """Mean absolute difference of two row-stochastic matrices; in [0, 2]."""
-    if p1.shape != p2.shape:
-        raise ShapeError(f"discrepancy operands differ: {p1.shape} vs {p2.shape}")
-    b, k = p1.shape
-    return mul(tsum(absolute(sub(p1, p2))), 1.0 / (b * k))
+def _check_pair(p: Tensor, loss: str) -> tuple:
+    if p.values.ndim != 3 or p.shape[0] != 2:
+        raise ShapeError(f"{loss} takes the pair's 2-by-b-by-K softmax, got {p.shape}")
+    return p.shape[1:]
 
 
-def class_balance_loss(p1: Tensor, p2: Tensor) -> Tensor:
-    """ln K - H(mean prediction); zero iff the mean prediction is uniform."""
-    if p1.shape != p2.shape:
-        raise ShapeError(f"class balance operands differ: {p1.shape} vs {p2.shape}")
-    b, k = p1.shape
-    pbar = mul(add(tsum(p1, axis=0), tsum(p2, axis=0)), 1.0 / (2 * b))
+def l1_discrepancy(p: Tensor) -> Tensor:
+    """Mean absolute difference of the pair's two row-stochastic b-by-K
+    matrices, stacked as ``p``; in [0, 2]."""
+    b, k = _check_pair(p, "the discrepancy")
+    return mul(tsum(absolute(head_difference(p))), 1.0 / (b * k))
+
+
+def class_balance_loss(p: Tensor) -> Tensor:
+    """ln K - H(mean prediction) of the pair's stacked softmax ``p``, the
+    mean over its rows and both heads: zero iff it is uniform.  The mean
+    sums each head's rows, then the two heads."""
+    b, k = _check_pair(p, "the class balance loss")
+    pbar = mul(tsum(tsum(p, axis=1), axis=0), 1.0 / (2 * b))
     ent = neg(tsum(mul(pbar, log(add(pbar, _LOG_FLOOR)))))
     return sub(float(np.log(k)), ent)

@@ -1,6 +1,15 @@
-"""Small MLPs, Glorot-uniform init, momentum SGD, and text checkpoints."""
+"""Small MLPs, Glorot-uniform init, momentum SGD, and text checkpoints.
+
+An MLP's parameters may be stacked on a leading head axis: :func:`stack`
+makes one network of H heads of one architecture, whose layers hold
+H-by-out-by-in weights and H-by-out biases, so a forward of a shared batch
+records one :func:`~cgdm.tensor.linear` node per layer for all H heads.  The
+two classifier heads are such a stack.  Checkpoints store each head as a net
+of its own (:func:`save_params`).
+"""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -9,14 +18,14 @@ import numpy as np
 from .data import ParseError, cell
 from .tensor import ContractError, ShapeError, Tensor, linear
 
-__all__ = ["Layer", "Mlp", "init_mlp", "forward", "layer_taps", "SgdOptimizer",
-           "save_params", "load_params"]
+__all__ = ["Layer", "Mlp", "init_mlp", "stack", "unstack", "forward", "layer_taps",
+           "SgdOptimizer", "save_params", "load_params"]
 
 
 @dataclass
 class Layer:
-    weight: Tensor  # out-by-in
-    bias: Tensor  # out
+    weight: Tensor  # out-by-in, or H-by-out-by-in for stacked heads
+    bias: Tensor  # out, or H-by-out
     activation: str  # "relu" or "none"
 
 
@@ -33,11 +42,11 @@ class Mlp:
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
 
 
 def init_mlp(layer_dims, seed: int, final_activation: str = "none") -> Mlp:
@@ -61,9 +70,32 @@ def init_mlp(layer_dims, seed: int, final_activation: str = "none") -> Mlp:
     return Mlp(layers)
 
 
+def stack(nets) -> Mlp:
+    """Nets of one architecture as one network of stacked heads: head h's
+    slices of each layer's weight and bias hold the values of ``nets[h]``."""
+    nets = list(nets)
+    shapes = {tuple((layer.weight.shape, layer.bias.shape, layer.activation)
+                    for layer in net.layers) for net in nets}
+    if len(shapes) != 1 or nets[0].layers[0].weight.values.ndim != 2:
+        raise ContractError("stack takes unstacked nets of one architecture")
+    return Mlp([Layer(Tensor(np.stack([net.layers[i].weight.values for net in nets])),
+                      Tensor(np.stack([net.layers[i].bias.values for net in nets])),
+                      layer.activation)
+                for i, layer in enumerate(nets[0].layers)])
+
+
+def unstack(net: Mlp) -> list:
+    """Each head of a stacked network as a net of its own, whose parameters
+    are views of the head's slices."""
+    return [Mlp([Layer(Tensor(layer.weight.values[h]), Tensor(layer.bias.values[h]),
+                       layer.activation) for layer in net.layers])
+            for h in range(net.layers[0].weight.shape[0])]
+
+
 def forward(net: Mlp, x: Tensor) -> Tensor:
     """One fused :func:`~cgdm.tensor.linear` node per layer, its activation
-    included; recorded on the active graph."""
+    included; recorded on the active graph.  A network of stacked heads maps
+    the shared b-by-in batch to an H-by-b-by-out stack."""
     if x.values.ndim != 2:
         raise ShapeError(f"forward expects a b-by-in batch, got {x.shape}")
     if x.shape[1] != net.in_dim:
@@ -140,18 +172,26 @@ def save_params(named_nets: dict, path) -> None:
         param <net>.layer<i>.bias <out>
         <values on one line>
 
-    An activation is ``relu`` or ``none``.  :func:`load_params` takes a file
-    only if it holds one ``arch`` record per net and one ``param`` record per
-    parameter, each of a layer its net's ``arch`` lists, with finite values;
-    each weight is 2-D of positive sizes, its bias 1-D with the weight's row
-    count, and each layer after the first takes as many inputs as the layer
-    before gives.
+    An activation is ``relu`` or ``none``.  A network of H stacked heads
+    named ``<net>`` is written as the H nets ``<net>1`` ... ``<net>H``, one
+    per head, so the classifier pair is ``classifier1`` and ``classifier2``.
+    :func:`load_params` takes a file only if it holds one ``arch`` record per
+    net and one ``param`` record per parameter, each of a layer its net's
+    ``arch`` lists, with finite values; each weight is 2-D of positive sizes,
+    its bias 1-D with the weight's row count, and each layer after the first
+    takes as many inputs as the layer before gives.
     """
-    lines = ["# cgdm checkpoint v1"]
+    nets = {}
     for name, net in named_nets.items():
+        if net.layers[0].weight.values.ndim == 3:
+            nets.update((f"{name}{h}", head) for h, head in enumerate(unstack(net), 1))
+        else:
+            nets[name] = net
+    lines = ["# cgdm checkpoint v1"]
+    for name, net in nets.items():
         acts = ",".join(layer.activation for layer in net.layers)
         lines.append(f"arch {name} {acts}")
-    for name, net in named_nets.items():
+    for name, net in nets.items():
         for i, layer in enumerate(net.layers):
             for kind, t in (("weight", layer.weight), ("bias", layer.bias)):
                 dims = " ".join(str(d) for d in t.shape)
@@ -164,14 +204,17 @@ def save_params(named_nets: dict, path) -> None:
 def load_params(path) -> dict:
     """Read a checkpoint written by :func:`save_params` into fresh Mlps.
 
-    A malformed or truncated file, or one that breaks a rule of
-    :func:`save_params`, raises :class:`~cgdm.data.ParseError` with the
-    1-based line number of the offending record (the line after the file
-    for a missing one).
+    The nets ``<net>1``, ``<net>2``, ... of two or more heads, numbered from
+    1, are stacked back into the network ``<net>``; their layers must have
+    one shape and activation.  A malformed or truncated file, or one that
+    breaks a rule of :func:`save_params`, raises
+    :class:`~cgdm.data.ParseError` with the 1-based line number of the
+    offending record (the line after the file for a missing one).
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     acts = {}
+    arch_lines = {}
     params = {}  # name -> (values, line of its param record)
     i = 0
     while i < len(lines):
@@ -183,6 +226,7 @@ def load_params(path) -> dict:
             if parts[1] in acts:
                 raise ParseError(f"a second arch record of {parts[1]}", line=i + 1)
             acts[parts[1]] = parts[2].split(",")
+            arch_lines[parts[1]] = i + 1
             for act in acts[parts[1]]:
                 if act not in ("relu", "none"):
                     raise ParseError(f"activation {act!r} is neither relu nor none",
@@ -237,4 +281,19 @@ def load_params(path) -> dict:
                                  line=w_line)
             layers.append(Layer(Tensor(w), Tensor(b), act))
         nets[name] = Mlp(layers)
+    for stem in sorted({name[:-1] for name in nets if name.endswith("1")}):
+        names = list(itertools.takewhile(
+            nets.__contains__, (f"{stem}{h}" for h in itertools.count(1))))
+        if len(names) < 2:
+            continue
+        if stem in nets:
+            raise ParseError(f"{stem} is a net and the name of heads {names}",
+                             line=arch_lines[stem])
+        first = [(layer.weight.shape, layer.activation) for layer in nets[names[0]].layers]
+        for name in names[1:]:
+            if [(layer.weight.shape, layer.activation)
+                    for layer in nets[name].layers] != first:
+                raise ParseError(f"{name}: layers differ from those of {names[0]}, "
+                                 f"a head of the same network", line=arch_lines[name])
+        nets[stem] = stack(nets.pop(name) for name in names)
     return nets

@@ -4,7 +4,9 @@ Once per epoch, from the one inference pass over the target set that the
 trainer shares with its evaluation (:func:`predict`): softmax-weighted class
 centroids in generator-feature space, nearest-centroid assignment under
 cosine distance, and a per-sample confidence weight from prediction entropy.
-Everything here is plain numpy computed outside the graph.
+The pass gives the two classifier heads' softmax rows as one 2-by-n-by-K
+stack, and centroids and weights read the sum of its two heads.  Everything
+here is plain numpy computed outside the graph.
 
 That pass runs in blocks of :data:`BLOCK_ROWS` rows into result arrays
 allocated once, so its memory is bounded by the block size, not by the set
@@ -45,11 +47,12 @@ def _as_array(x) -> np.ndarray:
 
 
 def softmax_rows(logits) -> np.ndarray:
-    """Numerically stable row softmax (numpy, inference use)."""
+    """Numerically stable row softmax of a matrix or a stack of them (numpy,
+    inference use)."""
     z = _as_array(logits)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -81,16 +84,18 @@ class PseudoLabelSet:
         )
 
 
-def compute_centroids(features, probs1, probs2) -> CentroidSet:
+def compute_centroids(features, probs) -> CentroidSet:
     """Softmax-weighted class centroids over the target features.
 
     c_k = sum over samples and both classifiers of (class-k probability *
-    feature) / total class-k probability.  A class with vanishing support
-    borrows the feature of its single strongest sample so it stays
-    assignable instead of going NaN.
+    feature) / total class-k probability, with ``probs`` the classifiers'
+    2-by-n-by-K softmax rows.  A class with vanishing support borrows the
+    feature of its single strongest sample so it stays assignable instead
+    of going NaN.
     """
     feats = _as_array(features)
-    w = _as_array(probs1) + _as_array(probs2)  # n-by-K
+    probs = _as_array(probs)
+    w = probs[0] + probs[1]  # n-by-K
     mass = w.sum(axis=0)
     safe = np.where(mass > _EMPTY_SUPPORT, mass, 1.0)
     centroids = (w.T @ feats) / safe[:, None]
@@ -116,15 +121,17 @@ def cosine_distances(features, centroids) -> np.ndarray:
     return np.subtract(1.0, dist, out=dist)
 
 
-def assign_pseudo_labels(features, centroids: CentroidSet, probs1, probs2) -> PseudoLabelSet:
+def assign_pseudo_labels(features, centroids: CentroidSet, probs) -> PseudoLabelSet:
     """Nearest centroid under cosine distance; ties go to the lowest class.
 
     The confidence weight of each sample is 1 + exp(-H) of the mean of the
-    two classifiers' probability rows (:func:`~cgdm.losses.entropy_weights`).
+    two classifiers' probability rows, ``probs`` 2-by-n-by-K
+    (:func:`~cgdm.losses.entropy_weights`).
     """
     dist = cosine_distances(features, centroids.centroids)
     labels = np.argmin(dist, axis=1)  # argmin takes the first (lowest) index
-    weights = losses.entropy_weights(0.5 * (_as_array(probs1) + _as_array(probs2)))
+    probs = _as_array(probs)
+    weights = losses.entropy_weights(0.5 * (probs[0] + probs[1]))
     picked = dist[np.arange(len(labels)), labels]
     return PseudoLabelSet(labels.astype(np.int64), weights, picked)
 
@@ -137,33 +144,32 @@ def row_blocks(n: int) -> list:
     return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
 
 
-def predict(gen, f1, f2, features):
-    """One no-grad pass over a whole set: ``(features, probs1, probs2)``, the
-    generator features and both heads' softmax rows as numpy arrays.
+def predict(gen, pair, features):
+    """One no-grad pass over a whole set: ``(features, probs)``, the
+    generator features (n-by-d) and the softmax rows of the pair's two
+    stacked heads (2-by-n-by-K) as numpy arrays.
 
-    The set is run in :func:`row_blocks`, each written into the three result
+    The set is run in :func:`row_blocks`, each written into the two result
     arrays, which are allocated once: the pass holds one block's activations,
     never the whole set's, and no block list to concatenate."""
     n = len(features)
     if n == 0:
         raise ContractError("prediction needs a non-empty set")
     feats = np.empty((n, gen.out_dim))
-    p1 = np.empty((n, f1.out_dim))
-    p2 = np.empty((n, f2.out_dim))
+    probs = np.empty((2, n, pair.out_dim))
     with no_grad():
         for rows in row_blocks(n):
             h = nn.forward(gen, Tensor(features[rows]))
             feats[rows] = h.values
-            p1[rows] = softmax_rows(nn.forward(f1, h))
-            p2[rows] = softmax_rows(nn.forward(f2, h))
-    return feats, p1, p2
+            probs[:, rows] = softmax_rows(nn.forward(pair, h))
+    return feats, probs
 
 
 def pseudo_label_epoch(prediction, epoch: int | None = None) -> PseudoLabelSet:
     """Cluster a :func:`predict` result over the target set and assign."""
-    feats, p1, p2 = prediction
-    centroids = compute_centroids(feats, p1, p2)
-    pseudo = assign_pseudo_labels(feats, centroids, p1, p2)
+    feats, probs = prediction
+    centroids = compute_centroids(feats, probs)
+    pseudo = assign_pseudo_labels(feats, centroids, probs)
     pseudo.epoch = epoch
     return pseudo
 

@@ -10,8 +10,9 @@ Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 -> tuple``, which returns one cotangent per parent from the cotangent ``g``,
 the parents' values ``args``, the node's output values ``out`` and its saved
-context ``ctx``: the pow exponent, the concat axis, the ReLU flag of
-``linear``, the cross-entropy's ``(log-softmax values, onehot, scale)``,
+context ``ctx``: the pow exponent, the concat axis, the axis of ``sum0``
+and ``sum1``, the ReLU flag of ``linear``, ``relu_mask``'s layer output,
+the cross-entropy's ``(log-softmax values, onehot, scale)``,
 ``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
 column of row scales), ``class_affine_gradient``'s members (or None) and
 ``cosine_rows``'s forward row sums, norms and denominators; relu and
@@ -33,13 +34,25 @@ once: the alignment loss's backward into the generator.  That gradient is
 recorded as forward ops, the heads' backward recurrence
 (:func:`~cgdm.grad_discrepancy.class_gradients`), which is double
 backpropagation as first written: the first backward written out as a
-network, the second run by ``backward``.  The three gradient ops,
-``cross_entropy_grad``, ``class_affine_gradient`` and ``cosine_rows``, are
-the pieces of that recurrence and of the alignment loss.
+network, the second run by ``backward``.  The gradient ops,
+``cross_entropy_grad``, ``relu_mask``, ``class_affine_gradient`` and
+``cosine_rows``, are the pieces of that recurrence and of the alignment
+loss; each node of the recurrence holds both heads.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
-matrix); anything else raises :class:`ShapeError`.  A tensor and the graph it
+matrix), and to one leading **head axis**.  The two classifier heads run as
+one network whose parameters are stacked on that axis (H-by-out-by-in
+weights, H-by-out biases); ``linear``, ``matmul``, ``log_softmax``,
+``tsum(axis=...)``, the two cross-entropy ops and ``class_affine_gradient``
+take such stacks and give each head's slice the 2-D op's numpy operations,
+``np.matmul`` running each slice through the 2-D product's BLAS call, so
+each head has the 2-D op's bits (the tests check them head by head).
+``linear`` and ``class_affine_gradient`` also take a b-by-in layer input
+that the heads share, whose cotangent is theirs summed in head order, and
+``head_difference`` is the difference of a stack's two heads.  Anything
+else, an elementwise op of a stack with a matrix or a row included, raises
+:class:`ShapeError`.  A tensor and the graph it
 belongs to are confined to a single thread; the recording switch is
 thread-local so independent runs can execute concurrently.
 
@@ -52,6 +65,9 @@ gradients are bit-identical to it:
   ``linear(x, w, b, relu=True)``: ``relu`` of that, whose max is taken in
   place, so no pre-activation array outlives the call; its vjp masks ``g``
   by ``out > 0`` once for all three parents;
+* ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
+  of a ReLU layer, the mask made from ``out`` when needed, not kept;
+* ``head_difference(a)``: ``sub`` of a pair's two heads;
 * ``absolute(a)``: ``add(relu(a), relu(neg(a)))``;
 * ``softmax_cross_entropy(ls, onehot, weights, scale)``: the mean of
   ``-w_i * ls[i, y_i]`` for the log-softmax node ``ls = log_softmax(logits)``
@@ -62,7 +78,8 @@ gradients are bit-identical to it:
   loss cotangent ``g``, as a node whose parent is ``ls``;
 * ``class_affine_gradient(layers, members)``: each affine layer's weight and
   bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r,
-  the layers side by side: ``concat`` of one block per layer;
+  the layers side by side, head after head: ``concat`` of one block per
+  head and layer;
 * ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row.
 """
 from __future__ import annotations
@@ -87,6 +104,8 @@ __all__ = [
     "neg",
     "matmul",
     "linear",
+    "relu_mask",
+    "head_difference",
     "transpose",
     "relu",
     "absolute",
@@ -246,33 +265,65 @@ def neg(a) -> Tensor:
     return _node(-a.values, (a,), "neg")
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack: a view."""
+    return a.T if a.ndim == 2 else a.transpose(0, 2, 1)
+
+
 def matmul(a, b) -> Tensor:
+    """The product of two matrices, or of two stacks of as many heads, head
+    by head."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.values.ndim not in (2, 3) or b.values.ndim != a.values.ndim or (
+            a.shape[:-2] != b.shape[:-2]):
+        raise ShapeError(f"matmul needs 2-D operands or stacks of as many heads, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
     return _node(a.values @ b.values, (a, b), "matmul")
 
 
 def linear(x, w, b, relu: bool = False) -> Tensor:
     """Affine map ``x @ w.T + b`` of a batch x (b-by-in), weight w (out-by-in)
-    and bias b (out); with ``relu``, its max with 0.  The bias is added and
-    the max taken in place in the fresh matmul output, so no second b-by-out
-    array is made and no pre-activation outlives the call; the values are
-    the same."""
+    and bias b (out); with ``relu``, its max with 0.  Stacked heads: w is
+    H-by-out-by-in, b H-by-out and x the b-by-in batch the heads share or
+    their H-by-b-by-in stack; head h's b-by-out slice of the output is the
+    map of its slices.  The bias is added and the max taken in place in the
+    fresh matmul output, so no second output array is made and no
+    pre-activation outlives the call; the values are the same."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.values.ndim != 2 or w.values.ndim != 2:
-        raise ShapeError(f"linear needs 2-D x and w, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
+    if w.values.ndim not in (2, 3) or x.values.ndim not in (2, w.values.ndim):
+        raise ShapeError(f"linear needs a 2-D or stacked x and w, got {x.shape} "
+                         f"and {w.shape}")
+    if x.shape[-1] != w.shape[-1] or b.shape != w.shape[:-1] or (
+            x.shape[:-2] not in ((), w.shape[:-2])):
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
         )
-    out = x.values @ w.values.T
-    out += b.values
+    out = x.values @ _swap(w.values)
+    out += b.values[..., None, :]
     if relu:
         np.maximum(out, 0.0, out=out)
     return _node(out, (x, w, b), "linear", relu)
+
+
+def relu_mask(g, out: np.ndarray) -> Tensor:
+    """``g`` times the 0/1 mask of ``out > 0``: the cotangent that a ReLU
+    layer whose output is the constant ``out`` passes to its input, as a
+    node whose one parent is ``g``.  Its context is ``out`` itself, no mask
+    array: the forward and the vjp make the mask when they run."""
+    g = as_tensor(g)
+    if out.shape != g.shape:
+        raise ShapeError(f"relu_mask: cotangent {g.shape} and output {out.shape}")
+    return _node(_where_positive(g.values, out), (g,), "relu_mask", out)
+
+
+def head_difference(a) -> Tensor:
+    """``a[0] - a[1]`` of two heads stacked on the leading axis."""
+    a = as_tensor(a)
+    if a.values.ndim < 2 or a.shape[0] != 2:
+        raise ShapeError(f"head_difference needs a stack of two heads, got {a.shape}")
+    return _node(a.values[0] - a.values[1], (a,), "head_difference")
 
 
 def transpose(a) -> Tensor:
@@ -334,13 +385,14 @@ def pow_const(a, p) -> Tensor:
 
 
 def tsum(a, axis=None) -> Tensor:
-    """Sum of all elements (axis=None, a scalar) or along axis 0/1 of a matrix."""
+    """Sum of all elements (axis=None, a scalar) or along axis 0/1 of a
+    matrix, or of a stack of matrices: over its heads or its rows."""
     a = as_tensor(a)
     if axis is None:
         return _node(np.asarray(a.values.sum()), (a,), "sum")
-    if a.values.ndim != 2 or axis not in (0, 1):
+    if a.values.ndim not in (2, 3) or axis not in (0, 1):
         raise ShapeError(f"sum(axis={axis}) unsupported for shape {a.shape}")
-    return _node(a.values.sum(axis=axis), (a,), "sum0" if axis == 0 else "sum1")
+    return _node(a.values.sum(axis=axis), (a,), "sum0" if axis == 0 else "sum1", axis)
 
 
 def reshape(a, shape) -> Tensor:
@@ -357,14 +409,15 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def log_softmax(a) -> Tensor:
-    """Row-wise log-softmax, stabilised by max subtraction."""
+    """Row-wise log-softmax of a b-by-K matrix or a stack of them, stabilised
+    by max subtraction."""
     a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeError(f"log_softmax needs a b-by-K tensor, got {a.shape}")
+    if a.values.ndim not in (2, 3):
+        raise ShapeError(f"log_softmax needs a b-by-K tensor or a stack, got {a.shape}")
     if not np.all(np.isfinite(a.values)):
         raise DomainError("log_softmax requires finite logits")
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    vals = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = a.values - a.values.max(axis=-1, keepdims=True)
+    vals = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return _node(vals, (a,), "log_softmax")
 
 
@@ -375,24 +428,28 @@ def softmax(a) -> Tensor:
 def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
                           scale: np.ndarray) -> Tensor:
     """Mean over the batch of ``-weights[i] * ls[i, y_i]``, where ``ls`` is
-    the node ``log_softmax(logits)`` that the caller made.
+    the node ``log_softmax(logits)`` that the caller made; for stacked heads
+    (``ls`` H-by-b-by-K), the H heads' means.
 
     ``onehot`` is the b-by-K one-hot encoding of the labels y, ``weights``
     the b row weights and ``scale`` the vjp's b-by-1 column of row scales
     ``weights[i] / b``, which numpy broadcasts across the K columns: a
-    batch's :class:`~cgdm.losses.Targets`, made once.  The node's parent is
-    the logits; its context keeps the values of ``ls``, which the vjp reads.
+    batch's :class:`~cgdm.losses.Targets`, made once and read by every head.
+    The node's parent is the logits; its context keeps the values of ``ls``,
+    which the vjp reads.
     """
     if _state.enabled and ls.op != "log_softmax":
         raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
-    b, k = ls.shape
+    if ls.values.ndim not in (2, 3):
+        raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
+    b, k = ls.shape[-2:]
     if onehot.shape != (b, k) or scale.shape != (b, 1):
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
                          f"do not match logits {(b, k)}")
     if weights.shape != (b,):
         raise ShapeError(f"{weights.shape} weights for a batch of {b}")
-    picked = -(ls.values * onehot).sum(axis=1) * weights
-    return _node(np.asarray(picked.sum()) * (1.0 / b), ls.parents, "cross_entropy",
+    picked = -(ls.values * onehot).sum(axis=-1) * weights
+    return _node(picked.sum(axis=-1) * (1.0 / b), ls.parents, "cross_entropy",
                  (ls.values, onehot, scale))
 
 
@@ -402,11 +459,12 @@ def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
 
 def cross_entropy_grad(ls, g: float, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
     """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
-    :func:`softmax_cross_entropy` node with log-softmax ``ls``, constant
-    scalar cotangent ``g`` and b-by-1 column of row scales ``scale``, as one
-    node whose one parent is ``ls``."""
+    :func:`softmax_cross_entropy` node with log-softmax ``ls`` (b-by-K or a
+    stack of heads), constant scalar cotangent ``g`` and b-by-1 column of
+    row scales ``scale``, as one node whose one parent is ``ls``."""
     g = float(g)
-    if onehot.shape != ls.shape or scale.shape != ls.shape[:1] + (1,):
+    if ls.values.ndim not in (2, 3) or onehot.shape != ls.shape[-2:] or (
+            scale.shape != (ls.shape[-2], 1)):
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
                          f"do not match log-softmax {ls.shape}")
     return _node(_ce_grad(ls.values, g, onehot, scale), (ls,), "cross_entropy_grad",
@@ -418,23 +476,32 @@ def class_affine_gradient(layers, members=None) -> Tensor:
     ``[vec(d_r^T h) | column sums of d_r]``: the layers' weight and bias
     gradients on the rows of class r, side by side.  ``d_r`` is the output
     cotangent ``delta`` on the rows that ``members`` (b-by-K, 0/1) puts in
-    class r; ``None`` is one class of all rows.  The masked copies of each
-    ``delta`` live only inside the op and its first-order vjp."""
+    class r; ``None`` is one class of all rows.  For stacked heads each
+    ``delta`` is H-by-b-by-out and each ``h`` the b-by-in input the heads
+    share or their H-by-b-by-in stack, and row r is head 1's layers, then
+    head 2's, and so on, each head's block made from its slices as above.
+    The masked copies of each ``delta`` live only inside the op and its
+    first-order vjp."""
     layers = [(as_tensor(delta), as_tensor(h)) for delta, h in layers]
     if not layers:
         raise ContractError("class_affine_gradient of no layers")
-    n = layers[0][1].shape[0]
+    heads = layers[0][0].shape[:-2]
+    n = layers[0][1].shape[-2]
     for delta, h in layers:
-        if delta.values.ndim != 2 or h.values.ndim != 2 or {delta.shape[0], h.shape[0]} != {n}:
+        if (delta.values.ndim not in (2, 3) or delta.shape[:-2] != heads
+                or h.values.ndim not in (2, delta.values.ndim)
+                or h.shape[:-2] not in ((), heads) or {delta.shape[-2], h.shape[-2]} != {n}):
             raise ShapeError(f"class_affine_gradient: delta {delta.shape}, h {h.shape}")
     rows = 1 if members is None else members.shape[-1]
     if members is not None and (members.shape != (n, rows) or not rows):
         raise ShapeError(f"{members.shape} members for {n} rows")
     blocks = []
-    for delta, h in layers:
-        copies = delta.values if members is None else _class_copies(delta.values, members)
-        blocks += [(copies.T @ h.values).reshape(rows, -1),
-                   copies.sum(axis=0).reshape(rows, -1)]
+    for i in range(_head_count(layers[0][0].values)):
+        for delta, h in layers:
+            d = _head(delta.values, i)
+            copies = d if members is None else _class_copies(d, members)
+            blocks += [(copies.T @ _head(h.values, i)).reshape(rows, -1),
+                       copies.sum(axis=0).reshape(rows, -1)]
     parents = tuple(t for layer in layers for t in layer)
     return _node(np.concatenate(blocks, 1), parents, "class_affine_gradient", members)
 
@@ -459,6 +526,27 @@ def cosine_rows(gs, gt, eps: float) -> tuple:
 
 
 # -- array helpers of the vjp formulas ------------------------------------------
+
+def _head_count(values) -> int:
+    return len(values) if values.ndim == 3 else 1
+
+
+def _head(values, i) -> np.ndarray:
+    """Head i's slice of a stacked array; a matrix is every head's."""
+    return values[i] if values.ndim == 3 else values
+
+
+def _add_head(total, cot, value, i):
+    """The cotangent so far, ``total``, of a parent with value ``value``,
+    after head i's ``cot``: written into head i's slice of a stacked
+    parent's, added in head order to a shared parent's."""
+    if value.ndim == 3:
+        if total is None:
+            total = np.empty(value.shape)
+        total[i] = cot
+        return total
+    return cot if total is None else np.add(total, cot, out=total)
+
 
 def _where_positive(g, out) -> np.ndarray:
     """``g`` times the 0/1 mask of ``out > 0``, made in the mask's buffer."""
@@ -533,20 +621,30 @@ def _mul_vjp(g, args, out, ctx, needed):
 
 def _matmul_vjp(g, args, out, ctx, needed):
     a, b = args
-    return (g @ b.T if needed[0] else None,
-            a.T @ g if needed[1] else None)
+    return (g @ _swap(b) if needed[0] else None,
+            _swap(a) @ g if needed[1] else None)
 
 
 def _linear_vjp(g, args, out, relu, needed):
-    """x: ``g w``; w: ``g^T x``; b: the column sums of ``g``.  A fused ReLU
-    first masks ``g`` by ``out > 0``, once for all three, as the relu vjp
-    would."""
+    """x: ``g w``, summed over the heads in head order for an input they
+    share; w: ``g^T x``; b: the column sums of ``g``, head by head.  A fused
+    ReLU first masks ``g`` by ``out > 0``, once for all three, as the relu
+    vjp would."""
     if relu:
         g = _where_positive(g, out)
     x, w, _ = args
-    return (g @ w if needed[0] else None,
-            g.T @ x if needed[1] else None,
-            np.add.reduce(g, 0) if needed[2] else None)
+    g_x = None
+    if needed[0]:
+        g_x = g @ w
+        if g_x.ndim > x.ndim:
+            g_x = np.add.reduce(g_x, 0)
+    return (g_x,
+            _swap(g) @ x if needed[1] else None,
+            np.add.reduce(g, -2) if needed[2] else None)
+
+
+def _sum_axis_vjp(g, args, out, axis, needed):
+    return (np.full(args[0].shape, np.expand_dims(g, axis)),)
 
 
 def _concat_vjp(g, args, out, axis, needed):
@@ -559,12 +657,13 @@ def _concat_vjp(g, args, out, axis, needed):
 
 
 def _log_softmax_vjp(g, args, out, ctx, needed):
-    return (g - np.exp(out) * np.add.reduce(g, 1)[:, None],)
+    return (g - np.exp(out) * np.add.reduce(g, -1)[..., None],)
 
 
 def _cross_entropy_vjp(g, args, out, ctx, needed):
+    """Each head's cotangent scales its rows: ``g`` gets two trailing axes."""
     ls, onehot, scale = ctx
-    return (_ce_grad(ls, g, onehot, scale),)
+    return (_ce_grad(ls, np.expand_dims(g, (-2, -1)), onehot, scale),)
 
 
 def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
@@ -575,32 +674,34 @@ def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
 
 
 def _class_affine_vjp(g, args, out, members, needed):
-    """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
-    then its ``delta``'s and its ``h``'s cotangents as needed.  The ``h``
-    cotangent makes the masked copies of ``delta`` once; the ``delta``
+    """One walk over the heads and, in each, the layers ``(delta, h)``: each
+    layer's block of ``g``, then its ``delta``'s and its ``h``'s cotangents
+    as needed, each head's put in its parent's by :func:`_add_head`.  The
+    ``h`` cotangent makes the masked copies of ``delta`` once; the ``delta``
     cotangent makes none, gathering each row's block of its class instead."""
     rows = out.shape[0]
-    cots, start = [], 0
-    for j in range(0, len(args), 2):
-        delta, h = args[j], args[j + 1]
-        width, n_in = delta.shape[1], h.shape[1]
-        size = width * (n_in + 1)
-        block = g[:, start:start + size]
-        start += size
-        g_weight = block[:, :width * n_in]
-        g_delta = g_h = None
-        if needed[j]:
-            # a C-ordered h^T: BLAS reads a transposed view in another summation
-            # order when the weight cotangent has few rows, and these sums keep
-            # the bits of the composition's
-            g_delta = (_block_matmul(g_weight, np.ascontiguousarray(h.T), width).T
-                       + block[:, width * n_in:size].reshape(rows * width))
-            if members is not None:
-                g_delta = _class_gather(g_delta, members)
-        if needed[j + 1]:
-            copies = delta if members is None else _class_copies(delta, members)
-            g_h = copies @ g_weight.reshape(rows * width, n_in)
-        cots += (g_delta, g_h)
+    cots, start = [None] * len(args), 0
+    for i in range(_head_count(args[0])):
+        for j in range(0, len(args), 2):
+            delta, h = _head(args[j], i), _head(args[j + 1], i)
+            width, n_in = delta.shape[1], h.shape[1]
+            size = width * (n_in + 1)
+            block = g[:, start:start + size]
+            start += size
+            g_weight = block[:, :width * n_in]
+            if needed[j]:
+                # a C-ordered h^T: BLAS reads a transposed view in another
+                # summation order when the weight cotangent has few rows, and
+                # these sums keep the bits of the composition's
+                g_delta = (_block_matmul(g_weight, np.ascontiguousarray(h.T), width).T
+                           + block[:, width * n_in:size].reshape(rows * width))
+                if members is not None:
+                    g_delta = _class_gather(g_delta, members)
+                cots[j] = _add_head(cots[j], g_delta, args[j], i)
+            if needed[j + 1]:
+                copies = delta if members is None else _class_copies(delta, members)
+                g_h = copies @ g_weight.reshape(rows * width, n_in)
+                cots[j + 1] = _add_head(cots[j + 1], g_h, args[j + 1], i)
     return tuple(cots)
 
 
@@ -639,6 +740,8 @@ _VJPS = {
     "neg": lambda g, args, out, ctx, needed: (-g,),
     "matmul": _matmul_vjp,
     "linear": _linear_vjp,
+    "relu_mask": lambda g, args, out, layer_out, needed: (_where_positive(g, layer_out),),
+    "head_difference": lambda g, args, out, ctx, needed: (np.stack((g, -g)),),
     "transpose": lambda g, args, out, ctx, needed: (g.T,),
     "relu": lambda g, args, out, ctx, needed: (_where_positive(g, out),),
     "abs": _absolute_vjp,
@@ -646,8 +749,8 @@ _VJPS = {
     "log": lambda g, args, out, ctx, needed: (g * _power(args[0], -1.0),),
     "pow": lambda g, args, out, p, needed: (g * (_power(args[0], p - 1.0) * p),),
     "sum": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g),),
-    "sum0": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g),),
-    "sum1": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g[:, None]),),
+    "sum0": _sum_axis_vjp,
+    "sum1": _sum_axis_vjp,
     "reshape": lambda g, args, out, ctx, needed: (g.reshape(args[0].shape),),
     "concat": _concat_vjp,
     "log_softmax": _log_softmax_vjp,

@@ -20,11 +20,15 @@ exactly to the classic two-classifier minimax (MCD) trajectory: step 1 is
 the source CE alone, step 2 the source CE minus the discrepancy, step 3 the
 discrepancy alone.
 
-One target pass per epoch boundary (:func:`~cgdm.pseudo_labels.predict`)
-serves :func:`evaluate` and the next epoch's pseudo labels.  Each iteration
-encodes its batches' labels once (:class:`BatchTargets`) for all three steps
-and every step-3 repeat, and each logits tensor gets one log-softmax, read by
-its cross-entropy and its softmax.  A run fails in one way: it raises
+The two classifiers run as one network of stacked heads
+(:attr:`BiClassifierModel.classifiers`, see :func:`~cgdm.nn.stack`): each
+of their layers is one graph node for both, and so is each op of their
+losses.  One target pass per epoch boundary
+(:func:`~cgdm.pseudo_labels.predict`) serves :func:`evaluate` and the next
+epoch's pseudo labels.  Each iteration encodes its batches' labels once
+(:class:`BatchTargets`) for all three steps and every step-3 repeat, and
+each domain's stacked logits get one log-softmax, read by the pair's
+cross-entropies and its softmax.  A run fails in one way: it raises
 :class:`~cgdm.tensor.DomainError`.
 """
 from __future__ import annotations
@@ -130,21 +134,21 @@ class EpochMetrics:
 
 @dataclass
 class BiClassifierModel:
+    """The generator and the two classifiers F1 and F2, one network of two
+    stacked heads of one architecture."""
+
     generator: nn.Mlp
-    classifier1: nn.Mlp
-    classifier2: nn.Mlp
+    classifiers: nn.Mlp
 
     @property
     def num_classes(self) -> int:
-        return self.classifier1.out_dim
+        return self.classifiers.out_dim
 
     def generator_parameters(self) -> list:
         return self.generator.parameters()
 
     def classifier_parameters(self) -> list:
-        return grad_discrepancy.classifier_parameters(
-            self.classifier1, self.classifier2
-        )
+        return self.classifiers.parameters()
 
     def all_parameters(self) -> list:
         return self.generator_parameters() + self.classifier_parameters()
@@ -166,14 +170,14 @@ class BatchTargets:
 
 
 def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifierModel:
-    """Generator + two distinct classifiers; seeds derived from cfg.seed."""
+    """Generator + two distinct classifiers, stacked from one Glorot draw
+    each; seeds derived from cfg.seed."""
     sg, s1, s2 = (int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3))
     gen_dims = [in_dim, *cfg.generator_hidden, cfg.feature_dim]
     clf_dims = [cfg.feature_dim, *cfg.classifier_hidden, num_classes]
     return BiClassifierModel(
         generator=nn.init_mlp(gen_dims, sg, final_activation="relu"),
-        classifier1=nn.init_mlp(clf_dims, s1),
-        classifier2=nn.init_mlp(clf_dims, s2),
+        classifiers=nn.stack([nn.init_mlp(clf_dims, s1), nn.init_mlp(clf_dims, s2)]),
     )
 
 
@@ -265,20 +269,19 @@ class CgdmTrainer:
         """Step-1 body: G, F1, F2 on the source CE plus the weighted pseudo-label
         CE and the class balance loss; warmup passes both weights as 0."""
         m = self.model
-        heads = (m.classifier1, m.classifier2)
         loss_cls = losses.source_classification_loss(
-            m.generator, *heads, source_batch.features, source_targets
+            m.generator, m.classifiers, source_batch.features, source_targets
         )
         total = loss_cls
         out = {"loss_cls": loss_cls.item()}
         if alpha > 0 or balance_weight > 0:
             feats_t = nn.forward(m.generator, Tensor(target_batch.features))
-            ls_t = losses.log_probs(heads, feats_t)
+            ls_t = losses.log_probs(m.classifiers, feats_t)
             if alpha > 0:
                 selfsup = losses.pair_cross_entropy(ls_t, target_targets)
                 total = add(total, mul(selfsup, alpha))
             if balance_weight > 0:
-                balance = losses.class_balance_loss(*(exp(ls) for ls in ls_t))
+                balance = losses.class_balance_loss(exp(ls_t))
                 total = add(total, mul(balance, balance_weight))
                 out["loss_cb"] = balance.item()
         grads = backward(total, m.all_parameters())
@@ -297,16 +300,15 @@ class CgdmTrainer:
         """
         cfg = self.cfg
         m = self.model
-        heads = (m.classifier1, m.classifier2)
         features = tuple(nn.forward(m.generator, Tensor(batch.features))
                          for batch in (source_batch, target_batch))
         feats_s, feats_t = (Tensor(f.values) for f in features)
-        loss_cls = losses.pair_cross_entropy(losses.log_probs(heads, feats_s),
+        loss_cls = losses.pair_cross_entropy(losses.log_probs(m.classifiers, feats_s),
                                              targets.source)
-        p1, p2 = (exp(ls) for ls in losses.log_probs(heads, feats_t))
-        total = sub(loss_cls, losses.l1_discrepancy(p1, p2))
+        p = exp(losses.log_probs(m.classifiers, feats_t))
+        total = sub(loss_cls, losses.l1_discrepancy(p))
         if cfg.class_balance_weight > 0:
-            balance = losses.class_balance_loss(p1, p2)
+            balance = losses.class_balance_loss(p)
             total = add(total, mul(balance, cfg.class_balance_weight))
         grads = backward(total, m.classifier_parameters())
         self.opt_f.step(grads)
@@ -319,9 +321,9 @@ class CgdmTrainer:
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
-        Each repeat forwards each domain once; the target logits' one
-        log-softmax feeds both the discrepancy term and the alignment loss,
-        whose source and target class-gradient matrices on
+        Each repeat forwards each domain once; the one log-softmax of the
+        target logits of both heads feeds the discrepancy term and the
+        alignment loss, whose source and target class-gradient matrices on
         ``targets.alignment`` are recorded forward ops, so the repeat makes
         one backward, a first-order one.  Rows may come in any class order.
         ``features``, the recorded (source, target) generator features of
@@ -331,7 +333,6 @@ class CgdmTrainer:
         """
         cfg = self.cfg
         m = self.model
-        heads = (m.classifier1, m.classifier2)
         x_s = Tensor(source_batch.features)
         x_t = Tensor(target_batch.features)
         out = {}
@@ -340,15 +341,16 @@ class CgdmTrainer:
                 feats_s, feats_t = features
             else:
                 feats_s, feats_t = None, nn.forward(m.generator, x_t)
-            ls_t = losses.log_probs(heads, feats_t)
-            loss_dis = losses.l1_discrepancy(*(exp(ls) for ls in ls_t))
+            ls_t = losses.log_probs(m.classifiers, feats_t)
+            loss_dis = losses.l1_discrepancy(exp(ls_t))
             total = loss_dis
             loss_gd = None
             if cfg.beta > 0:
                 if feats_s is None:
                     feats_s = nn.forward(m.generator, x_s)
                 ts, tt = targets.alignment
-                args = (*heads, (losses.log_probs(heads, feats_s), ts), (ls_t, tt))
+                args = (m.classifiers, (losses.log_probs(m.classifiers, feats_s), ts),
+                        (ls_t, tt))
                 if cfg.conditional_gdm:
                     loss_gd = grad_discrepancy.conditional_gradient_loss(*args)
                 else:
@@ -396,7 +398,7 @@ class CgdmTrainer:
             rng = np.random.default_rng(shuffle_seed)
         target_train = target.unlabeled()
         m = self.model
-        nets = (m.generator, m.classifier1, m.classifier2)
+        nets = (m.generator, m.classifiers)
         metrics = []
         prediction = None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -491,5 +493,5 @@ def evaluate(prediction, labels) -> float:
     ``prediction`` is a :func:`~cgdm.pseudo_labels.predict` result over a
     labeled set and ``labels`` that set's labels.
     """
-    _, p1, p2 = prediction
-    return float(np.mean(np.argmax(0.5 * (p1 + p2), axis=1) == labels))
+    _, probs = prediction
+    return float(np.mean(np.argmax(0.5 * (probs[0] + probs[1]), axis=1) == labels))

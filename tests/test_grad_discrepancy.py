@@ -15,32 +15,31 @@ from cgdm.tensor import ContractError, ShapeError, Tensor, backward
 
 
 def tiny_models(seed=0, d_in=2, d_feat=3, k=2):
+    """A generator and a pair of linear heads, stacked from two draws."""
     rng = np.random.default_rng(seed)
     gen = nn.init_mlp([d_in, d_feat], int(rng.integers(2**31)), final_activation="relu")
-    f1 = nn.init_mlp([d_feat, k], int(rng.integers(2**31)))
-    f2 = nn.init_mlp([d_feat, k], int(rng.integers(2**31)))
-    return gen, f1, f2
+    pair = nn.stack([nn.init_mlp([d_feat, k], int(rng.integers(2**31))) for _ in range(2)])
+    return gen, pair
 
 
 def feats(gen, x):
     return nn.forward(gen, Tensor(np.asarray(x, dtype=np.float64)))
 
 
-def logits(gen, f1, f2, x):
-    """Both heads' logits on the generator features of ``x``."""
-    h = feats(gen, x)
-    return nn.forward(f1, h), nn.forward(f2, h)
+def logits(gen, pair, x):
+    """Both heads' stacked logits on the generator features of ``x``."""
+    return nn.forward(pair, feats(gen, x))
 
 
 def log_probs(out):
-    """The log-softmax of each head's logits."""
-    return tuple(T.log_softmax(z) for z in out)
+    """The log-softmax of both heads' stacked logits."""
+    return T.log_softmax(out)
 
 
 def alignment_args(out_s, ys, out_t, pseudo, classes=None):
     """``class_gradients``' (source, target) arguments on both heads' logits
     of each domain, whole-batch or by ``classes``."""
-    k = out_s[0].shape[1]
+    k = out_s.shape[-1]
     ts = losses.Targets.of(ys, k)
     tt = losses.Targets.of(pseudo.labels, k, pseudo.weights)
     if classes is not None:
@@ -53,80 +52,78 @@ class TestSourceGradient:
         # identity generator, saturated linear heads, matched labels
         gen = nn.init_mlp([2, 2], seed=0)
         gen.layers[0].weight.values[:] = np.eye(2)
-        f1 = nn.init_mlp([2, 2], seed=1)
-        f2 = nn.init_mlp([2, 2], seed=2)
-        for f in (f1, f2):
-            f.layers[0].weight.values[:] = 25.0 * np.eye(2)
-            f.layers[0].bias.values[:] = 0.0
-        g = gd.source_gradient(f1, f2, *logits(gen, f1, f2, np.eye(2)), [0, 1])
+        pair = nn.stack([nn.init_mlp([2, 2], seed=1), nn.init_mlp([2, 2], seed=2)])
+        pair.layers[0].weight.values[:] = 25.0 * np.eye(2)
+        pair.layers[0].bias.values[:] = 0.0
+        g = gd.source_gradient(pair, logits(gen, pair, np.eye(2)), [0, 1])
         assert np.linalg.norm(g.values) < 1e-6
 
     def test_duplicated_batch_same_gradient(self):
-        gen, f1, f2 = tiny_models(3)
+        gen, pair = tiny_models(3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2))
         y = rng.integers(0, 2, size=3)
-        base = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x), y).values
+        base = gd.source_gradient(pair, logits(gen, pair, x), y).values
         doubled = gd.source_gradient(
-            f1, f2, *logits(gen, f1, f2, np.vstack([x, x])), np.concatenate([y, y])
+            pair, logits(gen, pair, np.vstack([x, x])), np.concatenate([y, y])
         ).values
         np.testing.assert_allclose(doubled, base, atol=1e-12)
 
     def test_permutation_invariance(self):
-        gen, f1, f2 = tiny_models(5)
+        gen, pair = tiny_models(5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 2))
         y = rng.integers(0, 2, size=5)
         perm = rng.permutation(5)
-        a = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x), y).values
-        b = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x[perm]), y[perm])
+        a = gd.source_gradient(pair, logits(gen, pair, x), y).values
+        b = gd.source_gradient(pair, logits(gen, pair, x[perm]), y[perm])
         b = b.values
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_batch_rejected(self):
-        gen, f1, f2 = tiny_models(7)
+        gen, pair = tiny_models(7)
         with pytest.raises(ContractError):
             gd.source_gradient(
-                f1, f2, *logits(gen, f1, f2, np.zeros((0, 2))), np.zeros(0, int)
+                pair, logits(gen, pair, np.zeros((0, 2))), np.zeros(0, int)
             )
 
     def test_length_is_classifier_param_count(self):
-        gen, f1, f2 = tiny_models(8)
-        g = gd.source_gradient(f1, f2, *logits(gen, f1, f2, np.ones((2, 2))), [0, 1])
-        expected = sum(p.size for p in gd.classifier_parameters(f1, f2))
+        gen, pair = tiny_models(8)
+        g = gd.source_gradient(pair, logits(gen, pair, np.ones((2, 2))), [0, 1])
+        expected = sum(p.size for p in pair.parameters())
         assert g.shape == (1, expected)
 
 
 class TestTargetGradient:
     def test_reduces_to_source_gradient(self):
-        gen, f1, f2 = tiny_models(9)
+        gen, pair = tiny_models(9)
         rng = np.random.default_rng(10)
         x = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4).astype(np.int64)
         pseudo = PseudoLabelSet(y, np.ones(4), np.zeros(4))
-        gs = gd.source_gradient(f1, f2, *logits(gen, f1, f2, x), y).values
-        gt = gd.target_gradient(f1, f2, *logits(gen, f1, f2, x), pseudo).values
+        gs = gd.source_gradient(pair, logits(gen, pair, x), y).values
+        gt = gd.target_gradient(pair, logits(gen, pair, x), pseudo).values
         np.testing.assert_array_equal(gs, gt)
 
     def test_weight_scaling_linearity(self):
-        gen, f1, f2 = tiny_models(11)
+        gen, pair = tiny_models(11)
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4).astype(np.int64)
         w = rng.uniform(1.0, 2.0, size=4)
         base = gd.target_gradient(
-            f1, f2, *logits(gen, f1, f2, x), PseudoLabelSet(y, w, np.zeros(4))
+            pair, logits(gen, pair, x), PseudoLabelSet(y, w, np.zeros(4))
         ).values
         scaled = gd.target_gradient(
-            f1, f2, *logits(gen, f1, f2, x), PseudoLabelSet(y, 3.0 * w, np.zeros(4))
+            pair, logits(gen, pair, x), PseudoLabelSet(y, 3.0 * w, np.zeros(4))
         ).values
         np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
     def test_missing_pseudo_rejected(self):
-        gen, f1, f2 = tiny_models(13)
+        gen, pair = tiny_models(13)
         pseudo = PseudoLabelSet(np.zeros(2, np.int64), np.ones(2), np.zeros(2))
         with pytest.raises(ContractError):
-            gd.target_gradient(f1, f2, *logits(gen, f1, f2, np.ones((3, 2))), pseudo)
+            gd.target_gradient(pair, logits(gen, pair, np.ones((3, 2))), pseudo)
 
 
 class TestDiscrepancyLoss:
@@ -200,25 +197,26 @@ class TestLinearHeadOracle:
     def test_parameter_backward_reference_matches_the_oracle(self, seed):
         """The reference definition, ``source_gradient`` (unit weights) and
         ``target_gradient`` (entropy weights), against the closed form."""
-        gen, f1, f2 = tiny_models(90 + seed, k=3)
+        gen, pair = tiny_models(90 + seed, k=3)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(5, 2))
         y = rng.integers(0, 3, size=5)
         w = rng.uniform(1.0, 2.0, size=5)
         h = feats(gen, x).values
-        out = logits(gen, f1, f2, x)
-        for got, weights in ((gd.source_gradient(f1, f2, *out, y), np.ones(5)),
-                             (gd.target_gradient(f1, f2, *out,
+        out = logits(gen, pair, x)
+        for got, weights in ((gd.source_gradient(pair, out, y), np.ones(5)),
+                             (gd.target_gradient(pair, out,
                                                  PseudoLabelSet(y, w, np.zeros(5))), w)):
+            layer = pair.layers[0]
             want = 0.5 * np.concatenate([
-                part.reshape(-1) for clf in (f1, f2)
+                part.reshape(-1) for head in range(2)
                 for part in checks.linear_head_gradient_oracle(
-                    h, y, weights, clf.layers[0].weight.values, clf.layers[0].bias.values)
+                    h, y, weights, layer.weight.values[head], layer.bias.values[head])
             ])
             np.testing.assert_allclose(got.values, want[None, :], rtol=0, atol=1e-12)
 
 
-def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo):
+def per_class_reforward_loss(gen, pair, xs, ys, xt, pseudo):
     """The conditional loss as first defined: every shared class re-forwards
     its own source and target rows through the generator, and takes both
     domains' one-row :func:`~cgdm.grad_discrepancy.class_gradients` on them."""
@@ -227,36 +225,36 @@ def per_class_reforward_loss(gen, f1, f2, xs, ys, xt, pseudo):
     for k in shared:
         s_rows = np.flatnonzero(ys == k)
         t_rows = np.flatnonzero(pseudo.labels == k)
-        term = gd.gradient_discrepancy_loss(*gd.class_gradients(f1, f2, *alignment_args(
-            logits(gen, f1, f2, xs[s_rows]), ys[s_rows],
-            logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows))))
+        term = gd.gradient_discrepancy_loss(*gd.class_gradients(pair, *alignment_args(
+            logits(gen, pair, xs[s_rows]), ys[s_rows],
+            logits(gen, pair, xt[t_rows]), pseudo.take(t_rows))))
         total = term if total is None else T.add(total, term)
     return T.mul(total, 1.0 / len(shared))
 
 
-def conditional_loss(gen, f1, f2, xs, ys, xt, pseudo):
+def conditional_loss(gen, pair, xs, ys, xt, pseudo):
     """The conditional loss with one forward per domain, rows as given."""
     (ls_s, ts), (ls_t, tt) = alignment_args(
-        logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo)
+        logits(gen, pair, xs), ys, logits(gen, pair, xt), pseudo)
     ts, tt = gd.by_shared_class(ts, tt)
-    return gd.conditional_gradient_loss(f1, f2, (ls_s, ts), (ls_t, tt))
+    return gd.conditional_gradient_loss(pair, (ls_s, ts), (ls_t, tt))
 
 
-def class_sorted_loss(gen, f1, f2, xs, ys, xt, pseudo):
+def class_sorted_loss(gen, pair, xs, ys, xt, pseudo):
     """The conditional loss on class-sorted batches."""
     s_order = np.argsort(ys, kind="stable")
     t_order = np.argsort(pseudo.labels, kind="stable")
-    return conditional_loss(gen, f1, f2, xs[s_order], ys[s_order], xt[t_order],
+    return conditional_loss(gen, pair, xs[s_order], ys[s_order], xt[t_order],
                             pseudo.take(t_order))
 
 
 def hidden_models(seed, d_in=3, d_feat=4, hidden=(5,), k=3):
-    """A generator and two heads with the ``hidden`` relu layers each."""
+    """A generator and a pair of heads with the ``hidden`` relu layers each."""
     rng = np.random.default_rng(seed)
     gen = nn.init_mlp([d_in, d_feat], int(rng.integers(2**31)), final_activation="relu")
-    f1 = nn.init_mlp([d_feat, *hidden, k], int(rng.integers(2**31)))
-    f2 = nn.init_mlp([d_feat, *hidden, k], int(rng.integers(2**31)))
-    return gen, f1, f2
+    pair = nn.stack([nn.init_mlp([d_feat, *hidden, k], int(rng.integers(2**31)))
+                     for _ in range(2)])
+    return gen, pair
 
 
 def unsorted_case(seed, target_classes=3, zero_weight_class=None, **shape):
@@ -264,7 +262,7 @@ def unsorted_case(seed, target_classes=3, zero_weight_class=None, **shape):
     from ``range(target_classes)``; one class's pseudo weights can be 0,
     which makes its target gradient exactly 0.  ``shape`` goes to
     :func:`hidden_models`."""
-    gen, f1, f2 = hidden_models(60 + seed, **shape)
+    gen, pair = hidden_models(60 + seed, **shape)
     rng = np.random.default_rng(seed)
     xs, xt = rng.normal(size=(10, 3)), rng.normal(size=(9, 3))
     ys = rng.permutation(np.arange(10) % 3)
@@ -272,7 +270,7 @@ def unsorted_case(seed, target_classes=3, zero_weight_class=None, **shape):
     w = rng.uniform(1.0, 2.0, size=9)
     if zero_weight_class is not None:
         w[pl == zero_weight_class] = 0.0
-    return gen, f1, f2, xs, ys, xt, PseudoLabelSet(pl, w, np.zeros(9))
+    return gen, pair, xs, ys, xt, PseudoLabelSet(pl, w, np.zeros(9))
 
 
 def generator_gradients(loss, gen):
@@ -292,67 +290,67 @@ def assert_generator_gradient_matches_finite_differences(loss_fn, gen):
 
 class TestConditional:
     def _setup(self, seed=20):
-        gen, f1, f2 = tiny_models(seed, k=3)
+        gen, pair = tiny_models(seed, k=3)
         rng = np.random.default_rng(seed + 1)
         x = rng.normal(size=(6, 2))
         y = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
-        return gen, f1, f2, x, y
+        return gen, pair, x, y
 
     def test_identical_batches_single_class_zero(self):
-        gen, f1, f2, x, y = self._setup()
+        gen, pair, x, y = self._setup()
         rows = y == 1
         pseudo = PseudoLabelSet(y[rows], np.ones(rows.sum()), np.zeros(rows.sum()))
-        val = conditional_loss(gen, f1, f2, x[rows], y[rows], x[rows], pseudo).item()
+        val = conditional_loss(gen, pair, x[rows], y[rows], x[rows], pseudo).item()
         assert val < 1e-9
 
     def test_no_shared_classes_warns_and_returns_zero(self, caplog):
-        gen, f1, f2, x, y = self._setup()
+        gen, pair, x, y = self._setup()
         pseudo = PseudoLabelSet(np.array([1, 1], np.int64), np.ones(2), np.zeros(2))
         with caplog.at_level(logging.WARNING):
-            out = conditional_loss(gen, f1, f2, x[:2], np.array([0, 0]), x[2:4], pseudo)
+            out = conditional_loss(gen, pair, x[:2], np.array([0, 0]), x[2:4], pseudo)
         assert out.item() == 0.0
         assert any("no shared classes" in r.message for r in caplog.records)
 
     def test_whole_batch_targets_rejected(self):
-        gen, f1, f2, x, y = self._setup()
+        gen, pair, x, y = self._setup()
         pseudo = PseudoLabelSet(y, np.ones(6), np.zeros(6))
         with pytest.raises(ContractError):
-            gd.conditional_gradient_loss(f1, f2, *alignment_args(
-                logits(gen, f1, f2, x), y, logits(gen, f1, f2, x), pseudo))
+            gd.conditional_gradient_loss(pair, *alignment_args(
+                logits(gen, pair, x), y, logits(gen, pair, x), pseudo))
 
     def test_two_shared_classes_average_of_per_class_losses(self):
-        gen, f1, f2, x, y = self._setup(30)
+        gen, pair, x, y = self._setup(30)
         rng = np.random.default_rng(31)
         xs, ys = x[:4], y[:4]  # classes 0 and 1
         xt = rng.normal(size=(4, 2))
         pl = np.array([0, 1, 0, 1], dtype=np.int64)
         w = rng.uniform(1.0, 2.0, size=4)
         pseudo = PseudoLabelSet(pl, w, np.zeros(4))
-        combined = class_sorted_loss(gen, f1, f2, xs, ys, xt, pseudo).item()
+        combined = class_sorted_loss(gen, pair, xs, ys, xt, pseudo).item()
         # recompute each class's loss independently
         per_class = []
         for k in (0, 1):
             s_rows = np.flatnonzero(ys == k)
             t_rows = np.flatnonzero(pl == k)
             gs = gd.source_gradient(
-                f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows]
+                pair, logits(gen, pair, xs[s_rows]), ys[s_rows]
             )
             gt = gd.target_gradient(
-                f1, f2, *logits(gen, f1, f2, xt[t_rows]), pseudo.take(t_rows)
+                pair, logits(gen, pair, xt[t_rows]), pseudo.take(t_rows)
             )
             per_class.append(gd.gradient_discrepancy_loss(gs, gt).item())
         assert abs(combined - float(np.mean(per_class))) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_class_sorted_equals_per_class_reforward(self, seed):
-        gen, f1, f2 = tiny_models(40 + seed, d_in=3, d_feat=4, k=3)
+        gen, pair = tiny_models(40 + seed, d_in=3, d_feat=4, k=3)
         rng = np.random.default_rng(seed)
         xs, xt = rng.normal(size=(9, 3)), rng.normal(size=(8, 3))
         ys = rng.integers(0, 3, size=9)
         pseudo = PseudoLabelSet(
             rng.integers(0, 3, size=8), rng.uniform(1.0, 2.0, size=8), np.zeros(8)
         )
-        args = (gen, f1, f2, xs, ys, xt, pseudo)
+        args = (gen, pair, xs, ys, xt, pseudo)
         want = per_class_reforward_loss(*args)
         got = class_sorted_loss(*args)
         assert abs(got.item() - want.item()) < 1e-12
@@ -369,7 +367,7 @@ class TestConditional:
     def test_unsorted_rows_equal_per_class_reforward(self, seed, case):
         args = unsorted_case(seed, **case)
         gen = args[0]
-        assert np.any(np.diff(args[4]) < 0)  # the source rows are not sorted
+        assert np.any(np.diff(args[3]) < 0)  # the source rows are not sorted
         want = per_class_reforward_loss(*args)
         got = conditional_loss(*args)
         assert abs(got.item() - want.item()) < 1e-12
@@ -381,40 +379,40 @@ class TestConditional:
 class TestClassGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_equal_domain_gradients_on_each_class(self, seed):
-        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(seed)
         classes = np.array([0, 2])
-        gs, gt = gd.class_gradients(f1, f2, *alignment_args(
-            logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo, classes))
-        n_params = sum(p.size for p in gd.classifier_parameters(f1, f2))
+        gs, gt = gd.class_gradients(pair, *alignment_args(
+            logits(gen, pair, xs), ys, logits(gen, pair, xt), pseudo, classes))
+        n_params = sum(p.size for p in pair.parameters())
         assert gs.shape == gt.shape == (2, n_params)
         for r, k in enumerate(classes):
             s_rows = np.flatnonzero(ys == k)
             t_rows = np.flatnonzero(pseudo.labels == k)
-            want_s = gd.source_gradient(f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows])
-            want_t = gd.target_gradient(f1, f2, *logits(gen, f1, f2, xt[t_rows]),
+            want_s = gd.source_gradient(pair, logits(gen, pair, xs[s_rows]), ys[s_rows])
+            want_t = gd.target_gradient(pair, logits(gen, pair, xt[t_rows]),
                                         pseudo.take(t_rows))
             np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("classes", [None, np.array([0, 2])], ids=["one_row", "per_class"])
     def test_one_domain_gives_its_class_gradients_matrix(self, classes):
-        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(0)
-        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo,
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(0)
+        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
+        gs, gt = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo,
                                                             classes))
         assert gs.shape[0] == gt.shape[0] == (1 if classes is None else 2)
         np.testing.assert_array_equal(
-            gd.source_gradient(f1, f2, *out_s, ys, classes).values, gs.values)
+            gd.source_gradient(pair, out_s, ys, classes).values, gs.values)
         np.testing.assert_array_equal(
-            gd.target_gradient(f1, f2, *out_t, pseudo, classes).values, gt.values)
+            gd.target_gradient(pair, out_t, pseudo, classes).values, gt.values)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_row_is_bit_identical_with_the_two_backward_definition(self, seed):
-        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(seed)
-        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo))
-        want_s = gd.source_gradient(f1, f2, *out_s, ys)
-        want_t = gd.target_gradient(f1, f2, *out_t, pseudo)
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(seed)
+        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
+        gs, gt = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo))
+        want_s = gd.source_gradient(pair, out_s, ys)
+        want_t = gd.target_gradient(pair, out_t, pseudo)
         np.testing.assert_array_equal(gs.values, want_s.values)
         np.testing.assert_array_equal(gt.values, want_t.values)
         assert (gd.gradient_discrepancy_loss(gs, gt).item()
@@ -422,11 +420,11 @@ class TestClassGradients:
 
     def test_targets_of_another_class_count_rejected(self):
         """One-class targets would broadcast against 3 logits columns."""
-        gen, f1, f2, xs, ys, xt, pseudo = unsorted_case(0)
-        out = logits(gen, f1, f2, xs)
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(0)
+        out = logits(gen, pair, xs)
         targets = losses.Targets.of(np.zeros(ys.size, int), 1)
         with pytest.raises(ShapeError, match="do not match log-softmax"):
-            gd.class_gradients(f1, f2, (log_probs(out), targets), (log_probs(out), targets))
+            gd.class_gradients(pair, (log_probs(out), targets), (log_probs(out), targets))
 
     def test_zero_row_counts_in_the_mean(self):
         gs = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
@@ -467,13 +465,13 @@ def deep_case(seed):
     """:func:`unsorted_case` with heads ``[5, 4, 4, 3]``: two hidden relu
     layers, whose masks each hold some 0s and some 1s."""
     case = unsorted_case(seed, d_feat=5, hidden=(4, 4))
-    gen, f1, f2, xs = case[:4]
+    gen, pair, xs = case[:3]
     with T.no_grad():
-        for f in (f1, f2):
-            h = feats(gen, xs)
-            for layer in f.layers[:-1]:
-                h = T.linear(h, layer.weight, layer.bias, relu=True)
-                assert 0.0 < np.mean(h.values > 0.0) < 1.0
+        h = feats(gen, xs)
+        for layer in pair.layers[:-1]:
+            h = T.linear(h, layer.weight, layer.bias, relu=True)
+            for head in h.values:
+                assert 0.0 < np.mean(head > 0.0) < 1.0
     return case
 
 
@@ -489,25 +487,25 @@ class TestDeepHeads:
                              ids=["one_row", "per_class"])
     @pytest.mark.parametrize("seed", range(3))
     def test_matrices_equal_the_parameter_backward_definition(self, seed, classes):
-        gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
-        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        gs, gt = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo,
+        gen, pair, xs, ys, xt, pseudo = deep_case(seed)
+        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
+        gs, gt = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo,
                                                             classes))
         np.testing.assert_array_equal(
-            gs.values, gd.source_gradient(f1, f2, *out_s, ys, classes).values)
+            gs.values, gd.source_gradient(pair, out_s, ys, classes).values)
         np.testing.assert_array_equal(
-            gt.values, gd.target_gradient(f1, f2, *out_t, pseudo, classes).values)
+            gt.values, gd.target_gradient(pair, out_t, pseudo, classes).values)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_match_the_parameter_backward_on_each_class(self, seed):
-        gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
+        gen, pair, xs, ys, xt, pseudo = deep_case(seed)
         classes = np.array([0, 1, 2])
-        gs, gt = gd.class_gradients(f1, f2, *alignment_args(
-            logits(gen, f1, f2, xs), ys, logits(gen, f1, f2, xt), pseudo, classes))
+        gs, gt = gd.class_gradients(pair, *alignment_args(
+            logits(gen, pair, xs), ys, logits(gen, pair, xt), pseudo, classes))
         for r, k in enumerate(classes):
             s_rows, t_rows = np.flatnonzero(ys == k), np.flatnonzero(pseudo.labels == k)
-            want_s = gd.source_gradient(f1, f2, *logits(gen, f1, f2, xs[s_rows]), ys[s_rows])
-            want_t = gd.target_gradient(f1, f2, *logits(gen, f1, f2, xt[t_rows]),
+            want_s = gd.source_gradient(pair, logits(gen, pair, xs[s_rows]), ys[s_rows])
+            want_t = gd.target_gradient(pair, logits(gen, pair, xt[t_rows]),
                                         pseudo.take(t_rows))
             np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
@@ -516,35 +514,35 @@ class TestDeepHeads:
     def test_generator_gradient_matches_finite_differences(self, seed):
         """The conditional loss equals that of the definition's matrices, and
         its generator gradient matches central differences."""
-        gen, f1, f2, xs, ys, xt, pseudo = deep_case(seed)
+        gen, pair, xs, ys, xt, pseudo = deep_case(seed)
 
         def loss_fn():
-            return conditional_loss(gen, f1, f2, xs, ys, xt, pseudo)
+            return conditional_loss(gen, pair, xs, ys, xt, pseudo)
 
-        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
+        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
         shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
         want = gd.gradient_discrepancy_loss(
-            gd.source_gradient(f1, f2, *out_s, ys, shared),
-            gd.target_gradient(f1, f2, *out_t, pseudo, shared))
+            gd.source_gradient(pair, out_s, ys, shared),
+            gd.target_gradient(pair, out_t, pseudo, shared))
         assert loss_fn().item() == want.item()
         assert_generator_gradient_matches_finite_differences(loss_fn, gen)
 
     def test_plain_generator_gradient_matches_finite_differences(self):
         """The one-row loss, on a case whose relu pre-activations all clear
         the margin, in the generator and in both hidden layers of each head."""
-        gen, f1, f2, src, tgt, pseudo = checks._tiny_alignment_case(
+        gen, pair, src, tgt, pseudo = checks._tiny_alignment_case(
             np.random.default_rng(6), clf_dims=(3, 4, 4, 2))
         assert_generator_gradient_matches_finite_differences(
-            lambda: gd.gradient_discrepancy_loss(*gd.class_gradients(f1, f2, *alignment_args(
-                logits(gen, f1, f2, src.features), src.labels,
-                logits(gen, f1, f2, tgt.features), pseudo))), gen)
+            lambda: gd.gradient_discrepancy_loss(*gd.class_gradients(pair, *alignment_args(
+                logits(gen, pair, src.features), src.labels,
+                logits(gen, pair, tgt.features), pseudo))), gen)
 
     def test_conditional_generator_gradient_matches_finite_differences(self):
         """On a case whose relu pre-activations all clear the margin, in the
         generator and in both hidden layers of each head."""
         rng = np.random.default_rng(5)
         while True:  # until both classes are in both batches
-            gen, f1, f2, src, tgt, pseudo = checks._tiny_alignment_case(
+            gen, pair, src, tgt, pseudo = checks._tiny_alignment_case(
                 rng, clf_dims=(3, 4, 4, 2))
             if {*src.labels} & {*pseudo.labels} == {0, 1}:
                 break
@@ -553,27 +551,28 @@ class TestDeepHeads:
 
         assert_generator_gradient_matches_finite_differences(
             lambda: gd.conditional_gradient_loss(
-                f1, f2, (log_probs(logits(gen, f1, f2, src.features)), ts),
-                (log_probs(logits(gen, f1, f2, tgt.features)), tt)), gen)
+                pair, (log_probs(logits(gen, pair, src.features)), ts),
+                (log_probs(logits(gen, pair, tgt.features)), tt)), gen)
 
     @pytest.mark.parametrize("rows, labels", [(0, 0), (4, 3)],
                              ids=["empty_batch", "label_count"])
     def test_batch_checks_of_the_cross_entropy(self, rows, labels):
-        gen, f1, f2 = hidden_models(1, d_feat=5, hidden=(4, 4))
-        out = logits(gen, f1, f2, np.ones((rows, 3)))
+        gen, pair = hidden_models(1, d_feat=5, hidden=(4, 4))
+        out = logits(gen, pair, np.ones((rows, 3)))
         targets = losses.Targets.of(np.arange(labels) % 3, 3)
         message = ("cross-entropy needs a non-empty batch" if rows == 0
                    else f"{labels} labels for a batch of {rows}")
         with pytest.raises(ContractError, match=message):
-            gd.class_gradients(f1, f2, (log_probs(out), targets), (log_probs(out), targets))
+            gd.class_gradients(pair, (log_probs(out), targets), (log_probs(out), targets))
 
     def test_each_hidden_layer_is_masked_once(self):
-        """One domain's matrix records one mask ``mul`` per hidden layer and
-        head, and no other ``mul``."""
-        gen, f1, f2, xs, ys, xt, pseudo = deep_case(0)
-        out_s, out_t = logits(gen, f1, f2, xs), logits(gen, f1, f2, xt)
-        gs, _ = gd.class_gradients(f1, f2, *alignment_args(out_s, ys, out_t, pseudo))
-        assert op_counts(gs)["mul"] == 2 * 2
+        """One domain's matrix records one ``relu_mask`` node per hidden
+        layer, for both heads, and no ``mul``."""
+        gen, pair, xs, ys, xt, pseudo = deep_case(0)
+        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
+        gs, _ = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo))
+        counts = op_counts(gs)
+        assert counts["relu_mask"] == 2 and counts["mul"] == 0
 
 
 class TestDoubleBackward:

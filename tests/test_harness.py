@@ -38,7 +38,7 @@ class TestNonFiniteLoss:
     def bad(self, request, monkeypatch):
         original = losses.l1_discrepancy
         monkeypatch.setattr(losses, "l1_discrepancy",
-                            lambda p1, p2: add(original(p1, p2), request.param))
+                            lambda p: add(original(p), request.param))
         return request.param
 
     def test_trainer_raises_naming_the_epoch_and_the_loss(self, tmp_path, bad):

@@ -10,7 +10,7 @@ from cgdm import losses, nn
 from cgdm.checks import finite_difference_gradient
 from cgdm.data import DomainSet
 from cgdm.pseudo_labels import PseudoLabelSet
-from cgdm.tensor import ContractError, Tensor, backward, log_softmax, softmax
+from cgdm.tensor import ContractError, ShapeError, Tensor, backward, log_softmax, softmax
 
 LN2 = np.log(2.0)
 
@@ -21,9 +21,14 @@ def cross_entropy_of(logits, labels, weights=None):
                                 losses.Targets.of(labels, logits.shape[1], weights))
 
 
-def source_loss(gen, f1, f2, batch):
+def source_loss(gen, pair, batch):
     return losses.source_classification_loss(
-        gen, f1, f2, batch.features, losses.Targets.of(batch.labels, f1.out_dim))
+        gen, pair, batch.features, losses.Targets.of(batch.labels, pair.out_dim))
+
+
+def pair_of(a, b):
+    """Two heads' b-by-K arrays as the pair's stacked tensor."""
+    return Tensor(np.stack([a, b]))
 
 
 def random_probs(rng, b, k):
@@ -77,7 +82,7 @@ class TestSourceClassificationLoss:
         f1 = nn.init_mlp([4, 3], seed=1)
         f2 = copy.deepcopy(f1)
         batch = self._batch(rng)
-        both = source_loss(gen, f1, f2, batch).item()
+        both = source_loss(gen, nn.stack([f1, f2]), batch).item()
         feats = nn.forward(gen, Tensor(batch.features))
         single = cross_entropy_of(nn.forward(f1, feats), batch.labels).item()
         assert abs(both - single) < 1e-12
@@ -85,13 +90,11 @@ class TestSourceClassificationLoss:
     def test_uniform_outputs_give_lnk(self):
         rng = np.random.default_rng(3)
         gen = nn.init_mlp([3, 4], seed=0, final_activation="relu")
-        f1 = nn.init_mlp([4, 4], seed=1)
-        f2 = nn.init_mlp([4, 4], seed=2)
-        for f in (f1, f2):
-            f.layers[0].weight.values[:] = 0.0
-            f.layers[0].bias.values[:] = 0.0
+        pair = nn.stack([nn.init_mlp([4, 4], seed=1), nn.init_mlp([4, 4], seed=2)])
+        pair.layers[0].weight.values[:] = 0.0
+        pair.layers[0].bias.values[:] = 0.0
         batch = self._batch(rng, k=4)
-        val = source_loss(gen, f1, f2, batch).item()
+        val = source_loss(gen, pair, batch).item()
         assert abs(val - np.log(4)) < 1e-12
 
     def test_equals_mean_of_componentwise(self):
@@ -100,7 +103,7 @@ class TestSourceClassificationLoss:
         f1 = nn.init_mlp([4, 3], seed=6)
         f2 = nn.init_mlp([4, 3], seed=7)
         batch = self._batch(rng)
-        combined = source_loss(gen, f1, f2, batch).item()
+        combined = source_loss(gen, nn.stack([f1, f2]), batch).item()
         feats = nn.forward(gen, Tensor(batch.features))
         ce1 = cross_entropy_of(nn.forward(f1, feats), batch.labels).item()
         ce2 = cross_entropy_of(nn.forward(f2, feats), batch.labels).item()
@@ -108,11 +111,10 @@ class TestSourceClassificationLoss:
 
     def test_unlabeled_batch_rejected(self):
         gen = nn.init_mlp([3, 4], seed=0)
-        f1 = nn.init_mlp([4, 3], seed=1)
-        f2 = nn.init_mlp([4, 3], seed=2)
+        pair = nn.stack([nn.init_mlp([4, 3], seed=1), nn.init_mlp([4, 3], seed=2)])
         batch = DomainSet(np.zeros((2, 3)), None, "target")
         with pytest.raises(ContractError):
-            source_loss(gen, f1, f2, batch)
+            source_loss(gen, pair, batch)
         with pytest.raises(ContractError):  # a log-softmax, not the logits
             losses.cross_entropy(Tensor(np.zeros((2, 3))), losses.Targets.of([0, 1], 3))
 
@@ -123,12 +125,12 @@ class TestPairCrossEntropy:
         l1, l2 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
         labels = rng.integers(0, 3, size=4)
         w = rng.uniform(1.0, 2.0, size=4)
-        pair = losses.pair_cross_entropy((log_softmax(l1), log_softmax(l2)),
+        pair = losses.pair_cross_entropy(log_softmax(pair_of(l1.values, l2.values)),
                                          losses.Targets.of(labels, 3, w)).item()
         ce1 = cross_entropy_of(l1, labels, w).item()
         ce2 = cross_entropy_of(l2, labels, w).item()
         assert pair == 0.5 * (ce1 + ce2)
-        same = losses.pair_cross_entropy((log_softmax(l1), log_softmax(l1)),
+        same = losses.pair_cross_entropy(log_softmax(pair_of(l1.values, l1.values)),
                                          losses.Targets.of(labels, 3)).item()
         assert abs(same - cross_entropy_of(l1, labels).item()) < 1e-15
 
@@ -238,44 +240,52 @@ class TestWeightedCrossEntropy:
 
 class TestL1Discrepancy:
     def test_equal_inputs_zero(self):
-        p = Tensor(random_probs(np.random.default_rng(9), 4, 3))
-        assert losses.l1_discrepancy(p, p).item() == 0.0
+        p = random_probs(np.random.default_rng(9), 4, 3)
+        assert losses.l1_discrepancy(pair_of(p, p)).item() == 0.0
 
     def test_opposite_one_hots(self):
-        val = losses.l1_discrepancy(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])).item()
+        val = losses.l1_discrepancy(pair_of([[1.0, 0.0]], [[0.0, 1.0]])).item()
         assert abs(val - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 3), (2, 12)])
+    def test_anything_but_a_stacked_pair_rejected(self, shape):
+        p = Tensor(np.full(shape, 0.25))
+        with pytest.raises(ShapeError):
+            losses.l1_discrepancy(p)
+        with pytest.raises(ShapeError):
+            losses.class_balance_loss(p)
 
     def test_matches_elementwise_reference(self):
         rng = np.random.default_rng(10)
         a, b = random_probs(rng, 5, 4), random_probs(rng, 5, 4)
         ref = float(np.mean(np.abs(a - b)))
-        assert abs(losses.l1_discrepancy(Tensor(a), Tensor(b)).item() - ref) < 1e-12
+        assert abs(losses.l1_discrepancy(pair_of(a, b)).item() - ref) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
     def test_symmetric_and_bounded(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_probs(rng, 3, 4), random_probs(rng, 3, 4)
-        d_ab = losses.l1_discrepancy(Tensor(a), Tensor(b)).item()
-        d_ba = losses.l1_discrepancy(Tensor(b), Tensor(a)).item()
+        d_ab = losses.l1_discrepancy(pair_of(a, b)).item()
+        d_ba = losses.l1_discrepancy(pair_of(b, a)).item()
         assert abs(d_ab - d_ba) < 1e-15
         assert 0.0 <= d_ab <= 2.0
 
 
 class TestClassBalance:
     def test_uniform_mean_is_zero(self):
-        p = Tensor(np.full((4, 3), 1.0 / 3))
-        assert abs(losses.class_balance_loss(p, p).item()) < 1e-12
+        p = np.full((4, 3), 1.0 / 3)
+        assert abs(losses.class_balance_loss(pair_of(p, p)).item()) < 1e-12
 
     def test_point_mass_is_lnk(self):
-        p = Tensor(np.tile([1.0, 0.0, 0.0], (4, 1)))
-        val = losses.class_balance_loss(p, p).item()
+        p = np.tile([1.0, 0.0, 0.0], (4, 1))
+        val = losses.class_balance_loss(pair_of(p, p)).item()
         assert abs(val - np.log(3)) < 1e-12
 
     def test_frozen_oracle_value(self):
         # ln 3 - H([0.5, 0.25, 0.25]), direct entropy evaluation
-        p = Tensor(np.tile([0.5, 0.25, 0.25], (2, 1)))
-        val = losses.class_balance_loss(p, p).item()
+        p = np.tile([0.5, 0.25, 0.25], (2, 1))
+        val = losses.class_balance_loss(pair_of(p, p)).item()
         assert val == pytest.approx(0.05889151782819191, abs=1e-5)
 
     @settings(max_examples=100, deadline=None)
@@ -283,7 +293,7 @@ class TestClassBalance:
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_probs(rng, 4, 5), random_probs(rng, 4, 5)
-        assert losses.class_balance_loss(Tensor(a), Tensor(b)).item() >= 0.0
+        assert losses.class_balance_loss(pair_of(a, b)).item() >= 0.0
 
 
 class TestLossGradients:
@@ -319,18 +329,16 @@ class TestLossGradients:
 
     def test_discrepancy_and_balance_gradients(self):
         rng = np.random.default_rng(13)
-        za = Tensor(rng.normal(size=(3, 4)))
-        zb = Tensor(rng.normal(size=(3, 4)))
+        z = pair_of(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
 
         def dis():
-            return losses.l1_discrepancy(softmax(za), softmax(zb))
+            return losses.l1_discrepancy(softmax(z))
 
         def bal():
-            return losses.class_balance_loss(softmax(za), softmax(zb))
+            return losses.class_balance_loss(softmax(z))
 
         for loss in (dis, bal):
-            auto = backward(loss(), [za, zb])
-            ref = finite_difference_gradient(loss, [za, zb])
-            for t, r in zip((za, zb), ref):
-                err = np.max(np.abs(auto[t].values - r) / np.maximum(np.abs(r), 1e-2))
-                assert err < 1e-4
+            auto = backward(loss(), [z])[z].values
+            ref = finite_difference_gradient(loss, [z])[0]
+            err = np.max(np.abs(auto - ref) / np.maximum(np.abs(ref), 1e-2))
+            assert err < 1e-4

@@ -39,6 +39,23 @@ class TestInit:
         with pytest.raises(ContractError):
             nn.init_mlp([3], seed=0)
 
+    def test_stack_keeps_each_draw_and_unstack_views_it(self):
+        """The pair's head h holds net h's bits; each unstacked head's
+        parameters are views of the pair's slices."""
+        nets = [nn.init_mlp([4, 8, 3], seed=s) for s in (5, 6)]
+        pair = nn.stack(nets)
+        assert (pair.in_dim, pair.out_dim) == (4, 3)
+        assert [layer.weight.shape for layer in pair.layers] == [(2, 8, 4), (2, 3, 8)]
+        for h, head in enumerate(nn.unstack(pair)):
+            for p_head, p_net, p_pair in zip(head.parameters(), nets[h].parameters(),
+                                             pair.parameters()):
+                assert p_head.values.tobytes() == p_net.values.tobytes()
+                assert np.shares_memory(p_head.values, p_pair.values)
+        with pytest.raises(ContractError):
+            nn.stack([nn.init_mlp([4, 8, 3], seed=5), nn.init_mlp([4, 7, 3], seed=6)])
+        with pytest.raises(ContractError):
+            nn.stack([pair, pair])
+
     def test_hidden_relu_final_configurable(self):
         net = nn.init_mlp([2, 4, 3], seed=0, final_activation="relu")
         assert [l.activation for l in net.layers] == ["relu", "relu"]
@@ -228,6 +245,53 @@ class TestCheckpoint:
             ]
             for po, pb in zip(orig.parameters(), back.parameters()):
                 assert np.array_equal(po.values, pb.values)
+
+    def test_a_pair_is_saved_as_its_two_heads(self, tmp_path):
+        """The pair's text is that of its two heads saved as the nets
+        ``classifier1`` and ``classifier2``, and loading that text gives the
+        pair back bit for bit."""
+        gen = nn.init_mlp([2, 4, 3], seed=5, final_activation="relu")
+        heads = [nn.init_mlp([3, 5, 2], seed=s) for s in (6, 7)]
+        pair = nn.stack(heads)
+        apart, stacked = tmp_path / "apart.ckpt", tmp_path / "stacked.ckpt"
+        nn.save_params({"generator": gen, "classifier1": heads[0],
+                        "classifier2": heads[1]}, apart)
+        nn.save_params({"generator": gen, "classifier": pair}, stacked)
+        assert stacked.read_text() == apart.read_text()
+        loaded = nn.load_params(apart)
+        assert list(loaded) == ["generator", "classifier"]
+        back = loaded["classifier"]
+        assert [l.activation for l in back.layers] == [l.activation for l in pair.layers]
+        for po, pb in zip(pair.parameters(), back.parameters()):
+            assert po.values.shape == pb.values.shape
+            assert po.values.tobytes() == pb.values.tobytes()
+
+    @staticmethod
+    def _pair_error(tmp_path, edit):
+        """The ParseError of loading a saved pair whose lines ``edit`` changed."""
+        path = tmp_path / "pair.ckpt"
+        nn.save_params({"classifier": nn.stack([nn.init_mlp([3, 5, 2], seed=s)
+                                                for s in (6, 7)])}, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            nn.load_params(path)
+        return err.value
+
+    def test_heads_of_other_layers_are_rejected(self, tmp_path):
+        def edit(lines):
+            lines[2] = "arch classifier2 relu,relu"
+        err = self._pair_error(tmp_path, edit)
+        assert err.line == 3 and "classifier2: layers differ" in str(err)
+
+    def test_a_net_named_as_its_heads_stem_is_rejected(self, tmp_path):
+        def edit(lines):
+            lines.insert(1, "arch classifier none")
+            lines += ["param classifier.layer0.weight 1 1", "0.5",
+                      "param classifier.layer0.bias 1", "0"]
+        err = self._pair_error(tmp_path, edit)
+        assert err.line == 2 and "classifier is a net and the name of heads" in str(err)
 
     @staticmethod
     def _saved_lines(tmp_path):

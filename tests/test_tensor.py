@@ -215,6 +215,23 @@ _CASE_INDEX = {name: idx for idx, name in enumerate(sorted([*_PRIMITIVE_CASES, "
 _PRIMITIVE_CASES["absolute"] = (
     ["off"], lambda i: T.tsum(T.mul(T.absolute(i["off"]), i["proj34"])))
 _CASE_INDEX["absolute"] = len(_CASE_INDEX)
+# the ops of stacked heads: a 2-by-3-by-4 stack of two heads' 3-by-4 slices
+for _name, _case in {
+    "head_difference": (
+        ["stack"], lambda i: T.tsum(T.mul(T.head_difference(i["stack"]), i["proj34"]))),
+    "relu_mask": (
+        ["stack"], lambda i: T.tsum(T.mul(T.relu_mask(i["stack"], i["stack_off"].values),
+                                          i["proj234"]))),
+    "sum_axis1_heads": (
+        ["stack"], lambda i: T.tsum(T.mul(T.tsum(i["stack"], axis=1), i["proj24"]))),
+    "matmul_heads": (
+        ["stack", "stack_k"],
+        lambda i: T.tsum(T.mul(T.matmul(i["stack"], i["stack_k"]), i["proj232"]))),
+    "log_softmax_heads": (
+        ["stack"], lambda i: T.tsum(T.mul(T.log_softmax(i["stack"]), i["proj234"]))),
+}.items():
+    _PRIMITIVE_CASES[_name] = _case
+    _CASE_INDEX[_name] = len(_CASE_INDEX)
 
 
 def _case_inputs(name: str, trial: int) -> dict:
@@ -235,6 +252,13 @@ def _case_inputs(name: str, trial: int) -> dict:
         "proj64": T.Tensor(rng.normal(size=(6, 4))),
         "proj4": T.Tensor(rng.normal(size=4)),
         "proj3": T.Tensor(rng.normal(size=3)),
+        # drawn after the others, so the cases above keep their inputs
+        "stack": T.Tensor(rng.normal(size=(2, 3, 4))),
+        "stack_k": T.Tensor(rng.normal(size=(2, 4, 2))),
+        "stack_off": T.Tensor(rng.normal(size=(2, 3, 4))),
+        "proj234": T.Tensor(rng.normal(size=(2, 3, 4))),
+        "proj232": T.Tensor(rng.normal(size=(2, 3, 2))),
+        "proj24": T.Tensor(rng.normal(size=(2, 4))),
     }
 
 
@@ -292,6 +316,13 @@ def _recorded_linear_gradient(x, w, b, proj, relu):
 def _fused_builder(name: str, seed: int):
     """(make_scalar, wrt): a scalar through one fused op, rebuilt from the
     same ``wrt`` tensors on every call."""
+    if name == "linear_heads":
+        x, w, b, proj = TestHeadAxis._linear_case(seed)
+        return lambda: _quadratic(T.linear(x, w, b), proj), [x, w, b]
+    if name == "class_affine_gradient_heads":
+        layers, members, proj = TestHeadAxis._class_layers_case(seed)
+        return (lambda: _quadratic(T.class_affine_gradient(layers, members), proj),
+                [t for layer in layers for t in layer])
     if name.startswith("linear"):
         x, w, b, proj = TestFusedOps._linear_case(seed)
         relu = name == "linear_relu"
@@ -317,10 +348,12 @@ def _fused_builder(name: str, seed: int):
 _FUSED_CASES = ("linear", "cross_entropy", "cross_entropy_weighted", "cross_entropy_grad",
                 "class_affine_gradient_all", "class_affine_gradient_K", "cosine_rows_2d",
                 "class_affine_gradient_layers", "linear_relu",
-                "class_affine_gradient_no_class")
+                "class_affine_gradient_no_class", "linear_heads",
+                "class_affine_gradient_heads")
 _GRADIENT_OP_CASES = ("cross_entropy_grad", "class_affine_gradient_all",
                       "class_affine_gradient_K", "cosine_rows_2d",
-                      "class_affine_gradient_layers", "class_affine_gradient_no_class")
+                      "class_affine_gradient_layers", "class_affine_gradient_no_class",
+                      "class_affine_gradient_heads")
 
 
 def _scalar_and_wrt(name: str, trial: int):
@@ -740,6 +773,174 @@ class TestFusedGradientOps:
     @pytest.mark.parametrize("seed", range(3))
     def test_first_order(self, name, seed):
         fd_check(*_fused_builder(name, seed))
+
+
+def _assert_headwise(op, stacked, shared=(), seed=0):
+    """``op`` on two heads stacked on a leading axis against ``op`` on each
+    head's slices, bit for bit: each head's slice of the output, and the
+    vjps of a random projection of it, a stacked input's gradient slice by
+    slice and a shared input's as the two heads' gradients summed in head
+    order."""
+    stacked = [T.Tensor(a) for a in stacked]
+    shared = [T.Tensor(a) for a in shared]
+    out = op(*stacked, *shared)
+    proj = np.random.default_rng(seed).normal(size=out.shape)
+    grads = T.backward(T.tsum(T.mul(out, proj)), stacked + shared)
+    totals = [None] * len(shared)
+    for h in range(2):
+        own = [T.Tensor(t.values[h].copy()) for t in stacked]
+        common = [T.Tensor(t.values.copy()) for t in shared]
+        out_h = op(*own, *common)
+        assert out.values[h].tobytes() == out_h.values.tobytes()
+        g_h = T.backward(T.tsum(T.mul(out_h, proj[h])), own + common)
+        for t, t_h in zip(stacked, own):
+            assert grads[t].values[h].tobytes() == g_h[t_h].values.tobytes()
+        totals = [g_h[t].values if total is None else total + g_h[t].values
+                  for total, t in zip(totals, common)]
+    for t, total in zip(shared, totals):
+        assert grads[t].values.tobytes() == total.tobytes()
+
+
+class TestHeadAxis:
+    """Two heads stacked on a leading axis give, head by head, the bits of
+    the 2-D ops on their slices, and the head axis is the one broadcast the
+    contract adds."""
+
+    @staticmethod
+    def _linear_case(seed):
+        """A shared 5-by-3 input, two heads' 4-by-3 weights and biases."""
+        rng = np.random.default_rng(600 + seed)
+        return (T.Tensor(rng.normal(size=(5, 3))), T.Tensor(rng.normal(size=(2, 4, 3))),
+                T.Tensor(rng.normal(size=(2, 4))), T.Tensor(rng.normal(size=(2, 5, 4))))
+
+    @staticmethod
+    def _class_layers_case(seed):
+        """Two heads' two layers on 6 rows: (delta 2x6x2, shared h 6x3) and
+        (2x6x3, stacked h 2x6x2), and members of 3 classes."""
+        rng = np.random.default_rng(700 + seed)
+        layers = [(T.Tensor(rng.normal(size=(2, 6, 2))), T.Tensor(rng.normal(size=(6, 3)))),
+                  (T.Tensor(rng.normal(size=(2, 6, 3))), T.Tensor(rng.normal(size=(2, 6, 2))))]
+        members = (np.array([0, 1, 2, 0, 1, 2])[:, None] == np.arange(3)).astype(np.float64)
+        return layers, members, T.Tensor(rng.normal(size=(3, 2 * (8 + 9))))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_of_a_shared_input(self, seed, relu):
+        x, w, b, _ = self._linear_case(seed)
+        _assert_headwise(lambda w, b, x: T.linear(x, w, b, relu=relu),
+                         [w.values, b.values], [x.values], seed)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_of_a_stacked_input(self, seed, relu):
+        _, w, b, x = self._linear_case(seed)
+        x = x.values[..., :3]
+        _assert_headwise(lambda x, w, b: T.linear(x, w, b, relu=relu),
+                         [x, w.values, b.values], seed=seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matmul(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        _assert_headwise(T.matmul, [rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 3, 4))],
+                         seed=seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_log_softmax(self, seed):
+        _assert_headwise(T.log_softmax, [np.random.default_rng(900 + seed).normal(
+            size=(2, 64, 3))], seed=seed)
+
+    def test_sum_over_the_rows(self):
+        """``tsum`` over a stack's rows (axis 1) sums each head's (axis 0)."""
+        _assert_headwise(lambda a: T.tsum(a, axis=a.values.ndim - 2),
+                         [np.random.default_rng(0).normal(size=(2, 64, 3))])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_softmax_cross_entropy_gives_each_heads_mean(self, seed, weighted):
+        rng = np.random.default_rng(1000 + seed)
+        labels = rng.integers(0, 3, size=64)
+        t = losses.Targets.of(labels, 3, rng.uniform(1.0, 2.0, size=64) if weighted else None)
+        _assert_headwise(
+            lambda z: T.softmax_cross_entropy(T.log_softmax(z), t.onehot, t.weights, t.scale),
+            [rng.normal(size=(2, 64, 3))], seed=seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cross_entropy_grad(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        t = losses.Targets.of(rng.integers(0, 3, size=64), 3, rng.uniform(1.0, 2.0, size=64))
+        ls = T.log_softmax(T.Tensor(rng.normal(size=(2, 64, 3)))).values
+        _assert_headwise(lambda ls: T.cross_entropy_grad(ls, 0.5, t.onehot, t.scale), [ls],
+                         seed=seed)
+
+    @pytest.mark.parametrize("by_class", [False, True], ids=["plain", "by_class"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_class_affine_gradient_rows_are_head_1_then_head_2(self, seed, by_class):
+        """Row r is ``[F1's layers | F2's layers]``: the 2-D op on head 1's
+        slices, then on head 2's, in values and in every vjp."""
+        layers, members, proj = self._class_layers_case(seed)
+        members = members if by_class else None
+        proj = proj.values if by_class else proj.values[:1]
+        fused = T.class_affine_gradient(layers, members)
+        assert fused.op == "class_affine_gradient" and len(fused.parents) == 4
+        inputs = [t for layer in layers for t in layer]
+        grads = T.backward(T.tsum(T.mul(fused, proj)), inputs)
+        width = fused.shape[1] // 2
+        shared = None
+        for h in range(2):
+            own = [(T.Tensor(delta.values[h].copy()),
+                    T.Tensor((x.values[h] if x.values.ndim == 3 else x.values).copy()))
+                   for delta, x in layers]
+            apart = T.class_affine_gradient(own, members)
+            assert fused.values[:, h * width:(h + 1) * width].tobytes() == apart.values.tobytes()
+            g_h = T.backward(T.tsum(T.mul(apart, proj[:, h * width:(h + 1) * width])),
+                             [t for layer in own for t in layer])
+            (d0, x0), (d1, x1) = layers
+            (d0_h, x0_h), (d1_h, x1_h) = own
+            for t, t_h in ((d0, d0_h), (d1, d1_h), (x1, x1_h)):
+                assert grads[t].values[h].tobytes() == g_h[t_h].values.tobytes()
+            shared = g_h[x0_h].values if shared is None else shared + g_h[x0_h].values
+        assert grads[layers[0][1]].values.tobytes() == shared.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relu_mask_and_head_difference_equal_their_compositions(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        g, z = T.Tensor(rng.normal(size=(2, 5, 3))), rng.normal(size=(2, 5, 3))
+        proj = T.Tensor(rng.normal(size=(2, 5, 3)))
+        masked = T.relu_mask(g, z)
+        assert masked.parents == (g,) and masked._ctx is z
+        _assert_same_op(masked, T.mul(g, z > 0.0), [g], proj)
+        gap = T.head_difference(g)
+        assert gap.parents == (g,)
+        _assert_same_op(gap, T.sub(T.Tensor(g.values[0]), T.Tensor(g.values[1])), [],
+                        proj.values[0])
+        grad = T.backward(T.tsum(T.mul(gap, proj.values[0])), [g])[g].values
+        assert grad.tobytes() == np.stack([proj.values[0], -proj.values[0]]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_first_order(self, seed):
+        fd_check(*_fused_builder("linear_heads", seed))
+
+    def test_anything_else_is_refused(self):
+        x, w, b, stacked_x = self._linear_case(0)
+        three = T.Tensor(np.zeros((3, 5, 4)))
+        refused = [
+            lambda: T.linear(stacked_x, T.Tensor(w.values[0]), T.Tensor(b.values[0])),
+            lambda: T.linear(T.Tensor(np.zeros((3, 5, 3))), w, b),
+            lambda: T.linear(x, w, T.Tensor(b.values[0])),
+            lambda: T.matmul(stacked_x, T.Tensor(np.zeros((4, 2)))),
+            lambda: T.matmul(stacked_x, T.Tensor(np.zeros((3, 4, 2)))),
+            lambda: T.add(stacked_x, T.Tensor(np.zeros(4))),
+            lambda: T.mul(stacked_x, T.Tensor(np.zeros((5, 4)))),
+            lambda: T.head_difference(three),
+            lambda: T.tsum(stacked_x, axis=2),
+            lambda: T.log_softmax(T.Tensor(np.zeros((2, 2, 5, 4)))),
+            lambda: T.relu_mask(stacked_x, np.zeros((5, 4))),
+            lambda: T.class_affine_gradient([(stacked_x, T.Tensor(np.zeros((3, 5, 3))))]),
+            lambda: T.class_affine_gradient([(T.Tensor(np.zeros((5, 4))), stacked_x)]),
+        ]
+        for make in refused:
+            with pytest.raises(T.ShapeError):
+                make()
 
 
 class TestDeterminismAndState:

@@ -20,6 +20,7 @@ from cgdm.tensor import (
     ContractError,
     Tensor,
     _reachable,
+    absolute,
     add,
     backward,
     log_softmax,
@@ -27,6 +28,7 @@ from cgdm.tensor import (
     no_grad,
     softmax,
     sub,
+    tsum,
 )
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
@@ -137,9 +139,12 @@ def test_one_target_pass_per_epoch_boundary(monkeypatch, labelled):
 
 
 def plain_minimax(model, source, target, cfg, rng):
-    """The classic two-classifier minimax (MCD) loop written out: source CE
-    for G, F1, F2; source CE minus discrepancy for F1, F2; discrepancy for G."""
-    gen, f1, f2 = model.generator, model.classifier1, model.classifier2
+    """The classic two-classifier minimax (MCD) loop written out with two
+    classifier nets, each head of the pair on its own: source CE for G, F1,
+    F2; source CE minus discrepancy for F1, F2; discrepancy for G.  The two
+    nets' parameters are views of the pair's, so their steps move it."""
+    gen = model.generator
+    f1, f2 = nn.unstack(model.classifiers)
     opt_g = nn.SgdOptimizer(gen.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
     opt_f = nn.SgdOptimizer(f1.parameters() + f2.parameters(), cfg.lr, cfg.momentum,
                             cfg.weight_decay)
@@ -153,7 +158,8 @@ def plain_minimax(model, source, target, cfg, rng):
     def discrepancy(feats):
         p1 = softmax(nn.forward(f1, feats))
         p2 = softmax(nn.forward(f2, feats))
-        return losses.l1_discrepancy(p1, p2)
+        b, k = p1.shape
+        return mul(tsum(absolute(sub(p1, p2))), 1.0 / (b * k))
 
     def step_all(sb):
         loss = source_ce(nn.forward(gen, Tensor(sb.features)), sb.labels)
@@ -230,12 +236,13 @@ def test_step2_moves_only_the_classifiers(monkeypatch):
     assert [p.values.tobytes() for p in model.generator_parameters()] == before
 
 
-@pytest.mark.parametrize("variant, per_iteration", [("cgdm_wo_gdm", 23), ("cgdm_full", 34)])
+@pytest.mark.parametrize("variant, per_iteration", [("cgdm_wo_gdm", 15), ("cgdm_full", 22)])
 def test_step3_reuses_the_step2_features(monkeypatch, variant, per_iteration):
-    """Per fit iteration with 4 step-3 repeats: step 1 forwards G, F1, F2 on
-    both domains (6), step 2 the same (6), and step 3's first repeat takes
-    step 2's generator features, so it runs the heads only: 24 - 1 forwards
-    without the alignment loss, 36 - 2 with it."""
+    """Per fit iteration with 4 step-3 repeats: step 1 forwards G and the
+    classifier pair, one forward for both heads, on both domains (4), step 2
+    the same (4), and step 3's first repeat takes step 2's generator
+    features, so it runs the pair only: 16 - 1 forwards without the
+    alignment loss, 24 - 2 with it."""
     source, target = harness.build_datasets(
         harness.ExperimentConfig(dataset="two_moons", moons_n=60), 0)
     cfg = harness.variant_config(
@@ -295,14 +302,14 @@ def graph_nodes(root) -> int:
 class TestStep3GraphBudget:
     """Each step-3 repeat records its alignment loss as forward ops, with no
     create-graph backward, and its graph stays within the node count
-    measured once the class gradients became the heads' recorded backward
-    recurrence (3 unsorted classes, heads with one hidden layer; 120 and 136
-    before the class-gradient, cross-entropy-gradient and row-cosine ops
-    were fused, 65 after, 52 with one log-softmax per logits tensor and
-    ``absolute`` as one node, 44 with each layer's ReLU fused into its
-    ``linear`` node)."""
+    measured once the two heads ran as one network of stacked heads (3
+    unsorted classes, heads with one hidden layer; 120 and 136 before the
+    class-gradient, cross-entropy-gradient and row-cosine ops were fused, 65
+    after, 52 with one log-softmax per logits tensor and ``absolute`` as one
+    node, 44 with each layer's ReLU fused into its ``linear`` node, 42 with
+    the class gradients recorded as the heads' backward recurrence)."""
 
-    NODE_BUDGET = {"plain": 42, "conditional": 42}
+    NODE_BUDGET = {"plain": 29, "conditional": 29}
 
     @staticmethod
     def _case(variant):
@@ -336,9 +343,9 @@ class TestStep3GraphBudget:
         assert max(n for _, n in calls) <= self.NODE_BUDGET[variant]
 
     @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
-    def test_one_log_softmax_per_head_and_domain(self, monkeypatch, variant):
-        """A repeat records one log-softmax of each head's logits on each
-        domain: the discrepancy's softmax and the alignment loss's
+    def test_one_log_softmax_per_domain(self, monkeypatch, variant):
+        """A repeat records one log-softmax of the stacked heads' logits on
+        each domain: the discrepancy's softmax and the alignment loss's
         cross-entropies read the same one."""
         step, source, target, targets = self._case(variant)
         made, per_repeat = [], []
@@ -357,20 +364,20 @@ class TestStep3GraphBudget:
         monkeypatch.setattr(tensor, "_node", recording)
         monkeypatch.setattr(trainer, "backward", recorded)
         step.step3_update(source, target, targets)
-        assert per_repeat == [2 * 2] * step.cfg.step3_repeats
+        assert per_repeat == [2] * step.cfg.step3_repeats
 
     @pytest.mark.parametrize("name", ["blobs_conditional", "moons_gdm"])
-    def test_benchmark_backward_reaches_at_most_68_nodes(self, monkeypatch, name):
+    def test_benchmark_backward_reaches_at_most_43_nodes(self, monkeypatch, name):
         """On the workload's pool input 0 a step-3 first-order backward reaches
-        at most 68 nodes, leaves included, as the benchmark's traced
-        ``tensor.reachable_nodes`` counts them."""
+        at most 43 nodes, leaves included, as the benchmark's traced
+        ``tensor.reachable_nodes`` counts them (64 with two heads apart)."""
         experiment, train, variant = WORKLOADS[name]
         ecfg = harness.ExperimentConfig(train=trainer.TrainConfig(**train), **experiment)
         source, target = harness.build_datasets(ecfg, 0)
         cfg = harness.variant_config(ecfg.train, variant, 0)
         model = trainer.build_model(source.dim, int(source.labels.max()) + 1, cfg)
         pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
-            model.generator, model.classifier1, model.classifier2, target.features))
+            model.generator, model.classifiers, target.features))
         rows = np.arange(cfg.batch_size)
         reached = []
 
@@ -385,7 +392,7 @@ class TestStep3GraphBudget:
         step.step3_update(source, target.unlabeled().take(rows),
                           step.batch_targets(source, pseudo.take(rows)))
         assert len(reached) == cfg.step3_repeats
-        assert max(reached) <= 68
+        assert max(reached) <= 43
 
 
 @pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
