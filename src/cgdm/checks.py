@@ -115,8 +115,8 @@ def _sample_discrepancy_case(rng):
 
 def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
     """Autodiff vs central differences on random 2-layer classification
-    models: the cross-entropy of one head, and the L1 discrepancy (through
-    the fused absolute value) of a pair of stacked heads' softmax outputs."""
+    models: the cross-entropy of one head, and the L1 discrepancy (one fused
+    node) of a pair of stacked heads' softmax outputs."""
     rng = np.random.default_rng(seed)
     rng_discrepancy = np.random.default_rng([seed, 1])  # rng draws as it did
     t0 = time.perf_counter()

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class ParseError(ValueError):
     """Malformed input file; carries the offending 1-based line number."""
 
@@ -207,6 +210,8 @@ def load_dataset_csv(path, domain: str = "source") -> DomainSet:
                 labels.append(int(fields[-1]))
         except ValueError as err:
             raise ParseError(f"non-numeric field ({err})", line=lineno) from None
+        if labeled and not _INT64.min <= labels[-1] <= _INT64.max:
+            raise ParseError(f"label {labels[-1]} is outside int64", line=lineno)
     if not feats:
         raise ParseError(f"{path} has a header but no data rows")
     features = np.asarray(feats, dtype=np.float64)

@@ -54,13 +54,10 @@ from .tensor import (
     Tensor,
     backward,
     class_affine_gradient,
-    cosine_rows,
+    cosine_gap,
     log_softmax,
     matmul,
-    mul,
     relu_mask,
-    sub,
-    tsum,
 )
 
 __all__ = [
@@ -165,22 +162,14 @@ def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
 
     A row where either norm is ~0 adds a constant 0 (a vanished gradient has no
     alignment direction to push against) but counts in the mean; if every row
-    does, the result is a constant 0 (no gradient signal).  The cosines are one
-    :func:`~cgdm.tensor.cosine_rows` node over the live rows, whose row norms
-    tell which rows live."""
+    does, the result is a constant 0 (no gradient signal).  The loss is one
+    :func:`~cgdm.tensor.cosine_gap` node, whose row norms tell which rows
+    live."""
     if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(
             f"gradients must be equal-shape K-by-P matrices, got {gs.shape}, {gt.shape}"
         )
-    rows = gs.shape[0]
-    cos, norm_s, norm_t = cosine_rows(gs, gt, EPS)
-    live = (norm_s >= EPS) & (norm_t >= EPS)
-    if not live.any():
-        return Tensor(0.0)
-    if not live.all():  # keep the live rows; the selection is exact
-        keep = np.eye(rows)[live]
-        cos = cosine_rows(matmul(keep, gs), matmul(keep, gt), EPS)[0]
-    return mul(tsum(sub(1.0, cos)), 1.0 / rows)
+    return cosine_gap(gs, gt, EPS)
 
 
 def conditional_gradient_loss(pair, source, target) -> Tensor:

@@ -95,6 +95,11 @@ class ExperimentConfig:
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ConfigError(f"unknown variants: {unknown}")
+        for key in ("seeds", "variants"):
+            values = getattr(self, key)
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise ConfigError(f"{key}: {twice[0]!r} is listed twice")
         if self.dataset == "csv" and not (self.csv_source and self.csv_target):
             raise ConfigError("csv dataset needs csv_source and csv_target paths")
         if min(self.moons_n, self.blobs_dim, self.blobs_n_per_class) < 1:

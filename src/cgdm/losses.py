@@ -25,19 +25,13 @@ import numpy as np
 from . import nn
 from .tensor import (
     ContractError,
-    ShapeError,
     Tensor,
-    absolute,
-    add,
+    balance_gap,
     cross_entropy_grad,
-    head_difference,
-    log,
     log_softmax,
-    mul,
-    neg,
+    mean_abs_difference,
     softmax_cross_entropy,
-    sub,
-    tsum,
+    softmax_pair_cross_entropy,
 )
 
 __all__ = [
@@ -149,8 +143,10 @@ def cross_entropy_cotangent(ls: Tensor, targets: Targets, g: float) -> Tensor:
 
 def pair_cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
     """Mean of the two classifier heads' cross-entropies on the same rows,
-    from the pair's stacked log-softmax: half the sum of the two."""
-    return mul(tsum(cross_entropy(ls, targets)), 0.5)
+    from the pair's stacked log-softmax: half the sum of the two, one
+    :func:`~cgdm.tensor.softmax_pair_cross_entropy` node."""
+    _check_batch(ls, targets)
+    return softmax_pair_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
 
 
 def source_classification_loss(gen, pair, features, targets: Targets) -> Tensor:
@@ -175,24 +171,16 @@ def entropy_weights(probs) -> np.ndarray:
     return 1.0 + np.exp(-entropy)
 
 
-def _check_pair(p: Tensor, loss: str) -> tuple:
-    if p.values.ndim != 3 or p.shape[0] != 2:
-        raise ShapeError(f"{loss} takes the pair's 2-by-b-by-K softmax, got {p.shape}")
-    return p.shape[1:]
-
-
 def l1_discrepancy(p: Tensor) -> Tensor:
     """Mean absolute difference of the pair's two row-stochastic b-by-K
-    matrices, stacked as ``p``; in [0, 2]."""
-    b, k = _check_pair(p, "the discrepancy")
-    return mul(tsum(absolute(head_difference(p))), 1.0 / (b * k))
+    matrices, stacked as ``p``; in [0, 2].  One
+    :func:`~cgdm.tensor.mean_abs_difference` node."""
+    return mean_abs_difference(p)
 
 
 def class_balance_loss(p: Tensor) -> Tensor:
     """ln K - H(mean prediction) of the pair's stacked softmax ``p``, the
     mean over its rows and both heads: zero iff it is uniform.  The mean
-    sums each head's rows, then the two heads."""
-    b, k = _check_pair(p, "the class balance loss")
-    pbar = mul(tsum(tsum(p, axis=1), axis=0), 1.0 / (2 * b))
-    ent = neg(tsum(mul(pbar, log(add(pbar, _LOG_FLOOR)))))
-    return sub(float(np.log(k)), ent)
+    sums each head's rows, then the two heads.  One
+    :func:`~cgdm.tensor.balance_gap` node."""
+    return balance_gap(p, _LOG_FLOOR)

@@ -12,12 +12,13 @@ vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 the parents' values ``args``, the node's output values ``out`` and its saved
 context ``ctx``: the pow exponent, the concat axis, the axis of ``sum0``
 and ``sum1``, the ReLU flag of ``linear``, ``relu_mask``'s layer output,
-the cross-entropy's ``(log-softmax values, onehot, scale)``,
+the two cross-entropies' ``(log-softmax values, onehot, scale)``,
 ``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
-column of row scales), ``class_affine_gradient``'s members (or None) and
-``cosine_rows``'s forward row sums, norms and denominators; relu and
-absolute keep none and take their masks from their output or input, only
-when a backward visits them.
+column of row scales), ``class_affine_gradient``'s members (or None),
+``cosine_rows``'s forward row sums, norms and denominators, and the
+forward arrays and scales of the fused losses and the weights of
+``weighted_sum``; relu and absolute keep none and take their masks from
+their output or input, only when a backward visits them.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -44,7 +45,7 @@ scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
 matrix), and to one leading **head axis**.  The two classifier heads run as
 one network whose parameters are stacked on that axis (H-by-out-by-in
 weights, H-by-out biases); ``linear``, ``matmul``, ``log_softmax``,
-``tsum(axis=...)``, the two cross-entropy ops and ``class_affine_gradient``
+``tsum(axis=...)``, the cross-entropy ops and ``class_affine_gradient``
 take such stacks and give each head's slice the 2-D op's numpy operations,
 ``np.matmul`` running each slice through the 2-D product's BLAS call, so
 each head has the 2-D op's bits (the tests check them head by head).
@@ -76,11 +77,20 @@ gradients are bit-identical to it:
   and its vjp is ``(exp(ls) - onehot) * (g * scale)``;
 * ``cross_entropy_grad(ls, g, onehot, scale)``: that vjp for a constant
   loss cotangent ``g``, as a node whose parent is ``ls``;
+* ``softmax_pair_cross_entropy(ls, onehot, weights, scale)``: the mean of a
+  pair of heads' cross-entropies, ``mul(tsum(softmax_cross_entropy(..)), 0.5)``;
 * ``class_affine_gradient(layers, members)``: each affine layer's weight and
   bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r,
   the layers side by side, head after head: ``concat`` of one block per
-  head and layer;
-* ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row.
+  head and layer, each layer's product and sum made for all heads at once;
+* ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row;
+* the losses, each a scalar node: ``mean_abs_difference(p)``, the L1
+  discrepancy ``mul(tsum(absolute(head_difference(p))), 1 / n)``;
+  ``balance_gap(p, floor)``, the nine-node class balance loss; and
+  ``cosine_gap(gs, gt, eps)``, ``mul(tsum(sub(1, cosine_rows(...))), 1 /
+  rows)`` with the rows of a vanished gradient left out;
+* ``weighted_sum(terms)``: a step's objective, the chain of ``add``,
+  ``sub`` and ``mul`` by a weight that sums its losses.
 """
 from __future__ import annotations
 
@@ -118,9 +128,14 @@ __all__ = [
     "log_softmax",
     "softmax",
     "softmax_cross_entropy",
+    "softmax_pair_cross_entropy",
     "cross_entropy_grad",
     "class_affine_gradient",
     "cosine_rows",
+    "mean_abs_difference",
+    "balance_gap",
+    "cosine_gap",
+    "weighted_sum",
     "backward",
 ]
 
@@ -425,6 +440,21 @@ def softmax(a) -> Tensor:
     return exp(log_softmax(a))
 
 
+def _heads_cross_entropy(ls: Tensor, onehot, weights, scale) -> np.ndarray:
+    if _state.enabled and ls.op != "log_softmax":
+        raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
+    if ls.values.ndim not in (2, 3):
+        raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
+    b, k = ls.shape[-2:]
+    if onehot.shape != (b, k) or scale.shape != (b, 1):
+        raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
+                         f"do not match logits {(b, k)}")
+    if weights.shape != (b,):
+        raise ShapeError(f"{weights.shape} weights for a batch of {b}")
+    picked = -(ls.values * onehot).sum(axis=-1) * weights
+    return picked.sum(axis=-1) * (1.0 / b)
+
+
 def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
                           scale: np.ndarray) -> Tensor:
     """Mean over the batch of ``-weights[i] * ls[i, y_i]``, where ``ls`` is
@@ -438,19 +468,17 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
     The node's parent is the logits; its context keeps the values of ``ls``,
     which the vjp reads.
     """
-    if _state.enabled and ls.op != "log_softmax":
-        raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
-    if ls.values.ndim not in (2, 3):
-        raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
-    b, k = ls.shape[-2:]
-    if onehot.shape != (b, k) or scale.shape != (b, 1):
-        raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
-                         f"do not match logits {(b, k)}")
-    if weights.shape != (b,):
-        raise ShapeError(f"{weights.shape} weights for a batch of {b}")
-    picked = -(ls.values * onehot).sum(axis=-1) * weights
-    return _node(picked.sum(axis=-1) * (1.0 / b), ls.parents, "cross_entropy",
-                 (ls.values, onehot, scale))
+    return _node(_heads_cross_entropy(ls, onehot, weights, scale), ls.parents,
+                 "cross_entropy", (ls.values, onehot, scale))
+
+
+def softmax_pair_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
+                               scale: np.ndarray) -> Tensor:
+    """``mul(tsum(softmax_cross_entropy(ls, ...)), 0.5)``, the mean of a
+    pair of heads' cross-entropies, as one node of the same parent and
+    context."""
+    return _node(_heads_cross_entropy(ls, onehot, weights, scale).sum() * 0.5, ls.parents,
+                 "pair_cross_entropy", (ls.values, onehot, scale))
 
 
 def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
@@ -480,6 +508,7 @@ def class_affine_gradient(layers, members=None) -> Tensor:
     ``delta`` is H-by-b-by-out and each ``h`` the b-by-in input the heads
     share or their H-by-b-by-in stack, and row r is head 1's layers, then
     head 2's, and so on, each head's block made from its slices as above.
+    Each layer's product and sum run once for all heads, on the head axis.
     The masked copies of each ``delta`` live only inside the op and its
     first-order vjp."""
     layers = [(as_tensor(delta), as_tensor(h)) for delta, h in layers]
@@ -495,15 +524,72 @@ def class_affine_gradient(layers, members=None) -> Tensor:
     rows = 1 if members is None else members.shape[-1]
     if members is not None and (members.shape != (n, rows) or not rows):
         raise ShapeError(f"{members.shape} members for {n} rows")
-    blocks = []
-    for i in range(_head_count(layers[0][0].values)):
-        for delta, h in layers:
-            d = _head(delta.values, i)
-            copies = d if members is None else _class_copies(d, members)
-            blocks += [(copies.T @ _head(h.values, i)).reshape(rows, -1),
-                       copies.sum(axis=0).reshape(rows, -1)]
+    columns = sum(delta.shape[-1] * (h.shape[-1] + 1) for delta, h in layers)
+    out = np.empty((rows, math.prod(heads), columns))  # class, head, column
+    start = 0
+    for delta, h in layers:
+        d = _stacked(delta.values)
+        copies = d if members is None else _class_copies(d, members)
+        for block in (np.matmul(_swap(copies), h.values), copies.sum(axis=1)):
+            block = block.reshape(len(d), rows, -1)
+            out[:, :, start:start + block.shape[2]] = block.transpose(1, 0, 2)
+            start += block.shape[2]
     parents = tuple(t for layer in layers for t in layer)
-    return _node(np.concatenate(blocks, 1), parents, "class_affine_gradient", members)
+    return _node(out.reshape(rows, -1), parents, "class_affine_gradient", members)
+
+
+def _two_heads(p, op: str) -> Tensor:
+    p = as_tensor(p)
+    if p.values.ndim != 3 or p.shape[0] != 2:
+        raise ShapeError(f"{op} takes a stack of two heads' b-by-K rows, got {p.shape}")
+    return p
+
+
+def mean_abs_difference(p) -> Tensor:
+    """``mul(tsum(absolute(head_difference(p))), 1 / n)`` for a stack ``p``
+    of two heads of n entries each: the mean absolute difference of the
+    two, as one node."""
+    p = _two_heads(p, "mean_abs_difference")
+    diff = p.values[0] - p.values[1]
+    scale = 1.0 / diff.size
+    return _node(np.abs(diff).sum() * scale, (p,), "mean_abs_difference", (diff, scale))
+
+
+def balance_gap(p, floor: float) -> Tensor:
+    """``ln K - H(m)`` for the mean row ``m`` of a stack ``p`` of two
+    b-by-K heads, with ``floor`` added inside the log, as one node:
+    ``sub(ln K, neg(tsum(mul(m, log(add(m, floor))))))`` with ``m =
+    mul(tsum(tsum(p, axis=1), axis=0), 1 / (2 b))``."""
+    p = _two_heads(p, "balance_gap")
+    scale = 1.0 / (2 * p.shape[1])
+    mean = p.values.sum(axis=1).sum(axis=0) * scale
+    shifted = mean + floor
+    if np.any(shifted <= 0.0):
+        raise DomainError("log requires strictly positive inputs")
+    log_shifted = np.log(shifted)
+    entropy = -(mean * log_shifted).sum()
+    return _node(float(np.log(p.shape[2])) - entropy, (p,), "balance_gap",
+                 (mean, shifted, log_shifted, scale))
+
+
+def weighted_sum(terms) -> Tensor:
+    """``t0 w0 + t1 w1 + ...`` of one-element tensors, added left to right,
+    for the ``(t, w)`` pairs of ``terms``, as one node: a weight of 1 or -1
+    multiplies exactly, so the bits are those of the chain of ``add``,
+    ``sub`` and ``mul`` by the other weights.  One term of weight 1 is
+    itself: no node."""
+    tensors = tuple(as_tensor(t) for t, _ in terms)
+    weights = tuple(float(w) for _, w in terms)
+    if not tensors:
+        raise ContractError("weighted_sum of no terms")
+    if any(t.shape != () for t in tensors):
+        raise ShapeError(f"weighted_sum of shapes {[t.shape for t in tensors]}")
+    if weights == (1.0,):
+        return tensors[0]
+    total = tensors[0].values * weights[0]
+    for t, w in zip(tensors[1:], weights[1:]):
+        total = total + t.values * w
+    return _node(total, tensors, "weighted_sum", weights)
 
 
 def _cosine_parts(gs, gt, eps):
@@ -525,27 +611,37 @@ def cosine_rows(gs, gt, eps: float) -> tuple:
     return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
 
 
+def cosine_gap(gs, gt, eps: float) -> Tensor:
+    """Mean over the rows of two b-by-P matrices of ``1 - cos(gs[r],
+    gt[r])`` as one node: ``mul(tsum(sub(1, c)), 1 / b)`` for the
+    :func:`cosine_rows` node ``c``.  A row where |gs| or |gt| is below
+    ``eps`` adds a constant 0 but counts in the mean: ``c`` is then the
+    node of ``matmul(keep, gs)`` and ``matmul(keep, gt)``, ``keep`` the
+    rows of the identity that select the other rows.  If every row does,
+    the result is the constant 0, a leaf."""
+    gs, gt = as_tensor(gs), as_tensor(gt)
+    if gs.shape != gt.shape or gs.values.ndim != 2:
+        raise ShapeError(f"cosine_gap: shapes {gs.shape} and {gt.shape}")
+    rows = gs.shape[0]
+    parts = _cosine_parts(gs.values, gt.values, eps)
+    live = (parts[3] >= eps) & (parts[4] >= eps)
+    if not live.any():
+        return Tensor(0.0)
+    keep = kept = None
+    if not live.all():
+        keep = np.eye(rows)[live]
+        kept = [keep @ gs.values, keep @ gt.values]
+        parts = _cosine_parts(*kept, eps)
+    scale = 1.0 / rows
+    return _node((1.0 - parts[2] * parts[6]).sum() * scale, (gs, gt), "cosine_gap",
+                 (parts, scale, keep, kept))
+
+
 # -- array helpers of the vjp formulas ------------------------------------------
 
-def _head_count(values) -> int:
-    return len(values) if values.ndim == 3 else 1
-
-
-def _head(values, i) -> np.ndarray:
-    """Head i's slice of a stacked array; a matrix is every head's."""
-    return values[i] if values.ndim == 3 else values
-
-
-def _add_head(total, cot, value, i):
-    """The cotangent so far, ``total``, of a parent with value ``value``,
-    after head i's ``cot``: written into head i's slice of a stacked
-    parent's, added in head order to a shared parent's."""
-    if value.ndim == 3:
-        if total is None:
-            total = np.empty(value.shape)
-        total[i] = cot
-        return total
-    return cot if total is None else np.add(total, cot, out=total)
+def _stacked(values) -> np.ndarray:
+    """A stack of heads as itself, a matrix as a stack of one: a view."""
+    return values.reshape((-1,) + values.shape[-2:])
 
 
 def _where_positive(g, out) -> np.ndarray:
@@ -555,38 +651,42 @@ def _where_positive(g, out) -> np.ndarray:
 
 
 def _class_copies(delta, members):
-    """``delta`` masked to the rows of each class, the K copies side by side:
-    one broadcast product."""
-    return (delta[:, None, :] * members[:, :, None]).reshape(len(delta), -1)
+    """``delta`` (b-by-width or a stack of heads) masked to the rows of each
+    class, the K copies side by side: one broadcast product."""
+    return (delta[..., None, :] * members[:, :, None]).reshape(delta.shape[:-1] + (-1,))
 
 
 def _class_gather(g, members):
-    """The cotangent of ``delta`` from that of its K masked copies: row i's
-    block of its class, one gather in place of the K-fold masked product and
-    sum, with its bits.  A row of no class gets that sum of its K blocks
-    times 0, in block order: -0.0 where all K are negative, else +0.0."""
+    """The cotangent of each head's ``delta`` from that of its K masked
+    copies, for a stack ``g`` of heads: row i's block of its class, one
+    gather in place of the K-fold masked product and sum, with its bits.  A
+    row of no class gets that sum of its K blocks times 0, in block order:
+    -0.0 where all K are negative, else +0.0."""
     b, k = members.shape
     rows = np.arange(b)
     cls = members.argmax(axis=1)
-    # g is the transpose of a C-ordered product, so g.T splits into the K
-    # blocks as a view
-    out = g.T.reshape(k, -1, b)[cls, :, rows]
+    # each head's g is the transpose of a C-ordered product, so it splits
+    # into the K blocks as a view
+    blocks = _swap(g).reshape(len(g), k, -1, b)
+    out = blocks[np.arange(len(g))[:, None], cls, :, rows]
     none = members[rows, cls] == 0.0
     if none.any():
-        width = out.shape[1]
-        total = g[none, :width] * 0.0
+        width = out.shape[2]
+        total = g[:, none, :width] * 0.0
         for r in range(1, k):
-            total += g[none, r * width:(r + 1) * width] * 0.0
-        out[none] = total
+            total += g[:, none, r * width:(r + 1) * width] * 0.0
+        out[:, none] = total
     return out
 
 
 def _block_matmul(a, m, width):
-    """Each row of ``a`` as ``width`` rows of a matrix, stacked, times ``m``:
-    K products of width-by-in views of ``a``, one per class, in place of the
-    product of its K*width-by-in reshaped copy.  Each output element is the
-    same dot product, which OpenBLAS sums in the same order."""
-    return np.matmul(a.reshape(len(a), width, -1), m).reshape(-1, m.shape[1])
+    """Each row of ``a`` (K rows, or a stack of them) as ``width`` rows of a
+    matrix, stacked, times ``m``: K products of width-by-in views of ``a``,
+    one per class, in place of the product of its K*width-by-in reshaped
+    copy.  Each output element is the same dot product, which OpenBLAS sums
+    in the same order."""
+    out = np.matmul(a.reshape(a.shape[:-1] + (width, -1)), m)
+    return out.reshape(a.shape[:-2] + (-1, out.shape[-1]))
 
 
 # -- vjp formulas: vjp(g, args, out, ctx, needed) -> parent cotangents ---------
@@ -674,34 +774,39 @@ def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
 
 
 def _class_affine_vjp(g, args, out, members, needed):
-    """One walk over the heads and, in each, the layers ``(delta, h)``: each
-    layer's block of ``g``, then its ``delta``'s and its ``h``'s cotangents
-    as needed, each head's put in its parent's by :func:`_add_head`.  The
-    ``h`` cotangent makes the masked copies of ``delta`` once; the ``delta``
-    cotangent makes none, gathering each row's block of its class instead."""
+    """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
+    then its ``delta``'s and its ``h``'s cotangents as needed, each product
+    or sum one numpy call for all heads; an ``h`` the heads share gets
+    theirs summed in head order.  The ``h`` cotangent makes the masked
+    copies of ``delta`` once; the ``delta`` cotangent makes none, gathering
+    each row's block of its class instead.  Every cotangent is C-ordered."""
     rows = out.shape[0]
+    heads = len(_stacked(args[0]))
+    g = g.reshape(rows, heads, -1).transpose(1, 0, 2)  # head, class, column
     cots, start = [None] * len(args), 0
-    for i in range(_head_count(args[0])):
-        for j in range(0, len(args), 2):
-            delta, h = _head(args[j], i), _head(args[j + 1], i)
-            width, n_in = delta.shape[1], h.shape[1]
-            size = width * (n_in + 1)
-            block = g[:, start:start + size]
-            start += size
-            g_weight = block[:, :width * n_in]
-            if needed[j]:
-                # a C-ordered h^T: BLAS reads a transposed view in another
-                # summation order when the weight cotangent has few rows, and
-                # these sums keep the bits of the composition's
-                g_delta = (_block_matmul(g_weight, np.ascontiguousarray(h.T), width).T
-                           + block[:, width * n_in:size].reshape(rows * width))
-                if members is not None:
-                    g_delta = _class_gather(g_delta, members)
-                cots[j] = _add_head(cots[j], g_delta, args[j], i)
-            if needed[j + 1]:
-                copies = delta if members is None else _class_copies(delta, members)
-                g_h = copies @ g_weight.reshape(rows * width, n_in)
-                cots[j + 1] = _add_head(cots[j + 1], g_h, args[j + 1], i)
+    for j in range(0, len(args), 2):
+        delta, h = _stacked(args[j]), args[j + 1]
+        width, n_in = delta.shape[2], h.shape[-1]
+        g_weight = g[:, :, start:start + width * n_in]
+        g_bias = g[:, :, start + width * n_in:start + width * (n_in + 1)]
+        start += width * (n_in + 1)
+        if needed[j]:
+            # a C-ordered h^T: BLAS reads a transposed view in another
+            # summation order when the weight cotangent has few rows, and
+            # these sums keep the bits of the composition's
+            h_t = np.ascontiguousarray(_swap(h))
+            product = _block_matmul(g_weight, h_t if h.ndim == 2 else h_t[:, None], width)
+            # C-ordered as the later vjps' sums read it; before a gather, the
+            # transpose of the C-ordered product, which it splits as a view
+            g_delta = np.add(_swap(product), g_bias.reshape(heads, 1, -1),
+                             order="C" if members is None else "K")
+            if members is not None:
+                g_delta = _class_gather(g_delta, members)
+            cots[j] = g_delta.reshape(args[j].shape)
+        if needed[j + 1]:
+            copies = delta if members is None else _class_copies(delta, members)
+            g_h = copies @ g_weight.reshape(heads, rows * width, n_in)
+            cots[j + 1] = g_h if h.ndim == 3 else np.add.reduce(g_h, 0)
     return tuple(cots)
 
 
@@ -710,6 +815,32 @@ def _absolute_vjp(g, args, out, ctx, needed):
     ``relu(neg(a))``, then ``g on a > 0`` through ``relu(a)``."""
     a = args[0]
     return (-(g * (a < 0.0)) + g * (a > 0.0),)
+
+
+def _mean_abs_difference_vjp(g, args, out, ctx, needed):
+    """The ``absolute`` vjp of the heads' difference at ``g / n``; the first
+    head gets it, the second its negation."""
+    diff, scale = ctx
+    g_diff = _absolute_vjp(g * scale, [diff], None, None, needed)[0]
+    return (np.stack((g_diff, -g_diff)),)
+
+
+def _balance_gap_vjp(g, args, out, ctx, needed):
+    """The mean row's cotangent through ``m log(m + floor)``, first as the
+    factor ``m``, then through the log, scaled to every row of every head."""
+    mean, shifted, log_shifted, scale = ctx
+    g_mean = g * log_shifted + g * mean * shifted**-1.0
+    return (np.full(args[0].shape, g_mean * scale),)
+
+
+def _cosine_gap_vjp(g, args, out, ctx, needed):
+    """The :func:`cosine_rows` vjp at the cotangent ``-g / b`` of every
+    cosine, then, when rows were dropped, ``keep^T`` times each."""
+    parts, scale, keep, kept = ctx
+    cots = _cosine_rows_vjp(-(g * scale), args if keep is None else kept, None, parts, needed)
+    if keep is None:
+        return cots
+    return tuple(None if c is None else keep.T @ c for c in cots)
 
 
 def _cosine_rows_vjp(g, args, out, parts, needed):
@@ -755,9 +886,16 @@ _VJPS = {
     "concat": _concat_vjp,
     "log_softmax": _log_softmax_vjp,
     "cross_entropy": _cross_entropy_vjp,
+    "pair_cross_entropy": lambda g, args, out, ctx, needed: (
+        _ce_grad(ctx[0], g * 0.5, *ctx[1:]),),
     "cross_entropy_grad": _cross_entropy_grad_vjp,
     "class_affine_gradient": _class_affine_vjp,
     "cosine_rows": _cosine_rows_vjp,
+    "mean_abs_difference": _mean_abs_difference_vjp,
+    "balance_gap": _balance_gap_vjp,
+    "cosine_gap": _cosine_gap_vjp,
+    "weighted_sum": lambda g, args, out, weights, needed: tuple(
+        g * w if need else None for w, need in zip(weights, needed)),
 }
 
 

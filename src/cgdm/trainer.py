@@ -22,8 +22,9 @@ discrepancy alone.
 
 The two classifiers run as one network of stacked heads
 (:attr:`BiClassifierModel.classifiers`, see :func:`~cgdm.nn.stack`): each
-of their layers is one graph node for both, and so is each op of their
-losses.  One target pass per epoch boundary
+of their layers is one graph node for both, and so is each of their
+losses.  A step's objective, the weighted sum of its losses, is one node
+(:func:`~cgdm.tensor.weighted_sum`).  One target pass per epoch boundary
 (:func:`~cgdm.pseudo_labels.predict`) serves :func:`evaluate` and the next
 epoch's pseudo labels.  Each iteration encodes its batches' labels once
 (:class:`BatchTargets`) for all three steps and every step-3 repeat, and
@@ -44,11 +45,9 @@ from .tensor import (
     ContractError,
     DomainError,
     Tensor,
-    add,
     backward,
     exp,
-    mul,
-    sub,
+    weighted_sum,
 )
 
 __all__ = [
@@ -272,19 +271,18 @@ class CgdmTrainer:
         loss_cls = losses.source_classification_loss(
             m.generator, m.classifiers, source_batch.features, source_targets
         )
-        total = loss_cls
+        terms = [(loss_cls, 1.0)]
         out = {"loss_cls": loss_cls.item()}
         if alpha > 0 or balance_weight > 0:
             feats_t = nn.forward(m.generator, Tensor(target_batch.features))
             ls_t = losses.log_probs(m.classifiers, feats_t)
             if alpha > 0:
-                selfsup = losses.pair_cross_entropy(ls_t, target_targets)
-                total = add(total, mul(selfsup, alpha))
+                terms.append((losses.pair_cross_entropy(ls_t, target_targets), alpha))
             if balance_weight > 0:
                 balance = losses.class_balance_loss(exp(ls_t))
-                total = add(total, mul(balance, balance_weight))
+                terms.append((balance, balance_weight))
                 out["loss_cb"] = balance.item()
-        grads = backward(total, m.all_parameters())
+        grads = backward(weighted_sum(terms), m.all_parameters())
         self.opt_g.step(grads)
         self.opt_f.step(grads)
         return out
@@ -306,11 +304,10 @@ class CgdmTrainer:
         loss_cls = losses.pair_cross_entropy(losses.log_probs(m.classifiers, feats_s),
                                              targets.source)
         p = exp(losses.log_probs(m.classifiers, feats_t))
-        total = sub(loss_cls, losses.l1_discrepancy(p))
+        terms = [(loss_cls, 1.0), (losses.l1_discrepancy(p), -1.0)]
         if cfg.class_balance_weight > 0:
-            balance = losses.class_balance_loss(p)
-            total = add(total, mul(balance, cfg.class_balance_weight))
-        grads = backward(total, m.classifier_parameters())
+            terms.append((losses.class_balance_loss(p), cfg.class_balance_weight))
+        grads = backward(weighted_sum(terms), m.classifier_parameters())
         self.opt_f.step(grads)
         return features
 
@@ -343,7 +340,7 @@ class CgdmTrainer:
                 feats_s, feats_t = None, nn.forward(m.generator, x_t)
             ls_t = losses.log_probs(m.classifiers, feats_t)
             loss_dis = losses.l1_discrepancy(exp(ls_t))
-            total = loss_dis
+            terms = [(loss_dis, 1.0)]
             loss_gd = None
             if cfg.beta > 0:
                 if feats_s is None:
@@ -357,8 +354,8 @@ class CgdmTrainer:
                     loss_gd = grad_discrepancy.gradient_discrepancy_loss(
                         *grad_discrepancy.class_gradients(*args)
                     )
-                total = add(total, mul(loss_gd, cfg.beta))
-            grads = backward(total, m.generator_parameters())
+                terms.append((loss_gd, cfg.beta))
+            grads = backward(weighted_sum(terms), m.generator_parameters())
             self.opt_g.step(grads)
             if rep == 0:
                 out["loss_dis"] = loss_dis.item()

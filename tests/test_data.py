@@ -92,6 +92,15 @@ class TestDatasetCsv:
             load_dataset_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"])
+    def test_label_beyond_int64_is_reported_with_its_line(self, tmp_path, label):
+        path = tmp_path / "set.csv"
+        path.write_text(f"f0,f1,label\n0.5,0.5,1\n1.0,2.0,{label}\n")
+        with pytest.raises(ParseError, match=f"^line 3: label {label} is outside int64$"):
+            load_dataset_csv(path)
+        path.write_text("f0,f1,label\n0.5,0.5,9223372036854775807\n")
+        assert load_dataset_csv(path).labels[0] == np.iinfo(np.int64).max
+
     @pytest.mark.parametrize("value, message", [
         ("nan", "non-finite feature"),
         ("inf", "non-finite feature"),

@@ -238,6 +238,8 @@ BAD_VALUES = [
     ("seeds = 0, -1", "seeds"),
     ("epochs = 0", "epochs"),
     ("variants =", "variants"),
+    ("seeds = 0, 1, 1", "seeds"),
+    ("variants = mcd, cgdm_full, mcd", "variants"),
 ]
 
 
@@ -331,6 +333,26 @@ class TestBadInputExitsOne:
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
             "error: line 2: squared norm overflows float64")
+
+    def test_dataset_csv_with_a_label_beyond_int64(self, tmp_path, capsys):
+        source, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)
+        path = self.csv_config(tmp_path, source, target)
+        csv = tmp_path / "source.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",99999999999999999999999"
+        csv.write_text("\n".join(lines) + "\n")
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: line 3: label 99999999999999999999999 is outside int64")
+
+    @pytest.mark.parametrize("key, values, twice", [
+        ("seeds", "0, 1, 1", "1"), ("variants", "mcd, cgdm_full, mcd", "'mcd'")])
+    def test_a_value_listed_twice(self, tmp_path, capsys, key, values, twice):
+        """Not run and counted twice: ``bench`` exits 1 and writes nothing."""
+        path = write_config(tmp_path, f"{SMALL}{key} = {values}\n")
+        argv = ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == f"error: {key}: {twice} is listed twice"
+        assert not (tmp_path / "out").exists()
 
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         argv = ["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")]

@@ -341,6 +341,23 @@ def _fused_builder(name: str, seed: int):
     if name == "cosine_rows_2d":
         gs, gt, proj = TestFusedOps._cosine_case(seed)
         return lambda: T.tsum(T.mul(T.cosine_rows(gs, gt, 1e-12)[0], proj)), [gs, gt]
+    if name.startswith("cosine_gap"):
+        gs, gt = TestFusedLosses._cosine_case(seed, dead="gs" if name.endswith("row") else None)
+        return lambda: T.cosine_gap(gs, gt, 1e-12), [gs, gt]
+    if name == "mean_abs_difference":
+        p = TestFusedLosses._pair_case(seed)
+        return lambda: T.mean_abs_difference(p), [p]
+    if name == "balance_gap":
+        p = TestFusedLosses._pair_case(seed)
+        return lambda: T.balance_gap(p, losses._LOG_FLOOR), [p]
+    if name == "pair_cross_entropy":
+        logits, t = TestFusedOps._ce_case(seed, True)
+        logits = T.Tensor(np.stack([logits.values, logits.values[::-1]]))
+        return (lambda: T.softmax_pair_cross_entropy(T.log_softmax(logits), t.onehot,
+                                                     t.weights, t.scale), [logits])
+    if name == "weighted_sum":
+        terms = TestFusedLosses._terms_case(seed)
+        return lambda: T.weighted_sum(terms), [t for t, _ in terms]
     logits, targets = TestFusedOps._ce_case(seed, name == "cross_entropy_weighted")
     return lambda: _cross_entropy(logits, targets), [logits]
 
@@ -354,6 +371,11 @@ _GRADIENT_OP_CASES = ("cross_entropy_grad", "class_affine_gradient_all",
                       "class_affine_gradient_K", "cosine_rows_2d",
                       "class_affine_gradient_layers", "class_affine_gradient_no_class",
                       "class_affine_gradient_heads")
+# the losses and the step objective, one node each; the loss of a dead row is
+# constant in that row, but not at a step off it, so it has no difference check
+_LOSS_OP_CASES = ("mean_abs_difference", "balance_gap", "pair_cross_entropy", "cosine_gap",
+                  "weighted_sum")
+_FUSED_CASES += _LOSS_OP_CASES + ("cosine_gap_dead_row",)
 
 
 def _scalar_and_wrt(name: str, trial: int):
@@ -775,6 +797,159 @@ class TestFusedGradientOps:
         fd_check(*_fused_builder(name, seed))
 
 
+def _mean_abs_difference_composition(p):
+    """What ``mean_abs_difference`` fuses: the mean of the absolute
+    difference of the two heads."""
+    return T.mul(T.tsum(T.absolute(T.head_difference(p))), 1.0 / (p.shape[1] * p.shape[2]))
+
+
+def _balance_gap_composition(p, floor):
+    """What ``balance_gap`` fuses: ln K minus the entropy of the mean row,
+    nine nodes."""
+    b, k = p.shape[1:]
+    mean = T.mul(T.tsum(T.tsum(p, axis=1), axis=0), 1.0 / (2 * b))
+    entropy = T.neg(T.tsum(T.mul(mean, T.log(T.add(mean, floor)))))
+    return T.sub(float(np.log(k)), entropy)
+
+
+def _cosine_gap_composition(gs, gt, eps):
+    """What ``cosine_gap`` fuses: the row cosines, of the live rows alone
+    when a row is dead, and the mean of 1 minus each over all rows."""
+    rows = gs.shape[0]
+    cos, norm_s, norm_t = T.cosine_rows(gs, gt, eps)
+    live = (norm_s >= eps) & (norm_t >= eps)
+    if not live.all():
+        keep = np.eye(rows)[live]
+        cos = T.cosine_rows(T.matmul(keep, gs), T.matmul(keep, gt), eps)[0]
+    return T.mul(T.tsum(T.sub(1.0, cos)), 1.0 / rows)
+
+
+class TestFusedLosses:
+    """The losses and the step objective, one node each, against their
+    compositions: the forward value and every parent's cotangent, bit for
+    bit, at a loss cotangent other than 1."""
+
+    @staticmethod
+    def _pair_case(seed, b=6, k=3):
+        """A pair's stacked softmax, 2-by-b-by-k, as a leaf."""
+        rng = np.random.default_rng(1400 + seed)
+        return T.Tensor(T.softmax(T.Tensor(rng.normal(size=(2, b, k)))).values)
+
+    @staticmethod
+    def _cosine_case(seed, rows=3, dead=None):
+        """Two rows-by-5 matrices; ``dead`` ("gs" or "gt") zeroes row 1 of
+        that one."""
+        rng = np.random.default_rng(1500 + seed)
+        gs, gt = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5))
+        if dead:
+            (gs if dead == "gs" else gt)[1] = 0.0
+        return T.Tensor(gs), T.Tensor(gt)
+
+    @staticmethod
+    def _terms_case(seed):
+        """Three scalar losses and the weights 1, -1 and 0.3: the step-2
+        objective with a class balance term."""
+        rng = np.random.default_rng(1600 + seed)
+        return [(T.Tensor(rng.normal()), w) for w in (1.0, -1.0, 0.3)]
+
+    @staticmethod
+    def _assert_same(fused, composed, inputs, op, seed):
+        assert fused.op == op and fused.parents == tuple(inputs)
+        _assert_same_op(fused, composed, inputs,
+                        T.Tensor(np.random.default_rng(seed).normal()))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mean_abs_difference_equals_composition(self, seed):
+        """Tied heads included: where ``p0 == p1`` both heads' cotangents are
+        the composition's signed zeros."""
+        p = self._pair_case(seed)
+        p.values[1, :2] = p.values[0, :2]
+        assert (p.values[0] == p.values[1]).any()
+        self._assert_same(T.mean_abs_difference(p), _mean_abs_difference_composition(p),
+                          [p], "mean_abs_difference", seed)
+
+    @pytest.mark.parametrize("empty_class", [False, True], ids=["every_class", "empty_class"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_balance_gap_equals_composition(self, seed, empty_class):
+        """A class with no mass in either head is where the log's floor
+        acts: its mean is 0, and the composition's log of the floor alone
+        gives its cotangent."""
+        p = self._pair_case(seed)
+        if empty_class:
+            p.values[..., 2] = 0.0
+            p.values /= p.values.sum(axis=-1, keepdims=True)
+        self._assert_same(T.balance_gap(p, losses._LOG_FLOOR),
+                          _balance_gap_composition(p, losses._LOG_FLOOR), [p], "balance_gap",
+                          seed)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_cross_entropy_equals_composition(self, seed, weighted):
+        rng = np.random.default_rng(1700 + seed)
+        logits = T.Tensor(rng.normal(size=(2, 6, 3)))
+        t = losses.Targets.of(rng.integers(0, 3, size=6), 3,
+                              rng.uniform(1.0, 2.0, size=6) if weighted else None)
+        ls = T.log_softmax(logits)
+        composed = T.mul(T.tsum(T.softmax_cross_entropy(ls, t.onehot, t.weights, t.scale)),
+                         0.5)
+        self._assert_same(T.softmax_pair_cross_entropy(ls, t.onehot, t.weights, t.scale),
+                          composed, [logits], "pair_cross_entropy", seed)
+
+    @pytest.mark.parametrize("dead", [None, "gs", "gt"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cosine_gap_equals_composition(self, seed, rows, dead):
+        """A dead row (a zero row of ``gs`` or ``gt``) drops out of the
+        cosines but counts in the mean; its cotangent is the composition's
+        zeros."""
+        gs, gt = self._cosine_case(seed, rows, dead if rows > 1 else None)
+        self._assert_same(T.cosine_gap(gs, gt, 1e-12), _cosine_gap_composition(gs, gt, 1e-12),
+                          [gs, gt], "cosine_gap", seed)
+
+    def test_cosine_gap_of_dead_rows_only_is_the_constant_zero(self):
+        gs, gt = T.Tensor(np.zeros((2, 5))), T.Tensor(np.ones((2, 5)))
+        gap = T.cosine_gap(gs, gt, 1e-12)
+        assert gap.op is None and gap.values.tobytes() == np.float64(0.0).tobytes()
+        with pytest.raises(T.ShapeError):
+            T.cosine_gap(gs, T.Tensor(np.ones((2, 4))), 1e-12)
+
+    @pytest.mark.parametrize("values", ["random", "signed_zeros"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_sum_equals_composition(self, seed, values):
+        """A weight of -1 is the composition's ``sub``; signed zeros keep
+        their signs through both."""
+        terms = self._terms_case(seed)
+        if values == "signed_zeros":
+            terms = [(T.Tensor(v), w) for v, (_, w) in zip((-0.0, 0.0, -0.0), terms)]
+        (a, _), (b, _), (c, w) = terms
+        self._assert_same(T.weighted_sum(terms), T.add(T.sub(a, b), T.mul(c, w)),
+                          [a, b, c], "weighted_sum", seed)
+
+    def test_weighted_sum_of_one_term_is_the_term(self):
+        a = T.Tensor(1.5)
+        assert T.weighted_sum([(a, 1.0)]) is a
+        with pytest.raises(T.ShapeError):
+            T.weighted_sum([(a, 1.0), (T.Tensor(np.ones(2)), 0.5)])
+        with pytest.raises(T.ContractError):
+            T.weighted_sum([])
+
+    def test_mean_abs_difference_and_balance_gap_need_a_pair(self):
+        flat, three = T.Tensor(np.full((4, 3), 1 / 3)), T.Tensor(np.full((3, 4, 3), 1 / 3))
+        for make in (lambda: T.mean_abs_difference(flat),
+                     lambda: T.mean_abs_difference(three),
+                     lambda: T.balance_gap(flat, 1e-300),
+                     lambda: T.balance_gap(three, 1e-300)):
+            with pytest.raises(T.ShapeError):
+                make()
+        with pytest.raises(T.DomainError):
+            T.balance_gap(T.Tensor(-np.ones((2, 4, 3))), 1e-300)
+
+    @pytest.mark.parametrize("name", _LOSS_OP_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_order(self, name, seed):
+        fd_check(*_fused_builder(name, seed))
+
+
 def _assert_headwise(op, stacked, shared=(), seed=0):
     """``op`` on two heads stacked on a leading axis against ``op`` on each
     head's slices, bit for bit: each head's slice of the output, and the
@@ -900,6 +1075,50 @@ class TestHeadAxis:
                 assert grads[t].values[h].tobytes() == g_h[t_h].values.tobytes()
             shared = g_h[x0_h].values if shared is None else shared + g_h[x0_h].values
         assert grads[layers[0][1]].values.tobytes() == shared.tobytes()
+
+    @pytest.mark.parametrize("by_class", ["none", "by_class", "rows_of_no_class"])
+    @pytest.mark.parametrize("h_kind", ["shared", "stacked"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_class_affine_gradient_equals_the_composition_head_by_head(self, seed, h_kind,
+                                                                        by_class):
+        """Each layer's products and sums run once for both heads: bit-equal
+        to the composition on each head's slices, in values and in every
+        vjp, a shared ``h``'s cotangent the heads' summed in head order."""
+        rng = np.random.default_rng(1300 + seed)
+        layers = [(T.Tensor(rng.normal(size=(2, 6, width))),
+                   T.Tensor(rng.normal(size=(6, n_in) if h_kind == "shared" else (2, 6, n_in))))
+                  for width, n_in in ((2, 3), (3, 2))]
+        members = None
+        if by_class != "none":
+            labels = np.array([0, 1, 2, 0, 1, 3 if by_class == "rows_of_no_class" else 2])
+            members = (labels[:, None] == np.arange(3)).astype(np.float64)
+        fused = T.class_affine_gradient(layers, members)
+        inputs = [t for layer in layers for t in layer]
+        proj = rng.normal(size=fused.shape)
+        grads = T.backward(T.tsum(T.mul(fused, proj)), inputs)
+        cots = T._VJPS["class_affine_gradient"](proj, [t.values for t in inputs], fused.values,
+                                                fused._ctx, [True] * 4)
+        assert all(c.flags.c_contiguous for c in cots)  # as the later vjps sum them
+        width = fused.shape[1] // 2
+        shared = {}
+        for head in range(2):
+            own = [T.Tensor((t.values[head] if t.values.ndim == 3 else t.values).copy())
+                   for t in inputs]
+            composed = T.concat([_class_affine_composition(own[i], own[i + 1], members)
+                                 for i in (0, 2)], axis=1)
+            columns = slice(head * width, (head + 1) * width)
+            assert fused.values[:, columns].tobytes() == composed.values.tobytes()
+            g_head = T.backward(T.tsum(T.mul(composed, proj[:, columns])), own)
+            for t, t_head in zip(inputs, own):
+                if t.values.ndim == 3:
+                    assert grads[t].values[head].tobytes() == g_head[t_head].values.tobytes()
+                else:
+                    total = shared.get(t)
+                    g = g_head[t_head].values
+                    shared[t] = g if total is None else total + g
+        for t in inputs:
+            if t.values.ndim == 2:
+                assert grads[t].values.tobytes() == shared[t].tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relu_mask_and_head_difference_equal_their_compositions(self, seed):
@@ -1108,10 +1327,14 @@ def test_class_gather_fold_equals_the_masked_composition(k, every_row):
     g_composed = T.backward(T.tsum(T.mul(composed, proj)), [delta, h])
     for t in (delta, h):
         assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
-    g = rng.normal(size=(9, 3 * k)).T.copy().T  # the vjp's layout: a transposed product
-    masked = functools.reduce(np.add, [g[:, 3 * r:3 * r + 3] * members[:, r:r + 1]
-                                       for r in range(k)])
-    assert T._class_gather(g, members).tobytes() == masked.tobytes()
+    # the vjp's layout: a stack of two heads' transposed products
+    g = rng.normal(size=(2, 3 * k, 9)).transpose(0, 2, 1)
+    gathered = T._class_gather(g, members)
+    assert gathered.shape == (2, 9, 3) and gathered.flags.c_contiguous
+    for head in range(2):
+        masked = functools.reduce(np.add, [g[head, :, 3 * r:3 * r + 3] * members[:, r:r + 1]
+                                           for r in range(k)])
+        assert gathered[head].tobytes() == masked.tobytes()
 
 
 def test_class_affine_vjp_makes_no_second_k_fold_copy():
@@ -1127,9 +1350,9 @@ def test_class_affine_vjp_makes_no_second_k_fold_copy():
     peak, (_, grad_h) = _peak_bytes(lambda: T._VJPS["class_affine_gradient"](
         g, [delta.values, h.values], out.values, out._ctx, [False, True]))
     assert grad_h.shape == (b, n_in) and peak < 2 * k_fold
-    g_copies = rng.normal(size=(b, k * width)).T.copy().T
+    g_copies = rng.normal(size=(1, k * width, b)).transpose(0, 2, 1)
     peak, folded = _peak_bytes(lambda: T._class_gather(g_copies, members))
-    assert folded.shape == (b, width) and peak < 0.5 * k_fold
+    assert folded.shape == (1, b, width) and peak < 0.5 * k_fold
 
 
 def test_block_matmul_reads_the_weight_cotangent_in_place():
