@@ -16,7 +16,7 @@ import numpy as np
 from . import grad_discrepancy, losses, nn
 from .data import DomainSet
 from .pseudo_labels import PseudoLabelSet
-from .tensor import Tensor, backward, log_softmax, no_grad, softmax
+from .tensor import Tensor, backward, concat, log_softmax, no_grad, softmax
 
 __all__ = [
     "CheckResult",
@@ -188,19 +188,18 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
                 break
         for (gen, pair, src, tgt, pseudo), loss_of in (
             (plain, lambda *args: grad_discrepancy.gradient_discrepancy_loss(
-                *grad_discrepancy.class_gradients(*args))),
+                grad_discrepancy.class_gradients(*args))),
             (conditional, grad_discrepancy.conditional_gradient_loss),
         ):
-            ts = losses.Targets.of(src.labels, 2)
-            tt = losses.Targets.of(pseudo.labels, 2, pseudo.weights)
-            if loss_of is grad_discrepancy.conditional_gradient_loss:
-                ts, tt = grad_discrepancy.by_shared_class(ts, tt)
+            targets = grad_discrepancy.alignment_targets(
+                losses.Targets.of(src.labels, 2),
+                losses.Targets.of(pseudo.labels, 2, pseudo.weights),
+                loss_of is grad_discrepancy.conditional_gradient_loss)
 
             def loss_fn():
-                fs = nn.forward(gen, Tensor(src.features))
-                ft = nn.forward(gen, Tensor(tgt.features))
-                return loss_of(pair, (losses.log_probs(pair, fs), ts),
-                               (losses.log_probs(pair, ft), tt))
+                joint = concat([nn.forward(gen, Tensor(x)) for x in (src.features,
+                                                                      tgt.features)])
+                return loss_of(pair, losses.log_probs(pair, joint), targets)
 
             gen_params = gen.parameters()
             auto = backward(loss_fn(), gen_params)
@@ -274,13 +273,13 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
         unit = np.ones(b)
         found = []  # (gradient matrix, the class of each row or None: all rows, weights)
         for classes in (None, np.array(sorted(set(y.tolist())))):
-            if classes is not None:
-                ts, tt = ts.by_class(classes), tt.by_class(classes)
-            # each domain's own forward: both share the batch, not the graph
-            gs, gt = grad_discrepancy.class_gradients(
-                pair, (losses.log_probs(pair, feats), ts),
-                (losses.log_probs(pair, feats), tt))
-            found += [(gs.values, classes, unit), (gt.values, classes, weights)]
+            # both domains on the same batch: the joint rows hold it twice
+            targets = grad_discrepancy.alignment_targets(ts, tt, classes is not None)
+            g = grad_discrepancy.class_gradients(
+                pair, losses.log_probs(pair, Tensor(np.concatenate([feats.values] * 2))),
+                targets).values
+            gs, gt = g[:len(g) // 2], g[len(g) // 2:]
+            found += [(gs, classes, unit), (gt, classes, weights)]
         for matrix, classes, w in found:
             for r, got in enumerate(matrix):
                 rows = np.ones(b, dtype=bool) if classes is None else y == classes[r]

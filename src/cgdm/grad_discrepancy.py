@@ -1,4 +1,4 @@
-"""A domain's classifier gradient as a K-by-P matrix, and the cosine gap.
+"""Each domain's classifier gradient as a K-by-P matrix, and the cosine gap.
 
 A domain's classifier gradient is that of the mean two-head cross-entropy on
 its rows (source: true labels; target: pseudo labels and entropy weights)
@@ -21,25 +21,30 @@ recorded forward ops, so they stay differentiable, through the logits and
 the generator features under them, with respect to the generator
 parameters.  It records the heads' backward recurrence, as double
 backpropagation was first written (Drucker and LeCun, IEEE TNN 1992), once
-for the pair: each node below holds both heads.  The logits' cotangent is
-the cross-entropy's :func:`~cgdm.tensor.cross_entropy_grad` with the
-two-head mean's 0.5; going down the heads, a layer's ``delta`` is the
-cotangent ``g`` of its output, times the constant mask of its positive
-outputs where the layer has a ReLU (:func:`~cgdm.tensor.relu_mask`), and
-``g`` of the layer below is ``delta W``.  With the layer's input ``H``
-(:func:`~cgdm.nn.layer_taps`), a weight gradient is ``delta^T H`` and a bias
-gradient the column sum of ``delta``; masked to one class's rows, that
-class's.  A domain's matrix, every layer's block of both heads, is one fused
-:func:`~cgdm.tensor.class_affine_gradient` node.  The alignment loss is then
-minimized by the generator through one first-order backward of it: double
-backward.
+for the pair and both domains: the source rows and the target rows are one
+joint batch, and each node below holds both heads and all those rows.  The
+logits' cotangent is the cross-entropy's
+:func:`~cgdm.tensor.cross_entropy_grad` with the two-head mean's 0.5; going
+down the heads, a layer's ``delta`` is the cotangent ``g`` of its output,
+times the constant mask of its positive outputs where the layer has a ReLU
+(:func:`~cgdm.tensor.relu_mask`), and ``g`` of the layer below is ``delta
+W``.  With the layer's input ``H`` (:func:`~cgdm.nn.layer_taps`), a weight
+gradient is ``delta^T H`` and a bias gradient the column sum of ``delta``;
+on the rows of one domain's class, that class's.  Both domains' matrices,
+every layer's block of both heads, are one fused
+:func:`~cgdm.tensor.class_affine_gradient` node whose row groups are each
+domain's batch or each domain's rows of each class: its rows are the source
+matrix over the target matrix, and the cosine gap compares the two halves.
+The classifier parameters are constants here, so no sum runs over the rows
+of both domains.  The alignment loss is then minimized by the generator
+through one first-order backward of it: double backward.
 
-A domain comes as the pair's stacked log-softmax, made by the caller, and
-the batch's :class:`~cgdm.losses.Targets`, made once per training iteration:
-the cross-entropy gradients read that log-softmax, which the caller's
-discrepancy term also reads, and those one-hots and row scales.  For the
-conditional loss, :func:`by_shared_class` turns both domains' targets into
-class targets once per iteration, for every step-3 repeat.
+The joint rows come as the pair's stacked log-softmax, made by the caller,
+and their :class:`~cgdm.losses.Targets` of :func:`alignment_targets`, made
+once per training iteration with their row groups: the cross-entropy
+gradients read that log-softmax, whose target rows the caller's discrepancy
+term also reads, and those one-hots and row scales, each row scaled by its
+own domain's batch size.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ import numpy as np
 from . import losses, nn
 from .tensor import (
     ContractError,
+    RowGroups,
     ShapeError,
     Tensor,
     backward,
@@ -64,7 +70,7 @@ __all__ = [
     "source_gradient",
     "target_gradient",
     "class_gradients",
-    "by_shared_class",
+    "alignment_targets",
     "gradient_discrepancy_loss",
     "conditional_gradient_loss",
 ]
@@ -86,10 +92,10 @@ def _one_domain(pair, logits, targets, classes) -> Tensor:
     the class.  Targets :meth:`~cgdm.losses.Targets.by_class` weight each
     row by its class's mean (``b / n_k``), so that cross-entropy is the
     class's mean."""
+    masks = np.ones((1, targets.labels.size))
     if classes is not None:
-        targets = targets.by_class(classes)
-    members = targets.members
-    masks = np.ones((1, targets.labels.size)) if members is None else members.T
+        masks = (targets.labels == np.asarray(classes)[:, None]).astype(np.float64)
+        targets = targets.by_class()
     ls = log_softmax(logits)
     params = pair.parameters()
     rows = []
@@ -137,50 +143,64 @@ def _head_layers(pair, ls, targets) -> list:
     return layers[::-1]
 
 
-def class_gradients(pair, source, target) -> tuple:
-    """The source and target class-gradient matrices, from the heads'
-    recorded backward recurrence; no backward pass runs.
+def class_gradients(pair, ls: Tensor, targets: losses.Targets) -> Tensor:
+    """The class-gradient matrices of the row groups of ``targets``, one row
+    each, from the heads' recorded backward recurrence; no backward pass
+    runs.
 
-    ``source`` and ``target`` are each domain's ``(stacked log-softmax,
-    targets)``: ``losses.log_probs(pair, feats)`` on the domain's rows and
-    their :class:`~cgdm.losses.Targets`, whole-batch or by class.  The
-    matrices hold the values of :func:`source_gradient`'s and
-    :func:`target_gradient`'s for the same classes, as graph nodes."""
-    return tuple(class_affine_gradient(_head_layers(pair, ls, targets), targets.members)
-                 for ls, targets in (source, target))
-
-
-def by_shared_class(source: losses.Targets, target: losses.Targets) -> tuple:
-    """Both domains' targets by the classes present in both batches (source
-    labels and target pseudo labels), as the conditional loss reads them."""
-    shared = sorted(set(source.labels.tolist()) & set(target.labels.tolist()))
-    return source.by_class(shared), target.by_class(shared)
+    ``ls`` is ``losses.log_probs(pair, feats)`` on the rows of ``targets``.
+    On the joint rows of :func:`alignment_targets` the matrix is the source
+    matrix over the target matrix, with the values of
+    :func:`source_gradient`'s and :func:`target_gradient`'s for the same
+    classes, as one graph node."""
+    return class_affine_gradient(_head_layers(pair, ls, targets), targets.groups)
 
 
-def gradient_discrepancy_loss(gs: Tensor, gt: Tensor) -> Tensor:
-    """Mean over rows of 1 - cos(gs[r], gt[r]) of two K-by-P matrices, in [0, 2].
+def alignment_targets(source: losses.Targets, target: losses.Targets,
+                      by_class: bool = False) -> losses.Targets:
+    """The alignment loss's targets: the source rows, then the target rows,
+    grouped into each domain's whole batch or, ``by_class``, each domain's
+    rows of each class present in both batches (source labels and target
+    pseudo labels), weighted by their class means.  Equal batches are two
+    halves, unequal ones or classes a :class:`~cgdm.tensor.RowGroups`."""
+    parts = (source, target)
+    if not by_class:
+        if source.labels.size == target.labels.size:
+            return losses.Targets.joined(parts, 2)
+        return losses.Targets.joined(parts, RowGroups(
+            [np.zeros(t.labels.size, dtype=np.intp) for t in parts], 1))
+    classes = tuple(sorted(set(source.labels.tolist()) & set(target.labels.tolist())))
+    position = np.full(source.onehot.shape[1], -1)
+    position[list(classes)] = np.arange(len(classes))
+    groups = RowGroups([position[t.labels] for t in parts], len(classes))
+    return losses.Targets.joined([t.by_class() for t in parts], groups, classes)
 
-    A row where either norm is ~0 adds a constant 0 (a vanished gradient has no
-    alignment direction to push against) but counts in the mean; if every row
-    does, the result is a constant 0 (no gradient signal).  The loss is one
-    :func:`~cgdm.tensor.cosine_gap` node, whose row norms tell which rows
-    live."""
-    if gs.shape != gt.shape or gs.values.ndim != 2:
-        raise ShapeError(
-            f"gradients must be equal-shape K-by-P matrices, got {gs.shape}, {gt.shape}"
-        )
-    return cosine_gap(gs, gt, EPS)
+
+def gradient_discrepancy_loss(g: Tensor) -> Tensor:
+    """Mean over r of 1 - cos(gs[r], gt[r]) of the K-by-P source rows ``gs``
+    and target rows ``gt`` of a 2K-by-P class-gradient matrix, source over
+    target; in [0, 2].
+
+    A pair where either norm is ~0 adds a constant 0 (a vanished gradient has
+    no alignment direction to push against) but counts in the mean; if every
+    pair does, the result is a constant 0 (no gradient signal).  The loss is
+    one :func:`~cgdm.tensor.cosine_gap` node, whose row norms tell which
+    pairs live."""
+    if g.values.ndim != 2 or g.shape[0] % 2:
+        raise ShapeError(f"gradients must be a 2K-by-P matrix, source over target, "
+                         f"got {g.shape}")
+    return cosine_gap(g, EPS)
 
 
-def conditional_gradient_loss(pair, source, target) -> Tensor:
+def conditional_gradient_loss(pair, ls: Tensor, targets: losses.Targets) -> Tensor:
     """Per-category gradient alignment, averaged over the classes present in
     both the source batch (true labels) and the target batch (pseudo labels):
-    ``source`` and ``target`` as in :func:`class_gradients`, with the targets
-    of :func:`by_shared_class`.  No shared class: a constant 0 and a warning."""
-    members = source[1].members
-    if members is None:
+    ``ls`` and ``targets`` as in :func:`class_gradients`, the targets
+    :func:`alignment_targets` by class.  No shared class: a constant 0 and a
+    warning."""
+    if targets.classes is None:
         raise ContractError("the conditional loss takes targets by shared class")
-    if not members.shape[1]:
+    if not targets.classes:
         logger.warning("conditional gradient loss: no shared classes in batch")
         return Tensor(0.0)
-    return gradient_discrepancy_loss(*class_gradients(pair, source, target))
+    return gradient_discrepancy_loss(class_gradients(pair, ls, targets))

@@ -25,6 +25,7 @@ import numpy as np
 from . import nn
 from .tensor import (
     ContractError,
+    RowGroups,
     Tensor,
     balance_gap,
     cross_entropy_grad,
@@ -64,16 +65,19 @@ class Targets:
     ``onehot`` is b-by-K, ``weights`` the b row weights (all ones for plain
     labels) and ``scale`` the b-by-1 column ``weights / b`` that scales row i
     of the cross-entropy's vjp, broadcast across its K columns.
-    :meth:`by_class` gives the conditional alignment's encoding, whose
-    ``members`` (b-by-C, 0/1) put each row in at most one of C classes;
-    otherwise ``members`` is None, one class of all rows.
+    :meth:`joined` gives the alignment loss's encoding of both domains' rows
+    one after the other, each keeping its own batch's ``scale``, with their
+    row ``groups`` (see :func:`~cgdm.tensor.class_affine_gradient`) and, by
+    class, the ``classes`` of the groups; otherwise ``groups`` is 1, one
+    group of all rows, and ``classes`` None.
     """
 
     labels: np.ndarray
     onehot: np.ndarray
     weights: np.ndarray
     scale: np.ndarray
-    members: np.ndarray | None = None
+    groups: int | RowGroups = 1
+    classes: tuple | None = None
 
     @classmethod
     def of(cls, labels, num_classes: int, weights=None) -> "Targets":
@@ -99,15 +103,20 @@ class Targets:
         return cls(labels, _onehot(labels, num_classes), weights,
                    (weights / labels.size)[:, None])
 
-    def by_class(self, classes) -> "Targets":
-        """These targets with each row weighted by its class's mean ``b / n_k``
-        and ``members`` of ``classes``: one whole-batch cross-entropy then gives
-        every row its class-mean cotangent."""
+    def by_class(self) -> "Targets":
+        """These targets with each row weighted by its class's mean ``b / n_k``:
+        one whole-batch cross-entropy then gives every row its class-mean
+        cotangent."""
         labels = self.labels
         weights = self.weights * (labels.size / np.bincount(labels)[labels])
-        members = (labels[:, None] == np.asarray(classes)).astype(np.float64)
-        return Targets(labels, self.onehot, weights, (weights / labels.size)[:, None],
-                       members)
+        return Targets(labels, self.onehot, weights, (weights / labels.size)[:, None])
+
+    @classmethod
+    def joined(cls, parts, groups, classes=None) -> "Targets":
+        """The rows of ``parts`` one after the other, each row encoded as in
+        its part, with the row ``groups`` and ``classes`` given."""
+        return cls(*(np.concatenate([getattr(t, name) for t in parts])
+                     for name in ("labels", "onehot", "weights", "scale")), groups, classes)
 
 
 def log_probs(pair: nn.Mlp, feats: Tensor) -> Tensor:
@@ -171,11 +180,11 @@ def entropy_weights(probs) -> np.ndarray:
     return 1.0 + np.exp(-entropy)
 
 
-def l1_discrepancy(p: Tensor) -> Tensor:
+def l1_discrepancy(p: Tensor, start: int = 0) -> Tensor:
     """Mean absolute difference of the pair's two row-stochastic b-by-K
-    matrices, stacked as ``p``; in [0, 2].  One
-    :func:`~cgdm.tensor.mean_abs_difference` node."""
-    return mean_abs_difference(p)
+    matrices, stacked as ``p``, on their rows from ``start`` on; in [0, 2].
+    One :func:`~cgdm.tensor.mean_abs_difference` node."""
+    return mean_abs_difference(p, start)
 
 
 def class_balance_loss(p: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ context ``ctx``: the pow exponent, the concat axis, the axis of ``sum0``
 and ``sum1``, the ReLU flag of ``linear``, ``relu_mask``'s layer output,
 the two cross-entropies' ``(log-softmax values, onehot, scale)``,
 ``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
-column of row scales), ``class_affine_gradient``'s members (or None),
+column of row scales), ``class_affine_gradient``'s row groups,
 ``cosine_rows``'s forward row sums, norms and denominators, and the
 forward arrays and scales of the fused losses and the weights of
 ``weighted_sum``; relu and absolute keep none and take their masks from
@@ -38,7 +38,8 @@ backpropagation as first written: the first backward written out as a
 network, the second run by ``backward``.  The gradient ops,
 ``cross_entropy_grad``, ``relu_mask``, ``class_affine_gradient`` and
 ``cosine_rows``, are the pieces of that recurrence and of the alignment
-loss; each node of the recurrence holds both heads.
+loss; each node of the recurrence holds both heads, and, in training, the
+rows of both domains, source rows first.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -50,8 +51,9 @@ take such stacks and give each head's slice the 2-D op's numpy operations,
 ``np.matmul`` running each slice through the 2-D product's BLAS call, so
 each head has the 2-D op's bits (the tests check them head by head).
 ``linear`` and ``class_affine_gradient`` also take a b-by-in layer input
-that the heads share, whose cotangent is theirs summed in head order, and
-``head_difference`` is the difference of a stack's two heads.  Anything
+that the heads share, whose cotangent is theirs summed in head order
+(``linear`` adds each head's product into one array, making no H-by-b-by-in
+stack), and ``head_difference`` is the difference of a stack's two heads.  Anything
 else, an elementwise op of a stack with a matrix or a row included, raises
 :class:`ShapeError`.  A tensor and the graph it
 belongs to are confined to a single thread; the recording switch is
@@ -79,16 +81,21 @@ gradients are bit-identical to it:
   loss cotangent ``g``, as a node whose parent is ``ls``;
 * ``softmax_pair_cross_entropy(ls, onehot, weights, scale)``: the mean of a
   pair of heads' cross-entropies, ``mul(tsum(softmax_cross_entropy(..)), 0.5)``;
-* ``class_affine_gradient(layers, members)``: each affine layer's weight and
-  bias gradient ``[vec(delta_r^T h) | column sums of delta_r]`` per class r,
-  the layers side by side, head after head: ``concat`` of one block per
-  head and layer, each layer's product and sum made for all heads at once;
+* ``class_affine_gradient(layers, groups)``: each affine layer's weight and
+  bias gradient ``[vec(delta_r^T h_r) | column sums of delta_r]`` per row
+  group r, the layers side by side, head after head: ``concat`` of one
+  block per head and layer, each layer's product and sum made for all heads
+  and groups at once.  A group of rows is a reshaped view (G equal groups
+  of consecutive rows) or a :class:`RowGroups` gather with zero ``delta`` on
+  its pads, which equals the composition's masked K-fold copy of
+  ``delta``: the masked rows add exact zeros to each sum;
 * ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row;
-* the losses, each a scalar node: ``mean_abs_difference(p)``, the L1
-  discrepancy ``mul(tsum(absolute(head_difference(p))), 1 / n)``;
-  ``balance_gap(p, floor)``, the nine-node class balance loss; and
-  ``cosine_gap(gs, gt, eps)``, ``mul(tsum(sub(1, cosine_rows(...))), 1 /
-  rows)`` with the rows of a vanished gradient left out;
+* the losses, each a scalar node: ``mean_abs_difference(p, start)``, the
+  L1 discrepancy ``mul(tsum(absolute(head_difference(p))), 1 / n)`` of the
+  rows from ``start`` on; ``balance_gap(p, floor)``, the nine-node class
+  balance loss; and ``cosine_gap(g, eps)``, ``mul(tsum(sub(1,
+  cosine_rows(gs, gt))), 1 / rows)`` of the two row halves ``gs`` and
+  ``gt`` of ``g``, with the rows of a vanished gradient left out;
 * ``weighted_sum(terms)``: a step's objective, the chain of ``add``,
   ``sub`` and ``mul`` by a weight that sums its losses.
 """
@@ -130,6 +137,7 @@ __all__ = [
     "softmax_cross_entropy",
     "softmax_pair_cross_entropy",
     "cross_entropy_grad",
+    "RowGroups",
     "class_affine_gradient",
     "cosine_rows",
     "mean_abs_difference",
@@ -282,7 +290,7 @@ def neg(a) -> Tensor:
 
 def _swap(a: np.ndarray) -> np.ndarray:
     """The transpose of a matrix, or of each matrix of a stack: a view."""
-    return a.T if a.ndim == 2 else a.transpose(0, 2, 1)
+    return a.swapaxes(-1, -2)
 
 
 def matmul(a, b) -> Tensor:
@@ -499,18 +507,64 @@ def cross_entropy_grad(ls, g: float, onehot: np.ndarray, scale: np.ndarray) -> T
                  (g, onehot, scale))
 
 
-def class_affine_gradient(layers, members=None) -> Tensor:
+class RowGroups:
+    """The rows of a joint batch of several domains, grouped by (domain,
+    class) for :func:`class_affine_gradient`; made once per batch.
+
+    ``classes[d]`` gives the class in [0, count) of each row of domain d, or
+    -1 for a row of no class; domain d's rows follow domain d-1's.  Group
+    ``d * count + r`` is domain d's rows of class r in row order.  ``index``
+    (G-by-m) lists each group's rows, then pads: first the rows of no class
+    of its domain, so that each such row gets one block per class of its
+    domain, then row 0.  ``pad`` marks the pads, whose ``delta`` the op
+    zeroes.  ``slot`` is each row's flat position in ``index`` (a row of no
+    class: its first pad), and ``fold`` the ``count`` positions of each row
+    of no class, listed in ``none``."""
+
+    def __init__(self, classes, count: int):
+        sizes = [len(c) for c in classes]
+        labels = np.concatenate(classes).astype(np.intp)
+        domain = np.repeat(np.arange(len(sizes)), sizes)
+        group = domain * count + labels
+        self.rows, self.none = labels.size, np.flatnonzero(labels < 0)
+        group[self.none] = -1
+        members = np.bincount(group[group >= 0], minlength=len(sizes) * count)
+        nones = np.bincount(domain[self.none], minlength=len(sizes))
+        # whole panels of 8 columns: BLAS then sums each column of a group's
+        # products in the order it uses for a batch of a multiple of 8 rows
+        m = -(-max((members + np.repeat(nones, count)).tolist(), default=1) // 8) * 8
+        ranked = np.argsort(group, kind="stable")[self.none.size:]  # by group, in row order
+        self.slot = np.zeros(self.rows, dtype=np.intp)
+        self.slot[ranked] = (group[ranked] * m + np.arange(ranked.size)
+                             - (np.cumsum(members) - members)[group[ranked]])
+        self.index = np.zeros((len(members), m), dtype=np.intp)
+        self.pad = np.ones(self.index.shape, dtype=bool)
+        self.index.flat[self.slot[ranked]] = ranked
+        self.pad.flat[self.slot[ranked]] = False
+        self.fold = np.zeros((self.none.size, count), dtype=np.intp)
+        if self.none.size and count:
+            # each row of no class: a pad in each group of its domain, after
+            # the group's rows, in row order
+            own = domain[self.none][:, None] * count + np.arange(count)
+            order = np.arange(self.none.size) - (np.cumsum(nones) - nones)[domain[self.none]]
+            at = members[own] + order[:, None]
+            self.index[own, at] = self.none[:, None]
+            self.fold = own * m + at
+            self.slot[self.none] = self.fold[:, 0]
+
+
+def class_affine_gradient(layers, groups=1) -> Tensor:
     """Row r is, for each affine layer ``(delta, h)`` of ``layers`` in turn,
-    ``[vec(d_r^T h) | column sums of d_r]``: the layers' weight and bias
-    gradients on the rows of class r, side by side.  ``d_r`` is the output
-    cotangent ``delta`` on the rows that ``members`` (b-by-K, 0/1) puts in
-    class r; ``None`` is one class of all rows.  For stacked heads each
-    ``delta`` is H-by-b-by-out and each ``h`` the b-by-in input the heads
-    share or their H-by-b-by-in stack, and row r is head 1's layers, then
-    head 2's, and so on, each head's block made from its slices as above.
-    Each layer's product and sum run once for all heads, on the head axis.
-    The masked copies of each ``delta`` live only inside the op and its
-    first-order vjp."""
+    ``[vec(d_r^T h_r) | column sums of d_r]``: the layers' weight and bias
+    gradients on the rows of group r, side by side.  ``d_r`` and ``h_r``
+    are ``delta`` and ``h`` on those rows.  ``groups`` is an int G, G equal
+    groups of consecutive rows (1: one group of all rows), each a reshaped
+    view, or a :class:`RowGroups`, each group gathered by its padded index
+    with zero ``delta`` on the pads.  For stacked heads each ``delta`` is
+    H-by-b-by-out and each ``h`` the b-by-in input the heads share or their
+    H-by-b-by-in stack, and row r is head 1's layers, then head 2's, and so
+    on, each head's block made from its slices as above.  Each layer's
+    product and sum run once for all heads and groups."""
     layers = [(as_tensor(delta), as_tensor(h)) for delta, h in layers]
     if not layers:
         raise ContractError("class_affine_gradient of no layers")
@@ -521,21 +575,21 @@ def class_affine_gradient(layers, members=None) -> Tensor:
                 or h.values.ndim not in (2, delta.values.ndim)
                 or h.shape[:-2] not in ((), heads) or {delta.shape[-2], h.shape[-2]} != {n}):
             raise ShapeError(f"class_affine_gradient: delta {delta.shape}, h {h.shape}")
-    rows = 1 if members is None else members.shape[-1]
-    if members is not None and (members.shape != (n, rows) or not rows):
-        raise ShapeError(f"{members.shape} members for {n} rows")
+    grouped = isinstance(groups, RowGroups)
+    rows = len(groups.index) if grouped else groups
+    if rows < 1 or (groups.rows != n if grouped else n % rows):
+        raise ShapeError(f"{n} rows do not split into {rows} row groups")
     columns = sum(delta.shape[-1] * (h.shape[-1] + 1) for delta, h in layers)
-    out = np.empty((rows, math.prod(heads), columns))  # class, head, column
+    out = np.empty((rows, math.prod(heads), columns))  # group, head, column
     start = 0
     for delta, h in layers:
-        d = _stacked(delta.values)
-        copies = d if members is None else _class_copies(d, members)
-        for block in (np.matmul(_swap(copies), h.values), copies.sum(axis=1)):
+        d = _grouped(_stacked(delta.values), groups, zero_pads=True)
+        for block in (np.matmul(_swap(d), _grouped(h.values, groups)), d.sum(axis=2)):
             block = block.reshape(len(d), rows, -1)
             out[:, :, start:start + block.shape[2]] = block.transpose(1, 0, 2)
             start += block.shape[2]
     parents = tuple(t for layer in layers for t in layer)
-    return _node(out.reshape(rows, -1), parents, "class_affine_gradient", members)
+    return _node(out.reshape(rows, -1), parents, "class_affine_gradient", groups)
 
 
 def _two_heads(p, op: str) -> Tensor:
@@ -545,14 +599,15 @@ def _two_heads(p, op: str) -> Tensor:
     return p
 
 
-def mean_abs_difference(p) -> Tensor:
+def mean_abs_difference(p, start: int = 0) -> Tensor:
     """``mul(tsum(absolute(head_difference(p))), 1 / n)`` for a stack ``p``
-    of two heads of n entries each: the mean absolute difference of the
-    two, as one node."""
+    of two heads, on their rows from ``start`` on, n entries each: the mean
+    absolute difference of the two there, as one node."""
     p = _two_heads(p, "mean_abs_difference")
-    diff = p.values[0] - p.values[1]
+    diff = p.values[0, start:] - p.values[1, start:]
     scale = 1.0 / diff.size
-    return _node(np.abs(diff).sum() * scale, (p,), "mean_abs_difference", (diff, scale))
+    return _node(np.abs(diff).sum() * scale, (p,), "mean_abs_difference",
+                 (diff, scale, start))
 
 
 def balance_gap(p, floor: float) -> Tensor:
@@ -611,29 +666,31 @@ def cosine_rows(gs, gt, eps: float) -> tuple:
     return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
 
 
-def cosine_gap(gs, gt, eps: float) -> Tensor:
-    """Mean over the rows of two b-by-P matrices of ``1 - cos(gs[r],
-    gt[r])`` as one node: ``mul(tsum(sub(1, c)), 1 / b)`` for the
-    :func:`cosine_rows` node ``c``.  A row where |gs| or |gt| is below
-    ``eps`` adds a constant 0 but counts in the mean: ``c`` is then the
-    node of ``matmul(keep, gs)`` and ``matmul(keep, gt)``, ``keep`` the
-    rows of the identity that select the other rows.  If every row does,
-    the result is the constant 0, a leaf."""
-    gs, gt = as_tensor(gs), as_tensor(gt)
-    if gs.shape != gt.shape or gs.values.ndim != 2:
-        raise ShapeError(f"cosine_gap: shapes {gs.shape} and {gt.shape}")
-    rows = gs.shape[0]
-    parts = _cosine_parts(gs.values, gt.values, eps)
+def cosine_gap(g, eps: float) -> Tensor:
+    """Mean over the r row pairs of a 2r-by-P matrix ``g``, the rows ``gs =
+    g[:r]`` over ``gt = g[r:]``, of ``1 - cos(gs[i], gt[i])`` as one node:
+    ``mul(tsum(sub(1, c)), 1 / r)`` for the :func:`cosine_rows` node ``c``
+    of the two halves.  A pair where |gs| or |gt| is below ``eps`` adds a
+    constant 0 but counts in the mean: ``c`` is then the node of
+    ``matmul(keep, gs)`` and ``matmul(keep, gt)``, ``keep`` the rows of the
+    identity that select the other pairs.  If every pair does, the result is
+    the constant 0, a leaf."""
+    g = as_tensor(g)
+    if g.values.ndim != 2 or g.shape[0] % 2:
+        raise ShapeError(f"cosine_gap takes a 2r-by-P matrix, got {g.shape}")
+    rows = g.shape[0] // 2
+    gs, gt = g.values[:rows], g.values[rows:]
+    parts = _cosine_parts(gs, gt, eps)
     live = (parts[3] >= eps) & (parts[4] >= eps)
     if not live.any():
         return Tensor(0.0)
     keep = kept = None
     if not live.all():
         keep = np.eye(rows)[live]
-        kept = [keep @ gs.values, keep @ gt.values]
+        kept = [keep @ gs, keep @ gt]
         parts = _cosine_parts(*kept, eps)
     scale = 1.0 / rows
-    return _node((1.0 - parts[2] * parts[6]).sum() * scale, (gs, gt), "cosine_gap",
+    return _node((1.0 - parts[2] * parts[6]).sum() * scale, (g,), "cosine_gap",
                  (parts, scale, keep, kept))
 
 
@@ -650,43 +707,34 @@ def _where_positive(g, out) -> np.ndarray:
     return np.multiply(g, mask, out=mask)
 
 
-def _class_copies(delta, members):
-    """``delta`` (b-by-width or a stack of heads) masked to the rows of each
-    class, the K copies side by side: one broadcast product."""
-    return (delta[..., None, :] * members[:, :, None]).reshape(delta.shape[:-1] + (-1,))
-
-
-def _class_gather(g, members):
-    """The cotangent of each head's ``delta`` from that of its K masked
-    copies, for a stack ``g`` of heads: row i's block of its class, one
-    gather in place of the K-fold masked product and sum, with its bits.  A
-    row of no class gets that sum of its K blocks times 0, in block order:
-    -0.0 where all K are negative, else +0.0."""
-    b, k = members.shape
-    rows = np.arange(b)
-    cls = members.argmax(axis=1)
-    # each head's g is the transpose of a C-ordered product, so it splits
-    # into the K blocks as a view
-    blocks = _swap(g).reshape(len(g), k, -1, b)
-    out = blocks[np.arange(len(g))[:, None], cls, :, rows]
-    none = members[rows, cls] == 0.0
-    if none.any():
-        width = out.shape[2]
-        total = g[:, none, :width] * 0.0
-        for r in range(1, k):
-            total += g[:, none, r * width:(r + 1) * width] * 0.0
-        out[:, none] = total
+def _grouped(a, groups, zero_pads=False) -> np.ndarray:
+    """The rows of ``a`` (b-by-c, or a stack of heads) by group, G-by-m-by-c
+    (or a stack): a reshaped view for an int G, else the gather of the
+    padded index, with its pads set to 0 if ``zero_pads``."""
+    if not isinstance(groups, RowGroups):
+        return a.reshape(a.shape[:-2] + (groups, -1, a.shape[-1]))
+    out = np.take(a, groups.index, axis=-2)
+    if zero_pads:
+        out[..., groups.pad, :] = 0.0
     return out
 
 
-def _block_matmul(a, m, width):
-    """Each row of ``a`` (K rows, or a stack of them) as ``width`` rows of a
-    matrix, stacked, times ``m``: K products of width-by-in views of ``a``,
-    one per class, in place of the product of its K*width-by-in reshaped
-    copy.  Each output element is the same dot product, which OpenBLAS sums
-    in the same order."""
-    out = np.matmul(a.reshape(a.shape[:-1] + (width, -1)), m)
-    return out.reshape(a.shape[:-2] + (-1, out.shape[-1]))
+def _ungrouped(a, groups, fold=False) -> np.ndarray:
+    """Each row's cotangent from a C-ordered G-by-m-by-c cotangent of its
+    groups (or a stack): the reshaped view for an int G, else the gather of
+    each row's slot.  With ``fold``, a row of no class gets its blocks in
+    its domain's groups times 0, summed in group order, as the masked
+    composition gives it: -0.0 where all are negative, else +0.0."""
+    flat = a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
+    if not isinstance(groups, RowGroups):
+        return flat
+    out = np.take(flat, groups.slot, axis=-2)
+    if fold and groups.none.size:
+        total = flat[..., groups.fold[:, 0], :] * 0.0
+        for r in range(1, groups.fold.shape[1]):
+            total += flat[..., groups.fold[:, r], :] * 0.0
+        out[..., groups.none, :] = total
+    return out
 
 
 # -- vjp formulas: vjp(g, args, out, ctx, needed) -> parent cotangents ---------
@@ -734,10 +782,12 @@ def _linear_vjp(g, args, out, relu, needed):
         g = _where_positive(g, out)
     x, w, _ = args
     g_x = None
-    if needed[0]:
+    if needed[0] and x.ndim < w.ndim:  # each head's product added in head order
+        g_x = g[0] @ w[0]
+        for head in range(1, len(w)):
+            g_x += g[head] @ w[head]
+    elif needed[0]:
         g_x = g @ w
-        if g_x.ndim > x.ndim:
-            g_x = np.add.reduce(g_x, 0)
     return (g_x,
             _swap(g) @ x if needed[1] else None,
             np.add.reduce(g, -2) if needed[2] else None)
@@ -773,40 +823,43 @@ def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
     return (g * (g_loss * scale) * np.exp(args[0]),)
 
 
-def _class_affine_vjp(g, args, out, members, needed):
+def _delta_cotangent(g_weight, g_bias, h, groups):
+    """A layer's ``delta`` cotangent from its weight and bias blocks, group
+    by group, C-ordered as the later vjps' sums read it."""
+    # a C-ordered h^T per group, freed once multiplied: BLAS reads a
+    # transposed view in another summation order when the weight cotangent
+    # has few rows, and these sums keep the bits of the composition's
+    product = np.matmul(g_weight, np.ascontiguousarray(_swap(_grouped(h, groups))))
+    return _ungrouped(np.add(_swap(product), g_bias[:, :, None], order="C"), groups, fold=True)
+
+
+def _h_cotangent(delta, g_weight, h, groups):
+    """A layer's ``h`` cotangent from its weight blocks, group by group; an
+    ``h`` the heads share gets theirs summed in head order."""
+    g_h = _ungrouped(np.matmul(_grouped(delta, groups, zero_pads=True), g_weight), groups)
+    return g_h if h.ndim == 3 else np.add.reduce(g_h, 0)
+
+
+def _class_affine_vjp(g, args, out, groups, needed):
     """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
     then its ``delta``'s and its ``h``'s cotangents as needed, each product
-    or sum one numpy call for all heads; an ``h`` the heads share gets
-    theirs summed in head order.  The ``h`` cotangent makes the masked
-    copies of ``delta`` once; the ``delta`` cotangent makes none, gathering
-    each row's block of its class instead.  Every cotangent is C-ordered."""
+    or sum one numpy call for all heads and groups, from each group's own
+    rows; an ``h`` the heads share gets theirs summed in head order.  Every
+    cotangent is C-ordered."""
     rows = out.shape[0]
     heads = len(_stacked(args[0]))
-    g = g.reshape(rows, heads, -1).transpose(1, 0, 2)  # head, class, column
+    g = g.reshape(rows, heads, -1).transpose(1, 0, 2)  # head, group, column
     cots, start = [None] * len(args), 0
     for j in range(0, len(args), 2):
         delta, h = _stacked(args[j]), args[j + 1]
         width, n_in = delta.shape[2], h.shape[-1]
-        g_weight = g[:, :, start:start + width * n_in]
+        g_weight = g[:, :, start:start + width * n_in].reshape(heads, rows, width, n_in)
         g_bias = g[:, :, start + width * n_in:start + width * (n_in + 1)]
         start += width * (n_in + 1)
         if needed[j]:
-            # a C-ordered h^T: BLAS reads a transposed view in another
-            # summation order when the weight cotangent has few rows, and
-            # these sums keep the bits of the composition's
-            h_t = np.ascontiguousarray(_swap(h))
-            product = _block_matmul(g_weight, h_t if h.ndim == 2 else h_t[:, None], width)
-            # C-ordered as the later vjps' sums read it; before a gather, the
-            # transpose of the C-ordered product, which it splits as a view
-            g_delta = np.add(_swap(product), g_bias.reshape(heads, 1, -1),
-                             order="C" if members is None else "K")
-            if members is not None:
-                g_delta = _class_gather(g_delta, members)
-            cots[j] = g_delta.reshape(args[j].shape)
+            cots[j] = _delta_cotangent(g_weight, g_bias, h, groups).reshape(args[j].shape)
         if needed[j + 1]:
-            copies = delta if members is None else _class_copies(delta, members)
-            g_h = copies @ g_weight.reshape(heads, rows * width, n_in)
-            cots[j + 1] = g_h if h.ndim == 3 else np.add.reduce(g_h, 0)
+            cots[j + 1] = _h_cotangent(delta, g_weight, h, groups)
     return tuple(cots)
 
 
@@ -819,10 +872,15 @@ def _absolute_vjp(g, args, out, ctx, needed):
 
 def _mean_abs_difference_vjp(g, args, out, ctx, needed):
     """The ``absolute`` vjp of the heads' difference at ``g / n``; the first
-    head gets it, the second its negation."""
-    diff, scale = ctx
+    head gets it, the second its negation, and the rows before ``start``
+    0."""
+    diff, scale, start = ctx
     g_diff = _absolute_vjp(g * scale, [diff], None, None, needed)[0]
-    return (np.stack((g_diff, -g_diff)),)
+    if not start:
+        return (np.stack((g_diff, -g_diff)),)
+    cot = np.zeros(args[0].shape)
+    cot[0, start:], cot[1, start:] = g_diff, -g_diff
+    return (cot,)
 
 
 def _balance_gap_vjp(g, args, out, ctx, needed):
@@ -834,33 +892,41 @@ def _balance_gap_vjp(g, args, out, ctx, needed):
 
 
 def _cosine_gap_vjp(g, args, out, ctx, needed):
-    """The :func:`cosine_rows` vjp at the cotangent ``-g / b`` of every
-    cosine, then, when rows were dropped, ``keep^T`` times each."""
+    """The :func:`cosine_rows` vjp of the two halves at the cotangent ``-g /
+    r`` of every cosine, written into the halves of one cotangent; when
+    pairs were dropped, ``keep^T`` times each."""
     parts, scale, keep, kept = ctx
-    cots = _cosine_rows_vjp(-(g * scale), args if keep is None else kept, None, parts, needed)
+    rows = len(args[0]) // 2
+    cot = np.empty(args[0].shape)
+    halves = (cot[:rows], cot[rows:])
     if keep is None:
-        return cots
-    return tuple(None if c is None else keep.T @ c for c in cots)
+        _cosine_cotangents(-(g * scale), args[0][:rows], args[0][rows:], parts, (True, True),
+                           halves)
+    else:
+        for c, half in zip(_cosine_cotangents(-(g * scale), *kept, parts, (True, True)), halves):
+            np.matmul(keep.T, c, out=half)
+    return (cot,)
 
 
-def _cosine_rows_vjp(g, args, out, parts, needed):
-    """From the forward's row sums in the context.  A parent's cotangent
-    arrives through s.t first, then twice through its own square
-    (``mul(a, a)``), as in the composition; the terms of the denominator and
-    of s.t are made once for both."""
-    gs, gt = args
+def _cosine_cotangents(g, gs, gt, parts, needed, into=(None, None)):
+    """The cotangents of :func:`cosine_rows`' parents from the forward's row
+    sums ``parts``, as needed, each written into its array of ``into`` or a
+    new one.  A
+    parent's cotangent arrives through s.t first, then twice through its own
+    square (``mul(a, a)``), as in the composition; the terms of the
+    denominator and of s.t are made once for both."""
     ss, tt, st, norm_s, norm_t, denom, inv = parts
     g_denom = g * st * (_power(denom, -2.0) * -1.0)
     g_cross = (g * inv)[:, None]
     cots = []
-    for a, other, own_sq, other_norm, need in ((gs, gt, ss, norm_t, needed[0]),
-                                               (gt, gs, tt, norm_s, needed[1])):
+    for a, other, own_sq, other_norm, need, dest in (
+            (gs, gt, ss, norm_t, needed[0], into[0]), (gt, gs, tt, norm_s, needed[1], into[1])):
         if not need:
             cots.append(None)
             continue
         g_sq = g_denom * other_norm * (_power(own_sq, -0.5) * 0.5)
         square = g_sq[:, None] * a
-        cots.append(g_cross * other + square + square)
+        cots.append(np.add(g_cross * other + square, square, out=dest))
     return tuple(cots)
 
 
@@ -890,7 +956,8 @@ _VJPS = {
         _ce_grad(ctx[0], g * 0.5, *ctx[1:]),),
     "cross_entropy_grad": _cross_entropy_grad_vjp,
     "class_affine_gradient": _class_affine_vjp,
-    "cosine_rows": _cosine_rows_vjp,
+    "cosine_rows": lambda g, args, out, parts, needed: _cosine_cotangents(
+        g, *args, parts, needed),
     "mean_abs_difference": _mean_abs_difference_vjp,
     "balance_gap": _balance_gap_vjp,
     "cosine_gap": _cosine_gap_vjp,

@@ -11,8 +11,8 @@ Per epoch: refresh pseudo labels once, then for every minibatch pair run
   repeats) to minimize the discrepancy plus the cross-domain gradient
   alignment loss, whose generator gradient flows through double backward:
   the classifier gradients are recorded as forward ops (the heads' backward
-  recurrence), so each repeat's one backward pass, first-order like every
-  other, differentiates them.
+  recurrence, run once on the joint rows of both domains), so each repeat's
+  one backward pass, first-order like every other, differentiates them.
 
 A loss is off when its weight is 0.  With ``alpha``, ``beta`` and
 ``class_balance_weight`` all 0 (the ``mcd`` variant) the loop reduces
@@ -46,6 +46,7 @@ from .tensor import (
     DomainError,
     Tensor,
     backward,
+    concat,
     exp,
     weighted_sum,
 )
@@ -158,14 +159,16 @@ class BatchTargets:
     """One iteration's label encodings, made once and read by all three steps.
 
     ``source`` encodes the source batch's labels, ``target`` the target
-    batch's pseudo labels and weights, and ``alignment`` the (source,
-    target) targets of the alignment loss: the same two, or both by shared
-    class under conditional GDM; None when that loss is off.
+    batch's pseudo labels and weights, and ``alignment`` the targets of the
+    alignment loss on the joint rows of both
+    (:func:`~cgdm.grad_discrepancy.alignment_targets`): grouped by domain,
+    or by domain and shared class under conditional GDM; None when that loss
+    is off.
     """
 
     source: losses.Targets
     target: losses.Targets
-    alignment: tuple | None
+    alignment: losses.Targets | None
 
 
 def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifierModel:
@@ -253,8 +256,8 @@ class CgdmTrainer:
         target = losses.Targets.of(pseudo.labels, k, pseudo.weights)
         alignment = None
         if self.cfg.beta > 0:
-            alignment = (grad_discrepancy.by_shared_class(source, target)
-                         if self.cfg.conditional_gdm else (source, target))
+            alignment = grad_discrepancy.alignment_targets(source, target,
+                                                           self.cfg.conditional_gdm)
         return BatchTargets(source, target, alignment)
 
     def step1_update(self, source_batch, target_batch, targets: BatchTargets) -> dict:
@@ -318,50 +321,55 @@ class CgdmTrainer:
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
-        Each repeat forwards each domain once; the one log-softmax of the
-        target logits of both heads feeds the discrepancy term and the
-        alignment loss, whose source and target class-gradient matrices on
-        ``targets.alignment`` are recorded forward ops, so the repeat makes
-        one backward, a first-order one.  Rows may come in any class order.
+        Each repeat forwards the generator once per domain.  With the
+        alignment loss, the two domains' features are joined, source rows
+        first, and the pair runs once on the joint rows: the one log-softmax
+        of both heads' logits feeds the discrepancy term, on its target rows,
+        and the alignment loss, whose source and target class-gradient
+        matrices on the row groups of ``targets.alignment`` are one recorded
+        node; the join hands each generator its rows' cotangent.  Without
+        it, the pair runs on the target rows alone.  Either way the repeat
+        makes one backward, a first-order one, and its graph is freed before
+        the next repeat records one.  Rows may come in any class order.
         ``features``, the recorded (source, target) generator features of
         these batches under the current generator parameters (as
         :meth:`step2_update` returns them), stand in for the first repeat's
-        generator forwards.
+        generator forwards.  Returns the first repeat's losses.
         """
-        cfg = self.cfg
-        m = self.model
         x_s = Tensor(source_batch.features)
         x_t = Tensor(target_batch.features)
+        first = self._step3_repeat(x_s, x_t, targets, features)
+        for _ in range(1, self.cfg.step3_repeats):
+            self._step3_repeat(x_s, x_t, targets)
+        return first
+
+    def _step3_repeat(self, x_s, x_t, targets: BatchTargets, features=None) -> dict:
+        """One step-3 update of G, from ``features`` or fresh generator
+        forwards; returns its losses as floats, so no node of its graph
+        outlives it."""
+        cfg = self.cfg
+        m = self.model
+        feats_s, feats_t = features or (None, nn.forward(m.generator, x_t))
         out = {}
-        for rep in range(cfg.step3_repeats):
-            if rep == 0 and features is not None:
-                feats_s, feats_t = features
+        if cfg.beta > 0:
+            if feats_s is None:
+                feats_s = nn.forward(m.generator, x_s)
+            ls = losses.log_probs(m.classifiers, concat([feats_s, feats_t]))
+            loss_dis = losses.l1_discrepancy(exp(ls), feats_s.shape[0])
+            if cfg.conditional_gdm:
+                loss_gd = grad_discrepancy.conditional_gradient_loss(
+                    m.classifiers, ls, targets.alignment)
             else:
-                feats_s, feats_t = None, nn.forward(m.generator, x_t)
-            ls_t = losses.log_probs(m.classifiers, feats_t)
-            loss_dis = losses.l1_discrepancy(exp(ls_t))
+                loss_gd = grad_discrepancy.gradient_discrepancy_loss(
+                    grad_discrepancy.class_gradients(m.classifiers, ls, targets.alignment))
+            terms = [(loss_dis, 1.0), (loss_gd, cfg.beta)]
+            out["loss_gd"] = loss_gd.item()
+        else:
+            loss_dis = losses.l1_discrepancy(exp(losses.log_probs(m.classifiers, feats_t)))
             terms = [(loss_dis, 1.0)]
-            loss_gd = None
-            if cfg.beta > 0:
-                if feats_s is None:
-                    feats_s = nn.forward(m.generator, x_s)
-                ts, tt = targets.alignment
-                args = (m.classifiers, (losses.log_probs(m.classifiers, feats_s), ts),
-                        (ls_t, tt))
-                if cfg.conditional_gdm:
-                    loss_gd = grad_discrepancy.conditional_gradient_loss(*args)
-                else:
-                    loss_gd = grad_discrepancy.gradient_discrepancy_loss(
-                        *grad_discrepancy.class_gradients(*args)
-                    )
-                terms.append((loss_gd, cfg.beta))
-            grads = backward(weighted_sum(terms), m.generator_parameters())
-            self.opt_g.step(grads)
-            if rep == 0:
-                out["loss_dis"] = loss_dis.item()
-                if loss_gd is not None:
-                    out["loss_gd"] = loss_gd.item()
-        return out
+        grads = backward(weighted_sum(terms), m.generator_parameters())
+        self.opt_g.step(grads)
+        return {"loss_dis": loss_dis.item(), **out}
 
     def fit(self, source, target, rng=None) -> list:
         """Run warmup plus the full three-step schedule; returns epoch metrics.
@@ -460,11 +468,16 @@ class CgdmTrainer:
 
 
 def _check_class_counts(source, target) -> int:
+    """The class count K, the largest source label + 1, which may not
+    exceed the number of source rows: each head's output layer has K rows."""
     if source.labels is None:
         raise ConfigError("source set must be labeled")
     num_classes = int(source.labels.max()) + 1
     if source.labels.min() < 0:
         raise ConfigError("negative source label")
+    if num_classes > source.n:
+        raise ConfigError(f"source label {num_classes - 1} asks for {num_classes} classes; "
+                          f"the class count may not exceed the {source.n} source rows")
     if target.labels is not None and target.labels.size:
         if target.labels.min() < 0 or target.labels.max() >= num_classes:
             raise ConfigError(

@@ -36,15 +36,31 @@ def log_probs(out):
     return T.log_softmax(out)
 
 
-def alignment_args(out_s, ys, out_t, pseudo, classes=None):
-    """``class_gradients``' (source, target) arguments on both heads' logits
-    of each domain, whole-batch or by ``classes``."""
-    k = out_s.shape[-1]
-    ts = losses.Targets.of(ys, k)
-    tt = losses.Targets.of(pseudo.labels, k, pseudo.weights)
-    if classes is not None:
-        ts, tt = ts.by_class(classes), tt.by_class(classes)
-    return (log_probs(out_s), ts), (log_probs(out_t), tt)
+def joint_logits(gen, pair, xs, xt):
+    """Both heads' stacked logits on the joint generator features of ``xs``
+    and ``xt``, the source rows over the target rows, as step 3 makes them."""
+    return nn.forward(pair, T.concat([feats(gen, xs), feats(gen, xt)]))
+
+
+def alignment_args(out, ys, pseudo, by_class=False):
+    """``class_gradients``' (log-softmax, targets) on both heads' joint
+    logits, whole-batch or by shared class."""
+    k = out.shape[-1]
+    return log_probs(out), gd.alignment_targets(
+        losses.Targets.of(ys, k), losses.Targets.of(pseudo.labels, k, pseudo.weights),
+        by_class)
+
+
+def halves(g):
+    """The source rows and the target rows of a joint class-gradient matrix."""
+    rows = g.shape[0] // 2
+    return g.values[:rows], g.values[rows:]
+
+
+def discrepancy(gs, gt):
+    """The alignment loss of the source rows ``gs`` over the target rows
+    ``gt``."""
+    return gd.gradient_discrepancy_loss(Tensor(np.concatenate([gs, gt])))
 
 
 class TestSourceGradient:
@@ -128,46 +144,42 @@ class TestTargetGradient:
 
 class TestDiscrepancyLoss:
     def test_equal_vectors_zero(self):
-        g = Tensor(np.array([[1.0, -2.0, 0.5]]))
-        assert gd.gradient_discrepancy_loss(g, g).item() < 1e-9
+        g = np.array([[1.0, -2.0, 0.5]])
+        assert discrepancy(g, g).item() < 1e-9
 
     def test_orthogonal_is_one(self):
-        a = Tensor(np.array([[1.0, 0.0]]))
-        b = Tensor(np.array([[0.0, 1.0]]))
-        assert gd.gradient_discrepancy_loss(a, b).item() == pytest.approx(1.0)
+        assert discrepancy(np.array([[1.0, 0.0]]),
+                           np.array([[0.0, 1.0]])).item() == pytest.approx(1.0)
 
     def test_opposite_is_two(self):
-        g = Tensor(np.array([[1.0, -2.0, 0.5]]))
-        neg = Tensor(-g.values)
-        assert gd.gradient_discrepancy_loss(g, neg).item() == pytest.approx(2.0, abs=1e-9)
+        g = np.array([[1.0, -2.0, 0.5]])
+        assert discrepancy(g, -g).item() == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_norm_guard(self):
-        z = Tensor(np.zeros((1, 3)))
-        g = Tensor(np.array([[1.0, 2.0, 3.0]]))
-        out = gd.gradient_discrepancy_loss(z, g)
+        out = discrepancy(np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0]]))
         assert out.item() == 0.0
         assert out.parents == ()  # constant, no gradient signal
 
     def test_length_mismatch(self):
+        """Source rows over as many target rows: an odd row count is refused."""
         with pytest.raises(ShapeError):
-            gd.gradient_discrepancy_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
+            gd.gradient_discrepancy_loss(Tensor(np.zeros((3, 4))))
 
     def test_vectors_rejected(self):
-        g = Tensor(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ShapeError):
-            gd.gradient_discrepancy_loss(g, g)
+            gd.gradient_discrepancy_loss(Tensor(np.array([1.0, 2.0, 3.0, 4.0])))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.1, 100.0))
     def test_scale_invariance_symmetry_bounds(self, seed, scale):
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(1, 6)))
-        b = Tensor(rng.normal(size=(1, 6)))
-        loss_ab = gd.gradient_discrepancy_loss(a, b).item()
-        loss_ba = gd.gradient_discrepancy_loss(b, a).item()
+        a = rng.normal(size=(1, 6))
+        b = rng.normal(size=(1, 6))
+        loss_ab = discrepancy(a, b).item()
+        loss_ba = discrepancy(b, a).item()
         assert abs(loss_ab - loss_ba) < 1e-12
         assert 0.0 <= loss_ab <= 2.0 + 1e-9
-        scaled = gd.gradient_discrepancy_loss(a, Tensor(scale * a.values)).item()
+        scaled = discrepancy(a, scale * a).item()
         assert abs(scaled) < 1e-9
 
 
@@ -225,19 +237,18 @@ def per_class_reforward_loss(gen, pair, xs, ys, xt, pseudo):
     for k in shared:
         s_rows = np.flatnonzero(ys == k)
         t_rows = np.flatnonzero(pseudo.labels == k)
-        term = gd.gradient_discrepancy_loss(*gd.class_gradients(pair, *alignment_args(
-            logits(gen, pair, xs[s_rows]), ys[s_rows],
-            logits(gen, pair, xt[t_rows]), pseudo.take(t_rows))))
+        term = gd.gradient_discrepancy_loss(gd.class_gradients(pair, *alignment_args(
+            joint_logits(gen, pair, xs[s_rows], xt[t_rows]), ys[s_rows],
+            pseudo.take(t_rows))))
         total = term if total is None else T.add(total, term)
     return T.mul(total, 1.0 / len(shared))
 
 
 def conditional_loss(gen, pair, xs, ys, xt, pseudo):
-    """The conditional loss with one forward per domain, rows as given."""
-    (ls_s, ts), (ls_t, tt) = alignment_args(
-        logits(gen, pair, xs), ys, logits(gen, pair, xt), pseudo)
-    ts, tt = gd.by_shared_class(ts, tt)
-    return gd.conditional_gradient_loss(pair, (ls_s, ts), (ls_t, tt))
+    """The conditional loss with one generator forward per domain and one
+    classifier forward of the joint rows, rows as given."""
+    return gd.conditional_gradient_loss(pair, *alignment_args(
+        joint_logits(gen, pair, xs, xt), ys, pseudo, by_class=True))
 
 
 def class_sorted_loss(gen, pair, xs, ys, xt, pseudo):
@@ -316,7 +327,7 @@ class TestConditional:
         pseudo = PseudoLabelSet(y, np.ones(6), np.zeros(6))
         with pytest.raises(ContractError):
             gd.conditional_gradient_loss(pair, *alignment_args(
-                logits(gen, pair, x), y, logits(gen, pair, x), pseudo))
+                joint_logits(gen, pair, x, x), y, pseudo))
 
     def test_two_shared_classes_average_of_per_class_losses(self):
         gen, pair, x, y = self._setup(30)
@@ -338,7 +349,7 @@ class TestConditional:
             gt = gd.target_gradient(
                 pair, logits(gen, pair, xt[t_rows]), pseudo.take(t_rows)
             )
-            per_class.append(gd.gradient_discrepancy_loss(gs, gt).item())
+            per_class.append(discrepancy(gs.values, gt.values).item())
         assert abs(combined - float(np.mean(per_class))) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -376,47 +387,91 @@ class TestConditional:
             np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
 
 
+def per_class_rows(gen, pair, xs, ys, xt, pseudo, classes):
+    """For each class, the definition's source and target rows on that
+    class's rows alone, each domain forwarded on its own."""
+    for k in classes:
+        s_rows = np.flatnonzero(ys == k)
+        t_rows = np.flatnonzero(pseudo.labels == k)
+        yield (gd.source_gradient(pair, logits(gen, pair, xs[s_rows]), ys[s_rows]).values[0],
+               gd.target_gradient(pair, logits(gen, pair, xt[t_rows]),
+                                  pseudo.take(t_rows)).values[0])
+
+
 class TestClassGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_equal_domain_gradients_on_each_class(self, seed):
-        gen, pair, xs, ys, xt, pseudo = unsorted_case(seed)
-        classes = np.array([0, 2])
-        gs, gt = gd.class_gradients(pair, *alignment_args(
-            logits(gen, pair, xs), ys, logits(gen, pair, xt), pseudo, classes))
+        """Classes 0 and 1 are shared; the source rows of class 2 are in no
+        group.  Row r of each half is its domain's gradient on class r."""
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(seed, target_classes=2)
+        g = gd.class_gradients(pair, *alignment_args(
+            joint_logits(gen, pair, xs, xt), ys, pseudo, by_class=True))
+        gs, gt = halves(g)
         n_params = sum(p.size for p in pair.parameters())
         assert gs.shape == gt.shape == (2, n_params)
-        for r, k in enumerate(classes):
-            s_rows = np.flatnonzero(ys == k)
-            t_rows = np.flatnonzero(pseudo.labels == k)
-            want_s = gd.source_gradient(pair, logits(gen, pair, xs[s_rows]), ys[s_rows])
-            want_t = gd.target_gradient(pair, logits(gen, pair, xt[t_rows]),
-                                        pseudo.take(t_rows))
-            np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
+        for r, (want_s, want_t) in enumerate(per_class_rows(gen, pair, xs, ys, xt, pseudo,
+                                                            (0, 1))):
+            np.testing.assert_allclose(gs[r], want_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gt[r], want_t, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("classes", [None, np.array([0, 2])], ids=["one_row", "per_class"])
-    def test_one_domain_gives_its_class_gradients_matrix(self, classes):
-        gen, pair, xs, ys, xt, pseudo = unsorted_case(0)
-        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
-        gs, gt = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo,
-                                                            classes))
-        assert gs.shape[0] == gt.shape[0] == (1 if classes is None else 2)
+    def test_a_class_of_one_row(self):
+        """A class with one row in each domain, beside classes of several:
+        its rows are that row's gradients."""
+        gen, pair = hidden_models(64)
+        rng = np.random.default_rng(64)
+        xs, xt = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        ys = np.array([1, 0, 2, 0, 1, 0, 1])
+        pseudo = PseudoLabelSet(np.array([0, 1, 1, 0, 2, 1, 0]), rng.uniform(1.0, 2.0, 7),
+                                np.zeros(7))
+        g = gd.class_gradients(pair, *alignment_args(
+            joint_logits(gen, pair, xs, xt), ys, pseudo, by_class=True))
+        for r, want in enumerate(per_class_rows(gen, pair, xs, ys, xt, pseudo, (0, 1, 2))):
+            for got, one in zip(halves(g), want):
+                np.testing.assert_allclose(got[r], one, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("by_class", [False, True], ids=["one_row", "per_class"])
+    def test_one_domain_gives_its_class_gradients_matrix(self, by_class):
+        """Each half of the joint matrix is its domain's matrix by the
+        definition, on the domain's own forward."""
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(0, target_classes=2)
+        g = gd.class_gradients(pair, *alignment_args(
+            joint_logits(gen, pair, xs, xt), ys, pseudo, by_class))
+        classes = [0, 1] if by_class else None
+        gs, gt = halves(g)
+        assert gs.shape[0] == gt.shape[0] == (2 if by_class else 1)
         np.testing.assert_array_equal(
-            gd.source_gradient(pair, out_s, ys, classes).values, gs.values)
+            gd.source_gradient(pair, logits(gen, pair, xs), ys, classes).values, gs)
         np.testing.assert_array_equal(
-            gd.target_gradient(pair, out_t, pseudo, classes).values, gt.values)
+            gd.target_gradient(pair, logits(gen, pair, xt), pseudo, classes).values, gt)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_row_is_bit_identical_with_the_two_backward_definition(self, seed):
         gen, pair, xs, ys, xt, pseudo = unsorted_case(seed)
-        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
-        gs, gt = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo))
-        want_s = gd.source_gradient(pair, out_s, ys)
-        want_t = gd.target_gradient(pair, out_t, pseudo)
-        np.testing.assert_array_equal(gs.values, want_s.values)
-        np.testing.assert_array_equal(gt.values, want_t.values)
-        assert (gd.gradient_discrepancy_loss(gs, gt).item()
-                == gd.gradient_discrepancy_loss(want_s, want_t).item())
+        g = gd.class_gradients(pair, *alignment_args(joint_logits(gen, pair, xs, xt), ys,
+                                                     pseudo))
+        want_s = gd.source_gradient(pair, logits(gen, pair, xs), ys).values
+        want_t = gd.target_gradient(pair, logits(gen, pair, xt), pseudo).values
+        gs, gt = halves(g)
+        np.testing.assert_array_equal(gs, want_s)
+        np.testing.assert_array_equal(gt, want_t)
+        assert (gd.gradient_discrepancy_loss(g).item()
+                == discrepancy(want_s, want_t).item())
+
+    @pytest.mark.parametrize("by_class", [False, True], ids=["one_row", "per_class"])
+    def test_equal_batches_are_the_two_halves_of_the_rows(self, by_class):
+        """Batches of one size are grouped as the two halves of the joint
+        rows (a reshaped view), by class as a padded index: both give the
+        definition's matrices bit for bit."""
+        gen, pair, xs, ys, xt, pseudo = unsorted_case(1)
+        xs, ys = xs[:9], ys[:9]
+        args = alignment_args(joint_logits(gen, pair, xs, xt), ys, pseudo, by_class)
+        assert (args[1].groups == 2) is not by_class
+        classes = [0, 1, 2] if by_class else None
+        gs, gt = halves(gd.class_gradients(pair, *args))
+        np.testing.assert_array_equal(
+            gd.source_gradient(pair, logits(gen, pair, xs), ys, classes).values, gs)
+        np.testing.assert_array_equal(
+            gd.target_gradient(pair, logits(gen, pair, xt), pseudo, classes).values, gt)
 
     def test_targets_of_another_class_count_rejected(self):
         """One-class targets would broadcast against 3 logits columns."""
@@ -424,15 +479,15 @@ class TestClassGradients:
         out = logits(gen, pair, xs)
         targets = losses.Targets.of(np.zeros(ys.size, int), 1)
         with pytest.raises(ShapeError, match="do not match log-softmax"):
-            gd.class_gradients(pair, (log_probs(out), targets), (log_probs(out), targets))
+            gd.class_gradients(pair, log_probs(out), targets)
 
     def test_zero_row_counts_in_the_mean(self):
-        gs = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
-        gt = Tensor(np.array([[0.0, 1.0], [3.0, 4.0], [1.0, 1.0]]))
-        out = gd.gradient_discrepancy_loss(gs, gt)
+        g = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0],
+                             [0.0, 1.0], [3.0, 4.0], [1.0, 1.0]]))
+        out = gd.gradient_discrepancy_loss(g)
         assert out.item() == pytest.approx((1.0 + 0.0 + 0.0) / 3, abs=1e-12)
-        grads = backward(out, [gs])
-        np.testing.assert_array_equal(grads[gs].values[1], [0.0, 0.0])
+        grads = backward(out, [g])
+        np.testing.assert_array_equal(grads[g].values[[1, 4]], np.zeros((2, 2)))
 
     @pytest.mark.parametrize("dead", [None, 0, 2])
     def test_loss_is_the_composition_it_fuses(self, dead):
@@ -449,15 +504,14 @@ class TestClassGradients:
         cos = T.mul(T.tsum(T.mul(a, b), axis=1),
                     T.pow_const(T.add(T.mul(*norms), gd.EPS), -1.0))
         want = T.mul(T.tsum(T.sub(1.0, cos)), 1.0 / 3)
-        got = gd.gradient_discrepancy_loss(gs, gt)
+        got = gd.gradient_discrepancy_loss(T.concat([gs, gt]))
         assert got.item() == want.item()
         g_got, g_want = backward(got, [gs, gt]), backward(want, [gs, gt])
         for t in (gs, gt):
             assert g_got[t].values.tobytes() == g_want[t].values.tobytes()
 
     def test_all_zero_rows_give_a_constant_zero(self):
-        z = Tensor(np.zeros((2, 3)))
-        out = gd.gradient_discrepancy_loss(z, Tensor(np.ones((2, 3))))
+        out = discrepancy(np.zeros((2, 3)), np.ones((2, 3)))
         assert out.item() == 0.0 and out.parents == ()
 
 
@@ -483,32 +537,26 @@ def op_counts(root):
 class TestDeepHeads:
     """The recorded head recurrence on heads with two hidden layers."""
 
-    @pytest.mark.parametrize("classes", [None, np.array([0, 1, 2])],
-                             ids=["one_row", "per_class"])
+    @pytest.mark.parametrize("classes", [None, [0, 1, 2]], ids=["one_row", "per_class"])
     @pytest.mark.parametrize("seed", range(3))
     def test_matrices_equal_the_parameter_backward_definition(self, seed, classes):
         gen, pair, xs, ys, xt, pseudo = deep_case(seed)
-        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
-        gs, gt = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo,
-                                                            classes))
+        gs, gt = halves(gd.class_gradients(pair, *alignment_args(
+            joint_logits(gen, pair, xs, xt), ys, pseudo, classes is not None)))
         np.testing.assert_array_equal(
-            gs.values, gd.source_gradient(pair, out_s, ys, classes).values)
+            gs, gd.source_gradient(pair, logits(gen, pair, xs), ys, classes).values)
         np.testing.assert_array_equal(
-            gt.values, gd.target_gradient(pair, out_t, pseudo, classes).values)
+            gt, gd.target_gradient(pair, logits(gen, pair, xt), pseudo, classes).values)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_match_the_parameter_backward_on_each_class(self, seed):
         gen, pair, xs, ys, xt, pseudo = deep_case(seed)
-        classes = np.array([0, 1, 2])
-        gs, gt = gd.class_gradients(pair, *alignment_args(
-            logits(gen, pair, xs), ys, logits(gen, pair, xt), pseudo, classes))
-        for r, k in enumerate(classes):
-            s_rows, t_rows = np.flatnonzero(ys == k), np.flatnonzero(pseudo.labels == k)
-            want_s = gd.source_gradient(pair, logits(gen, pair, xs[s_rows]), ys[s_rows])
-            want_t = gd.target_gradient(pair, logits(gen, pair, xt[t_rows]),
-                                        pseudo.take(t_rows))
-            np.testing.assert_allclose(gs.values[r], want_s.values[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(gt.values[r], want_t.values[0], rtol=0, atol=1e-12)
+        gs, gt = halves(gd.class_gradients(pair, *alignment_args(
+            joint_logits(gen, pair, xs, xt), ys, pseudo, by_class=True)))
+        for r, (want_s, want_t) in enumerate(per_class_rows(gen, pair, xs, ys, xt, pseudo,
+                                                            (0, 1, 2))):
+            np.testing.assert_allclose(gs[r], want_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gt[r], want_t, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_generator_gradient_matches_finite_differences(self, seed):
@@ -521,9 +569,8 @@ class TestDeepHeads:
 
         out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
         shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
-        want = gd.gradient_discrepancy_loss(
-            gd.source_gradient(pair, out_s, ys, shared),
-            gd.target_gradient(pair, out_t, pseudo, shared))
+        want = discrepancy(gd.source_gradient(pair, out_s, ys, shared).values,
+                           gd.target_gradient(pair, out_t, pseudo, shared).values)
         assert loss_fn().item() == want.item()
         assert_generator_gradient_matches_finite_differences(loss_fn, gen)
 
@@ -533,9 +580,9 @@ class TestDeepHeads:
         gen, pair, src, tgt, pseudo = checks._tiny_alignment_case(
             np.random.default_rng(6), clf_dims=(3, 4, 4, 2))
         assert_generator_gradient_matches_finite_differences(
-            lambda: gd.gradient_discrepancy_loss(*gd.class_gradients(pair, *alignment_args(
-                logits(gen, pair, src.features), src.labels,
-                logits(gen, pair, tgt.features), pseudo))), gen)
+            lambda: gd.gradient_discrepancy_loss(gd.class_gradients(pair, *alignment_args(
+                joint_logits(gen, pair, src.features, tgt.features), src.labels,
+                pseudo))), gen)
 
     def test_conditional_generator_gradient_matches_finite_differences(self):
         """On a case whose relu pre-activations all clear the margin, in the
@@ -546,13 +593,10 @@ class TestDeepHeads:
                 rng, clf_dims=(3, 4, 4, 2))
             if {*src.labels} & {*pseudo.labels} == {0, 1}:
                 break
-        ts, tt = gd.by_shared_class(losses.Targets.of(src.labels, 2),
-                                    losses.Targets.of(pseudo.labels, 2, pseudo.weights))
-
         assert_generator_gradient_matches_finite_differences(
-            lambda: gd.conditional_gradient_loss(
-                pair, (log_probs(logits(gen, pair, src.features)), ts),
-                (log_probs(logits(gen, pair, tgt.features)), tt)), gen)
+            lambda: gd.conditional_gradient_loss(pair, *alignment_args(
+                joint_logits(gen, pair, src.features, tgt.features), src.labels, pseudo,
+                by_class=True)), gen)
 
     @pytest.mark.parametrize("rows, labels", [(0, 0), (4, 3)],
                              ids=["empty_batch", "label_count"])
@@ -563,15 +607,15 @@ class TestDeepHeads:
         message = ("cross-entropy needs a non-empty batch" if rows == 0
                    else f"{labels} labels for a batch of {rows}")
         with pytest.raises(ContractError, match=message):
-            gd.class_gradients(pair, (log_probs(out), targets), (log_probs(out), targets))
+            gd.class_gradients(pair, log_probs(out), targets)
 
     def test_each_hidden_layer_is_masked_once(self):
-        """One domain's matrix records one ``relu_mask`` node per hidden
-        layer, for both heads, and no ``mul``."""
+        """The joint matrix records one ``relu_mask`` node per hidden layer,
+        for both heads and both domains, and no ``mul``."""
         gen, pair, xs, ys, xt, pseudo = deep_case(0)
-        out_s, out_t = logits(gen, pair, xs), logits(gen, pair, xt)
-        gs, _ = gd.class_gradients(pair, *alignment_args(out_s, ys, out_t, pseudo))
-        counts = op_counts(gs)
+        g = gd.class_gradients(pair, *alignment_args(joint_logits(gen, pair, xs, xt), ys,
+                                                     pseudo))
+        counts = op_counts(g)
         assert counts["relu_mask"] == 2 and counts["mul"] == 0
 
 

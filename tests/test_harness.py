@@ -334,6 +334,20 @@ class TestBadInputExitsOne:
         assert self.one_error_line(capsys, argv) == (
             "error: line 2: squared norm overflows float64")
 
+    def test_class_count_beyond_the_source_rows(self, tmp_path, capsys, monkeypatch):
+        """A two-row source labelled 0 and 10^9 would ask for output layers
+        of 10^9 rows: exit 1 naming the label and the bound, before any
+        model is built."""
+        _, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)
+        source = DomainSet(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           np.array([0, 1_000_000_000]), "source")
+        path = self.csv_config(tmp_path, source, target)
+        monkeypatch.setattr(trainer, "build_model", None)  # never reached
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == (
+            "error: source label 1000000000 asks for 1000000001 classes; "
+            "the class count may not exceed the 2 source rows")
+
     def test_dataset_csv_with_a_label_beyond_int64(self, tmp_path, capsys):
         source, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)
         path = self.csv_config(tmp_path, source, target)

@@ -139,19 +139,29 @@ class TestTargets:
     def test_encoding_of_labels_and_weights(self):
         t = losses.Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
         np.testing.assert_array_equal(t.onehot, np.eye(3)[[2, 0, 2]])
-        assert t.members is None
+        assert t.groups == 1 and t.classes is None
         plain = losses.Targets.of([1, 0], 2)
         np.testing.assert_array_equal(plain.weights, [1.0, 1.0])
-        for targets in (plain, t, t.by_class([0, 2])):
+        for targets in (plain, t, t.by_class()):
             b = targets.labels.size
             assert targets.scale.shape == (b, 1)
             assert targets.scale.tobytes() == (targets.weights / b)[:, None].tobytes()
 
     def test_by_class_weights_each_row_by_its_class_mean(self):
-        t = losses.Targets.of([2, 0, 2, 1], 3, [1.0, 2.0, 4.0, 8.0]).by_class([0, 2])
+        t = losses.Targets.of([2, 0, 2, 1], 3, [1.0, 2.0, 4.0, 8.0]).by_class()
         np.testing.assert_array_equal(t.weights, [1.0 * 2, 2.0 * 4, 4.0 * 2, 8.0 * 4])
-        np.testing.assert_array_equal(t.members, [[0, 1], [1, 0], [0, 1], [0, 0]])
         np.testing.assert_array_equal(t.scale[:, 0], t.weights / 4)
+
+    def test_joined_rows_keep_their_own_encoding(self):
+        """The joint rows of two batches: each part's rows in turn, each
+        scaled by its own batch size."""
+        a = losses.Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
+        b = losses.Targets.of([1, 1], 3)
+        t = losses.Targets.joined((a, b), 2, (1,))
+        np.testing.assert_array_equal(t.labels, [2, 0, 2, 1, 1])
+        np.testing.assert_array_equal(t.onehot, np.eye(3)[[2, 0, 2, 1, 1]])
+        assert t.scale.tobytes() == np.concatenate([a.scale, b.scale]).tobytes()
+        assert t.groups == 2 and t.classes == (1,)
 
     @pytest.mark.parametrize("labels, weights", [
         (None, None), ([[0, 1]], None), ([0, 3], None), ([-1, 0], None), ([0, 1], [1.0]),

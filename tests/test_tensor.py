@@ -321,7 +321,7 @@ def _fused_builder(name: str, seed: int):
         return lambda: _quadratic(T.linear(x, w, b), proj), [x, w, b]
     if name == "class_affine_gradient_heads":
         layers, members, proj = TestHeadAxis._class_layers_case(seed)
-        return (lambda: _quadratic(T.class_affine_gradient(layers, members), proj),
+        return (lambda: _quadratic(T.class_affine_gradient(layers, _row_groups(members)), proj),
                 [t for layer in layers for t in layer])
     if name.startswith("linear"):
         x, w, b, proj = TestFusedOps._linear_case(seed)
@@ -332,18 +332,19 @@ def _fused_builder(name: str, seed: int):
         return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls]
     if name in ("class_affine_gradient_layers", "class_affine_gradient_no_class"):
         layers, members, proj = TestFusedOps._class_layers_case(seed, name.endswith("class"))
-        return (lambda: _quadratic(T.class_affine_gradient(layers, members), proj),
+        return (lambda: _quadratic(T.class_affine_gradient(layers, _row_groups(members)), proj),
                 [t for layer in layers for t in layer])
     if name.startswith("class_affine_gradient"):
         delta, h, members, proj = TestFusedOps._class_case(seed, name.endswith("K"))
-        return (lambda: _quadratic(T.class_affine_gradient([(delta, h)], members), proj),
+        groups = _row_groups(members)
+        return (lambda: _quadratic(T.class_affine_gradient([(delta, h)], groups), proj),
                 [delta, h])
     if name == "cosine_rows_2d":
         gs, gt, proj = TestFusedOps._cosine_case(seed)
         return lambda: T.tsum(T.mul(T.cosine_rows(gs, gt, 1e-12)[0], proj)), [gs, gt]
     if name.startswith("cosine_gap"):
-        gs, gt = TestFusedLosses._cosine_case(seed, dead="gs" if name.endswith("row") else None)
-        return lambda: T.cosine_gap(gs, gt, 1e-12), [gs, gt]
+        g = TestFusedLosses._cosine_case(seed, dead="gs" if name.endswith("row") else None)
+        return lambda: T.cosine_gap(g, 1e-12), [g]
     if name == "mean_abs_difference":
         p = TestFusedLosses._pair_case(seed)
         return lambda: T.mean_abs_difference(p), [p]
@@ -488,6 +489,15 @@ def _ce_grad_composition(ls, g, hot, scale):
     its column ``scale`` tiled across the K columns, since a recorded ``mul``
     refuses column broadcasting."""
     return T.mul(T.sub(T.exp(ls), hot), T.mul(g, np.repeat(scale, hot.shape[1], axis=1)))
+
+
+def _row_groups(members):
+    """``class_affine_gradient``'s groups for b-by-K 0/1 ``members`` of one
+    domain, a row of no class where its row is 0; one group for None."""
+    if members is None:
+        return 1
+    return T.RowGroups([(members @ np.arange(1, members.shape[1] + 1) - 1).astype(int)],
+                       members.shape[1])
 
 
 def _class_affine_composition(delta, h, members):
@@ -732,7 +742,7 @@ class TestFusedGradientOps:
     @pytest.mark.parametrize("seed", range(2))
     def test_class_affine_gradient_equals_composition(self, k, seed):
         delta, h, members, proj = TestFusedOps._class_case(seed, k is not None, k or 1)
-        _assert_same_op(T.class_affine_gradient([(delta, h)], members),
+        _assert_same_op(T.class_affine_gradient([(delta, h)], _row_groups(members)),
                         _class_affine_composition(delta, h, members), [delta, h], proj)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -741,9 +751,10 @@ class TestFusedGradientOps:
         """One node for several layers: bit-equal to the concat of each
         layer's block, in values and in first-order gradients."""
         layers, members, proj = TestFusedOps._class_layers_case(seed)
-        fused = T.class_affine_gradient(layers, members)
+        fused = T.class_affine_gradient(layers, _row_groups(members))
         assert fused.op == "class_affine_gradient" and len(fused.parents) == 4
-        apart = T.concat([T.class_affine_gradient([layer], members) for layer in layers], 1)
+        apart = T.concat([T.class_affine_gradient([layer], _row_groups(members))
+                          for layer in layers], 1)
         assert fused.values.tobytes() == apart.values.tobytes()
         inputs = [t for layer in layers for t in layer]
         grads = [T.backward(_quadratic(out, proj), inputs, create_graph=create_graph)
@@ -754,7 +765,7 @@ class TestFusedGradientOps:
     def test_class_without_rows_gets_a_zero_row(self):
         delta, h, members, _ = TestFusedOps._class_case(0, True, 3)
         assert not members[:, 2].any()
-        out = T.class_affine_gradient([(delta, h)], members)
+        out = T.class_affine_gradient([(delta, h)], _row_groups(members))
         assert out.shape == (3, 8)
         np.testing.assert_array_equal(out.values[2], np.zeros(8))
         whole = T.class_affine_gradient([(delta, h)])
@@ -765,15 +776,14 @@ class TestFusedGradientOps:
         delta, h, members, _ = TestFusedOps._class_case(0, True)
         with pytest.raises(T.ShapeError):
             T.class_affine_gradient([(delta, T.Tensor(h.values[:5]))])
-        with pytest.raises(T.ShapeError):
-            T.class_affine_gradient([(delta, h)], members[:5])
-        with pytest.raises(T.ShapeError):
-            T.class_affine_gradient([(delta, h)], members[:, :0])
+        for groups in (_row_groups(members[:5]), _row_groups(members[:, :0]), 0, 4):
+            with pytest.raises(T.ShapeError):
+                T.class_affine_gradient([(delta, h)], groups)
         with pytest.raises(T.ShapeError):  # layers of different batches
             T.class_affine_gradient([(delta, h), (T.Tensor(delta.values[:5]),
                                                   T.Tensor(h.values[:5]))])
         with pytest.raises(T.ContractError):
-            T.class_affine_gradient([], members)
+            T.class_affine_gradient([], _row_groups(members))
 
     @pytest.mark.parametrize("rows", [1, 2])  # 1: the plain loss's one-row case
     @pytest.mark.parametrize("seed", range(3))
@@ -812,10 +822,12 @@ def _balance_gap_composition(p, floor):
     return T.sub(float(np.log(k)), entropy)
 
 
-def _cosine_gap_composition(gs, gt, eps):
-    """What ``cosine_gap`` fuses: the row cosines, of the live rows alone
-    when a row is dead, and the mean of 1 minus each over all rows."""
-    rows = gs.shape[0]
+def _cosine_gap_composition(g, eps):
+    """What ``cosine_gap`` fuses: the row cosines of the halves of ``g``
+    (each selected by a ``matmul``), of the live rows alone when a row is
+    dead, and the mean of 1 minus each over all rows."""
+    rows = g.shape[0] // 2
+    gs, gt = (T.matmul(np.eye(2 * rows)[half], g) for half in (slice(rows), slice(rows, None)))
     cos, norm_s, norm_t = T.cosine_rows(gs, gt, eps)
     live = (norm_s >= eps) & (norm_t >= eps)
     if not live.all():
@@ -837,13 +849,13 @@ class TestFusedLosses:
 
     @staticmethod
     def _cosine_case(seed, rows=3, dead=None):
-        """Two rows-by-5 matrices; ``dead`` ("gs" or "gt") zeroes row 1 of
-        that one."""
+        """Two rows-by-5 matrices, ``gs`` over ``gt``; ``dead`` ("gs" or
+        "gt") zeroes row 1 of that one."""
         rng = np.random.default_rng(1500 + seed)
         gs, gt = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5))
         if dead:
             (gs if dead == "gs" else gt)[1] = 0.0
-        return T.Tensor(gs), T.Tensor(gt)
+        return T.Tensor(np.concatenate([gs, gt]))
 
     @staticmethod
     def _terms_case(seed):
@@ -902,16 +914,17 @@ class TestFusedLosses:
         """A dead row (a zero row of ``gs`` or ``gt``) drops out of the
         cosines but counts in the mean; its cotangent is the composition's
         zeros."""
-        gs, gt = self._cosine_case(seed, rows, dead if rows > 1 else None)
-        self._assert_same(T.cosine_gap(gs, gt, 1e-12), _cosine_gap_composition(gs, gt, 1e-12),
-                          [gs, gt], "cosine_gap", seed)
+        g = self._cosine_case(seed, rows, dead if rows > 1 else None)
+        self._assert_same(T.cosine_gap(g, 1e-12), _cosine_gap_composition(g, 1e-12),
+                          [g], "cosine_gap", seed)
 
     def test_cosine_gap_of_dead_rows_only_is_the_constant_zero(self):
-        gs, gt = T.Tensor(np.zeros((2, 5))), T.Tensor(np.ones((2, 5)))
-        gap = T.cosine_gap(gs, gt, 1e-12)
+        g = T.Tensor(np.concatenate([np.zeros((2, 5)), np.ones((2, 5))]))
+        gap = T.cosine_gap(g, 1e-12)
         assert gap.op is None and gap.values.tobytes() == np.float64(0.0).tobytes()
-        with pytest.raises(T.ShapeError):
-            T.cosine_gap(gs, T.Tensor(np.ones((2, 4))), 1e-12)
+        for shape in ((3, 5), (4,)):
+            with pytest.raises(T.ShapeError):
+                T.cosine_gap(T.Tensor(np.ones(shape)), 1e-12)
 
     @pytest.mark.parametrize("values", ["random", "signed_zeros"])
     @pytest.mark.parametrize("seed", range(3))
@@ -1055,7 +1068,7 @@ class TestHeadAxis:
         layers, members, proj = self._class_layers_case(seed)
         members = members if by_class else None
         proj = proj.values if by_class else proj.values[:1]
-        fused = T.class_affine_gradient(layers, members)
+        fused = T.class_affine_gradient(layers, _row_groups(members))
         assert fused.op == "class_affine_gradient" and len(fused.parents) == 4
         inputs = [t for layer in layers for t in layer]
         grads = T.backward(T.tsum(T.mul(fused, proj)), inputs)
@@ -1065,7 +1078,7 @@ class TestHeadAxis:
             own = [(T.Tensor(delta.values[h].copy()),
                     T.Tensor((x.values[h] if x.values.ndim == 3 else x.values).copy()))
                    for delta, x in layers]
-            apart = T.class_affine_gradient(own, members)
+            apart = T.class_affine_gradient(own, _row_groups(members))
             assert fused.values[:, h * width:(h + 1) * width].tobytes() == apart.values.tobytes()
             g_h = T.backward(T.tsum(T.mul(apart, proj[:, h * width:(h + 1) * width])),
                              [t for layer in own for t in layer])
@@ -1092,7 +1105,7 @@ class TestHeadAxis:
         if by_class != "none":
             labels = np.array([0, 1, 2, 0, 1, 3 if by_class == "rows_of_no_class" else 2])
             members = (labels[:, None] == np.arange(3)).astype(np.float64)
-        fused = T.class_affine_gradient(layers, members)
+        fused = T.class_affine_gradient(layers, _row_groups(members))
         inputs = [t for layer in layers for t in layer]
         proj = rng.normal(size=fused.shape)
         grads = T.backward(T.tsum(T.mul(fused, proj)), inputs)
@@ -1311,60 +1324,64 @@ def _class_members(rng, b, k, every_row):
 @pytest.mark.parametrize("every_row", [True, False], ids=["every_row", "rows_of_no_class"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_class_gather_fold_equals_the_masked_composition(k, every_row):
-    """On arrays the class-affine vjp folds the cotangent of delta's masked
-    copies back by gathering each row's block of its class: bit-equal to the
-    masked composition, and to the sum of the masked blocks in block order,
-    on every row.  A row of no class gets the sign of zero that sum gives:
-    -0.0 where all K blocks are negative."""
+    """The op grouped by class gathers each row's cotangent from its group:
+    bit-equal to the masked composition in values and in both cotangents.
+    A row of no class gets the sign of zero that composition gives, the sum
+    of its K blocks times 0 in block order: -0.0 where all K blocks are
+    negative."""
     rng = np.random.default_rng(10 * k + every_row)
     members = _class_members(rng, 9, k, every_row)
     delta, h = T.Tensor(rng.normal(size=(9, 3))), T.Tensor(rng.normal(size=(9, 4)))
     proj = T.Tensor(rng.normal(size=(k, 15)))
-    fused = T.class_affine_gradient([(delta, h)], members)
+    fused = T.class_affine_gradient([(delta, h)], _row_groups(members))
     composed = _class_affine_composition(delta, h, members)
     assert fused.values.tobytes() == composed.values.tobytes()
     g_fused = T.backward(T.tsum(T.mul(fused, proj)), [delta, h])
     g_composed = T.backward(T.tsum(T.mul(composed, proj)), [delta, h])
     for t in (delta, h):
         assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
-    # the vjp's layout: a stack of two heads' transposed products
-    g = rng.normal(size=(2, 3 * k, 9)).transpose(0, 2, 1)
-    gathered = T._class_gather(g, members)
-    assert gathered.shape == (2, 9, 3) and gathered.flags.c_contiguous
-    for head in range(2):
-        masked = functools.reduce(np.add, [g[head, :, 3 * r:3 * r + 3] * members[:, r:r + 1]
-                                           for r in range(k)])
-        assert gathered[head].tobytes() == masked.tobytes()
+    none = ~members.any(axis=1)
+    g_delta = g_fused[delta].values
+    assert np.all(g_delta[none] == 0.0)
+    blocks = (proj.values[:, :12].reshape(k, 3, 4) @ h.values.T).transpose(2, 0, 1) + \
+        proj.values[:, 12:]
+    assert np.array_equal(np.signbit(g_delta[none]), np.all(blocks[none] < 0.0, axis=1))
 
 
-def test_class_affine_vjp_makes_no_second_k_fold_copy():
-    """The h branch makes delta's masked copies once, and the delta branch's
-    fold gathers: it allocates no b-by-(K*width) array beside its result."""
+def test_class_affine_peak_does_not_grow_with_k():
+    """Grouped by class, the op and its vjp gather each class's rows once:
+    on K = 2, 4, 8 balanced classes their tracemalloc peak is one class's
+    plus the K output rows, where a K-fold masked copy of delta would add
+    (K - 1) times delta."""
     rng = np.random.default_rng(3)
-    b, k, width, n_in = 256, 4, 32, 8
-    members = _class_members(rng, b, k, every_row=False)
-    delta, h = T.Tensor(rng.normal(size=(b, width))), T.Tensor(rng.normal(size=(b, n_in)))
-    out = T.class_affine_gradient([(delta, h)], members)
-    k_fold = b * k * width * 8
-    g = rng.normal(size=out.shape)
-    peak, (_, grad_h) = _peak_bytes(lambda: T._VJPS["class_affine_gradient"](
-        g, [delta.values, h.values], out.values, out._ctx, [False, True]))
-    assert grad_h.shape == (b, n_in) and peak < 2 * k_fold
-    g_copies = rng.normal(size=(1, k * width, b)).transpose(0, 2, 1)
-    peak, folded = _peak_bytes(lambda: T._class_gather(g_copies, members))
-    assert folded.shape == (1, b, width) and peak < 0.5 * k_fold
+    b, width, n_in = 256, 32, 8
+    delta, h = rng.normal(size=(b, width)), rng.normal(size=(b, n_in))
+    columns = width * (n_in + 1)
+
+    def peak(classes):
+        groups = T.RowGroups([np.arange(b) % classes], classes)
+        layers = [(T.Tensor(delta), T.Tensor(h))]
+        g = np.ones((classes, columns))
+
+        def run():
+            out = T.class_affine_gradient(layers, groups)
+            return T._VJPS["class_affine_gradient"](
+                g, [delta, h], out.values, out._ctx, [True, True])
+        return _peak_bytes(run)[0]
+
+    for k in (2, 4, 8):
+        assert peak(k) < peak(1) + 1.5 * k * columns * 8 < peak(1) + (k - 1) * delta.nbytes
 
 
-def test_block_matmul_reads_the_weight_cotangent_in_place():
-    """``_block_matmul`` multiplies the K-by-(width*in) weight cotangent, a
-    view of the class-affine cotangent, as K width-by-in blocks: bit-equal
-    to the product of its K*width-by-in reshaped copy, and allocating only
-    its result."""
-    rng = np.random.default_rng(4)
-    k, width, n_in, b = 4, 32, 256, 8
-    g = rng.normal(size=(k, width * n_in + width))
-    weight_part = g[:, :width * n_in]
-    m = np.ascontiguousarray(rng.normal(size=(b, n_in)).T)
-    peak, got = _peak_bytes(lambda: T._block_matmul(weight_part, m, width))
-    assert got.tobytes() == (weight_part.reshape(k * width, n_in) @ m).tobytes()
-    assert peak < 1.5 * got.nbytes
+def test_linear_vjp_of_a_shared_input_adds_each_heads_product():
+    """The cotangent of an input the heads share is each head's ``g w``
+    added into one b-by-in array in head order: bit-equal to the sum of the
+    stacked product, without the H-by-b-by-in stack."""
+    rng = np.random.default_rng(5)
+    heads, b, n_in, n_out = 4, 512, 64, 8
+    x, w = rng.normal(size=(b, n_in)), rng.normal(size=(heads, n_out, n_in))
+    g = rng.normal(size=(heads, b, n_out))
+    peak, (grad, _, _) = _peak_bytes(lambda: T._VJPS["linear"](
+        g, [x, w, np.zeros((heads, n_out))], None, False, [True, False, False]))
+    assert grad.tobytes() == np.add.reduce(g @ w, 0).tobytes()
+    assert peak < 2.5 * grad.nbytes
