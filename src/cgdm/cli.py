@@ -167,6 +167,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:  # a config asking for an array too large to allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 1
     except DomainError as err:  # a diverged training run
         print(f"run failed: {err}", file=sys.stderr)
         return 2

@@ -6,19 +6,21 @@ names its op (``op``) and keeps a small saved context.  Node ids grow
 monotonically with creation order, so iterating reachable nodes by descending
 id is a valid reverse topological order.
 
+The module holds the ops that the package records.  The primitives that
+the tests compose the fused ops from, and that training never records, are
+defined with the tests (``tests/compositions.py``), which register their
+formulas in ``_VJPS`` on import.
+
 Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 -> tuple``, which returns one cotangent per parent from the cotangent ``g``,
 the parents' values ``args``, the node's output values ``out`` and its saved
-context ``ctx``: the pow exponent, the concat axis, the axis of ``sum0``
-and ``sum1``, the ReLU flag of ``linear``, ``relu_mask``'s layer output,
-the two cross-entropies' ``(log-softmax values, onehot, scale)``,
-``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
-column of row scales), ``class_affine_gradient``'s row groups,
-``cosine_rows``'s forward row sums, norms and denominators, and the
-forward arrays and scales of the fused losses and the weights of
-``weighted_sum``; relu and absolute keep none and take their masks from
-their output or input, only when a backward visits them.
+context ``ctx``: the concat axis, the ReLU flag of ``linear``,
+``relu_mask``'s layer output, the two cross-entropies' ``(log-softmax
+values, onehot, scale)``, ``cross_entropy_grad``'s ``(g, onehot, scale)``
+(``scale`` is the b-by-1 column of row scales), ``class_affine_gradient``'s
+row groups, and the forward arrays and scales of the fused losses and the
+weights of ``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -36,42 +38,41 @@ recorded as forward ops, the heads' backward recurrence
 (:func:`~cgdm.grad_discrepancy.class_gradients`), which is double
 backpropagation as first written: the first backward written out as a
 network, the second run by ``backward``.  The gradient ops,
-``cross_entropy_grad``, ``relu_mask``, ``class_affine_gradient`` and
-``cosine_rows``, are the pieces of that recurrence and of the alignment
-loss; each node of the recurrence holds both heads, and, in training, the
-rows of both domains, source rows first.
+``cross_entropy_grad``, ``relu_mask`` and ``class_affine_gradient``, are the
+pieces of that recurrence, and ``cosine_gap`` is the alignment loss; each
+node of the recurrence holds both heads, and, in training, the rows of both
+domains, source rows first.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
 matrix), and to one leading **head axis**.  The two classifier heads run as
 one network whose parameters are stacked on that axis (H-by-out-by-in
-weights, H-by-out biases); ``linear``, ``matmul``, ``log_softmax``,
-``tsum(axis=...)``, the cross-entropy ops and ``class_affine_gradient``
-take such stacks and give each head's slice the 2-D op's numpy operations,
-``np.matmul`` running each slice through the 2-D product's BLAS call, so
-each head has the 2-D op's bits (the tests check them head by head).
-``linear`` and ``class_affine_gradient`` also take a b-by-in layer input
-that the heads share, whose cotangent is theirs summed in head order
-(``linear`` adds each head's product into one array, making no H-by-b-by-in
-stack), and ``head_difference`` is the difference of a stack's two heads.  Anything
-else, an elementwise op of a stack with a matrix or a row included, raises
-:class:`ShapeError`.  A tensor and the graph it
-belongs to are confined to a single thread; the recording switch is
-thread-local so independent runs can execute concurrently.
+weights, H-by-out biases); ``linear``, ``matmul``, ``log_softmax``, the
+cross-entropy ops and ``class_affine_gradient`` take such stacks and give
+each head's slice the 2-D op's numpy operations, ``np.matmul`` running each
+slice through the 2-D product's BLAS call, so each head has the 2-D op's
+bits (the tests check them head by head).  ``linear`` and
+``class_affine_gradient`` also take a b-by-in layer input that the heads
+share, whose cotangent is theirs summed in head order (``linear`` adds each
+head's product into one array, making no H-by-b-by-in stack), and
+``mean_abs_difference`` and ``balance_gap`` take a stack of two heads.
+Anything else, an elementwise op of a stack with a matrix or a row
+included, raises :class:`ShapeError`.  A tensor and the graph it belongs to
+are confined to a single thread; the recording switch is thread-local so
+independent runs can execute concurrently.
 
-Fused ops stand for common compositions, one node each.  Their forward
-values come from the composition's numpy operations in its order, and their
-vjps replay its cotangents in the order it adds a parent's contributions, so
-gradients are bit-identical to it:
+Fused ops stand for compositions of primitive ops, one node each.  Their
+forward values come from the composition's numpy operations in its order,
+and their vjps replay its cotangents in the order it adds a parent's
+contributions, so gradients are bit-identical to it (the tests check each
+against its composition):
 
-* ``linear(x, w, b)``: ``add(matmul(x, transpose(w)), b)``, and
-  ``linear(x, w, b, relu=True)``: ``relu`` of that, whose max is taken in
-  place, so no pre-activation array outlives the call; its vjp masks ``g``
-  by ``out > 0`` once for all three parents;
+* ``linear(x, w, b)``: ``x w^T + b``, and ``linear(x, w, b, relu=True)``:
+  the max of that with 0, taken in place, so no pre-activation array
+  outlives the call; its vjp masks ``g`` by ``out > 0`` once for all three
+  parents;
 * ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
   of a ReLU layer, the mask made from ``out`` when needed, not kept;
-* ``head_difference(a)``: ``sub`` of a pair's two heads;
-* ``absolute(a)``: ``add(relu(a), relu(neg(a)))``;
 * ``softmax_cross_entropy(ls, onehot, weights, scale)``: the mean of
   ``-w_i * ls[i, y_i]`` for the log-softmax node ``ls = log_softmax(logits)``
   its caller made, so one log-softmax of a logits tensor serves its
@@ -79,8 +80,8 @@ gradients are bit-identical to it:
   and its vjp is ``(exp(ls) - onehot) * (g * scale)``;
 * ``cross_entropy_grad(ls, g, onehot, scale)``: that vjp for a constant
   loss cotangent ``g``, as a node whose parent is ``ls``;
-* ``softmax_pair_cross_entropy(ls, onehot, weights, scale)``: the mean of a
-  pair of heads' cross-entropies, ``mul(tsum(softmax_cross_entropy(..)), 0.5)``;
+* ``softmax_pair_cross_entropy(ls, onehot, weights, scale)``: half the sum
+  of a pair of heads' cross-entropies;
 * ``class_affine_gradient(layers, groups)``: each affine layer's weight and
   bias gradient ``[vec(delta_r^T h_r) | column sums of delta_r]`` per row
   group r, the layers side by side, head after head: ``concat`` of one
@@ -89,15 +90,14 @@ gradients are bit-identical to it:
   of consecutive rows) or a :class:`RowGroups` gather with zero ``delta`` on
   its pads, which equals the composition's masked K-fold copy of
   ``delta``: the masked rows add exact zeros to each sum;
-* ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row;
 * the losses, each a scalar node: ``mean_abs_difference(p, start)``, the
-  L1 discrepancy ``mul(tsum(absolute(head_difference(p))), 1 / n)`` of the
-  rows from ``start`` on; ``balance_gap(p, floor)``, the nine-node class
-  balance loss; and ``cosine_gap(g, eps)``, ``mul(tsum(sub(1,
-  cosine_rows(gs, gt))), 1 / rows)`` of the two row halves ``gs`` and
-  ``gt`` of ``g``, with the rows of a vanished gradient left out;
-* ``weighted_sum(terms)``: a step's objective, the chain of ``add``,
-  ``sub`` and ``mul`` by a weight that sums its losses.
+  L1 discrepancy, the mean of ``|p[0] - p[1]|`` over the rows from
+  ``start`` on; ``balance_gap(p, floor)``, the nine-node class balance
+  loss; and ``cosine_gap(g, eps)``, the mean of ``1 - (gs . gt) / (|gs|
+  |gt| + eps)`` over the row pairs of the two row halves ``gs`` and ``gt``
+  of ``g``, with the rows of a vanished gradient left out;
+* ``weighted_sum(terms)``: a step's objective, the chain of additions,
+  subtractions and multiplications by a weight that sums its losses.
 """
 from __future__ import annotations
 
@@ -113,24 +113,12 @@ __all__ = [
     "DomainError",
     "ContractError",
     "no_grad",
-    "as_tensor",
-    "zeros_like",
     "add",
-    "sub",
     "mul",
-    "neg",
     "matmul",
     "linear",
     "relu_mask",
-    "head_difference",
-    "transpose",
-    "relu",
-    "absolute",
     "exp",
-    "log",
-    "pow_const",
-    "tsum",
-    "reshape",
     "concat",
     "log_softmax",
     "softmax",
@@ -139,7 +127,6 @@ __all__ = [
     "cross_entropy_grad",
     "RowGroups",
     "class_affine_gradient",
-    "cosine_rows",
     "mean_abs_difference",
     "balance_gap",
     "cosine_gap",
@@ -231,10 +218,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros_like(t.values))
-
-
 def _node(values, parents, op, ctx=None) -> Tensor:
     """Record an op result; plain tensor when recording is off.
 
@@ -269,23 +252,11 @@ def add(a, b) -> Tensor:
     return _node(a.values + b.values, (a, b), "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.shape != b.values.shape:
-        _check_broadcast(a.shape, b.shape, "sub")
-    return _node(a.values - b.values, (a, b), "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.values.shape != b.values.shape:
         _check_broadcast(a.shape, b.shape, "mul")
     return _node(a.values * b.values, (a, b), "mul")
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.values, (a,), "neg")
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -341,46 +312,9 @@ def relu_mask(g, out: np.ndarray) -> Tensor:
     return _node(_where_positive(g.values, out), (g,), "relu_mask", out)
 
 
-def head_difference(a) -> Tensor:
-    """``a[0] - a[1]`` of two heads stacked on the leading axis."""
-    a = as_tensor(a)
-    if a.values.ndim < 2 or a.shape[0] != 2:
-        raise ShapeError(f"head_difference needs a stack of two heads, got {a.shape}")
-    return _node(a.values[0] - a.values[1], (a,), "head_difference")
-
-
-def transpose(a) -> Tensor:
-    """The transpose of a 2-D tensor: a view, which BLAS reads in place."""
-    a = as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _node(a.values.T, (a,), "transpose")
-
-
-def relu(a) -> Tensor:
-    """max(a, 0); the vjp reads its 0/1 mask off the output."""
-    a = as_tensor(a)
-    return _node(np.maximum(a.values, 0.0), (a,), "relu")
-
-
-def absolute(a) -> Tensor:
-    """|a| with subgradient 0 at the origin: ``add(relu(a), relu(neg(a)))``
-    as one node, whose vjp reads its masks ``a > 0`` and ``a < 0`` off the
-    input."""
-    a = as_tensor(a)
-    return _node(np.abs(a.values), (a,), "abs")
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     return _node(np.exp(a.values), (a,), "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.values <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    return _node(np.log(a.values), (a,), "log")
 
 
 def _power(values: np.ndarray, p: float) -> np.ndarray:
@@ -395,32 +329,9 @@ def _power(values: np.ndarray, p: float) -> np.ndarray:
         return values**p
     if undefined.any():
         if fractional and (values < 0.0).any():
-            raise DomainError(f"pow_const({p}) requires nonnegative inputs")
-        raise DomainError(f"pow_const({p}) undefined at zero")
+            raise DomainError(f"power {p} requires nonnegative inputs")
+        raise DomainError(f"power {p} undefined at zero")
     return values**p
-
-
-def pow_const(a, p) -> Tensor:
-    """Elementwise a**p for a constant exponent p."""
-    a = as_tensor(a)
-    p = float(p)
-    return _node(_power(a.values, p), (a,), "pow", p)
-
-
-def tsum(a, axis=None) -> Tensor:
-    """Sum of all elements (axis=None, a scalar) or along axis 0/1 of a
-    matrix, or of a stack of matrices: over its heads or its rows."""
-    a = as_tensor(a)
-    if axis is None:
-        return _node(np.asarray(a.values.sum()), (a,), "sum")
-    if a.values.ndim not in (2, 3) or axis not in (0, 1):
-        raise ShapeError(f"sum(axis={axis}) unsupported for shape {a.shape}")
-    return _node(a.values.sum(axis=axis), (a,), "sum0" if axis == 0 else "sum1", axis)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _node(a.values.reshape(shape), (a,), "reshape")
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -482,8 +393,8 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
 
 def softmax_pair_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
                                scale: np.ndarray) -> Tensor:
-    """``mul(tsum(softmax_cross_entropy(ls, ...)), 0.5)``, the mean of a
-    pair of heads' cross-entropies, as one node of the same parent and
+    """Half the sum of :func:`softmax_cross_entropy` over a pair of heads,
+    the mean of their cross-entropies, as one node of the same parent and
     context."""
     return _node(_heads_cross_entropy(ls, onehot, weights, scale).sum() * 0.5, ls.parents,
                  "pair_cross_entropy", (ls.values, onehot, scale))
@@ -600,9 +511,8 @@ def _two_heads(p, op: str) -> Tensor:
 
 
 def mean_abs_difference(p, start: int = 0) -> Tensor:
-    """``mul(tsum(absolute(head_difference(p))), 1 / n)`` for a stack ``p``
-    of two heads, on their rows from ``start`` on, n entries each: the mean
-    absolute difference of the two there, as one node."""
+    """The mean of ``|p[0] - p[1]|`` for a stack ``p`` of two heads, on
+    their rows from ``start`` on, as one node."""
     p = _two_heads(p, "mean_abs_difference")
     diff = p.values[0, start:] - p.values[1, start:]
     scale = 1.0 / diff.size
@@ -612,9 +522,8 @@ def mean_abs_difference(p, start: int = 0) -> Tensor:
 
 def balance_gap(p, floor: float) -> Tensor:
     """``ln K - H(m)`` for the mean row ``m`` of a stack ``p`` of two
-    b-by-K heads, with ``floor`` added inside the log, as one node:
-    ``sub(ln K, neg(tsum(mul(m, log(add(m, floor))))))`` with ``m =
-    mul(tsum(tsum(p, axis=1), axis=0), 1 / (2 b))``."""
+    b-by-K heads, with ``floor`` added inside the log, as one node: ``H(m)
+    = -sum(m log(m + floor))``, ``m`` the mean of both heads' 2 b rows."""
     p = _two_heads(p, "balance_gap")
     scale = 1.0 / (2 * p.shape[1])
     mean = p.values.sum(axis=1).sum(axis=0) * scale
@@ -630,9 +539,9 @@ def balance_gap(p, floor: float) -> Tensor:
 def weighted_sum(terms) -> Tensor:
     """``t0 w0 + t1 w1 + ...`` of one-element tensors, added left to right,
     for the ``(t, w)`` pairs of ``terms``, as one node: a weight of 1 or -1
-    multiplies exactly, so the bits are those of the chain of ``add``,
-    ``sub`` and ``mul`` by the other weights.  One term of weight 1 is
-    itself: no node."""
+    multiplies exactly, so the bits are those of the chain of additions,
+    subtractions and multiplications by the other weights.  One term of
+    weight 1 is itself: no node."""
     tensors = tuple(as_tensor(t) for t, _ in terms)
     weights = tuple(float(w) for _, w in terms)
     if not tensors:
@@ -655,26 +564,14 @@ def _cosine_parts(gs, gt, eps):
     return ss, tt, st, norm_s, norm_t, denom, _power(denom, -1.0)
 
 
-def cosine_rows(gs, gt, eps: float) -> tuple:
-    """``(cos, norm_s, norm_t)``: the first-order node ``(gs . gt) / (|gs|
-    |gt| + eps)`` of each row of two b-by-P matrices, and the row norms |gs|
-    and |gt| it computed, as arrays."""
-    gs, gt = as_tensor(gs), as_tensor(gt)
-    if gs.shape != gt.shape or gs.values.ndim != 2:
-        raise ShapeError(f"cosine_rows: shapes {gs.shape} and {gt.shape}")
-    parts = _cosine_parts(gs.values, gt.values, eps)
-    return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
-
-
 def cosine_gap(g, eps: float) -> Tensor:
     """Mean over the r row pairs of a 2r-by-P matrix ``g``, the rows ``gs =
-    g[:r]`` over ``gt = g[r:]``, of ``1 - cos(gs[i], gt[i])`` as one node:
-    ``mul(tsum(sub(1, c)), 1 / r)`` for the :func:`cosine_rows` node ``c``
-    of the two halves.  A pair where |gs| or |gt| is below ``eps`` adds a
-    constant 0 but counts in the mean: ``c`` is then the node of
-    ``matmul(keep, gs)`` and ``matmul(keep, gt)``, ``keep`` the rows of the
-    identity that select the other pairs.  If every pair does, the result is
-    the constant 0, a leaf."""
+    g[:r]`` over ``gt = g[r:]``, of ``1 - cos(gs[i], gt[i])`` as one node,
+    where ``cos`` is ``(gs . gt) / (|gs| |gt| + eps)`` per row.  A pair
+    where |gs| or |gt| is below ``eps`` adds a constant 0 but counts in the
+    mean: the cosines are then those of ``keep @ gs`` and ``keep @ gt``,
+    ``keep`` the rows of the identity that select the other pairs.  If
+    every pair does, the result is the constant 0, a leaf."""
     g = as_tensor(g)
     if g.values.ndim != 2 or g.shape[0] % 2:
         raise ShapeError(f"cosine_gap takes a 2r-by-P matrix, got {g.shape}")
@@ -755,12 +652,6 @@ def _add_vjp(g, args, out, ctx, needed):
             _unbroadcast(g, b.shape) if needed[1] else None)
 
 
-def _sub_vjp(g, args, out, ctx, needed):
-    a, b = args
-    return (_unbroadcast(g, a.shape) if needed[0] else None,
-            _unbroadcast(-g, b.shape) if needed[1] else None)
-
-
 def _mul_vjp(g, args, out, ctx, needed):
     a, b = args
     return (_unbroadcast(g * b, a.shape) if needed[0] else None,
@@ -791,10 +682,6 @@ def _linear_vjp(g, args, out, relu, needed):
     return (g_x,
             _swap(g) @ x if needed[1] else None,
             np.add.reduce(g, -2) if needed[2] else None)
-
-
-def _sum_axis_vjp(g, args, out, axis, needed):
-    return (np.full(args[0].shape, np.expand_dims(g, axis)),)
 
 
 def _concat_vjp(g, args, out, axis, needed):
@@ -871,9 +758,9 @@ def _absolute_vjp(g, args, out, ctx, needed):
 
 
 def _mean_abs_difference_vjp(g, args, out, ctx, needed):
-    """The ``absolute`` vjp of the heads' difference at ``g / n``; the first
-    head gets it, the second its negation, and the rows before ``start``
-    0."""
+    """The absolute value's vjp of the heads' difference at ``g / n``; the
+    first head gets it, the second its negation, and the rows before
+    ``start`` 0."""
     diff, scale, start = ctx
     g_diff = _absolute_vjp(g * scale, [diff], None, None, needed)[0]
     if not start:
@@ -892,38 +779,34 @@ def _balance_gap_vjp(g, args, out, ctx, needed):
 
 
 def _cosine_gap_vjp(g, args, out, ctx, needed):
-    """The :func:`cosine_rows` vjp of the two halves at the cotangent ``-g /
-    r`` of every cosine, written into the halves of one cotangent; when
-    pairs were dropped, ``keep^T`` times each."""
+    """The row cosines' vjp of the two halves at the cotangent ``-g / r`` of
+    every cosine, written into the halves of one cotangent; when pairs were
+    dropped, ``keep^T`` times each."""
     parts, scale, keep, kept = ctx
     rows = len(args[0]) // 2
     cot = np.empty(args[0].shape)
     halves = (cot[:rows], cot[rows:])
     if keep is None:
-        _cosine_cotangents(-(g * scale), args[0][:rows], args[0][rows:], parts, (True, True),
-                           halves)
+        _cosine_cotangents(-(g * scale), args[0][:rows], args[0][rows:], parts, halves)
     else:
-        for c, half in zip(_cosine_cotangents(-(g * scale), *kept, parts, (True, True)), halves):
+        for c, half in zip(_cosine_cotangents(-(g * scale), *kept, parts), halves):
             np.matmul(keep.T, c, out=half)
     return (cot,)
 
 
-def _cosine_cotangents(g, gs, gt, parts, needed, into=(None, None)):
-    """The cotangents of :func:`cosine_rows`' parents from the forward's row
-    sums ``parts``, as needed, each written into its array of ``into`` or a
-    new one.  A
-    parent's cotangent arrives through s.t first, then twice through its own
-    square (``mul(a, a)``), as in the composition; the terms of the
-    denominator and of s.t are made once for both."""
+def _cosine_cotangents(g, gs, gt, parts, into=(None, None)):
+    """The cotangents of ``gs`` and ``gt`` for the cotangent ``g`` of their
+    row cosines, from the forward's row sums ``parts``, each written into
+    its array of ``into`` or a new one.  A matrix's cotangent arrives
+    through s.t first, then twice through its own square (``mul(a, a)``),
+    as in the composition; the terms of the denominator and of s.t are made
+    once for both."""
     ss, tt, st, norm_s, norm_t, denom, inv = parts
     g_denom = g * st * (_power(denom, -2.0) * -1.0)
     g_cross = (g * inv)[:, None]
     cots = []
-    for a, other, own_sq, other_norm, need, dest in (
-            (gs, gt, ss, norm_t, needed[0], into[0]), (gt, gs, tt, norm_s, needed[1], into[1])):
-        if not need:
-            cots.append(None)
-            continue
+    for a, other, own_sq, other_norm, dest in (
+            (gs, gt, ss, norm_t, into[0]), (gt, gs, tt, norm_s, into[1])):
         g_sq = g_denom * other_norm * (_power(own_sq, -0.5) * 0.5)
         square = g_sq[:, None] * a
         cots.append(np.add(g_cross * other + square, square, out=dest))
@@ -932,23 +815,11 @@ def _cosine_cotangents(g, gs, gt, parts, needed, into=(None, None)):
 
 _VJPS = {
     "add": _add_vjp,
-    "sub": _sub_vjp,
     "mul": _mul_vjp,
-    "neg": lambda g, args, out, ctx, needed: (-g,),
     "matmul": _matmul_vjp,
     "linear": _linear_vjp,
     "relu_mask": lambda g, args, out, layer_out, needed: (_where_positive(g, layer_out),),
-    "head_difference": lambda g, args, out, ctx, needed: (np.stack((g, -g)),),
-    "transpose": lambda g, args, out, ctx, needed: (g.T,),
-    "relu": lambda g, args, out, ctx, needed: (_where_positive(g, out),),
-    "abs": _absolute_vjp,
     "exp": lambda g, args, out, ctx, needed: (g * out,),
-    "log": lambda g, args, out, ctx, needed: (g * _power(args[0], -1.0),),
-    "pow": lambda g, args, out, p, needed: (g * (_power(args[0], p - 1.0) * p),),
-    "sum": lambda g, args, out, ctx, needed: (np.full(args[0].shape, g),),
-    "sum0": _sum_axis_vjp,
-    "sum1": _sum_axis_vjp,
-    "reshape": lambda g, args, out, ctx, needed: (g.reshape(args[0].shape),),
     "concat": _concat_vjp,
     "log_softmax": _log_softmax_vjp,
     "cross_entropy": _cross_entropy_vjp,
@@ -956,8 +827,6 @@ _VJPS = {
         _ce_grad(ctx[0], g * 0.5, *ctx[1:]),),
     "cross_entropy_grad": _cross_entropy_grad_vjp,
     "class_affine_gradient": _class_affine_vjp,
-    "cosine_rows": lambda g, args, out, parts, needed: _cosine_cotangents(
-        g, *args, parts, needed),
     "mean_abs_difference": _mean_abs_difference_vjp,
     "balance_gap": _balance_gap_vjp,
     "cosine_gap": _cosine_gap_vjp,
@@ -1023,4 +892,4 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
             if pg is not None:
                 acc = cot.get(parent._id)
                 cot[parent._id] = pg if acc is None else acc + pg
-    return {t: Tensor(cot[t._id]) if t._id in cot else zeros_like(t) for t in wrt}
+    return {t: Tensor(cot[t._id] if t._id in cot else np.zeros_like(t.values)) for t in wrt}

@@ -1,8 +1,10 @@
 """The API the benchmark binds by name: ``bench/tracing.py`` and
 ``bench/speed.py`` rebind these functions in every ``cgdm`` module that binds
 them, patch these methods on their classes, and call ``backward`` with its
-``create_graph`` keyword.  A rename here breaks the benchmark's traced runs,
-so the names are checked where the program is tested."""
+``create_graph`` keyword, and ``bench/selftest.py`` builds a graph with
+``tensor.Tensor``, ``tensor.mul`` and ``tensor.add``, which training records
+none of.  A rename here breaks the benchmark's traced runs or self-tests, so
+the names are checked where the program is tested."""
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ REBOUND_FUNCTIONS = [
     (harness, "write_metrics_csv"),
 ]
 
+CALLED_NAMES = [(tensor, "Tensor"), (tensor, "mul"), (tensor, "add")]
+
 PATCHED_METHODS = [
     (trainer.CgdmTrainer, "step1_update"),
     (trainer.CgdmTrainer, "step2_update"),
@@ -33,6 +37,12 @@ PATCHED_METHODS = [
 @pytest.mark.parametrize("module, name", REBOUND_FUNCTIONS,
                          ids=[f"{m.__name__}.{n}" for m, n in REBOUND_FUNCTIONS])
 def test_every_rebound_function_exists(module, name):
+    assert callable(vars(module)[name])
+
+
+@pytest.mark.parametrize("module, name", CALLED_NAMES,
+                         ids=[f"{m.__name__}.{n}" for m, n in CALLED_NAMES])
+def test_every_called_name_exists(module, name):
     assert callable(vars(module)[name])
 
 
@@ -52,10 +62,10 @@ def test_the_training_modules_bind_the_one_backward():
 def test_backward_keeps_its_create_graph_keyword():
     """``create_graph=False`` is the one mode; ``True`` raises before it
     makes a tensor, and recording stays on."""
-    x = tensor.Tensor([1.0, 2.0])
-    scalar = tensor.tsum(tensor.mul(x, x))
+    x = tensor.Tensor(2.0)
+    scalar = tensor.add(tensor.mul(x, x), x)
     grad = tensor.backward(scalar, [x], create_graph=False)[x]
-    np.testing.assert_array_equal(grad.values, [2.0, 4.0])
+    np.testing.assert_array_equal(grad.values, 5.0)
     before = next(tensor._ids)
     with pytest.raises(tensor.ContractError, match="first-order"):
         tensor.backward(scalar, [x], create_graph=True)

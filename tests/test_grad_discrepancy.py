@@ -13,6 +13,8 @@ from cgdm.pseudo_labels import PseudoLabelSet
 from cgdm import tensor as T
 from cgdm.tensor import ContractError, ShapeError, Tensor, backward
 
+import compositions as C
+
 
 def tiny_models(seed=0, d_in=2, d_feat=3, k=2):
     """A generator and a pair of linear heads, stacked from two draws."""
@@ -500,10 +502,10 @@ class TestClassGradients:
             gs.values[dead] = 0.0
         live = [r for r in range(3) if r != dead]
         a, b = (T.matmul(np.eye(3)[live], g) if dead is not None else g for g in (gs, gt))
-        norms = [T.pow_const(T.tsum(T.mul(g, g), axis=1), 0.5) for g in (a, b)]
-        cos = T.mul(T.tsum(T.mul(a, b), axis=1),
-                    T.pow_const(T.add(T.mul(*norms), gd.EPS), -1.0))
-        want = T.mul(T.tsum(T.sub(1.0, cos)), 1.0 / 3)
+        norms = [C.pow_const(C.tsum(T.mul(g, g), axis=1), 0.5) for g in (a, b)]
+        cos = T.mul(C.tsum(T.mul(a, b), axis=1),
+                    C.pow_const(T.add(T.mul(*norms), gd.EPS), -1.0))
+        want = T.mul(C.tsum(C.sub(1.0, cos)), 1.0 / 3)
         got = gd.gradient_discrepancy_loss(T.concat([gs, gt]))
         assert got.item() == want.item()
         g_got, g_want = backward(got, [gs, gt]), backward(want, [gs, gt])

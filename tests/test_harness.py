@@ -381,6 +381,15 @@ class TestBadInputExitsOne:
         assert self.one_error_line(capsys, argv) == (
             f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'")
 
+    @pytest.mark.parametrize("dataset, key", [("blobs", "blobs_n_per_class"),
+                                              ("two_moons", "moons_n")])
+    def test_a_set_too_large_to_allocate(self, tmp_path, capsys, dataset, key):
+        """numpy refuses the array at once, so nothing is allocated."""
+        path = write_config(tmp_path, f"dataset = {dataset}\n{key} = 1000000000000000\n"
+                                      "seeds = 0\n")
+        argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv).startswith("error: Unable to allocate ")
+
     def test_generated_set_that_overflows(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL + "dataset = blobs\nblobs_shift = 1e308\n")
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
