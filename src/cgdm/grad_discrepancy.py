@@ -162,7 +162,9 @@ def alignment_targets(source: losses.Targets, target: losses.Targets,
     grouped into each domain's whole batch or, ``by_class``, each domain's
     rows of each class present in both batches (source labels and target
     pseudo labels), weighted by their class means.  Equal batches are two
-    halves, unequal ones or classes a :class:`~cgdm.tensor.RowGroups`."""
+    halves, unequal ones or classes a :class:`~cgdm.tensor.RowGroups`.  No
+    shared class: a warning, once per batch pair, however many losses read
+    the targets."""
     parts = (source, target)
     if not by_class:
         if source.labels.size == target.labels.size:
@@ -170,6 +172,8 @@ def alignment_targets(source: losses.Targets, target: losses.Targets,
         return losses.Targets.joined(parts, RowGroups(
             [np.zeros(t.labels.size, dtype=np.intp) for t in parts], 1))
     classes = tuple(sorted(set(source.labels.tolist()) & set(target.labels.tolist())))
+    if not classes:
+        logger.warning("conditional gradient loss: no shared classes in batch")
     position = np.full(source.onehot.shape[1], -1)
     position[list(classes)] = np.arange(len(classes))
     groups = RowGroups([position[t.labels] for t in parts], len(classes))
@@ -196,11 +200,10 @@ def conditional_gradient_loss(pair, ls: Tensor, targets: losses.Targets) -> Tens
     """Per-category gradient alignment, averaged over the classes present in
     both the source batch (true labels) and the target batch (pseudo labels):
     ``ls`` and ``targets`` as in :func:`class_gradients`, the targets
-    :func:`alignment_targets` by class.  No shared class: a constant 0 and a
-    warning."""
+    :func:`alignment_targets` by class.  No shared class: a constant 0 (the
+    targets warned when they were made)."""
     if targets.classes is None:
         raise ContractError("the conditional loss takes targets by shared class")
     if not targets.classes:
-        logger.warning("conditional gradient loss: no shared classes in batch")
         return Tensor(0.0)
     return gradient_discrepancy_loss(class_gradients(pair, ls, targets))

@@ -317,12 +317,17 @@ class TestConditional:
         assert val < 1e-9
 
     def test_no_shared_classes_warns_and_returns_zero(self, caplog):
+        """The targets warn once, when they are made; the loss, read once per
+        step-3 repeat, is a constant 0 and warns no more."""
         gen, pair, x, y = self._setup()
         pseudo = PseudoLabelSet(np.array([1, 1], np.int64), np.ones(2), np.zeros(2))
         with caplog.at_level(logging.WARNING):
-            out = conditional_loss(gen, pair, x[:2], np.array([0, 0]), x[2:4], pseudo)
-        assert out.item() == 0.0
-        assert any("no shared classes" in r.message for r in caplog.records)
+            args = alignment_args(joint_logits(gen, pair, x[:2], x[2:4]),
+                                  np.array([0, 0]), pseudo, by_class=True)
+            outs = [gd.conditional_gradient_loss(pair, *args) for _ in range(3)]
+        assert [out.item() for out in outs] == [0.0] * 3
+        assert all(out.op is None for out in outs)
+        assert ["no shared classes" in r.message for r in caplog.records] == [True]
 
     def test_whole_batch_targets_rejected(self):
         gen, pair, x, y = self._setup()

@@ -1,8 +1,10 @@
 """Minibatch plans, whole training runs against the committed benchmark
 reference trajectories, and the step-3 graph budget."""
 import copy
+import logging
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -523,6 +525,85 @@ def test_fit_imports_no_new_numpy_module():
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are glibc's")
+def test_fit_keeps_the_freed_step_graphs_in_the_heap():
+    """A second training in a process faults in almost no new pages: the
+    first fit pinned glibc's malloc thresholds, so the graphs each step frees
+    stay in the heap for the next step (without the pin, 3-5k minor faults
+    on this run)."""
+    script = (
+        "import resource\n"
+        "from cgdm import harness, trainer\n"
+        "source, target = harness.build_datasets(harness.ExperimentConfig(\n"
+        "    dataset='blobs', blobs_classes=4, blobs_dim=8, blobs_n_per_class=125), 0)\n"
+        "cfg = trainer.TrainConfig(epochs=2, conditional_gdm=True)\n"
+        "trainer.train(source, target, cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "trainer.train(source, target, cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 200
+
+
+@pytest.fixture
+def fresh_malloc_pin():
+    """The pin as if no fit had run in this process yet."""
+    trainer._pin_malloc_thresholds.cache_clear()
+    yield trainer._pin_malloc_thresholds
+    trainer._pin_malloc_thresholds.cache_clear()
+
+
+def test_malloc_pin_sets_both_thresholds_once(monkeypatch, fresh_malloc_pin):
+    """The mmap threshold (-3) at 4 MiB times ``sizeof(long)`` and the trim
+    threshold (-1) at twice that, once however many fits run."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: type("Libc", (), {
+        "mallopt": staticmethod(mallopt)})())
+    fresh_malloc_pin()
+    fresh_malloc_pin()
+    mmap = 4 * 2**20 * trainer.ctypes.sizeof(trainer.ctypes.c_long)
+    assert calls == [(-3, mmap), (-1, 2 * mmap)]
+
+
+def test_malloc_pin_without_mallopt_does_nothing(monkeypatch, fresh_malloc_pin):
+    """Off glibc (no ``mallopt`` in the process's C library) the pin returns
+    quietly, and so training runs there too."""
+    monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: object())
+    assert fresh_malloc_pin() is None
+
+
+def test_a_batch_pair_of_no_shared_class_warns_once(monkeypatch, caplog):
+    """Conditional GDM warns once per batch pair that shares no class, not
+    once per step-3 repeat: its targets are made once per iteration."""
+    source, target = harness.build_datasets(
+        harness.ExperimentConfig(dataset="two_moons", moons_n=40), 0)
+    cfg = harness.variant_config(trainer.TrainConfig(
+        epochs=1, batch_size=1, conditional_gdm=True), "cgdm_full", 0)
+    disjoint = []
+    batch_targets = trainer.CgdmTrainer.batch_targets
+
+    def counted(self, source_batch, pseudo):
+        disjoint.append(not set(source_batch.labels) & set(pseudo.labels))
+        return batch_targets(self, source_batch, pseudo)
+
+    monkeypatch.setattr(trainer.CgdmTrainer, "batch_targets", counted)
+    with caplog.at_level(logging.WARNING, logger=grad_discrepancy.__name__):
+        trainer.train(source, target, cfg)
+    warned = [r for r in caplog.records if "no shared classes" in r.message]
+    assert cfg.step3_repeats > 1 and sum(disjoint) > 0
+    assert len(warned) == sum(disjoint)
 
 
 def test_fit_rejects_a_model_of_another_input_width():
