@@ -16,7 +16,7 @@ import numpy as np
 from . import grad_discrepancy, losses, nn
 from .data import DomainSet
 from .pseudo_labels import PseudoLabelSet
-from .tensor import Tensor, backward, concat, log_softmax, no_grad, softmax
+from .tensor import Tensor, backward, log_softmax, no_grad, softmax
 
 __all__ = [
     "CheckResult",
@@ -196,10 +196,10 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
                 losses.Targets.of(pseudo.labels, 2, pseudo.weights),
                 loss_of is grad_discrepancy.conditional_gradient_loss)
 
+            x = Tensor(np.concatenate((src.features, tgt.features)))
+
             def loss_fn():
-                joint = concat([nn.forward(gen, Tensor(x)) for x in (src.features,
-                                                                      tgt.features)])
-                return loss_of(pair, losses.log_probs(pair, joint), targets)
+                return loss_of(pair, losses.log_probs(pair, nn.forward(gen, x, 2)), targets)
 
             gen_params = gen.parameters()
             auto = backward(loss_fn(), gen_params)

@@ -42,6 +42,11 @@ __all__ = [
     "export_embeddings",
 ]
 
+# numpy describes an array of at most np.intp's maximum in bytes, so a size
+# key, or a product of them, may ask for this many float64 elements of each
+# of two stacked heads at most
+MAX_ELEMENTS = int(np.iinfo(np.intp).max) // 16
+
 # ablation matrix: TrainConfig overrides; a loss weight of 0 turns that loss off
 VARIANTS = {
     "source_only": dict(
@@ -110,6 +115,33 @@ class ExperimentConfig:
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must be nonnegative")
         self.train.validate()
+        self._check_sizes()
+
+    def _check_sizes(self) -> None:
+        """Each size key, then each product of them that sizes an array (a
+        set's rows times its dimension or a layer's width, a layer's inputs
+        times its outputs), is at most :data:`MAX_ELEMENTS`, or a ConfigError
+        names the keys before anything is allocated.  A CSV set is read into
+        arrays that exist, so only the model's widths are checked for it."""
+        t = self.train
+        widths = [*((w, "generator_hidden") for w in t.generator_hidden),
+                  (t.feature_dim, "feature_dim"),
+                  *((w, "classifier_hidden") for w in t.classifier_hidden)]
+        rows = []
+        if self.dataset == "blobs":
+            rows = [(self.blobs_classes, "blobs_classes"),
+                    (self.blobs_n_per_class, "blobs_n_per_class")]
+            widths = [(self.blobs_dim, "blobs_dim"), *widths, rows[0]]
+        elif self.dataset == "two_moons":
+            rows = [(self.moons_n, "moons_n")]
+            widths = [(2, None), *widths, (2, None)]
+        for factors in ([[size] for size in rows + widths] + [rows + [w] for w in widths]
+                        + [list(layer) for layer in zip(widths, widths[1:])]):
+            elements = math.prod(value for value, _ in factors)
+            if elements > MAX_ELEMENTS:
+                keys = " and ".join(dict.fromkeys(key for _, key in factors if key))
+                raise ConfigError(f"{keys}: an array of {elements} elements, more than "
+                                  f"numpy describes ({MAX_ELEMENTS})")
 
 
 # config key -> default value; a key's value is parsed to its default's type.

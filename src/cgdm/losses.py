@@ -15,6 +15,13 @@ log-softmax, made by the caller (:func:`log_probs`): it feeds the pair's
 cross-entropies and, through ``exp``, the stacked softmax that the
 discrepancy and class balance losses read.  Entropies are in nats
 throughout.
+
+A training iteration is one joint batch, the source rows over the target
+rows, so each of those losses reads a range of its input's rows, given by
+its first row ``start``: :func:`pair_cross_entropy` the source rows from 0
+for the source loss and the target rows from the source batch's size for
+the pseudo-label loss, :func:`l1_discrepancy` and
+:func:`class_balance_loss` the target rows, from that row to the last.
 """
 from __future__ import annotations
 
@@ -41,7 +48,6 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_cotangent",
     "pair_cross_entropy",
-    "source_classification_loss",
     "entropy_weights",
     "l1_discrepancy",
     "class_balance_loss",
@@ -119,18 +125,22 @@ class Targets:
                      for name in ("labels", "onehot", "weights", "scale")), groups, classes)
 
 
-def log_probs(pair: nn.Mlp, feats: Tensor) -> Tensor:
-    """``log_softmax(forward(pair, feats))``: the one log-softmax of the
-    heads' stacked logits."""
-    return log_softmax(nn.forward(pair, feats))
+def log_probs(pair: nn.Mlp, feats: Tensor, groups: int = 1) -> Tensor:
+    """``log_softmax(forward(pair, feats, groups))``: the one log-softmax of
+    the heads' stacked logits."""
+    return log_softmax(nn.forward(pair, feats, groups))
 
 
-def _check_batch(ls: Tensor, targets: Targets) -> None:
-    b = ls.shape[-2]
-    if b == 0:
+def _check_batch(ls: Tensor, targets: Targets, start: int | None = None) -> None:
+    """``targets`` encodes the rows of ``ls``: all of them, or as many as it
+    has from row ``start`` on."""
+    n, b = ls.shape[-2], targets.labels.size
+    if (n if start is None else b) == 0:
         raise ContractError("cross-entropy needs a non-empty batch")
-    if targets.labels.size != b:
-        raise ContractError(f"{targets.labels.size} labels for a batch of {b}")
+    if start is None and b != n:
+        raise ContractError(f"{b} labels for a batch of {n}")
+    if start is not None and not 0 <= start <= n - b:
+        raise ContractError(f"{b} labels from row {start} of a batch of {n}")
 
 
 def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
@@ -150,18 +160,16 @@ def cross_entropy_cotangent(ls: Tensor, targets: Targets, g: float) -> Tensor:
     return cross_entropy_grad(ls, g, targets.onehot, targets.scale)
 
 
-def pair_cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
+def pair_cross_entropy(ls: Tensor, targets: Targets, start: int | None = None) -> Tensor:
     """Mean of the two classifier heads' cross-entropies on the same rows,
     from the pair's stacked log-softmax: half the sum of the two, one
-    :func:`~cgdm.tensor.softmax_pair_cross_entropy` node."""
-    _check_batch(ls, targets)
-    return softmax_pair_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
-
-
-def source_classification_loss(gen, pair, features, targets: Targets) -> Tensor:
-    """Mean of the two classifier cross-entropies on a labeled batch's
-    ``features``, whose labels ``targets`` encodes."""
-    return pair_cross_entropy(log_probs(pair, nn.forward(gen, Tensor(features))), targets)
+    :func:`~cgdm.tensor.softmax_pair_cross_entropy` node.  The rows are all
+    of ``ls``, or with ``start`` as many as ``targets`` encodes from that row
+    on: of a joint batch, the source rows from 0 and the target rows from
+    the source batch's size."""
+    _check_batch(ls, targets, start)
+    return softmax_pair_cross_entropy(ls, targets.onehot, targets.weights, targets.scale,
+                                      start or 0)
 
 
 def entropy_weights(probs) -> np.ndarray:
@@ -187,9 +195,9 @@ def l1_discrepancy(p: Tensor, start: int = 0) -> Tensor:
     return mean_abs_difference(p, start)
 
 
-def class_balance_loss(p: Tensor) -> Tensor:
+def class_balance_loss(p: Tensor, start: int = 0) -> Tensor:
     """ln K - H(mean prediction) of the pair's stacked softmax ``p``, the
-    mean over its rows and both heads: zero iff it is uniform.  The mean
-    sums each head's rows, then the two heads.  One
+    mean over its rows from ``start`` on and both heads: zero iff it is
+    uniform.  The mean sums each head's rows, then the two heads.  One
     :func:`~cgdm.tensor.balance_gap` node."""
-    return balance_gap(p, _LOG_FLOOR)
+    return balance_gap(p, _LOG_FLOOR, start)

@@ -92,10 +92,11 @@ def unstack(net: Mlp) -> list:
             for h in range(net.layers[0].weight.shape[0])]
 
 
-def forward(net: Mlp, x: Tensor) -> Tensor:
+def forward(net: Mlp, x: Tensor, groups: int = 1) -> Tensor:
     """One fused :func:`~cgdm.tensor.linear` node per layer, its activation
     included; recorded on the active graph.  A network of stacked heads maps
-    the shared b-by-in batch to an H-by-b-by-out stack."""
+    the shared b-by-in batch to an H-by-b-by-out stack.  ``groups`` is every
+    layer's count of equal row groups (one per domain of a joint batch)."""
     if x.values.ndim != 2:
         raise ShapeError(f"forward expects a b-by-in batch, got {x.shape}")
     if x.shape[1] != net.in_dim:
@@ -104,7 +105,7 @@ def forward(net: Mlp, x: Tensor) -> Tensor:
         )
     h = x
     for layer in net.layers:
-        h = linear(h, layer.weight, layer.bias, relu=layer.activation == "relu")
+        h = linear(h, layer.weight, layer.bias, layer.activation == "relu", groups)
     return h
 
 

@@ -15,12 +15,13 @@ Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 -> tuple``, which returns one cotangent per parent from the cotangent ``g``,
 the parents' values ``args``, the node's output values ``out`` and its saved
-context ``ctx``: the concat axis, the ReLU flag of ``linear``,
+context ``ctx``: the ReLU flag and row groups of ``linear``,
 ``relu_mask``'s layer output, the two cross-entropies' ``(log-softmax
-values, onehot, scale)``, ``cross_entropy_grad``'s ``(g, onehot, scale)``
-(``scale`` is the b-by-1 column of row scales), ``class_affine_gradient``'s
-row groups, and the forward arrays and scales of the fused losses and the
-weights of ``weighted_sum``.
+values, onehot, scale)`` (the pair's also its first row),
+``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
+column of row scales), ``class_affine_gradient``'s row groups, and the
+forward arrays, scales and first rows of the fused losses and the weights
+of ``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -42,6 +43,16 @@ network, the second run by ``backward``.  The gradient ops,
 pieces of that recurrence, and ``cosine_gap`` is the alignment loss; each
 node of the recurrence holds both heads, and, in training, the rows of both
 domains, source rows first.
+
+Training runs each iteration as one joint batch, source rows over target
+rows, one ``linear`` node per layer for both domains.  Its ``groups`` (one
+per domain) keep the parameter gradients of one node per domain: the weight
+and bias cotangents are each group's product and column sum from its own
+rows, added in group order, as a backward adds those of one node per group;
+the forward and the input cotangent stay one product over all rows.  A
+loss that reads one domain's rows (the pair's cross-entropy,
+``mean_abs_difference``, ``balance_gap``) takes their first row,
+``start``, and its vjp writes their cotangent into zeros.
 
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
@@ -70,7 +81,8 @@ against its composition):
 * ``linear(x, w, b)``: ``x w^T + b``, and ``linear(x, w, b, relu=True)``:
   the max of that with 0, taken in place, so no pre-activation array
   outlives the call; its vjp masks ``g`` by ``out > 0`` once for all three
-  parents;
+  parents; with row groups, its weight and bias cotangents are the sums of
+  those of one node per group;
 * ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
   of a ReLU layer, the mask made from ``out`` when needed, not kept;
 * ``softmax_cross_entropy(ls, onehot, weights, scale)``: the mean of
@@ -92,10 +104,11 @@ against its composition):
   ``delta``: the masked rows add exact zeros to each sum;
 * the losses, each a scalar node: ``mean_abs_difference(p, start)``, the
   L1 discrepancy, the mean of ``|p[0] - p[1]|`` over the rows from
-  ``start`` on; ``balance_gap(p, floor)``, the nine-node class balance
-  loss; and ``cosine_gap(g, eps)``, the mean of ``1 - (gs . gt) / (|gs|
-  |gt| + eps)`` over the row pairs of the two row halves ``gs`` and ``gt``
-  of ``g``, with the rows of a vanished gradient left out;
+  ``start`` on; ``balance_gap(p, floor, start)``, the nine-node class
+  balance loss on those rows; and ``cosine_gap(g, eps)``, the mean of
+  ``1 - (gs . gt) / (|gs| |gt| + eps)`` over the row pairs of the two row
+  halves ``gs`` and ``gt`` of ``g``, with the rows of a vanished gradient
+  left out;
 * ``weighted_sum(terms)``: a step's objective, the chain of additions,
   subtractions and multiplications by a weight that sums its losses.
 """
@@ -119,7 +132,6 @@ __all__ = [
     "linear",
     "relu_mask",
     "exp",
-    "concat",
     "log_softmax",
     "softmax",
     "softmax_cross_entropy",
@@ -277,14 +289,17 @@ def matmul(a, b) -> Tensor:
     return _node(a.values @ b.values, (a, b), "matmul")
 
 
-def linear(x, w, b, relu: bool = False) -> Tensor:
+def linear(x, w, b, relu: bool = False, groups: int = 1) -> Tensor:
     """Affine map ``x @ w.T + b`` of a batch x (b-by-in), weight w (out-by-in)
     and bias b (out); with ``relu``, its max with 0.  Stacked heads: w is
     H-by-out-by-in, b H-by-out and x the b-by-in batch the heads share or
     their H-by-b-by-in stack; head h's b-by-out slice of the output is the
     map of its slices.  The bias is added and the max taken in place in the
     fresh matmul output, so no second output array is made and no
-    pre-activation outlives the call; the values are the same."""
+    pre-activation outlives the call; the values are the same.  ``groups``
+    G splits the rows into G equal groups of consecutive rows, as for
+    :func:`class_affine_gradient`: the w and b cotangents are made per group
+    and added in group order."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.values.ndim not in (2, 3) or x.values.ndim not in (2, w.values.ndim):
         raise ShapeError(f"linear needs a 2-D or stacked x and w, got {x.shape} "
@@ -294,11 +309,13 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
         )
+    if groups < 1 or x.shape[-2] % groups:
+        raise ShapeError(f"{x.shape[-2]} rows do not split into {groups} row groups")
     out = x.values @ _swap(w.values)
     out += b.values[..., None, :]
     if relu:
         np.maximum(out, 0.0, out=out)
-    return _node(out, (x, w, b), "linear", relu)
+    return _node(out, (x, w, b), "linear", (relu, groups))
 
 
 def relu_mask(g, out: np.ndarray) -> Tensor:
@@ -334,14 +351,6 @@ def _power(values: np.ndarray, p: float) -> np.ndarray:
     return values**p
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    if not tensors:
-        raise ContractError("concat of an empty sequence")
-    vals = np.concatenate([t.values for t in tensors], axis=axis)
-    return _node(vals, tensors, "concat", axis)
-
-
 def log_softmax(a) -> Tensor:
     """Row-wise log-softmax of a b-by-K matrix or a stack of them, stabilised
     by max subtraction."""
@@ -359,19 +368,22 @@ def softmax(a) -> Tensor:
     return exp(log_softmax(a))
 
 
-def _heads_cross_entropy(ls: Tensor, onehot, weights, scale) -> np.ndarray:
+def _heads_cross_entropy(ls: Tensor, onehot, weights, scale, start=0) -> tuple:
+    """The heads' cross-entropies on the rows ``start:start + b`` of ``ls``,
+    b the one-hot's rows, and the log-softmax values of those rows."""
     if _state.enabled and ls.op != "log_softmax":
         raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
     if ls.values.ndim not in (2, 3):
         raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
-    b, k = ls.shape[-2:]
-    if onehot.shape != (b, k) or scale.shape != (b, 1):
+    b, k = onehot.shape
+    if (ls.shape[-1], scale.shape) != (k, (b, 1)) or not 0 <= start <= ls.shape[-2] - b:
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
-                         f"do not match logits {(b, k)}")
+                         f"do not match logits {ls.shape[-2:]} from row {start}")
     if weights.shape != (b,):
         raise ShapeError(f"{weights.shape} weights for a batch of {b}")
-    picked = -(ls.values * onehot).sum(axis=-1) * weights
-    return picked.sum(axis=-1) * (1.0 / b)
+    rows = ls.values[..., start:start + b, :]
+    picked = -(rows * onehot).sum(axis=-1) * weights
+    return picked.sum(axis=-1) * (1.0 / b), rows
 
 
 def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
@@ -387,17 +399,19 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
     The node's parent is the logits; its context keeps the values of ``ls``,
     which the vjp reads.
     """
-    return _node(_heads_cross_entropy(ls, onehot, weights, scale), ls.parents,
+    return _node(_heads_cross_entropy(ls, onehot, weights, scale)[0], ls.parents,
                  "cross_entropy", (ls.values, onehot, scale))
 
 
 def softmax_pair_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
-                               scale: np.ndarray) -> Tensor:
+                               scale: np.ndarray, start: int = 0) -> Tensor:
     """Half the sum of :func:`softmax_cross_entropy` over a pair of heads,
-    the mean of their cross-entropies, as one node of the same parent and
-    context."""
-    return _node(_heads_cross_entropy(ls, onehot, weights, scale).sum() * 0.5, ls.parents,
-                 "pair_cross_entropy", (ls.values, onehot, scale))
+    the mean of their cross-entropies, as one node of the same parent, on
+    the rows of ``ls`` from ``start`` on, as many as ``onehot`` has; its
+    context keeps the values of those rows and ``start``."""
+    loss, rows = _heads_cross_entropy(ls, onehot, weights, scale, start)
+    return _node(loss.sum() * 0.5, ls.parents, "pair_cross_entropy",
+                 (rows, onehot, scale, start))
 
 
 def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
@@ -520,20 +534,22 @@ def mean_abs_difference(p, start: int = 0) -> Tensor:
                  (diff, scale, start))
 
 
-def balance_gap(p, floor: float) -> Tensor:
+def balance_gap(p, floor: float, start: int = 0) -> Tensor:
     """``ln K - H(m)`` for the mean row ``m`` of a stack ``p`` of two
-    b-by-K heads, with ``floor`` added inside the log, as one node: ``H(m)
-    = -sum(m log(m + floor))``, ``m`` the mean of both heads' 2 b rows."""
+    b-by-K heads, on their rows from ``start`` on, with ``floor`` added
+    inside the log, as one node: ``H(m) = -sum(m log(m + floor))``, ``m``
+    the mean of both heads' rows."""
     p = _two_heads(p, "balance_gap")
-    scale = 1.0 / (2 * p.shape[1])
-    mean = p.values.sum(axis=1).sum(axis=0) * scale
+    rows = p.values[:, start:]
+    scale = 1.0 / (2 * rows.shape[1])
+    mean = rows.sum(axis=1).sum(axis=0) * scale
     shifted = mean + floor
     if np.any(shifted <= 0.0):
         raise DomainError("log requires strictly positive inputs")
     log_shifted = np.log(shifted)
     entropy = -(mean * log_shifted).sum()
     return _node(float(np.log(p.shape[2])) - entropy, (p,), "balance_gap",
-                 (mean, shifted, log_shifted, scale))
+                 (mean, shifted, log_shifted, scale, start))
 
 
 def weighted_sum(terms) -> Tensor:
@@ -616,6 +632,12 @@ def _grouped(a, groups, zero_pads=False) -> np.ndarray:
     return out
 
 
+def _group_sum(blocks, groups, axis) -> np.ndarray:
+    """The per-group blocks of ``blocks`` on ``axis`` added in group order;
+    with one group, ``blocks`` itself, which has no group axis."""
+    return blocks if groups == 1 else np.add.reduce(blocks, axis)
+
+
 def _ungrouped(a, groups, fold=False) -> np.ndarray:
     """Each row's cotangent from a C-ordered G-by-m-by-c cotangent of its
     groups (or a stack): the reshaped view for an int G, else the gather of
@@ -664,11 +686,12 @@ def _matmul_vjp(g, args, out, ctx, needed):
             _swap(a) @ g if needed[1] else None)
 
 
-def _linear_vjp(g, args, out, relu, needed):
+def _linear_vjp(g, args, out, ctx, needed):
     """x: ``g w``, summed over the heads in head order for an input they
-    share; w: ``g^T x``; b: the column sums of ``g``, head by head.  A fused
-    ReLU first masks ``g`` by ``out > 0``, once for all three, as the relu
-    vjp would."""
+    share; w: ``g^T x``; b: the column sums of ``g``, head by head, and of
+    each of G row groups, added in group order.  A fused ReLU first masks
+    ``g`` by ``out > 0``, once for all three, as the relu vjp would."""
+    relu, groups = ctx
     if relu:
         g = _where_positive(g, out)
     x, w, _ = args
@@ -679,18 +702,11 @@ def _linear_vjp(g, args, out, relu, needed):
             g_x += g[head] @ w[head]
     elif needed[0]:
         g_x = g @ w
+    if groups > 1:
+        g, x = _grouped(g, groups), _grouped(x, groups)
     return (g_x,
-            _swap(g) @ x if needed[1] else None,
-            np.add.reduce(g, -2) if needed[2] else None)
-
-
-def _concat_vjp(g, args, out, axis, needed):
-    cots, start, before = [], 0, (slice(None),) * axis
-    for a, need in zip(args, needed):
-        length = a.shape[axis]
-        cots.append(g[before + (slice(start, start + length),)] if need else None)
-        start += length
-    return tuple(cots)
+            _group_sum(_swap(g) @ x, groups, -3) if needed[1] else None,
+            _group_sum(np.add.reduce(g, -2), groups, -2) if needed[2] else None)
 
 
 def _log_softmax_vjp(g, args, out, ctx, needed):
@@ -701,6 +717,18 @@ def _cross_entropy_vjp(g, args, out, ctx, needed):
     """Each head's cotangent scales its rows: ``g`` gets two trailing axes."""
     ls, onehot, scale = ctx
     return (_ce_grad(ls, np.expand_dims(g, (-2, -1)), onehot, scale),)
+
+
+def _pair_cross_entropy_vjp(g, args, out, ctx, needed):
+    """The pair's cotangent ``g / 2`` through the cross-entropy's vjp on its
+    rows, written into zeros when they are a range of the logits' rows."""
+    rows, onehot, scale, start = ctx
+    cot = _ce_grad(rows, g * 0.5, onehot, scale)
+    if cot.shape == args[0].shape:
+        return (cot,)
+    full = np.zeros(args[0].shape)
+    full[..., start:start + len(onehot), :] = cot
+    return (full,)
 
 
 def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
@@ -763,19 +791,20 @@ def _mean_abs_difference_vjp(g, args, out, ctx, needed):
     ``start`` 0."""
     diff, scale, start = ctx
     g_diff = _absolute_vjp(g * scale, [diff], None, None, needed)[0]
-    if not start:
-        return (np.stack((g_diff, -g_diff)),)
-    cot = np.zeros(args[0].shape)
-    cot[0, start:], cot[1, start:] = g_diff, -g_diff
+    cot = np.zeros(args[0].shape) if start else np.empty(args[0].shape)
+    cot[0, start:] = g_diff
+    np.negative(g_diff, out=cot[1, start:])
     return (cot,)
 
 
 def _balance_gap_vjp(g, args, out, ctx, needed):
     """The mean row's cotangent through ``m log(m + floor)``, first as the
     factor ``m``, then through the log, scaled to every row of every head."""
-    mean, shifted, log_shifted, scale = ctx
+    mean, shifted, log_shifted, scale, start = ctx
     g_mean = g * log_shifted + g * mean * shifted**-1.0
-    return (np.full(args[0].shape, g_mean * scale),)
+    cot = np.zeros(args[0].shape)
+    cot[:, start:] = g_mean * scale
+    return (cot,)
 
 
 def _cosine_gap_vjp(g, args, out, ctx, needed):
@@ -820,11 +849,9 @@ _VJPS = {
     "linear": _linear_vjp,
     "relu_mask": lambda g, args, out, layer_out, needed: (_where_positive(g, layer_out),),
     "exp": lambda g, args, out, ctx, needed: (g * out,),
-    "concat": _concat_vjp,
     "log_softmax": _log_softmax_vjp,
     "cross_entropy": _cross_entropy_vjp,
-    "pair_cross_entropy": lambda g, args, out, ctx, needed: (
-        _ce_grad(ctx[0], g * 0.5, *ctx[1:]),),
+    "pair_cross_entropy": _pair_cross_entropy_vjp,
     "cross_entropy_grad": _cross_entropy_grad_vjp,
     "class_affine_gradient": _class_affine_vjp,
     "mean_abs_difference": _mean_abs_difference_vjp,

@@ -11,8 +11,15 @@ Per epoch: refresh pseudo labels once, then for every minibatch pair run
   repeats) to minimize the discrepancy plus the cross-domain gradient
   alignment loss, whose generator gradient flows through double backward:
   the classifier gradients are recorded as forward ops (the heads' backward
-  recurrence, run once on the joint rows of both domains), so each repeat's
-  one backward pass, first-order like every other, differentiates them.
+  recurrence), so each repeat's one backward pass, first-order like every
+  other, differentiates them.
+
+A minibatch pair is one joint batch (:class:`BatchTargets`), source rows
+over target rows.  Each step runs the generator and the pair once over the
+rows it reads, one row group per domain (:func:`~cgdm.tensor.linear`), and
+each loss reads its domain's rows; step 3 without the alignment loss reads
+the target rows alone.  The gradients are those of one pass per domain,
+with the same bits on the benchmark's batches (README states the scope).
 
 A loss is off when its weight is 0.  With ``alpha``, ``beta`` and
 ``class_balance_weight`` all 0 (the ``mcd`` variant) the loop reduces
@@ -28,7 +35,7 @@ losses.  A step's objective, the weighted sum of its losses, is one node
 (:func:`~cgdm.pseudo_labels.predict`) serves :func:`evaluate` and the next
 epoch's pseudo labels.  Each iteration encodes its batches' labels once
 (:class:`BatchTargets`) for all three steps and every step-3 repeat, and
-each domain's stacked logits get one log-softmax, read by the pair's
+each pass's stacked logits get one log-softmax, read by the pair's
 cross-entropies and its softmax.  A run fails in one way: it raises
 :class:`~cgdm.tensor.DomainError`.
 
@@ -59,8 +66,8 @@ from .tensor import (
     DomainError,
     Tensor,
     backward,
-    concat,
     exp,
+    no_grad,
     weighted_sum,
 )
 
@@ -169,16 +176,18 @@ class BiClassifierModel:
 
 @dataclass(frozen=True)
 class BatchTargets:
-    """One iteration's label encodings, made once and read by all three steps.
+    """One iteration's joint batch, made once and read by all three steps.
 
-    ``source`` encodes the source batch's labels, ``target`` the target
-    batch's pseudo labels and weights, and ``alignment`` the targets of the
-    alignment loss on the joint rows of both
+    ``features`` holds the source batch's input rows over the target
+    batch's, as many of each.  ``source`` encodes the source batch's labels,
+    ``target`` the target batch's pseudo labels and weights, and
+    ``alignment`` the targets of the alignment loss on the joint rows
     (:func:`~cgdm.grad_discrepancy.alignment_targets`): grouped by domain,
     or by domain and shared class under conditional GDM; None when that loss
     is off.
     """
 
+    features: np.ndarray
     source: losses.Targets
     target: losses.Targets
     alignment: losses.Targets | None
@@ -261,9 +270,13 @@ class CgdmTrainer:
                 f"pseudo labels from epoch {pseudo.epoch} used in epoch {self.epoch}"
             )
 
-    def batch_targets(self, source_batch, pseudo) -> BatchTargets:
-        """Encode an iteration's source labels and target pseudo labels once."""
+    def batch_targets(self, source_batch, target_batch, pseudo) -> BatchTargets:
+        """Join an iteration's input rows and encode its source labels and
+        target pseudo labels once."""
         self._check_pseudo(pseudo)
+        if source_batch.n != target_batch.n:
+            raise ContractError(f"a joint batch of {source_batch.n} source and "
+                                f"{target_batch.n} target rows")
         k = self.model.num_classes
         source = losses.Targets.of(source_batch.labels, k)
         target = losses.Targets.of(pseudo.labels, k, pseudo.weights)
@@ -271,118 +284,134 @@ class CgdmTrainer:
         if self.cfg.beta > 0:
             alignment = grad_discrepancy.alignment_targets(source, target,
                                                            self.cfg.conditional_gdm)
-        return BatchTargets(source, target, alignment)
+        features = np.concatenate((source_batch.features, target_batch.features))
+        return BatchTargets(features, source, target, alignment)
 
-    def step1_update(self, source_batch, target_batch, targets: BatchTargets) -> dict:
-        """Train G, F1, F2 on source CE (+ weighted pseudo CE, + balance)."""
+    def step1_update(self, targets: BatchTargets) -> dict:
+        """Train G, F1, F2 on source CE (+ weighted pseudo CE, + balance): one
+        pass over the joint rows, or over the source rows alone when both
+        target losses are off."""
         cfg = self.cfg
-        return self._update_all(source_batch, targets.source, target_batch,
-                                targets.target, cfg.alpha, cfg.class_balance_weight)
+        if cfg.alpha > 0 or cfg.class_balance_weight > 0:
+            return self._update_all(targets.features, targets.source, targets.target,
+                                    cfg.alpha, cfg.class_balance_weight)
+        source = targets.source
+        return self._update_all(targets.features[:source.labels.size], source)
 
-    def _update_all(self, source_batch, source_targets, target_batch=None,
-                    target_targets=None, alpha=0.0, balance_weight=0.0) -> dict:
-        """Step-1 body: G, F1, F2 on the source CE plus the weighted pseudo-label
-        CE and the class balance loss; warmup passes both weights as 0."""
+    def _update_all(self, features, source_targets, target_targets=None, alpha=0.0,
+                    balance_weight=0.0) -> dict:
+        """Step-1 body: G, F1, F2 on the source CE of the first rows of
+        ``features`` plus, on the target rows after them, the weighted
+        pseudo-label CE and the class balance loss; warmup passes the source
+        rows alone and both weights as 0."""
         m = self.model
-        loss_cls = losses.source_classification_loss(
-            m.generator, m.classifiers, source_batch.features, source_targets
-        )
+        groups = 1 if target_targets is None else 2
+        feats = nn.forward(m.generator, Tensor(features), groups)
+        ls = losses.log_probs(m.classifiers, feats, groups)
+        loss_cls = losses.pair_cross_entropy(ls, source_targets, 0)
         terms = [(loss_cls, 1.0)]
         out = {"loss_cls": loss_cls.item()}
-        if alpha > 0 or balance_weight > 0:
-            feats_t = nn.forward(m.generator, Tensor(target_batch.features))
-            ls_t = losses.log_probs(m.classifiers, feats_t)
-            if alpha > 0:
-                terms.append((losses.pair_cross_entropy(ls_t, target_targets), alpha))
-            if balance_weight > 0:
-                balance = losses.class_balance_loss(exp(ls_t))
-                terms.append((balance, balance_weight))
-                out["loss_cb"] = balance.item()
+        start = source_targets.labels.size
+        if alpha > 0:
+            terms.append((losses.pair_cross_entropy(ls, target_targets, start), alpha))
+        if balance_weight > 0:
+            balance = losses.class_balance_loss(exp(ls), start)
+            terms.append((balance, balance_weight))
+            out["loss_cb"] = balance.item()
         grads = backward(weighted_sum(terms), m.all_parameters())
         self.opt_g.step(grads)
         self.opt_f.step(grads)
         return out
 
-    def step2_update(self, source_batch, target_batch, targets: BatchTargets) -> tuple:
+    def step2_update(self, targets: BatchTargets) -> Tensor:
         """Train F1, F2 to keep source accuracy while disagreeing on target.
 
-        Returns only the generator's recorded (source, target) features,
-        which step 3's first repeat reuses: step 2 leaves the generator
-        parameters untouched because its backward is w.r.t. the classifier
-        parameters.  The classifiers read the features as constants, so that
-        backward walks no generator node.
+        The pair runs once on the joint rows' generator features, read as
+        constants, so its backward walks no generator node.  Returns only
+        the generator's recorded features of the rows step 3 reads, which
+        its first repeat reuses (step 2 leaves the generator parameters
+        untouched); the other rows' pass, if any, is for values alone.
         """
         cfg = self.cfg
         m = self.model
-        features = tuple(nn.forward(m.generator, Tensor(batch.features))
-                         for batch in (source_batch, target_batch))
-        feats_s, feats_t = (Tensor(f.values) for f in features)
-        loss_cls = losses.pair_cross_entropy(losses.log_probs(m.classifiers, feats_s),
-                                             targets.source)
-        p = exp(losses.log_probs(m.classifiers, feats_t))
-        terms = [(loss_cls, 1.0), (losses.l1_discrepancy(p), -1.0)]
+        start = targets.source.labels.size
+        rows, groups, _ = self._step3_rows(targets)
+        features = nn.forward(m.generator, Tensor(rows), groups)
+        joint = features.values
+        if groups == 1:
+            with no_grad():
+                source = nn.forward(m.generator, Tensor(targets.features[:start]))
+            joint = np.concatenate((source.values, joint))
+        ls = losses.log_probs(m.classifiers, Tensor(joint), 2)
+        p = exp(ls)
+        terms = [(losses.pair_cross_entropy(ls, targets.source, 0), 1.0),
+                 (losses.l1_discrepancy(p, start), -1.0)]
         if cfg.class_balance_weight > 0:
-            terms.append((losses.class_balance_loss(p), cfg.class_balance_weight))
+            terms.append((losses.class_balance_loss(p, start), cfg.class_balance_weight))
         grads = backward(weighted_sum(terms), m.classifier_parameters())
         self.opt_f.step(grads)
         return features
 
-    def step3_update(self, source_batch, target_batch, targets: BatchTargets,
-                     features=None) -> dict:
+    def _step3_rows(self, targets: BatchTargets) -> tuple:
+        """``(rows, groups, start)``: the input rows step 3 reads (the joint
+        rows with the alignment loss, else the target rows), their row groups
+        and the first target row among them."""
+        start = targets.source.labels.size
+        if self.cfg.beta > 0:
+            return targets.features, 2, start
+        return targets.features[start:], 1, 0
+
+    def step3_update(self, targets: BatchTargets, features=None) -> dict:
         """Train G to shrink classifier disagreement plus the gradient gap.
 
         Runs ``step3_repeats`` inner updates.  Only generator parameters move;
         the classifiers participate in the graph (their parameter gradients
         are what the alignment loss is made of) but are never stepped.
-        Each repeat forwards the generator once per domain.  With the
-        alignment loss, the two domains' features are joined, source rows
-        first, and the pair runs once on the joint rows: the one log-softmax
-        of both heads' logits feeds the discrepancy term, on its target rows,
-        and the alignment loss, whose source and target class-gradient
-        matrices on the row groups of ``targets.alignment`` are one recorded
-        node; the join hands each generator its rows' cotangent.  Without
-        it, the pair runs on the target rows alone.  Either way the repeat
-        makes one backward, a first-order one, and its graph is freed before
-        the next repeat records one.  Rows may come in any class order.
-        ``features``, the recorded (source, target) generator features of
-        these batches under the current generator parameters (as
-        :meth:`step2_update` returns them), stand in for the first repeat's
-        generator forwards.  Returns the first repeat's losses.
+        Each repeat runs the generator and the pair once on the rows of
+        ``_step3_rows``, and the one log-softmax of both heads' logits
+        feeds the discrepancy term, on its target rows.  With the alignment
+        loss the rows are the joint rows, source rows first, and the
+        log-softmax also feeds the alignment loss, whose source and target
+        class-gradient matrices on the row groups of ``targets.alignment``
+        are one recorded node.  Either way the repeat makes one backward, a
+        first-order one, and its graph is freed before the next repeat
+        records one.  Rows may come in any class order.  ``features``, the
+        recorded generator features of those rows under the current
+        generator parameters (as :meth:`step2_update` returns them), stand
+        in for the first repeat's generator pass.  Returns the first
+        repeat's losses.
         """
-        x_s = Tensor(source_batch.features)
-        x_t = Tensor(target_batch.features)
-        first = self._step3_repeat(x_s, x_t, targets, features)
+        rows, groups, start = self._step3_rows(targets)
+        x = Tensor(rows)
+        first = self._step3_repeat(x, groups, start, targets, features)
         for _ in range(1, self.cfg.step3_repeats):
-            self._step3_repeat(x_s, x_t, targets)
+            self._step3_repeat(x, groups, start, targets)
         return first
 
-    def _step3_repeat(self, x_s, x_t, targets: BatchTargets, features=None) -> dict:
-        """One step-3 update of G, from ``features`` or fresh generator
-        forwards; returns its losses as floats, so no node of its graph
-        outlives it."""
+    def _step3_repeat(self, x, groups, start, targets: BatchTargets, features=None) -> dict:
+        """One step-3 update of G, from ``features`` or a fresh generator
+        pass over ``x``; returns its losses as floats, so no node of its
+        graph outlives it."""
         cfg = self.cfg
         m = self.model
-        feats_s, feats_t = features or (None, nn.forward(m.generator, x_t))
-        out = {}
+        if features is None:
+            features = nn.forward(m.generator, x, groups)
+        ls = losses.log_probs(m.classifiers, features)
+        loss_dis = losses.l1_discrepancy(exp(ls), start)
+        terms = [(loss_dis, 1.0)]
+        out = {"loss_dis": loss_dis.item()}
         if cfg.beta > 0:
-            if feats_s is None:
-                feats_s = nn.forward(m.generator, x_s)
-            ls = losses.log_probs(m.classifiers, concat([feats_s, feats_t]))
-            loss_dis = losses.l1_discrepancy(exp(ls), feats_s.shape[0])
             if cfg.conditional_gdm:
                 loss_gd = grad_discrepancy.conditional_gradient_loss(
                     m.classifiers, ls, targets.alignment)
             else:
                 loss_gd = grad_discrepancy.gradient_discrepancy_loss(
                     grad_discrepancy.class_gradients(m.classifiers, ls, targets.alignment))
-            terms = [(loss_dis, 1.0), (loss_gd, cfg.beta)]
+            terms.append((loss_gd, cfg.beta))
             out["loss_gd"] = loss_gd.item()
-        else:
-            loss_dis = losses.l1_discrepancy(exp(losses.log_probs(m.classifiers, feats_t)))
-            terms = [(loss_dis, 1.0)]
         grads = backward(weighted_sum(terms), m.generator_parameters())
         self.opt_g.step(grads)
-        return {"loss_dis": loss_dis.item(), **out}
+        return out
 
     def fit(self, source, target, rng=None) -> list:
         """Run warmup plus the full three-step schedule; returns epoch metrics.
@@ -448,17 +477,16 @@ class CgdmTrainer:
                     for src_idx in epoch_batches(source.n, None, cfg.batch_size, rng):
                         sb = source.take(src_idx)
                         tally(self._update_all(
-                            sb, losses.Targets.of(sb.labels, m.num_classes)))
+                            sb.features, losses.Targets.of(sb.labels, m.num_classes)))
                 else:
                     plan = epoch_batches(source.n, target_train.n, cfg.batch_size, rng)
                     for src_idx, tgt_idx in plan:
                         sb = source.take(src_idx)
                         tb = target_train.take(tgt_idx)
-                        targets = self.batch_targets(sb, pseudo.take(tgt_idx))
-                        tally(self.step1_update(sb, tb, targets))
+                        targets = self.batch_targets(sb, tb, pseudo.take(tgt_idx))
+                        tally(self.step1_update(targets))
                         if cfg.enable_adversarial:
-                            features = self.step2_update(sb, tb, targets)
-                            tally(self.step3_update(sb, tb, targets, features))
+                            tally(self.step3_update(targets, self.step2_update(targets)))
 
                 def mean_of(key):
                     return sums[key] / counts[key] if key in sums else float("nan")

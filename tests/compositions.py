@@ -10,8 +10,8 @@ broadcasting, one leading head axis where a docstring says so, and formulas
 ``vjp(g, args, out, ctx, needed)`` that give None to a parent not needed.
 
 * ``sub``, ``neg``, ``transpose``, ``relu``, ``log``, ``pow_const``,
-  ``tsum`` and ``reshape``: the elementwise, reduction and layout
-  primitives;
+  ``tsum``, ``reshape`` and ``concat``: the elementwise, reduction and
+  layout primitives;
 * ``head_difference(a)``: ``sub`` of a pair's two heads;
 * ``absolute(a)``: ``add(relu(a), relu(neg(a)))`` as one node;
 * ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row,
@@ -21,6 +21,7 @@ import numpy as np
 
 from cgdm import tensor as T
 from cgdm.tensor import (
+    ContractError,
     DomainError,
     ShapeError,
     Tensor,
@@ -108,6 +109,14 @@ def reshape(a, shape) -> Tensor:
     return _node(a.values.reshape(shape), (a,), "reshape")
 
 
+def concat(tensors, axis=0) -> Tensor:
+    tensors = tuple(as_tensor(t) for t in tensors)
+    if not tensors:
+        raise ContractError("concat of an empty sequence")
+    vals = np.concatenate([t.values for t in tensors], axis=axis)
+    return _node(vals, tensors, "concat", axis)
+
+
 def cosine_rows(gs, gt, eps: float) -> tuple:
     """``(cos, norm_s, norm_t)``: the first-order node ``(gs . gt) / (|gs|
     |gt| + eps)`` of each row of two b-by-P matrices, and the row norms |gs|
@@ -131,6 +140,15 @@ def _sum_axis_vjp(g, args, out, axis, needed):
     return (np.full(args[0].shape, np.expand_dims(g, axis)),)
 
 
+def _concat_vjp(g, args, out, axis, needed):
+    cots, start, before = [], 0, (slice(None),) * axis
+    for a, need in zip(args, needed):
+        length = a.shape[axis]
+        cots.append(g[before + (slice(start, start + length),)] if need else None)
+        start += length
+    return tuple(cots)
+
+
 def _cosine_rows_vjp(g, args, out, parts, needed):
     """Both parents' cotangents, None for a parent not needed."""
     cots = _cosine_cotangents(g, *args, parts)
@@ -150,6 +168,7 @@ _VJPS = {
     "sum0": _sum_axis_vjp,
     "sum1": _sum_axis_vjp,
     "reshape": lambda g, args, out, ctx, needed: (g.reshape(args[0].shape),),
+    "concat": _concat_vjp,
     "cosine_rows": _cosine_rows_vjp,
 }
 

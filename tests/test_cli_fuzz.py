@@ -4,9 +4,10 @@ exit code, never in an exception, and a failure is one line on stderr.
 Each example takes a valid config, a valid dataset CSV pair or a valid
 checkpoint, and replaces, deletes, duplicates or truncates one line.  A replacing line's
 values are drawn huge, negative, non-numeric, non-finite or non-ASCII.  A
-size key takes only values up to 64, or from 10^15 to 10^16, which numpy
-refuses at once with a MemoryError; loop counts stay at 2 or less, so no
-example allocates more than a few MB or trains for long.
+size key takes only values up to 64, or from 10^15 to 10^30: numpy refuses
+an array of that size at once with a MemoryError, or the config's
+validation refuses a size numpy cannot describe; loop counts stay at 2 or
+less, so no example allocates more than a few MB or trains for long.
 """
 import contextlib
 import io
@@ -57,7 +58,7 @@ field = small | huge | negative | non_numeric | non_finite | non_ascii
 
 config_line = st.one_of(
     st.tuples(st.sampled_from(SIZE_KEYS),
-              st.integers(-3, 64).map(str) | st.integers(10**15, 10**16).map(str)
+              st.integers(-3, 64).map(str) | st.integers(10**15, 10**30).map(str)
               | non_numeric | non_ascii),
     st.tuples(st.sampled_from(LOOP_KEYS), st.integers(-2, 2).map(str) | non_numeric),
     st.tuples(st.sampled_from(OTHER_KEYS), field),

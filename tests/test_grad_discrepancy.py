@@ -41,7 +41,7 @@ def log_probs(out):
 def joint_logits(gen, pair, xs, xt):
     """Both heads' stacked logits on the joint generator features of ``xs``
     and ``xt``, the source rows over the target rows, as step 3 makes them."""
-    return nn.forward(pair, T.concat([feats(gen, xs), feats(gen, xt)]))
+    return nn.forward(pair, C.concat([feats(gen, xs), feats(gen, xt)]))
 
 
 def alignment_args(out, ys, pseudo, by_class=False):
@@ -511,7 +511,7 @@ class TestClassGradients:
         cos = T.mul(C.tsum(T.mul(a, b), axis=1),
                     C.pow_const(T.add(T.mul(*norms), gd.EPS), -1.0))
         want = T.mul(C.tsum(C.sub(1.0, cos)), 1.0 / 3)
-        got = gd.gradient_discrepancy_loss(T.concat([gs, gt]))
+        got = gd.gradient_discrepancy_loss(C.concat([gs, gt]))
         assert got.item() == want.item()
         g_got, g_want = backward(got, [gs, gt]), backward(want, [gs, gt])
         for t in (gs, gt):

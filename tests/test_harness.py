@@ -38,7 +38,7 @@ class TestNonFiniteLoss:
     def bad(self, request, monkeypatch):
         original = losses.l1_discrepancy
         monkeypatch.setattr(losses, "l1_discrepancy",
-                            lambda p: add(original(p), request.param))
+                            lambda p, start=0: add(original(p, start), request.param))
         return request.param
 
     def test_trainer_raises_naming_the_epoch_and_the_loss(self, tmp_path, bad):
@@ -389,6 +389,29 @@ class TestBadInputExitsOne:
                                       "seeds = 0\n")
         argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv).startswith("error: Unable to allocate ")
+
+    @pytest.mark.parametrize("lines, key", [
+        ("moons_n = 4611686018427387904", "moons_n"),
+        ("moons_n = 40\nfeature_dim = 10" + "0" * 29, "feature_dim"),
+        *[(f"dataset = {'two_moons' if key == 'moons_n' else 'blobs'}\n{key} = 1{'0' * 30}",
+           key) for key in ("moons_n", "blobs_classes", "blobs_dim", "blobs_n_per_class",
+                            "feature_dim", "generator_hidden", "classifier_hidden")],
+        ("dataset = blobs\nblobs_classes = 2000000\nblobs_n_per_class = 2000000\n"
+         "blobs_dim = 200000", "blobs_classes and blobs_n_per_class and blobs_dim"),
+    ], ids=["moons_n-2^62", "feature_dim-10^30", "moons_n", "blobs_classes", "blobs_dim",
+            "blobs_n_per_class", "feature_dim", "generator_hidden", "classifier_hidden",
+            "product"])
+    def test_a_size_numpy_cannot_describe(self, tmp_path, capsys, monkeypatch, lines, key):
+        """A size key, or a product of them, asking for an array of more
+        elements than numpy can describe (``ValueError: array is too big``
+        or ``Maximum allowed dimension exceeded`` when it is made): exit 1
+        naming the keys, raised in validation, so no set is generated."""
+        path = write_config(tmp_path, SMALL + lines + "\n")
+        monkeypatch.setattr(harness, "build_datasets", None)  # never reached
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        line = self.one_error_line(capsys, argv)
+        assert line.startswith(f"error: {key}: an array of ")
+        assert line.endswith(f"more than numpy describes ({harness.MAX_ELEMENTS})")
 
     def test_generated_set_that_overflows(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL + "dataset = blobs\nblobs_shift = 1e308\n")

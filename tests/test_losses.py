@@ -22,8 +22,10 @@ def cross_entropy_of(logits, labels, weights=None):
 
 
 def source_loss(gen, pair, batch):
-    return losses.source_classification_loss(
-        gen, pair, batch.features, losses.Targets.of(batch.labels, pair.out_dim))
+    """Mean of the two heads' cross-entropies on a labeled batch."""
+    return losses.pair_cross_entropy(
+        losses.log_probs(pair, nn.forward(gen, Tensor(batch.features))),
+        losses.Targets.of(batch.labels, pair.out_dim))
 
 
 def pair_of(a, b):

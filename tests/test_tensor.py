@@ -107,7 +107,7 @@ class TestElementwise:
     def test_concat_equals_numpy_concatenate(self):
         a = T.Tensor(np.arange(6.0).reshape(2, 3))
         b = T.Tensor(np.arange(6.0, 12.0).reshape(2, 3))
-        cat = T.concat([a, b], axis=0)
+        cat = C.concat([a, b], axis=0)
         np.testing.assert_array_equal(cat.values, np.concatenate([a.values, b.values]))
 
     def test_reshape(self):
@@ -202,7 +202,7 @@ _PRIMITIVE_CASES = {
     "sum_axis0": (["a"], lambda i: C.tsum(T.mul(C.tsum(i["a"], axis=0), i["proj4"]))),
     "sum_axis1": (["a"], lambda i: C.tsum(T.mul(C.tsum(i["a"], axis=1), i["proj3"]))),
     "reshape": (["a"], lambda i: C.tsum(T.mul(C.reshape(i["a"], (4, 3)), i["proj43"]))),
-    "concat": (["a", "b"], lambda i: C.tsum(T.mul(T.concat([i["a"], i["b"]], axis=0), i["proj64"]))),
+    "concat": (["a", "b"], lambda i: C.tsum(T.mul(C.concat([i["a"], i["b"]], axis=0), i["proj64"]))),
     "relu": (["off"], lambda i: C.tsum(T.mul(C.relu(i["off"]), i["proj34"]))),
     "log_softmax": (["a"], lambda i: C.tsum(T.mul(T.log_softmax(i["a"]), i["proj34"]))),
     "div": (["a", "pos"],
@@ -308,7 +308,7 @@ def _recorded_linear_gradient(x, w, b, proj, relu):
     delta = T.mul(T.mul(y, proj), 2.0)
     if relu:
         delta = T.mul(delta, (y.values > 0).astype(np.float64))
-    return T.concat([C.reshape(T.matmul(delta, w), (1, -1)),
+    return C.concat([C.reshape(T.matmul(delta, w), (1, -1)),
                      T.class_affine_gradient([(delta, x)])], axis=1)
 
 
@@ -492,8 +492,8 @@ def _class_affine_composition(delta, h, members):
     rows = 1
     if members is not None:
         rows, width = members.shape[1], delta.shape[1]
-        delta = T.mul(T.concat([delta] * rows, axis=1), np.repeat(members, width, axis=1))
-    return T.concat([C.reshape(T.matmul(C.transpose(delta), h), (rows, -1)),
+        delta = T.mul(C.concat([delta] * rows, axis=1), np.repeat(members, width, axis=1))
+    return C.concat([C.reshape(T.matmul(C.transpose(delta), h), (rows, -1)),
                      C.reshape(C.tsum(delta, axis=0), (rows, -1))], axis=1)
 
 
@@ -739,7 +739,7 @@ class TestFusedGradientOps:
         layers, members, proj = TestFusedOps._class_layers_case(seed)
         fused = T.class_affine_gradient(layers, _row_groups(members))
         assert fused.op == "class_affine_gradient" and len(fused.parents) == 4
-        apart = T.concat([T.class_affine_gradient([layer], _row_groups(members))
+        apart = C.concat([T.class_affine_gradient([layer], _row_groups(members))
                           for layer in layers], 1)
         assert fused.values.tobytes() == apart.values.tobytes()
         inputs = [t for layer in layers for t in layer]
@@ -975,6 +975,46 @@ def _assert_headwise(op, stacked, shared=(), seed=0):
         assert grads[t].values.tobytes() == total.tobytes()
 
 
+class TestLinearRowGroups:
+    """``linear(..., groups=2)`` on 2 x 64 rows: each half's output rows and
+    ``x`` cotangent are the one-group op's on that half, and the ``w`` and
+    ``b`` cotangents the sum of the two halves' vjps, bit for bit: plain
+    weights, and two stacked heads on a shared or a stacked input."""
+
+    @staticmethod
+    def _case(seed, kind):
+        rng = np.random.default_rng(1100 + seed)
+        heads = () if kind == "plain" else (2,)
+        x = rng.normal(size=(2, 128, 5) if kind == "stacked" else (128, 5))
+        return ([x, rng.normal(size=heads + (4, 5)), rng.normal(size=heads + (4,))],
+                rng.normal(size=heads + (128, 4)))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("kind", ["plain", "shared", "stacked"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_groups_are_the_sum_of_their_halves(self, seed, kind, relu):
+        arrays, proj = self._case(seed, kind)
+        leaves = [T.Tensor(a) for a in arrays]
+        out = T.linear(*leaves, relu=relu, groups=2)
+        grads = T.backward(C.tsum(T.mul(out, proj)), leaves)
+        halves = []
+        for rows in (slice(0, 64), slice(64, 128)):
+            own = [T.Tensor(arrays[0][..., rows, :].copy()), *map(T.Tensor, arrays[1:])]
+            out_half = T.linear(*own, relu=relu)
+            assert out.values[..., rows, :].tobytes() == out_half.values.tobytes()
+            half = T.backward(C.tsum(T.mul(out_half, proj[..., rows, :])), own)
+            assert (grads[leaves[0]].values[..., rows, :].tobytes()
+                    == half[own[0]].values.tobytes())
+            halves.append([half[t].values for t in own[1:]])
+        for i, (first, second) in enumerate(zip(*halves), 1):
+            assert grads[leaves[i]].values.tobytes() == (first + second).tobytes()
+
+    def test_rows_that_do_not_split_are_refused(self):
+        (x, w, b), _ = self._case(0, "plain")
+        with pytest.raises(T.ShapeError, match="128 rows do not split into 3 row groups"):
+            T.linear(x, w, b, groups=3)
+
+
 class TestHeadAxis:
     """Two heads stacked on a leading axis give, head by head, the bits of
     the 2-D ops on their slices, and the head axis is the one broadcast the
@@ -1103,7 +1143,7 @@ class TestHeadAxis:
         for head in range(2):
             own = [T.Tensor((t.values[head] if t.values.ndim == 3 else t.values).copy())
                    for t in inputs]
-            composed = T.concat([_class_affine_composition(own[i], own[i + 1], members)
+            composed = C.concat([_class_affine_composition(own[i], own[i + 1], members)
                                  for i in (0, 2)], axis=1)
             columns = slice(head * width, (head + 1) * width)
             assert fused.values[:, columns].tobytes() == composed.values.tobytes()
@@ -1259,7 +1299,7 @@ def test_linear_and_its_weight_vjp_allocate_only_their_result():
     assert peak < 1.5 * out.values.nbytes
     g = rng.normal(size=out.shape)
     peak, (_, grad, _) = _peak_bytes(lambda: T._VJPS["linear"](
-        g, [x.values, w.values, b.values], out.values, False, [False, True, False]))
+        g, [x.values, w.values, b.values], out.values, (False, 1), [False, True, False]))
     np.testing.assert_array_equal(grad, g.T @ x.values)
     assert peak < 1.5 * grad.nbytes
 
@@ -1368,6 +1408,6 @@ def test_linear_vjp_of_a_shared_input_adds_each_heads_product():
     x, w = rng.normal(size=(b, n_in)), rng.normal(size=(heads, n_out, n_in))
     g = rng.normal(size=(heads, b, n_out))
     peak, (grad, _, _) = _peak_bytes(lambda: T._VJPS["linear"](
-        g, [x, w, np.zeros((heads, n_out))], None, False, [True, False, False]))
+        g, [x, w, np.zeros((heads, n_out))], None, (False, 1), [True, False, False]))
     assert grad.tobytes() == np.add.reduce(g @ w, 0).tobytes()
     assert peak < 2.5 * grad.nbytes

@@ -24,13 +24,15 @@ from cgdm.tensor import (
     _reachable,
     add,
     backward,
+    exp,
     log_softmax,
     mul,
     no_grad,
     softmax,
+    weighted_sum,
 )
 
-from compositions import absolute, sub, tsum
+from compositions import absolute, concat, sub, tsum
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
 LOSS_RTOL = 1e-9  # the benchmark's trajectory tolerance; accuracies are exact
@@ -215,10 +217,23 @@ def _tiny_pseudo():
 
 
 def test_step2_moves_only_the_classifiers(monkeypatch):
-    """Step 2 records the generator forward and hands its features on, but
-    its backward, w.r.t. the classifier parameters, reaches no generator
-    node (so none is on its needed path) and the generator keeps its bits."""
-    cfg = trainer.TrainConfig(generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,))
+    """Step 2 records the generator forward of the joint rows and hands its
+    features on, but its backward, w.r.t. the classifier parameters, reaches
+    no generator node (so none is on its needed path) and the generator
+    keeps its bits."""
+    _check_step2(monkeypatch, trainer.TrainConfig(
+        generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,)), 24)
+
+
+def test_step2_without_the_alignment_loss_hands_on_the_target_rows(monkeypatch):
+    """Without the alignment loss step 3 reads the target rows alone, so
+    step 2 records the generator forward of those and moves only the
+    classifiers."""
+    _check_step2(monkeypatch, trainer.TrainConfig(
+        beta=0.0, generator_hidden=(6,), feature_dim=5, classifier_hidden=(4,)), 12)
+
+
+def _check_step2(monkeypatch, cfg, rows):
     model, source, target = _tiny_batches(cfg)
     before = [p.values.tobytes() for p in model.generator_parameters()]
     reached = []
@@ -229,23 +244,26 @@ def test_step2_moves_only_the_classifiers(monkeypatch):
 
     monkeypatch.setattr(trainer, "backward", recorded)
     step = trainer.CgdmTrainer(cfg, model)
-    features = step.step2_update(source, target, step.batch_targets(source, _tiny_pseudo()))
-    generator_nodes = {id(n) for f in features for n in _reachable(f)}
-    assert all(f.op == "linear" and f.parents[1] is model.generator.layers[-1].weight
-               for f in features)
+    features = step.step2_update(step.batch_targets(source, target, _tiny_pseudo()))
+    generator_nodes = {id(n) for n in _reachable(features)}
+    assert features.op == "linear" and features.shape == (rows, 5)
+    assert features.parents[1] is model.generator.layers[-1].weight
     assert reached and not generator_nodes & {id(n) for n in reached}
     assert [p.values.tobytes() for p in model.generator_parameters()] == before
 
 
-@pytest.mark.parametrize("variant, per_iteration", [("cgdm_wo_gdm", 15), ("cgdm_full", 18)])
+@pytest.mark.parametrize("variant, per_iteration", [("cgdm_wo_gdm", 12), ("cgdm_full", 11)])
 def test_step3_reuses_the_step2_features(monkeypatch, variant, per_iteration):
     """Per fit iteration with 4 step-3 repeats: step 1 forwards G and the
-    classifier pair, one forward for both heads, on both domains (4), step 2
-    the same (4), and step 3's first repeat takes step 2's generator
-    features, so it runs the pair only.  Without the alignment loss a repeat
-    forwards the target domain, G then the pair: 16 - 1.  With it, G on
-    each domain and the pair once on the joint rows: 4 + 4 + 1 + 3 * 3 = 18
-    (22 when the pair ran on each domain)."""
+    classifier pair, one forward for both heads, once on the joint rows of
+    both domains (2), and step 3's first repeat takes step 2's generator
+    features, so it runs the pair only.  Without the alignment loss step 2
+    forwards G on the target rows, on the source rows for their values, and
+    the pair on the joint rows (3), and a repeat forwards the target rows, G
+    then the pair: 2 + 3 + 8 - 1 = 12 (15 when step 1 and step 2 ran each
+    domain apart).  With it, step 2 forwards G and the pair on the joint
+    rows (2), and so does every repeat: 2 + 2 + 8 - 1 = 11 (18 when steps 1
+    and 2 and each repeat's G ran each domain apart)."""
     source, target = harness.build_datasets(
         harness.ExperimentConfig(dataset="two_moons", moons_n=60), 0)
     cfg = harness.variant_config(
@@ -278,12 +296,11 @@ def test_step3_moves_alike_with_and_without_step2_features():
     model, source, target = _tiny_batches(cfg)
     twin = copy.deepcopy(model)
     handed = trainer.CgdmTrainer(cfg, model)
-    targets = handed.batch_targets(source, _tiny_pseudo())
-    features = handed.step2_update(source, target, targets)
+    targets = handed.batch_targets(source, target, _tiny_pseudo())
+    features = handed.step2_update(targets)
     alone = trainer.CgdmTrainer(cfg, twin)
-    alone.step2_update(source, target, targets)
-    assert handed.step3_update(source, target, targets, features) == alone.step3_update(
-        source, target, targets)
+    alone.step2_update(targets)
+    assert handed.step3_update(targets, features) == alone.step3_update(targets)
     for a, b in zip(model.all_parameters(), twin.all_parameters()):
         assert a.values.tobytes() == b.values.tobytes()
 
@@ -312,12 +329,13 @@ class TestStep3GraphBudget:
     node, 44 with each layer's ReLU fused into its ``linear`` node, 42 with
     the class gradients recorded as the heads' backward recurrence, 29
     before each loss and the step objective were one node each, 22 before
-    the pair ran once on the joint rows of both domains).  The two benchmark
-    bounds are the counts measured on pool input 0 since then, 26 nodes per
-    step-3 backward and 88 per ``moons_gdm`` iteration (32 and 112 before
-    they were tightened to those counts)."""
+    the pair ran once on the joint rows of both domains, 16 before the
+    generator did too).  The two benchmark bounds are the counts measured on
+    pool input 0 since then, 22 nodes per step-3 backward and 70 per
+    ``moons_gdm`` iteration (26 and 88 before every step ran one joint
+    batch)."""
 
-    NODE_BUDGET = {"plain": 16, "conditional": 16}
+    NODE_BUDGET = {"plain": 13, "conditional": 13}
 
     @staticmethod
     def _case(variant):
@@ -333,11 +351,11 @@ class TestStep3GraphBudget:
         pseudo = pseudo_labels.PseudoLabelSet(
             rng.permutation(labels), rng.uniform(1.0, 2.0, size=12), np.zeros(12))
         step = trainer.CgdmTrainer(cfg, model)
-        return step, source, target, step.batch_targets(source, pseudo)
+        return step, step.batch_targets(source, target, pseudo)
 
     @pytest.mark.parametrize("variant", sorted(NODE_BUDGET))
     def test_every_step3_backward_is_first_order(self, monkeypatch, variant):
-        step, source, target, targets = self._case(variant)
+        step, targets = self._case(variant)
         calls = []
 
         def recorded(scalar, wrt, create_graph=False):
@@ -346,7 +364,7 @@ class TestStep3GraphBudget:
 
         monkeypatch.setattr(trainer, "backward", recorded)
         monkeypatch.setattr(grad_discrepancy, "backward", recorded)
-        step.step3_update(source, target, targets)
+        step.step3_update(targets)
         assert [cg for cg, _ in calls] == [False] * step.cfg.step3_repeats
         assert max(n for _, n in calls) <= self.NODE_BUDGET[variant]
 
@@ -356,7 +374,7 @@ class TestStep3GraphBudget:
         the joint rows of both domains: the discrepancy's softmax of the
         target rows and the alignment loss's cross-entropies read the same
         one."""
-        step, source, target, targets = self._case(variant)
+        step, targets = self._case(variant)
         made, per_repeat = [], []
         node = tensor._node
 
@@ -372,7 +390,7 @@ class TestStep3GraphBudget:
 
         monkeypatch.setattr(tensor, "_node", recording)
         monkeypatch.setattr(trainer, "backward", recorded)
-        step.step3_update(source, target, targets)
+        step.step3_update(targets)
         assert per_repeat == [1] * step.cfg.step3_repeats
 
     @staticmethod
@@ -380,14 +398,7 @@ class TestStep3GraphBudget:
         """The nodes each backward of the first adversarial iteration on the
         workload's pool input 0 reaches (leaves included), one list per
         backward, steps 1 to 3 in order."""
-        experiment, train, variant = WORKLOADS[name]
-        ecfg = harness.ExperimentConfig(train=trainer.TrainConfig(**train), **experiment)
-        source, target = harness.build_datasets(ecfg, 0)
-        cfg = harness.variant_config(ecfg.train, variant, 0)
-        model = trainer.build_model(source.dim, int(source.labels.max()) + 1, cfg)
-        pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
-            model.generator, model.classifiers, target.features))
-        rows = np.arange(cfg.batch_size)
+        step, targets = _pool_iteration(name)
         reached = []
 
         def recorded(scalar, wrt, create_graph=False):
@@ -396,33 +407,111 @@ class TestStep3GraphBudget:
             return backward(scalar, wrt, create_graph=create_graph)
 
         monkeypatch.setattr(trainer, "backward", recorded)
-        step = trainer.CgdmTrainer(cfg, model)
-        source, target = source.take(rows), target.unlabeled().take(rows)
-        targets = step.batch_targets(source, pseudo.take(rows))
-        step.step1_update(source, target, targets)
-        step.step3_update(source, target, targets, step.step2_update(source, target, targets))
-        assert len(reached) == 2 + cfg.step3_repeats
+        step.step1_update(targets)
+        step.step3_update(targets, step.step2_update(targets))
+        assert len(reached) == 2 + step.cfg.step3_repeats
         return reached
 
     @pytest.mark.parametrize("name", ["blobs_conditional", "moons_gdm"])
-    def test_benchmark_backward_reaches_at_most_26_nodes(self, monkeypatch, name):
+    def test_benchmark_backward_reaches_at_most_22_nodes(self, monkeypatch, name):
         """On the workload's pool input 0 a step-3 first-order backward reaches
-        at most 26 nodes, leaves included, as the benchmark's traced
+        at most 22 nodes, leaves included, as the benchmark's traced
         ``tensor.reachable_nodes`` counts them (64 with two heads apart, 43
-        before each loss and step objective was one node, 26 since the pair
-        runs once on the joint rows; the bound was 32 until it was set to
-        that count)."""
+        before each loss and step objective was one node, 26 once the pair
+        ran once on the joint rows, 22 since the generator does too and no
+        ``concat`` joins its features)."""
         reached = self._benchmark_iteration(monkeypatch, name)[2:]
-        assert max(len(nodes) for nodes in reached) <= 26
+        assert max(len(nodes) for nodes in reached) <= 22
 
-    def test_benchmark_iteration_records_at_most_88_nodes(self, monkeypatch):
+    def test_benchmark_iteration_records_at_most_70_nodes(self, monkeypatch):
         """Steps 1 to 3 of a ``moons_gdm`` iteration on pool input 0 reach
-        at most 88 distinct op nodes, as the benchmark's traced
-        ``tensor.nodes.total`` counts them (170 before each loss and step
-        objective was one node, 88 since the pair runs once on the joint rows
-        of step 3; the bound was 112 until it was set to that count)."""
+        at most 70 distinct op nodes, none of them a ``concat``, as the
+        benchmark's traced ``tensor.nodes.total`` counts them (170 before
+        each loss and step objective was one node, 88 once the pair ran once
+        on the joint rows of step 3, 70 since every step runs one joint
+        batch)."""
         reached = self._benchmark_iteration(monkeypatch, "moons_gdm")
-        assert len({id(n) for nodes in reached for n in nodes if n.op is not None}) <= 88
+        ops = {id(n): n.op for nodes in reached for n in nodes if n.op is not None}
+        assert len(ops) <= 70 and "concat" not in ops.values()
+
+
+def _pool_iteration(name):
+    """A trainer of the workload's variant on its pool input 0 and the joint
+    batch of its first adversarial iteration: the first batch of each domain,
+    with the untrained model's pseudo labels."""
+    experiment, train, variant = WORKLOADS[name]
+    ecfg = harness.ExperimentConfig(train=trainer.TrainConfig(**train), **experiment)
+    source, target = harness.build_datasets(ecfg, 0)
+    cfg = harness.variant_config(ecfg.train, variant, 0)
+    model = trainer.build_model(source.dim, int(source.labels.max()) + 1, cfg)
+    pseudo = pseudo_labels.pseudo_label_epoch(pseudo_labels.predict(
+        model.generator, model.classifiers, target.features))
+    rows = np.arange(cfg.batch_size)
+    step = trainer.CgdmTrainer(cfg, model)
+    return step, step.batch_targets(source.take(rows), target.unlabeled().take(rows),
+                                    pseudo.take(rows))
+
+
+def per_domain_objective(step, targets, number):
+    """Training step ``number``'s objective as the graph of each domain's own
+    generator and classifier passes: step 3 joins the two domains'
+    generator features with ``concat`` for the alignment loss, and reads the
+    target rows alone without it.  The model's parameters are read as they
+    are now."""
+    cfg, gen, pair = step.cfg, step.model.generator, step.model.classifiers
+    b = targets.source.labels.size
+    xs, xt = Tensor(targets.features[:b]), Tensor(targets.features[b:])
+    if number == 1:
+        ls_t = losses.log_probs(pair, nn.forward(gen, xt))
+        return weighted_sum(
+            [(losses.pair_cross_entropy(losses.log_probs(pair, nn.forward(gen, xs)),
+                                        targets.source), 1.0),
+             (losses.pair_cross_entropy(ls_t, targets.target), cfg.alpha),
+             (losses.class_balance_loss(exp(ls_t)), cfg.class_balance_weight)])
+    if number == 2:
+        fs, ft = (Tensor(nn.forward(gen, x).values) for x in (xs, xt))
+        p = exp(losses.log_probs(pair, ft))
+        return weighted_sum(
+            [(losses.pair_cross_entropy(losses.log_probs(pair, fs), targets.source), 1.0),
+             (losses.l1_discrepancy(p), -1.0),
+             (losses.class_balance_loss(p), cfg.class_balance_weight)])
+    if cfg.beta == 0:
+        return losses.l1_discrepancy(exp(losses.log_probs(pair, nn.forward(gen, xt))))
+    ls = losses.log_probs(pair, concat([nn.forward(gen, xs), nn.forward(gen, xt)]))
+    if cfg.conditional_gdm:
+        loss_gd = grad_discrepancy.conditional_gradient_loss(pair, ls, targets.alignment)
+    else:
+        loss_gd = grad_discrepancy.gradient_discrepancy_loss(
+            grad_discrepancy.class_gradients(pair, ls, targets.alignment))
+    return weighted_sum([(losses.l1_discrepancy(exp(ls), b), 1.0), (loss_gd, cfg.beta)])
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_joint_steps_give_the_per_domain_gradients(monkeypatch, name):
+    """On a benchmark workload's batches of 64 or 256 rows per domain, every
+    backward of an adversarial iteration (step 1, step 2, each step-3
+    repeat) gives the parameter gradients of the per-domain graph bit for
+    bit, made at the same parameters: each linear node's row groups add
+    their weight and bias cotangents as the backward adds those of one node
+    per domain.  The workloads run cgdm_full, conditional GDM and
+    cgdm_wo_gdm."""
+    step, targets = _pool_iteration(name)
+    numbers = iter([1, 2] + [3] * step.cfg.step3_repeats)
+    differing = []
+
+    def compared(scalar, wrt, create_graph=False):
+        grads = backward(scalar, wrt)
+        number = next(numbers)
+        want = backward(per_domain_objective(step, targets, number), wrt)
+        differing.extend((number, i) for i, p in enumerate(wrt)
+                         if grads[p].values.tobytes() != want[p].values.tobytes())
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", compared)
+    step.step1_update(targets)
+    step.step3_update(targets, step.step2_update(targets))
+    assert next(numbers, None) is None
+    assert differing == []
 
 
 @pytest.mark.parametrize("conditional", [False, True], ids=["plain", "conditional"])
@@ -594,9 +683,9 @@ def test_a_batch_pair_of_no_shared_class_warns_once(monkeypatch, caplog):
     disjoint = []
     batch_targets = trainer.CgdmTrainer.batch_targets
 
-    def counted(self, source_batch, pseudo):
+    def counted(self, source_batch, target_batch, pseudo):
         disjoint.append(not set(source_batch.labels) & set(pseudo.labels))
-        return batch_targets(self, source_batch, pseudo)
+        return batch_targets(self, source_batch, target_batch, pseudo)
 
     monkeypatch.setattr(trainer.CgdmTrainer, "batch_targets", counted)
     with caplog.at_level(logging.WARNING, logger=grad_discrepancy.__name__):
