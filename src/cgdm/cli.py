@@ -3,11 +3,12 @@
 Subcommands: gen-data, train, bench, gradcheck, export-embeddings.
 Exit codes: 0 success, 1 configuration or command-line error, 2 run failure.
 Every error is one line on standard error; ``--help`` prints the usage text
-and exits 0.
+and exits 0.  Logged warnings are ``warning: <message>`` lines on stdout.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -64,7 +65,11 @@ def _cmd_bench(args) -> int:
     for variant in cfg.variants:
         print(f"  {variant:16s} {summary.mean_acc(variant):.4f} "
               f"+- {summary.std_acc(variant):.4f}")
-    return 2 if summary.any_failed else 0
+    failed = [r for r in summary.runs if r.failed]
+    if failed:
+        raise DomainError(f"{len(failed)} of {len(summary.runs)} runs failed; first: "
+                          f"{failed[0].variant} seed {failed[0].seed}: {failed[0].error}")
+    return 0
 
 
 def _cmd_gradcheck(args) -> int:
@@ -162,6 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    to_stdout = logging.StreamHandler(sys.stdout)
+    to_stdout.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("cgdm").addHandler(to_stdout)
     try:
         return args.func(args)
     except (ConfigError, ParseError, OSError) as err:
@@ -170,9 +178,11 @@ def main(argv=None) -> int:
     except MemoryError as err:  # a config asking for an array too large to allocate
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
-    except DomainError as err:  # a diverged training run
+    except DomainError as err:  # a diverged training run, or bench's failed runs
         print(f"run failed: {err}", file=sys.stderr)
         return 2
+    finally:
+        logging.getLogger("cgdm").removeHandler(to_stdout)
 
 
 if __name__ == "__main__":

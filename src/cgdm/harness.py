@@ -118,11 +118,11 @@ class ExperimentConfig:
         self._check_sizes()
 
     def _check_sizes(self) -> None:
-        """Each size key, then each product of them that sizes an array (a
-        set's rows times its dimension or a layer's width, a layer's inputs
-        times its outputs), is at most :data:`MAX_ELEMENTS`, or a ConfigError
-        names the keys before anything is allocated.  A CSV set is read into
-        arrays that exist, so only the model's widths are checked for it."""
+        """Each size key, then each product of them that sizes an array (the
+        rows of a set or of a joint batch, 2 * ``batch_size``, times a width;
+        a layer's inputs times its outputs), is at most :data:`MAX_ELEMENTS`,
+        or a ConfigError names the keys before anything is allocated.  A CSV
+        set's arrays exist, so only the model's widths are checked for it."""
         t = self.train
         widths = [*((w, "generator_hidden") for w in t.generator_hidden),
                   (t.feature_dim, "feature_dim"),
@@ -135,7 +135,9 @@ class ExperimentConfig:
         elif self.dataset == "two_moons":
             rows = [(self.moons_n, "moons_n")]
             widths = [(2, None), *widths, (2, None)]
+        batch = (2 * t.batch_size, "batch_size")
         for factors in ([[size] for size in rows + widths] + [rows + [w] for w in widths]
+                        + [[batch, w] for w in widths]
                         + [list(layer) for layer in zip(widths, widths[1:])]):
             elements = math.prod(value for value, _ in factors)
             if elements > MAX_ELEMENTS:
@@ -271,10 +273,6 @@ class RunResult:
 class ExperimentSummary:
     runs: list
     out_dir: str
-
-    @property
-    def any_failed(self) -> bool:
-        return any(r.failed for r in self.runs)
 
     def variant_accs(self, variant: str) -> list:
         return [r.final_acc for r in self.runs if r.variant == variant]

@@ -3,8 +3,8 @@
 A "loss value" is simply a one-element graph-attached :class:`Tensor`.
 Cross-entropy is always computed from log-softmax (never softmax-then-log)
 for numerical stability, so every CE-family loss is >= 0 by construction;
-:func:`cross_entropy` is the one CE, a fused
-:func:`~cgdm.tensor.softmax_cross_entropy` node with row weights.
+:func:`pair_cross_entropy` is the one CE, a fused
+:func:`~cgdm.tensor.softmax_pair_cross_entropy` node with row weights.
 
 Each computation is made once.  A batch's labels are encoded once per
 training iteration, as :class:`Targets` (one-hot, row weights and the CE's
@@ -38,14 +38,12 @@ from .tensor import (
     cross_entropy_grad,
     log_softmax,
     mean_abs_difference,
-    softmax_cross_entropy,
     softmax_pair_cross_entropy,
 )
 
 __all__ = [
     "Targets",
     "log_probs",
-    "cross_entropy",
     "cross_entropy_cotangent",
     "pair_cross_entropy",
     "entropy_weights",
@@ -143,19 +141,12 @@ def _check_batch(ls: Tensor, targets: Targets, start: int | None = None) -> None
         raise ContractError(f"{b} labels from row {start} of a batch of {n}")
 
 
-def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
-    """Mean over the batch of -weights[i] * ls[i, labels[i]], where ``ls`` is
-    the recorded ``log_softmax(logits)`` and ``targets`` the batch's encoding;
-    of stacked heads' log-softmax, the heads' means."""
-    _check_batch(ls, targets)
-    return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
-
-
 def cross_entropy_cotangent(ls: Tensor, targets: Targets, g: float) -> Tensor:
-    """The logits' cotangent of ``cross_entropy(ls, targets)`` when the loss's
-    cotangent is the constant ``g``, with the cross-entropy's checks of the
-    batch: one recorded :func:`~cgdm.tensor.cross_entropy_grad` node, the
-    first step of a head's backward recurrence."""
+    """The logits' cotangent of each head's mean of ``-weights[i] * ls[i,
+    labels[i]]`` when its cotangent is the constant ``g``, with the
+    cross-entropy's checks of the batch: one recorded
+    :func:`~cgdm.tensor.cross_entropy_grad` node, the first step of a head's
+    backward recurrence."""
     _check_batch(ls, targets)
     return cross_entropy_grad(ls, g, targets.onehot, targets.scale)
 

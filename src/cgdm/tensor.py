@@ -16,12 +16,11 @@ vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 -> tuple``, which returns one cotangent per parent from the cotangent ``g``,
 the parents' values ``args``, the node's output values ``out`` and its saved
 context ``ctx``: the ReLU flag and row groups of ``linear``,
-``relu_mask``'s layer output, the two cross-entropies' ``(log-softmax
-values, onehot, scale)`` (the pair's also its first row),
-``cross_entropy_grad``'s ``(g, onehot, scale)`` (``scale`` is the b-by-1
-column of row scales), ``class_affine_gradient``'s row groups, and the
-forward arrays, scales and first rows of the fused losses and the weights
-of ``weighted_sum``.
+``relu_mask``'s layer output, the pair cross-entropy's ``(log-softmax rows,
+onehot, scale, first row)``, ``cross_entropy_grad``'s ``(g, onehot,
+scale)`` (``scale`` is the b-by-1 column of row scales),
+``class_affine_gradient``'s row groups, and the forward arrays, scales and
+first rows of the fused losses and the weights of ``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -85,15 +84,14 @@ against its composition):
   those of one node per group;
 * ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
   of a ReLU layer, the mask made from ``out`` when needed, not kept;
-* ``softmax_cross_entropy(ls, onehot, weights, scale)``: the mean of
-  ``-w_i * ls[i, y_i]`` for the log-softmax node ``ls = log_softmax(logits)``
-  its caller made, so one log-softmax of a logits tensor serves its
-  cross-entropy and its softmax ``exp(ls)``; the node's parent is the logits
-  and its vjp is ``(exp(ls) - onehot) * (g * scale)``;
-* ``cross_entropy_grad(ls, g, onehot, scale)``: that vjp for a constant
-  loss cotangent ``g``, as a node whose parent is ``ls``;
-* ``softmax_pair_cross_entropy(ls, onehot, weights, scale)``: half the sum
-  of a pair of heads' cross-entropies;
+* ``softmax_pair_cross_entropy(ls, onehot, weights, scale, start)``: half
+  the sum of a pair of heads' means of ``-w_i * ls[i, y_i]`` for the
+  log-softmax node ``ls`` its caller made, which also serves the softmax
+  ``exp(ls)``; its parent is the logits, its vjp ``(exp(ls) - onehot) * (g
+  / 2 * scale)``;
+* ``cross_entropy_grad(ls, g, onehot, scale)``: ``(exp(ls) - onehot) * (g *
+  scale)``, a head's logits cotangent for a constant loss cotangent ``g``,
+  as a node whose parent is ``ls``;
 * ``class_affine_gradient(layers, groups)``: each affine layer's weight and
   bias gradient ``[vec(delta_r^T h_r) | column sums of delta_r]`` per row
   group r, the layers side by side, head after head: ``concat`` of one
@@ -101,7 +99,12 @@ against its composition):
   and groups at once.  A group of rows is a reshaped view (G equal groups
   of consecutive rows) or a :class:`RowGroups` gather with zero ``delta`` on
   its pads, which equals the composition's masked K-fold copy of
-  ``delta``: the masked rows add exact zeros to each sum;
+  ``delta``: the masked rows add exact zeros to each sum.  A row of no
+  class gets +0.0 cotangents, where the composition's sum of its K masked
+  blocks may be -0.0: the one place a fused op's bits differ from its
+  composition's, and no parameter can see it, since a zero added to a
+  nonzero value leaves it as it was and SGD moves no parameter bit for a
+  zero gradient of either sign;
 * the losses, each a scalar node: ``mean_abs_difference(p, start)``, the
   L1 discrepancy, the mean of ``|p[0] - p[1]|`` over the rows from
   ``start`` on; ``balance_gap(p, floor, start)``, the nine-node class
@@ -133,8 +136,6 @@ __all__ = [
     "relu_mask",
     "exp",
     "log_softmax",
-    "softmax",
-    "softmax_cross_entropy",
     "softmax_pair_cross_entropy",
     "cross_entropy_grad",
     "RowGroups",
@@ -364,15 +365,11 @@ def log_softmax(a) -> Tensor:
     return _node(vals, (a,), "log_softmax")
 
 
-def softmax(a) -> Tensor:
-    return exp(log_softmax(a))
-
-
 def _heads_cross_entropy(ls: Tensor, onehot, weights, scale, start=0) -> tuple:
     """The heads' cross-entropies on the rows ``start:start + b`` of ``ls``,
     b the one-hot's rows, and the log-softmax values of those rows."""
     if _state.enabled and ls.op != "log_softmax":
-        raise ContractError("softmax_cross_entropy takes a recorded log_softmax node")
+        raise ContractError("cross-entropy takes a recorded log_softmax node")
     if ls.values.ndim not in (2, 3):
         raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
     b, k = onehot.shape
@@ -386,29 +383,14 @@ def _heads_cross_entropy(ls: Tensor, onehot, weights, scale, start=0) -> tuple:
     return picked.sum(axis=-1) * (1.0 / b), rows
 
 
-def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
-                          scale: np.ndarray) -> Tensor:
-    """Mean over the batch of ``-weights[i] * ls[i, y_i]``, where ``ls`` is
-    the node ``log_softmax(logits)`` that the caller made; for stacked heads
-    (``ls`` H-by-b-by-K), the H heads' means.
-
-    ``onehot`` is the b-by-K one-hot encoding of the labels y, ``weights``
-    the b row weights and ``scale`` the vjp's b-by-1 column of row scales
-    ``weights[i] / b``, which numpy broadcasts across the K columns: a
-    batch's :class:`~cgdm.losses.Targets`, made once and read by every head.
-    The node's parent is the logits; its context keeps the values of ``ls``,
-    which the vjp reads.
-    """
-    return _node(_heads_cross_entropy(ls, onehot, weights, scale)[0], ls.parents,
-                 "cross_entropy", (ls.values, onehot, scale))
-
-
 def softmax_pair_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
                                scale: np.ndarray, start: int = 0) -> Tensor:
-    """Half the sum of :func:`softmax_cross_entropy` over a pair of heads,
-    the mean of their cross-entropies, as one node of the same parent, on
-    the rows of ``ls`` from ``start`` on, as many as ``onehot`` has; its
-    context keeps the values of those rows and ``start``."""
+    """The mean of a pair of heads' cross-entropies, each the mean of
+    ``-weights[i] * ls[i, y_i]`` over the rows of the caller's stacked
+    ``ls = log_softmax(logits)`` from ``start`` on, as many as the b-by-K
+    ``onehot`` of the labels y has, as one node whose parent is the logits;
+    ``scale`` is the vjp's b-by-1 column ``weights / b`` (a batch's
+    :class:`~cgdm.losses.Targets`).  The context keeps those rows' values."""
     loss, rows = _heads_cross_entropy(ls, onehot, weights, scale, start)
     return _node(loss.sum() * 0.5, ls.parents, "pair_cross_entropy",
                  (rows, onehot, scale, start))
@@ -419,10 +401,10 @@ def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
 
 
 def cross_entropy_grad(ls, g: float, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
-    """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of a
-    :func:`softmax_cross_entropy` node with log-softmax ``ls`` (b-by-K or a
-    stack of heads), constant scalar cotangent ``g`` and b-by-1 column of
-    row scales ``scale``, as one node whose one parent is ``ls``."""
+    """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of each
+    head's cross-entropy of log-softmax ``ls`` (b-by-K or a stack of heads)
+    at constant scalar cotangent ``g``, with the b-by-1 column of row scales
+    ``scale``, as one node whose one parent is ``ls``."""
     g = float(g)
     if ls.values.ndim not in (2, 3) or onehot.shape != ls.shape[-2:] or (
             scale.shape != (ls.shape[-2], 1)):
@@ -439,25 +421,21 @@ class RowGroups:
     ``classes[d]`` gives the class in [0, count) of each row of domain d, or
     -1 for a row of no class; domain d's rows follow domain d-1's.  Group
     ``d * count + r`` is domain d's rows of class r in row order.  ``index``
-    (G-by-m) lists each group's rows, then pads: first the rows of no class
-    of its domain, so that each such row gets one block per class of its
-    domain, then row 0.  ``pad`` marks the pads, whose ``delta`` the op
-    zeroes.  ``slot`` is each row's flat position in ``index`` (a row of no
-    class: its first pad), and ``fold`` the ``count`` positions of each row
-    of no class, listed in ``none``."""
+    (G-by-m) lists each group's own rows, then pads of row 0 up to ``m``,
+    the largest group rounded up to a multiple of 8; ``pad`` marks the pads,
+    whose ``delta`` the op zeroes.  ``slot`` is each row's flat position in
+    ``index``; a row of no class (``none``) is in no group."""
 
     def __init__(self, classes, count: int):
         sizes = [len(c) for c in classes]
         labels = np.concatenate(classes).astype(np.intp)
-        domain = np.repeat(np.arange(len(sizes)), sizes)
-        group = domain * count + labels
+        group = np.repeat(np.arange(len(sizes)), sizes) * count + labels
         self.rows, self.none = labels.size, np.flatnonzero(labels < 0)
         group[self.none] = -1
         members = np.bincount(group[group >= 0], minlength=len(sizes) * count)
-        nones = np.bincount(domain[self.none], minlength=len(sizes))
         # whole panels of 8 columns: BLAS then sums each column of a group's
         # products in the order it uses for a batch of a multiple of 8 rows
-        m = -(-max((members + np.repeat(nones, count)).tolist(), default=1) // 8) * 8
+        m = -(-max(members.tolist(), default=1) // 8) * 8
         ranked = np.argsort(group, kind="stable")[self.none.size:]  # by group, in row order
         self.slot = np.zeros(self.rows, dtype=np.intp)
         self.slot[ranked] = (group[ranked] * m + np.arange(ranked.size)
@@ -466,16 +444,6 @@ class RowGroups:
         self.pad = np.ones(self.index.shape, dtype=bool)
         self.index.flat[self.slot[ranked]] = ranked
         self.pad.flat[self.slot[ranked]] = False
-        self.fold = np.zeros((self.none.size, count), dtype=np.intp)
-        if self.none.size and count:
-            # each row of no class: a pad in each group of its domain, after
-            # the group's rows, in row order
-            own = domain[self.none][:, None] * count + np.arange(count)
-            order = np.arange(self.none.size) - (np.cumsum(nones) - nones)[domain[self.none]]
-            at = members[own] + order[:, None]
-            self.index[own, at] = self.none[:, None]
-            self.fold = own * m + at
-            self.slot[self.none] = self.fold[:, 0]
 
 
 def class_affine_gradient(layers, groups=1) -> Tensor:
@@ -638,21 +606,15 @@ def _group_sum(blocks, groups, axis) -> np.ndarray:
     return blocks if groups == 1 else np.add.reduce(blocks, axis)
 
 
-def _ungrouped(a, groups, fold=False) -> np.ndarray:
+def _ungrouped(a, groups) -> np.ndarray:
     """Each row's cotangent from a C-ordered G-by-m-by-c cotangent of its
     groups (or a stack): the reshaped view for an int G, else the gather of
-    each row's slot.  With ``fold``, a row of no class gets its blocks in
-    its domain's groups times 0, summed in group order, as the masked
-    composition gives it: -0.0 where all are negative, else +0.0."""
+    each row's slot, with +0.0 on the rows of no class."""
     flat = a.reshape(a.shape[:-3] + (-1, a.shape[-1]))
     if not isinstance(groups, RowGroups):
         return flat
     out = np.take(flat, groups.slot, axis=-2)
-    if fold and groups.none.size:
-        total = flat[..., groups.fold[:, 0], :] * 0.0
-        for r in range(1, groups.fold.shape[1]):
-            total += flat[..., groups.fold[:, r], :] * 0.0
-        out[..., groups.none, :] = total
+    out[..., groups.none, :] = 0.0
     return out
 
 
@@ -713,12 +675,6 @@ def _log_softmax_vjp(g, args, out, ctx, needed):
     return (g - np.exp(out) * np.add.reduce(g, -1)[..., None],)
 
 
-def _cross_entropy_vjp(g, args, out, ctx, needed):
-    """Each head's cotangent scales its rows: ``g`` gets two trailing axes."""
-    ls, onehot, scale = ctx
-    return (_ce_grad(ls, np.expand_dims(g, (-2, -1)), onehot, scale),)
-
-
 def _pair_cross_entropy_vjp(g, args, out, ctx, needed):
     """The pair's cotangent ``g / 2`` through the cross-entropy's vjp on its
     rows, written into zeros when they are a range of the logits' rows."""
@@ -745,7 +701,7 @@ def _delta_cotangent(g_weight, g_bias, h, groups):
     # transposed view in another summation order when the weight cotangent
     # has few rows, and these sums keep the bits of the composition's
     product = np.matmul(g_weight, np.ascontiguousarray(_swap(_grouped(h, groups))))
-    return _ungrouped(np.add(_swap(product), g_bias[:, :, None], order="C"), groups, fold=True)
+    return _ungrouped(np.add(_swap(product), g_bias[:, :, None], order="C"), groups)
 
 
 def _h_cotangent(delta, g_weight, h, groups):
@@ -850,7 +806,6 @@ _VJPS = {
     "relu_mask": lambda g, args, out, layer_out, needed: (_where_positive(g, layer_out),),
     "exp": lambda g, args, out, ctx, needed: (g * out,),
     "log_softmax": _log_softmax_vjp,
-    "cross_entropy": _cross_entropy_vjp,
     "pair_cross_entropy": _pair_cross_entropy_vjp,
     "cross_entropy_grad": _cross_entropy_grad_vjp,
     "class_affine_gradient": _class_affine_vjp,

@@ -206,16 +206,14 @@ def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifier
 
 
 def _stream(n: int, total: int, rng) -> np.ndarray:
-    """Shuffled indices, reshuffling and recycling until ``total`` are drawn."""
+    """``total`` shuffled indices, whole permutations recycled, drawn into one
+    plan made first: a plan too large to allocate raises MemoryError at once."""
     if n < 1:
         raise ContractError(f"cannot draw batches from a set of {n} samples")
-    chunks = []
-    drawn = 0
-    while drawn < total:
-        perm = rng.permutation(n)
-        chunks.append(perm)
-        drawn += n
-    return np.concatenate(chunks)[:total]
+    plan = np.empty(total, dtype=np.intp)
+    for start in range(0, total, n):
+        plan[start:start + n] = rng.permutation(n)[:total - start]
+    return plan
 
 
 def epoch_batches(n_source: int, n_target: int | None, batch_size: int, rng):

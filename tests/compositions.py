@@ -15,20 +15,28 @@ broadcasting, one leading head axis where a docstring says so, and formulas
 * ``head_difference(a)``: ``sub`` of a pair's two heads;
 * ``absolute(a)``: ``add(relu(a), relu(neg(a)))`` as one node;
 * ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row,
-  the cosines that ``cosine_gap`` fuses.
+  the cosines that ``cosine_gap`` fuses;
+* ``softmax(a)``: ``exp(log_softmax(a))``;
+* ``softmax_cross_entropy(ls, onehot, weights, scale)``: one head's (or each
+  stacked head's) mean of ``-w_i * ls[i, y_i]``, whose half-sum over a pair
+  ``softmax_pair_cross_entropy`` fuses, and ``cross_entropy(ls, targets)``,
+  the same with the batch checks of :mod:`cgdm.losses`.
 """
 import numpy as np
 
 from cgdm import tensor as T
+from cgdm.losses import Targets, _check_batch
 from cgdm.tensor import (
     ContractError,
     DomainError,
     ShapeError,
     Tensor,
     _absolute_vjp,
+    _ce_grad,
     _check_broadcast,
     _cosine_cotangents,
     _cosine_parts,
+    _heads_cross_entropy,
     _node,
     _power,
     _unbroadcast,
@@ -128,6 +136,28 @@ def cosine_rows(gs, gt, eps: float) -> tuple:
     return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
 
 
+def softmax(a) -> Tensor:
+    return T.exp(T.log_softmax(a))
+
+
+def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
+                          scale: np.ndarray) -> Tensor:
+    """Mean over the batch of ``-weights[i] * ls[i, y_i]``, where ``ls`` is
+    the node ``log_softmax(logits)`` that the caller made; for stacked heads
+    (``ls`` H-by-b-by-K), the H heads' means.  The arguments are those of
+    ``softmax_pair_cross_entropy``; the node's parent is the logits, and its
+    context keeps the values of ``ls``, which the vjp reads."""
+    return _node(_heads_cross_entropy(ls, onehot, weights, scale)[0], ls.parents,
+                 "cross_entropy", (ls.values, onehot, scale))
+
+
+def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
+    """:func:`softmax_cross_entropy` of a batch's targets, after the batch
+    checks of ``losses.pair_cross_entropy``."""
+    _check_batch(ls, targets)
+    return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
+
+
 # -- vjp formulas: vjp(g, args, out, ctx, needed) -> parent cotangents ---------
 
 def _sub_vjp(g, args, out, ctx, needed):
@@ -147,6 +177,12 @@ def _concat_vjp(g, args, out, axis, needed):
         cots.append(g[before + (slice(start, start + length),)] if need else None)
         start += length
     return tuple(cots)
+
+
+def _cross_entropy_vjp(g, args, out, ctx, needed):
+    """Each head's cotangent scales its rows: ``g`` gets two trailing axes."""
+    ls, onehot, scale = ctx
+    return (_ce_grad(ls, np.expand_dims(g, (-2, -1)), onehot, scale),)
 
 
 def _cosine_rows_vjp(g, args, out, parts, needed):
@@ -170,6 +206,7 @@ _VJPS = {
     "reshape": lambda g, args, out, ctx, needed: (g.reshape(args[0].shape),),
     "concat": _concat_vjp,
     "cosine_rows": _cosine_rows_vjp,
+    "cross_entropy": _cross_entropy_vjp,
 }
 
 T._VJPS.update(_VJPS)

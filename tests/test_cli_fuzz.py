@@ -37,9 +37,9 @@ seeds = 0
 conditional_gdm = true
 """
 
-SIZE_KEYS = ("moons_n", "blobs_classes", "blobs_dim", "blobs_n_per_class",
+SIZE_KEYS = ("moons_n", "blobs_classes", "blobs_dim", "blobs_n_per_class", "batch_size",
              "feature_dim", "generator_hidden", "classifier_hidden")
-LOOP_KEYS = ("batch_size", "epochs", "step3_repeats", "warmup_epochs")
+LOOP_KEYS = ("epochs", "step3_repeats", "warmup_epochs")
 OTHER_KEYS = ("dataset", "moons_noise", "moons_rotation_deg", "blobs_separation",
               "blobs_shift", "blobs_cov_scale", "csv_source", "csv_target", "out_dir",
               "seeds", "variants", "export_pseudo", "include_timing", "alpha", "beta",

@@ -4,6 +4,8 @@ import errno
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -65,6 +67,49 @@ class TestNonFiniteLoss:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"run failed: epoch 2: loss_dis is {bad}"]
+
+
+# conditional GDM on one-row batches: some batch pairs share no class (a
+# warning each), then the run diverges
+WARNS_THEN_FAILS = ("dataset = two_moons\nmoons_n = 40\nbatch_size = 1\nepochs = 3\n"
+                    "conditional_gdm = true\nlr = 20\nseeds = 0\n")
+NO_SHARED_CLASS = "warning: conditional gradient loss: no shared classes in batch"
+
+
+class TestWarningsGoToStdout:
+    """While a command runs, the ``cgdm`` loggers write ``warning:`` lines
+    to stdout, so a run that warns and then fails has one stderr line."""
+
+    def test_train_that_warns_then_fails(self, tmp_path, capsys):
+        path = write_config(tmp_path, WARNS_THEN_FAILS)
+        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.splitlines() == ["run failed: log_softmax requires finite logits"]
+        assert out.splitlines() == [NO_SHARED_CLASS] * 2
+
+    def test_bench_with_failed_runs_ends_in_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL + "variants = mcd\nlr = 1e300\nseeds = 0, 1\n")
+        code = cli.main(["bench", "--config", str(path), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.splitlines() == ["run failed: 2 of 2 runs failed; first: mcd seed 0: "
+                                    "log_softmax requires finite logits"]
+        assert [line for line in out.splitlines() if line.startswith("warning: ")] == [
+            f"warning: mcd seed {seed} failed: log_softmax requires finite logits"
+            for seed in (0, 1)]
+
+    def test_the_process_writes_one_stderr_line(self, tmp_path):
+        """Run as a process: only there does a log record without a handler
+        reach stderr (logging's last resort), since pytest captures them."""
+        path = write_config(tmp_path, WARNS_THEN_FAILS)
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-m", "cgdm.cli", "train", "--config", str(path),
+                              "--out", str(tmp_path)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["run failed: log_softmax requires finite logits"]
+        assert out.stdout.splitlines() == [NO_SHARED_CLASS] * 2
 
 
 NAN = math.nan
@@ -393,14 +438,15 @@ class TestBadInputExitsOne:
     @pytest.mark.parametrize("lines, key", [
         ("moons_n = 4611686018427387904", "moons_n"),
         ("moons_n = 40\nfeature_dim = 10" + "0" * 29, "feature_dim"),
+        ("batch_size = 1" + "0" * 30, "batch_size"),
         *[(f"dataset = {'two_moons' if key == 'moons_n' else 'blobs'}\n{key} = 1{'0' * 30}",
            key) for key in ("moons_n", "blobs_classes", "blobs_dim", "blobs_n_per_class",
                             "feature_dim", "generator_hidden", "classifier_hidden")],
         ("dataset = blobs\nblobs_classes = 2000000\nblobs_n_per_class = 2000000\n"
          "blobs_dim = 200000", "blobs_classes and blobs_n_per_class and blobs_dim"),
-    ], ids=["moons_n-2^62", "feature_dim-10^30", "moons_n", "blobs_classes", "blobs_dim",
-            "blobs_n_per_class", "feature_dim", "generator_hidden", "classifier_hidden",
-            "product"])
+    ], ids=["moons_n-2^62", "feature_dim-10^30", "batch_size-10^30", "moons_n",
+            "blobs_classes", "blobs_dim", "blobs_n_per_class", "feature_dim",
+            "generator_hidden", "classifier_hidden", "product"])
     def test_a_size_numpy_cannot_describe(self, tmp_path, capsys, monkeypatch, lines, key):
         """A size key, or a product of them, asking for an array of more
         elements than numpy can describe (``ValueError: array is too big``

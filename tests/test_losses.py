@@ -10,15 +10,16 @@ from cgdm import losses, nn
 from cgdm.checks import finite_difference_gradient
 from cgdm.data import DomainSet
 from cgdm.pseudo_labels import PseudoLabelSet
-from cgdm.tensor import ContractError, ShapeError, Tensor, backward, log_softmax, softmax
+from cgdm.tensor import ContractError, ShapeError, Tensor, backward, log_softmax
+
+from compositions import cross_entropy, softmax
 
 LN2 = np.log(2.0)
 
 
 def cross_entropy_of(logits, labels, weights=None):
     """The cross-entropy of ``logits`` for ``labels``, through its targets."""
-    return losses.cross_entropy(log_softmax(logits),
-                                losses.Targets.of(labels, logits.shape[1], weights))
+    return cross_entropy(log_softmax(logits), losses.Targets.of(labels, logits.shape[1], weights))
 
 
 def source_loss(gen, pair, batch):
@@ -118,7 +119,7 @@ class TestSourceClassificationLoss:
         with pytest.raises(ContractError):
             source_loss(gen, pair, batch)
         with pytest.raises(ContractError):  # a log-softmax, not the logits
-            losses.cross_entropy(Tensor(np.zeros((2, 3))), losses.Targets.of([0, 1], 3))
+            cross_entropy(Tensor(np.zeros((2, 3))), losses.Targets.of([0, 1], 3))
 
 
 class TestPairCrossEntropy:

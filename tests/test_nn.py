@@ -206,6 +206,27 @@ class TestSgd:
             if step:  # the first step also makes the velocity
                 assert peak < 1.5 * p.values.nbytes
 
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    @pytest.mark.parametrize("m", [0.0, 0.9])
+    def test_a_zero_gradient_of_either_sign_moves_no_parameter_bit(self, m, wd):
+        """Zero gradient entries of +0.0 and of -0.0 leave every parameter
+        with the same bits, at +0.0 and elsewhere, also after a later
+        nonzero step: the sign of a zero cotangent is not observable."""
+        rng = np.random.default_rng(11)
+        start = rng.normal(size=(4, 6))
+        start[:, :2] = 0.0  # parameters at +0.0, as a fresh bias
+        params = [Tensor(start.copy()) for _ in range(2)]
+        opts = [nn.SgdOptimizer([p], lr=0.1, momentum=m, weight_decay=wd) for p in params]
+        zero = rng.random(size=start.shape) < 0.5
+        for step in range(4):  # all zero, partly zero twice, then nonzero
+            g = rng.normal(size=start.shape)
+            for p, opt, sign in zip(params, opts, (0.0, -0.0)):
+                given = g.copy()
+                if step < 3:
+                    given[zero if step else ...] = sign
+                opt.step({p: Tensor(given)})
+            assert params[0].values.tobytes() == params[1].values.tobytes()
+
     def test_missing_grad_treated_as_zero(self):
         p = Tensor([1.0])
         opt = nn.SgdOptimizer([p], lr=0.1, momentum=0.0, weight_decay=0.0)

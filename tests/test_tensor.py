@@ -277,7 +277,7 @@ def _quadratic(y, proj):
 
 def _cross_entropy(logits, targets):
     """The fused cross-entropy of ``logits`` through their log-softmax."""
-    return T.softmax_cross_entropy(T.log_softmax(logits), targets.onehot, targets.weights,
+    return C.softmax_cross_entropy(T.log_softmax(logits), targets.onehot, targets.weights,
                                    targets.scale)
 
 
@@ -414,8 +414,8 @@ def test_first_order_backward_records_no_graph():
     rng = np.random.default_rng(4)
     net = nn.init_mlp([3, 5, 2], 4)
     logits = nn.forward(net, T.Tensor(rng.normal(size=(6, 3))))
-    loss = losses.cross_entropy(T.log_softmax(logits),
-                                losses.Targets.of(rng.integers(0, 2, size=6), 2))
+    loss = C.cross_entropy(T.log_softmax(logits),
+                           losses.Targets.of(rng.integers(0, 2, size=6), 2))
     params = net.parameters()
     before = next(T._ids)
     grads = T.backward(loss, params)
@@ -495,6 +495,14 @@ def _class_affine_composition(delta, h, members):
         delta = T.mul(C.concat([delta] * rows, axis=1), np.repeat(members, width, axis=1))
     return C.concat([C.reshape(T.matmul(C.transpose(delta), h), (rows, -1)),
                      C.reshape(C.tsum(delta, axis=0), (rows, -1))], axis=1)
+
+
+def _assert_same_row_cotangents(fused, composed, none):
+    """Bit-equal on the rows of a class; on the rows of no class (the mask
+    ``none``), exactly +0.0, where the composition sums its masked blocks
+    to a zero of either sign."""
+    assert fused[..., ~none, :].tobytes() == composed[..., ~none, :].tobytes()
+    assert np.all(fused[..., none, :] == 0.0) and not np.signbit(fused[..., none, :]).any()
 
 
 def _cosine_composition(gs, gt, eps):
@@ -654,18 +662,18 @@ class TestFusedOps:
         logits, t = self._ce_case(0, False)
         ls = T.log_softmax(logits)
         with pytest.raises(T.ShapeError):
-            T.softmax_cross_entropy(ls, t.onehot[:4], t.weights, t.scale)
+            C.softmax_cross_entropy(ls, t.onehot[:4], t.weights, t.scale)
         with pytest.raises(T.ShapeError):
-            T.softmax_cross_entropy(ls, t.onehot, np.ones(4), t.scale)
+            C.softmax_cross_entropy(ls, t.onehot, np.ones(4), t.scale)
         with pytest.raises(T.ShapeError):
-            T.softmax_cross_entropy(ls, t.onehot, t.weights, t.scale[:4])
+            C.softmax_cross_entropy(ls, t.onehot, t.weights, t.scale[:4])
         tiled = np.repeat(t.scale, 3, axis=1)  # b-by-K: the column's values, not its shape
         with pytest.raises(T.ShapeError):
-            T.softmax_cross_entropy(ls, t.onehot, t.weights, tiled)
+            C.softmax_cross_entropy(ls, t.onehot, t.weights, tiled)
         with pytest.raises(T.ShapeError):
             T.cross_entropy_grad(ls, 1.0, t.onehot, tiled)
         with pytest.raises(T.ContractError):  # the logits, not their log-softmax
-            T.softmax_cross_entropy(logits, t.onehot, t.weights, t.scale)
+            C.softmax_cross_entropy(logits, t.onehot, t.weights, t.scale)
         with pytest.raises(T.DomainError):
             T.log_softmax(T.Tensor(np.full((5, 3), np.inf)))
 
@@ -718,7 +726,7 @@ class TestFusedGradientOps:
         ``cross_entropy_grad`` node of its log-softmax at cotangent 1."""
         logits, targets = TestFusedOps._ce_case(0, weighted)
         ls = T.log_softmax(logits)
-        grad = T.backward(T.softmax_cross_entropy(ls, targets.onehot, targets.weights,
+        grad = T.backward(C.softmax_cross_entropy(ls, targets.onehot, targets.weights,
                                                   targets.scale), [logits])[logits]
         node = T.cross_entropy_grad(ls, 1.0, targets.onehot, targets.scale)
         assert node.parents == (ls,)
@@ -831,7 +839,7 @@ class TestFusedLosses:
     def _pair_case(seed, b=6, k=3):
         """A pair's stacked softmax, 2-by-b-by-k, as a leaf."""
         rng = np.random.default_rng(1400 + seed)
-        return T.Tensor(T.softmax(T.Tensor(rng.normal(size=(2, b, k)))).values)
+        return T.Tensor(C.softmax(T.Tensor(rng.normal(size=(2, b, k)))).values)
 
     @staticmethod
     def _cosine_case(seed, rows=3, dead=None):
@@ -888,7 +896,7 @@ class TestFusedLosses:
         t = losses.Targets.of(rng.integers(0, 3, size=6), 3,
                               rng.uniform(1.0, 2.0, size=6) if weighted else None)
         ls = T.log_softmax(logits)
-        composed = T.mul(C.tsum(T.softmax_cross_entropy(ls, t.onehot, t.weights, t.scale)),
+        composed = T.mul(C.tsum(C.softmax_cross_entropy(ls, t.onehot, t.weights, t.scale)),
                          0.5)
         self._assert_same(T.softmax_pair_cross_entropy(ls, t.onehot, t.weights, t.scale),
                           composed, [logits], "pair_cross_entropy", seed)
@@ -1075,7 +1083,7 @@ class TestHeadAxis:
         labels = rng.integers(0, 3, size=64)
         t = losses.Targets.of(labels, 3, rng.uniform(1.0, 2.0, size=64) if weighted else None)
         _assert_headwise(
-            lambda z: T.softmax_cross_entropy(T.log_softmax(z), t.onehot, t.weights, t.scale),
+            lambda z: C.softmax_cross_entropy(T.log_softmax(z), t.onehot, t.weights, t.scale),
             [rng.normal(size=(2, 64, 3))], seed=seed)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -1122,15 +1130,17 @@ class TestHeadAxis:
                                                                         by_class):
         """Each layer's products and sums run once for both heads: bit-equal
         to the composition on each head's slices, in values and in every
-        vjp, a shared ``h``'s cotangent the heads' summed in head order."""
+        vjp, a shared ``h``'s cotangent the heads' summed in head order; a
+        row of no class gets +0.0 cotangents."""
         rng = np.random.default_rng(1300 + seed)
         layers = [(T.Tensor(rng.normal(size=(2, 6, width))),
                    T.Tensor(rng.normal(size=(6, n_in) if h_kind == "shared" else (2, 6, n_in))))
                   for width, n_in in ((2, 3), (3, 2))]
-        members = None
+        members, none = None, np.zeros(6, dtype=bool)
         if by_class != "none":
             labels = np.array([0, 1, 2, 0, 1, 3 if by_class == "rows_of_no_class" else 2])
             members = (labels[:, None] == np.arange(3)).astype(np.float64)
+            none = ~members.any(axis=1)
         fused = T.class_affine_gradient(layers, _row_groups(members))
         inputs = [t for layer in layers for t in layer]
         proj = rng.normal(size=fused.shape)
@@ -1150,14 +1160,15 @@ class TestHeadAxis:
             g_head = T.backward(C.tsum(T.mul(composed, proj[:, columns])), own)
             for t, t_head in zip(inputs, own):
                 if t.values.ndim == 3:
-                    assert grads[t].values[head].tobytes() == g_head[t_head].values.tobytes()
+                    _assert_same_row_cotangents(grads[t].values[head], g_head[t_head].values,
+                                                none)
                 else:
                     total = shared.get(t)
                     g = g_head[t_head].values
                     shared[t] = g if total is None else total + g
         for t in inputs:
             if t.values.ndim == 2:
-                assert grads[t].values.tobytes() == shared[t].tobytes()
+                _assert_same_row_cotangents(grads[t].values, shared[t], none)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relu_mask_and_head_difference_equal_their_compositions(self, seed):
@@ -1246,7 +1257,7 @@ def test_softmax_graphs_are_freed_by_reference_counting(create_graph):
         w = T.Tensor(rng.normal(size=(4, 3)))
         logits = T.matmul(T.Tensor(rng.normal(size=(5, 4))), w)
         ls = T.log_softmax(logits)  # one log-softmax: the cross-entropy's and the softmax's
-        loss = T.add(T.softmax_cross_entropy(ls, targets.onehot, targets.weights,
+        loss = T.add(C.softmax_cross_entropy(ls, targets.onehot, targets.weights,
                                              targets.scale),
                      C.tsum(T.mul(T.exp(ls), logits)))
         grad = T.backward(loss, [w], create_graph=create_graph)[w]
@@ -1349,12 +1360,12 @@ def _class_members(rng, b, k, every_row):
 
 @pytest.mark.parametrize("every_row", [True, False], ids=["every_row", "rows_of_no_class"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_class_gather_fold_equals_the_masked_composition(k, every_row):
+def test_class_gather_equals_the_masked_composition(k, every_row):
     """The op grouped by class gathers each row's cotangent from its group:
-    bit-equal to the masked composition in values and in both cotangents.
-    A row of no class gets the sign of zero that composition gives, the sum
-    of its K blocks times 0 in block order: -0.0 where all K blocks are
-    negative."""
+    bit-equal to the masked composition in values, and in both cotangents
+    on the rows of a class.  A row of no class joins no group: both its
+    cotangents are +0.0, where the composition sums its K masked blocks to
+    -0.0 if all are negative."""
     rng = np.random.default_rng(10 * k + every_row)
     members = _class_members(rng, 9, k, every_row)
     delta, h = T.Tensor(rng.normal(size=(9, 3))), T.Tensor(rng.normal(size=(9, 4)))
@@ -1365,13 +1376,8 @@ def test_class_gather_fold_equals_the_masked_composition(k, every_row):
     g_fused = T.backward(C.tsum(T.mul(fused, proj)), [delta, h])
     g_composed = T.backward(C.tsum(T.mul(composed, proj)), [delta, h])
     for t in (delta, h):
-        assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
-    none = ~members.any(axis=1)
-    g_delta = g_fused[delta].values
-    assert np.all(g_delta[none] == 0.0)
-    blocks = (proj.values[:, :12].reshape(k, 3, 4) @ h.values.T).transpose(2, 0, 1) + \
-        proj.values[:, 12:]
-    assert np.array_equal(np.signbit(g_delta[none]), np.all(blocks[none] < 0.0, axis=1))
+        _assert_same_row_cotangents(g_fused[t].values, g_composed[t].values,
+                                    ~members.any(axis=1))
 
 
 def test_class_affine_peak_does_not_grow_with_k():

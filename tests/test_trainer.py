@@ -28,11 +28,10 @@ from cgdm.tensor import (
     log_softmax,
     mul,
     no_grad,
-    softmax,
     weighted_sum,
 )
 
-from compositions import absolute, concat, sub, tsum
+from compositions import absolute, concat, cross_entropy, softmax, sub, tsum
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
 LOSS_RTOL = 1e-9  # the benchmark's trajectory tolerance; accuracies are exact
@@ -67,6 +66,23 @@ class TestEpochBatches:
     def test_empty_set_rejected(self, n_source, n_target):
         with time_limit(2.0), pytest.raises(ContractError):
             trainer.epoch_batches(n_source, n_target, 4, np.random.default_rng(0))
+
+    def test_each_stream_is_whole_permutations_in_draw_order(self):
+        """The shorter stream recycles whole permutations, cut to the plan,
+        with the rng drawn as for their concatenation."""
+        rng, again = np.random.default_rng(3), np.random.default_rng(3)
+        plan = trainer.epoch_batches(5, 12, 4, rng)
+        src = np.concatenate([again.permutation(5) for _ in range(3)])[:12]
+        tgt = again.permutation(12)
+        assert np.concatenate([s for s, _ in plan]).tobytes() == src.tobytes()
+        assert np.concatenate([t for _, t in plan]).tobytes() == tgt.tobytes()
+        assert rng.random() == again.random()
+
+    def test_a_plan_too_large_to_allocate_raises_at_once(self):
+        """10^15 indices are 8 PB, beyond any address space: MemoryError
+        before a single permutation is drawn, so nothing is allocated."""
+        with time_limit(2.0), pytest.raises(MemoryError):
+            trainer.epoch_batches(16, 16, 10**15, np.random.default_rng(0))
 
 
 # the benchmark's three workloads (bench/workloads.py) and their variants
@@ -154,8 +170,8 @@ def plain_minimax(model, source, target, cfg, rng):
 
     def source_ce(feats, labels):
         targets = losses.Targets.of(labels, f1.out_dim)
-        ce1 = losses.cross_entropy(log_softmax(nn.forward(f1, feats)), targets)
-        ce2 = losses.cross_entropy(log_softmax(nn.forward(f2, feats)), targets)
+        ce1 = cross_entropy(log_softmax(nn.forward(f1, feats)), targets)
+        ce2 = cross_entropy(log_softmax(nn.forward(f2, feats)), targets)
         return mul(add(ce1, ce2), 0.5)
 
     def discrepancy(feats):
