@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad_discrepancy, losses, nn
-from .data import DomainSet
-from .pseudo_labels import PseudoLabelSet
-from .tensor import Tensor, backward, exp, no_grad
+from .tensor import Tensor, backward, exp, mean_abs_difference, no_grad
 
 __all__ = [
     "CheckResult",
@@ -121,7 +119,7 @@ def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
         params = pair.parameters()
         for loss_fn in (
             lambda: losses.pair_cross_entropy(losses.log_probs(pair, Tensor(x)), targets),
-            lambda: losses.l1_discrepancy(exp(losses.log_probs(pair, Tensor(x)))),
+            lambda: mean_abs_difference(exp(losses.log_probs(pair, Tensor(x)))),
         ):
             auto = backward(loss_fn(), params)
             fd = finite_difference_gradient(loss_fn, params)
@@ -134,8 +132,9 @@ def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
 
 
 def _tiny_alignment_case(rng, clf_dims=(3, 2)):
-    """A <= 50 parameter generator and classifier pair of stacked heads with
-    safe relu margins; ``clf_dims`` are the heads' layer widths."""
+    """A <= 50 parameter generator and classifier pair of stacked heads
+    (``clf_dims`` their layer widths) with safe relu margins on a joint
+    batch, 3 source over 3 target input rows, and each domain's targets."""
     while True:
         gen = nn.init_mlp([2, 3], int(rng.integers(0, 2**31)), final_activation="relu")
         pair = nn.stack([nn.init_mlp(clf_dims, int(rng.integers(0, 2**31)))
@@ -143,20 +142,16 @@ def _tiny_alignment_case(rng, clf_dims=(3, 2)):
         xs = rng.normal(size=(3, 2))
         ys = rng.integers(0, 2, size=3)
         xt = rng.normal(size=(3, 2))
-        pseudo = PseudoLabelSet(
-            labels=rng.integers(0, 2, size=3).astype(np.int64),
-            weights=rng.uniform(1.2, 1.9, size=3),
-            distances=np.zeros(3),
-        )
+        pseudo = rng.integers(0, 2, size=3)
+        weights = rng.uniform(1.2, 1.9, size=3)
         margins = [_relu_margins(gen, xs), _relu_margins(gen, xt)]
         with no_grad():
             for x in (xs, xt):
                 feats = nn.forward(gen, Tensor(x)).values
                 margins.append(_relu_margins(pair, feats))
         if min(margins) > _MARGIN:
-            src = DomainSet(xs, ys, "source")
-            tgt = DomainSet(xt, None, "target")
-            return gen, pair, src, tgt, pseudo
+            return (gen, pair, np.concatenate((xs, xt)), losses.Targets.of(ys, 2),
+                    losses.Targets.of(pseudo, 2, weights))
 
 
 def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckResult:
@@ -172,19 +167,16 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
         plain = _tiny_alignment_case(rng)
         while True:  # until both classes are in both batches
             conditional = _tiny_alignment_case(rng_conditional, clf_dims=(3, 3, 2))
-            if {*conditional[2].labels} & {*conditional[4].labels} == {0, 1}:
+            if {*conditional[3].labels} & {*conditional[4].labels} == {0, 1}:
                 break
-        for (gen, pair, src, tgt, pseudo), loss_of in (
+        for (gen, pair, x, source, target), loss_of in (
             (plain, lambda *args: grad_discrepancy.gradient_discrepancy_loss(
                 grad_discrepancy.class_gradients(*args))),
             (conditional, grad_discrepancy.conditional_gradient_loss),
         ):
             targets = grad_discrepancy.alignment_targets(
-                losses.Targets.of(src.labels, 2),
-                losses.Targets.of(pseudo.labels, 2, pseudo.weights),
-                loss_of is grad_discrepancy.conditional_gradient_loss)
-
-            x = Tensor(np.concatenate((src.features, tgt.features)))
+                source, target, loss_of is grad_discrepancy.conditional_gradient_loss)
+            x = Tensor(x)
 
             def loss_fn():
                 return loss_of(pair, losses.log_probs(pair, nn.forward(gen, x, 2)), targets)
@@ -251,12 +243,11 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
         x = rng.normal(size=(b, d_in))
         y = rng.integers(0, k, size=b)
         weights = rng.uniform(1.0, 2.0, size=b)
-        pseudo = PseudoLabelSet(y.astype(np.int64), weights, np.zeros(b))
 
         with no_grad():
             feats = nn.forward(gen, Tensor(x))
         ts = losses.Targets.of(y, k)
-        tt = losses.Targets.of(pseudo.labels, k, pseudo.weights)
+        tt = losses.Targets.of(y, k, weights)
 
         unit = np.ones(b)
         found = []  # (gradient matrix, the class of each row or None: all rows, weights)

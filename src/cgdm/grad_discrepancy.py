@@ -56,7 +56,6 @@ from . import losses, nn
 from .tensor import (
     ContractError,
     RowGroups,
-    ShapeError,
     Tensor,
     backward,
     class_affine_gradient,
@@ -76,8 +75,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-EPS = 1e-12
 
 
 def _logits(ls: Tensor) -> Tensor:
@@ -131,7 +128,7 @@ def _head_layers(pair, ls, targets) -> list:
     hidden layer's mask is recorded once for both heads, as one
     :func:`~cgdm.tensor.relu_mask` node of ``g`` and the layer node's
     outputs."""
-    g = losses.cross_entropy_cotangent(ls, targets, 0.5)
+    g = losses.cross_entropy_cotangent(ls, targets)
     taps = nn.layer_taps(pair, _logits(ls))
     layers = []
     for i in reversed(range(len(taps))):
@@ -158,19 +155,19 @@ def class_gradients(pair, ls: Tensor, targets: losses.Targets) -> Tensor:
 
 def alignment_targets(source: losses.Targets, target: losses.Targets,
                       by_class: bool = False) -> losses.Targets:
-    """The alignment loss's targets: the source rows, then the target rows,
-    grouped into each domain's whole batch or, ``by_class``, each domain's
-    rows of each class present in both batches (source labels and target
-    pseudo labels), weighted by their class means.  Equal batches are two
-    halves, unequal ones or classes a :class:`~cgdm.tensor.RowGroups`.  No
-    shared class: a warning, once per batch pair, however many losses read
-    the targets."""
+    """The alignment loss's targets: the source rows, then as many target
+    rows, grouped into each domain's whole batch, the two halves, or,
+    ``by_class``, each domain's rows of each class present in both batches
+    (source labels and target pseudo labels), weighted by their class means,
+    as a :class:`~cgdm.tensor.RowGroups`.  Batches of unequal size raise
+    :class:`~cgdm.tensor.ContractError`.  No shared class: a warning, once
+    per batch pair, however many losses read the targets."""
+    if source.labels.size != target.labels.size:
+        raise ContractError(f"a joint batch of {source.labels.size} source and "
+                            f"{target.labels.size} target rows")
     parts = (source, target)
     if not by_class:
-        if source.labels.size == target.labels.size:
-            return losses.Targets.joined(parts, 2)
-        return losses.Targets.joined(parts, RowGroups(
-            [np.zeros(t.labels.size, dtype=np.intp) for t in parts], 1))
+        return losses.Targets.joined(parts, 2)
     classes = tuple(sorted(set(source.labels.tolist()) & set(target.labels.tolist())))
     if not classes:
         logger.warning("conditional gradient loss: no shared classes in batch")
@@ -189,11 +186,8 @@ def gradient_discrepancy_loss(g: Tensor) -> Tensor:
     no alignment direction to push against) but counts in the mean; if every
     pair does, the result is a constant 0 (no gradient signal).  The loss is
     one :func:`~cgdm.tensor.cosine_gap` node, whose row norms tell which
-    pairs live."""
-    if g.values.ndim != 2 or g.shape[0] % 2:
-        raise ShapeError(f"gradients must be a 2K-by-P matrix, source over target, "
-                         f"got {g.shape}")
-    return cosine_gap(g, EPS)
+    pairs live, and which refuses anything but a 2K-by-P matrix."""
+    return cosine_gap(g)
 
 
 def conditional_gradient_loss(pair, ls: Tensor, targets: losses.Targets) -> Tensor:

@@ -12,16 +12,16 @@ row scale), and every cross-entropy on that batch reads them.  The two
 classifier heads are one network of stacked heads (:func:`~cgdm.nn.stack`),
 so a batch's logits are one 2-by-b-by-K tensor, and it gets one
 log-softmax, made by the caller (:func:`log_probs`): it feeds the pair's
-cross-entropies and, through ``exp``, the stacked softmax that the
-discrepancy and class balance losses read.  Entropies are in nats
-throughout.
+cross-entropies and, through ``exp``, the stacked softmax that the L1
+discrepancy and class balance ops of :mod:`cgdm.tensor` read.  Entropies
+are in nats throughout.
 
 A training iteration is one joint batch, the source rows over the target
 rows, so each of those losses reads a range of its input's rows, given by
 its first row ``start``: :func:`pair_cross_entropy` the source rows from 0
 for the source loss and the target rows from the source batch's size for
-the pseudo-label loss, :func:`l1_discrepancy` and
-:func:`class_balance_loss` the target rows, from that row to the last.
+the pseudo-label loss, the L1 discrepancy and the class balance loss the
+target rows, from that row to the last.
 """
 from __future__ import annotations
 
@@ -31,13 +31,12 @@ import numpy as np
 
 from . import nn
 from .tensor import (
+    LOG_FLOOR,
     ContractError,
     RowGroups,
     Tensor,
-    balance_gap,
     cross_entropy_grad,
     log_softmax,
-    mean_abs_difference,
     softmax_pair_cross_entropy,
 )
 
@@ -47,13 +46,7 @@ __all__ = [
     "cross_entropy_cotangent",
     "pair_cross_entropy",
     "entropy_weights",
-    "l1_discrepancy",
-    "class_balance_loss",
 ]
-
-# additive cushion keeping p*log(p) defined at p == 0 without moving it at
-# representable positive p
-_LOG_FLOOR = 1e-300
 
 
 def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -129,26 +122,12 @@ def log_probs(pair: nn.Mlp, feats: Tensor, groups: int = 1) -> Tensor:
     return log_softmax(nn.forward(pair, feats, groups))
 
 
-def _check_batch(ls: Tensor, targets: Targets, start: int | None = None) -> None:
-    """``targets`` encodes the rows of ``ls``: all of them, or as many as it
-    has from row ``start`` on."""
-    n, b = ls.shape[-2], targets.labels.size
-    if (n if start is None else b) == 0:
-        raise ContractError("cross-entropy needs a non-empty batch")
-    if start is None and b != n:
-        raise ContractError(f"{b} labels for a batch of {n}")
-    if start is not None and not 0 <= start <= n - b:
-        raise ContractError(f"{b} labels from row {start} of a batch of {n}")
-
-
-def cross_entropy_cotangent(ls: Tensor, targets: Targets, g: float) -> Tensor:
+def cross_entropy_cotangent(ls: Tensor, targets: Targets) -> Tensor:
     """The logits' cotangent of each head's mean of ``-weights[i] * ls[i,
-    labels[i]]`` when its cotangent is the constant ``g``, with the
-    cross-entropy's checks of the batch: one recorded
+    labels[i]]`` in the pair's mean, for all rows of ``ls``: one recorded
     :func:`~cgdm.tensor.cross_entropy_grad` node, the first step of a head's
     backward recurrence."""
-    _check_batch(ls, targets)
-    return cross_entropy_grad(ls, g, targets.onehot, targets.scale)
+    return cross_entropy_grad(ls, targets.onehot, targets.scale)
 
 
 def pair_cross_entropy(ls: Tensor, targets: Targets, start: int | None = None) -> Tensor:
@@ -158,9 +137,8 @@ def pair_cross_entropy(ls: Tensor, targets: Targets, start: int | None = None) -
     of ``ls``, or with ``start`` as many as ``targets`` encodes from that row
     on: of a joint batch, the source rows from 0 and the target rows from
     the source batch's size."""
-    _check_batch(ls, targets, start)
     return softmax_pair_cross_entropy(ls, targets.onehot, targets.weights, targets.scale,
-                                      start or 0)
+                                      start)
 
 
 def entropy_weights(probs) -> np.ndarray:
@@ -174,21 +152,7 @@ def entropy_weights(probs) -> np.ndarray:
     off = np.abs(p.sum(axis=1) - 1.0)
     if np.any(off > 1e-8):
         raise ContractError(f"probability rows must sum to 1, one is off by {off.max()}")
-    plogp = np.where(p > 0, p * np.log(np.maximum(p, _LOG_FLOOR)), 0.0)
+    plogp = np.where(p > 0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
     entropy = -plogp.sum(axis=1)
     return 1.0 + np.exp(-entropy)
 
-
-def l1_discrepancy(p: Tensor, start: int = 0) -> Tensor:
-    """Mean absolute difference of the pair's two row-stochastic b-by-K
-    matrices, stacked as ``p``, on their rows from ``start`` on; in [0, 2].
-    One :func:`~cgdm.tensor.mean_abs_difference` node."""
-    return mean_abs_difference(p, start)
-
-
-def class_balance_loss(p: Tensor, start: int = 0) -> Tensor:
-    """ln K - H(mean prediction) of the pair's stacked softmax ``p``, the
-    mean over its rows from ``start`` on and both heads: zero iff it is
-    uniform.  The mean sums each head's rows, then the two heads.  One
-    :func:`~cgdm.tensor.balance_gap` node."""
-    return balance_gap(p, _LOG_FLOOR, start)

@@ -17,10 +17,11 @@ vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 the parents' values ``args``, the node's output values ``out`` and its saved
 context ``ctx``: the ReLU flag and row groups of ``linear``,
 ``relu_mask``'s layer output, the pair cross-entropy's ``(log-softmax rows,
-onehot, scale, first row)``, ``cross_entropy_grad``'s ``(g, onehot,
-scale)`` (``scale`` is the b-by-1 column of row scales),
-``class_affine_gradient``'s row groups, and the forward arrays, scales and
-first rows of the fused losses and the weights of ``weighted_sum``.
+onehot, scale, first row)``, ``cross_entropy_grad``'s ``(onehot, scale)``
+(``scale`` is the b-by-1 column of row scales), ``class_affine_gradient``'s
+row groups, the forward arrays, scales and first rows of the fused losses
+(and ``cosine_gap``'s mask of live rows) and the weights of
+``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -53,6 +54,11 @@ loss that reads one domain's rows (the pair's cross-entropy,
 ``mean_abs_difference``, ``balance_gap``) takes their first row,
 ``start``, and its vjp writes their cotangent into zeros.
 
+The cross-entropy ops check their rows themselves (``_check_rows``): an
+empty batch, or labels that do not fit the rows, raise ContractError.  The
+one value the program gives each constant of a fused loss is a module
+constant: ``PAIR_MEAN``, ``LOG_FLOOR`` and ``COSINE_EPS``.
+
 All arithmetic is float64.  Broadcasting is deliberately restricted to
 scalar-vs-tensor and row-vs-matrix (a 1-D vector of length K against a b-by-K
 matrix), and to one leading **head axis**.  The two classifier heads run as
@@ -84,14 +90,14 @@ against its composition):
   those of one node per group;
 * ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
   of a ReLU layer, the mask made from ``out`` when needed, not kept;
-* ``softmax_pair_cross_entropy(ls, onehot, weights, scale, start)``: half
-  the sum of a pair of heads' means of ``-w_i * ls[i, y_i]`` for the
-  log-softmax node ``ls`` its caller made, which also serves the softmax
-  ``exp(ls)``; its parent is the logits, its vjp ``(exp(ls) - onehot) * (g
-  / 2 * scale)``;
-* ``cross_entropy_grad(ls, g, onehot, scale)``: ``(exp(ls) - onehot) * (g *
-  scale)``, a head's logits cotangent for a constant loss cotangent ``g``,
-  as a node whose parent is ``ls``;
+* ``softmax_pair_cross_entropy(ls, onehot, weights, scale, start=None)``:
+  ``PAIR_MEAN`` times the sum of a pair of heads' means of ``-w_i * ls[i,
+  y_i]`` for the log-softmax node ``ls`` its caller made, which also serves
+  the softmax ``exp(ls)``; its parent is the logits, its vjp ``(exp(ls) -
+  onehot) * (g * PAIR_MEAN * scale)``;
+* ``cross_entropy_grad(ls, onehot, scale)``: ``(exp(ls) - onehot) *
+  (PAIR_MEAN * scale)``, each head's logits cotangent in the pair's mean
+  at loss cotangent 1, as a node whose parent is ``ls``;
 * ``class_affine_gradient(layers, groups)``: each affine layer's weight and
   bias gradient ``[vec(delta_r^T h_r) | column sums of delta_r]`` per row
   group r, the layers side by side, head after head: ``concat`` of one
@@ -105,13 +111,13 @@ against its composition):
   composition's, and no parameter can see it, since a zero added to a
   nonzero value leaves it as it was and SGD moves no parameter bit for a
   zero gradient of either sign;
-* the losses, each a scalar node: ``mean_abs_difference(p, start)``, the
-  L1 discrepancy, the mean of ``|p[0] - p[1]|`` over the rows from
-  ``start`` on; ``balance_gap(p, floor, start)``, the nine-node class
-  balance loss on those rows; and ``cosine_gap(g, eps)``, the mean of
-  ``1 - (gs . gt) / (|gs| |gt| + eps)`` over the row pairs of the two row
-  halves ``gs`` and ``gt`` of ``g``, with the rows of a vanished gradient
-  left out;
+* the losses, each a scalar node: ``mean_abs_difference(p, start=0)``,
+  the L1 discrepancy, the mean of ``|p[0] - p[1]|`` over the rows from
+  ``start`` on; ``balance_gap(p, start=0)``, the nine-node class balance
+  loss on those rows; and ``cosine_gap(g)``, the mean of ``1 - (gs . gt) /
+  (|gs| |gt| + COSINE_EPS)`` over the row pairs of the two row halves
+  ``gs`` and ``gt`` of ``g``, with the rows of a vanished gradient left
+  out;
 * ``weighted_sum(terms)``: a step's objective, the chain of additions,
   subtractions and multiplications by a weight that sums its losses.
 """
@@ -158,6 +164,12 @@ class DomainError(ValueError):
 
 class ContractError(ValueError):
     """A documented precondition was violated."""
+
+
+# the fused losses' constants, each the one value the program gives it
+PAIR_MEAN = 0.5  # a pair's cross-entropy is this times the sum of its two heads'
+LOG_FLOOR = 1e-300  # added inside balance_gap's log: m log(m + floor) is 0 at m == 0
+COSINE_EPS = 1e-12  # cosine_gap's denominator shift and its vanished-gradient norm
 
 
 class _GradState(threading.local):
@@ -335,23 +347,6 @@ def exp(a) -> Tensor:
     return _node(np.exp(a.values), (a,), "exp")
 
 
-def _power(values: np.ndarray, p: float) -> np.ndarray:
-    """values**p, refused where the power is undefined: one scan of the
-    values, and a second only to word the error."""
-    fractional = p != int(p)
-    if fractional:
-        undefined = values <= 0.0 if p < 0.0 else values < 0.0
-    elif p < 0.0:
-        undefined = values == 0.0
-    else:
-        return values**p
-    if undefined.any():
-        if fractional and (values < 0.0).any():
-            raise DomainError(f"power {p} requires nonnegative inputs")
-        raise DomainError(f"power {p} undefined at zero")
-    return values**p
-
-
 def log_softmax(a) -> Tensor:
     """Row-wise log-softmax of a b-by-K matrix or a stack of them, stabilised
     by max subtraction."""
@@ -365,53 +360,68 @@ def log_softmax(a) -> Tensor:
     return _node(vals, (a,), "log_softmax")
 
 
-def _heads_cross_entropy(ls: Tensor, onehot, weights, scale, start=0) -> tuple:
-    """The heads' cross-entropies on the rows ``start:start + b`` of ``ls``,
-    b the one-hot's rows, and the log-softmax values of those rows."""
-    if _state.enabled and ls.op != "log_softmax":
-        raise ContractError("cross-entropy takes a recorded log_softmax node")
+def _check_rows(ls: Tensor, onehot: np.ndarray, start: int | None) -> None:
+    """A cross-entropy's rows of ``ls``: all of them, one per row of
+    ``onehot``, or with ``start`` as many as ``onehot`` has from that row
+    on; never none."""
     if ls.values.ndim not in (2, 3):
         raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
+    n, b = ls.shape[-2], len(onehot)
+    if b == 0:
+        raise ContractError("cross-entropy needs a non-empty batch")
+    if start is None and b != n:
+        raise ContractError(f"{b} labels for a batch of {n}")
+    if start is not None and not 0 <= start <= n - b:
+        raise ContractError(f"{b} labels from row {start} of a batch of {n}")
+
+
+def _heads_cross_entropy(ls: Tensor, onehot, weights, scale, start=None) -> tuple:
+    """The heads' cross-entropies on the rows of ``ls`` that
+    :func:`_check_rows` takes, and the log-softmax values of those rows."""
+    if _state.enabled and ls.op != "log_softmax":
+        raise ContractError("cross-entropy takes a recorded log_softmax node")
+    _check_rows(ls, onehot, start)
     b, k = onehot.shape
-    if (ls.shape[-1], scale.shape) != (k, (b, 1)) or not 0 <= start <= ls.shape[-2] - b:
+    if (ls.shape[-1], scale.shape) != (k, (b, 1)):
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
-                         f"do not match logits {ls.shape[-2:]} from row {start}")
+                         f"do not match logits {ls.shape[-2:]}")
     if weights.shape != (b,):
         raise ShapeError(f"{weights.shape} weights for a batch of {b}")
+    start = start or 0
     rows = ls.values[..., start:start + b, :]
     picked = -(rows * onehot).sum(axis=-1) * weights
     return picked.sum(axis=-1) * (1.0 / b), rows
 
 
 def softmax_pair_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
-                               scale: np.ndarray, start: int = 0) -> Tensor:
+                               scale: np.ndarray, start: int | None = None) -> Tensor:
     """The mean of a pair of heads' cross-entropies, each the mean of
     ``-weights[i] * ls[i, y_i]`` over the rows of the caller's stacked
-    ``ls = log_softmax(logits)`` from ``start`` on, as many as the b-by-K
-    ``onehot`` of the labels y has, as one node whose parent is the logits;
-    ``scale`` is the vjp's b-by-1 column ``weights / b`` (a batch's
-    :class:`~cgdm.losses.Targets`).  The context keeps those rows' values."""
+    ``ls = log_softmax(logits)`` that the b-by-K ``onehot`` of the labels y
+    encodes: all of them, or with ``start`` its b rows from that row on.
+    One node whose parent is the logits; ``scale`` is the vjp's b-by-1
+    column ``weights / b`` (a batch's :class:`~cgdm.losses.Targets`).  The
+    context keeps those rows' values."""
     loss, rows = _heads_cross_entropy(ls, onehot, weights, scale, start)
-    return _node(loss.sum() * 0.5, ls.parents, "pair_cross_entropy",
-                 (rows, onehot, scale, start))
+    return _node(loss.sum() * PAIR_MEAN, ls.parents, "pair_cross_entropy",
+                 (rows, onehot, scale, start or 0))
 
 
 def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
     return (np.exp(ls) - onehot) * (g * scale)
 
 
-def cross_entropy_grad(ls, g: float, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
-    """``(exp(ls) - onehot) * (g * scale)``: the logits' cotangent of each
-    head's cross-entropy of log-softmax ``ls`` (b-by-K or a stack of heads)
-    at constant scalar cotangent ``g``, with the b-by-1 column of row scales
-    ``scale``, as one node whose one parent is ``ls``."""
-    g = float(g)
-    if ls.values.ndim not in (2, 3) or onehot.shape != ls.shape[-2:] or (
-            scale.shape != (ls.shape[-2], 1)):
+def cross_entropy_grad(ls, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
+    """``(exp(ls) - onehot) * (PAIR_MEAN * scale)``: the logits' cotangent
+    of each head's cross-entropy in the pair's mean, for all rows of
+    log-softmax ``ls`` (b-by-K or a stack of heads) and the b-by-1 column of
+    row scales ``scale``, as one node whose one parent is ``ls``."""
+    _check_rows(ls, onehot, None)
+    if onehot.shape[-1] != ls.shape[-1] or scale.shape != (ls.shape[-2], 1):
         raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
                          f"do not match log-softmax {ls.shape}")
-    return _node(_ce_grad(ls.values, g, onehot, scale), (ls,), "cross_entropy_grad",
-                 (g, onehot, scale))
+    return _node(_ce_grad(ls.values, PAIR_MEAN, onehot, scale), (ls,), "cross_entropy_grad",
+                 (onehot, scale))
 
 
 class RowGroups:
@@ -502,16 +512,16 @@ def mean_abs_difference(p, start: int = 0) -> Tensor:
                  (diff, scale, start))
 
 
-def balance_gap(p, floor: float, start: int = 0) -> Tensor:
+def balance_gap(p, start: int = 0) -> Tensor:
     """``ln K - H(m)`` for the mean row ``m`` of a stack ``p`` of two
-    b-by-K heads, on their rows from ``start`` on, with ``floor`` added
-    inside the log, as one node: ``H(m) = -sum(m log(m + floor))``, ``m``
-    the mean of both heads' rows."""
+    b-by-K heads, on their rows from ``start`` on, with ``LOG_FLOOR`` added
+    inside the log, as one node: ``H(m) = -sum(m log(m + LOG_FLOOR))``,
+    ``m`` the mean of both heads' rows."""
     p = _two_heads(p, "balance_gap")
     rows = p.values[:, start:]
     scale = 1.0 / (2 * rows.shape[1])
     mean = rows.sum(axis=1).sum(axis=0) * scale
-    shifted = mean + floor
+    shifted = mean + LOG_FLOOR
     if np.any(shifted <= 0.0):
         raise DomainError("log requires strictly positive inputs")
     log_shifted = np.log(shifted)
@@ -540,39 +550,37 @@ def weighted_sum(terms) -> Tensor:
     return _node(total, tensors, "weighted_sum", weights)
 
 
-def _cosine_parts(gs, gt, eps):
-    """Row sums s.s, t.t and s.t, the norms, d = |s||t| + eps and 1/d."""
+def _cosine_parts(gs, gt):
+    """Row sums s.s, t.t and s.t, the norms, d = |s||t| + COSINE_EPS and 1/d."""
     ss, tt, st = (np.add.reduce(a * b, 1) for a, b in ((gs, gs), (gt, gt), (gs, gt)))
-    norm_s, norm_t = _power(ss, 0.5), _power(tt, 0.5)
-    denom = norm_s * norm_t + eps
-    return ss, tt, st, norm_s, norm_t, denom, _power(denom, -1.0)
+    norm_s, norm_t = ss**0.5, tt**0.5
+    denom = norm_s * norm_t + COSINE_EPS
+    return ss, tt, st, norm_s, norm_t, denom, denom**-1.0
 
 
-def cosine_gap(g, eps: float) -> Tensor:
+def cosine_gap(g) -> Tensor:
     """Mean over the r row pairs of a 2r-by-P matrix ``g``, the rows ``gs =
     g[:r]`` over ``gt = g[r:]``, of ``1 - cos(gs[i], gt[i])`` as one node,
-    where ``cos`` is ``(gs . gt) / (|gs| |gt| + eps)`` per row.  A pair
-    where |gs| or |gt| is below ``eps`` adds a constant 0 but counts in the
-    mean: the cosines are then those of ``keep @ gs`` and ``keep @ gt``,
-    ``keep`` the rows of the identity that select the other pairs.  If
-    every pair does, the result is the constant 0, a leaf."""
+    where ``cos`` is ``(gs . gt) / (|gs| |gt| + COSINE_EPS)`` per row.  A
+    pair where |gs| or |gt| is below ``COSINE_EPS`` (a vanished gradient)
+    adds a constant 0 but counts in the mean: its rows are dropped from the
+    row sums by a boolean index, and get zero cotangents.  If every pair
+    does, the result is the constant 0, a leaf."""
     g = as_tensor(g)
     if g.values.ndim != 2 or g.shape[0] % 2:
         raise ShapeError(f"cosine_gap takes a 2r-by-P matrix, got {g.shape}")
     rows = g.shape[0] // 2
-    gs, gt = g.values[:rows], g.values[rows:]
-    parts = _cosine_parts(gs, gt, eps)
-    live = (parts[3] >= eps) & (parts[4] >= eps)
+    parts = _cosine_parts(g.values[:rows], g.values[rows:])
+    live = (parts[3] >= COSINE_EPS) & (parts[4] >= COSINE_EPS)
     if not live.any():
         return Tensor(0.0)
-    keep = kept = None
-    if not live.all():
-        keep = np.eye(rows)[live]
-        kept = [keep @ gs, keep @ gt]
-        parts = _cosine_parts(*kept, eps)
+    if live.all():
+        live = None
+    else:
+        parts = tuple(part[live] for part in parts)
     scale = 1.0 / rows
     return _node((1.0 - parts[2] * parts[6]).sum() * scale, (g,), "cosine_gap",
-                 (parts, scale, keep, kept))
+                 (parts, scale, live))
 
 
 # -- array helpers of the vjp formulas ------------------------------------------
@@ -676,10 +684,11 @@ def _log_softmax_vjp(g, args, out, ctx, needed):
 
 
 def _pair_cross_entropy_vjp(g, args, out, ctx, needed):
-    """The pair's cotangent ``g / 2`` through the cross-entropy's vjp on its
-    rows, written into zeros when they are a range of the logits' rows."""
+    """The pair's cotangent ``g * PAIR_MEAN`` through the cross-entropy's
+    vjp on its rows, written into zeros when they are a range of the
+    logits' rows."""
     rows, onehot, scale, start = ctx
-    cot = _ce_grad(rows, g * 0.5, onehot, scale)
+    cot = _ce_grad(rows, g * PAIR_MEAN, onehot, scale)
     if cot.shape == args[0].shape:
         return (cot,)
     full = np.zeros(args[0].shape)
@@ -688,10 +697,9 @@ def _pair_cross_entropy_vjp(g, args, out, ctx, needed):
 
 
 def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
-    """``(g * (g_loss * scale)) * exp(ls)`` for the constant loss cotangent
-    ``g_loss``."""
-    g_loss, onehot, scale = ctx
-    return (g * (g_loss * scale) * np.exp(args[0]),)
+    """``(g * (PAIR_MEAN * scale)) * exp(ls)``."""
+    onehot, scale = ctx
+    return (g * (PAIR_MEAN * scale) * np.exp(args[0]),)
 
 
 def _delta_cotangent(g_weight, g_bias, h, groups):
@@ -754,7 +762,7 @@ def _mean_abs_difference_vjp(g, args, out, ctx, needed):
 
 
 def _balance_gap_vjp(g, args, out, ctx, needed):
-    """The mean row's cotangent through ``m log(m + floor)``, first as the
+    """The mean row's cotangent through ``m log(m + LOG_FLOOR)``, first as the
     factor ``m``, then through the log, scaled to every row of every head."""
     mean, shifted, log_shifted, scale, start = ctx
     g_mean = g * log_shifted + g * mean * shifted**-1.0
@@ -766,16 +774,17 @@ def _balance_gap_vjp(g, args, out, ctx, needed):
 def _cosine_gap_vjp(g, args, out, ctx, needed):
     """The row cosines' vjp of the two halves at the cotangent ``-g / r`` of
     every cosine, written into the halves of one cotangent; when pairs were
-    dropped, ``keep^T`` times each."""
-    parts, scale, keep, kept = ctx
+    dropped, into their ``live`` rows, the others 0."""
+    parts, scale, live = ctx
     rows = len(args[0]) // 2
-    cot = np.empty(args[0].shape)
-    halves = (cot[:rows], cot[rows:])
-    if keep is None:
-        _cosine_cotangents(-(g * scale), args[0][:rows], args[0][rows:], parts, halves)
+    if live is None:
+        cot = np.empty(args[0].shape)
+        _cosine_cotangents(-(g * scale), args[0][:rows], args[0][rows:], parts,
+                           (cot[:rows], cot[rows:]))
     else:
-        for c, half in zip(_cosine_cotangents(-(g * scale), *kept, parts), halves):
-            np.matmul(keep.T, c, out=half)
+        cot = np.zeros(args[0].shape)
+        cot[:rows][live], cot[rows:][live] = _cosine_cotangents(
+            -(g * scale), args[0][:rows][live], args[0][rows:][live], parts)
     return (cot,)
 
 
@@ -787,12 +796,12 @@ def _cosine_cotangents(g, gs, gt, parts, into=(None, None)):
     as in the composition; the terms of the denominator and of s.t are made
     once for both."""
     ss, tt, st, norm_s, norm_t, denom, inv = parts
-    g_denom = g * st * (_power(denom, -2.0) * -1.0)
+    g_denom = g * st * (denom**-2.0 * -1.0)
     g_cross = (g * inv)[:, None]
     cots = []
     for a, other, own_sq, other_norm, dest in (
             (gs, gt, ss, norm_t, into[0]), (gt, gs, tt, norm_s, into[1])):
-        g_sq = g_denom * other_norm * (_power(own_sq, -0.5) * 0.5)
+        g_sq = g_denom * other_norm * (own_sq**-0.5 * 0.5)
         square = g_sq[:, None] * a
         cots.append(np.add(g_cross * other + square, square, out=dest))
     return tuple(cots)

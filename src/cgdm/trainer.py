@@ -66,7 +66,9 @@ from .tensor import (
     DomainError,
     Tensor,
     backward,
+    balance_gap,
     exp,
+    mean_abs_difference,
     no_grad,
     weighted_sum,
 )
@@ -206,14 +208,13 @@ def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifier
 
 
 def _stream(n: int, total: int, rng) -> np.ndarray:
-    """``total`` shuffled indices, whole permutations recycled, drawn into one
-    plan made first: a plan too large to allocate raises MemoryError at once."""
+    """``total`` shuffled indices, whole permutations recycled: a plan of
+    rows of ``0..n-1`` shuffled in one call, each row as ``rng.permutation``
+    would in turn.  A plan too large to allocate raises MemoryError at once."""
     if n < 1:
         raise ContractError(f"cannot draw batches from a set of {n} samples")
-    plan = np.empty(total, dtype=np.intp)
-    for start in range(0, total, n):
-        plan[start:start + n] = rng.permutation(n)[:total - start]
-    return plan
+    plan = np.tile(np.arange(n, dtype=np.intp), (-(-total // n), 1))
+    return rng.permuted(plan, axis=1, out=plan).reshape(-1)[:total]
 
 
 def epoch_batches(n_source: int, n_target: int | None, batch_size: int, rng):
@@ -313,7 +314,7 @@ class CgdmTrainer:
         if alpha > 0:
             terms.append((losses.pair_cross_entropy(ls, target_targets, start), alpha))
         if balance_weight > 0:
-            balance = losses.class_balance_loss(exp(ls), start)
+            balance = balance_gap(exp(ls), start)
             terms.append((balance, balance_weight))
             out["loss_cb"] = balance.item()
         grads = backward(weighted_sum(terms), m.all_parameters())
@@ -343,9 +344,9 @@ class CgdmTrainer:
         ls = losses.log_probs(m.classifiers, Tensor(joint), 2)
         p = exp(ls)
         terms = [(losses.pair_cross_entropy(ls, targets.source, 0), 1.0),
-                 (losses.l1_discrepancy(p, start), -1.0)]
+                 (mean_abs_difference(p, start), -1.0)]
         if cfg.class_balance_weight > 0:
-            terms.append((losses.class_balance_loss(p, start), cfg.class_balance_weight))
+            terms.append((balance_gap(p, start), cfg.class_balance_weight))
         grads = backward(weighted_sum(terms), m.classifier_parameters())
         self.opt_f.step(grads)
         return features
@@ -395,7 +396,7 @@ class CgdmTrainer:
         if features is None:
             features = nn.forward(m.generator, x, groups)
         ls = losses.log_probs(m.classifiers, features)
-        loss_dis = losses.l1_discrepancy(exp(ls), start)
+        loss_dis = mean_abs_difference(exp(ls), start)
         terms = [(loss_dis, 1.0)]
         out = {"loss_dis": loss_dis.item()}
         if cfg.beta > 0:

@@ -14,18 +14,21 @@ broadcasting, one leading head axis where a docstring says so, and formulas
   layout primitives;
 * ``head_difference(a)``: ``sub`` of a pair's two heads;
 * ``absolute(a)``: ``add(relu(a), relu(neg(a)))`` as one node;
-* ``cosine_rows(gs, gt, eps)``: ``(gs . gt) / (|gs| |gt| + eps)`` per row,
-  the cosines that ``cosine_gap`` fuses;
+* ``cosine_rows(gs, gt)``: ``(gs . gt) / (|gs| |gt| + COSINE_EPS)`` per
+  row, the cosines that ``cosine_gap`` fuses;
 * ``softmax(a)``: ``exp(log_softmax(a))``;
 * ``softmax_cross_entropy(ls, onehot, weights, scale)``: one head's (or each
   stacked head's) mean of ``-w_i * ls[i, y_i]``, whose half-sum over a pair
   ``softmax_pair_cross_entropy`` fuses, and ``cross_entropy(ls, targets)``,
-  the same with the batch checks of :mod:`cgdm.losses`.
+  the same for a batch's :class:`~cgdm.losses.Targets`.
+
+``pow_const`` and the ``log`` and ``pow`` vjps raise ``DomainError`` where
+the power is undefined (``_power``).
 """
 import numpy as np
 
 from cgdm import tensor as T
-from cgdm.losses import Targets, _check_batch
+from cgdm.losses import Targets
 from cgdm.tensor import (
     ContractError,
     DomainError,
@@ -38,11 +41,27 @@ from cgdm.tensor import (
     _cosine_parts,
     _heads_cross_entropy,
     _node,
-    _power,
     _unbroadcast,
     _where_positive,
     as_tensor,
 )
+
+
+def _power(values: np.ndarray, p: float) -> np.ndarray:
+    """values**p, refused where the power is undefined: one scan of the
+    values, and a second only to word the error."""
+    fractional = p != int(p)
+    if fractional:
+        undefined = values <= 0.0 if p < 0.0 else values < 0.0
+    elif p < 0.0:
+        undefined = values == 0.0
+    else:
+        return values**p
+    if undefined.any():
+        if fractional and (values < 0.0).any():
+            raise DomainError(f"power {p} requires nonnegative inputs")
+        raise DomainError(f"power {p} undefined at zero")
+    return values**p
 
 
 def sub(a, b) -> Tensor:
@@ -125,14 +144,14 @@ def concat(tensors, axis=0) -> Tensor:
     return _node(vals, tensors, "concat", axis)
 
 
-def cosine_rows(gs, gt, eps: float) -> tuple:
+def cosine_rows(gs, gt) -> tuple:
     """``(cos, norm_s, norm_t)``: the first-order node ``(gs . gt) / (|gs|
-    |gt| + eps)`` of each row of two b-by-P matrices, and the row norms |gs|
-    and |gt| it computed, as arrays."""
+    |gt| + COSINE_EPS)`` of each row of two b-by-P matrices, and the row
+    norms |gs| and |gt| it computed, as arrays."""
     gs, gt = as_tensor(gs), as_tensor(gt)
     if gs.shape != gt.shape or gs.values.ndim != 2:
         raise ShapeError(f"cosine_rows: shapes {gs.shape} and {gt.shape}")
-    parts = _cosine_parts(gs.values, gt.values, eps)
+    parts = _cosine_parts(gs.values, gt.values)
     return _node(parts[2] * parts[6], (gs, gt), "cosine_rows", parts), parts[3], parts[4]
 
 
@@ -152,9 +171,7 @@ def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
 
 
 def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
-    """:func:`softmax_cross_entropy` of a batch's targets, after the batch
-    checks of ``losses.pair_cross_entropy``."""
-    _check_batch(ls, targets)
+    """:func:`softmax_cross_entropy` of a batch's targets."""
     return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
 
 

@@ -232,16 +232,20 @@ class TestLinearHeadOracle:
 
 def per_class_reforward_loss(gen, pair, xs, ys, xt, pseudo):
     """The conditional loss as first defined: every shared class re-forwards
-    its own source and target rows through the generator, and takes both
-    domains' one-row :func:`~cgdm.grad_discrepancy.class_gradients` on them."""
+    its own source and target rows through the generator, each domain on
+    its own, and takes each domain's one-row
+    :func:`~cgdm.grad_discrepancy.class_gradients` on them."""
     shared = sorted(set(ys.tolist()) & set(pseudo.labels.tolist()))
     total = None
     for k in shared:
         s_rows = np.flatnonzero(ys == k)
         t_rows = np.flatnonzero(pseudo.labels == k)
-        term = gd.gradient_discrepancy_loss(gd.class_gradients(pair, *alignment_args(
-            joint_logits(gen, pair, xs[s_rows], xt[t_rows]), ys[s_rows],
-            pseudo.take(t_rows))))
+        out_s, out_t = logits(gen, pair, xs[s_rows]), logits(gen, pair, xt[t_rows])
+        n = out_s.shape[-1]
+        gs = gd.class_gradients(pair, log_probs(out_s), losses.Targets.of(ys[s_rows], n))
+        gt = gd.class_gradients(pair, log_probs(out_t), losses.Targets.of(
+            pseudo.labels[t_rows], n, pseudo.weights[t_rows]))
+        term = gd.gradient_discrepancy_loss(C.concat([gs, gt]))
         total = term if total is None else T.add(total, term)
     return T.mul(total, 1.0 / len(shared))
 
@@ -271,14 +275,14 @@ def hidden_models(seed, d_in=3, d_feat=4, hidden=(5,), k=3):
 
 
 def unsorted_case(seed, target_classes=3, zero_weight_class=None, **shape):
-    """Unsorted source rows of classes 0-2 and target rows pseudo-labelled
-    from ``range(target_classes)``; one class's pseudo weights can be 0,
-    which makes its target gradient exactly 0.  ``shape`` goes to
-    :func:`hidden_models`."""
+    """9 unsorted source rows of classes 0-2 and 9 target rows
+    pseudo-labelled from ``range(target_classes)``; one class's pseudo
+    weights can be 0, which makes its target gradient exactly 0.  ``shape``
+    goes to :func:`hidden_models`."""
     gen, pair = hidden_models(60 + seed, **shape)
     rng = np.random.default_rng(seed)
-    xs, xt = rng.normal(size=(10, 3)), rng.normal(size=(9, 3))
-    ys = rng.permutation(np.arange(10) % 3)
+    xs, xt = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    ys = rng.permutation(np.arange(9) % 3)
     pl = rng.permutation(np.arange(9) % target_classes)
     w = rng.uniform(1.0, 2.0, size=9)
     if zero_weight_class is not None:
@@ -336,6 +340,15 @@ class TestConditional:
             gd.conditional_gradient_loss(pair, *alignment_args(
                 joint_logits(gen, pair, x, x), y, pseudo))
 
+    @pytest.mark.parametrize("by_class", [False, True], ids=["one_row", "per_class"])
+    def test_batches_of_unequal_size_rejected(self, by_class):
+        """A joint batch is as many target rows as source rows, as in
+        training: 3 source rows over 2 target rows are refused."""
+        source = losses.Targets.of([0, 1, 1], 2)
+        target = losses.Targets.of([1, 0], 2, [1.5, 1.2])
+        with pytest.raises(ContractError, match="a joint batch of 3 source and 2 target rows"):
+            gd.alignment_targets(source, target, by_class)
+
     def test_two_shared_classes_average_of_per_class_losses(self):
         gen, pair, x, y = self._setup(30)
         rng = np.random.default_rng(31)
@@ -363,10 +376,10 @@ class TestConditional:
     def test_class_sorted_equals_per_class_reforward(self, seed):
         gen, pair = tiny_models(40 + seed, d_in=3, d_feat=4, k=3)
         rng = np.random.default_rng(seed)
-        xs, xt = rng.normal(size=(9, 3)), rng.normal(size=(8, 3))
+        xs, xt = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
         ys = rng.integers(0, 3, size=9)
         pseudo = PseudoLabelSet(
-            rng.integers(0, 3, size=8), rng.uniform(1.0, 2.0, size=8), np.zeros(8)
+            rng.integers(0, 3, size=9), rng.uniform(1.0, 2.0, size=9), np.zeros(9)
         )
         args = (gen, pair, xs, ys, xt, pseudo)
         want = per_class_reforward_loss(*args)
@@ -470,7 +483,6 @@ class TestClassGradients:
         rows (a reshaped view), by class as a padded index: both give the
         definition's matrices bit for bit."""
         gen, pair, xs, ys, xt, pseudo = unsorted_case(1)
-        xs, ys = xs[:9], ys[:9]
         args = alignment_args(joint_logits(gen, pair, xs, xt), ys, pseudo, by_class)
         assert (args[1].groups == 2) is not by_class
         classes = [0, 1, 2] if by_class else None
@@ -509,7 +521,7 @@ class TestClassGradients:
         a, b = (T.matmul(np.eye(3)[live], g) if dead is not None else g for g in (gs, gt))
         norms = [C.pow_const(C.tsum(T.mul(g, g), axis=1), 0.5) for g in (a, b)]
         cos = T.mul(C.tsum(T.mul(a, b), axis=1),
-                    C.pow_const(T.add(T.mul(*norms), gd.EPS), -1.0))
+                    C.pow_const(T.add(T.mul(*norms), T.COSINE_EPS), -1.0))
         want = T.mul(C.tsum(C.sub(1.0, cos)), 1.0 / 3)
         got = gd.gradient_discrepancy_loss(C.concat([gs, gt]))
         assert got.item() == want.item()
@@ -584,26 +596,26 @@ class TestDeepHeads:
     def test_plain_generator_gradient_matches_finite_differences(self):
         """The one-row loss, on a case whose relu pre-activations all clear
         the margin, in the generator and in both hidden layers of each head."""
-        gen, pair, src, tgt, pseudo = checks._tiny_alignment_case(
+        gen, pair, x, source, target = checks._tiny_alignment_case(
             np.random.default_rng(6), clf_dims=(3, 4, 4, 2))
         assert_generator_gradient_matches_finite_differences(
-            lambda: gd.gradient_discrepancy_loss(gd.class_gradients(pair, *alignment_args(
-                joint_logits(gen, pair, src.features, tgt.features), src.labels,
-                pseudo))), gen)
+            lambda: gd.gradient_discrepancy_loss(gd.class_gradients(
+                pair, log_probs(joint_logits(gen, pair, x[:3], x[3:])),
+                gd.alignment_targets(source, target))), gen)
 
     def test_conditional_generator_gradient_matches_finite_differences(self):
         """On a case whose relu pre-activations all clear the margin, in the
         generator and in both hidden layers of each head."""
         rng = np.random.default_rng(5)
         while True:  # until both classes are in both batches
-            gen, pair, src, tgt, pseudo = checks._tiny_alignment_case(
+            gen, pair, x, source, target = checks._tiny_alignment_case(
                 rng, clf_dims=(3, 4, 4, 2))
-            if {*src.labels} & {*pseudo.labels} == {0, 1}:
+            if {*source.labels} & {*target.labels} == {0, 1}:
                 break
         assert_generator_gradient_matches_finite_differences(
-            lambda: gd.conditional_gradient_loss(pair, *alignment_args(
-                joint_logits(gen, pair, src.features, tgt.features), src.labels, pseudo,
-                by_class=True)), gen)
+            lambda: gd.conditional_gradient_loss(
+                pair, log_probs(joint_logits(gen, pair, x[:3], x[3:])),
+                gd.alignment_targets(source, target, by_class=True)), gen)
 
     @pytest.mark.parametrize("rows, labels", [(0, 0), (4, 3)],
                              ids=["empty_batch", "label_count"])

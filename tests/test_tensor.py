@@ -327,8 +327,8 @@ def _fused_builder(name: str, seed: int):
         relu = name == "linear_relu"
         return lambda: _quadratic(T.linear(x, w, b, relu=relu), proj), [x, w, b]
     if name == "cross_entropy_grad":
-        ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
-        return lambda: _quadratic(T.cross_entropy_grad(ls, g, hot, scale), proj), [ls]
+        ls, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
+        return lambda: _quadratic(T.cross_entropy_grad(ls, hot, scale), proj), [ls]
     if name in ("class_affine_gradient_layers", "class_affine_gradient_no_class"):
         layers, members, proj = TestFusedOps._class_layers_case(seed, name.endswith("class"))
         return (lambda: _quadratic(T.class_affine_gradient(layers, _row_groups(members)), proj),
@@ -340,16 +340,16 @@ def _fused_builder(name: str, seed: int):
                 [delta, h])
     if name == "cosine_rows_2d":
         gs, gt, proj = TestFusedOps._cosine_case(seed)
-        return lambda: C.tsum(T.mul(C.cosine_rows(gs, gt, 1e-12)[0], proj)), [gs, gt]
+        return lambda: C.tsum(T.mul(C.cosine_rows(gs, gt)[0], proj)), [gs, gt]
     if name.startswith("cosine_gap"):
         g = TestFusedLosses._cosine_case(seed, dead="gs" if name.endswith("row") else None)
-        return lambda: T.cosine_gap(g, 1e-12), [g]
+        return lambda: T.cosine_gap(g), [g]
     if name == "mean_abs_difference":
         p = TestFusedLosses._pair_case(seed)
         return lambda: T.mean_abs_difference(p), [p]
     if name == "balance_gap":
         p = TestFusedLosses._pair_case(seed)
-        return lambda: T.balance_gap(p, losses._LOG_FLOOR), [p]
+        return lambda: T.balance_gap(p), [p]
     if name == "pair_cross_entropy":
         logits, t = TestFusedOps._ce_case(seed, True)
         logits = T.Tensor(np.stack([logits.values, logits.values[::-1]]))
@@ -470,11 +470,12 @@ def test_tensor_arithmetic_has_one_spelling():
         T.Tensor(1.0) + 1.0
 
 
-def _ce_grad_composition(ls, g, hot, scale):
-    """What ``cross_entropy_grad`` fuses: the cross-entropy vjp as primitives,
-    its column ``scale`` tiled across the K columns, since a recorded ``mul``
-    refuses column broadcasting."""
-    return T.mul(C.sub(T.exp(ls), hot), T.mul(g, np.repeat(scale, hot.shape[1], axis=1)))
+def _ce_grad_composition(ls, hot, scale):
+    """What ``cross_entropy_grad`` fuses: the cross-entropy vjp at the pair
+    mean's cotangent as primitives, its column ``scale`` tiled across the K
+    columns, since a recorded ``mul`` refuses column broadcasting."""
+    return T.mul(C.sub(T.exp(ls), hot),
+                 T.mul(T.PAIR_MEAN, np.repeat(scale, hot.shape[1], axis=1)))
 
 
 def _row_groups(members):
@@ -505,12 +506,12 @@ def _assert_same_row_cotangents(fused, composed, none):
     assert np.all(fused[..., none, :] == 0.0) and not np.signbit(fused[..., none, :]).any()
 
 
-def _cosine_composition(gs, gt, eps):
+def _cosine_composition(gs, gt):
     """What ``cosine_rows`` fuses: two norms, a row dot product and a division."""
     norm_s = C.pow_const(C.tsum(T.mul(gs, gs), axis=1), 0.5)
     norm_t = C.pow_const(C.tsum(T.mul(gt, gt), axis=1), 0.5)
     return T.mul(C.tsum(T.mul(gs, gt), axis=1),
-                 C.pow_const(T.add(T.mul(norm_s, norm_t), eps), -1.0))
+                 C.pow_const(T.add(T.mul(norm_s, norm_t), T.COSINE_EPS), -1.0))
 
 
 def _assert_same_op(fused, composed, inputs, proj):
@@ -549,8 +550,7 @@ class TestFusedOps:
         ls = T.log_softmax(T.Tensor(rng.normal(size=(5, 3))))
         hot = np.eye(3)[rng.integers(0, 3, size=5)]
         scale = (rng.uniform(1.0, 2.0, size=5) / 5)[:, None]
-        return (T.Tensor(ls.values), float(rng.normal()), hot, scale,
-                T.Tensor(rng.normal(size=(5, 3))))
+        return T.Tensor(ls.values), hot, scale, T.Tensor(rng.normal(size=(5, 3)))
 
     @staticmethod
     def _class_case(seed, masked, k=3):
@@ -661,8 +661,8 @@ class TestFusedOps:
     def test_cross_entropy_rejects_bad_operands(self):
         logits, t = self._ce_case(0, False)
         ls = T.log_softmax(logits)
-        with pytest.raises(T.ShapeError):
-            C.softmax_cross_entropy(ls, t.onehot[:4], t.weights, t.scale)
+        with pytest.raises(T.ContractError, match="4 labels for a batch of 5"):
+            C.softmax_cross_entropy(ls, t.onehot[:4], t.weights[:4], t.scale[:4])
         with pytest.raises(T.ShapeError):
             C.softmax_cross_entropy(ls, t.onehot, np.ones(4), t.scale)
         with pytest.raises(T.ShapeError):
@@ -671,11 +671,34 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError):
             C.softmax_cross_entropy(ls, t.onehot, t.weights, tiled)
         with pytest.raises(T.ShapeError):
-            T.cross_entropy_grad(ls, 1.0, t.onehot, tiled)
+            T.cross_entropy_grad(ls, t.onehot, tiled)
         with pytest.raises(T.ContractError):  # the logits, not their log-softmax
             C.softmax_cross_entropy(logits, t.onehot, t.weights, t.scale)
         with pytest.raises(T.DomainError):
             T.log_softmax(T.Tensor(np.full((5, 3), np.inf)))
+
+    @pytest.mark.parametrize("start", [None, 0, 3], ids=["all_rows", "row_0", "row_3"])
+    def test_pair_cross_entropy_of_no_rows_rejected(self, start):
+        """The op checks its rows itself: no one-hot row is an empty batch,
+        whether the rows are all of ``ls`` or a range from ``start``."""
+        logits, t = self._ce_case(0, False)
+        ls = T.log_softmax(T.Tensor(np.stack([logits.values, logits.values])))
+        with pytest.raises(T.ContractError, match="non-empty batch"):
+            T.softmax_pair_cross_entropy(ls, t.onehot[:0], t.weights[:0], t.scale[:0], start)
+
+    def test_pair_cross_entropy_rows_outside_the_batch_rejected(self):
+        logits, t = self._ce_case(0, False)
+        ls = T.log_softmax(T.Tensor(np.stack([logits.values, logits.values])))
+        with pytest.raises(T.ContractError, match="3 labels from row 3 of a batch of 5"):
+            T.softmax_pair_cross_entropy(ls, t.onehot[:3], t.weights[:3], t.scale[:3], 3)
+
+    def test_cross_entropy_grad_checks_the_label_count(self):
+        logits, t = self._ce_case(0, False)
+        ls = T.log_softmax(logits)
+        with pytest.raises(T.ContractError, match="4 labels for a batch of 5"):
+            T.cross_entropy_grad(ls, t.onehot[:4], t.scale[:4])
+        with pytest.raises(T.ContractError, match="non-empty batch"):
+            T.cross_entropy_grad(ls, t.onehot[:0], t.scale[:0])
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("seed", range(5))
@@ -687,9 +710,9 @@ class TestFusedOps:
     @pytest.mark.parametrize("seed", range(5))
     def test_cross_entropy_second_order(self, seed, weighted):
         logits, targets = self._ce_case(seed, weighted)
-        _second_order(lambda: losses.cross_entropy_cotangent(T.log_softmax(logits), targets, 1.0),
-                      T.backward(_cross_entropy(logits, targets), [logits])[logits].values,
-                      [logits], seed)
+        half = T.mul(_cross_entropy(logits, targets), T.PAIR_MEAN)
+        _second_order(lambda: losses.cross_entropy_cotangent(T.log_softmax(logits), targets),
+                      T.backward(half, [logits])[logits].values, [logits], seed)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_of_linear_second_order(self, weighted):
@@ -702,12 +725,11 @@ class TestFusedOps:
 
         def head_gradient():
             ls = T.log_softmax(T.linear(x, w, b))
-            delta = losses.cross_entropy_cotangent(ls, targets, 1.0)
+            delta = losses.cross_entropy_cotangent(ls, targets)
             return T.class_affine_gradient([(delta, x)])
 
-        _second_order(head_gradient,
-                      _flat_gradients(_cross_entropy(T.linear(x, w, b), targets), [w, b]),
-                      [x, w, b], 7)
+        half = T.mul(_cross_entropy(T.linear(x, w, b), targets), T.PAIR_MEAN)
+        _second_order(head_gradient, _flat_gradients(half, [w, b]), [x, w, b], 7)
 
 
 class TestFusedGradientOps:
@@ -716,19 +738,21 @@ class TestFusedGradientOps:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cross_entropy_grad_equals_composition(self, seed):
-        ls, g, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
-        _assert_same_op(T.cross_entropy_grad(ls, g, hot, scale),
-                        _ce_grad_composition(ls, g, hot, scale), [ls], proj)
+        ls, hot, scale, proj = TestFusedOps._ce_grad_case(seed)
+        _assert_same_op(T.cross_entropy_grad(ls, hot, scale),
+                        _ce_grad_composition(ls, hot, scale), [ls], proj)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cross_entropy_vjp_is_the_gradient_op(self, weighted):
-        """The cross-entropy's logits gradient is bit-equal to the one-parent
-        ``cross_entropy_grad`` node of its log-softmax at cotangent 1."""
+        """The logits gradient of the cross-entropy in the pair's mean (times
+        ``PAIR_MEAN``) is bit-equal to the one-parent ``cross_entropy_grad``
+        node of its log-softmax."""
         logits, targets = TestFusedOps._ce_case(0, weighted)
         ls = T.log_softmax(logits)
-        grad = T.backward(C.softmax_cross_entropy(ls, targets.onehot, targets.weights,
-                                                  targets.scale), [logits])[logits]
-        node = T.cross_entropy_grad(ls, 1.0, targets.onehot, targets.scale)
+        half = T.mul(C.softmax_cross_entropy(ls, targets.onehot, targets.weights,
+                                             targets.scale), T.PAIR_MEAN)
+        grad = T.backward(half, [logits])[logits]
+        node = T.cross_entropy_grad(ls, targets.onehot, targets.scale)
         assert node.parents == (ls,)
         assert grad.values.tobytes() == node.values.tobytes()
 
@@ -783,17 +807,17 @@ class TestFusedGradientOps:
     @pytest.mark.parametrize("seed", range(3))
     def test_cosine_rows_equals_composition(self, rows, seed):
         gs, gt, proj = TestFusedOps._cosine_case(seed, rows)
-        fused = C.cosine_rows(gs, gt, 1e-12)[0]
+        fused = C.cosine_rows(gs, gt)[0]
         assert fused.shape == (rows,)
-        _assert_same_op(fused, _cosine_composition(gs, gt, 1e-12), [gs, gt], proj)
+        _assert_same_op(fused, _cosine_composition(gs, gt), [gs, gt], proj)
 
     def test_cosine_rows_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
-            C.cosine_rows(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), 1e-12)
+            C.cosine_rows(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
         with pytest.raises(T.ShapeError):
-            C.cosine_rows(T.Tensor(np.ones((1, 2, 3))), T.Tensor(np.ones((1, 2, 3))), 1e-12)
+            C.cosine_rows(T.Tensor(np.ones((1, 2, 3))), T.Tensor(np.ones((1, 2, 3))))
         with pytest.raises(T.ShapeError):
-            C.cosine_rows(T.Tensor(np.ones(3)), T.Tensor(np.ones(3)), 1e-12)
+            C.cosine_rows(T.Tensor(np.ones(3)), T.Tensor(np.ones(3)))
 
     @pytest.mark.parametrize("name", _GRADIENT_OP_CASES)
     @pytest.mark.parametrize("seed", range(3))
@@ -807,26 +831,26 @@ def _mean_abs_difference_composition(p):
     return T.mul(C.tsum(C.absolute(C.head_difference(p))), 1.0 / (p.shape[1] * p.shape[2]))
 
 
-def _balance_gap_composition(p, floor):
+def _balance_gap_composition(p):
     """What ``balance_gap`` fuses: ln K minus the entropy of the mean row,
     nine nodes."""
     b, k = p.shape[1:]
     mean = T.mul(C.tsum(C.tsum(p, axis=1), axis=0), 1.0 / (2 * b))
-    entropy = C.neg(C.tsum(T.mul(mean, C.log(T.add(mean, floor)))))
+    entropy = C.neg(C.tsum(T.mul(mean, C.log(T.add(mean, T.LOG_FLOOR)))))
     return C.sub(float(np.log(k)), entropy)
 
 
-def _cosine_gap_composition(g, eps):
+def _cosine_gap_composition(g):
     """What ``cosine_gap`` fuses: the row cosines of the halves of ``g``
     (each selected by a ``matmul``), of the live rows alone when a row is
     dead, and the mean of 1 minus each over all rows."""
     rows = g.shape[0] // 2
     gs, gt = (T.matmul(np.eye(2 * rows)[half], g) for half in (slice(rows), slice(rows, None)))
-    cos, norm_s, norm_t = C.cosine_rows(gs, gt, eps)
-    live = (norm_s >= eps) & (norm_t >= eps)
+    cos, norm_s, norm_t = C.cosine_rows(gs, gt)
+    live = (norm_s >= T.COSINE_EPS) & (norm_t >= T.COSINE_EPS)
     if not live.all():
         keep = np.eye(rows)[live]
-        cos = C.cosine_rows(T.matmul(keep, gs), T.matmul(keep, gt), eps)[0]
+        cos = C.cosine_rows(T.matmul(keep, gs), T.matmul(keep, gt))[0]
     return T.mul(C.tsum(C.sub(1.0, cos)), 1.0 / rows)
 
 
@@ -884,8 +908,7 @@ class TestFusedLosses:
         if empty_class:
             p.values[..., 2] = 0.0
             p.values /= p.values.sum(axis=-1, keepdims=True)
-        self._assert_same(T.balance_gap(p, losses._LOG_FLOOR),
-                          _balance_gap_composition(p, losses._LOG_FLOOR), [p], "balance_gap",
+        self._assert_same(T.balance_gap(p), _balance_gap_composition(p), [p], "balance_gap",
                           seed)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -909,16 +932,16 @@ class TestFusedLosses:
         cosines but counts in the mean; its cotangent is the composition's
         zeros."""
         g = self._cosine_case(seed, rows, dead if rows > 1 else None)
-        self._assert_same(T.cosine_gap(g, 1e-12), _cosine_gap_composition(g, 1e-12),
-                          [g], "cosine_gap", seed)
+        self._assert_same(T.cosine_gap(g), _cosine_gap_composition(g), [g], "cosine_gap",
+                          seed)
 
     def test_cosine_gap_of_dead_rows_only_is_the_constant_zero(self):
         g = T.Tensor(np.concatenate([np.zeros((2, 5)), np.ones((2, 5))]))
-        gap = T.cosine_gap(g, 1e-12)
+        gap = T.cosine_gap(g)
         assert gap.op is None and gap.values.tobytes() == np.float64(0.0).tobytes()
         for shape in ((3, 5), (4,)):
             with pytest.raises(T.ShapeError):
-                T.cosine_gap(T.Tensor(np.ones(shape)), 1e-12)
+                T.cosine_gap(T.Tensor(np.ones(shape)))
 
     @pytest.mark.parametrize("values", ["random", "signed_zeros"])
     @pytest.mark.parametrize("seed", range(3))
@@ -944,12 +967,12 @@ class TestFusedLosses:
         flat, three = T.Tensor(np.full((4, 3), 1 / 3)), T.Tensor(np.full((3, 4, 3), 1 / 3))
         for make in (lambda: T.mean_abs_difference(flat),
                      lambda: T.mean_abs_difference(three),
-                     lambda: T.balance_gap(flat, 1e-300),
-                     lambda: T.balance_gap(three, 1e-300)):
+                     lambda: T.balance_gap(flat),
+                     lambda: T.balance_gap(three)):
             with pytest.raises(T.ShapeError):
                 make()
         with pytest.raises(T.DomainError):
-            T.balance_gap(T.Tensor(-np.ones((2, 4, 3))), 1e-300)
+            T.balance_gap(T.Tensor(-np.ones((2, 4, 3))))
 
     @pytest.mark.parametrize("name", _LOSS_OP_CASES)
     @pytest.mark.parametrize("seed", range(3))
@@ -1091,7 +1114,7 @@ class TestHeadAxis:
         rng = np.random.default_rng(1100 + seed)
         t = losses.Targets.of(rng.integers(0, 3, size=64), 3, rng.uniform(1.0, 2.0, size=64))
         ls = T.log_softmax(T.Tensor(rng.normal(size=(2, 64, 3)))).values
-        _assert_headwise(lambda ls: T.cross_entropy_grad(ls, 0.5, t.onehot, t.scale), [ls],
+        _assert_headwise(lambda ls: T.cross_entropy_grad(ls, t.onehot, t.scale), [ls],
                          seed=seed)
 
     @pytest.mark.parametrize("by_class", [False, True], ids=["plain", "by_class"])

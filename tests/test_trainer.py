@@ -24,8 +24,10 @@ from cgdm.tensor import (
     _reachable,
     add,
     backward,
+    balance_gap,
     exp,
     log_softmax,
+    mean_abs_difference,
     mul,
     no_grad,
     weighted_sum,
@@ -483,23 +485,23 @@ def per_domain_objective(step, targets, number):
             [(losses.pair_cross_entropy(losses.log_probs(pair, nn.forward(gen, xs)),
                                         targets.source), 1.0),
              (losses.pair_cross_entropy(ls_t, targets.target), cfg.alpha),
-             (losses.class_balance_loss(exp(ls_t)), cfg.class_balance_weight)])
+             (balance_gap(exp(ls_t)), cfg.class_balance_weight)])
     if number == 2:
         fs, ft = (Tensor(nn.forward(gen, x).values) for x in (xs, xt))
         p = exp(losses.log_probs(pair, ft))
         return weighted_sum(
             [(losses.pair_cross_entropy(losses.log_probs(pair, fs), targets.source), 1.0),
-             (losses.l1_discrepancy(p), -1.0),
-             (losses.class_balance_loss(p), cfg.class_balance_weight)])
+             (mean_abs_difference(p), -1.0),
+             (balance_gap(p), cfg.class_balance_weight)])
     if cfg.beta == 0:
-        return losses.l1_discrepancy(exp(losses.log_probs(pair, nn.forward(gen, xt))))
+        return mean_abs_difference(exp(losses.log_probs(pair, nn.forward(gen, xt))))
     ls = losses.log_probs(pair, concat([nn.forward(gen, xs), nn.forward(gen, xt)]))
     if cfg.conditional_gdm:
         loss_gd = grad_discrepancy.conditional_gradient_loss(pair, ls, targets.alignment)
     else:
         loss_gd = grad_discrepancy.gradient_discrepancy_loss(
             grad_discrepancy.class_gradients(pair, ls, targets.alignment))
-    return weighted_sum([(losses.l1_discrepancy(exp(ls), b), 1.0), (loss_gd, cfg.beta)])
+    return weighted_sum([(mean_abs_difference(exp(ls), b), 1.0), (loss_gd, cfg.beta)])
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
