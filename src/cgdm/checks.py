@@ -179,7 +179,7 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
             x = Tensor(x)
 
             def loss_fn():
-                return loss_of(pair, losses.log_probs(pair, nn.forward(gen, x, 2)), targets)
+                return loss_of(pair, losses.log_probs(pair, nn.forward(gen, x)), targets)
 
             gen_params = gen.parameters()
             auto = backward(loss_fn(), gen_params)

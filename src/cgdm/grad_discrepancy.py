@@ -60,6 +60,7 @@ from .tensor import (
     backward,
     class_affine_gradient,
     cosine_gap,
+    cross_entropy_grad,
     log_softmax,
     matmul,
     relu_mask,
@@ -128,7 +129,7 @@ def _head_layers(pair, ls, targets) -> list:
     hidden layer's mask is recorded once for both heads, as one
     :func:`~cgdm.tensor.relu_mask` node of ``g`` and the layer node's
     outputs."""
-    g = losses.cross_entropy_cotangent(ls, targets)
+    g = cross_entropy_grad(ls, targets.onehot, targets.scale)
     taps = nn.layer_taps(pair, _logits(ls))
     layers = []
     for i in reversed(range(len(taps))):

@@ -35,7 +35,6 @@ from .tensor import (
     ContractError,
     RowGroups,
     Tensor,
-    cross_entropy_grad,
     log_softmax,
     softmax_pair_cross_entropy,
 )
@@ -43,7 +42,6 @@ from .tensor import (
 __all__ = [
     "Targets",
     "log_probs",
-    "cross_entropy_cotangent",
     "pair_cross_entropy",
     "entropy_weights",
 ]
@@ -116,18 +114,10 @@ class Targets:
                      for name in ("labels", "onehot", "weights", "scale")), groups, classes)
 
 
-def log_probs(pair: nn.Mlp, feats: Tensor, groups: int = 1) -> Tensor:
-    """``log_softmax(forward(pair, feats, groups))``: the one log-softmax of
-    the heads' stacked logits."""
-    return log_softmax(nn.forward(pair, feats, groups))
-
-
-def cross_entropy_cotangent(ls: Tensor, targets: Targets) -> Tensor:
-    """The logits' cotangent of each head's mean of ``-weights[i] * ls[i,
-    labels[i]]`` in the pair's mean, for all rows of ``ls``: one recorded
-    :func:`~cgdm.tensor.cross_entropy_grad` node, the first step of a head's
-    backward recurrence."""
-    return cross_entropy_grad(ls, targets.onehot, targets.scale)
+def log_probs(pair: nn.Mlp, feats: Tensor) -> Tensor:
+    """``log_softmax(forward(pair, feats))``: the one log-softmax of the
+    heads' stacked logits."""
+    return log_softmax(nn.forward(pair, feats))
 
 
 def pair_cross_entropy(ls: Tensor, targets: Targets, start: int | None = None) -> Tensor:

@@ -92,11 +92,11 @@ def unstack(net: Mlp) -> list:
             for h in range(net.layers[0].weight.shape[0])]
 
 
-def forward(net: Mlp, x: Tensor, groups: int = 1) -> Tensor:
+def forward(net: Mlp, x: Tensor) -> Tensor:
     """One fused :func:`~cgdm.tensor.linear` node per layer, its activation
     included; recorded on the active graph.  A network of stacked heads maps
-    the shared b-by-in batch to an H-by-b-by-out stack.  ``groups`` is every
-    layer's count of equal row groups (one per domain of a joint batch)."""
+    the shared b-by-in batch to an H-by-b-by-out stack.  A joint batch of
+    both domains is one batch: each layer is one node over all its rows."""
     if x.values.ndim != 2:
         raise ShapeError(f"forward expects a b-by-in batch, got {x.shape}")
     if x.shape[1] != net.in_dim:
@@ -105,7 +105,7 @@ def forward(net: Mlp, x: Tensor, groups: int = 1) -> Tensor:
         )
     h = x
     for layer in net.layers:
-        h = linear(h, layer.weight, layer.bias, layer.activation == "relu", groups)
+        h = linear(h, layer.weight, layer.bias, layer.activation == "relu")
     return h
 
 

@@ -15,13 +15,12 @@ Each op's backward is written once, in the table ``_VJPS``: one
 vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 -> tuple``, which returns one cotangent per parent from the cotangent ``g``,
 the parents' values ``args``, the node's output values ``out`` and its saved
-context ``ctx``: the ReLU flag and row groups of ``linear``,
-``relu_mask``'s layer output, the pair cross-entropy's ``(log-softmax rows,
-onehot, scale, first row)``, ``cross_entropy_grad``'s ``(onehot, scale)``
-(``scale`` is the b-by-1 column of row scales), ``class_affine_gradient``'s
-row groups, the forward arrays, scales and first rows of the fused losses
-(and ``cosine_gap``'s mask of live rows) and the weights of
-``weighted_sum``.
+context ``ctx``: the ReLU flag of ``linear``, ``relu_mask``'s layer output,
+the pair cross-entropy's ``(log-softmax rows, onehot, scale, first row)``,
+``cross_entropy_grad``'s ``(onehot, scale)`` (``scale`` is the b-by-1
+column of row scales), ``class_affine_gradient``'s row groups, the forward
+arrays, scales and first rows of the fused losses (and ``cosine_gap``'s
+mask of live rows) and the weights of ``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -45,14 +44,14 @@ node of the recurrence holds both heads, and, in training, the rows of both
 domains, source rows first.
 
 Training runs each iteration as one joint batch, source rows over target
-rows, one ``linear`` node per layer for both domains.  Its ``groups`` (one
-per domain) keep the parameter gradients of one node per domain: the weight
-and bias cotangents are each group's product and column sum from its own
-rows, added in group order, as a backward adds those of one node per group;
-the forward and the input cotangent stay one product over all rows.  A
-loss that reads one domain's rows (the pair's cross-entropy,
-``mean_abs_difference``, ``balance_gap``) takes their first row,
-``start``, and its vjp writes their cotangent into zeros.
+rows, one ``linear`` node per layer for both domains.  A joint batch is one
+batch: the forward, the input cotangent and the weight and bias cotangents
+are each one product or column sum over all rows, so the parameter
+gradients agree with those of one node per domain to float summation order
+(the tests hold them to 1e-12 of their largest entry).  A loss that reads
+one domain's rows (the pair's cross-entropy, ``mean_abs_difference``,
+``balance_gap``) takes their first row, ``start``, and its vjp writes their
+cotangent into zeros.
 
 The cross-entropy ops check their rows themselves (``_check_rows``): an
 empty batch, or labels that do not fit the rows, raise ContractError.  The
@@ -86,8 +85,7 @@ against its composition):
 * ``linear(x, w, b)``: ``x w^T + b``, and ``linear(x, w, b, relu=True)``:
   the max of that with 0, taken in place, so no pre-activation array
   outlives the call; its vjp masks ``g`` by ``out > 0`` once for all three
-  parents; with row groups, its weight and bias cotangents are the sums of
-  those of one node per group;
+  parents;
 * ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
   of a ReLU layer, the mask made from ``out`` when needed, not kept;
 * ``softmax_pair_cross_entropy(ls, onehot, weights, scale, start=None)``:
@@ -302,17 +300,15 @@ def matmul(a, b) -> Tensor:
     return _node(a.values @ b.values, (a, b), "matmul")
 
 
-def linear(x, w, b, relu: bool = False, groups: int = 1) -> Tensor:
+def linear(x, w, b, relu: bool = False) -> Tensor:
     """Affine map ``x @ w.T + b`` of a batch x (b-by-in), weight w (out-by-in)
     and bias b (out); with ``relu``, its max with 0.  Stacked heads: w is
     H-by-out-by-in, b H-by-out and x the b-by-in batch the heads share or
     their H-by-b-by-in stack; head h's b-by-out slice of the output is the
     map of its slices.  The bias is added and the max taken in place in the
     fresh matmul output, so no second output array is made and no
-    pre-activation outlives the call; the values are the same.  ``groups``
-    G splits the rows into G equal groups of consecutive rows, as for
-    :func:`class_affine_gradient`: the w and b cotangents are made per group
-    and added in group order."""
+    pre-activation outlives the call; the values are the same.  The w and
+    b cotangents are one product and one column sum over all rows."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.values.ndim not in (2, 3) or x.values.ndim not in (2, w.values.ndim):
         raise ShapeError(f"linear needs a 2-D or stacked x and w, got {x.shape} "
@@ -322,13 +318,11 @@ def linear(x, w, b, relu: bool = False, groups: int = 1) -> Tensor:
         raise ShapeError(
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit"
         )
-    if groups < 1 or x.shape[-2] % groups:
-        raise ShapeError(f"{x.shape[-2]} rows do not split into {groups} row groups")
     out = x.values @ _swap(w.values)
     out += b.values[..., None, :]
     if relu:
         np.maximum(out, 0.0, out=out)
-    return _node(out, (x, w, b), "linear", (relu, groups))
+    return _node(out, (x, w, b), "linear", relu)
 
 
 def relu_mask(g, out: np.ndarray) -> Tensor:
@@ -608,12 +602,6 @@ def _grouped(a, groups, zero_pads=False) -> np.ndarray:
     return out
 
 
-def _group_sum(blocks, groups, axis) -> np.ndarray:
-    """The per-group blocks of ``blocks`` on ``axis`` added in group order;
-    with one group, ``blocks`` itself, which has no group axis."""
-    return blocks if groups == 1 else np.add.reduce(blocks, axis)
-
-
 def _ungrouped(a, groups) -> np.ndarray:
     """Each row's cotangent from a C-ordered G-by-m-by-c cotangent of its
     groups (or a stack): the reshaped view for an int G, else the gather of
@@ -658,11 +646,10 @@ def _matmul_vjp(g, args, out, ctx, needed):
 
 def _linear_vjp(g, args, out, ctx, needed):
     """x: ``g w``, summed over the heads in head order for an input they
-    share; w: ``g^T x``; b: the column sums of ``g``, head by head, and of
-    each of G row groups, added in group order.  A fused ReLU first masks
-    ``g`` by ``out > 0``, once for all three, as the relu vjp would."""
-    relu, groups = ctx
-    if relu:
+    share; w: ``g^T x``; b: the column sums of ``g``, head by head.  A fused
+    ReLU first masks ``g`` by ``out > 0``, once for all three, as the relu
+    vjp would."""
+    if ctx:  # relu
         g = _where_positive(g, out)
     x, w, _ = args
     g_x = None
@@ -672,11 +659,9 @@ def _linear_vjp(g, args, out, ctx, needed):
             g_x += g[head] @ w[head]
     elif needed[0]:
         g_x = g @ w
-    if groups > 1:
-        g, x = _grouped(g, groups), _grouped(x, groups)
     return (g_x,
-            _group_sum(_swap(g) @ x, groups, -3) if needed[1] else None,
-            _group_sum(np.add.reduce(g, -2), groups, -2) if needed[2] else None)
+            _swap(g) @ x if needed[1] else None,
+            np.add.reduce(g, -2) if needed[2] else None)
 
 
 def _log_softmax_vjp(g, args, out, ctx, needed):

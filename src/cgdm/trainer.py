@@ -16,16 +16,17 @@ Per epoch: refresh pseudo labels once, then for every minibatch pair run
 
 A minibatch pair is one joint batch (:class:`BatchTargets`), source rows
 over target rows.  Each step runs the generator and the pair once over the
-rows it reads, one row group per domain (:func:`~cgdm.tensor.linear`), and
-each loss reads its domain's rows; step 3 without the alignment loss reads
-the target rows alone.  The gradients are those of one pass per domain,
-with the same bits on the benchmark's batches (README states the scope).
+rows it reads, one :func:`~cgdm.tensor.linear` node per layer, and each
+loss reads its domain's rows; step 3 without the alignment loss reads the
+target rows alone.  The gradients are those of one pass per domain to float
+summation order: each layer sums its weight and bias cotangents over both
+domains' rows at once (README states the tolerance).
 
 A loss is off when its weight is 0.  With ``alpha``, ``beta`` and
-``class_balance_weight`` all 0 (the ``mcd`` variant) the loop reduces
-exactly to the classic two-classifier minimax (MCD) trajectory: step 1 is
-the source CE alone, step 2 the source CE minus the discrepancy, step 3 the
-discrepancy alone.
+``class_balance_weight`` all 0 (the ``mcd`` variant) the loop reduces to
+the classic two-classifier minimax (MCD) trajectory, to float summation
+order: step 1 is the source CE alone, step 2 the source CE minus the
+discrepancy, step 3 the discrepancy alone.
 
 The two classifiers run as one network of stacked heads
 (:attr:`BiClassifierModel.classifiers`, see :func:`~cgdm.nn.stack`): each
@@ -304,9 +305,7 @@ class CgdmTrainer:
         pseudo-label CE and the class balance loss; warmup passes the source
         rows alone and both weights as 0."""
         m = self.model
-        groups = 1 if target_targets is None else 2
-        feats = nn.forward(m.generator, Tensor(features), groups)
-        ls = losses.log_probs(m.classifiers, feats, groups)
+        ls = losses.log_probs(m.classifiers, nn.forward(m.generator, Tensor(features)))
         loss_cls = losses.pair_cross_entropy(ls, source_targets, 0)
         terms = [(loss_cls, 1.0)]
         out = {"loss_cls": loss_cls.item()}
@@ -334,14 +333,14 @@ class CgdmTrainer:
         cfg = self.cfg
         m = self.model
         start = targets.source.labels.size
-        rows, groups, _ = self._step3_rows(targets)
-        features = nn.forward(m.generator, Tensor(rows), groups)
+        rows, step3_start = self._step3_rows(targets)
+        features = nn.forward(m.generator, Tensor(rows))
         joint = features.values
-        if groups == 1:
+        if step3_start == 0:  # step 3 reads the target rows alone
             with no_grad():
                 source = nn.forward(m.generator, Tensor(targets.features[:start]))
             joint = np.concatenate((source.values, joint))
-        ls = losses.log_probs(m.classifiers, Tensor(joint), 2)
+        ls = losses.log_probs(m.classifiers, Tensor(joint))
         p = exp(ls)
         terms = [(losses.pair_cross_entropy(ls, targets.source, 0), 1.0),
                  (mean_abs_difference(p, start), -1.0)]
@@ -352,13 +351,13 @@ class CgdmTrainer:
         return features
 
     def _step3_rows(self, targets: BatchTargets) -> tuple:
-        """``(rows, groups, start)``: the input rows step 3 reads (the joint
-        rows with the alignment loss, else the target rows), their row groups
-        and the first target row among them."""
+        """``(rows, start)``: the input rows step 3 reads (the joint rows
+        with the alignment loss, else the target rows) and the first target
+        row among them."""
         start = targets.source.labels.size
         if self.cfg.beta > 0:
-            return targets.features, 2, start
-        return targets.features[start:], 1, 0
+            return targets.features, start
+        return targets.features[start:], 0
 
     def step3_update(self, targets: BatchTargets, features=None) -> dict:
         """Train G to shrink classifier disagreement plus the gradient gap.
@@ -380,21 +379,21 @@ class CgdmTrainer:
         in for the first repeat's generator pass.  Returns the first
         repeat's losses.
         """
-        rows, groups, start = self._step3_rows(targets)
+        rows, start = self._step3_rows(targets)
         x = Tensor(rows)
-        first = self._step3_repeat(x, groups, start, targets, features)
+        first = self._step3_repeat(x, start, targets, features)
         for _ in range(1, self.cfg.step3_repeats):
-            self._step3_repeat(x, groups, start, targets)
+            self._step3_repeat(x, start, targets)
         return first
 
-    def _step3_repeat(self, x, groups, start, targets: BatchTargets, features=None) -> dict:
+    def _step3_repeat(self, x, start, targets: BatchTargets, features=None) -> dict:
         """One step-3 update of G, from ``features`` or a fresh generator
         pass over ``x``; returns its losses as floats, so no node of its
         graph outlives it."""
         cfg = self.cfg
         m = self.model
         if features is None:
-            features = nn.forward(m.generator, x, groups)
+            features = nn.forward(m.generator, x)
         ls = losses.log_probs(m.classifiers, features)
         loss_dis = mean_abs_difference(exp(ls), start)
         terms = [(loss_dis, 1.0)]

@@ -214,6 +214,16 @@ def test_gen_data_writes_the_sets_of_its_seed(tmp_path):
         np.testing.assert_array_equal(got.labels, want.labels)
 
 
+def test_gradcheck_passes_with_the_stated_maxima(capsys):
+    """``cgdm gradcheck`` exits 0 and prints its three suites as passed,
+    each with the maximum error that README gives."""
+    assert cli.main(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("[PASS] ") for line in lines)
+    assert [re.search(r"max err (\S+)", line)[1] for line in lines] == [
+        "3.117e-08", "2.860e-07", "2.220e-16"]
+
+
 def test_export_embeddings_without_a_model_trains_the_variant(tmp_path):
     """Each embeddings CSV has one row per sample, the features of the
     generator that training the variant on the config's seed gives."""
@@ -285,6 +295,11 @@ BAD_VALUES = [
     ("variants =", "variants"),
     ("seeds = 0, 1, 1", "seeds"),
     ("variants = mcd, cgdm_full, mcd", "variants"),
+    ("step3_repeats = 0", "step3_repeats"),
+    ("batch_size = 0", "batch_size"),
+    ("seeds =", "seeds"),
+    ("variants = nope", "variants"),
+    ("dataset = csv", "csv_source"),
 ]
 
 

@@ -711,7 +711,8 @@ class TestFusedOps:
     def test_cross_entropy_second_order(self, seed, weighted):
         logits, targets = self._ce_case(seed, weighted)
         half = T.mul(_cross_entropy(logits, targets), T.PAIR_MEAN)
-        _second_order(lambda: losses.cross_entropy_cotangent(T.log_softmax(logits), targets),
+        _second_order(lambda: T.cross_entropy_grad(T.log_softmax(logits), targets.onehot,
+                                                   targets.scale),
                       T.backward(half, [logits])[logits].values, [logits], seed)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -725,7 +726,7 @@ class TestFusedOps:
 
         def head_gradient():
             ls = T.log_softmax(T.linear(x, w, b))
-            delta = losses.cross_entropy_cotangent(ls, targets)
+            delta = T.cross_entropy_grad(ls, targets.onehot, targets.scale)
             return T.class_affine_gradient([(delta, x)])
 
         half = T.mul(_cross_entropy(T.linear(x, w, b), targets), T.PAIR_MEAN)
@@ -1004,46 +1005,6 @@ def _assert_headwise(op, stacked, shared=(), seed=0):
                   for total, t in zip(totals, common)]
     for t, total in zip(shared, totals):
         assert grads[t].values.tobytes() == total.tobytes()
-
-
-class TestLinearRowGroups:
-    """``linear(..., groups=2)`` on 2 x 64 rows: each half's output rows and
-    ``x`` cotangent are the one-group op's on that half, and the ``w`` and
-    ``b`` cotangents the sum of the two halves' vjps, bit for bit: plain
-    weights, and two stacked heads on a shared or a stacked input."""
-
-    @staticmethod
-    def _case(seed, kind):
-        rng = np.random.default_rng(1100 + seed)
-        heads = () if kind == "plain" else (2,)
-        x = rng.normal(size=(2, 128, 5) if kind == "stacked" else (128, 5))
-        return ([x, rng.normal(size=heads + (4, 5)), rng.normal(size=heads + (4,))],
-                rng.normal(size=heads + (128, 4)))
-
-    @pytest.mark.parametrize("relu", [False, True])
-    @pytest.mark.parametrize("kind", ["plain", "shared", "stacked"])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_two_groups_are_the_sum_of_their_halves(self, seed, kind, relu):
-        arrays, proj = self._case(seed, kind)
-        leaves = [T.Tensor(a) for a in arrays]
-        out = T.linear(*leaves, relu=relu, groups=2)
-        grads = T.backward(C.tsum(T.mul(out, proj)), leaves)
-        halves = []
-        for rows in (slice(0, 64), slice(64, 128)):
-            own = [T.Tensor(arrays[0][..., rows, :].copy()), *map(T.Tensor, arrays[1:])]
-            out_half = T.linear(*own, relu=relu)
-            assert out.values[..., rows, :].tobytes() == out_half.values.tobytes()
-            half = T.backward(C.tsum(T.mul(out_half, proj[..., rows, :])), own)
-            assert (grads[leaves[0]].values[..., rows, :].tobytes()
-                    == half[own[0]].values.tobytes())
-            halves.append([half[t].values for t in own[1:]])
-        for i, (first, second) in enumerate(zip(*halves), 1):
-            assert grads[leaves[i]].values.tobytes() == (first + second).tobytes()
-
-    def test_rows_that_do_not_split_are_refused(self):
-        (x, w, b), _ = self._case(0, "plain")
-        with pytest.raises(T.ShapeError, match="128 rows do not split into 3 row groups"):
-            T.linear(x, w, b, groups=3)
 
 
 class TestHeadAxis:
@@ -1333,7 +1294,7 @@ def test_linear_and_its_weight_vjp_allocate_only_their_result():
     assert peak < 1.5 * out.values.nbytes
     g = rng.normal(size=out.shape)
     peak, (_, grad, _) = _peak_bytes(lambda: T._VJPS["linear"](
-        g, [x.values, w.values, b.values], out.values, (False, 1), [False, True, False]))
+        g, [x.values, w.values, b.values], out.values, False, [False, True, False]))
     np.testing.assert_array_equal(grad, g.T @ x.values)
     assert peak < 1.5 * grad.nbytes
 
@@ -1437,6 +1398,6 @@ def test_linear_vjp_of_a_shared_input_adds_each_heads_product():
     x, w = rng.normal(size=(b, n_in)), rng.normal(size=(heads, n_out, n_in))
     g = rng.normal(size=(heads, b, n_out))
     peak, (grad, _, _) = _peak_bytes(lambda: T._VJPS["linear"](
-        g, [x, w, np.zeros((heads, n_out))], None, (False, 1), [True, False, False]))
+        g, [x, w, np.zeros((heads, n_out))], None, False, [True, False, False]))
     assert grad.tobytes() == np.add.reduce(g @ w, 0).tobytes()
     assert peak < 2.5 * grad.nbytes
