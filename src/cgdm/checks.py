@@ -13,8 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grad_discrepancy, losses, nn
-from .tensor import Tensor, backward, exp, mean_abs_difference, no_grad
+from . import grad_discrepancy, nn
+from .tensor import (
+    Targets,
+    Tensor,
+    backward,
+    exp,
+    log_softmax,
+    mean_abs_difference,
+    no_grad,
+    softmax_pair_cross_entropy,
+)
 
 __all__ = [
     "CheckResult",
@@ -100,7 +109,7 @@ def _sample_pair_case(rng):
             continue
         pair = nn.stack([net, nn.init_mlp([d_in, hidden, k], int(rng.integers(0, 2**31)))])
         with no_grad():
-            p = exp(losses.log_probs(pair, Tensor(x))).values
+            p = exp(log_softmax(nn.forward(pair, Tensor(x)))).values
         if _relu_margins(pair, x) > _MARGIN and np.min(np.abs(p[0] - p[1])) > _MARGIN:
             return pair, x, y
 
@@ -115,11 +124,12 @@ def run_first_order_suite(n_models: int = 20, seed: int = 20240) -> CheckResult:
     worst = 0.0
     for _ in range(n_models):
         pair, x, y = _sample_pair_case(rng)
-        targets = losses.Targets.of(y, pair.out_dim)
+        targets = Targets.of(y, pair.out_dim)
         params = pair.parameters()
         for loss_fn in (
-            lambda: losses.pair_cross_entropy(losses.log_probs(pair, Tensor(x)), targets),
-            lambda: mean_abs_difference(exp(losses.log_probs(pair, Tensor(x)))),
+            lambda: softmax_pair_cross_entropy(log_softmax(nn.forward(pair, Tensor(x))),
+                                               targets),
+            lambda: mean_abs_difference(exp(log_softmax(nn.forward(pair, Tensor(x))))),
         ):
             auto = backward(loss_fn(), params)
             fd = finite_difference_gradient(loss_fn, params)
@@ -150,8 +160,8 @@ def _tiny_alignment_case(rng, clf_dims=(3, 2)):
                 feats = nn.forward(gen, Tensor(x)).values
                 margins.append(_relu_margins(pair, feats))
         if min(margins) > _MARGIN:
-            return (gen, pair, np.concatenate((xs, xt)), losses.Targets.of(ys, 2),
-                    losses.Targets.of(pseudo, 2, weights))
+            return (gen, pair, np.concatenate((xs, xt)), Targets.of(ys, 2),
+                    Targets.of(pseudo, 2, weights))
 
 
 def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckResult:
@@ -179,7 +189,8 @@ def run_second_order_suite(n_instances: int = 10, seed: int = 20241) -> CheckRes
             x = Tensor(x)
 
             def loss_fn():
-                return loss_of(pair, losses.log_probs(pair, nn.forward(gen, x)), targets)
+                return loss_of(pair, log_softmax(nn.forward(pair, nn.forward(gen, x))),
+                               targets)
 
             gen_params = gen.parameters()
             auto = backward(loss_fn(), gen_params)
@@ -246,17 +257,17 @@ def run_oracle_suite(n_batches: int = 20, seed: int = 20242) -> CheckResult:
 
         with no_grad():
             feats = nn.forward(gen, Tensor(x))
-        ts = losses.Targets.of(y, k)
-        tt = losses.Targets.of(y, k, weights)
+        ts = Targets.of(y, k)
+        tt = Targets.of(y, k, weights)
 
         unit = np.ones(b)
         found = []  # (gradient matrix, the class of each row or None: all rows, weights)
         for classes in (None, np.array(sorted(set(y.tolist())))):
             # both domains on the same batch: the joint rows hold it twice
             targets = grad_discrepancy.alignment_targets(ts, tt, classes is not None)
+            joint = Tensor(np.concatenate([feats.values] * 2))
             g = grad_discrepancy.class_gradients(
-                pair, losses.log_probs(pair, Tensor(np.concatenate([feats.values] * 2))),
-                targets).values
+                pair, log_softmax(nn.forward(pair, joint)), targets).values
             gs, gt = g[:len(g) // 2], g[len(g) // 2:]
             found += [(gs, classes, unit), (gt, classes, weights)]
         for matrix, classes, w in found:

@@ -196,7 +196,8 @@ def unsafe_rows(features: np.ndarray) -> np.ndarray:
 def load_dataset_csv(path, domain: str = "source") -> DomainSet:
     """Read a :func:`save_dataset_csv` file.  A malformed row raises
     :class:`ParseError` naming its line; so, once every row has parsed, does
-    the first of :func:`unsafe_rows`."""
+    the first of :func:`unsafe_rows`, and a header with no data row names
+    line 2, where the first row would be."""
     header, rows = read_csv(path)
     labeled = header[-1] == "label"
     n_feat = len(header) - labeled
@@ -213,7 +214,7 @@ def load_dataset_csv(path, domain: str = "source") -> DomainSet:
         if labeled and not _INT64.min <= labels[-1] <= _INT64.max:
             raise ParseError(f"label {labels[-1]} is outside int64", line=lineno)
     if not feats:
-        raise ParseError(f"{path} has a header but no data rows")
+        raise ParseError(f"{path} has a header but no data rows", line=2)
     features = np.asarray(feats, dtype=np.float64)
     bad = unsafe_rows(features)
     if len(bad):

@@ -40,7 +40,7 @@ of both domains.  The alignment loss is then minimized by the generator
 through one first-order backward of it: double backward.
 
 The joint rows come as the pair's stacked log-softmax, made by the caller,
-and their :class:`~cgdm.losses.Targets` of :func:`alignment_targets`, made
+and their :class:`~cgdm.tensor.Targets` of :func:`alignment_targets`, made
 once per training iteration with their row groups: the cross-entropy
 gradients read that log-softmax, whose target rows the caller's discrepancy
 term also reads, and those one-hots and row scales, each row scaled by its
@@ -52,10 +52,11 @@ import logging
 
 import numpy as np
 
-from . import losses, nn
+from . import nn
 from .tensor import (
     ContractError,
     RowGroups,
+    Targets,
     Tensor,
     backward,
     class_affine_gradient,
@@ -64,6 +65,7 @@ from .tensor import (
     log_softmax,
     matmul,
     relu_mask,
+    softmax_pair_cross_entropy,
 )
 
 __all__ = [
@@ -87,7 +89,7 @@ def _logits(ls: Tensor) -> Tensor:
 def _one_domain(pair, logits, targets, classes) -> Tensor:
     """The class-gradient matrix by the definition: for each class, one
     backward of the two-head cross-entropy whose row weights are 0 outside
-    the class.  Targets :meth:`~cgdm.losses.Targets.by_class` weight each
+    the class.  Targets :meth:`~cgdm.tensor.Targets.by_class` weight each
     row by its class's mean (``b / n_k``), so that cross-entropy is the
     class's mean."""
     masks = np.ones((1, targets.labels.size))
@@ -98,7 +100,7 @@ def _one_domain(pair, logits, targets, classes) -> Tensor:
     params = pair.parameters()
     rows = []
     for mask in masks:
-        loss = losses.pair_cross_entropy(ls, losses.Targets(
+        loss = softmax_pair_cross_entropy(ls, Targets(
             targets.labels, targets.onehot, targets.weights * mask,
             targets.scale * mask[:, None]))
         grads = backward(loss, params)
@@ -111,7 +113,7 @@ def source_gradient(pair, logits: Tensor, labels, classes=None) -> Tensor:
     """The source class-gradient matrix of rows with ``labels``: 1-by-P, or
     K-by-P for the K ``classes``; ``logits`` are the pair's recorded stacked
     outputs on those rows."""
-    return _one_domain(pair, logits, losses.Targets.of(labels, logits.shape[-1]), classes)
+    return _one_domain(pair, logits, Targets.of(labels, logits.shape[-1]), classes)
 
 
 def target_gradient(pair, logits: Tensor, pseudo, classes=None) -> Tensor:
@@ -119,7 +121,7 @@ def target_gradient(pair, logits: Tensor, pseudo, classes=None) -> Tensor:
     (labels and entropy weights); shapes and logits as in
     :func:`source_gradient`."""
     return _one_domain(
-        pair, logits, losses.Targets.of(pseudo.labels, logits.shape[-1], pseudo.weights),
+        pair, logits, Targets.of(pseudo.labels, logits.shape[-1], pseudo.weights),
         classes)
 
 
@@ -129,7 +131,7 @@ def _head_layers(pair, ls, targets) -> list:
     hidden layer's mask is recorded once for both heads, as one
     :func:`~cgdm.tensor.relu_mask` node of ``g`` and the layer node's
     outputs."""
-    g = cross_entropy_grad(ls, targets.onehot, targets.scale)
+    g = cross_entropy_grad(ls, targets)
     taps = nn.layer_taps(pair, _logits(ls))
     layers = []
     for i in reversed(range(len(taps))):
@@ -141,12 +143,13 @@ def _head_layers(pair, ls, targets) -> list:
     return layers[::-1]
 
 
-def class_gradients(pair, ls: Tensor, targets: losses.Targets) -> Tensor:
+def class_gradients(pair, ls: Tensor, targets: Targets) -> Tensor:
     """The class-gradient matrices of the row groups of ``targets``, one row
     each, from the heads' recorded backward recurrence; no backward pass
     runs.
 
-    ``ls`` is ``losses.log_probs(pair, feats)`` on the rows of ``targets``.
+    ``ls`` is ``log_softmax(nn.forward(pair, feats))`` on the rows of
+    ``targets``.
     On the joint rows of :func:`alignment_targets` the matrix is the source
     matrix over the target matrix, with the values of
     :func:`source_gradient`'s and :func:`target_gradient`'s for the same
@@ -154,8 +157,8 @@ def class_gradients(pair, ls: Tensor, targets: losses.Targets) -> Tensor:
     return class_affine_gradient(_head_layers(pair, ls, targets), targets.groups)
 
 
-def alignment_targets(source: losses.Targets, target: losses.Targets,
-                      by_class: bool = False) -> losses.Targets:
+def alignment_targets(source: Targets, target: Targets,
+                      by_class: bool = False) -> Targets:
     """The alignment loss's targets: the source rows, then as many target
     rows, grouped into each domain's whole batch, the two halves, or,
     ``by_class``, each domain's rows of each class present in both batches
@@ -168,14 +171,14 @@ def alignment_targets(source: losses.Targets, target: losses.Targets,
                             f"{target.labels.size} target rows")
     parts = (source, target)
     if not by_class:
-        return losses.Targets.joined(parts, 2)
+        return Targets.joined(parts, 2)
     classes = tuple(sorted(set(source.labels.tolist()) & set(target.labels.tolist())))
     if not classes:
         logger.warning("conditional gradient loss: no shared classes in batch")
     position = np.full(source.onehot.shape[1], -1)
     position[list(classes)] = np.arange(len(classes))
     groups = RowGroups([position[t.labels] for t in parts], len(classes))
-    return losses.Targets.joined([t.by_class() for t in parts], groups, classes)
+    return Targets.joined([t.by_class() for t in parts], groups, classes)
 
 
 def gradient_discrepancy_loss(g: Tensor) -> Tensor:
@@ -191,7 +194,7 @@ def gradient_discrepancy_loss(g: Tensor) -> Tensor:
     return cosine_gap(g)
 
 
-def conditional_gradient_loss(pair, ls: Tensor, targets: losses.Targets) -> Tensor:
+def conditional_gradient_loss(pair, ls: Tensor, targets: Targets) -> Tensor:
     """Per-category gradient alignment, averaged over the classes present in
     both the source batch (true labels) and the target batch (pseudo labels):
     ``ls`` and ``targets`` as in :func:`class_gradients`, the targets

@@ -3,7 +3,8 @@
 Once per epoch, from the one inference pass over the target set that the
 trainer shares with its evaluation (:func:`predict`): softmax-weighted class
 centroids in generator-feature space, nearest-centroid assignment under
-cosine distance, and a per-sample confidence weight from prediction entropy.
+cosine distance, and a per-sample confidence weight from prediction entropy
+(:func:`entropy_weights`), which the target rows' cross-entropy reads.
 The pass gives the two classifier heads' softmax rows as one 2-by-n-by-K
 stack, and centroids and weights read the sum of its two heads.  Everything
 here is plain numpy computed outside the graph.
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, nn
+from . import nn
 from .data import write_csv
-from .tensor import ContractError, Tensor, no_grad
+from .tensor import LOG_FLOOR, ContractError, Tensor, no_grad
 
 __all__ = [
     "CentroidSet",
@@ -28,6 +29,7 @@ __all__ = [
     "compute_centroids",
     "cosine_distances",
     "assign_pseudo_labels",
+    "entropy_weights",
     "predict",
     "row_blocks",
     "pseudo_label_epoch",
@@ -126,14 +128,30 @@ def assign_pseudo_labels(features, centroids: CentroidSet, probs) -> PseudoLabel
 
     The confidence weight of each sample is 1 + exp(-H) of the mean of the
     two classifiers' probability rows, ``probs`` 2-by-n-by-K
-    (:func:`~cgdm.losses.entropy_weights`).
+    (:func:`entropy_weights`).
     """
     dist = cosine_distances(features, centroids.centroids)
     labels = np.argmin(dist, axis=1)  # argmin takes the first (lowest) index
     probs = _as_array(probs)
-    weights = losses.entropy_weights(0.5 * (probs[0] + probs[1]))
+    weights = entropy_weights(0.5 * (probs[0] + probs[1]))
     picked = dist[np.arange(len(labels)), labels]
     return PseudoLabelSet(labels.astype(np.int64), weights, picked)
+
+
+def entropy_weights(probs) -> np.ndarray:
+    """Confidence weight 1 + exp(-H(p)) in (1, 2] of each probability row p.
+
+    H is in nats with 0*log0 := 0; every row must be nonnegative and sum to 1.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if np.any(p < 0):
+        raise ContractError("probabilities must be nonnegative")
+    off = np.abs(p.sum(axis=1) - 1.0)
+    if np.any(off > 1e-8):
+        raise ContractError(f"probability rows must sum to 1, one is off by {off.max()}")
+    plogp = np.where(p > 0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
+    entropy = -plogp.sum(axis=1)
+    return 1.0 + np.exp(-entropy)
 
 
 def row_blocks(n: int) -> list:

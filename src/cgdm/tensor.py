@@ -17,8 +17,8 @@ vector-Jacobian-product callable per op, ``vjp(g, args, out, ctx, needed)
 the parents' values ``args``, the node's output values ``out`` and its saved
 context ``ctx``: the ReLU flag of ``linear``, ``relu_mask``'s layer output,
 the pair cross-entropy's ``(log-softmax rows, onehot, scale, first row)``,
-``cross_entropy_grad``'s ``(onehot, scale)`` (``scale`` is the b-by-1
-column of row scales), ``class_affine_gradient``'s row groups, the forward
+``cross_entropy_grad``'s ``scale`` (the b-by-1 column of row scales),
+``class_affine_gradient``'s row groups, the forward
 arrays, scales and first rows of the fused losses (and ``cosine_gap``'s
 mask of live rows) and the weights of ``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
@@ -53,8 +53,13 @@ one domain's rows (the pair's cross-entropy, ``mean_abs_difference``,
 ``balance_gap``) takes their first row, ``start``, and its vjp writes their
 cotangent into zeros.
 
-The cross-entropy ops check their rows themselves (``_check_rows``): an
-empty batch, or labels that do not fit the rows, raise ContractError.  The
+The cross-entropy ops read a batch's labels as one :class:`Targets`
+(one-hot, row weights and row scales), which checks its arrays' shapes
+once, when it is made.  The ops check only its fit to their rows
+(``_check_rows``): an empty batch, or labels that do not fit the rows, raise
+ContractError, and a class count other than the log-softmax's columns
+ShapeError.  A joint batch's row groups, which ``class_affine_gradient``
+reads, are a :class:`RowGroups` (or an int count of equal groups).  The
 one value the program gives each constant of a fused loss is a module
 constant: ``PAIR_MEAN``, ``LOG_FLOOR`` and ``COSINE_EPS``.
 
@@ -88,12 +93,12 @@ against its composition):
   parents;
 * ``relu_mask(g, out)``: ``mul(g, out > 0)`` for the constant output ``out``
   of a ReLU layer, the mask made from ``out`` when needed, not kept;
-* ``softmax_pair_cross_entropy(ls, onehot, weights, scale, start=None)``:
+* ``softmax_pair_cross_entropy(ls, targets, start=None)``:
   ``PAIR_MEAN`` times the sum of a pair of heads' means of ``-w_i * ls[i,
   y_i]`` for the log-softmax node ``ls`` its caller made, which also serves
   the softmax ``exp(ls)``; its parent is the logits, its vjp ``(exp(ls) -
   onehot) * (g * PAIR_MEAN * scale)``;
-* ``cross_entropy_grad(ls, onehot, scale)``: ``(exp(ls) - onehot) *
+* ``cross_entropy_grad(ls, targets)``: ``(exp(ls) - onehot) *
   (PAIR_MEAN * scale)``, each head's logits cotangent in the pair's mean
   at loss cotangent 1, as a node whose parent is ``ls``;
 * ``class_affine_gradient(layers, groups)``: each affine layer's weight and
@@ -124,6 +129,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,6 +148,7 @@ __all__ = [
     "log_softmax",
     "softmax_pair_cross_entropy",
     "cross_entropy_grad",
+    "Targets",
     "RowGroups",
     "class_affine_gradient",
     "mean_abs_difference",
@@ -354,68 +361,138 @@ def log_softmax(a) -> Tensor:
     return _node(vals, (a,), "log_softmax")
 
 
-def _check_rows(ls: Tensor, onehot: np.ndarray, start: int | None) -> None:
-    """A cross-entropy's rows of ``ls``: all of them, one per row of
-    ``onehot``, or with ``start`` as many as ``onehot`` has from that row
-    on; never none."""
+def _check_rows(ls: Tensor, targets: Targets, start: int | None) -> None:
+    """A cross-entropy's rows of ``ls``: all of them, one per label of
+    ``targets``, or with ``start`` as many as it has from that row on; never
+    none; and one column per class."""
     if ls.values.ndim not in (2, 3):
         raise ShapeError(f"cross-entropy of a log-softmax of shape {ls.shape}")
-    n, b = ls.shape[-2], len(onehot)
+    n, (b, k) = ls.shape[-2], targets.onehot.shape
     if b == 0:
         raise ContractError("cross-entropy needs a non-empty batch")
     if start is None and b != n:
         raise ContractError(f"{b} labels for a batch of {n}")
     if start is not None and not 0 <= start <= n - b:
         raise ContractError(f"{b} labels from row {start} of a batch of {n}")
+    if ls.shape[-1] != k:
+        raise ShapeError(f"{k} classes do not match log-softmax {ls.shape}")
 
 
-def _heads_cross_entropy(ls: Tensor, onehot, weights, scale, start=None) -> tuple:
+def _heads_cross_entropy(ls: Tensor, targets: Targets, start=None) -> tuple:
     """The heads' cross-entropies on the rows of ``ls`` that
     :func:`_check_rows` takes, and the log-softmax values of those rows."""
     if _state.enabled and ls.op != "log_softmax":
         raise ContractError("cross-entropy takes a recorded log_softmax node")
-    _check_rows(ls, onehot, start)
-    b, k = onehot.shape
-    if (ls.shape[-1], scale.shape) != (k, (b, 1)):
-        raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
-                         f"do not match logits {ls.shape[-2:]}")
-    if weights.shape != (b,):
-        raise ShapeError(f"{weights.shape} weights for a batch of {b}")
+    _check_rows(ls, targets, start)
+    b = len(targets.onehot)
     start = start or 0
     rows = ls.values[..., start:start + b, :]
-    picked = -(rows * onehot).sum(axis=-1) * weights
+    picked = -(rows * targets.onehot).sum(axis=-1) * targets.weights
     return picked.sum(axis=-1) * (1.0 / b), rows
 
 
-def softmax_pair_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
-                               scale: np.ndarray, start: int | None = None) -> Tensor:
+def softmax_pair_cross_entropy(ls: Tensor, targets: Targets,
+                               start: int | None = None) -> Tensor:
     """The mean of a pair of heads' cross-entropies, each the mean of
     ``-weights[i] * ls[i, y_i]`` over the rows of the caller's stacked
-    ``ls = log_softmax(logits)`` that the b-by-K ``onehot`` of the labels y
-    encodes: all of them, or with ``start`` its b rows from that row on.
-    One node whose parent is the logits; ``scale`` is the vjp's b-by-1
-    column ``weights / b`` (a batch's :class:`~cgdm.losses.Targets`).  The
-    context keeps those rows' values."""
-    loss, rows = _heads_cross_entropy(ls, onehot, weights, scale, start)
+    ``ls = log_softmax(logits)`` that the b labels y of ``targets`` encode:
+    all of them, or with ``start`` its b rows from that row on.  One node
+    whose parent is the logits; the vjp reads the targets' b-by-1 ``scale``.
+    The context keeps those rows' values."""
+    loss, rows = _heads_cross_entropy(ls, targets, start)
     return _node(loss.sum() * PAIR_MEAN, ls.parents, "pair_cross_entropy",
-                 (rows, onehot, scale, start or 0))
+                 (rows, targets.onehot, targets.scale, start or 0))
 
 
 def _ce_grad(ls, g, onehot, scale) -> np.ndarray:
     return (np.exp(ls) - onehot) * (g * scale)
 
 
-def cross_entropy_grad(ls, onehot: np.ndarray, scale: np.ndarray) -> Tensor:
+def cross_entropy_grad(ls, targets: Targets) -> Tensor:
     """``(exp(ls) - onehot) * (PAIR_MEAN * scale)``: the logits' cotangent
     of each head's cross-entropy in the pair's mean, for all rows of
-    log-softmax ``ls`` (b-by-K or a stack of heads) and the b-by-1 column of
-    row scales ``scale``, as one node whose one parent is ``ls``."""
-    _check_rows(ls, onehot, None)
-    if onehot.shape[-1] != ls.shape[-1] or scale.shape != (ls.shape[-2], 1):
-        raise ShapeError(f"one-hot {onehot.shape} and scale {scale.shape} "
-                         f"do not match log-softmax {ls.shape}")
-    return _node(_ce_grad(ls.values, PAIR_MEAN, onehot, scale), (ls,), "cross_entropy_grad",
-                 (onehot, scale))
+    log-softmax ``ls`` (b-by-K or a stack of heads) and the one-hot and
+    b-by-1 row scales of ``targets``, as one node whose one parent is
+    ``ls``."""
+    _check_rows(ls, targets, None)
+    return _node(_ce_grad(ls.values, PAIR_MEAN, targets.onehot, targets.scale), (ls,),
+                 "cross_entropy_grad", targets.scale)
+
+
+def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    out = np.zeros((labels.size, num_classes))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+@dataclass(frozen=True)
+class Targets:
+    """A batch's labels as the cross-entropy ops read them; made once per
+    batch and checked once, when made.
+
+    ``onehot`` is b-by-K, ``weights`` the b row weights (all ones for plain
+    labels) and ``scale`` the b-by-1 column ``weights / b`` that scales row i
+    of the cross-entropy's vjp, broadcast across its K columns; other shapes
+    raise :class:`ShapeError`.  :meth:`joined` gives the alignment loss's
+    encoding of both domains' rows one after the other, each keeping its own
+    batch's ``scale``, with their row ``groups`` (see
+    :func:`class_affine_gradient`) and, by class, the ``classes`` of the
+    groups; otherwise ``groups`` is 1, one group of all rows, and
+    ``classes`` None.
+    """
+
+    labels: np.ndarray
+    onehot: np.ndarray
+    weights: np.ndarray
+    scale: np.ndarray
+    groups: int | RowGroups = 1
+    classes: tuple | None = None
+
+    def __post_init__(self):
+        b = self.labels.size
+        if (self.onehot.ndim != 2 or len(self.onehot) != b or self.weights.shape != (b,)
+                or self.scale.shape != (b, 1)):
+            raise ShapeError(f"one-hot {self.onehot.shape}, weights {self.weights.shape} "
+                             f"and scale {self.scale.shape} for {b} labels")
+
+    @classmethod
+    def of(cls, labels, num_classes: int, weights=None) -> Targets:
+        """Encode b labels in [0, num_classes); ``weights`` (one per row)
+        defaults to all ones, and pseudo-labelled target rows pass their
+        entropy confidence weights."""
+        if labels is None:
+            raise ContractError("cross-entropy targets need labels")
+        labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise ContractError(f"labels must be 1-D, got shape {labels.shape}")
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise ContractError(
+                f"labels must lie in [0, {num_classes}), got range "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+        if weights is None:
+            weights = np.ones(labels.size)
+        else:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != labels.shape:
+                raise ContractError(f"{weights.size} weights for {labels.size} labels")
+        return cls(labels, _onehot(labels, num_classes), weights,
+                   (weights / labels.size)[:, None])
+
+    def by_class(self) -> Targets:
+        """These targets with each row weighted by its class's mean ``b / n_k``:
+        one whole-batch cross-entropy then gives every row its class-mean
+        cotangent."""
+        labels = self.labels
+        weights = self.weights * (labels.size / np.bincount(labels)[labels])
+        return Targets(labels, self.onehot, weights, (weights / labels.size)[:, None])
+
+    @classmethod
+    def joined(cls, parts, groups, classes=None) -> Targets:
+        """The rows of ``parts`` one after the other, each row encoded as in
+        its part, with the row ``groups`` and ``classes`` given."""
+        return cls(*(np.concatenate([getattr(t, name) for t in parts])
+                     for name in ("labels", "onehot", "weights", "scale")), groups, classes)
 
 
 class RowGroups:
@@ -683,8 +760,7 @@ def _pair_cross_entropy_vjp(g, args, out, ctx, needed):
 
 def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
     """``(g * (PAIR_MEAN * scale)) * exp(ls)``."""
-    onehot, scale = ctx
-    return (g * (PAIR_MEAN * scale) * np.exp(args[0]),)
+    return (g * (PAIR_MEAN * ctx) * np.exp(args[0]),)
 
 
 def _delta_cotangent(g_weight, g_bias, h, groups):

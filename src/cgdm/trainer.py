@@ -35,10 +35,10 @@ losses.  A step's objective, the weighted sum of its losses, is one node
 (:func:`~cgdm.tensor.weighted_sum`).  One target pass per epoch boundary
 (:func:`~cgdm.pseudo_labels.predict`) serves :func:`evaluate` and the next
 epoch's pseudo labels.  Each iteration encodes its batches' labels once
-(:class:`BatchTargets`) for all three steps and every step-3 repeat, and
-each pass's stacked logits get one log-softmax, read by the pair's
-cross-entropies and its softmax.  A run fails in one way: it raises
-:class:`~cgdm.tensor.DomainError`.
+(:class:`BatchTargets`, each domain's a :class:`~cgdm.tensor.Targets`) for
+all three steps and every step-3 repeat, and each pass's stacked logits get
+one log-softmax, read by the pair's cross-entropies and its softmax.  A run
+fails in one way: it raises :class:`~cgdm.tensor.DomainError`.
 
 Memory: each step frees its graph on return.  Left to itself, glibc often
 trims that freed top of the heap back to the OS and faults it in again on
@@ -61,16 +61,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grad_discrepancy, losses, nn, pseudo_labels
+from . import grad_discrepancy, nn, pseudo_labels
 from .tensor import (
     ContractError,
     DomainError,
+    Targets,
     Tensor,
     backward,
     balance_gap,
     exp,
+    log_softmax,
     mean_abs_difference,
     no_grad,
+    softmax_pair_cross_entropy,
     weighted_sum,
 )
 
@@ -191,9 +194,9 @@ class BatchTargets:
     """
 
     features: np.ndarray
-    source: losses.Targets
-    target: losses.Targets
-    alignment: losses.Targets | None
+    source: Targets
+    target: Targets
+    alignment: Targets | None
 
 
 def build_model(in_dim: int, num_classes: int, cfg: TrainConfig) -> BiClassifierModel:
@@ -278,8 +281,8 @@ class CgdmTrainer:
             raise ContractError(f"a joint batch of {source_batch.n} source and "
                                 f"{target_batch.n} target rows")
         k = self.model.num_classes
-        source = losses.Targets.of(source_batch.labels, k)
-        target = losses.Targets.of(pseudo.labels, k, pseudo.weights)
+        source = Targets.of(source_batch.labels, k)
+        target = Targets.of(pseudo.labels, k, pseudo.weights)
         alignment = None
         if self.cfg.beta > 0:
             alignment = grad_discrepancy.alignment_targets(source, target,
@@ -305,13 +308,14 @@ class CgdmTrainer:
         pseudo-label CE and the class balance loss; warmup passes the source
         rows alone and both weights as 0."""
         m = self.model
-        ls = losses.log_probs(m.classifiers, nn.forward(m.generator, Tensor(features)))
-        loss_cls = losses.pair_cross_entropy(ls, source_targets, 0)
+        ls = log_softmax(nn.forward(m.classifiers,
+                                    nn.forward(m.generator, Tensor(features))))
+        loss_cls = softmax_pair_cross_entropy(ls, source_targets, 0)
         terms = [(loss_cls, 1.0)]
         out = {"loss_cls": loss_cls.item()}
         start = source_targets.labels.size
         if alpha > 0:
-            terms.append((losses.pair_cross_entropy(ls, target_targets, start), alpha))
+            terms.append((softmax_pair_cross_entropy(ls, target_targets, start), alpha))
         if balance_weight > 0:
             balance = balance_gap(exp(ls), start)
             terms.append((balance, balance_weight))
@@ -340,9 +344,9 @@ class CgdmTrainer:
             with no_grad():
                 source = nn.forward(m.generator, Tensor(targets.features[:start]))
             joint = np.concatenate((source.values, joint))
-        ls = losses.log_probs(m.classifiers, Tensor(joint))
+        ls = log_softmax(nn.forward(m.classifiers, Tensor(joint)))
         p = exp(ls)
-        terms = [(losses.pair_cross_entropy(ls, targets.source, 0), 1.0),
+        terms = [(softmax_pair_cross_entropy(ls, targets.source, 0), 1.0),
                  (mean_abs_difference(p, start), -1.0)]
         if cfg.class_balance_weight > 0:
             terms.append((balance_gap(p, start), cfg.class_balance_weight))
@@ -394,7 +398,7 @@ class CgdmTrainer:
         m = self.model
         if features is None:
             features = nn.forward(m.generator, x)
-        ls = losses.log_probs(m.classifiers, features)
+        ls = log_softmax(nn.forward(m.classifiers, features))
         loss_dis = mean_abs_difference(exp(ls), start)
         terms = [(loss_dis, 1.0)]
         out = {"loss_dis": loss_dis.item()}
@@ -475,7 +479,7 @@ class CgdmTrainer:
                     for src_idx in epoch_batches(source.n, None, cfg.batch_size, rng):
                         sb = source.take(src_idx)
                         tally(self._update_all(
-                            sb.features, losses.Targets.of(sb.labels, m.num_classes)))
+                            sb.features, Targets.of(sb.labels, m.num_classes)))
                 else:
                     plan = epoch_batches(source.n, target_train.n, cfg.batch_size, rng)
                     for src_idx, tgt_idx in plan:

@@ -17,10 +17,10 @@ broadcasting, one leading head axis where a docstring says so, and formulas
 * ``cosine_rows(gs, gt)``: ``(gs . gt) / (|gs| |gt| + COSINE_EPS)`` per
   row, the cosines that ``cosine_gap`` fuses;
 * ``softmax(a)``: ``exp(log_softmax(a))``;
-* ``softmax_cross_entropy(ls, onehot, weights, scale)``: one head's (or each
-  stacked head's) mean of ``-w_i * ls[i, y_i]``, whose half-sum over a pair
-  ``softmax_pair_cross_entropy`` fuses, and ``cross_entropy(ls, targets)``,
-  the same for a batch's :class:`~cgdm.losses.Targets`.
+* ``softmax_cross_entropy(ls, targets)``: one head's (or each stacked
+  head's) mean of ``-w_i * ls[i, y_i]`` for a batch's
+  :class:`~cgdm.tensor.Targets`, whose half-sum over a pair
+  ``softmax_pair_cross_entropy`` fuses.
 
 ``pow_const`` and the ``log`` and ``pow`` vjps raise ``DomainError`` where
 the power is undefined (``_power``).
@@ -28,11 +28,11 @@ the power is undefined (``_power``).
 import numpy as np
 
 from cgdm import tensor as T
-from cgdm.losses import Targets
 from cgdm.tensor import (
     ContractError,
     DomainError,
     ShapeError,
+    Targets,
     Tensor,
     _absolute_vjp,
     _ce_grad,
@@ -159,20 +159,14 @@ def softmax(a) -> Tensor:
     return T.exp(T.log_softmax(a))
 
 
-def softmax_cross_entropy(ls: Tensor, onehot: np.ndarray, weights: np.ndarray,
-                          scale: np.ndarray) -> Tensor:
+def softmax_cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
     """Mean over the batch of ``-weights[i] * ls[i, y_i]``, where ``ls`` is
     the node ``log_softmax(logits)`` that the caller made; for stacked heads
     (``ls`` H-by-b-by-K), the H heads' means.  The arguments are those of
     ``softmax_pair_cross_entropy``; the node's parent is the logits, and its
     context keeps the values of ``ls``, which the vjp reads."""
-    return _node(_heads_cross_entropy(ls, onehot, weights, scale)[0], ls.parents,
-                 "cross_entropy", (ls.values, onehot, scale))
-
-
-def cross_entropy(ls: Tensor, targets: Targets) -> Tensor:
-    """:func:`softmax_cross_entropy` of a batch's targets."""
-    return softmax_cross_entropy(ls, targets.onehot, targets.weights, targets.scale)
+    return _node(_heads_cross_entropy(ls, targets)[0], ls.parents,
+                 "cross_entropy", (ls.values, targets.onehot, targets.scale))
 
 
 # -- vjp formulas: vjp(g, args, out, ctx, needed) -> parent cotangents ---------

@@ -92,6 +92,16 @@ class TestDatasetCsv:
             load_dataset_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text", ["f0,f1,label\n", "f0,f1,label\n\n\n"],
+                             ids=["header", "header_and_blank_lines"])
+    def test_header_without_rows_is_reported_at_line_2(self, tmp_path, text):
+        path = tmp_path / "set.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line 2: {path} has a header but no data "
+                                             "rows$") as err:
+            load_dataset_csv(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"])
     def test_label_beyond_int64_is_reported_with_its_line(self, tmp_path, label):
         path = tmp_path / "set.csv"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgdm import grad_discrepancy as gd
-from cgdm import losses, nn, checks
+from cgdm import nn, checks
 from cgdm.pseudo_labels import PseudoLabelSet
 from cgdm import tensor as T
 from cgdm.tensor import ContractError, ShapeError, Tensor, backward
@@ -49,7 +49,7 @@ def alignment_args(out, ys, pseudo, by_class=False):
     logits, whole-batch or by shared class."""
     k = out.shape[-1]
     return log_probs(out), gd.alignment_targets(
-        losses.Targets.of(ys, k), losses.Targets.of(pseudo.labels, k, pseudo.weights),
+        T.Targets.of(ys, k), T.Targets.of(pseudo.labels, k, pseudo.weights),
         by_class)
 
 
@@ -242,8 +242,8 @@ def per_class_reforward_loss(gen, pair, xs, ys, xt, pseudo):
         t_rows = np.flatnonzero(pseudo.labels == k)
         out_s, out_t = logits(gen, pair, xs[s_rows]), logits(gen, pair, xt[t_rows])
         n = out_s.shape[-1]
-        gs = gd.class_gradients(pair, log_probs(out_s), losses.Targets.of(ys[s_rows], n))
-        gt = gd.class_gradients(pair, log_probs(out_t), losses.Targets.of(
+        gs = gd.class_gradients(pair, log_probs(out_s), T.Targets.of(ys[s_rows], n))
+        gt = gd.class_gradients(pair, log_probs(out_t), T.Targets.of(
             pseudo.labels[t_rows], n, pseudo.weights[t_rows]))
         term = gd.gradient_discrepancy_loss(C.concat([gs, gt]))
         total = term if total is None else T.add(total, term)
@@ -344,8 +344,8 @@ class TestConditional:
     def test_batches_of_unequal_size_rejected(self, by_class):
         """A joint batch is as many target rows as source rows, as in
         training: 3 source rows over 2 target rows are refused."""
-        source = losses.Targets.of([0, 1, 1], 2)
-        target = losses.Targets.of([1, 0], 2, [1.5, 1.2])
+        source = T.Targets.of([0, 1, 1], 2)
+        target = T.Targets.of([1, 0], 2, [1.5, 1.2])
         with pytest.raises(ContractError, match="a joint batch of 3 source and 2 target rows"):
             gd.alignment_targets(source, target, by_class)
 
@@ -496,7 +496,7 @@ class TestClassGradients:
         """One-class targets would broadcast against 3 logits columns."""
         gen, pair, xs, ys, xt, pseudo = unsorted_case(0)
         out = logits(gen, pair, xs)
-        targets = losses.Targets.of(np.zeros(ys.size, int), 1)
+        targets = T.Targets.of(np.zeros(ys.size, int), 1)
         with pytest.raises(ShapeError, match="do not match log-softmax"):
             gd.class_gradients(pair, log_probs(out), targets)
 
@@ -622,7 +622,7 @@ class TestDeepHeads:
     def test_batch_checks_of_the_cross_entropy(self, rows, labels):
         gen, pair = hidden_models(1, d_feat=5, hidden=(4, 4))
         out = logits(gen, pair, np.ones((rows, 3)))
-        targets = losses.Targets.of(np.arange(labels) % 3, 3)
+        targets = T.Targets.of(np.arange(labels) % 3, 3)
         message = ("cross-entropy needs a non-empty batch" if rows == 0
                    else f"{labels} labels for a batch of {rows}")
         with pytest.raises(ContractError, match=message):

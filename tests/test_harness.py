@@ -243,6 +243,43 @@ def test_export_embeddings_without_a_model_trains_the_variant(tmp_path):
         assert got.tobytes() == want.tobytes()
 
 
+def test_export_pseudo_writes_the_pseudo_labels_of_the_run(tmp_path):
+    """With ``export_pseudo``, ``train`` writes its model's pseudo labels of
+    the target set: one row per target sample, each label one of the K = 2
+    source classes and each weight in (1, 2].  A rerun writes the same
+    bytes."""
+    path = write_config(tmp_path, SMALL + "export_pseudo = true\n")
+    written = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+        written.append(out / "pseudo_cgdm_full_seed0.csv")
+    assert written[0].read_bytes() == written[1].read_bytes()
+    header, rows = read_csv(written[0])
+    assert header == ["sample_id", "pseudo_label", "weight", "distance"]
+    _, target = harness.build_datasets(harness.parse_config(path), 0)
+    assert [int(fields[0]) for _, fields in rows] == list(range(target.n))
+    labels = np.array([int(fields[1]) for _, fields in rows])
+    weights = np.array([float(fields[2]) for _, fields in rows])
+    assert np.all((labels >= 0) & (labels < 2))
+    assert np.all((weights > 1.0) & (weights <= 2.0))
+
+
+def test_a_saved_model_exports_the_embeddings_of_its_training(tmp_path):
+    """``train --save-model`` writes a checkpoint whose generator gives
+    ``export-embeddings --model`` the bytes that ``export-embeddings``
+    gives when it trains the same variant and seed itself."""
+    path, ckpt = write_config(tmp_path, SMALL), tmp_path / "m.ckpt"
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--save-model", str(ckpt)]) == 0
+    assert cli.main(["export-embeddings", "--config", str(path), "--model", str(ckpt),
+                     "--out", str(tmp_path / "saved")]) == 0
+    assert cli.main(["export-embeddings", "--config", str(path),
+                     "--out", str(tmp_path / "trained")]) == 0
+    for name in ("embeddings_source.csv", "embeddings_target.csv"):
+        assert (tmp_path / "saved" / name).read_bytes() == (
+            tmp_path / "trained" / name).read_bytes()
+
+
 class TestBlockedExport:
     """``export_embeddings`` runs the generator in the row blocks of the
     full-set pass, with the values of one whole-set pass."""
@@ -382,6 +419,28 @@ class TestBadInputExitsOne:
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
             "error: line 5: non-finite feature")
+
+    @pytest.mark.parametrize("which, rewrite, message", [
+        ("source", DomainSet.unlabeled, "source set must be labeled"),
+        ("source", lambda s: DomainSet(s.features, s.labels - 1), "negative source label"),
+        ("target", lambda t: DomainSet(t.features, t.labels + 1),
+         "target labels outside source class range [0, 2)"),
+        ("target", "f0,f1,label\n", "line 2: {csv} has a header but no data rows"),
+        ("source", "", "line 1: {csv} is empty"),
+        ("source", "label\n0\n1\n", "line 1: header declares no feature columns"),
+    ], ids=["source_without_labels", "negative_source_label", "target_label_beyond_source",
+            "header_only_target", "empty_source", "no_feature_column"])
+    def test_bad_dataset_csv(self, tmp_path, capsys, which, rewrite, message):
+        """A set or a label that no run can take: exit 1 with one line."""
+        sets = dict(zip(("source", "target"), make_two_moons_pair(20, 0.1, 35.0, seed=0)))
+        path = self.csv_config(tmp_path, *sets.values())
+        csv = tmp_path / f"{which}.csv"
+        if callable(rewrite):
+            save_dataset_csv(rewrite(sets[which]), csv)
+        else:
+            csv.write_text(rewrite)
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self.one_error_line(capsys, argv) == "error: " + message.format(csv=csv)
 
     def test_dataset_csv_with_a_row_that_overflows(self, tmp_path, capsys):
         """Finite features whose squares overflow: exit 1 naming the line,

@@ -6,35 +6,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgdm import losses, nn
+from cgdm import nn
 from cgdm.checks import finite_difference_gradient
 from cgdm.data import DomainSet
-from cgdm.pseudo_labels import PseudoLabelSet
+from cgdm.pseudo_labels import PseudoLabelSet, entropy_weights
 from cgdm.tensor import (
     ContractError,
     ShapeError,
+    Targets,
     Tensor,
     backward,
     balance_gap,
     log_softmax,
     mean_abs_difference,
+    softmax_pair_cross_entropy,
 )
 
-from compositions import cross_entropy, softmax
+from compositions import softmax, softmax_cross_entropy
 
 LN2 = np.log(2.0)
 
 
 def cross_entropy_of(logits, labels, weights=None):
     """The cross-entropy of ``logits`` for ``labels``, through its targets."""
-    return cross_entropy(log_softmax(logits), losses.Targets.of(labels, logits.shape[1], weights))
+    return softmax_cross_entropy(log_softmax(logits),
+                                 Targets.of(labels, logits.shape[1], weights))
 
 
 def source_loss(gen, pair, batch):
     """Mean of the two heads' cross-entropies on a labeled batch."""
-    return losses.pair_cross_entropy(
-        losses.log_probs(pair, nn.forward(gen, Tensor(batch.features))),
-        losses.Targets.of(batch.labels, pair.out_dim))
+    return softmax_pair_cross_entropy(
+        log_softmax(nn.forward(pair, nn.forward(gen, Tensor(batch.features)))),
+        Targets.of(batch.labels, pair.out_dim))
 
 
 def pair_of(a, b):
@@ -127,7 +130,7 @@ class TestSourceClassificationLoss:
         with pytest.raises(ContractError):
             source_loss(gen, pair, batch)
         with pytest.raises(ContractError):  # a log-softmax, not the logits
-            cross_entropy(Tensor(np.zeros((2, 3))), losses.Targets.of([0, 1], 3))
+            softmax_cross_entropy(Tensor(np.zeros((2, 3))), Targets.of([0, 1], 3))
 
 
 class TestPairCrossEntropy:
@@ -136,22 +139,22 @@ class TestPairCrossEntropy:
         l1, l2 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
         labels = rng.integers(0, 3, size=4)
         w = rng.uniform(1.0, 2.0, size=4)
-        pair = losses.pair_cross_entropy(log_softmax(pair_of(l1.values, l2.values)),
-                                         losses.Targets.of(labels, 3, w)).item()
+        pair = softmax_pair_cross_entropy(log_softmax(pair_of(l1.values, l2.values)),
+                                          Targets.of(labels, 3, w)).item()
         ce1 = cross_entropy_of(l1, labels, w).item()
         ce2 = cross_entropy_of(l2, labels, w).item()
         assert pair == 0.5 * (ce1 + ce2)
-        same = losses.pair_cross_entropy(log_softmax(pair_of(l1.values, l1.values)),
-                                         losses.Targets.of(labels, 3)).item()
+        same = softmax_pair_cross_entropy(log_softmax(pair_of(l1.values, l1.values)),
+                                          Targets.of(labels, 3)).item()
         assert abs(same - cross_entropy_of(l1, labels).item()) < 1e-15
 
 
 class TestTargets:
     def test_encoding_of_labels_and_weights(self):
-        t = losses.Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
+        t = Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
         np.testing.assert_array_equal(t.onehot, np.eye(3)[[2, 0, 2]])
         assert t.groups == 1 and t.classes is None
-        plain = losses.Targets.of([1, 0], 2)
+        plain = Targets.of([1, 0], 2)
         np.testing.assert_array_equal(plain.weights, [1.0, 1.0])
         for targets in (plain, t, t.by_class()):
             b = targets.labels.size
@@ -159,16 +162,16 @@ class TestTargets:
             assert targets.scale.tobytes() == (targets.weights / b)[:, None].tobytes()
 
     def test_by_class_weights_each_row_by_its_class_mean(self):
-        t = losses.Targets.of([2, 0, 2, 1], 3, [1.0, 2.0, 4.0, 8.0]).by_class()
+        t = Targets.of([2, 0, 2, 1], 3, [1.0, 2.0, 4.0, 8.0]).by_class()
         np.testing.assert_array_equal(t.weights, [1.0 * 2, 2.0 * 4, 4.0 * 2, 8.0 * 4])
         np.testing.assert_array_equal(t.scale[:, 0], t.weights / 4)
 
     def test_joined_rows_keep_their_own_encoding(self):
         """The joint rows of two batches: each part's rows in turn, each
         scaled by its own batch size."""
-        a = losses.Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
-        b = losses.Targets.of([1, 1], 3)
-        t = losses.Targets.joined((a, b), 2, (1,))
+        a = Targets.of([2, 0, 2], 3, [1.0, 2.0, 4.0])
+        b = Targets.of([1, 1], 3)
+        t = Targets.joined((a, b), 2, (1,))
         np.testing.assert_array_equal(t.labels, [2, 0, 2, 1, 1])
         np.testing.assert_array_equal(t.onehot, np.eye(3)[[2, 0, 2, 1, 1]])
         assert t.scale.tobytes() == np.concatenate([a.scale, b.scale]).tobytes()
@@ -179,44 +182,44 @@ class TestTargets:
     ], ids=["unlabeled", "2-D", "too_large", "negative", "weight_count"])
     def test_bad_labels_rejected(self, labels, weights):
         with pytest.raises(ContractError):
-            losses.Targets.of(labels, 3, weights)
+            Targets.of(labels, 3, weights)
 
 
 class TestEntropyWeight:
     def test_one_hot_gives_two(self):
-        assert losses.entropy_weights([[0.0, 1.0, 0.0]])[0] == pytest.approx(2.0)
+        assert entropy_weights([[0.0, 1.0, 0.0]])[0] == pytest.approx(2.0)
 
     def test_uniform_four_classes(self):
-        assert losses.entropy_weights([[0.25] * 4])[0] == pytest.approx(1.25, abs=1e-12)
+        assert entropy_weights([[0.25] * 4])[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_frozen_oracle_value(self):
         # direct evaluation of 1 + exp(-H([0.7, 0.2, 0.1]))
-        assert losses.entropy_weights([[0.7, 0.2, 0.1]])[0] == pytest.approx(
+        assert entropy_weights([[0.7, 0.2, 0.1]])[0] == pytest.approx(
             1.4485125783319455, abs=1e-5
         )
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
-            losses.entropy_weights([[0.5, 0.6]])
+            entropy_weights([[0.5, 0.6]])
         with pytest.raises(ContractError):
-            losses.entropy_weights([[-0.1, 1.1]])
+            entropy_weights([[-0.1, 1.1]])
         with pytest.raises(ContractError):  # one bad row among good ones
-            losses.entropy_weights([[0.5, 0.5], [0.5, 0.6], [1.0, 0.0]])
+            entropy_weights([[0.5, 0.5], [0.5, 0.6], [1.0, 0.0]])
 
     def test_rows_are_weighted_independently(self):
         rows = random_probs(np.random.default_rng(14), 6, 4)
-        each = [losses.entropy_weights([row])[0] for row in rows]
-        np.testing.assert_array_equal(losses.entropy_weights(rows), each)
+        each = [entropy_weights([row])[0] for row in rows]
+        np.testing.assert_array_equal(entropy_weights(rows), each)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=8))
     def test_range_and_monotonicity(self, raw):
         p = np.array(raw) / np.sum(raw)
-        w = losses.entropy_weights([p])[0]
+        w = entropy_weights([p])[0]
         assert 1.0 < w <= 2.0
         # mixing towards uniform increases entropy, so the weight must drop
         mixed = 0.5 * p + 0.5 / len(p)
-        assert losses.entropy_weights([mixed])[0] <= w + 1e-12
+        assert entropy_weights([mixed])[0] <= w + 1e-12
 
 
 class TestWeightedCrossEntropy:
