@@ -34,10 +34,12 @@ _INT64 = np.iinfo(np.int64)
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries the offending 1-based line number."""
+    """Malformed input file; carries the offending 1-based line number, and
+    names the file first when given its ``path``."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message, line=None, path=None):
+        message = message if line is None else f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 
@@ -154,13 +156,14 @@ def write_csv(path, header, rows) -> None:
 def read_csv(path) -> tuple[list, list]:
     """The header's fields and one ``(line number, fields)`` pair per data row.
 
-    Blank lines hold no record and are skipped.  A row whose field count
-    differs from the header's raises :class:`ParseError` naming its line.
+    Blank lines hold no record and are skipped.  An empty file, or a row
+    whose field count differs from the header's, raises :class:`ParseError`
+    naming the file and the line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ParseError(f"{path} is empty", line=1)
+        raise ParseError("empty file", line=1, path=path)
     header = lines[0].split(",")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -168,9 +171,8 @@ def read_csv(path) -> tuple[list, list]:
             continue
         fields = line.split(",")
         if len(fields) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, found {len(fields)}", line=lineno
-            )
+            raise ParseError(f"expected {len(header)} fields, found {len(fields)}",
+                             line=lineno, path=path)
         rows.append((lineno, fields))
     return header, rows
 
@@ -194,15 +196,16 @@ def unsafe_rows(features: np.ndarray) -> np.ndarray:
 
 
 def load_dataset_csv(path, domain: str = "source") -> DomainSet:
-    """Read a :func:`save_dataset_csv` file.  A malformed row raises
-    :class:`ParseError` naming its line; so, once every row has parsed, does
-    the first of :func:`unsafe_rows`, and a header with no data row names
-    line 2, where the first row would be."""
+    """Read a :func:`save_dataset_csv` file.  Every error is a
+    :class:`ParseError` of the form ``<path>: line <n>: <why>``: a malformed
+    row names its line; so, once every row has parsed, does the first of
+    :func:`unsafe_rows`, and a header with no data row names line 2, where
+    the first row would be."""
     header, rows = read_csv(path)
     labeled = header[-1] == "label"
     n_feat = len(header) - labeled
     if n_feat < 1:
-        raise ParseError("header declares no feature columns", line=1)
+        raise ParseError("header declares no feature columns", line=1, path=path)
     feats, labels = [], []
     for lineno, fields in rows:
         try:
@@ -210,16 +213,16 @@ def load_dataset_csv(path, domain: str = "source") -> DomainSet:
             if labeled:
                 labels.append(int(fields[-1]))
         except ValueError as err:
-            raise ParseError(f"non-numeric field ({err})", line=lineno) from None
+            raise ParseError(f"non-numeric field ({err})", line=lineno, path=path) from None
         if labeled and not _INT64.min <= labels[-1] <= _INT64.max:
-            raise ParseError(f"label {labels[-1]} is outside int64", line=lineno)
+            raise ParseError(f"label {labels[-1]} is outside int64", line=lineno, path=path)
     if not feats:
-        raise ParseError(f"{path} has a header but no data rows", line=2)
+        raise ParseError("header but no data rows", line=2, path=path)
     features = np.asarray(feats, dtype=np.float64)
     bad = unsafe_rows(features)
     if len(bad):
         why = ("squared norm overflows float64" if np.isfinite(features[bad[0]]).all()
                else "non-finite feature")
-        raise ParseError(why, line=rows[bad[0]][0])
+        raise ParseError(why, line=rows[bad[0]][0], path=path)
     label_arr = np.asarray(labels, dtype=np.int64) if labeled else None
     return DomainSet(features, label_arr, domain)

@@ -243,13 +243,13 @@ def write_metrics_csv(metrics, path, include_timing: bool = False) -> None:
 def read_metrics_csv(path) -> list:
     header, rows = data.read_csv(path)
     if header != list(_METRICS_COLUMNS):
-        raise ParseError(f"{path} is not a metrics CSV", line=1)
+        raise ParseError("not a metrics CSV", line=1, path=path)
     out = []
     for lineno, fields in rows:
         try:
             row = [kind(raw) for kind, raw in zip(_METRICS_COLUMNS.values(), fields)]
         except ValueError as err:
-            raise ParseError(str(err), line=lineno) from None
+            raise ParseError(str(err), line=lineno, path=path) from None
         out.append(EpochMetrics(*row))
     return out
 

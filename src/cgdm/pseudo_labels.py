@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .data import write_csv
-from .tensor import LOG_FLOOR, ContractError, Tensor, no_grad
+from .tensor import LOG_FLOOR, ContractError, Tensor, class_reduce, no_grad
 
 __all__ = [
     "CentroidSet",
@@ -50,11 +50,11 @@ def _as_array(x) -> np.ndarray:
 
 def softmax_rows(logits) -> np.ndarray:
     """Numerically stable row softmax of a matrix or a stack of them (numpy,
-    inference use)."""
+    inference use), its row max and sum taken as ``log_softmax`` takes them."""
     z = _as_array(logits)
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - class_reduce(np.maximum, z)
     p = np.exp(z)
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / class_reduce(np.add, p)
 
 
 @dataclass

@@ -18,9 +18,10 @@ the parents' values ``args``, the node's output values ``out`` and its saved
 context ``ctx``: the ReLU flag of ``linear``, ``relu_mask``'s layer output,
 the pair cross-entropy's ``(log-softmax rows, onehot, scale, first row)``,
 ``cross_entropy_grad``'s ``scale`` (the b-by-1 column of row scales),
-``class_affine_gradient``'s row groups, the forward
+``class_affine_gradient``'s row groups and each layer's ``delta`` and ``h``
+as its forward grouped them (so its vjp gathers no row again), the forward
 arrays, scales and first rows of the fused losses (and ``cosine_gap``'s
-mask of live rows) and the weights of ``weighted_sum``.
+mask of live pairs) and the weights of ``weighted_sum``.
 ``needed[i]`` says whether parent ``i`` lies on a path to a ``wrt`` tensor;
 where it does not, the tuple holds None.  ``backward`` calls a node's
 formula once.  The formula first makes what its parents' cotangents share,
@@ -83,9 +84,9 @@ independent runs can execute concurrently.
 
 Fused ops stand for compositions of primitive ops, one node each.  Their
 forward values come from the composition's numpy operations in its order,
-and their vjps replay its cotangents in the order it adds a parent's
-contributions, so gradients are bit-identical to it (the tests check each
-against its composition):
+and their vjps, but ``cosine_gap``'s, replay its cotangents in the order it
+adds a parent's contributions, so gradients are bit-identical to it (the
+tests check each against its composition):
 
 * ``linear(x, w, b)``: ``x w^T + b``, and ``linear(x, w, b, relu=True)``:
   the max of that with 0, taken in place, so no pre-activation array
@@ -110,17 +111,21 @@ against its composition):
   its pads, which equals the composition's masked K-fold copy of
   ``delta``: the masked rows add exact zeros to each sum.  A row of no
   class gets +0.0 cotangents, where the composition's sum of its K masked
-  blocks may be -0.0: the one place a fused op's bits differ from its
-  composition's, and no parameter can see it, since a zero added to a
-  nonzero value leaves it as it was and SGD moves no parameter bit for a
-  zero gradient of either sign;
+  blocks may be -0.0: the one place but ``cosine_gap``'s vjp where a fused
+  op's bits differ from its composition's, and no parameter can see it,
+  since a zero added to a nonzero value leaves it as it was and SGD moves
+  no parameter bit for a zero gradient of either sign;
 * the losses, each a scalar node: ``mean_abs_difference(p, start=0)``,
   the L1 discrepancy, the mean of ``|p[0] - p[1]|`` over the rows from
   ``start`` on; ``balance_gap(p, start=0)``, the nine-node class balance
   loss on those rows; and ``cosine_gap(g)``, the mean of ``1 - (gs . gt) /
   (|gs| |gt| + COSINE_EPS)`` over the row pairs of the two row halves
   ``gs`` and ``gt`` of ``g``, with the rows of a vanished gradient left
-  out;
+  out.  Its vjp is one product ``C @ g`` of a 2r-by-2r matrix of the row
+  cosines' coefficients, where the composition makes about twenty
+  elementwise passes: the one fused vjp whose sums run in another order,
+  so the tests hold its gradients to 1e-12 of their largest entry, not bit
+  for bit;
 * ``weighted_sum(terms)``: a step's objective, the chain of additions,
   subtractions and multiplications by a weight that sums its losses.
 """
@@ -146,6 +151,7 @@ __all__ = [
     "relu_mask",
     "exp",
     "log_softmax",
+    "class_reduce",
     "softmax_pair_cross_entropy",
     "cross_entropy_grad",
     "Targets",
@@ -350,15 +356,30 @@ def exp(a) -> Tensor:
 
 def log_softmax(a) -> Tensor:
     """Row-wise log-softmax of a b-by-K matrix or a stack of them, stabilised
-    by max subtraction."""
+    by max subtraction; the row max and sum are :func:`class_reduce`'s."""
     a = as_tensor(a)
     if a.values.ndim not in (2, 3):
         raise ShapeError(f"log_softmax needs a b-by-K tensor or a stack, got {a.shape}")
     if not np.all(np.isfinite(a.values)):
         raise DomainError("log_softmax requires finite logits")
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    vals = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = a.values - class_reduce(np.maximum, a.values)
+    vals = shifted - np.log(class_reduce(np.add, np.exp(shifted)))
     return _node(vals, (a,), "log_softmax")
+
+
+def class_reduce(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` of ``a`` over its last (class) axis, kept as an axis
+    of length 1, for ``np.maximum`` or ``np.add``: one ufunc call per
+    column, in column order, on all rows at once, where numpy's reduce runs
+    one row at a time.  Bit for bit numpy's ``max`` and ``sum(axis=-1)``:
+    a max is exact in any order, and numpy sums fewer than 8 items in
+    order; 8 or more columns are summed by ``np.add.reduce`` itself."""
+    if ufunc is np.add and a.shape[-1] >= 8:
+        return np.add.reduce(a, -1, keepdims=True)
+    out = a[..., :1].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k:k + 1], out=out)
+    return out
 
 
 def _check_rows(ls: Tensor, targets: Targets, start: int | None) -> None:
@@ -555,15 +576,20 @@ def class_affine_gradient(layers, groups=1) -> Tensor:
         raise ShapeError(f"{n} rows do not split into {rows} row groups")
     columns = sum(delta.shape[-1] * (h.shape[-1] + 1) for delta, h in layers)
     out = np.empty((rows, math.prod(heads), columns))  # group, head, column
-    start = 0
+    start, kept = 0, []
     for delta, h in layers:
         d = _grouped(_stacked(delta.values), groups, zero_pads=True)
-        for block in (np.matmul(_swap(d), _grouped(h.values, groups)), d.sum(axis=2)):
-            block = block.reshape(len(d), rows, -1)
-            out[:, :, start:start + block.shape[2]] = block.transpose(1, 0, 2)
-            start += block.shape[2]
+        h_rows = _grouped(h.values, groups)
+        width, n_in = d.shape[-1], h.shape[-1]
+        # each block written in place: head, group, then the block's columns
+        block = out[:, :, start:start + width * n_in].reshape(rows, len(d), width, n_in)
+        np.matmul(_swap(d), h_rows, out=block.transpose(1, 0, 2, 3))
+        start += width * n_in
+        np.add.reduce(d, 2, out=out[:, :, start:start + width].transpose(1, 0, 2))
+        start += width
+        kept.append((d, h_rows))
     parents = tuple(t for layer in layers for t in layer)
-    return _node(out.reshape(rows, -1), parents, "class_affine_gradient", groups)
+    return _node(out.reshape(rows, -1), parents, "class_affine_gradient", (groups, kept))
 
 
 def _two_heads(p, op: str) -> Tensor:
@@ -621,37 +647,29 @@ def weighted_sum(terms) -> Tensor:
     return _node(total, tensors, "weighted_sum", weights)
 
 
-def _cosine_parts(gs, gt):
-    """Row sums s.s, t.t and s.t, the norms, d = |s||t| + COSINE_EPS and 1/d."""
-    ss, tt, st = (np.add.reduce(a * b, 1) for a, b in ((gs, gs), (gt, gt), (gs, gt)))
-    norm_s, norm_t = ss**0.5, tt**0.5
-    denom = norm_s * norm_t + COSINE_EPS
-    return ss, tt, st, norm_s, norm_t, denom, denom**-1.0
-
-
 def cosine_gap(g) -> Tensor:
     """Mean over the r row pairs of a 2r-by-P matrix ``g``, the rows ``gs =
     g[:r]`` over ``gt = g[r:]``, of ``1 - cos(gs[i], gt[i])`` as one node,
     where ``cos`` is ``(gs . gt) / (|gs| |gt| + COSINE_EPS)`` per row.  A
     pair where |gs| or |gt| is below ``COSINE_EPS`` (a vanished gradient)
-    adds a constant 0 but counts in the mean: its rows are dropped from the
-    row sums by a boolean index, and get zero cotangents.  If every pair
-    does, the result is the constant 0, a leaf."""
+    adds a constant 0 but counts in the mean: the sum of ``1 - cos`` is over
+    the live pairs alone, and a dead pair gets zero cotangents.  If every
+    pair is dead, the result is the constant 0, a leaf.  The squared norms
+    of all 2r rows are one product and one row sum."""
     g = as_tensor(g)
     if g.values.ndim != 2 or g.shape[0] % 2:
         raise ShapeError(f"cosine_gap takes a 2r-by-P matrix, got {g.shape}")
     rows = g.shape[0] // 2
-    parts = _cosine_parts(g.values[:rows], g.values[rows:])
-    live = (parts[3] >= COSINE_EPS) & (parts[4] >= COSINE_EPS)
+    v = g.values
+    norms = np.add.reduce(v * v, 1)**0.5
+    live = (norms[:rows] >= COSINE_EPS) & (norms[rows:] >= COSINE_EPS)
     if not live.any():
         return Tensor(0.0)
-    if live.all():
-        live = None
-    else:
-        parts = tuple(part[live] for part in parts)
+    st = np.add.reduce(v[:rows] * v[rows:], 1)
+    inv = (norms[:rows] * norms[rows:] + COSINE_EPS)**-1.0
     scale = 1.0 / rows
-    return _node((1.0 - parts[2] * parts[6]).sum() * scale, (g,), "cosine_gap",
-                 (parts, scale, live))
+    return _node((1.0 - st * inv)[live].sum() * scale, (g,), "cosine_gap",
+                 (norms, st, inv, scale, live))
 
 
 # -- array helpers of the vjp formulas ------------------------------------------
@@ -687,7 +705,8 @@ def _ungrouped(a, groups) -> np.ndarray:
     if not isinstance(groups, RowGroups):
         return flat
     out = np.take(flat, groups.slot, axis=-2)
-    out[..., groups.none, :] = 0.0
+    if groups.none.size:
+        out[..., groups.none, :] = 0.0
     return out
 
 
@@ -742,7 +761,7 @@ def _linear_vjp(g, args, out, ctx, needed):
 
 
 def _log_softmax_vjp(g, args, out, ctx, needed):
-    return (g - np.exp(out) * np.add.reduce(g, -1)[..., None],)
+    return (g - np.exp(out) * class_reduce(np.add, g),)
 
 
 def _pair_cross_entropy_vjp(g, args, out, ctx, needed):
@@ -763,43 +782,32 @@ def _cross_entropy_grad_vjp(g, args, out, ctx, needed):
     return (g * (PAIR_MEAN * ctx) * np.exp(args[0]),)
 
 
-def _delta_cotangent(g_weight, g_bias, h, groups):
-    """A layer's ``delta`` cotangent from its weight and bias blocks, group
-    by group, C-ordered as the later vjps' sums read it."""
-    # a C-ordered h^T per group, freed once multiplied: BLAS reads a
-    # transposed view in another summation order when the weight cotangent
-    # has few rows, and these sums keep the bits of the composition's
-    product = np.matmul(g_weight, np.ascontiguousarray(_swap(_grouped(h, groups))))
-    return _ungrouped(np.add(_swap(product), g_bias[:, :, None], order="C"), groups)
-
-
-def _h_cotangent(delta, g_weight, h, groups):
-    """A layer's ``h`` cotangent from its weight blocks, group by group; an
-    ``h`` the heads share gets theirs summed in head order."""
-    g_h = _ungrouped(np.matmul(_grouped(delta, groups, zero_pads=True), g_weight), groups)
-    return g_h if h.ndim == 3 else np.add.reduce(g_h, 0)
-
-
-def _class_affine_vjp(g, args, out, groups, needed):
-    """One walk over the layers ``(delta, h)``: each layer's block of ``g``,
-    then its ``delta``'s and its ``h``'s cotangents as needed, each product
-    or sum one numpy call for all heads and groups, from each group's own
-    rows; an ``h`` the heads share gets theirs summed in head order.  Every
-    cotangent is C-ordered."""
-    rows = out.shape[0]
-    heads = len(_stacked(args[0]))
+def _class_affine_vjp(g, args, out, ctx, needed):
+    """One walk over the layers: each layer's block of ``g``, then its
+    ``delta``'s and its ``h``'s cotangents as needed, each product or sum
+    one numpy call for all heads and groups, from the rows of each group
+    that the forward gathered (``delta`` with zero pads); an ``h`` the heads
+    share gets theirs summed in head order.  Every cotangent is C-ordered,
+    as the later vjps' sums read it."""
+    groups, grouped = ctx
+    rows, heads = out.shape[0], len(grouped[0][0])
     g = g.reshape(rows, heads, -1).transpose(1, 0, 2)  # head, group, column
     cots, start = [None] * len(args), 0
-    for j in range(0, len(args), 2):
-        delta, h = _stacked(args[j]), args[j + 1]
-        width, n_in = delta.shape[2], h.shape[-1]
+    for j, (d, h_rows) in zip(range(0, len(args), 2), grouped):
+        width, n_in = d.shape[-1], h_rows.shape[-1]
         g_weight = g[:, :, start:start + width * n_in].reshape(heads, rows, width, n_in)
         g_bias = g[:, :, start + width * n_in:start + width * (n_in + 1)]
         start += width * (n_in + 1)
         if needed[j]:
-            cots[j] = _delta_cotangent(g_weight, g_bias, h, groups).reshape(args[j].shape)
+            # a C-ordered h^T per group, freed once multiplied: BLAS reads a
+            # transposed view in another summation order when the weight
+            # cotangent has few rows, and these sums keep the composition's bits
+            product = np.matmul(g_weight, np.ascontiguousarray(_swap(h_rows)))
+            cots[j] = _ungrouped(np.add(_swap(product), g_bias[:, :, None], order="C"),
+                                 groups).reshape(args[j].shape)
         if needed[j + 1]:
-            cots[j + 1] = _h_cotangent(delta, g_weight, h, groups)
+            g_h = _ungrouped(np.matmul(d, g_weight), groups)
+            cots[j + 1] = g_h if args[j + 1].ndim == 3 else np.add.reduce(g_h, 0)
     return tuple(cots)
 
 
@@ -833,39 +841,27 @@ def _balance_gap_vjp(g, args, out, ctx, needed):
 
 
 def _cosine_gap_vjp(g, args, out, ctx, needed):
-    """The row cosines' vjp of the two halves at the cotangent ``-g / r`` of
-    every cosine, written into the halves of one cotangent; when pairs were
-    dropped, into their ``live`` rows, the others 0."""
-    parts, scale, live = ctx
-    rows = len(args[0]) // 2
-    if live is None:
-        cot = np.empty(args[0].shape)
-        _cosine_cotangents(-(g * scale), args[0][:rows], args[0][rows:], parts,
-                           (cot[:rows], cot[rows:]))
-    else:
-        cot = np.zeros(args[0].shape)
-        cot[:rows][live], cot[rows:][live] = _cosine_cotangents(
-            -(g * scale), args[0][:rows][live], args[0][rows:][live], parts)
-    return (cot,)
-
-
-def _cosine_cotangents(g, gs, gt, parts, into=(None, None)):
-    """The cotangents of ``gs`` and ``gt`` for the cotangent ``g`` of their
-    row cosines, from the forward's row sums ``parts``, each written into
-    its array of ``into`` or a new one.  A matrix's cotangent arrives
-    through s.t first, then twice through its own square (``mul(a, a)``),
-    as in the composition; the terms of the denominator and of s.t are made
-    once for both."""
-    ss, tt, st, norm_s, norm_t, denom, inv = parts
-    g_denom = g * st * (denom**-2.0 * -1.0)
-    g_cross = (g * inv)[:, None]
-    cots = []
-    for a, other, own_sq, other_norm, dest in (
-            (gs, gt, ss, norm_t, into[0]), (gt, gs, tt, norm_s, into[1])):
-        g_sq = g_denom * other_norm * (own_sq**-0.5 * 0.5)
-        square = g_sq[:, None] * a
-        cots.append(np.add(g_cross * other + square, square, out=dest))
-    return tuple(cots)
+    """``C @ g`` for the 2r-by-2r matrix ``C`` of the row cosines'
+    coefficients at the cotangent ``c = -g / r`` of every cosine: the cross
+    term ``c / d_i`` at ``(i, r+i)`` and ``(r+i, i)``, ``d_i = |gs_i| |gt_i|
+    + COSINE_EPS``, and on the diagonal each row's own term through its
+    norm, ``-c (gs_i . gt_i) / d_i^2`` times the other row's norm over its
+    own.  A dead pair's coefficients are 0, made on the live pairs alone,
+    so a vanished row divides by nothing.  The sums run in another order
+    than the composition's, which the tests hold to 1e-12 of the largest
+    entry."""
+    norms, st, inv, scale, live = ctx
+    rows = len(st)
+    n = 2 * rows
+    cross = np.multiply(-(g * scale), inv, out=np.zeros(rows), where=live)
+    other = np.concatenate((norms[rows:], norms[:rows]))  # each row's pair's norm
+    own = np.concatenate((cross * st * -inv,) * 2) * other
+    np.divide(own, norms, out=own, where=np.concatenate((live, live)))
+    coef = np.zeros(n * n)
+    coef[::n + 1] = own
+    coef[rows:n * rows:n + 1] = cross
+    coef[n * rows::n + 1] = cross
+    return (coef.reshape(n, n) @ args[0],)
 
 
 _VJPS = {
@@ -922,22 +918,22 @@ def backward(scalar: Tensor, wrt, create_graph: bool = False) -> dict:
     wrt = list(wrt)
     wrt_ids = {t._id for t in wrt}
 
-    # keep only nodes on a path from the scalar down to some wrt tensor, each
-    # with the parents on such a path
-    on_path = set()
+    # keep only the nodes with a parent on a path down to some wrt tensor,
+    # each with the flags of its parents: a wrt tensor with no such parent
+    # passes nothing on, so it is on a path but not kept
+    on_path = set(wrt_ids)
     path = []
     for node in _reachable(scalar):  # ascending ids: parents precede consumers
-        needed = [p._id in on_path for p in node.parents]
-        if any(needed) or node._id in wrt_ids:
-            on_path.add(node._id)
-            path.append((node, needed))
+        if node.parents:
+            needed = [p._id in on_path for p in node.parents]
+            if True in needed:
+                on_path.add(node._id)
+                path.append((node, needed))
 
     cot = {scalar._id: np.ones(scalar.shape)}
     for node, needed in reversed(path):  # every path node has a cotangent by now
         nid = node._id
         g = cot[nid] if nid in wrt_ids else cot.pop(nid)  # free as we go
-        if not any(needed):  # a wrt tensor with no path below it
-            continue
         parents = node.parents
         pgs = _VJPS[node.op](g, [p.values for p in parents], node.values, node._ctx, needed)
         for parent, pg in zip(parents, pgs):

@@ -5,9 +5,11 @@ Training records none of them, so the package keeps only the ops it runs.
 Importing this module registers their vjp formulas in ``cgdm.tensor._VJPS``
 (``_VJPS`` below), so ``backward`` differentiates a composition of them and
 a test can check a fused op against its composition bit for bit: values and
-every first-order gradient.  The ops follow the core's contract: restricted
-broadcasting, one leading head axis where a docstring says so, and formulas
-``vjp(g, args, out, ctx, needed)`` that give None to a parent not needed.
+every first-order gradient, or, for a fused op whose sums run in another
+order, gradients within ``GRADIENT_RTOL`` (:func:`relative_gap`).  The ops
+follow the core's contract: restricted broadcasting, one leading head axis
+where a docstring says so, and formulas ``vjp(g, args, out, ctx, needed)``
+that give None to a parent not needed.
 
 * ``sub``, ``neg``, ``transpose``, ``relu``, ``log``, ``pow_const``,
   ``tsum``, ``reshape`` and ``concat``: the elementwise, reduction and
@@ -15,7 +17,9 @@ broadcasting, one leading head axis where a docstring says so, and formulas
 * ``head_difference(a)``: ``sub`` of a pair's two heads;
 * ``absolute(a)``: ``add(relu(a), relu(neg(a)))`` as one node;
 * ``cosine_rows(gs, gt)``: ``(gs . gt) / (|gs| |gt| + COSINE_EPS)`` per
-  row, the cosines that ``cosine_gap`` fuses;
+  row, the cosines that ``cosine_gap`` fuses, as one node whose reference
+  formulas (``_cosine_parts``, ``_cosine_cotangents``) replay the
+  composition's row sums and cotangents;
 * ``softmax(a)``: ``exp(log_softmax(a))``;
 * ``softmax_cross_entropy(ls, targets)``: one head's (or each stacked
   head's) mean of ``-w_i * ls[i, y_i]`` for a batch's
@@ -25,6 +29,8 @@ broadcasting, one leading head axis where a docstring says so, and formulas
 ``pow_const`` and the ``log`` and ``pow`` vjps raise ``DomainError`` where
 the power is undefined (``_power``).
 """
+import math
+
 import numpy as np
 
 from cgdm import tensor as T
@@ -37,14 +43,25 @@ from cgdm.tensor import (
     _absolute_vjp,
     _ce_grad,
     _check_broadcast,
-    _cosine_cotangents,
-    _cosine_parts,
     _heads_cross_entropy,
     _node,
     _unbroadcast,
     _where_positive,
     as_tensor,
 )
+
+
+# a fused op whose sums run in another order than its reference's (a joint
+# batch's linear node against one pass per domain, cosine_gap's vjp against
+# its composition) agrees with it to this share of the largest entry
+GRADIENT_RTOL = 1e-12
+
+
+def relative_gap(a, b) -> float:
+    """``max|a - b| / max|b|``: 0 for equal arrays, inf for a nonzero ``a``
+    against an all-zero ``b``."""
+    gap, scale = np.max(np.abs(a - b)), np.max(np.abs(b))
+    return float(gap / scale) if scale else (math.inf if gap else 0.0)
 
 
 def _power(values: np.ndarray, p: float) -> np.ndarray:
@@ -144,6 +161,14 @@ def concat(tensors, axis=0) -> Tensor:
     return _node(vals, tensors, "concat", axis)
 
 
+def _cosine_parts(gs, gt):
+    """Row sums s.s, t.t and s.t, the norms, d = |s||t| + COSINE_EPS and 1/d."""
+    ss, tt, st = (np.add.reduce(a * b, 1) for a, b in ((gs, gs), (gt, gt), (gs, gt)))
+    norm_s, norm_t = ss**0.5, tt**0.5
+    denom = norm_s * norm_t + T.COSINE_EPS
+    return ss, tt, st, norm_s, norm_t, denom, denom**-1.0
+
+
 def cosine_rows(gs, gt) -> tuple:
     """``(cos, norm_s, norm_t)``: the first-order node ``(gs . gt) / (|gs|
     |gt| + COSINE_EPS)`` of each row of two b-by-P matrices, and the row
@@ -194,6 +219,23 @@ def _cross_entropy_vjp(g, args, out, ctx, needed):
     """Each head's cotangent scales its rows: ``g`` gets two trailing axes."""
     ls, onehot, scale = ctx
     return (_ce_grad(ls, np.expand_dims(g, (-2, -1)), onehot, scale),)
+
+
+def _cosine_cotangents(g, gs, gt, parts):
+    """The cotangents of ``gs`` and ``gt`` for the cotangent ``g`` of their
+    row cosines, from the forward's row sums ``parts``.  A matrix's
+    cotangent arrives through s.t first, then twice through its own square
+    (``mul(a, a)``), as in the composition; the terms of the denominator
+    and of s.t are made once for both."""
+    ss, tt, st, norm_s, norm_t, denom, inv = parts
+    g_denom = g * st * (denom**-2.0 * -1.0)
+    g_cross = (g * inv)[:, None]
+    cots = []
+    for a, other, own_sq, other_norm in ((gs, gt, ss, norm_t), (gt, gs, tt, norm_s)):
+        g_sq = g_denom * other_norm * (own_sq**-0.5 * 0.5)
+        square = g_sq[:, None] * a
+        cots.append(g_cross * other + square + square)
+    return tuple(cots)
 
 
 def _cosine_rows_vjp(g, args, out, parts, needed):

@@ -511,8 +511,10 @@ class TestClassGradients:
     @pytest.mark.parametrize("dead", [None, 0, 2])
     def test_loss_is_the_composition_it_fuses(self, dead):
         """The loss as it was composed before ``cosine_rows`` (norms, row dot
-        products, a division), over the same live rows: bit-equal value and
-        gradients, with a dead row selected away or none."""
+        products, a division), over the same live rows: bit-equal value, and
+        gradients within ``GRADIENT_RTOL`` of their largest entry (the fused
+        vjp is one product, summed in another order), with a dead row
+        selected away or none."""
         rng = np.random.default_rng(7)
         gs, gt = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
         if dead is not None:
@@ -527,7 +529,7 @@ class TestClassGradients:
         assert got.item() == want.item()
         g_got, g_want = backward(got, [gs, gt]), backward(want, [gs, gt])
         for t in (gs, gt):
-            assert g_got[t].values.tobytes() == g_want[t].values.tobytes()
+            assert C.relative_gap(g_got[t].values, g_want[t].values) <= C.GRADIENT_RTOL
 
     def test_all_zero_rows_give_a_constant_zero(self):
         out = discrepancy(np.zeros((2, 3)), np.ones((2, 3)))

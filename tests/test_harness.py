@@ -145,7 +145,7 @@ class TestMetricsCsv:
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace("0.875", "high")
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="^line 3: .*'high'"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: .*'high'"):
             harness.read_metrics_csv(path)
 
 
@@ -262,6 +262,20 @@ def test_export_pseudo_writes_the_pseudo_labels_of_the_run(tmp_path):
     weights = np.array([float(fields[2]) for _, fields in rows])
     assert np.all((labels >= 0) & (labels < 2))
     assert np.all((weights > 1.0) & (weights <= 2.0))
+
+
+def test_export_embeddings_seed_option_is_the_configs_seed(tmp_path):
+    """``export-embeddings --seed 3`` writes the bytes that a config of
+    ``seeds = 3`` writes without the option, and not those of seed 0."""
+    plain, three = write_config(tmp_path, SMALL), tmp_path / "three.cfg"
+    three.write_text(SMALL.replace("seeds = 0", "seeds = 3"))
+    runs = {"option": [plain, "--seed", "3"], "config": [three], "zero": [plain]}
+    for name, (path, *extra) in runs.items():
+        assert cli.main(["export-embeddings", "--config", str(path), "--variant", "mcd",
+                         "--out", str(tmp_path / name), *extra]) == 0
+    written = {name: [(tmp_path / name / f"embeddings_{domain}.csv").read_bytes()
+                      for domain in ("source", "target")] for name in runs}
+    assert written["option"] == written["config"] != written["zero"]
 
 
 def test_a_saved_model_exports_the_embeddings_of_its_training(tmp_path):
@@ -418,16 +432,16 @@ class TestBadInputExitsOne:
         csv.write_text("\n".join(lines) + "\n")
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
-            "error: line 5: non-finite feature")
+            f"error: {csv}: line 5: non-finite feature")
 
     @pytest.mark.parametrize("which, rewrite, message", [
         ("source", DomainSet.unlabeled, "source set must be labeled"),
         ("source", lambda s: DomainSet(s.features, s.labels - 1), "negative source label"),
         ("target", lambda t: DomainSet(t.features, t.labels + 1),
          "target labels outside source class range [0, 2)"),
-        ("target", "f0,f1,label\n", "line 2: {csv} has a header but no data rows"),
-        ("source", "", "line 1: {csv} is empty"),
-        ("source", "label\n0\n1\n", "line 1: header declares no feature columns"),
+        ("target", "f0,f1,label\n", "{csv}: line 2: header but no data rows"),
+        ("source", "", "{csv}: line 1: empty file"),
+        ("source", "label\n0\n1\n", "{csv}: line 1: header declares no feature columns"),
     ], ids=["source_without_labels", "negative_source_label", "target_label_beyond_source",
             "header_only_target", "empty_source", "no_feature_column"])
     def test_bad_dataset_csv(self, tmp_path, capsys, which, rewrite, message):
@@ -448,10 +462,11 @@ class TestBadInputExitsOne:
         source, target = make_two_moons_pair(20, 0.1, 35.0, seed=0)
         path = self.csv_config(tmp_path, source, target)
         scaled = DomainSet(target.features * 1e200, target.labels, target.domain)
-        save_dataset_csv(scaled, tmp_path / "target.csv")
+        csv = tmp_path / "target.csv"
+        save_dataset_csv(scaled, csv)
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
-            "error: line 2: squared norm overflows float64")
+            f"error: {csv}: line 2: squared norm overflows float64")
 
     def test_class_count_beyond_the_source_rows(self, tmp_path, capsys, monkeypatch):
         """A two-row source labelled 0 and 10^9 would ask for output layers
@@ -476,7 +491,7 @@ class TestBadInputExitsOne:
         csv.write_text("\n".join(lines) + "\n")
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self.one_error_line(capsys, argv) == (
-            "error: line 3: label 99999999999999999999999 is outside int64")
+            f"error: {csv}: line 3: label 99999999999999999999999 is outside int64")
 
     @pytest.mark.parametrize("key, values, twice", [
         ("seeds", "0, 1, 1", "1"), ("variants", "mcd, cgdm_full, mcd", "'mcd'")])

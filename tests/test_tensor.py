@@ -3,6 +3,7 @@ vjp formulas, and graph determinism."""
 import gc
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,18 @@ class TestLogSoftmax:
         shifted = T.log_softmax(T.Tensor(x + shift)).values
         np.testing.assert_allclose(shifted, base, atol=1e-10)
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_class_reduce_is_numpys_max_and_sum(self, k):
+        """Column by column, the class-axis max and sum are numpy's ``max``
+        and ``sum(axis=-1)`` bit for bit: a max is exact in any order, numpy
+        sums fewer than 8 items in order, and 8 or more columns go to
+        ``np.add.reduce``."""
+        a = np.random.default_rng(k).normal(size=(2, 37, k)) * 3.0
+        for x in (a, a[0], np.exp(a)):
+            assert (T.class_reduce(np.maximum, x).tobytes()
+                    == x.max(axis=-1, keepdims=True).tobytes())
+            assert T.class_reduce(np.add, x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -162,6 +175,21 @@ class TestBackward:
         other = T.Tensor(np.ones((2, 2)))
         g = T.backward(C.tsum(x), [other])[other]
         np.testing.assert_array_equal(g.values, np.zeros((2, 2)))
+
+    def test_an_unreachable_wrt_tensor_changes_no_gradient(self):
+        """Asking also for a tensor outside the graph, and for an inner node,
+        leaves each gradient as it is alone, bit for bit; the outsider gets
+        zeros."""
+        rng = np.random.default_rng(4)
+        x, w = T.Tensor(rng.normal(size=(3, 4))), T.Tensor(rng.normal(size=(4, 2)))
+        hidden = C.relu(T.matmul(x, w))
+        loss = C.tsum(T.mul(hidden, T.log_softmax(hidden)))
+        outside = T.Tensor(rng.normal(size=(2, 2)))
+        alone = {t: T.backward(loss, [t])[t].values for t in (x, w, hidden)}
+        every = T.backward(loss, [outside, x, hidden, w])
+        for t, g in alone.items():
+            assert every[t].values.tobytes() == g.tobytes()
+        assert every[outside].values.tobytes() == np.zeros((2, 2)).tobytes()
 
     def test_two_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -512,15 +540,19 @@ def _cosine_composition(gs, gt):
                  C.pow_const(T.add(T.mul(norm_s, norm_t), T.COSINE_EPS), -1.0))
 
 
-def _assert_same_op(fused, composed, inputs, proj):
-    """Bit-equal values, and bit-equal first-order gradients of the
-    projection ``sum(out * proj)`` with respect to every input."""
+def _assert_same_op(fused, composed, inputs, proj, rtol=0.0):
+    """Bit-equal values, and first-order gradients of the projection ``sum(out
+    * proj)`` with respect to every input that are bit-equal or, with
+    ``rtol``, within that share of their largest entry."""
     assert fused.values.tobytes() == composed.values.tobytes()
     assert fused.shape == composed.shape
     g_fused = T.backward(C.tsum(T.mul(fused, proj)), inputs)
     g_composed = T.backward(C.tsum(T.mul(composed, proj)), inputs)
     for t in inputs:
-        assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
+        if rtol:
+            assert C.relative_gap(g_fused[t].values, g_composed[t].values) <= rtol
+        else:
+            assert g_fused[t].values.tobytes() == g_composed[t].values.tobytes()
 
 
 class TestFusedOps:
@@ -847,7 +879,8 @@ def _cosine_gap_composition(g):
 class TestFusedLosses:
     """The losses and the step objective, one node each, against their
     compositions: the forward value and every parent's cotangent, bit for
-    bit, at a loss cotangent other than 1."""
+    bit (``cosine_gap``'s cotangent within ``GRADIENT_RTOL``), at a loss
+    cotangent other than 1."""
 
     @staticmethod
     def _pair_case(seed, b=6, k=3):
@@ -873,10 +906,10 @@ class TestFusedLosses:
         return [(T.Tensor(rng.normal()), w) for w in (1.0, -1.0, 0.3)]
 
     @staticmethod
-    def _assert_same(fused, composed, inputs, op, seed):
+    def _assert_same(fused, composed, inputs, op, seed, rtol=0.0):
         assert fused.op == op and fused.parents == tuple(inputs)
         _assert_same_op(fused, composed, inputs,
-                        T.Tensor(np.random.default_rng(seed).normal()))
+                        T.Tensor(np.random.default_rng(seed).normal()), rtol)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mean_abs_difference_equals_composition(self, seed):
@@ -919,10 +952,28 @@ class TestFusedLosses:
     def test_cosine_gap_equals_composition(self, seed, rows, dead):
         """A dead row (a zero row of ``gs`` or ``gt``) drops out of the
         cosines but counts in the mean; its cotangent is the composition's
-        zeros."""
+        zeros.  The value is bit-equal; the vjp is one product of a
+        coefficient matrix with ``g``, whose sums run in another order than
+        the composition's, so its gradient is held to ``GRADIENT_RTOL``."""
         g = self._cosine_case(seed, rows, dead if rows > 1 else None)
         self._assert_same(T.cosine_gap(g), _cosine_gap_composition(g), [g], "cosine_gap",
-                          seed)
+                          seed, C.GRADIENT_RTOL)
+
+    def test_a_dead_pairs_cotangent_rows_are_zero(self):
+        """A pair with a zero row, or with a row whose norm is below
+        ``COSINE_EPS`` but not 0, gets zero coefficients: both of its rows'
+        cotangents are 0, the live pairs' are not, and no floating-point
+        warning is raised on the way."""
+        rng = np.random.default_rng(19)
+        gs, gt = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        gs[1], gt[2] = 0.0, 1e-14
+        g = T.Tensor(np.concatenate([gs, gt]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cot = T.backward(T.cosine_gap(g), [g])[g].values
+        dead = [1, 2, 5, 6]
+        assert np.all(cot[dead] == 0.0)
+        assert np.all(np.delete(cot, dead, axis=0) != 0.0)
 
     def test_cosine_gap_of_dead_rows_only_is_the_constant_zero(self):
         g = T.Tensor(np.concatenate([np.zeros((2, 5)), np.ones((2, 5))]))
@@ -1205,6 +1256,13 @@ class TestDeterminismAndState:
         g = T.backward(C.tsum(T.mul(y, y)), [x])[x]
         np.testing.assert_array_equal(g.values, np.zeros(2))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_a_tensor_holds_float64_values_equal_to_its_input(self, dtype):
+        values = np.array([[1.5, -2.0, 3.25], [0.1, 40.0, -6.0]]).astype(dtype)
+        t = T.Tensor(values)
+        assert t.values.dtype == np.float64
+        assert np.array_equal(t.values, values)
+
     def test_finite_values_preserved(self):
         rng = np.random.default_rng(5)
         x = T.Tensor(rng.normal(size=(6, 6)))
@@ -1367,6 +1425,35 @@ def test_class_affine_peak_does_not_grow_with_k():
 
     for k in (2, 4, 8):
         assert peak(k) < peak(1) + 1.5 * k * columns * 8 < peak(1) + (k - 1) * delta.nbytes
+
+
+def test_class_affine_vjp_reads_the_rows_its_forward_gathered(monkeypatch):
+    """A :class:`RowGroups` node keeps the grouped ``delta`` and ``h`` of its
+    forward: its vjp gathers neither again (``np.take`` runs only on the
+    cotangents it ungroups), and its cotangents are those of a vjp that
+    gathers them anew, bit for bit."""
+    rng = np.random.default_rng(11)
+    members = _class_members(rng, 20, 3, every_row=False)
+    layers = [(T.Tensor(rng.normal(size=(2, 20, 4))), T.Tensor(rng.normal(size=(20, 3)))),
+              (T.Tensor(rng.normal(size=(2, 20, 2))), T.Tensor(rng.normal(size=(2, 20, 4))))]
+    fused = T.class_affine_gradient(layers, _row_groups(members))
+    args = [t.values for layer in layers for t in layer]
+    proj = rng.normal(size=fused.shape)
+    groups = fused._ctx[0]
+    anew = (groups, [(T._grouped(T._stacked(d), groups, zero_pads=True), T._grouped(h, groups))
+                     for d, h in zip(args[::2], args[1::2])])
+    want = T._VJPS["class_affine_gradient"](proj, args, fused.values, anew, [True] * 4)
+    taken, take = [], np.take
+
+    def recording_take(a, *rest, **kwargs):
+        taken.append(a)
+        return take(a, *rest, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    got = T._VJPS["class_affine_gradient"](proj, args, fused.values, fused._ctx, [True] * 4)
+    monkeypatch.undo()
+    assert taken and not any(np.shares_memory(a, x) for a in taken for x in args)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def test_linear_vjp_of_a_shared_input_adds_each_heads_product():

@@ -34,20 +34,19 @@ from cgdm.tensor import (
     weighted_sum,
 )
 
-from compositions import absolute, concat, softmax, softmax_cross_entropy, sub, tsum
+from compositions import (
+    GRADIENT_RTOL,
+    absolute,
+    concat,
+    relative_gap,
+    softmax,
+    softmax_cross_entropy,
+    sub,
+    tsum,
+)
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
 LOSS_RTOL = 1e-9  # the benchmark's trajectory tolerance; accuracies are exact
-# a joint batch's gradients against one pass per domain: the two sum each
-# parameter's cotangent over the rows in another order
-GRADIENT_RTOL = 1e-12
-
-
-def relative_gap(a, b) -> float:
-    """``max|a - b| / max|b|``: 0 for equal arrays, inf for a nonzero ``a``
-    against an all-zero ``b``."""
-    gap, scale = np.max(np.abs(a - b)), np.max(np.abs(b))
-    return float(gap / scale) if scale else (math.inf if gap else 0.0)
 
 
 @contextmanager
